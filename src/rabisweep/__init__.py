@@ -43,7 +43,6 @@ from .experiments import (
     multimode_scan,
     quench_rate_scan,
     quench_time_trace,
-    rerun_point,
     run_experiment,
     sector_ground_state,
 )
@@ -110,7 +109,30 @@ from .sweep import (
     instantaneous_populations,
     project_records,
     run_sweep,
-    run_sweep_batch,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "FockPrepWindow", "GapSpectrum", "cascade_gaps", "cascade_probabilities",
+    "default_n_max", "fock_prep_window", "lz_probability", "multimode_gaps",
+    "poisson_overlap", "sequential_crossing_probabilities", "DegenerateCrossingError",
+    "GapTruncationError", "InsufficientTruncationError", "InvalidParameterError",
+    "InvalidTruncationError", "NumericalInstabilityError", "RabisweepError",
+    "ResourceLimitError", "SymmetryViolationError", "ExperimentSpec", "ResultRow",
+    "ResultTable", "default_quench_delta_hi", "instantaneous_ground_state", "lz_scan",
+    "lz_time_trace", "lz_window", "multimode_scan", "quench_rate_scan",
+    "quench_time_trace", "run_experiment", "sector_ground_state", "emit_svg",
+    "parse_config_file", "read_result_table", "render_result_csv", "write_result_table",
+    "BasisLabel", "EVEN_SECTOR", "Mode", "MultiModeParams", "ODD_SECTOR",
+    "ParitySector", "ProbabilityRecord", "QrmParams", "build_multimode", "build_qrm",
+    "critical_delta", "default_n_fock", "delta_ramp", "displaced_level_fits",
+    "displaced_state", "epsilon_ramp", "multimode_displaced_basis", "normal_state",
+    "parity_operator", "parity_projector", "parity_sector_basis",
+    "parity_sector_labels", "scheme_basis", "scheme_state", "superradiant_state",
+    "IDENTITY_2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "StateVector", "StepPropagator",
+    "annihilation", "creation", "displaced_fock_tail", "displacement", "eig_hermitian",
+    "hermiticity_defect", "kron", "number_operator", "propagate_step",
+    "unitary_displacement", "PRESETS", "bundled_presets", "ConservationSample",
+    "ConvergenceReport", "SweepSchedule", "Trajectory", "convergence_scan",
+    "greedy_label_assignment", "instantaneous_populations", "project_records",
+    "run_sweep",
+]

@@ -16,7 +16,13 @@ import numpy as np
 from ._version import __version__
 from .analytics import cascade_probabilities, lz_probability, poisson_overlap
 from .errors import InvalidParameterError, RabisweepError
-from .experiments import ExperimentSpec, run_experiment
+from .experiments import (
+    ExperimentSpec,
+    default_quench_delta_hi,
+    lz_window,
+    run_experiment,
+    sector_ground_state,
+)
 from .io import emit_svg, parse_config_file, write_result_table
 from .model import (
     EVEN_SECTOR,
@@ -30,7 +36,6 @@ from .model import (
 from .operators import eig_hermitian
 from .presets import PRESETS
 from .sweep import SweepSchedule, convergence_scan
-from .experiments import lz_window, sector_ground_state
 
 
 class _UsageError(Exception):
@@ -152,7 +157,7 @@ def _cmd_quench(args) -> int:
     if args.delta_i is not None:
         options["delta_hi"] = args.delta_i
     if args.trace:
-        hi = options.get("delta_hi", max(200.0, 50.0 * (2 * g) ** 2))
+        hi = options.get("delta_hi", default_quench_delta_hi(p))
         axis = np.linspace(-hi, 0.0, 400) if args.direction == "ns" else np.linspace(0.0, hi, 400)
         spec = ExperimentSpec(
             "quench_trace", p,
@@ -298,22 +303,32 @@ _COMMANDS = {
 }
 
 
+def _splice_config(argv: list[str]) -> list[str]:
+    """Replace ``--config FILE`` by the file's flags, placed right after the
+    subcommand so that explicit flags, which come later, override them."""
+    argv = [part for arg in argv for part in (
+        arg.split("=", 1) if arg.startswith("--config=") else [arg]
+    )]
+    if "--config" not in argv:
+        return argv
+    idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise _UsageError("argument --config: expected one argument")
+    injected = []
+    for key, value in parse_config_file(argv[idx + 1]).items():
+        injected.append(f"--{key}")
+        if value.lower() != "true":
+            injected.append(value)
+    rest = argv[:idx] + argv[idx + 2 :]
+    at = next((i + 1 for i, arg in enumerate(rest) if arg in _COMMANDS), len(rest))
+    return rest[:at] + injected + rest[at:]
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        # A config file supplies defaults; explicit flags override them.
-        if "--config" in argv:
-            idx = argv.index("--config")
-            cfg = parse_config_file(argv[idx + 1])
-            injected = []
-            for key, value in cfg.items():
-                injected.append(f"--{key}")
-                if value.lower() != "true":
-                    injected.append(value)
-            head = argv[: 1]  # subcommand first
-            argv = head + injected + argv[1:idx] + argv[idx + 2 :]
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_splice_config(argv))
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +31,6 @@ from .model import (
     build_multimode,
     build_qrm,
     critical_delta,
-    delta_ramp,
-    parity_sector_basis,
-    parity_sector_labels,
-    scheme_basis,
 )
 from .operators import StateVector, eig_hermitian
 from .sweep import (
@@ -42,6 +39,9 @@ from .sweep import (
     TOP_OCCUPANCY_TOL,
     SweepSchedule,
     Trajectory,
+    _hamiltonian_parts,
+    _records,
+    _sector_scheme_columns,
     eigen_level_series,
     greedy_label_assignment,
     run_sweep,
@@ -167,10 +167,8 @@ def lz_window(p: QrmParams | MultiModeParams) -> float:
 
 def sector_ground_state(p: QrmParams, delta_value: float) -> StateVector:
     """Ground state of the even-parity block at the given gap, block coords."""
-    basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-    h = build_qrm(replace(p, delta=delta_value, epsilon=0.0))
-    hb = basis.conj().T @ h @ basis
-    _, vecs = eig_hermitian(hb)
+    h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
+    _, vecs = eig_hermitian(h_static + delta_value * h_ramp)
     return StateVector(vecs[:, 0], "parity-symmetric")
 
 
@@ -223,13 +221,19 @@ def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
     )
 
 
-def _sector_scheme_columns(p: QrmParams, scheme: str) -> tuple[np.ndarray, list[BasisLabel]]:
-    """Even-sector states of a parity-definite scheme, in block coordinates."""
-    basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-    cols_full, all_labels = scheme_basis(p, scheme)
-    labels = parity_sector_labels(EVEN_SECTOR, p.n_fock, scheme)
-    keep = [all_labels.index(lab) for lab in labels]
-    return basis.conj().T @ cols_full[:, keep], labels
+def _scan(spec: ExperimentSpec, row_for_value: Callable[[float], ResultRow]) -> ResultTable:
+    """One row per scan value, each timed; a row that raises a package error
+    becomes a failed row and the scan goes on."""
+    rows = []
+    times = []
+    for scan_value in spec.scan_values:
+        t0 = time.perf_counter()
+        try:
+            rows.append(row_for_value(scan_value))
+        except RabisweepError as exc:
+            rows.append(_failed_row(scan_value, exc))
+        times.append(time.perf_counter() - t0)
+    return ResultTable(spec, rows, _provenance(spec, times))
 
 
 # ---------------------------------------------------------------------------
@@ -259,39 +263,30 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     start, end = _quench_endpoints(spec)
     to_superradiant = end < start
     if to_superradiant:
-        cols, labels = _sector_scheme_columns(p, "superradiant")
+        cols, labels = _sector_scheme_columns(p, "superradiant", EVEN_SECTOR)
     else:
-        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-        h_final = basis.conj().T @ build_qrm(replace(p, delta=end, epsilon=0.0)) @ basis
-        _, eigvecs = eig_hermitian(h_final)
-        ref_cols, ref_labels = _sector_scheme_columns(p, "normal")
+        h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        _, eigvecs = eig_hermitian(h_static + end * h_ramp)
+        ref_cols, ref_labels = _sector_scheme_columns(p, "normal", EVEN_SECTOR)
         assigned = greedy_label_assignment(ref_cols, ref_labels, eigvecs)
         cols, labels = eigvecs, assigned
     oracle = tuple(
         ProbabilityRecord(lab, poisson_overlap(lab.photons, p.g, p.omega)) for lab in labels
     )
 
-    rows = []
-    times = []
     psi0 = sector_ground_state(p, start)
-    for scan_value in spec.scan_values:
+
+    def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.omega**2
-        t0 = time.perf_counter()
-        try:
-            schedule = SweepSchedule(
-                "delta", start, end, rate, n_steps=spec.n_steps, n_samples=2
-            )
-            traj = run_sweep(
-                p, schedule, psi0, readout="state", sector=EVEN_SECTOR, check_truncation=False
-            )
-            probs = np.abs(cols.conj().T @ traj.final_state.amplitudes) ** 2
-            sim = tuple(ProbabilityRecord(l, float(pr)) for l, pr in zip(labels, probs))
-            checks, ok, warns = _row_checks(traj, sim)
-            rows.append(ResultRow(scan_value, sim, oracle, ok, checks, warns))
-        except RabisweepError as exc:
-            rows.append(_failed_row(scan_value, exc))
-        times.append(time.perf_counter() - t0)
-    return ResultTable(spec, rows, _provenance(spec, times))
+        schedule = SweepSchedule("delta", start, end, rate, n_steps=spec.n_steps, n_samples=2)
+        traj = run_sweep(
+            p, schedule, psi0, readout="state", sector=EVEN_SECTOR, check_truncation=False
+        )
+        sim = tuple(_records(cols, labels, traj.final_state.amplitudes))
+        checks, ok, warns = _row_checks(traj, sim)
+        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
+
+    return _scan(spec, row)
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -333,16 +328,14 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
         p, schedule, psi0, readout="state", sector=EVEN_SECTOR, check_truncation=False
     )
 
-    basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-    h0 = basis.conj().T @ build_qrm(replace(p, delta=0.0, epsilon=0.0)) @ basis
-    h1 = basis.conj().T @ delta_ramp(p) @ basis
+    h0, h1, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
     delta_values = np.array([schedule.value_at(t) for t in traj.times])
     pops, _, flags = eigen_level_series(
         h0, h1, delta_values, [s.amplitudes for s in traj.states]
     )
 
     scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
-    ref_cols, ref_labels = _sector_scheme_columns(p, scheme)
+    ref_cols, ref_labels = _sector_scheme_columns(p, scheme, EVEN_SECTOR)
     _, final_vecs = eig_hermitian(h0 + delta_values[-1] * h1)
     level_labels = greedy_label_assignment(ref_cols, ref_labels, final_vecs)
 
@@ -387,30 +380,24 @@ def lz_scan(spec: ExperimentSpec) -> ResultTable:
         raise InvalidParameterError(f"lz_scan cannot run kind {spec.kind!r}")
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
-    rows = []
-    times = []
     psi0 = None if spec.kind == "lz_formula" else instantaneous_ground_state(p, -window)
-    for scan_value in spec.scan_values:
+
+    def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.delta**2
-        t0 = time.perf_counter()
-        try:
-            oracle = _cascade_oracle(p, rate)
-            if spec.kind == "lz_formula":
-                rows.append(ResultRow(scan_value, None, oracle, True, {}, ()))
-            else:
-                schedule = SweepSchedule(
-                    "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
-                )
-                traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
-                sim = tuple(traj.records[-1])
-                checks, ok, warns = _row_checks(traj, sim)
-                rows.append(ResultRow(scan_value, sim, oracle, ok, checks, warns))
-        except RabisweepError as exc:
-            rows.append(_failed_row(scan_value, exc))
-        times.append(time.perf_counter() - t0)
-    prov = _provenance(spec, times)
-    prov["window"] = window
-    return ResultTable(spec, rows, prov)
+        oracle = _cascade_oracle(p, rate)
+        if spec.kind == "lz_formula":
+            return ResultRow(scan_value, None, oracle, True, {}, ())
+        schedule = SweepSchedule(
+            "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
+        )
+        traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
+        sim = tuple(traj.records[-1])
+        checks, ok, warns = _row_checks(traj, sim)
+        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
+
+    table = _scan(spec, row)
+    table.provenance["window"] = window
+    return table
 
 
 def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -459,39 +446,32 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
     # is recorded per row and only fails the row past this tolerance.
     residual_tol = float(spec.options.get("oracle_residual_tol", 1e-3))
     psi0 = instantaneous_ground_state(p, -window) if simulate else None
-    rows = []
-    times = []
-    for scan_value in spec.scan_values:
+
+    def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.delta**2
-        t0 = time.perf_counter()
-        try:
-            oracle = tuple(
-                sequential_crossing_probabilities(spectrum, rate, residual_tol=residual_tol)
+        oracle = tuple(
+            sequential_crossing_probabilities(spectrum, rate, residual_tol=residual_tol)
+        )
+        oracle_residual = 1.0 - sum(r.probability for r in oracle)
+        if not simulate:
+            return ResultRow(
+                scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
             )
-            oracle_residual = 1.0 - sum(r.probability for r in oracle)
-            if not simulate:
-                rows.append(
-                    ResultRow(scan_value, None, oracle, True,
-                              {"oracle_residual": oracle_residual}, ())
-                )
-            else:
-                schedule = SweepSchedule(
-                    "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
-                )
-                traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
-                sim = tuple(traj.records[-1])
-                checks, ok, warns = _row_checks(
-                    traj, sim, float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
-                )
-                checks["oracle_residual"] = oracle_residual
-                rows.append(ResultRow(scan_value, sim, oracle, ok, checks, warns))
-        except RabisweepError as exc:
-            rows.append(_failed_row(scan_value, exc))
-        times.append(time.perf_counter() - t0)
-    prov = _provenance(spec, times)
-    prov["window"] = window
-    prov["caps"] = caps
-    return ResultTable(spec, rows, prov)
+        schedule = SweepSchedule(
+            "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
+        )
+        traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
+        sim = tuple(traj.records[-1])
+        checks, ok, warns = _row_checks(
+            traj, sim, float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
+        )
+        checks["oracle_residual"] = oracle_residual
+        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
+
+    table = _scan(spec, row)
+    table.provenance["window"] = window
+    table.provenance["caps"] = caps
+    return table
 
 
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
@@ -505,31 +485,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "multimode_scan": multimode_scan,
     }[spec.kind]
     return runner(spec)
-
-
-def rerun_point(
-    spec: ExperimentSpec,
-    scan_value: float,
-    n_steps_factor: int = 1,
-    n_fock_factor: int = 1,
-) -> ResultRow:
-    """Recompute a single grid point at scaled resolution (doubling audits)."""
-    p = spec.params
-    if n_fock_factor != 1:
-        if isinstance(p, QrmParams):
-            p = replace(p, n_fock=n_fock_factor * p.n_fock)
-        else:
-            p = replace(
-                p, modes=tuple(replace(m, n_fock=n_fock_factor * m.n_fock) for m in p.modes)
-            )
-    point_spec = replace(
-        spec,
-        params=p,
-        scan_values=(scan_value,),
-        n_steps=n_steps_factor * spec.n_steps,
-        options=dict(spec.options),
-    )
-    return run_experiment(point_spec).rows[0]
 
 
 def _provenance(spec: ExperimentSpec, wall_times: list[float]) -> dict:

@@ -113,21 +113,7 @@ def _check_displacement_args(alpha: complex, n_fock: int) -> complex:
     return alpha
 
 
-@lru_cache(maxsize=64)
-def _displacement_block(re: float, im: float, n_fock: int) -> np.ndarray:
-    alpha = complex(re, im)
-    # Work in a padded space so that every kept level is converged, then crop.
-    pad_dim = int(np.ceil((np.sqrt(n_fock) + abs(alpha)) ** 2)) + 16
-    a = annihilation(pad_dim)
-    gen_h = -1j * (alpha * a.conj().T - np.conjugate(alpha) * a)  # Hermitian
-    w, v = np.linalg.eigh(gen_h)
-    full = (v * np.exp(1j * w)) @ v.conj().T
-    block = np.ascontiguousarray(full[:n_fock, :n_fock])
-    block.setflags(write=False)
-    return block
-
-
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=128)
 def _displacement_unitary(re: float, im: float, n_fock: int) -> np.ndarray:
     alpha = complex(re, im)
     a = annihilation(n_fock)
@@ -148,7 +134,9 @@ def displacement(alpha: complex, n_fock: int) -> np.ndarray:
     alpha = _check_displacement_args(alpha, n_fock)
     if alpha == 0:
         return np.eye(n_fock, dtype=complex)
-    return _displacement_block(alpha.real, alpha.imag, n_fock)
+    # Work in a padded space so that every kept level is converged, then crop.
+    pad_dim = int(np.ceil((np.sqrt(n_fock) + abs(alpha)) ** 2)) + 16
+    return np.ascontiguousarray(unitary_displacement(alpha, pad_dim)[:n_fock, :n_fock])
 
 
 def unitary_displacement(alpha: complex, n_fock: int) -> np.ndarray:

@@ -15,8 +15,6 @@ and is matvec-bound.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -255,16 +253,30 @@ def _evolve_linear(
 # ---------------------------------------------------------------------------
 
 def _hamiltonian_parts(
-    p: QrmParams | MultiModeParams, parameter: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """(static part, ramp generator) for the swept parameter."""
+    p: QrmParams | MultiModeParams, parameter: str, sector: ParitySector | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(A, B, sector basis) of H = A + f B, where f is the swept parameter.
+
+    With ``sector`` given (single-mode, bias-free gap sweeps only) A and B are
+    projected onto that parity block and its basis columns come third;
+    otherwise the third entry is None.
+    """
     if isinstance(p, MultiModeParams):
         if parameter != "epsilon":
             raise InvalidParameterError("multimode sweeps support the bias parameter only")
-        return build_multimode(p, epsilon=0.0), epsilon_ramp(p)
-    if parameter == "delta":
-        return build_qrm(replace(p, delta=0.0)), delta_ramp(p)
-    return build_qrm(replace(p, epsilon=0.0)), epsilon_ramp(p)
+        h_static, h_ramp = build_multimode(p, epsilon=0.0), epsilon_ramp(p)
+    elif parameter == "delta":
+        h_static, h_ramp = build_qrm(replace(p, delta=0.0)), delta_ramp(p)
+    else:
+        h_static, h_ramp = build_qrm(replace(p, epsilon=0.0)), epsilon_ramp(p)
+    if sector is None:
+        return h_static, h_ramp, None
+    if isinstance(p, MultiModeParams) or parameter != "delta" or p.epsilon != 0.0:
+        raise InvalidParameterError(
+            "sector-restricted runs require a single-mode, bias-free gap sweep"
+        )
+    basis, _ = parity_sector_basis(p, sector)
+    return basis.conj().T @ h_static @ basis, basis.conj().T @ h_ramp @ basis, basis
 
 
 def _sample_steps(schedule: SweepSchedule) -> list[int]:
@@ -325,13 +337,29 @@ def _scheme_columns(
     return scheme_basis(p, scheme)
 
 
+def _sector_scheme_columns(
+    p: QrmParams, scheme: str, sector: ParitySector
+) -> tuple[np.ndarray, list[BasisLabel]]:
+    """One sector's states of a parity-definite scheme, in block coordinates."""
+    labels = parity_sector_labels(sector, p.n_fock, scheme)
+    basis, _ = parity_sector_basis(p, sector)
+    cols_full, all_labels = scheme_basis(p, scheme)
+    keep = [all_labels.index(lab) for lab in labels]
+    return basis.conj().T @ cols_full[:, keep], labels
+
+
+def _records(
+    cols: np.ndarray, labels: list[BasisLabel], amplitudes: np.ndarray
+) -> list[ProbabilityRecord]:
+    probs = np.abs(cols.conj().T @ amplitudes) ** 2
+    return [ProbabilityRecord(lab, float(pr)) for lab, pr in zip(labels, probs)]
+
+
 def project_records(
     p: QrmParams | MultiModeParams, scheme: str, amplitudes: np.ndarray
 ) -> list[ProbabilityRecord]:
     """|<basis state | psi>|^2 over one complete labelling scheme."""
-    cols, labels = _scheme_columns(p, scheme)
-    probs = np.abs(cols.conj().T @ amplitudes) ** 2
-    return [ProbabilityRecord(lab, float(pr)) for lab, pr in zip(labels, probs)]
+    return _records(*_scheme_columns(p, scheme), amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +386,9 @@ def run_sweep(
     ground state of either endpoint Hamiltonian, or the final state, holds more
     than TOP_OCCUPANCY_TOL in the top tenth of a Fock ladder.
     """
-    h_static, h_ramp = _hamiltonian_parts(p, schedule.parameter)
-    sector_matrix = None
+    h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, schedule.parameter, sector)
     leak_matrix = None
     if sector is not None:
-        if isinstance(p, MultiModeParams) or schedule.parameter != "delta" or p.epsilon != 0.0:
-            raise InvalidParameterError(
-                "sector-restricted runs require a single-mode, bias-free gap sweep"
-            )
-        sector_matrix, _ = parity_sector_basis(p, sector)
-        h_static = sector_matrix.conj().T @ h_static @ sector_matrix
-        h_ramp = sector_matrix.conj().T @ h_ramp @ sector_matrix
         expected_tag = "parity-symmetric" if sector.sign == +1 else "parity-antisymmetric"
         if psi0.basis_tag != expected_tag:
             raise InvalidParameterError(
@@ -451,11 +471,12 @@ def run_sweep(
             StateVector(sampled[k] / np.linalg.norm(sampled[k]), tag) for k in sorted(sampled)
         ]
     else:
+        cols, labels = _scheme_columns(p, readout)
         records = []
         for k in sorted(sampled):
             amp = sampled[k]
             full = sector_matrix @ amp if sector_matrix is not None else amp
-            records.append(project_records(p, readout, full))
+            records.append(_records(cols, labels, full))
 
     return Trajectory(
         schedule=schedule,
@@ -471,25 +492,6 @@ def run_sweep(
             "sector": sector.sign if sector else None,
         },
     )
-
-
-def run_sweep_batch(jobs: list[dict], max_workers: int | None = None) -> list:
-    """Run independent sweeps concurrently; results keep the submission order.
-
-    Each job is a kwargs dict for run_sweep. A failed job yields its exception
-    in the result list instead of aborting its siblings.
-    """
-
-    def one(kwargs: dict):
-        try:
-            return run_sweep(**kwargs)
-        except Exception as exc:  # noqa: BLE001 - isolated per job by contract
-            return exc
-
-    if max_workers is None or max_workers <= 1:
-        return [one(j) for j in jobs]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(one, jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -537,23 +539,12 @@ def instantaneous_populations(
     """
     if scheme == "auto":
         scheme = _auto_scheme(p)
-    h = build_qrm(p)
     if sector is not None:
-        basis, _ = parity_sector_basis(p, sector)
-        h = basis.conj().T @ h @ basis
-        cols_full, all_labels = _scheme_columns(p, scheme)
-        sector_labels = parity_sector_labels(sector, p.n_fock, scheme) if scheme in (
-            "normal",
-            "superradiant",
-        ) else None
-        if sector_labels is None:
-            raise InvalidParameterError(
-                "sector-restricted readout needs a parity-definite scheme"
-            )
-        keep = [all_labels.index(lab) for lab in sector_labels]
-        cols = basis.conj().T @ cols_full[:, keep]
-        labels = sector_labels
+        h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", sector)
+        h = h_static + p.delta * h_ramp
+        cols, labels = _sector_scheme_columns(p, scheme, sector)
     else:
+        h = build_qrm(p)
         cols, labels = _scheme_columns(p, scheme)
     if psi.dim != h.shape[0]:
         raise InvalidParameterError("state dimension does not match the model")

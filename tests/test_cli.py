@@ -1,0 +1,54 @@
+import pytest
+
+from rabisweep.cli import main
+
+
+@pytest.fixture
+def config(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# formula defaults\ng-over-omega = 1.0\nn = 2\n", encoding="utf-8")
+    return str(path)
+
+
+def printed(capsys) -> str:
+    return capsys.readouterr().out.strip()
+
+
+class TestExitCodes:
+    def test_success(self, capsys):
+        assert main(["formula", "--g-over-omega", "1.0", "--n", "1"]) == 0
+        assert printed(capsys) == "0.367879"
+
+    def test_usage_error(self, capsys):
+        assert main(["formula"]) == 1
+        assert main(["no-such-command"]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+    def test_invalid_configuration(self, capsys):
+        assert main(["formula", "--g-over-omega", "1.0", "--lz"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_run_failure(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.cfg")
+        assert main(["--config", missing, "formula"]) == 2
+        assert "run failed" in capsys.readouterr().err
+
+
+class TestConfig:
+    @pytest.mark.parametrize("position", ["top", "sub", "equals"])
+    def test_either_position(self, config, position, capsys):
+        argv = {
+            "top": ["--config", config, "formula"],
+            "sub": ["formula", "--config", config],
+            "equals": [f"--config={config}", "formula"],
+        }[position]
+        assert main(argv) == 0
+        assert printed(capsys) == "0.183940"
+
+    def test_flags_override_config(self, config, capsys):
+        assert main(["--config", config, "formula", "--n", "0"]) == 0
+        assert printed(capsys) == "0.367879"
+
+    def test_missing_file_argument(self, capsys):
+        assert main(["formula", "--g-over-omega", "1.0", "--config"]) == 1
+        assert "expected one argument" in capsys.readouterr().err

@@ -21,7 +21,6 @@ from rabisweep.sweep import (
     convergence_scan,
     instantaneous_populations,
     run_sweep,
-    run_sweep_batch,
 )
 
 RNG = np.random.default_rng(23)
@@ -206,6 +205,13 @@ class TestInstantaneousPopulations:
             )) ** 2
             assert abs(rec.probability - direct) <= 1e-8
 
+    def test_sector_readout_refuses_bias(self):
+        # A bias breaks parity, so no parity block holds the eigenstates.
+        p = QrmParams(1.0, 0.5, 1.0, 0.8, 16)
+        psi = block_ground(replace(p, epsilon=0.0), 1.0)
+        with pytest.raises(InvalidParameterError):
+            instantaneous_populations(p, psi, sector=EVEN_SECTOR, scheme="normal")
+
 
 class TestConvergenceScan:
     def test_frozen_schedule_always_converged(self):
@@ -243,42 +249,15 @@ class TestConvergenceScan:
 
 
 class TestBatch:
-    def test_order_and_determinism(self):
-        p = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
-        jobs = []
-        for x in (2.0, 0.5, 1.0):
-            jobs.append(
-                dict(
-                    p=p,
-                    schedule=SweepSchedule("epsilon", -50.0, 50.0, x, n_steps=2000, n_samples=2),
-                    psi0=displaced_state(p, "down", 0),
-                    readout="bare",
-                )
-            )
-        first = run_sweep_batch(jobs, max_workers=3)
-        second = run_sweep_batch(jobs, max_workers=1)
-        for t1, t2 in zip(first, second):
-            assert t1.schedule.rate_v == t2.schedule.rate_v
-            a = [r.probability for r in t1.records[-1]]
-            b = [r.probability for r in t2.records[-1]]
-            assert a == b
-
     def test_failures_are_isolated(self):
         good = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
-        jobs = [
-            dict(
-                p=good,
-                schedule=SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000, n_samples=2),
-                psi0=displaced_state(good, "down", 0),
+        schedule = SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000, n_samples=2)
+        with pytest.raises(InvalidParameterError):
+            run_sweep(
+                good,
+                schedule,
+                StateVector(np.array([1.0, 0, 0, 0], dtype=complex), "parity-symmetric"),
                 readout="bare",
-            ),
-            dict(
-                p=good,
-                schedule=SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000, n_samples=2),
-                psi0=StateVector(np.array([1.0, 0, 0, 0], dtype=complex), "parity-symmetric"),
-                readout="bare",
-            ),
-        ]
-        results = run_sweep_batch(jobs)
-        assert hasattr(results[0], "final_state")
-        assert isinstance(results[1], InvalidParameterError)
+            )
+        traj = run_sweep(good, schedule, displaced_state(good, "down", 0), readout="bare")
+        assert abs(sum(r.probability for r in traj.records[-1]) - 1.0) <= 1e-10
