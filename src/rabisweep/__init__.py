@@ -67,6 +67,7 @@ from .model import (
     critical_delta,
     default_n_fock,
     delta_ramp,
+    displaced_fock_tail,
     displaced_level_fits,
     displaced_state,
     epsilon_ramp,
@@ -79,6 +80,7 @@ from .model import (
     scheme_basis,
     scheme_state,
     superradiant_state,
+    top_fock_occupancy,
 )
 from .operators import (
     IDENTITY_2,
@@ -86,16 +88,13 @@ from .operators import (
     SIGMA_Y,
     SIGMA_Z,
     StateVector,
-    StepPropagator,
     annihilation,
     creation,
-    displaced_fock_tail,
     displacement,
     eig_hermitian,
     hermiticity_defect,
     kron,
     number_operator,
-    propagate_step,
     unitary_displacement,
 )
 from .presets import PRESETS, bundled_presets
@@ -124,13 +123,13 @@ __all__ = [
     "parse_config_file", "read_result_table", "render_result_csv", "write_result_table",
     "BasisLabel", "EVEN_SECTOR", "Mode", "MultiModeParams", "ODD_SECTOR",
     "ParitySector", "ProbabilityRecord", "QrmParams", "build_multimode", "build_qrm",
-    "critical_delta", "default_n_fock", "delta_ramp", "displaced_level_fits",
-    "displaced_state", "epsilon_ramp", "multimode_displaced_basis", "normal_state",
-    "parity_operator", "parity_projector", "parity_sector_basis",
-    "parity_sector_labels", "scheme_basis", "scheme_state", "superradiant_state",
-    "IDENTITY_2", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "StateVector", "StepPropagator",
-    "annihilation", "creation", "displaced_fock_tail", "displacement", "eig_hermitian",
-    "hermiticity_defect", "kron", "number_operator", "propagate_step",
+    "critical_delta", "default_n_fock", "delta_ramp", "displaced_fock_tail",
+    "displaced_level_fits", "displaced_state", "epsilon_ramp",
+    "multimode_displaced_basis", "normal_state", "parity_operator", "parity_projector",
+    "parity_sector_basis", "parity_sector_labels", "scheme_basis", "scheme_state",
+    "superradiant_state", "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Y",
+    "SIGMA_Z", "StateVector", "annihilation", "creation", "displacement",
+    "eig_hermitian", "hermiticity_defect", "kron", "number_operator",
     "unitary_displacement", "PRESETS", "bundled_presets", "ConservationSample",
     "ConvergenceReport", "SweepSchedule", "Trajectory", "convergence_scan",
     "greedy_label_assignment", "instantaneous_populations", "project_records",

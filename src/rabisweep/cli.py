@@ -305,7 +305,8 @@ _COMMANDS = {
 
 def _splice_config(argv: list[str]) -> list[str]:
     """Replace ``--config FILE`` by the file's flags, placed right after the
-    subcommand so that explicit flags, which come later, override them."""
+    subcommand so that explicit flags, which come later, override them.
+    ``key = true`` becomes a bare ``--key`` and ``key = false`` is left out."""
     argv = [part for arg in argv for part in (
         arg.split("=", 1) if arg.startswith("--config=") else [arg]
     )]
@@ -316,6 +317,8 @@ def _splice_config(argv: list[str]) -> list[str]:
         raise _UsageError("argument --config: expected one argument")
     injected = []
     for key, value in parse_config_file(argv[idx + 1]).items():
+        if value.lower() == "false":
+            continue
         injected.append(f"--{key}")
         if value.lower() != "true":
             injected.append(value)

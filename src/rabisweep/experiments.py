@@ -28,6 +28,7 @@ from .model import (
     MultiModeParams,
     ProbabilityRecord,
     QrmParams,
+    TOP_OCCUPANCY_TOL,
     build_multimode,
     build_qrm,
     critical_delta,
@@ -36,7 +37,6 @@ from .operators import StateVector, eig_hermitian
 from .sweep import (
     LEAKAGE_TOL,
     SAMPLE_NORM_TOL,
-    TOP_OCCUPANCY_TOL,
     SweepSchedule,
     Trajectory,
     _hamiltonian_parts,
@@ -56,6 +56,8 @@ EXPERIMENT_KINDS = (
     "lz_formula",
     "multimode_scan",
 )
+# Kinds whose scan axis is a sweep rate; trace kinds scan a signed time axis.
+RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "lz_formula", "multimode_scan")
 
 # Probability-sum defect allowed before a row is flagged unconverged.
 ROW_SUM_TOL = 1e-6
@@ -81,6 +83,10 @@ class ExperimentSpec:
             raise InvalidParameterError("scan grid must be nonempty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("scan grid must be strictly increasing")
+        if self.kind in RATE_SCAN_KINDS and values[0] <= 0:
+            raise InvalidParameterError(
+                f"{self.kind} scans sweep rates, which must be positive; got {values[0]}"
+            )
         self.scan_values = values
         if self.kind.startswith("quench"):
             if not isinstance(self.params, QrmParams):
@@ -89,8 +95,8 @@ class ExperimentSpec:
                 raise InvalidParameterError("quench experiments run at zero bias")
         if self.kind == "multimode_scan" and not isinstance(self.params, MultiModeParams):
             raise InvalidParameterError("multimode_scan takes MultiModeParams")
-        if self.kind in ("quench_trace", "lz_trace") and "rate" not in self.options:
-            raise InvalidParameterError(f"{self.kind} requires options['rate']")
+        if self.kind in ("quench_trace", "lz_trace") and not float(self.options.get("rate", 0.0)) > 0:
+            raise InvalidParameterError(f"{self.kind} requires a positive options['rate']")
         if self.kind == "quench_trace" and self.options.get("direction") not in ("ns", "sn"):
             raise InvalidParameterError("quench_trace requires options['direction'] in 'ns'/'sn'")
 
@@ -189,22 +195,31 @@ def _row_checks(
     records: tuple[ProbabilityRecord, ...],
     top_occupancy_tol: float = TOP_OCCUPANCY_TOL,
 ) -> tuple[dict, bool, tuple[str, ...]]:
+    """A row's checks, converged flag and warnings. The one judge of a row's
+    truncation: its final-state and endpoint top-tenth Fock weights against
+    ``top_occupancy_tol``."""
     total = float(sum(r.probability for r in records))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
         "parity_leakage": traj.max_parity_leakage,
-        "top_fock_occupancy": traj.metadata.get("top_fock_occupancy", 0.0),
-        "endpoint_top_fock_occupancy": traj.metadata.get("endpoint_top_fock_occupancy", 0.0),
+        "top_fock_occupancy": traj.metadata["top_fock_occupancy"],
+        "endpoint_top_fock_occupancy": traj.metadata["endpoint_top_fock_occupancy"],
         "probability_sum": total,
     }
     warnings = list(traj.warnings)
+    occupancy = max(checks["top_fock_occupancy"], checks["endpoint_top_fock_occupancy"])
+    truncated = occupancy > top_occupancy_tol
     ok = (
         checks["norm_deviation"] <= SAMPLE_NORM_TOL
         and checks["parity_leakage"] <= LEAKAGE_TOL
-        and checks["top_fock_occupancy"] <= top_occupancy_tol
-        and checks["endpoint_top_fock_occupancy"] <= top_occupancy_tol
+        and not truncated
         and abs(total - 1.0) <= ROW_SUM_TOL
     )
+    if truncated:
+        warnings.append(
+            f"top tenth of the Fock ladder holds weight {occupancy:.2e} "
+            f"(limit {top_occupancy_tol:.0e}); results are truncation-limited"
+        )
     if abs(total - 1.0) > ROW_SUM_TOL:
         warnings.append(f"readout probabilities sum to {total:.8f}")
     return checks, ok, tuple(warnings)

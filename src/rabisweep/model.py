@@ -29,13 +29,16 @@ from .operators import (
     SIGMA_Z,
     StateVector,
     annihilation,
-    displaced_fock_tail,
+    displacement,
     kron,
     unitary_displacement,
 )
 
-# Truncation-tail weight allowed in displaced-state constructors.
+# Truncation-tail weight allowed for a displaced Fock level.
 STATE_TAIL_TOL = 1e-8
+# Weight allowed in the top tenth of a Fock ladder, for the final state of a
+# sweep and for the ground state of each endpoint Hamiltonian.
+TOP_OCCUPANCY_TOL = 1e-6
 # Default cap on the full Hilbert-space dimension for multimode problems.
 DEFAULT_DIM_CAP = 4096
 
@@ -45,17 +48,6 @@ QUBIT_LABELS = {
     "superradiant": ("+", "-"),
     "displaced": ("up", "down"),
 }
-
-
-def default_n_fock(g: float, omega: float) -> int:
-    """Default Fock truncation for coupling ratio g/omega.
-
-    It represents the low displaced levels only, by the rule of
-    ``displaced_level_fits``: n <= 14 at g/omega = 1 (32 levels) and n <= 16
-    at g/omega = 2 (50 levels). Higher displaced levels need a larger n_fock.
-    """
-    ratio = g / omega
-    return max(32, int(math.ceil(10.0 * (ratio * ratio + 1.0))))
 
 
 def _require_finite(**values: float) -> None:
@@ -199,6 +191,68 @@ class ProbabilityRecord:
 
 
 # ---------------------------------------------------------------------------
+# Truncation adequacy. A displaced Fock level fits a truncation when its weight
+# outside it is at most STATE_TAIL_TOL. A sweep's truncation is adequate when
+# its final state and the ground state of each endpoint Hamiltonian hold at
+# most TOP_OCCUPANCY_TOL (or a row's own limit) in the top tenth of every
+# Fock ladder.
+# ---------------------------------------------------------------------------
+
+def default_n_fock(g: float, omega: float) -> int:
+    """Default Fock truncation for coupling ratio g/omega.
+
+    It represents the low displaced levels only, by the rule of
+    ``displaced_level_fits``: n <= 14 at g/omega = 1 (32 levels) and n <= 16
+    at g/omega = 2 (50 levels). Higher displaced levels need a larger n_fock.
+    """
+    ratio = g / omega
+    return max(32, int(math.ceil(10.0 * (ratio * ratio + 1.0))))
+
+
+def displaced_fock_tail(alpha: complex, n: int, n_fock: int) -> float:
+    """Weight of D(alpha)|n> outside the first n_fock Fock levels."""
+    col = displacement(alpha, max(n_fock, n + 2))[:n_fock, n]
+    return max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
+
+
+def displaced_level_fits(alpha: float, n: int, n_fock: int) -> bool:
+    """Whether D(alpha)|n> is representable in n_fock Fock levels.
+
+    The one rule for displaced levels: its weight outside the truncation is at
+    most STATE_TAIL_TOL. The state constructors and the capped multimode basis
+    refuse any level it rejects.
+    """
+    return displaced_fock_tail(alpha, n, n_fock) <= STATE_TAIL_TOL
+
+
+def _require_displaced_level(alpha: float, n: int, n_fock: int) -> None:
+    if not displaced_level_fits(alpha, n, n_fock):
+        raise InsufficientTruncationError(
+            f"displaced Fock state |{n}> at alpha={alpha:+.3f} leaves weight "
+            f"{displaced_fock_tail(alpha, n, n_fock):.2e} outside {n_fock} levels "
+            f"(limit {STATE_TAIL_TOL:.0e})"
+        )
+
+
+def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -> float:
+    """Largest per-mode weight of a full-space state in the top tenth of any
+    Fock ladder."""
+    if isinstance(p, QrmParams):
+        shape: tuple[int, ...] = (2, p.n_fock)
+        sizes = (p.n_fock,)
+    else:
+        sizes = tuple(m.n_fock for m in p.modes)
+        shape = (2, *sizes)
+    probs = np.abs(amplitudes.reshape(shape)) ** 2
+    worst = 0.0
+    for j, size in enumerate(sizes):
+        top = max(1, size // 10)
+        axis_probs = np.moveaxis(probs, 1 + j, -1).reshape(-1, size).sum(axis=0)
+        worst = max(worst, float(axis_probs[size - top :].sum()))
+    return worst
+
+
+# ---------------------------------------------------------------------------
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
@@ -335,25 +389,6 @@ def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:
     label = BasisLabel("normal", qubit, n)
     amp = np.kron(_qubit_vector("normal", label.qubit), _fock_vector(n, p.n_fock))
     return StateVector(amp, "bare")
-
-
-def displaced_level_fits(alpha: float, n: int, n_fock: int) -> bool:
-    """Whether D(alpha)|n> is representable in n_fock Fock levels.
-
-    The one rule for displaced levels: its weight outside the truncation is at
-    most STATE_TAIL_TOL. The state constructors and the capped multimode basis
-    refuse any level it rejects.
-    """
-    return displaced_fock_tail(alpha, n, n_fock) <= STATE_TAIL_TOL
-
-
-def _require_displaced_level(alpha: float, n: int, n_fock: int) -> None:
-    if not displaced_level_fits(alpha, n, n_fock):
-        raise InsufficientTruncationError(
-            f"displaced Fock state |{n}> at alpha={alpha:+.3f} leaves weight "
-            f"{displaced_fock_tail(alpha, n, n_fock):.2e} outside {n_fock} levels "
-            f"(limit {STATE_TAIL_TOL:.0e})"
-        )
 
 
 def _displaced_column(alpha: float, n: int, n_fock: int) -> np.ndarray:

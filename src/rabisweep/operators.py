@@ -152,25 +152,6 @@ def unitary_displacement(alpha: complex, n_fock: int) -> np.ndarray:
     return _displacement_unitary(alpha.real, alpha.imag, n_fock)
 
 
-def displaced_fock_tail(alpha: complex, n: int, n_fock: int) -> float:
-    """Weight of D(alpha)|n> outside the first n_fock Fock levels."""
-    col = displacement(alpha, max(n_fock, n + 2))[:n_fock, n]
-    return max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
-
-
-def displacement_truncation_defect(alpha: complex, n_fock: int) -> float:
-    """Unitarity defect of the truncated displacement on its lower half.
-
-    The worst column-norm deficit over levels n < n_fock/2, a convergence
-    diagnostic that shrinks as n_fock grows. It does not say which levels are
-    usable: a level is representable only if its own tail passes
-    ``model.displaced_level_fits``.
-    """
-    d = displacement(alpha, n_fock)
-    deficits = 1.0 - np.linalg.norm(d[:, : max(1, n_fock // 2)], axis=0) ** 2
-    return float(np.max(deficits))
-
-
 def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
@@ -179,31 +160,3 @@ def eig_hermitian(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     h = require_hermitian(matrix)
     return np.linalg.eigh(h)
-
-
-class StepPropagator:
-    """exp(-i H dt) for a fixed Hermitian H, reusable across many states.
-
-    The assembled matrix is polished to the nearest unitary so that repeated
-    application accumulates no systematic norm or energy drift.
-    """
-
-    def __init__(self, hamiltonian: np.ndarray, dt: float):
-        if not np.isfinite(dt):
-            raise InvalidParameterError("time step must be finite")
-        w, v = eig_hermitian(hamiltonian)
-        self.dt = float(dt)
-        u = (v * np.exp(-1j * w * self.dt)) @ v.conj().T
-        eye = np.eye(u.shape[0])
-        for _ in range(2):
-            u = 0.5 * u @ (3.0 * eye - u.conj().T @ u)
-        self._u = u
-
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        return self._u @ np.asarray(psi, dtype=complex)
-
-
-def propagate_step(hamiltonian: np.ndarray, dt: float, psi: StateVector) -> StateVector:
-    """One exact-exponential step exp(-i H dt) |psi>."""
-    out = StepPropagator(hamiltonian, dt).apply(psi.amplitudes)
-    return StateVector(out, psi.basis_tag)

@@ -91,8 +91,10 @@ def _multimode_small() -> ExperimentSpec:
         delta=0.15,
         modes=(Mode(omega=1.0, g=0.5, n_fock=12), Mode(omega=2.3, g=0.92, n_fock=8)),
     )
-    # Crossings above the caps weakly populate the ladder edge (~1e-5); the
-    # doubled-truncation audit, not the strict edge check, gates this preset.
+    # Crossings above the caps weakly populate the ladder edge: over this grid
+    # the final state holds 4e-6 to 6e-5 in the top tenth of a Fock ladder
+    # (measured at 3,000 steps), above the default TOP_OCCUPANCY_TOL, so each
+    # row is judged at a limit of 1e-4 instead.
     return ExperimentSpec(
         "multimode_scan",
         p,

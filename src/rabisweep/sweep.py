@@ -32,6 +32,7 @@ from .model import (
     ParitySector,
     ProbabilityRecord,
     QrmParams,
+    TOP_OCCUPANCY_TOL,
     build_multimode,
     build_qrm,
     critical_delta,
@@ -41,6 +42,7 @@ from .model import (
     parity_sector_basis,
     parity_sector_labels,
     scheme_basis,
+    top_fock_occupancy,
 )
 from .operators import StateVector, eig_hermitian
 
@@ -50,9 +52,6 @@ NORM_DRIFT_LIMIT = 1e-6
 SAMPLE_NORM_TOL = 1e-8
 # Opposite-parity weight allowed in bias-free full-space runs.
 LEAKAGE_TOL = 1e-10
-# Weight allowed in the top tenth of the Fock ladder, for the final state and
-# for the ground state of each endpoint Hamiltonian.
-TOP_OCCUPANCY_TOL = 1e-6
 # Adjacent tracked levels closer than this (times the spectral scale) are
 # flagged: their populations are not individually trustworthy there.
 DEGENERACY_WARN_RTOL = 1e-8
@@ -193,9 +192,12 @@ def _evolve_linear(
     n_steps: int,
     psi0: np.ndarray,
     sample_steps: set[int],
-    force_backend: str | None = None,
 ) -> dict[int, np.ndarray]:
-    """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp."""
+    """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp.
+
+    The only code that applies exp(-i H dt); the branch is chosen by
+    dimension, as the module docstring describes.
+    """
     dim = h_static.shape[0]
     psi = np.asarray(psi0, dtype=complex).copy()
     out: dict[int, np.ndarray] = {}
@@ -206,10 +208,7 @@ def _evolve_linear(
         return out
     dt = total_time / n_steps
     slope = (f_end - f_start) / total_time
-    if force_backend is None:
-        use_eigh = dim <= _EIGH_BACKEND_MAX_DIM
-    else:
-        use_eigh = force_backend == "eigh"
+    use_eigh = dim <= _EIGH_BACKEND_MAX_DIM
     chunk_size = 4096 if use_eigh else 1024
     start = 0
     while start < n_steps:
@@ -293,23 +292,6 @@ def _sample_steps(schedule: SweepSchedule) -> list[int]:
     return steps
 
 
-def _top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -> float:
-    """Largest per-mode weight in the top tenth of any Fock ladder."""
-    if isinstance(p, QrmParams):
-        shape: tuple[int, ...] = (2, p.n_fock)
-        sizes = (p.n_fock,)
-    else:
-        sizes = tuple(m.n_fock for m in p.modes)
-        shape = (2, *sizes)
-    probs = np.abs(amplitudes.reshape(shape)) ** 2
-    worst = 0.0
-    for j, size in enumerate(sizes):
-        top = max(1, size // 10)
-        axis_probs = np.moveaxis(probs, 1 + j, -1).reshape(-1, size).sum(axis=0)
-        worst = max(worst, float(axis_probs[size - top :].sum()))
-    return worst
-
-
 def _endpoint_ground_occupancy(
     p: QrmParams | MultiModeParams,
     h_static: np.ndarray,
@@ -323,7 +305,7 @@ def _endpoint_ground_occupancy(
     for value in {schedule.start_value, schedule.end_value}:
         _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
         ground = vecs[:, 0] if sector_matrix is None else sector_matrix @ vecs[:, 0]
-        worst = max(worst, _top_fock_occupancy(p, ground))
+        worst = max(worst, top_fock_occupancy(p, ground))
     return worst
 
 
@@ -381,10 +363,13 @@ def run_sweep(
     that parity block and psi0 must be given in block coordinates; otherwise
     psi0 must be a ``"bare"`` state.
 
-    The truncation is refused (``InsufficientTruncationError``, or a
-    "truncation-limited" warning with ``check_truncation=False``) when the
-    ground state of either endpoint Hamiltonian, or the final state, holds more
-    than TOP_OCCUPANCY_TOL in the top tenth of a Fock ladder.
+    The top-tenth Fock weights (``model.top_fock_occupancy``) of the final
+    state and of the ground states of both endpoint Hamiltonians go to
+    ``metadata["top_fock_occupancy"]`` and
+    ``metadata["endpoint_top_fock_occupancy"]``. With ``check_truncation=True``
+    a weight above TOP_OCCUPANCY_TOL raises ``InsufficientTruncationError``;
+    with ``False`` the run only records them, and the caller judges them
+    against its own limit.
     """
     h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, schedule.parameter, sector)
     leak_matrix = None
@@ -411,17 +396,12 @@ def run_sweep(
             f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
         )
 
-    warnings: list[str] = []
-
     def guard_truncation(occupancy: float, holder: str) -> None:
-        if occupancy > TOP_OCCUPANCY_TOL:
-            message = (
+        if check_truncation and occupancy > TOP_OCCUPANCY_TOL:
+            raise InsufficientTruncationError(
                 f"{holder} holds weight {occupancy:.2e} in the top tenth of the "
-                "Fock ladder; results are truncation-limited"
+                f"Fock ladder (limit {TOP_OCCUPANCY_TOL:.0e})"
             )
-            if check_truncation:
-                raise InsufficientTruncationError(message)
-            warnings.append(message)
 
     endpoint_occ = _endpoint_ground_occupancy(p, h_static, h_ramp, schedule, sector_matrix)
     guard_truncation(endpoint_occ, "an endpoint ground state")
@@ -440,6 +420,7 @@ def run_sweep(
     dt = schedule.total_time / schedule.n_steps if schedule.total_time else 0.0
     times = np.array([k * dt for k in sorted(sampled)])
 
+    warnings: list[str] = []
     conservation = []
     for k in sorted(sampled):
         amp = sampled[k]
@@ -459,7 +440,7 @@ def run_sweep(
 
     final_amp = sampled[max(sampled)]
     full_final = sector_matrix @ final_amp if sector_matrix is not None else final_amp
-    top_occ = _top_fock_occupancy(p, full_final)
+    top_occ = top_fock_occupancy(p, full_final)
     guard_truncation(top_occ, "the final state")
 
     tag = psi0.basis_tag
@@ -660,10 +641,7 @@ def convergence_scan(
         raise InvalidParameterError("convergence comparison needs a probability readout")
 
     def final_probs(pp, sched, state) -> dict[BasisLabel, float]:
-        traj = run_sweep(pp, sched, state, readout=readout, sector=sector, check_truncation=False)
-        limited = [w for w in traj.warnings if "truncation-limited" in w]
-        if limited:
-            raise InsufficientTruncationError(limited[0])
+        traj = run_sweep(pp, sched, state, readout=readout, sector=sector)
         return {rec.label: rec.probability for rec in traj.records[-1]}
 
     def configured(factor: int):

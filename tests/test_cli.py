@@ -52,3 +52,12 @@ class TestConfig:
     def test_missing_file_argument(self, capsys):
         assert main(["formula", "--g-over-omega", "1.0", "--config"]) == 1
         assert "expected one argument" in capsys.readouterr().err
+
+    def test_false_leaves_a_flag_out(self, tmp_path, capsys):
+        path = tmp_path / "flags.cfg"
+        path.write_text("cascade = false\n", encoding="utf-8")
+        argv = ["formula", "--g-over-omega", "1", "--lz", "--v-over-delta2", "1"]
+        assert main(argv) == 0
+        expected = printed(capsys)
+        assert main(["--config", str(path), *argv]) == 0
+        assert printed(capsys) == expected

@@ -1,5 +1,9 @@
-from rabisweep.experiments import ExperimentSpec, run_experiment
-from rabisweep.model import Mode, MultiModeParams
+import pytest
+
+from rabisweep.errors import InvalidParameterError
+from rabisweep.experiments import ExperimentSpec, _row_checks, run_experiment, sector_ground_state
+from rabisweep.model import EVEN_SECTOR, TOP_OCCUPANCY_TOL, Mode, MultiModeParams, QrmParams
+from rabisweep.sweep import SweepSchedule, run_sweep
 
 
 class TestScanLoop:
@@ -20,3 +24,56 @@ class TestScanLoop:
             assert row.sim is not None and row.oracle is not None
             assert abs(sum(r.probability for r in row.sim) - 1.0) <= 1e-8
         assert len(table.provenance["wall_times_s"]) == 3
+
+
+class TestRowChecks:
+    def test_truncation_is_judged_at_the_row_limit(self):
+        # The delta 100 -> 0 quench at g/omega = 2 in 8 levels puts 1.4e-2 on
+        # the top level of its delta = 0 ground state. Recorded without a
+        # verdict, it fails a row at the default limit and passes one whose
+        # own limit lies above it.
+        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
+        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000, n_samples=2)
+        traj = run_sweep(
+            p, s, sector_ground_state(p, 100.0), readout="superradiant",
+            sector=EVEN_SECTOR, check_truncation=False,
+        )
+        assert traj.warnings == ()
+        occupancy = traj.metadata["endpoint_top_fock_occupancy"]
+        assert occupancy > TOP_OCCUPANCY_TOL
+        records = tuple(traj.records[-1])
+
+        checks, ok, warnings = _row_checks(traj, records)
+        assert not ok
+        assert len([w for w in warnings if "Fock ladder" in w]) == 1
+        assert checks["endpoint_top_fock_occupancy"] == occupancy
+
+        _, ok, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
+        assert ok
+        assert warnings == ()
+
+
+class TestSpec:
+    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn", "lz_scan", "lz_formula"])
+    @pytest.mark.parametrize("first_rate", [-1.0, 0.0])
+    def test_rate_scans_refuse_non_positive_rates(self, kind, first_rate):
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec(kind, p, "rate", (first_rate, 10.0, 30.0))
+
+    def test_multimode_scan_refuses_non_positive_rates(self):
+        p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec("multimode_scan", p, "v_over_delta2", (-1.0, 10.0))
+
+    def test_trace_axes_stay_signed(self):
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        spec = ExperimentSpec(
+            "lz_trace", p, "epsilon_over_omega", (-5.0, 0.0, 5.0), options={"rate": 10.0}
+        )
+        assert spec.scan_values == (-5.0, 0.0, 5.0)
+        # The trace's own rate is a rate: zero used to divide by zero at run time.
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec(
+                "lz_trace", p, "epsilon_over_omega", (-5.0, 5.0), options={"rate": 0.0}
+            )

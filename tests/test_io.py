@@ -1,0 +1,37 @@
+import pytest
+
+from rabisweep.experiments import ExperimentSpec, run_experiment
+from rabisweep.io import parse_result_csv, render_result_csv, write_result_table
+from rabisweep.model import QrmParams
+
+
+@pytest.fixture(scope="module")
+def table():
+    p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+    return run_experiment(ExperimentSpec("lz_formula", p, "v_over_delta2", (1.0, 10.0, 100.0)))
+
+
+class TestCsv:
+    def test_round_trip(self, table):
+        parsed = parse_result_csv(render_result_csv(table))
+        expected = [
+            (row.scan_value, rec.label, rec.probability, row.converged)
+            for row in table.rows
+            for rec in row.oracle
+        ]
+        assert len(parsed) == len(expected)
+        for got, (scan_value, label, probability, converged) in zip(parsed, expected):
+            assert got.scan_value == scan_value
+            assert got.label == label
+            assert got.probability is None
+            assert got.oracle_probability == pytest.approx(probability, rel=1e-8, abs=1e-300)
+            assert got.converged is converged
+
+    def test_identical_configs_write_identical_bytes(self, tmp_path):
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        paths = []
+        for out in ("a", "b"):
+            spec = ExperimentSpec("lz_formula", p, "v_over_delta2", (1.0, 10.0, 100.0))
+            csv_path, _ = write_result_table(run_experiment(spec), tmp_path / out)
+            paths.append(csv_path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()

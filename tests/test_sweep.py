@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from rabisweep.errors import InsufficientTruncationError, InvalidParameterError
 from rabisweep.model import (
@@ -61,21 +62,28 @@ class TestSchedule:
 
 class TestEngine:
     def test_backends_agree(self):
-        dim = 12
-        m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-        h0 = 0.5 * (m + m.conj().T)
-        m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-        h1 = 0.5 * (m + m.conj().T)
-        psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        kwargs = dict(
-            f_start=-2.0, f_end=3.0, total_time=5.0, n_steps=1500, psi0=psi,
-            sample_steps={750, 1500},
-        )
-        a = _evolve_linear(h0, h1, force_backend="eigh", **kwargs)
-        b = _evolve_linear(h0, h1, force_backend="chebyshev", **kwargs)
-        for k in (750, 1500):
-            assert np.linalg.norm(a[k] - b[k]) < 1e-12
+        # dim 12 runs the eigh branch and dim 24 the Chebyshev branch; each
+        # must match a per-step dense matrix exponential of the midpoint H.
+        f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
+        dt = total_time / n_steps
+        slope = (f_end - f_start) / total_time
+        for dim in (12, 24):
+            m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+            h0 = 0.5 * (m + m.conj().T)
+            m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
+            h1 = 0.5 * (m + m.conj().T)
+            psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            got = _evolve_linear(
+                h0, h1, f_start, f_end, total_time, n_steps, psi, {750, 1500}
+            )
+            assert set(got) == {750, 1500}
+            ref = psi
+            for k in range(n_steps):
+                f_mid = f_start + slope * ((k + 0.5) * dt)
+                ref = expm(-1j * dt * (h0 + f_mid * h1)) @ ref
+                if k + 1 in got:
+                    assert np.linalg.norm(got[k + 1] - ref) < 1e-12, (dim, k + 1)
 
     def test_two_level_crossing_matches_survival_formula(self):
         # Bias sweep over +-100 delta at v = delta^2: survival within 5e-3.
