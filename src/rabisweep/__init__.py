@@ -97,7 +97,7 @@ from .operators import (
     number_operator,
     unitary_displacement,
 )
-from .presets import PRESETS, bundled_presets
+from .presets import PRESETS
 from .sweep import (
     ConservationSample,
     ConvergenceReport,
@@ -105,8 +105,8 @@ from .sweep import (
     Trajectory,
     convergence_scan,
     greedy_label_assignment,
-    instantaneous_populations,
     project_records,
+    readout_columns,
     run_sweep,
 )
 
@@ -130,8 +130,8 @@ __all__ = [
     "superradiant_state", "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Y",
     "SIGMA_Z", "StateVector", "annihilation", "creation", "displacement",
     "eig_hermitian", "hermiticity_defect", "kron", "number_operator",
-    "unitary_displacement", "PRESETS", "bundled_presets", "ConservationSample",
+    "unitary_displacement", "PRESETS", "ConservationSample",
     "ConvergenceReport", "SweepSchedule", "Trajectory", "convergence_scan",
-    "greedy_label_assignment", "instantaneous_populations", "project_records",
+    "greedy_label_assignment", "project_records", "readout_columns",
     "run_sweep",
 ]

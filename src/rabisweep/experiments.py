@@ -40,10 +40,10 @@ from .sweep import (
     SweepSchedule,
     Trajectory,
     _hamiltonian_parts,
-    _records,
-    _sector_scheme_columns,
     eigen_level_series,
     greedy_label_assignment,
+    project_records,
+    readout_columns,
     run_sweep,
 )
 
@@ -61,6 +61,9 @@ RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "lz_formula", "multimode
 
 # Probability-sum defect allowed before a row is flagged unconverged.
 ROW_SUM_TOL = 1e-6
+# Bounded caps leave a small unassigned survival weight in the multimode
+# oracle; it is recorded per row and only fails the row past this tolerance.
+ORACLE_RESIDUAL_TOL = 1e-3
 
 
 @dataclass
@@ -72,7 +75,6 @@ class ExperimentSpec:
     scan_name: str
     scan_values: tuple[float, ...]
     n_steps: int = 20_000
-    label_photon_cap: int = 6
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -136,16 +138,6 @@ class ResultTable:
                         out[i] = rec.probability
                         break
         return out
-
-    def max_abs_deviation(self, labels: list[BasisLabel]) -> float:
-        worst = 0.0
-        for lab in labels:
-            sim = self.column(lab, "sim")
-            oracle = self.column(lab, "oracle")
-            ok = ~(np.isnan(sim) | np.isnan(oracle))
-            if ok.any():
-                worst = max(worst, float(np.max(np.abs(sim[ok] - oracle[ok]))))
-        return worst
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +248,11 @@ def _scan(spec: ExperimentSpec, row_for_value: Callable[[float], ResultRow]) -> 
 # ---------------------------------------------------------------------------
 
 def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
+    """(start, end) gap of a quench between ``delta_hi`` and zero gap."""
     p = spec.params
     hi = float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
-    lo = float(spec.options.get("delta_lo", 0.0))
     direction = spec.options.get("direction", "ns" if spec.kind == "quench_ns" else "sn")
-    return (hi, lo) if direction == "ns" else (lo, hi)
+    return (hi, 0.0) if direction == "ns" else (0.0, hi)
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -278,11 +270,11 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     start, end = _quench_endpoints(spec)
     to_superradiant = end < start
     if to_superradiant:
-        cols, labels = _sector_scheme_columns(p, "superradiant", EVEN_SECTOR)
+        cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
     else:
         h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
         _, eigvecs = eig_hermitian(h_static + end * h_ramp)
-        ref_cols, ref_labels = _sector_scheme_columns(p, "normal", EVEN_SECTOR)
+        ref_cols, ref_labels = readout_columns(p, "normal", EVEN_SECTOR)
         assigned = greedy_label_assignment(ref_cols, ref_labels, eigvecs)
         cols, labels = eigvecs, assigned
     oracle = tuple(
@@ -294,10 +286,8 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.omega**2
         schedule = SweepSchedule("delta", start, end, rate, n_steps=spec.n_steps, n_samples=2)
-        traj = run_sweep(
-            p, schedule, psi0, readout="state", sector=EVEN_SECTOR, check_truncation=False
-        )
-        sim = tuple(_records(cols, labels, traj.final_state.amplitudes))
+        traj = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR, check_truncation=False)
+        sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
@@ -339,9 +329,7 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
         sample_times=tuple(sample_times),
     )
     psi0 = sector_ground_state(p, start)
-    traj = run_sweep(
-        p, schedule, psi0, readout="state", sector=EVEN_SECTOR, check_truncation=False
-    )
+    traj = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR, check_truncation=False)
 
     h0, h1, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
     delta_values = np.array([schedule.value_at(t) for t in traj.times])
@@ -350,7 +338,7 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     )
 
     scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
-    ref_cols, ref_labels = _sector_scheme_columns(p, scheme, EVEN_SECTOR)
+    ref_cols, ref_labels = readout_columns(p, scheme, EVEN_SECTOR)
     _, final_vecs = eig_hermitian(h0 + delta_values[-1] * h1)
     level_labels = greedy_label_assignment(ref_cols, ref_labels, final_vecs)
 
@@ -405,8 +393,8 @@ def lz_scan(spec: ExperimentSpec) -> ResultTable:
         schedule = SweepSchedule(
             "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
         )
-        traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
-        sim = tuple(traj.records[-1])
+        traj = run_sweep(p, schedule, psi0, check_truncation=False)
+        sim = tuple(project_records(*readout_columns(p, "displaced"), traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
@@ -437,10 +425,11 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
         sample_times=tuple(np.clip(sample_times, 0.0, total_time)),
     )
     psi0 = instantaneous_ground_state(p, -window)
-    traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
+    traj = run_sweep(p, schedule, psi0, check_truncation=False)
+    cols, labels = readout_columns(p, "displaced")
     rows = []
-    for t, recs in zip(traj.times, traj.records):
-        sim = tuple(recs)
+    for t, state in zip(traj.times, traj.states):
+        sim = tuple(project_records(cols, labels, state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
         rows.append(ResultRow(float((t * rate - window) / omega), sim, None, ok, checks, warns))
     prov = _provenance(spec, [])
@@ -457,15 +446,12 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
     spectrum = multimode_gaps(p, caps)  # degenerate-crossing refusal surfaces here
     window = float(spec.options.get("window", lz_window(p)))
     simulate = bool(spec.options.get("simulate", True))
-    # Bounded caps leave a small unassigned survival weight in the oracle; it
-    # is recorded per row and only fails the row past this tolerance.
-    residual_tol = float(spec.options.get("oracle_residual_tol", 1e-3))
     psi0 = instantaneous_ground_state(p, -window) if simulate else None
 
     def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.delta**2
         oracle = tuple(
-            sequential_crossing_probabilities(spectrum, rate, residual_tol=residual_tol)
+            sequential_crossing_probabilities(spectrum, rate, residual_tol=ORACLE_RESIDUAL_TOL)
         )
         oracle_residual = 1.0 - sum(r.probability for r in oracle)
         if not simulate:
@@ -475,8 +461,8 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
         schedule = SweepSchedule(
             "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
         )
-        traj = run_sweep(p, schedule, psi0, readout="displaced", check_truncation=False)
-        sim = tuple(traj.records[-1])
+        traj = run_sweep(p, schedule, psi0, check_truncation=False)
+        sim = tuple(project_records(*readout_columns(p, "displaced"), traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(
             traj, sim, float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
         )

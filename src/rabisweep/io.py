@@ -35,13 +35,14 @@ def _fmt(x: float) -> str:
 
 def _photons_str(photons) -> str:
     if isinstance(photons, tuple):
-        return ";".join(str(n) for n in photons)
+        # A one-mode tuple ends in ';' so that it does not read back as an int.
+        return ";".join(str(n) for n in photons) + (";" if len(photons) == 1 else "")
     return str(photons)
 
 
 def _photons_parse(text: str):
     if ";" in text:
-        return tuple(int(t) for t in text.split(";"))
+        return tuple(int(t) for t in text.rstrip(";").split(";"))
     return int(text)
 
 

@@ -434,6 +434,8 @@ def scheme_basis(p: QrmParams, scheme: str) -> tuple[np.ndarray, list[BasisLabel
     the columns are orthonormal and projections onto them sum to one; the
     columns agree with the state constructors up to the truncation tail.
     """
+    if scheme not in QUBIT_LABELS:
+        raise InvalidParameterError(f"unknown labelling scheme {scheme!r}")
     labels = [
         BasisLabel(scheme, q, n) for q in QUBIT_LABELS[scheme] for n in range(p.n_fock)
     ]

@@ -216,8 +216,3 @@ PRESETS: dict[str, Preset] = {
         ),
     )
 }
-
-
-def bundled_presets() -> list[str]:
-    """Desk-scale presets, excluding the opt-in long-running ones."""
-    return [name for name, preset in PRESETS.items() if not preset.long_running]

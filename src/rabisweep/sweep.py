@@ -35,7 +35,6 @@ from .model import (
     TOP_OCCUPANCY_TOL,
     build_multimode,
     build_qrm,
-    critical_delta,
     delta_ramp,
     epsilon_ramp,
     multimode_displaced_basis,
@@ -44,7 +43,7 @@ from .model import (
     scheme_basis,
     top_fock_occupancy,
 )
-from .operators import StateVector, eig_hermitian
+from .operators import StateVector
 
 # Hard error threshold on norm drift during a run.
 NORM_DRIFT_LIMIT = 1e-6
@@ -125,16 +124,23 @@ class ConservationSample:
 
 @dataclass
 class Trajectory:
-    """Sampled output of one sweep."""
+    """Sampled output of one sweep: the normalized state at each sample time.
+
+    States are in the run's coordinates (block coordinates for a sector run).
+    Readout probabilities come from ``project_records`` over
+    ``readout_columns``.
+    """
 
     schedule: SweepSchedule
     times: np.ndarray
-    final_state: StateVector
-    states: list[StateVector] | None = None
-    records: list[list[ProbabilityRecord]] | None = None
+    states: list[StateVector]
     conservation_log: list[ConservationSample] = field(default_factory=list)
     warnings: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
+
+    @property
+    def final_state(self) -> StateVector:
+        return self.states[-1]
 
     @property
     def max_norm_deviation(self) -> float:
@@ -309,20 +315,24 @@ def _endpoint_ground_occupancy(
     return worst
 
 
-def _scheme_columns(
-    p: QrmParams | MultiModeParams, scheme: str
+def readout_columns(
+    p: QrmParams | MultiModeParams, scheme: str, sector: ParitySector | None = None
 ) -> tuple[np.ndarray, list[BasisLabel]]:
+    """Orthonormal columns of one complete readout scheme, with their labels.
+
+    Without ``sector`` the columns span the full space (multimode models have
+    the displaced scheme only). With ``sector`` (single-mode, parity-definite
+    schemes) they are that sector's states in its block coordinates, the
+    coordinates of a sector run's states.
+    """
     if isinstance(p, MultiModeParams):
-        if scheme != "displaced":
-            raise InvalidParameterError("multimode readout supports the displaced scheme only")
+        if scheme != "displaced" or sector is not None:
+            raise InvalidParameterError(
+                "multimode readout supports the full-space displaced scheme only"
+            )
         return multimode_displaced_basis(p)
-    return scheme_basis(p, scheme)
-
-
-def _sector_scheme_columns(
-    p: QrmParams, scheme: str, sector: ParitySector
-) -> tuple[np.ndarray, list[BasisLabel]]:
-    """One sector's states of a parity-definite scheme, in block coordinates."""
+    if sector is None:
+        return scheme_basis(p, scheme)
     labels = parity_sector_labels(sector, p.n_fock, scheme)
     basis, _ = parity_sector_basis(p, sector)
     cols_full, all_labels = scheme_basis(p, scheme)
@@ -330,18 +340,12 @@ def _sector_scheme_columns(
     return basis.conj().T @ cols_full[:, keep], labels
 
 
-def _records(
+def project_records(
     cols: np.ndarray, labels: list[BasisLabel], amplitudes: np.ndarray
 ) -> list[ProbabilityRecord]:
+    """|<column | psi>|^2 for each column, under its label."""
     probs = np.abs(cols.conj().T @ amplitudes) ** 2
     return [ProbabilityRecord(lab, float(pr)) for lab, pr in zip(labels, probs)]
-
-
-def project_records(
-    p: QrmParams | MultiModeParams, scheme: str, amplitudes: np.ndarray
-) -> list[ProbabilityRecord]:
-    """|<basis state | psi>|^2 over one complete labelling scheme."""
-    return _records(*_scheme_columns(p, scheme), amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +356,17 @@ def run_sweep(
     p: QrmParams | MultiModeParams,
     schedule: SweepSchedule,
     psi0: StateVector,
-    readout: str = "state",
     sector: ParitySector | None = None,
     check_truncation: bool = True,
 ) -> Trajectory:
-    """Evolve psi0 under the scheduled ramp and sample it.
+    """Evolve psi0 under the scheduled ramp, check conservation and
+    truncation, and return the normalized state at every sample time.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
     With ``sector`` given (bias-free gap sweeps only) the evolution runs inside
     that parity block and psi0 must be given in block coordinates; otherwise
-    psi0 must be a ``"bare"`` state.
+    psi0 must be a ``"bare"`` state. The run reads nothing out: project its
+    states with ``project_records`` over ``readout_columns``.
 
     The top-tenth Fock weights (``model.top_fock_occupancy``) of the final
     state and of the ground states of both endpoint Hamiltonians go to
@@ -443,28 +448,15 @@ def run_sweep(
     top_occ = top_fock_occupancy(p, full_final)
     guard_truncation(top_occ, "the final state")
 
-    tag = psi0.basis_tag
-    final_state = StateVector(final_amp / np.linalg.norm(final_amp), tag)
-    states = None
-    records = None
-    if readout == "state":
-        states = [
-            StateVector(sampled[k] / np.linalg.norm(sampled[k]), tag) for k in sorted(sampled)
-        ]
-    else:
-        cols, labels = _scheme_columns(p, readout)
-        records = []
-        for k in sorted(sampled):
-            amp = sampled[k]
-            full = sector_matrix @ amp if sector_matrix is not None else amp
-            records.append(_records(cols, labels, full))
+    states = [
+        StateVector(sampled[k] / np.linalg.norm(sampled[k]), psi0.basis_tag)
+        for k in sorted(sampled)
+    ]
 
     return Trajectory(
         schedule=schedule,
         times=times,
-        final_state=final_state,
         states=states,
-        records=records,
         conservation_log=conservation,
         warnings=tuple(warnings),
         metadata={
@@ -496,52 +488,6 @@ def greedy_label_assignment(
         work[i, :] = -1.0
         work[:, j] = -1.0
     return out  # type: ignore[return-value]
-
-
-def _auto_scheme(p: QrmParams) -> str:
-    if p.epsilon != 0.0:
-        return "displaced"
-    if p.delta == 0.0:
-        return "superradiant"
-    return "normal" if p.delta >= critical_delta(p.g, p.omega) else "superradiant"
-
-
-def instantaneous_populations(
-    p: QrmParams,
-    psi: StateVector,
-    sector: ParitySector | None = None,
-    scheme: str = "auto",
-) -> list[ProbabilityRecord]:
-    """Populations of the eigenstates of H(p), labelled by best overlap with a
-    named scheme. Adjacent near-degenerate levels are flagged on their records.
-
-    ``p`` carries the instantaneous parameter values. With ``sector`` given,
-    both psi and the diagonalization are restricted to that parity block.
-    """
-    if scheme == "auto":
-        scheme = _auto_scheme(p)
-    if sector is not None:
-        h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", sector)
-        h = h_static + p.delta * h_ramp
-        cols, labels = _sector_scheme_columns(p, scheme, sector)
-    else:
-        h = build_qrm(p)
-        cols, labels = _scheme_columns(p, scheme)
-    if psi.dim != h.shape[0]:
-        raise InvalidParameterError("state dimension does not match the model")
-    eigvals, eigvecs = eig_hermitian(h)
-    assigned = greedy_label_assignment(cols, labels, eigvecs)
-    scale = max(np.max(np.abs(eigvals)), 1e-300)
-    gaps = np.diff(eigvals)
-    near = np.zeros(len(eigvals), dtype=bool)
-    tight = gaps <= DEGENERACY_WARN_RTOL * scale
-    near[:-1] |= tight
-    near[1:] |= tight
-    probs = np.abs(eigvecs.conj().T @ psi.amplitudes) ** 2
-    return [
-        ProbabilityRecord(lab, float(pr), degenerate_tracking=bool(fl))
-        for lab, pr, fl in zip(assigned, probs, near)
-    ]
 
 
 def eigen_level_series(
@@ -628,21 +574,23 @@ def convergence_scan(
     sector: ParitySector | None = None,
     tolerance: float = 1e-3,
     state_builder=None,
-    factors: tuple[int, ...] = (2, 4),
 ) -> ConvergenceReport:
-    """Rerun the sweep at scaled resolution and report final-probability drift.
+    """Rerun the sweep at 2x and 4x resolution and report final-probability
+    drift in the ``readout`` scheme (in the run's sector, when one is given).
 
     ``state_builder(p, sector) -> StateVector`` regenerates the initial state
     for truncation changes; without it the state is zero-padded.
     """
     if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
         raise InvalidParameterError(f"unknown convergence knob {knob!r}")
-    if readout == "state":
-        raise InvalidParameterError("convergence comparison needs a probability readout")
+    # Built before any run, so an unknown scheme fails before propagating.
+    base_columns = readout_columns(p, readout, sector)
 
     def final_probs(pp, sched, state) -> dict[BasisLabel, float]:
-        traj = run_sweep(pp, sched, state, readout=readout, sector=sector)
-        return {rec.label: rec.probability for rec in traj.records[-1]}
+        traj = run_sweep(pp, sched, state, sector=sector)
+        columns = base_columns if pp is p else readout_columns(pp, readout, sector)
+        records = project_records(*columns, traj.final_state.amplitudes)
+        return {rec.label: rec.probability for rec in records}
 
     def configured(factor: int):
         if knob == "n_steps":
@@ -675,7 +623,7 @@ def convergence_scan(
         base = final_probs(*configured(1))
         changes = []
         prev = base
-        for factor in factors:
+        for factor in (2, 4):
             cur = final_probs(*configured(factor))
             keys = set(prev) & set(cur)
             missing = (set(prev) | set(cur)) - keys
@@ -696,7 +644,7 @@ def convergence_scan(
         base_value,
         tolerance,
         changes[0],
-        changes[1] if len(changes) > 1 else None,
+        changes[1],
         passed,
         tuple(notes),
     )

@@ -3,7 +3,7 @@ import pytest
 from rabisweep.errors import InvalidParameterError
 from rabisweep.experiments import ExperimentSpec, _row_checks, run_experiment, sector_ground_state
 from rabisweep.model import EVEN_SECTOR, TOP_OCCUPANCY_TOL, Mode, MultiModeParams, QrmParams
-from rabisweep.sweep import SweepSchedule, run_sweep
+from rabisweep.sweep import SweepSchedule, project_records, readout_columns, run_sweep
 
 
 class TestScanLoop:
@@ -35,13 +35,14 @@ class TestRowChecks:
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000, n_samples=2)
         traj = run_sweep(
-            p, s, sector_ground_state(p, 100.0), readout="superradiant",
-            sector=EVEN_SECTOR, check_truncation=False,
+            p, s, sector_ground_state(p, 100.0), sector=EVEN_SECTOR, check_truncation=False
         )
         assert traj.warnings == ()
         occupancy = traj.metadata["endpoint_top_fock_occupancy"]
         assert occupancy > TOP_OCCUPANCY_TOL
-        records = tuple(traj.records[-1])
+        records = tuple(project_records(
+            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state.amplitudes
+        ))
 
         checks, ok, warnings = _row_checks(traj, records)
         assert not ok

@@ -2,7 +2,7 @@ import pytest
 
 from rabisweep.experiments import ExperimentSpec, run_experiment
 from rabisweep.io import parse_result_csv, render_result_csv, write_result_table
-from rabisweep.model import QrmParams
+from rabisweep.model import BasisLabel, Mode, MultiModeParams, QrmParams
 
 
 @pytest.fixture(scope="module")
@@ -35,3 +35,17 @@ class TestCsv:
             csv_path, _ = write_result_table(run_experiment(spec), tmp_path / out)
             paths.append(csv_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_one_mode_labels_round_trip(self):
+        # A one-mode occupation tuple must not read back as a plain int.
+        p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        spec = ExperimentSpec(
+            "multimode_scan", p, "v_over_delta2", (1e3, 1e4), options={"simulate": False}
+        )
+        table = run_experiment(spec)
+        text = render_result_csv(table)
+        assert BasisLabel("displaced", "up", (0,)) in table.labels()
+        assert [r.label for r in parse_result_csv(text)] == [
+            rec.label for row in table.rows for rec in row.oracle
+        ]
+        assert ",displaced,up,0;," in text

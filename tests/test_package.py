@@ -1,4 +1,5 @@
 import importlib
+import inspect
 
 import pytest
 
@@ -12,11 +13,26 @@ class TestExports:
             assert hasattr(rabisweep, name), name
 
     @pytest.mark.parametrize(
-        "name", ["StepPropagator", "propagate_step", "displacement_truncation_defect"]
+        "name",
+        [
+            "StepPropagator",
+            "propagate_step",
+            "displacement_truncation_defect",
+            "instantaneous_populations",
+            "bundled_presets",
+        ],
     )
     def test_deleted_names_are_gone(self, name):
-        for module in ("rabisweep", "rabisweep.operators", "rabisweep.sweep", "rabisweep.model"):
+        for module in (
+            "rabisweep", "rabisweep.operators", "rabisweep.sweep", "rabisweep.model",
+            "rabisweep.presets",
+        ):
             assert not hasattr(importlib.import_module(module), name), module
+
+    def test_run_sweep_only_propagates(self):
+        # Readout is project_records over readout_columns, not a run option.
+        assert "readout" not in inspect.signature(rabisweep.run_sweep).parameters
+        assert not hasattr(rabisweep.Trajectory, "records")
 
     def test_truncation_policy_lives_in_model(self):
         from rabisweep import model

@@ -5,14 +5,19 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rabisweep import sweep
 from rabisweep.errors import InsufficientTruncationError, InvalidParameterError
+from rabisweep.experiments import sector_ground_state
 from rabisweep.model import (
     EVEN_SECTOR,
+    Mode,
+    MultiModeParams,
     QrmParams,
     build_qrm,
     displaced_level_fits,
     displaced_state,
     parity_sector_basis,
+    scheme_basis,
     superradiant_state,
 )
 from rabisweep.operators import StateVector, eig_hermitian
@@ -20,7 +25,9 @@ from rabisweep.sweep import (
     SweepSchedule,
     _evolve_linear,
     convergence_scan,
-    instantaneous_populations,
+    greedy_label_assignment,
+    project_records,
+    readout_columns,
     run_sweep,
 )
 
@@ -32,6 +39,18 @@ def block_ground(p: QrmParams, delta_value: float) -> StateVector:
     h = basis.conj().T @ build_qrm(replace(p, delta=delta_value)) @ basis
     _, vecs = eig_hermitian(h)
     return StateVector(vecs[:, 0], "parity-symmetric")
+
+
+def final_records(p, traj, scheme, sector=None):
+    return project_records(*readout_columns(p, scheme, sector), traj.final_state.amplitudes)
+
+
+def eigen_records(h, p, scheme, amplitudes, sector=None):
+    """Populations of the eigenstates of h, each named by its best-matching
+    state of the scheme."""
+    _, vecs = eig_hermitian(h)
+    labels = greedy_label_assignment(*readout_columns(p, scheme, sector), vecs)
+    return project_records(vecs, labels, amplitudes)
 
 
 class TestSchedule:
@@ -90,9 +109,9 @@ class TestEngine:
         p = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
         s = SweepSchedule("epsilon", -100.0, 100.0, 1.0, n_steps=100_000, n_samples=2)
         psi0 = displaced_state(p, "down", 0)
-        traj = run_sweep(p, s, psi0, readout="bare")
+        traj = run_sweep(p, s, psi0)
         p_down = sum(
-            r.probability for r in traj.records[-1] if r.label.qubit == "down"
+            r.probability for r in final_records(p, traj, "bare") if r.label.qubit == "down"
         )
         assert abs(p_down - math.exp(-math.pi / 2.0)) <= 5e-3
 
@@ -110,7 +129,7 @@ class TestConservation:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         psi0 = StateVector(superradiant_state(p, "+", 0).amplitudes, "bare")
         s = SweepSchedule("delta", 0.0, 50.0, 25.0, n_steps=20_000, n_samples=21)
-        traj = run_sweep(p, s, psi0, readout="bare")
+        traj = run_sweep(p, s, psi0)
         assert traj.max_parity_leakage <= 1e-10
         assert traj.max_norm_deviation <= 1e-8
 
@@ -145,8 +164,9 @@ class TestAccuracyScalings:
 
         def final_probs(n_steps):
             s = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=n_steps, n_samples=2)
-            traj = run_sweep(p, s, psi0, readout="superradiant", sector=EVEN_SECTOR)
-            return np.array([r.probability for r in traj.records[-1]])
+            traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+            recs = final_records(p, traj, "superradiant", EVEN_SECTOR)
+            return np.array([r.probability for r in recs])
 
         probs = {n: final_probs(n) for n in (1000, 2000, 4000, 8000)}
         d1 = np.max(np.abs(probs[2000] - probs[1000]))
@@ -180,8 +200,7 @@ class TestInstantaneousPopulations:
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)
         h = basis.conj().T @ build_qrm(p) @ basis
         _, vecs = eig_hermitian(h)
-        psi = StateVector(vecs[:, 0], "parity-symmetric")
-        recs = instantaneous_populations(p, psi, sector=EVEN_SECTOR, scheme="normal")
+        recs = eigen_records(h, p, "normal", vecs[:, 0], EVEN_SECTOR)
         top = max(recs, key=lambda r: r.probability)
         assert top.probability == pytest.approx(1.0, abs=1e-12)
         assert (top.label.qubit, top.label.photons) == ("right", 0)
@@ -189,8 +208,7 @@ class TestInstantaneousPopulations:
     def test_completeness(self):
         p = QrmParams(1.3, 0.0, 1.0, 0.8, 24)
         amp = RNG.normal(size=p.dim) + 1j * RNG.normal(size=p.dim)
-        psi = StateVector(amp / np.linalg.norm(amp))
-        recs = instantaneous_populations(p, psi, scheme="superradiant")
+        recs = eigen_records(build_qrm(p), p, "superradiant", amp / np.linalg.norm(amp))
         assert abs(sum(r.probability for r in recs) - 1.0) <= 1e-10
 
     def test_zero_gap_matches_doublet_projection(self):
@@ -200,8 +218,8 @@ class TestInstantaneousPopulations:
         _, vecs = eig_hermitian(h)
         mix = (vecs[:, 0] + 0.5 * vecs[:, 1] + 0.25 * vecs[:, 3]).astype(complex)
         mix /= np.linalg.norm(mix)
-        psi = StateVector(mix, "parity-symmetric")
-        recs = instantaneous_populations(p, psi, sector=EVEN_SECTOR, scheme="superradiant")
+        h0 = basis.conj().T @ build_qrm(p) @ basis
+        recs = eigen_records(h0, p, "superradiant", mix, EVEN_SECTOR)
         full = basis @ mix
         fits = [
             r for r in recs if displaced_level_fits(p.g_over_omega, r.label.photons, p.n_fock)
@@ -216,9 +234,39 @@ class TestInstantaneousPopulations:
     def test_sector_readout_refuses_bias(self):
         # A bias breaks parity, so no parity block holds the eigenstates.
         p = QrmParams(1.0, 0.5, 1.0, 0.8, 16)
-        psi = block_ground(replace(p, epsilon=0.0), 1.0)
         with pytest.raises(InvalidParameterError):
-            instantaneous_populations(p, psi, sector=EVEN_SECTOR, scheme="normal")
+            sector_ground_state(p, 1.0)
+
+
+class TestReadout:
+    def test_unknown_scheme_is_refused(self):
+        p = QrmParams(1.0, 0.0, 1.0, 0.5, 8)
+        with pytest.raises(InvalidParameterError):
+            scheme_basis(p, "foo")
+        for sector in (None, EVEN_SECTOR):
+            with pytest.raises(InvalidParameterError):
+                readout_columns(p, "foo", sector)
+        # Sector columns exist only for the parity-definite schemes.
+        with pytest.raises(InvalidParameterError):
+            readout_columns(p, "displaced", EVEN_SECTOR)
+        mm = MultiModeParams(1.0, (Mode(1.0, 0.5, 4),))
+        for scheme in ("foo", "bare"):
+            with pytest.raises(InvalidParameterError):
+                readout_columns(mm, scheme)
+
+    def test_sector_columns_match_full_space_projection(self):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 24)
+        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
+        amp = block_ground(p, 2.0).amplitudes
+        sector = {r.label: r.probability for r in project_records(
+            *readout_columns(p, "superradiant", EVEN_SECTOR), amp
+        )}
+        full = {r.label: r.probability for r in project_records(
+            *readout_columns(p, "superradiant"), basis @ amp
+        )}
+        assert len(sector) == p.n_fock
+        for label, prob in full.items():
+            assert abs(sector.get(label, 0.0) - prob) <= 1e-12
 
 
 class TestConvergenceScan:
@@ -231,6 +279,18 @@ class TestConvergenceScan:
         )
         assert report.passed
         assert report.max_change_2x <= 1e-12
+
+    def test_unknown_scheme_fails_before_any_run(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated before checking the readout scheme")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_run)
+        p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
+        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000, n_samples=2)
+        for readout in ("foo", "state"):
+            with pytest.raises(InvalidParameterError):
+                convergence_scan(p, s, block_ground(p, 1.0), "n_steps", readout=readout,
+                                 sector=EVEN_SECTOR)
 
     def test_quench_step_doubling_is_stable(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
@@ -265,7 +325,6 @@ class TestBatch:
                 good,
                 schedule,
                 StateVector(np.array([1.0, 0, 0, 0], dtype=complex), "parity-symmetric"),
-                readout="bare",
             )
-        traj = run_sweep(good, schedule, displaced_state(good, "down", 0), readout="bare")
-        assert abs(sum(r.probability for r in traj.records[-1]) - 1.0) <= 1e-10
+        traj = run_sweep(good, schedule, displaced_state(good, "down", 0))
+        assert abs(sum(r.probability for r in final_records(good, traj, "bare")) - 1.0) <= 1e-10
