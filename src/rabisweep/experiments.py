@@ -189,7 +189,8 @@ def _row_checks(
 ) -> tuple[dict, bool, tuple[str, ...]]:
     """A row's checks, converged flag and warnings. The one judge of a row's
     truncation: its final-state and endpoint top-tenth Fock weights against
-    ``top_occupancy_tol``."""
+    ``top_occupancy_tol``. The checks also carry the run's steps and its
+    Chebyshev terms per step."""
     total = float(sum(r.probability for r in records))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
@@ -197,6 +198,8 @@ def _row_checks(
         "top_fock_occupancy": traj.metadata["top_fock_occupancy"],
         "endpoint_top_fock_occupancy": traj.metadata["endpoint_top_fock_occupancy"],
         "probability_sum": total,
+        "n_steps": traj.metadata["n_steps"],
+        "chebyshev_terms": traj.metadata["chebyshev_terms"],
     }
     warnings = list(traj.warnings)
     occupancy = max(checks["top_fock_occupancy"], checks["endpoint_top_fock_occupancy"])
@@ -298,8 +301,8 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     """Populations of the instantaneous energy levels along one gap quench.
 
     Levels are tracked by their energy ordering at each sample and named by
-    the basis state each level matches at the final time, so the curves read
-    as the final-state labels; samples where adjacent tracked levels approach
+    the basis state each level matches at the last sample, so the curves read
+    as that sample's labels; samples where adjacent tracked levels approach
     degeneracy are flagged on their records.
     """
     if spec.kind != "quench_trace":

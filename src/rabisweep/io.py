@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .errors import InvalidParameterError
 from .experiments import ResultTable
@@ -144,11 +147,34 @@ def write_result_table(
             _fmt(row.scan_value): list(row.warnings) for row in table.rows if row.warnings
         },
         "checksums": {csv_path.name: _sha256(payload)},
+        "environment": _environment(),
         "written_at_unix": time.time(),
     }
     manifest_path = out / f"{name}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return [csv_path, manifest_path]
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _environment() -> dict:
+    """Python, numpy, scipy and BLAS versions and the BLAS thread settings
+    (None where unset) of the writing process."""
+    try:
+        blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    except TypeError:  # numpy < 1.26 only prints its config
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {
+            "name": blas.get("name", "unknown"),
+            "version": blas.get("version", "unknown"),
+        },
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
 
 
 def _jsonable(value):

@@ -9,8 +9,14 @@ The exponential action is computed two ways: batched eigendecomposition for
 tiny dimensions, and a Chebyshev expansion of exp(-i H dt) (coefficients shared
 across a chunk of steps, spectral bounds from Gershgorin discs) otherwise.
 Per-step eigendecomposition is prohibitively slow past dim ~ 32 on one core;
-the Chebyshev action reproduces the exact exponential to machine precision
-and is matvec-bound.
+the Chebyshev action reproduces the exact exponential to machine precision.
+
+Every run has the shape H(t) = A + f(t) B, so the Chebyshev branch builds the
+scaled matrix 2(A - c)/r once per chunk and on each step rewrites only the
+entries where B is nonzero: the diagonal for a sector gap sweep or a bias
+sweep, the sigma_x (x) I entries for a full-space gap sweep. The recurrence
+runs in buffers allocated once per run, so a step costs its matvecs plus a
+few in-place vector updates.
 """
 
 from __future__ import annotations
@@ -56,6 +62,8 @@ LEAKAGE_TOL = 1e-10
 DEGENERACY_WARN_RTOL = 1e-8
 
 _EIGH_BACKEND_MAX_DIM = 16
+_EIGH_CHUNK = 4096
+_CHEB_CHUNK = 1024
 _CHEB_COEFF_TOL = 1e-16
 
 
@@ -189,6 +197,47 @@ def _gershgorin_bounds(h0: np.ndarray, h1: np.ndarray, f_vals: np.ndarray) -> tu
     return lo, hi
 
 
+def _chunk_midpoints(
+    f_start: float, f_end: float, total_time: float, n_steps: int, chunk_size: int
+):
+    """Yield each chunk's step indices and the ramp's values at their midpoints."""
+    dt = total_time / n_steps
+    slope = (f_end - f_start) / total_time
+    for start in range(0, n_steps, chunk_size):
+        steps = np.arange(start, min(n_steps, start + chunk_size))
+        yield steps, f_start + slope * ((steps + 0.5) * dt)
+
+
+def _chebyshev_expansion(
+    h_static: np.ndarray, h_ramp: np.ndarray, f_mid: np.ndarray, dt: float
+) -> tuple[float, float, np.ndarray]:
+    """Centre c, radius r and coefficients of one chunk's expansion, from the
+    Gershgorin bounds of H over the chunk's ramp values."""
+    lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
+    center = 0.5 * (hi + lo)
+    radius = 0.5 * (hi - lo) + 1e-300
+    return center, radius, _chebyshev_coefficients(radius * dt)
+
+
+def _chebyshev_terms(
+    h_static: np.ndarray,
+    h_ramp: np.ndarray,
+    f_start: float,
+    f_end: float,
+    total_time: float,
+    n_steps: int,
+) -> int:
+    """Chebyshev terms per step of the run ``_evolve_linear`` makes with these
+    arguments: the most any chunk takes, and 0 on the eigh branch."""
+    if h_static.shape[0] <= _EIGH_BACKEND_MAX_DIM or total_time == 0.0:
+        return 0
+    dt = total_time / n_steps
+    return max(
+        len(_chebyshev_expansion(h_static, h_ramp, f_mid, dt)[2])
+        for _, f_mid in _chunk_midpoints(f_start, f_end, total_time, n_steps, _CHEB_CHUNK)
+    )
+
+
 def _evolve_linear(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
@@ -202,26 +251,22 @@ def _evolve_linear(
     """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp.
 
     The only code that applies exp(-i H dt); the branch is chosen by
-    dimension, as the module docstring describes.
+    dimension, as the module docstring describes. The Chebyshev branch holds
+    the chunk's scaled matrix h2 = 2(h_static - c)/r in one buffer, built
+    once per chunk, and on each step rewrites only the entries where h_ramp
+    is nonzero. Its three-term recurrence runs in preallocated vectors, so a
+    step allocates nothing of the problem's size.
     """
     dim = h_static.shape[0]
     psi = np.asarray(psi0, dtype=complex).copy()
+    if total_time == 0.0:
+        return {k: psi.copy() for k in sample_steps}
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
         out[0] = psi.copy()
-    if total_time == 0.0:
-        out[n_steps] = psi.copy()
-        return out
     dt = total_time / n_steps
-    slope = (f_end - f_start) / total_time
-    use_eigh = dim <= _EIGH_BACKEND_MAX_DIM
-    chunk_size = 4096 if use_eigh else 1024
-    start = 0
-    while start < n_steps:
-        stop = min(n_steps, start + chunk_size)
-        steps = np.arange(start, stop)
-        f_mid = f_start + slope * ((steps + 0.5) * dt)
-        if use_eigh:
+    if dim <= _EIGH_BACKEND_MAX_DIM:
+        for steps, f_mid in _chunk_midpoints(f_start, f_end, total_time, n_steps, _EIGH_CHUNK):
             hb = h_static[None, :, :] + f_mid[:, None, None] * h_ramp[None, :, :]
             w, v = np.linalg.eigh(hb)
             phases = np.exp(-1j * dt * w)
@@ -229,27 +274,46 @@ def _evolve_linear(
                 psi = v[i] @ (phases[i] * (v[i].conj().T @ psi))
                 if k + 1 in sample_steps:
                     out[k + 1] = psi.copy()
-        else:
-            lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
-            center = 0.5 * (hi + lo)
-            radius = 0.5 * (hi - lo) + 1e-300
-            coeffs = _chebyshev_coefficients(radius * dt)
-            phase = np.exp(-1j * center * dt)
-            for i, k in enumerate(steps):
-                hk = h_static + f_mid[i] * h_ramp
-                prev = psi
-                acc = coeffs[0] * prev
-                if len(coeffs) > 1:
-                    cur = (hk @ psi - center * psi) / radius
-                    acc = acc + coeffs[1] * cur
-                    for c in coeffs[2:]:
-                        nxt = 2.0 * ((hk @ cur - center * cur) / radius) - prev
-                        acc = acc + c * nxt
-                        prev, cur = cur, nxt
-                psi = phase * acc
-                if k + 1 in sample_steps:
-                    out[k + 1] = psi.copy()
-        start = stop
+        return out
+
+    # Flat indices of the ramp's nonzero entries: the diagonal for a sector
+    # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
+    ramp_idx = np.flatnonzero(h_ramp)
+    ramp_vals = h_ramp.reshape(-1)[ramp_idx]
+    h2 = np.empty((dim, dim), dtype=complex)
+    h2_flat = h2.reshape(-1)
+    a_idx = np.empty(ramp_idx.size, dtype=complex)
+    b_idx = np.empty(ramp_idx.size, dtype=complex)
+    entries = np.empty(ramp_idx.size, dtype=complex)
+    buf1, buf2, acc, scratch = (np.empty(dim, dtype=complex) for _ in range(4))
+    for steps, f_mid in _chunk_midpoints(f_start, f_end, total_time, n_steps, _CHEB_CHUNK):
+        center, radius, coeffs = _chebyshev_expansion(h_static, h_ramp, f_mid, dt)
+        phase = np.exp(-1j * center * dt)
+        np.copyto(h2, h_static)
+        h2_flat[:: dim + 1] -= center
+        h2 *= 2.0 / radius
+        np.take(h2_flat, ramp_idx, out=a_idx)
+        np.multiply(ramp_vals, 2.0 / radius, out=b_idx)
+        for k, f in zip(steps.tolist(), f_mid.tolist()):
+            np.multiply(b_idx, f, out=entries)
+            entries += a_idx
+            h2_flat[ramp_idx] = entries
+            # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
+            prev, cur, nxt = psi, buf1, buf2
+            np.multiply(psi, coeffs[0], out=acc)
+            np.matmul(h2, psi, out=cur)
+            cur *= 0.5
+            np.multiply(cur, coeffs[1], out=scratch)
+            acc += scratch
+            for c in coeffs[2:]:
+                np.matmul(h2, cur, out=nxt)
+                nxt -= prev
+                np.multiply(nxt, c, out=scratch)
+                acc += scratch
+                prev, cur, nxt = cur, nxt, prev
+            np.multiply(acc, phase, out=psi)
+            if k + 1 in sample_steps:
+                out[k + 1] = psi.copy()
     return out
 
 
@@ -285,17 +349,13 @@ def _hamiltonian_parts(
 
 
 def _sample_steps(schedule: SweepSchedule) -> list[int]:
+    """The steps a run returns: one per requested sample time, in order, or
+    ``n_samples`` evenly spaced steps from the start to the end."""
     n = schedule.n_steps
     total = schedule.total_time
     if schedule.sample_times is not None:
-        if total == 0.0:
-            steps = [0]
-        else:
-            steps = [int(round(t / total * n)) for t in schedule.sample_times]
-    else:
-        steps = list(np.linspace(0, n, schedule.n_samples).round().astype(int))
-    steps = sorted(set(steps) | {n})
-    return steps
+        return [int(round(t / total * n)) if total else 0 for t in schedule.sample_times]
+    return sorted(set(np.linspace(0, n, schedule.n_samples).round().astype(int).tolist()))
 
 
 def _endpoint_ground_occupancy(
@@ -360,7 +420,9 @@ def run_sweep(
     check_truncation: bool = True,
 ) -> Trajectory:
     """Evolve psi0 under the scheduled ramp, check conservation and
-    truncation, and return the normalized state at every sample time.
+    truncation, and return the normalized state at every sample time: one
+    per entry of ``schedule.sample_times`` when given, else ``n_samples``
+    evenly spaced ones from the start to the end.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
     With ``sector`` given (bias-free gap sweeps only) the evolution runs inside
@@ -368,13 +430,16 @@ def run_sweep(
     psi0 must be a ``"bare"`` state. The run reads nothing out: project its
     states with ``project_records`` over ``readout_columns``.
 
-    The top-tenth Fock weights (``model.top_fock_occupancy``) of the final
-    state and of the ground states of both endpoint Hamiltonians go to
+    The top-tenth Fock weights (``model.top_fock_occupancy``) of the state at
+    the end of the sweep, sampled or not, and of the ground states of both
+    endpoint Hamiltonians go to
     ``metadata["top_fock_occupancy"]`` and
     ``metadata["endpoint_top_fock_occupancy"]``. With ``check_truncation=True``
     a weight above TOP_OCCUPANCY_TOL raises ``InsufficientTruncationError``;
     with ``False`` the run only records them, and the caller judges them
-    against its own limit.
+    against its own limit. ``metadata["n_steps"]`` and
+    ``metadata["chebyshev_terms"]`` record the steps taken and the Chebyshev
+    terms per step (the most any chunk took; 0 on the eigh branch).
     """
     h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, schedule.parameter, sector)
     leak_matrix = None
@@ -412,18 +477,14 @@ def run_sweep(
     guard_truncation(endpoint_occ, "an endpoint ground state")
 
     steps = _sample_steps(schedule)
+    ramp = (schedule.start_value, schedule.end_value, schedule.total_time, schedule.n_steps)
+    # The end state is always propagated: the truncation guard and the
+    # conservation log check it even when no sample asks for it.
     sampled = _evolve_linear(
-        h_static,
-        h_ramp,
-        schedule.start_value,
-        schedule.end_value,
-        schedule.total_time,
-        schedule.n_steps,
-        psi0.amplitudes,
-        set(steps),
+        h_static, h_ramp, *ramp, psi0.amplitudes, set(steps) | {schedule.n_steps}
     )
     dt = schedule.total_time / schedule.n_steps if schedule.total_time else 0.0
-    times = np.array([k * dt for k in sorted(sampled)])
+    times = np.array([k * dt for k in steps])
 
     warnings: list[str] = []
     conservation = []
@@ -443,14 +504,13 @@ def run_sweep(
                 warnings.append(f"parity leakage {leak:.2e} at t = {k * dt:.6g}")
         conservation.append(ConservationSample(k * dt, norm_dev, leak))
 
-    final_amp = sampled[max(sampled)]
+    final_amp = sampled[schedule.n_steps]
     full_final = sector_matrix @ final_amp if sector_matrix is not None else final_amp
     top_occ = top_fock_occupancy(p, full_final)
     guard_truncation(top_occ, "the final state")
 
     states = [
-        StateVector(sampled[k] / np.linalg.norm(sampled[k]), psi0.basis_tag)
-        for k in sorted(sampled)
+        StateVector(sampled[k] / np.linalg.norm(sampled[k]), psi0.basis_tag) for k in steps
     ]
 
     return Trajectory(
@@ -463,6 +523,8 @@ def run_sweep(
             "top_fock_occupancy": top_occ,
             "endpoint_top_fock_occupancy": endpoint_occ,
             "sector": sector.sign if sector else None,
+            "n_steps": schedule.n_steps,
+            "chebyshev_terms": _chebyshev_terms(h_static, h_ramp, *ramp),
         },
     )
 

@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
 from rabisweep.errors import InvalidParameterError
 from rabisweep.experiments import ExperimentSpec, _row_checks, run_experiment, sector_ground_state
-from rabisweep.model import EVEN_SECTOR, TOP_OCCUPANCY_TOL, Mode, MultiModeParams, QrmParams
+from rabisweep.model import (
+    EVEN_SECTOR,
+    TOP_OCCUPANCY_TOL,
+    Mode,
+    MultiModeParams,
+    QrmParams,
+    parity_sector_basis,
+    top_fock_occupancy,
+)
 from rabisweep.sweep import SweepSchedule, project_records, readout_columns, run_sweep
 
 
@@ -48,10 +58,78 @@ class TestRowChecks:
         assert not ok
         assert len([w for w in warnings if "Fock ladder" in w]) == 1
         assert checks["endpoint_top_fock_occupancy"] == occupancy
+        # Dim 8 runs the eigh branch, which takes no Chebyshev terms.
+        assert checks["n_steps"] == 2000
+        assert checks["chebyshev_terms"] == 0
 
         _, ok, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
         assert ok
         assert warnings == ()
+
+    def test_chebyshev_runs_report_their_terms(self):
+        # The fig1a block at 32 levels runs the Chebyshev branch; a faster
+        # sweep over the same gap takes fewer terms per step.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        psi0 = sector_ground_state(p, 200.0)
+        cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
+        terms = []
+        for rate in (1e3, 1e5):
+            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000, n_samples=2)
+            traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+            checks, ok, _ = _row_checks(
+                traj, tuple(project_records(cols, labels, traj.final_state.amplitudes))
+            )
+            assert ok
+            assert checks["n_steps"] == 1000
+            terms.append(checks["chebyshev_terms"])
+        assert terms[0] > terms[1] > 2
+
+
+class TestTraces:
+    # A trace returns exactly its axis, also when the axis stops short of
+    # the end of the sweep.
+    def test_lz_trace_stopping_short_returns_its_axis(self):
+        p = QrmParams(0.1, 0.0, 1.0, 0.3, 16)
+        spec = ExperimentSpec(
+            "lz_trace", p, "epsilon_over_omega", (-5.0, 0.0, 5.0), n_steps=1000,
+            options={"rate": 1e3},
+        )
+        table = run_experiment(spec)
+        # The default window is 26, so a step moves the axis by 0.052.
+        assert [row.scan_value for row in table.rows] == pytest.approx(
+            [-5.0, 0.0, 5.0], abs=0.052
+        )
+
+    def test_quench_trace_stopping_short_returns_its_axis(self):
+        p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+        spec = ExperimentSpec(
+            "quench_trace", p, "v_t_over_omega", (0.0, 50.0, 100.0), n_steps=1000,
+            options={"direction": "sn", "rate": 1e4},
+        )
+        table = run_experiment(spec)
+        assert [row.scan_value for row in table.rows] == pytest.approx([0.0, 50.0, 100.0])
+        assert all(row.converged for row in table.rows)
+
+    def test_end_of_sweep_is_checked_when_not_sampled(self):
+        # Sampling only the first half of a sweep returns those samples, but
+        # the truncation and conservation checks still see the end state.
+        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
+        s = SweepSchedule(
+            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
+        )
+        psi0 = sector_ground_state(p, 100.0)
+        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
+        whole = run_sweep(
+            p, replace(s, sample_times=None, n_samples=2), psi0, sector=EVEN_SECTOR,
+            check_truncation=False,
+        )
+        assert list(traj.times) == pytest.approx([0.0, 0.05])
+        assert len(traj.states) == 2
+        assert traj.conservation_log[-1].time == pytest.approx(0.1)
+        assert traj.metadata["top_fock_occupancy"] == whole.metadata["top_fock_occupancy"]
+        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
+        halfway = top_fock_occupancy(p, basis @ traj.states[-1].amplitudes)
+        assert halfway != pytest.approx(traj.metadata["top_fock_occupancy"], rel=1e-3)
 
 
 class TestSpec:

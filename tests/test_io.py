@@ -1,4 +1,9 @@
+import json
+import platform
+
+import numpy as np
 import pytest
+import scipy
 
 from rabisweep.experiments import ExperimentSpec, run_experiment
 from rabisweep.io import parse_result_csv, render_result_csv, write_result_table
@@ -49,3 +54,23 @@ class TestCsv:
             rec.label for row in table.rows for rec in row.oracle
         ]
         assert ",displaced,up,0;," in text
+
+
+class TestManifest:
+    def test_records_the_environment(self, table, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        csv_path, manifest_path = write_result_table(table, tmp_path)
+        env = json.loads(manifest_path.read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == scipy.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert all(isinstance(v, str) and v for v in env["blas"].values())
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+        }
+        # The environment goes to the manifest only: the CSV keeps its bytes.
+        assert csv_path.read_bytes() == render_result_csv(table).encode("utf-8")

@@ -20,7 +20,7 @@ from rabisweep.model import (
     scheme_basis,
     superradiant_state,
 )
-from rabisweep.operators import StateVector, eig_hermitian
+from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
 from rabisweep.sweep import (
     SweepSchedule,
     _evolve_linear,
@@ -83,20 +83,34 @@ class TestEngine:
     def test_backends_agree(self):
         # dim 12 runs the eigh branch and dim 24 the Chebyshev branch; each
         # must match a per-step dense matrix exponential of the midpoint H.
+        # The Chebyshev branch rewrites only the entries where h1 is nonzero,
+        # so its ramps are dense, diagonal (sector gap and bias sweeps),
+        # sparse off-diagonal (full-space gap sweep) and zero. The sample at
+        # step 1 would be overwritten if it aliased a working buffer.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
         dt = total_time / n_steps
         slope = (f_end - f_start) / total_time
-        for dim in (12, 24):
+
+        def hermitian(dim):
             m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-            h0 = 0.5 * (m + m.conj().T)
-            m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-            h1 = 0.5 * (m + m.conj().T)
+            return 0.5 * (m + m.conj().T)
+
+        ramps = [
+            (12, hermitian),
+            (24, hermitian),
+            (24, lambda dim: np.diag(RNG.normal(size=dim)).astype(complex)),
+            (24, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
+            (24, lambda dim: np.zeros((dim, dim), dtype=complex)),
+        ]
+        for dim, ramp in ramps:
+            h0 = hermitian(dim)
+            h1 = ramp(dim)
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
             psi /= np.linalg.norm(psi)
             got = _evolve_linear(
-                h0, h1, f_start, f_end, total_time, n_steps, psi, {750, 1500}
+                h0, h1, f_start, f_end, total_time, n_steps, psi, {1, 750, 1500}
             )
-            assert set(got) == {750, 1500}
+            assert set(got) == {1, 750, 1500}
             ref = psi
             for k in range(n_steps):
                 f_mid = f_start + slope * ((k + 0.5) * dt)
