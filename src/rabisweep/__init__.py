@@ -74,27 +74,21 @@ from .model import (
     multimode_displaced_basis,
     normal_state,
     parity_operator,
-    parity_projector,
     parity_sector_basis,
     parity_sector_labels,
     scheme_basis,
-    scheme_state,
     superradiant_state,
     top_fock_occupancy,
 )
 from .operators import (
     IDENTITY_2,
     SIGMA_X,
-    SIGMA_Y,
     SIGMA_Z,
     StateVector,
     annihilation,
-    creation,
-    displacement,
     eig_hermitian,
     hermiticity_defect,
     kron,
-    number_operator,
     unitary_displacement,
 )
 from .presets import PRESETS
@@ -125,13 +119,11 @@ __all__ = [
     "ParitySector", "ProbabilityRecord", "QrmParams", "build_multimode", "build_qrm",
     "critical_delta", "default_n_fock", "delta_ramp", "displaced_fock_tail",
     "displaced_level_fits", "displaced_state", "epsilon_ramp",
-    "multimode_displaced_basis", "normal_state", "parity_operator", "parity_projector",
-    "parity_sector_basis", "parity_sector_labels", "scheme_basis", "scheme_state",
-    "superradiant_state", "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Y",
-    "SIGMA_Z", "StateVector", "annihilation", "creation", "displacement",
-    "eig_hermitian", "hermiticity_defect", "kron", "number_operator",
-    "unitary_displacement", "PRESETS", "ConservationSample",
-    "ConvergenceReport", "SweepSchedule", "Trajectory", "convergence_scan",
-    "greedy_label_assignment", "project_records", "readout_columns",
-    "run_sweep",
+    "multimode_displaced_basis", "normal_state", "parity_operator",
+    "parity_sector_basis", "parity_sector_labels", "scheme_basis", "superradiant_state",
+    "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
+    "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
+    "unitary_displacement", "PRESETS", "ConservationSample", "ConvergenceReport",
+    "SweepSchedule", "Trajectory", "convergence_scan", "greedy_label_assignment",
+    "project_records", "readout_columns", "run_sweep",
 ]

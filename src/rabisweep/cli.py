@@ -54,8 +54,8 @@ def _add_grid_flags(sp, default_min: float, default_max: float, per_decade: int 
 
 
 def _grid(args) -> tuple[float, ...]:
-    if args.v_min <= 0 or args.v_max <= args.v_min:
-        raise InvalidParameterError("need 0 < v-min < v-max")
+    if not (0 < args.v_min < args.v_max < np.inf):
+        raise InvalidParameterError("need 0 < v-min < v-max, both finite")
     decades = np.log10(args.v_max) - np.log10(args.v_min)
     n = max(2, int(round(decades * args.points_per_decade)) + 1)
     return tuple(np.logspace(np.log10(args.v_min), np.log10(args.v_max), n))
@@ -228,8 +228,10 @@ def _cmd_formula(args) -> int:
             raise InvalidParameterError("--cascade needs --v-over-delta2")
         delta = args.delta_over_omega
         recs = cascade_probabilities(delta, args.v_over_delta2 * delta**2, args.g_over_omega, 1.0)
-        wanted = [r for r in recs if r.label.qubit == "up" and r.label.photons == args.n]
-        print(f"{wanted[0].probability:.6f}")
+        up = {r.label.photons: r.probability for r in recs if r.label.qubit == "up"}
+        if args.n not in up:
+            raise InvalidParameterError(f"--n {args.n} is not a cascade level (0..{max(up)})")
+        print(f"{up[args.n]:.6f}")
     else:
         print(f"{poisson_overlap(args.n, args.g_over_omega, 1.0):.6f}")
     return 0

@@ -36,6 +36,7 @@ from .model import (
 from .operators import StateVector, eig_hermitian
 from .sweep import (
     LEAKAGE_TOL,
+    MIN_N_STEPS,
     SAMPLE_NORM_TOL,
     SweepSchedule,
     Trajectory,
@@ -83,6 +84,8 @@ class ExperimentSpec:
         values = tuple(float(v) for v in self.scan_values)
         if len(values) == 0:
             raise InvalidParameterError("scan grid must be nonempty")
+        if not all(np.isfinite(values)):
+            raise InvalidParameterError("scan grid values must be finite")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("scan grid must be strictly increasing")
         if self.kind in RATE_SCAN_KINDS and values[0] <= 0:
@@ -90,6 +93,8 @@ class ExperimentSpec:
                 f"{self.kind} scans sweep rates, which must be positive; got {values[0]}"
             )
         self.scan_values = values
+        if self.n_steps < MIN_N_STEPS:
+            raise InvalidParameterError(f"n_steps must be >= {MIN_N_STEPS}, got {self.n_steps}")
         if self.kind.startswith("quench"):
             if not isinstance(self.params, QrmParams):
                 raise InvalidParameterError("quench experiments take single-mode parameters")

@@ -13,6 +13,8 @@ Conventions (fixed once, asserted in tests):
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +31,6 @@ from .operators import (
     SIGMA_Z,
     StateVector,
     annihilation,
-    displacement,
     kron,
     unitary_displacement,
 )
@@ -211,7 +212,12 @@ def default_n_fock(g: float, omega: float) -> int:
 
 def displaced_fock_tail(alpha: complex, n: int, n_fock: int) -> float:
     """Weight of D(alpha)|n> outside the first n_fock Fock levels."""
-    col = displacement(alpha, max(n_fock, n + 2))[:n_fock, n]
+    _require_finite(alpha=abs(complex(alpha)))
+    # The unitary column converges at this padded dimension, so its first
+    # n_fock entries are the untruncated operator's.
+    dim = max(n_fock, n + 2)
+    pad_dim = int(np.ceil((np.sqrt(dim) + abs(alpha)) ** 2)) + 16
+    col = unitary_displacement(alpha, pad_dim)[:n_fock, n]
     return max(0.0, 1.0 - float(np.sum(np.abs(col) ** 2)))
 
 
@@ -219,8 +225,8 @@ def displaced_level_fits(alpha: float, n: int, n_fock: int) -> bool:
     """Whether D(alpha)|n> is representable in n_fock Fock levels.
 
     The one rule for displaced levels: its weight outside the truncation is at
-    most STATE_TAIL_TOL. The state constructors and the capped multimode basis
-    refuse any level it rejects.
+    most STATE_TAIL_TOL. ``displaced_state`` and ``superradiant_state`` refuse
+    any level it rejects.
     """
     return displaced_fock_tail(alpha, n, n_fock) <= STATE_TAIL_TOL
 
@@ -355,142 +361,92 @@ def parity_sector_basis(p: QrmParams, sector: ParitySector) -> tuple[np.ndarray,
     return b, labels
 
 
-def parity_projector(p: QrmParams, sector: ParitySector) -> tuple[np.ndarray, list[BasisLabel]]:
-    """(I + sign P)/2 together with the sector's basis-state list."""
-    proj = 0.5 * (np.eye(p.dim, dtype=complex) + sector.sign * parity_operator(p))
-    return proj, parity_sector_labels(sector, p.n_fock, "normal")
-
-
 # ---------------------------------------------------------------------------
-# Readout bases
+# Readout bases: Kronecker products, qubit-major. Bare and normal columns are
+# kron(qubit columns, I); displaced and superradiant ones come from the blocks.
 # ---------------------------------------------------------------------------
 
-def _qubit_vector(scheme: str, qubit: str) -> np.ndarray:
-    up = np.array([1.0, 0.0], dtype=complex)
-    down = np.array([0.0, 1.0], dtype=complex)
-    if scheme in ("bare", "displaced"):
-        return up if qubit == "up" else down
-    s = 1.0 / np.sqrt(2.0)
-    if qubit in ("right", "+"):
-        return s * (up + down)
-    return s * (up - down)
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_QUBIT_COLUMNS = {
+    "bare": np.eye(2, dtype=complex),
+    "normal": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
+}
 
 
-def _fock_vector(n: int, n_fock: int) -> np.ndarray:
-    if n >= n_fock:
-        raise InvalidParameterError(f"photon number {n} outside truncation {n_fock}")
-    v = np.zeros(n_fock, dtype=complex)
-    v[n] = 1.0
-    return v
-
-
-def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """|right/left> (x) |n>, the weak-coupling product state."""
-    label = BasisLabel("normal", qubit, n)
-    amp = np.kron(_qubit_vector("normal", label.qubit), _fock_vector(n, p.n_fock))
-    return StateVector(amp, "bare")
-
-
-def _displaced_column(alpha: float, n: int, n_fock: int) -> np.ndarray:
-    """Column of the unitary displacement, for a level that fits the truncation."""
-    _require_displaced_level(alpha, n, n_fock)
-    return unitary_displacement(alpha, n_fock)[:, n]
-
-
-def displaced_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """Qubit-conditioned displaced Fock state, in the bare product basis."""
-    label = BasisLabel("displaced", qubit, n)
-    alpha = p.g_over_omega
-    sign = -1.0 if label.qubit == "up" else +1.0
-    col = _displaced_column(sign * alpha, n, p.n_fock)
-    amp = np.kron(_qubit_vector("bare", label.qubit), col)
-    return StateVector(amp, "bare")
-
-
-def superradiant_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """Strong-coupling doublet state (|up,D(-a)n> +/- |down,D(+a)n>)/sqrt(2)."""
-    label = BasisLabel("superradiant", qubit, n)
-    sign = +1.0 if label.qubit == "+" else -1.0
-    up = displaced_state(p, "up", n).amplitudes
-    down = displaced_state(p, "down", n).amplitudes
-    return StateVector((up + sign * down) / np.sqrt(2.0), "bare")
-
-
-def scheme_state(p: QrmParams, label: BasisLabel) -> StateVector:
-    if label.scheme == "bare":
-        amp = np.kron(_qubit_vector("bare", label.qubit), _fock_vector(label.photons, p.n_fock))
-        return StateVector(amp, "bare")
-    if label.scheme == "normal":
-        return normal_state(p, label.qubit, label.photons)
-    if label.scheme == "superradiant":
-        return superradiant_state(p, label.qubit, label.photons)
-    return displaced_state(p, label.qubit, label.photons)
+def _displaced_blocks(modes: list[tuple[float, int]]) -> list[np.ndarray]:
+    """The blocks |up> (x)_j D(-g_j/w_j) and |down> (x)_j D(+g_j/w_j), for
+    modes given as (g/omega, n_fock) pairs. A block's columns run over the
+    occupation tuples (n_1, n_2, ...) in lexicographic order.
+    """
+    eye2 = np.eye(2, dtype=complex)
+    blocks = []
+    for q, sign in ((0, -1.0), (1, +1.0)):
+        osc = functools.reduce(np.kron, [unitary_displacement(sign * r, n) for r, n in modes])
+        blocks.append(np.kron(eye2[:, [q]], osc))
+    return blocks
 
 
 def scheme_basis(p: QrmParams, scheme: str) -> tuple[np.ndarray, list[BasisLabel]]:
     """Complete column basis of one labelling scheme, qubit-major ordering.
 
-    Displacement-bearing schemes use the exactly unitary truncated rotation, so
-    the columns are orthonormal and projections onto them sum to one; the
-    columns agree with the state constructors up to the truncation tail.
+    Displacement-bearing schemes use ``unitary_displacement``, the exactly
+    unitary truncated rotation, so the columns are orthonormal and projections
+    onto them sum to one. Columns of levels that fail ``displaced_level_fits``
+    are still returned; the state constructors refuse them.
     """
     if scheme not in QUBIT_LABELS:
         raise InvalidParameterError(f"unknown labelling scheme {scheme!r}")
     labels = [
         BasisLabel(scheme, q, n) for q in QUBIT_LABELS[scheme] for n in range(p.n_fock)
     ]
-    if scheme in ("bare", "normal"):
-        cols = np.column_stack([scheme_state(p, lab).amplitudes for lab in labels])
-        return cols, labels
-    alpha = p.g_over_omega
-    eye2 = np.eye(2, dtype=complex)
-    up_block = np.kron(eye2[:, [0]], unitary_displacement(-alpha, p.n_fock))
-    down_block = np.kron(eye2[:, [1]], unitary_displacement(+alpha, p.n_fock))
+    if scheme in _QUBIT_COLUMNS:
+        return np.kron(_QUBIT_COLUMNS[scheme], np.eye(p.n_fock, dtype=complex)), labels
+    up_block, down_block = _displaced_blocks([(p.g_over_omega, p.n_fock)])
     if scheme == "displaced":
-        cols = np.hstack([up_block, down_block])
-    else:
-        s = 1.0 / np.sqrt(2.0)
-        cols = np.hstack([s * (up_block + down_block), s * (up_block - down_block)])
-    return cols, labels
+        return np.hstack([up_block, down_block]), labels
+    s = _SQRT_HALF
+    return np.hstack([s * (up_block + down_block), s * (up_block - down_block)]), labels
 
 
-def multimode_displaced_basis(
-    p: MultiModeParams, caps: tuple[int, ...] | None = None
-) -> tuple[np.ndarray, list[BasisLabel]]:
+def multimode_displaced_basis(p: MultiModeParams) -> tuple[np.ndarray, list[BasisLabel]]:
     """Displaced product basis |gamma> (x)_j D(-/+ g_j/w_j)|n_j>.
 
-    Without caps the complete (exactly orthonormal) rotated basis is returned
-    for readout bookkeeping; with caps, every requested level must pass
-    ``displaced_level_fits``.
+    The complete, exactly orthonormal basis of the model's full space, for
+    readout: up columns first, then down, each with the occupation tuples in
+    lexicographic order.
     """
-    check_tails = caps is not None
-    if caps is None:
-        caps = tuple(m.n_fock - 1 for m in p.modes)
-    if len(caps) != len(p.modes):
-        raise InvalidParameterError("one occupation cap per mode is required")
-    per_mode: dict[str, list[np.ndarray]] = {"up": [], "down": []}
-    for cap, m in zip(caps, p.modes):
-        if cap >= m.n_fock:
-            raise InvalidParameterError("occupation cap exceeds the mode truncation")
-        alpha = m.g / m.omega
-        for key, sign in (("up", -1.0), ("down", +1.0)):
-            if check_tails:
-                for n in range(cap + 1):
-                    _require_displaced_level(sign * alpha, n, m.n_fock)
-            per_mode[key].append(unitary_displacement(sign * alpha, m.n_fock))
-    occs = [()]
-    for cap in caps:
-        occs = [o + (n,) for o in occs for n in range(cap + 1)]
-    labels = []
-    cols = []
-    for qi, q in enumerate(("up", "down")):
-        qvec = np.zeros(2, dtype=complex)
-        qvec[qi] = 1.0
-        for occ in occs:
-            vec = None
-            for j, n in enumerate(occ):
-                c = per_mode[q][j][:, n]
-                vec = c if vec is None else np.kron(vec, c)
-            cols.append(np.kron(qvec, vec))
-            labels.append(BasisLabel("displaced", q, occ))
-    return np.column_stack(cols), labels
+    up_block, down_block = _displaced_blocks([(m.g / m.omega, m.n_fock) for m in p.modes])
+    occs = list(itertools.product(*(range(m.n_fock) for m in p.modes)))
+    labels = [BasisLabel("displaced", q, occ) for q in ("up", "down") for occ in occs]
+    return np.hstack([up_block, down_block]), labels
+
+
+def _basis_state(p: QrmParams, label: BasisLabel) -> StateVector:
+    """The ``scheme_basis`` column of one label, as a full-space state."""
+    cols, _ = scheme_basis(p, label.scheme)
+    q = QUBIT_LABELS[label.scheme].index(label.qubit)
+    return StateVector(cols[:, q * p.n_fock + label.photons], "bare")
+
+
+def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:
+    """|right/left> (x) |n>, the weak-coupling product state."""
+    label = BasisLabel("normal", qubit, n)
+    if n >= p.n_fock:
+        raise InvalidParameterError(f"photon number {n} outside truncation {p.n_fock}")
+    return _basis_state(p, label)
+
+
+def displaced_state(p: QrmParams, qubit: str, n: int) -> StateVector:
+    """Qubit-conditioned displaced Fock state, in the bare product basis."""
+    label = BasisLabel("displaced", qubit, n)
+    sign = -1.0 if label.qubit == "up" else +1.0
+    _require_displaced_level(sign * p.g_over_omega, n, p.n_fock)
+    return _basis_state(p, label)
+
+
+def superradiant_state(p: QrmParams, qubit: str, n: int) -> StateVector:
+    """Strong-coupling doublet state (|up,D(-a)n> +/- |down,D(+a)n>)/sqrt(2)."""
+    label = BasisLabel("superradiant", qubit, n)
+    for alpha in (-p.g_over_omega, p.g_over_omega):
+        _require_displaced_level(alpha, n, p.n_fock)
+    return _basis_state(p, label)

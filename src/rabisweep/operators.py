@@ -23,12 +23,11 @@ HERMITICITY_RTOL = 1e-12
 STATE_NORM_ATOL = 1e-10
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: Basis tags a StateVector may carry.
-BASIS_TAGS = ("bare", "parity-symmetric", "parity-antisymmetric", "displaced")
+BASIS_TAGS = ("bare", "parity-symmetric", "parity-antisymmetric")
 
 
 @dataclass(frozen=True)
@@ -84,16 +83,6 @@ def annihilation(n_fock: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), k=1).astype(complex)
 
 
-def creation(n_fock: int) -> np.ndarray:
-    return annihilation(n_fock).conj().T
-
-
-def number_operator(n_fock: int) -> np.ndarray:
-    if n_fock < 2:
-        raise InvalidTruncationError(f"Fock truncation must be >= 2, got {n_fock}")
-    return np.diag(np.arange(n_fock, dtype=float)).astype(complex)
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square operators."""
     a = np.asarray(a, dtype=complex)
@@ -102,15 +91,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameterError("kron expects square matrices")
     return np.kron(a, b)
-
-
-def _check_displacement_args(alpha: complex, n_fock: int) -> complex:
-    if n_fock < 2:
-        raise InvalidTruncationError(f"Fock truncation must be >= 2, got {n_fock}")
-    alpha = complex(alpha)
-    if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
-        raise InvalidParameterError("displacement amplitude must be finite")
-    return alpha
 
 
 @lru_cache(maxsize=128)
@@ -124,29 +104,20 @@ def _displacement_unitary(re: float, im: float, n_fock: int) -> np.ndarray:
     return out
 
 
-def displacement(alpha: complex, n_fock: int) -> np.ndarray:
-    """Displacement operator exp(alpha a^dag - alpha* a) in an n_fock truncation.
-
-    The returned block holds the untruncated operator's matrix elements, so its
-    unitarity defect is the genuine truncation tail and shrinks as n_fock
-    grows; low columns are exact displaced Fock states.
-    """
-    alpha = _check_displacement_args(alpha, n_fock)
-    if alpha == 0:
-        return np.eye(n_fock, dtype=complex)
-    # Work in a padded space so that every kept level is converged, then crop.
-    pad_dim = int(np.ceil((np.sqrt(n_fock) + abs(alpha)) ** 2)) + 16
-    return np.ascontiguousarray(unitary_displacement(alpha, pad_dim)[:n_fock, :n_fock])
-
-
 def unitary_displacement(alpha: complex, n_fock: int) -> np.ndarray:
     """Exactly unitary displacement: the exponential of the truncated generator.
 
-    Columns form an orthonormal set by construction; low columns agree with
-    ``displacement`` up to the truncation tail. Used for complete readout
-    bases, where probabilities must sum to one.
+    Columns form an orthonormal set by construction. Low columns agree with
+    those of the untruncated operator exp(alpha a^dag - alpha* a) up to the
+    truncation tail that ``model.displaced_fock_tail`` measures. This is the
+    one displacement builder: every displaced readout basis and state is made
+    from it.
     """
-    alpha = _check_displacement_args(alpha, n_fock)
+    if n_fock < 2:
+        raise InvalidTruncationError(f"Fock truncation must be >= 2, got {n_fock}")
+    alpha = complex(alpha)
+    if not (np.isfinite(alpha.real) and np.isfinite(alpha.imag)):
+        raise InvalidParameterError("displacement amplitude must be finite")
     if alpha == 0:
         return np.eye(n_fock, dtype=complex)
     return _displacement_unitary(alpha.real, alpha.imag, n_fock)

@@ -60,6 +60,8 @@ LEAKAGE_TOL = 1e-10
 # Adjacent tracked levels closer than this (times the spectral scale) are
 # flagged: their populations are not individually trustworthy there.
 DEGENERACY_WARN_RTOL = 1e-8
+# Fewest steps a sweep may take: the resolution guard of every fixed-step run.
+MIN_N_STEPS = 1000
 
 _EIGH_BACKEND_MAX_DIM = 16
 _EIGH_CHUNK = 4096
@@ -87,14 +89,14 @@ class SweepSchedule:
                 raise InvalidParameterError(f"{name} must be finite")
         if self.rate_v <= 0:
             raise InvalidParameterError(f"rate_v must be positive, got {self.rate_v}")
-        if self.n_steps < 1000:
-            raise InvalidParameterError(
-                f"n_steps = {self.n_steps} is below the 1000-step resolution guard"
-            )
+        if self.n_steps < MIN_N_STEPS:
+            raise InvalidParameterError(f"n_steps must be >= {MIN_N_STEPS}, got {self.n_steps}")
         if self.n_samples < 2:
             raise InvalidParameterError("need at least two samples (start and end)")
         if self.sample_times is not None:
             ts = tuple(float(t) for t in self.sample_times)
+            if not all(np.isfinite(ts)):
+                raise InvalidParameterError("sample_times must be finite")
             total = self.total_time
             if any(t < 0 or t > total + 1e-12 * max(total, 1.0) for t in ts):
                 raise InvalidParameterError("sample_times must lie within [0, T]")

@@ -28,6 +28,21 @@ class TestExitCodes:
         assert main(["formula", "--g-over-omega", "1.0", "--lz"]) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quench", "--g-over-omega", "1", "--v-min", "nan"],
+            ["formula", "--g-over-omega", "1", "--cascade", "--v-over-delta2", "10", "--n", "100"],
+            ["formula", "--g-over-omega", "1", "--cascade", "--v-over-delta2", "10", "--n", "-1"],
+            ["lz", "--g-over-omega", "0.1", "--delta-over-omega", "0.1", "--n-steps", "500"],
+        ],
+        ids=["nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps"],
+    )
+    def test_bad_values_are_invalid_configuration(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # a run that got through would write here
+        assert main(argv) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
     def test_run_failure(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
         assert main(["--config", missing, "formula"]) == 2

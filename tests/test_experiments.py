@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from rabisweep.errors import InvalidParameterError
@@ -13,7 +14,13 @@ from rabisweep.model import (
     parity_sector_basis,
     top_fock_occupancy,
 )
-from rabisweep.sweep import SweepSchedule, project_records, readout_columns, run_sweep
+from rabisweep.sweep import (
+    MIN_N_STEPS,
+    SweepSchedule,
+    project_records,
+    readout_columns,
+    run_sweep,
+)
 
 
 class TestScanLoop:
@@ -144,6 +151,24 @@ class TestSpec:
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
         with pytest.raises(InvalidParameterError):
             ExperimentSpec("multimode_scan", p, "v_over_delta2", (-1.0, 10.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_refuses_non_finite_scan_values(self, bad):
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec("lz_scan", p, "v_over_delta2", (1.0, bad))
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec(
+                "lz_trace", p, "epsilon_over_omega", (bad, 5.0), options={"rate": 10.0}
+            )
+
+    def test_refuses_too_few_steps(self):
+        # Below the sweep's resolution guard every simulated row would fail.
+        p = QrmParams(0.1, 0.0, 1.0, 0.1, 32)
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec("lz_scan", p, "v_over_delta2", (1.0, 10.0), n_steps=MIN_N_STEPS - 1)
+        spec = ExperimentSpec("lz_scan", p, "v_over_delta2", (1.0, 10.0), n_steps=MIN_N_STEPS)
+        assert spec.n_steps == MIN_N_STEPS
 
     def test_trace_axes_stay_signed(self):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)

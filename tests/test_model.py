@@ -19,13 +19,13 @@ from rabisweep.model import (
     default_n_fock,
     displaced_state,
     normal_state,
+    multimode_displaced_basis,
     parity_operator,
-    parity_projector,
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
 )
-from rabisweep.operators import eig_hermitian, hermiticity_defect
+from rabisweep.operators import eig_hermitian, hermiticity_defect, unitary_displacement
 
 RNG = np.random.default_rng(7)
 
@@ -118,16 +118,20 @@ class TestParity:
         assert np.linalg.norm(h @ par - par @ h) > 0.1 * abs(p.epsilon)
 
     def test_projector_idempotent_and_rank(self):
+        # The sector basis B spans the sector: B B^dag = (I + sign P)/2.
         p = QrmParams(1.0, 0.0, 1.0, 0.5, 10)
         for sector in (EVEN_SECTOR, ODD_SECTOR):
-            proj, labels = parity_projector(p, sector)
+            basis, labels = parity_sector_basis(p, sector)
+            proj = basis @ basis.conj().T
+            want = 0.5 * (np.eye(p.dim) + sector.sign * parity_operator(p))
+            assert np.max(np.abs(proj - want)) <= 1e-12
             assert np.max(np.abs(proj @ proj - proj)) <= 1e-12
             assert abs(np.trace(proj).real - p.n_fock) <= 1e-10
             assert len(labels) == p.n_fock
 
     def test_even_sector_enumeration(self):
         p = QrmParams(1.0, 0.0, 1.0, 0.5, 6)
-        _, labels = parity_projector(p, EVEN_SECTOR)
+        _, labels = parity_sector_basis(p, EVEN_SECTOR)
         got = [(lab.qubit, lab.photons) for lab in labels[:4]]
         assert got == [("right", 0), ("left", 1), ("right", 2), ("left", 3)]
 
@@ -221,6 +225,23 @@ class TestMultimode:
         vals = np.linalg.eigvalsh(build_multimode(mm))
         expected = -(0.5**2 / 1.0 + 0.8**2 / 2.0)
         assert abs(vals[0] - expected) < 1e-8
+
+    def test_displaced_basis_is_a_kronecker_product(self):
+        modes = (Mode(1.0, 0.5, 4), Mode(2.0, 0.9, 3))
+        mm = MultiModeParams(0.3, modes)
+        cols, labels = multimode_displaced_basis(mm)
+        assert cols.shape == (mm.dim, mm.dim)
+        assert np.max(np.abs(cols.conj().T @ cols - np.eye(mm.dim))) <= 1e-12
+        keys = [(("up", "down").index(lab.qubit), lab.photons) for lab in labels]
+        assert keys == sorted(keys) and len(set(keys)) == mm.dim
+        eye2 = np.eye(2, dtype=complex)
+        for col, lab in zip(cols.T, labels):
+            q = ("up", "down").index(lab.qubit)
+            sign = -1.0 if q == 0 else +1.0
+            d1, d2 = (unitary_displacement(sign * m.g / m.omega, m.n_fock) for m in modes)
+            n1, n2 = lab.photons
+            want = np.kron(eye2[:, q], np.kron(d1[:, n1], d2[:, n2]))
+            assert col.tobytes() == want.tobytes()
 
     def test_dimension_cap(self):
         mm = MultiModeParams(1.0, (Mode(1.0, 0.1, 64), Mode(1.5, 0.1, 64)))

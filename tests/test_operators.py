@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from rabisweep.errors import (
     InvalidParameterError,
@@ -11,13 +12,12 @@ from rabisweep.operators import (
     SIGMA_Z,
     StateVector,
     annihilation,
-    creation,
-    displacement,
     eig_hermitian,
     hermiticity_defect,
     kron,
-    number_operator,
+    unitary_displacement,
 )
+from rabisweep.model import displaced_fock_tail
 from rabisweep.sweep import _evolve_linear
 
 RNG = np.random.default_rng(20240811)
@@ -75,27 +75,33 @@ class TestKron:
 
 class TestDisplacement:
     def test_zero_is_identity(self):
-        assert np.array_equal(displacement(0.0, 7), np.eye(7))
+        assert np.array_equal(unitary_displacement(0.0, 7), np.eye(7))
 
     def test_vacuum_column_is_coherent_state(self):
-        # |<n|D(1)|0>|^2 = e^-1 / n!
-        d = displacement(1.0, 40)
-        got = np.abs(d[:6, 0]) ** 2
-        want = np.exp(-1.0) / np.array([1, 1, 2, 6, 24, 120], dtype=float)
-        assert np.allclose(got, want, atol=1e-12)
+        # D(a)|0> is a coherent state: its weight on n >= N is the Poisson
+        # tail P(N, |a|^2), the regularized lower incomplete gamma function.
+        for alpha in (0.3, 1.0, 2.0, 3.0):
+            for n_fock in (4, 12, 32, 50):
+                got = displaced_fock_tail(alpha, 0, n_fock)
+                assert abs(got - gammainc(n_fock, alpha**2)) <= 1e-12
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
     def test_inverse_product_on_retained_levels(self, alpha):
-        # D(a) D(-a) acts as the identity on well-truncated levels (n <= 3)
-        # once N >= 10 (|a|^2 + 1); the bound comes from a truncation scan.
+        # D(a) D(-a), each cropped to N levels of the untruncated operator,
+        # acts as the identity on well-truncated levels (n <= 3) once
+        # N >= 10 (|a|^2 + 1); the bound comes from a truncation scan.
         n_fock = int(10 * (alpha**2 + 1))
-        prod = displacement(alpha, n_fock) @ displacement(-alpha, n_fock)
+
+        def cropped(a):
+            return unitary_displacement(a, 4 * n_fock)[:n_fock, :n_fock]
+
+        prod = cropped(alpha) @ cropped(-alpha)
         window = prod[:4, :4] - np.eye(n_fock)[:4, :4]
         assert np.max(np.abs(window)) <= 1e-8
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidParameterError):
-            displacement(np.inf, 8)
+            unitary_displacement(np.inf, 8)
 
 
 class TestEigHermitian:
@@ -111,7 +117,7 @@ class TestEigHermitian:
         # H = -(delta/2) sx + omega n at g = 0: eigenvalues m*omega -/+ delta/2.
         delta, omega, n_fock = 3.7, 1.0, 12
         h = kron(-0.5 * delta * SIGMA_X, np.eye(n_fock)) + kron(
-            np.eye(2), omega * number_operator(n_fock)
+            np.eye(2), omega * np.diag(np.arange(n_fock))
         )
         vals, _ = eig_hermitian(h)
         expected = np.sort(
@@ -222,8 +228,12 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
 
     def test_rejects_unknown_tag(self):
-        with pytest.raises(InvalidParameterError):
-            StateVector(np.array([1.0, 0.0]), "mystery")
+        # "displaced" was a tag that nothing produced.
+        for tag in ("mystery", "displaced"):
+            with pytest.raises(InvalidParameterError):
+                StateVector(np.array([1.0, 0.0]), tag)
 
     def test_creation_is_adjoint(self):
-        assert np.allclose(creation(6), annihilation(6).conj().T)
+        # a^dag |n> = sqrt(n + 1) |n + 1>: the adjoint of a is the raising ladder.
+        raising = np.diag(np.sqrt(np.arange(1, 6, dtype=float)), k=-1)
+        assert np.allclose(annihilation(6).conj().T, raising)

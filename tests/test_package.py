@@ -1,5 +1,7 @@
 import importlib
+import importlib.util
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,12 @@ class TestExports:
             "displacement_truncation_defect",
             "instantaneous_populations",
             "bundled_presets",
+            "displacement",
+            "creation",
+            "number_operator",
+            "SIGMA_Y",
+            "parity_projector",
+            "scheme_state",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -39,3 +47,16 @@ class TestExports:
 
         assert rabisweep.displaced_fock_tail is model.displaced_fock_tail
         assert rabisweep.top_fock_occupancy is model.top_fock_occupancy
+
+
+def test_every_traced_layer_name_resolves():
+    # The benchmark traces these names and skips any it cannot find, so a
+    # deletion would otherwise only show as an "absent" layer in its records.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for _, owner, names in tracing.LAYERS:
+        module = importlib.import_module(f"rabisweep.{owner}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{owner}.{name}"

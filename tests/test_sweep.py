@@ -70,6 +70,12 @@ class TestSchedule:
         with pytest.raises(InvalidParameterError):
             SweepSchedule("delta", 1.0, 0.0, 1.0, sample_times=(2.0,))
 
+    def test_refuses_nan_sample_times(self):
+        # NaN passes every range and order comparison, so it needs its own check.
+        for times in ((0.0, math.nan), (math.nan,)):
+            with pytest.raises(InvalidParameterError):
+                SweepSchedule("delta", 1.0, 0.0, 1.0, sample_times=times)
+
     def test_zero_length_sweep_is_identity(self):
         p = QrmParams(1.0, 0.0, 1.0, 0.7, 12)
         psi0 = block_ground(p, 1.0)
