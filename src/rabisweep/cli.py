@@ -190,11 +190,12 @@ def _cmd_lz(args) -> int:
         )
         name = "lz_trace"
     else:
-        kind = "lz_formula" if args.formula_only else "lz_scan"
+        if args.formula_only:
+            options["simulate"] = False
         spec = ExperimentSpec(
-            kind, p, "v_over_delta2", _grid(args), n_steps=args.n_steps, options=options
+            "lz_scan", p, "v_over_delta2", _grid(args), n_steps=args.n_steps, options=options
         )
-        name = kind
+        name = "lz_formula" if args.formula_only else "lz_scan"
     _emit(run_experiment(spec), args, name)
     return 0
 
@@ -202,14 +203,19 @@ def _cmd_lz(args) -> int:
 def _cmd_multimode(args) -> int:
     modes = []
     for part in args.modes.split(","):
-        fields = part.split(":")
-        if len(fields) != 3:
-            raise InvalidParameterError(f"bad mode triple {part!r}")
-        modes.append(Mode(float(fields[0]), float(fields[1]), int(fields[2])))
+        try:
+            omega, g, n_fock = part.split(":")
+            fields = (float(omega), float(g), int(n_fock))
+        except ValueError:
+            raise InvalidParameterError(f"bad mode triple {part!r}") from None
+        modes.append(Mode(*fields))
     p = MultiModeParams(args.delta_over_omega, tuple(modes))
     options: dict = {"simulate": not args.no_simulate}
     if args.caps:
-        options["caps"] = tuple(int(t) for t in args.caps.split(","))
+        try:
+            options["caps"] = tuple(int(t) for t in args.caps.split(","))
+        except ValueError:
+            raise InvalidParameterError(f"bad occupation caps {args.caps!r}") from None
     spec = ExperimentSpec(
         "multimode_scan", p, "v_over_delta2", _grid(args),
         n_steps=args.n_steps, options=options,
@@ -256,11 +262,11 @@ def _cmd_convergence(args) -> int:
     g = args.g_over_omega
     nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
     p = QrmParams(0.0, 0.0, 1.0, g, nf)
-    schedule = SweepSchedule("delta", args.delta_i, 0.0, args.rate, n_steps=args.n_steps, n_samples=2)
+    schedule = SweepSchedule("delta", args.delta_i, 0.0, args.rate, n_steps=args.n_steps)
     psi0 = sector_ground_state(p, args.delta_i)
 
-    def builder(pp, sector):
-        return sector_ground_state(pp, args.delta_i)
+    def builder(pp, sched):
+        return sector_ground_state(pp, sched.start_value)
 
     report = convergence_scan(
         p, schedule, psi0, args.knob,

@@ -15,8 +15,9 @@ import numpy as np
 
 from ._version import __version__ as _version
 from .analytics import (
-    cascade_probabilities,
-    default_n_max,
+    CASCADE_RESIDUAL_TOL,
+    GapSpectrum,
+    cascade_gaps,
     multimode_gaps,
     poisson_overlap,
     sequential_crossing_probabilities,
@@ -26,6 +27,7 @@ from .model import (
     BasisLabel,
     EVEN_SECTOR,
     MultiModeParams,
+    ParitySector,
     ProbabilityRecord,
     QrmParams,
     TOP_OCCUPANCY_TOL,
@@ -54,11 +56,10 @@ EXPERIMENT_KINDS = (
     "quench_trace",
     "lz_scan",
     "lz_trace",
-    "lz_formula",
     "multimode_scan",
 )
 # Kinds whose scan axis is a sweep rate; trace kinds scan a signed time axis.
-RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "lz_formula", "multimode_scan")
+RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "multimode_scan")
 
 # Probability-sum defect allowed before a row is flagged unconverged.
 ROW_SUM_TOL = 1e-6
@@ -256,11 +257,51 @@ def _scan(spec: ExperimentSpec, row_for_value: Callable[[float], ResultRow]) -> 
 # ---------------------------------------------------------------------------
 
 def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
-    """(start, end) gap of a quench between ``delta_hi`` and zero gap."""
+    """(start, end) gap of a quench between ``delta_hi`` and zero gap. The
+    kind gives the direction; only ``quench_trace`` takes it from the options."""
     p = spec.params
     hi = float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
-    direction = spec.options.get("direction", "ns" if spec.kind == "quench_ns" else "sn")
+    if spec.kind == "quench_trace":
+        direction = spec.options["direction"]
+    else:
+        direction = spec.kind.removeprefix("quench_")
     return (hi, 0.0) if direction == "ns" else (0.0, hi)
+
+
+def _named_levels(
+    p: QrmParams, delta: float, scheme: str
+) -> tuple[np.ndarray, list[BasisLabel]]:
+    """Even-block eigenvectors at gap ``delta``, each labelled by its
+    best-matching state of ``scheme``."""
+    h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
+    _, vecs = eig_hermitian(h_static + delta * h_ramp)
+    return vecs, greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
+
+
+def _trace_run(
+    spec: ExperimentSpec,
+    parameter: str,
+    start: float,
+    end: float,
+    rate: float,
+    sample_times: np.ndarray,
+    psi0: StateVector,
+    sector: ParitySector | None = None,
+) -> Trajectory:
+    """One run of a trace, sampled at ``sample_times``; times outside the
+    sweep are refused, and those a rounding error past an end are clipped."""
+    total_time = abs(end - start) / rate
+    if np.any(sample_times < -1e-9) or np.any(sample_times > total_time * (1 + 1e-12)):
+        raise InvalidParameterError("trace axis values fall outside the sweep")
+    schedule = SweepSchedule(
+        parameter,
+        start,
+        end,
+        rate,
+        n_steps=spec.n_steps,
+        sample_times=tuple(np.clip(sample_times, 0.0, total_time)),
+    )
+    return run_sweep(spec.params, schedule, psi0, sector=sector, check_truncation=False)
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -276,15 +317,10 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         raise InvalidParameterError(f"quench_rate_scan cannot run kind {spec.kind!r}")
     p = spec.params
     start, end = _quench_endpoints(spec)
-    to_superradiant = end < start
-    if to_superradiant:
+    if end < start:
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
     else:
-        h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
-        _, eigvecs = eig_hermitian(h_static + end * h_ramp)
-        ref_cols, ref_labels = readout_columns(p, "normal", EVEN_SECTOR)
-        assigned = greedy_label_assignment(ref_cols, ref_labels, eigvecs)
-        cols, labels = eigvecs, assigned
+        cols, labels = _named_levels(p, end, "normal")
     oracle = tuple(
         ProbabilityRecord(lab, poisson_overlap(lab.photons, p.g, p.omega)) for lab in labels
     )
@@ -293,7 +329,7 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
 
     def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.omega**2
-        schedule = SweepSchedule("delta", start, end, rate, n_steps=spec.n_steps, n_samples=2)
+        schedule = SweepSchedule("delta", start, end, rate, n_steps=spec.n_steps)
         traj = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR, check_truncation=False)
         sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
@@ -319,42 +355,24 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     total_time = abs(end - start) / rate
     # Paper-style axis: rate*(t - T)/omega toward the strong-coupling side,
     # rate*t/omega away from it.
-    axis = np.asarray(spec.scan_values)
-    if direction == "ns":
-        sample_times = axis * p.omega / rate + total_time
-    else:
-        sample_times = axis * p.omega / rate
-    if np.any(sample_times < -1e-9) or np.any(sample_times > total_time * (1 + 1e-12)):
-        raise InvalidParameterError("trace axis values fall outside the sweep")
-    sample_times = np.clip(sample_times, 0.0, total_time)
-
-    schedule = SweepSchedule(
-        "delta",
-        start,
-        end,
-        rate,
-        n_steps=spec.n_steps,
-        sample_times=tuple(sample_times),
+    offset = total_time if direction == "ns" else 0.0
+    sample_times = np.asarray(spec.scan_values) * p.omega / rate + offset
+    traj = _trace_run(
+        spec, "delta", start, end, rate, sample_times, sector_ground_state(p, start),
+        sector=EVEN_SECTOR,
     )
-    psi0 = sector_ground_state(p, start)
-    traj = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR, check_truncation=False)
 
     h0, h1, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
-    delta_values = np.array([schedule.value_at(t) for t in traj.times])
+    delta_values = np.array([traj.schedule.value_at(t) for t in traj.times])
     pops, _, flags = eigen_level_series(
         h0, h1, delta_values, [s.amplitudes for s in traj.states]
     )
-
     scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
-    ref_cols, ref_labels = readout_columns(p, scheme, EVEN_SECTOR)
-    _, final_vecs = eig_hermitian(h0 + delta_values[-1] * h1)
-    level_labels = greedy_label_assignment(ref_cols, ref_labels, final_vecs)
+    _, level_labels = _named_levels(p, delta_values[-1], scheme)
 
     rows = []
     for i, t in enumerate(traj.times):
-        axis_value = (
-            rate * (t - total_time) / p.omega if direction == "ns" else rate * t / p.omega
-        )
+        axis_value = rate * (t - offset) / p.omega
         sim = tuple(
             ProbabilityRecord(lab, float(pr), degenerate_tracking=bool(fl))
             for lab, pr, fl in zip(level_labels, pops[i], flags[i])
@@ -374,41 +392,55 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
 # Bias-sweep (multi-crossing) experiments
 # ---------------------------------------------------------------------------
 
-def _cascade_oracle(p: QrmParams, rate: float) -> tuple[ProbabilityRecord, ...]:
-    records = cascade_probabilities(p.delta, rate, p.g, p.omega, default_n_max(p.g, p.omega))
-    return tuple(records)
+def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float) -> ResultTable:
+    """Bias sweeps across the window vs the sequential-crossing oracle of
+    ``spectrum``, one row per rate v/delta^2.
 
-
-def lz_scan(spec: ExperimentSpec) -> ResultTable:
-    """Bias sweep through the crossing mesh vs the independent-crossing formula.
-
-    Formula-only tables (kind ``lz_formula``) carry just the oracle column.
-    Simulated runs start from the instantaneous ground state at the window
-    edge (the finite-window stand-in for the asymptotic ground state) and are
-    read out in the displaced basis at the far edge.
+    Every row carries the oracle and its unassigned survival weight
+    (``checks["oracle_residual"]``). With ``options["simulate"]`` false that
+    is all a row holds. Otherwise each run starts from the instantaneous
+    ground state at the window edge (the finite-window stand-in for the
+    asymptotic ground state) and is read out in the displaced basis at the
+    far edge, judged at ``options["top_occupancy_tol"]``.
     """
-    if spec.kind not in ("lz_scan", "lz_formula"):
-        raise InvalidParameterError(f"lz_scan cannot run kind {spec.kind!r}")
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
-    psi0 = None if spec.kind == "lz_formula" else instantaneous_ground_state(p, -window)
+    simulate = bool(spec.options.get("simulate", True))
+    top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
+    if simulate:
+        psi0 = instantaneous_ground_state(p, -window)
+        cols, labels = readout_columns(p, "displaced")
 
     def row(scan_value: float) -> ResultRow:
         rate = scan_value * p.delta**2
-        oracle = _cascade_oracle(p, rate)
-        if spec.kind == "lz_formula":
-            return ResultRow(scan_value, None, oracle, True, {}, ())
-        schedule = SweepSchedule(
-            "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
+        oracle = tuple(
+            sequential_crossing_probabilities(spectrum, rate, residual_tol=residual_tol)
         )
+        oracle_residual = 1.0 - sum(r.probability for r in oracle)
+        if not simulate:
+            return ResultRow(
+                scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
+            )
+        schedule = SweepSchedule("epsilon", -window, window, rate, n_steps=spec.n_steps)
         traj = run_sweep(p, schedule, psi0, check_truncation=False)
-        sim = tuple(project_records(*readout_columns(p, "displaced"), traj.final_state.amplitudes))
-        checks, ok, warns = _row_checks(traj, sim)
+        sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
+        checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
+        checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
     table = _scan(spec, row)
     table.provenance["window"] = window
     return table
+
+
+def lz_scan(spec: ExperimentSpec) -> ResultTable:
+    """Single-mode bias sweep through the crossing mesh vs the
+    independent-crossing cascade formula; ``options["simulate"] = False``
+    gives the formula-only table. See ``_bias_scan``."""
+    if spec.kind != "lz_scan":
+        raise InvalidParameterError(f"lz_scan cannot run kind {spec.kind!r}")
+    p = spec.params
+    return _bias_scan(spec, cascade_gaps(p.delta, p.g, p.omega), CASCADE_RESIDUAL_TOL)
 
 
 def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -419,21 +451,11 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     window = float(spec.options.get("window", lz_window(p)))
     rate = float(spec.options["rate"]) * p.delta**2
     omega = p.omega if isinstance(p, QrmParams) else min(m.omega for m in p.modes)
-    axis = np.asarray(spec.scan_values)
-    sample_times = (axis * omega + window) / rate
-    total_time = 2 * window / rate
-    if np.any(sample_times < -1e-9) or np.any(sample_times > total_time * (1 + 1e-12)):
-        raise InvalidParameterError("trace axis values fall outside the sweep window")
-    schedule = SweepSchedule(
-        "epsilon",
-        -window,
-        window,
-        rate,
-        n_steps=spec.n_steps,
-        sample_times=tuple(np.clip(sample_times, 0.0, total_time)),
+    sample_times = (np.asarray(spec.scan_values) * omega + window) / rate
+    traj = _trace_run(
+        spec, "epsilon", -window, window, rate, sample_times,
+        instantaneous_ground_state(p, -window),
     )
-    psi0 = instantaneous_ground_state(p, -window)
-    traj = run_sweep(p, schedule, psi0, check_truncation=False)
     cols, labels = readout_columns(p, "displaced")
     rows = []
     for t, state in zip(traj.times, traj.states):
@@ -446,39 +468,16 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
 
 
 def multimode_scan(spec: ExperimentSpec) -> ResultTable:
-    """Bias sweep with several modes vs the sequential-crossing oracle."""
+    """Multimode bias sweep vs the sequential-crossing oracle over the
+    occupations up to ``options["caps"]`` (default n_fock - 3 per mode); a
+    row whose retained crossings leave more than ORACLE_RESIDUAL_TOL of
+    survival weight unassigned fails. See ``_bias_scan``."""
     if spec.kind != "multimode_scan":
         raise InvalidParameterError(f"multimode_scan cannot run kind {spec.kind!r}")
     p = spec.params
     caps = tuple(spec.options.get("caps", tuple(m.n_fock - 3 for m in p.modes)))
-    spectrum = multimode_gaps(p, caps)  # degenerate-crossing refusal surfaces here
-    window = float(spec.options.get("window", lz_window(p)))
-    simulate = bool(spec.options.get("simulate", True))
-    psi0 = instantaneous_ground_state(p, -window) if simulate else None
-
-    def row(scan_value: float) -> ResultRow:
-        rate = scan_value * p.delta**2
-        oracle = tuple(
-            sequential_crossing_probabilities(spectrum, rate, residual_tol=ORACLE_RESIDUAL_TOL)
-        )
-        oracle_residual = 1.0 - sum(r.probability for r in oracle)
-        if not simulate:
-            return ResultRow(
-                scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
-            )
-        schedule = SweepSchedule(
-            "epsilon", -window, window, rate, n_steps=spec.n_steps, n_samples=2
-        )
-        traj = run_sweep(p, schedule, psi0, check_truncation=False)
-        sim = tuple(project_records(*readout_columns(p, "displaced"), traj.final_state.amplitudes))
-        checks, ok, warns = _row_checks(
-            traj, sim, float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
-        )
-        checks["oracle_residual"] = oracle_residual
-        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
-
-    table = _scan(spec, row)
-    table.provenance["window"] = window
+    # The degenerate-crossing refusal surfaces here, before any row runs.
+    table = _bias_scan(spec, multimode_gaps(p, caps), ORACLE_RESIDUAL_TOL)
     table.provenance["caps"] = caps
     return table
 
@@ -489,7 +488,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultTable:
         "quench_sn": quench_rate_scan,
         "quench_trace": quench_time_trace,
         "lz_scan": lz_scan,
-        "lz_formula": lz_scan,
         "lz_trace": lz_time_trace,
         "multimode_scan": multimode_scan,
     }[spec.kind]

@@ -74,16 +74,16 @@ def _formula_grid(g_over_omega: float, n_top: int = 5, per_decade: int = 20) -> 
 
 
 def _lz_spec(
-    kind: str,
     g_over_omega: float,
     delta_over_omega: float,
     grid: tuple[float, ...],
     n_fock: int | None = None,
-    n_steps: int = 20_000,
+    simulate: bool = True,
 ) -> ExperimentSpec:
     nf = n_fock if n_fock is not None else default_n_fock(g_over_omega, 1.0)
     p = QrmParams(delta=delta_over_omega, epsilon=0.0, omega=1.0, g=g_over_omega, n_fock=nf)
-    return ExperimentSpec(kind, p, "v_over_delta2", grid, n_steps=n_steps)
+    options = {} if simulate else {"simulate": False}
+    return ExperimentSpec("lz_scan", p, "v_over_delta2", grid, options=options)
 
 
 def _multimode_small() -> ExperimentSpec:
@@ -176,37 +176,37 @@ PRESETS: dict[str, Preset] = {
         Preset(
             "fig5a",
             "cascade-formula curves, g/omega=0.1",
-            lambda: _lz_spec("lz_formula", 0.1, 0.1, _formula_grid(0.1)),
+            lambda: _lz_spec(0.1, 0.1, _formula_grid(0.1), simulate=False),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(
             "fig5b",
             "cascade-formula curves, g/omega=1",
-            lambda: _lz_spec("lz_formula", 1.0, 0.1, _formula_grid(1.0)),
+            lambda: _lz_spec(1.0, 0.1, _formula_grid(1.0), simulate=False),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(
             "fig5d",
             "cascade-formula curves, g/omega=3",
-            lambda: _lz_spec("lz_formula", 3.0, 0.1, _formula_grid(3.0)),
+            lambda: _lz_spec(3.0, 0.1, _formula_grid(3.0), simulate=False),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(
             "fig6_small",
             "bias sweep vs formula, g/omega=0.1, delta/omega=0.1",
-            lambda: _lz_spec("lz_scan", 0.1, 0.1, _log_grid(-1, 2, 4)),
+            lambda: _lz_spec(0.1, 0.1, _log_grid(-1, 2, 4)),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(
             "fig6_valid",
             "bias sweep vs formula, g/omega=1, delta/omega=0.1 (validity regime)",
-            lambda: _lz_spec("lz_scan", 1.0, 0.1, _log_grid(-1, 2, 4)),
+            lambda: _lz_spec(1.0, 0.1, _log_grid(-1, 2, 4)),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(
             "fig6_breakdown",
             "bias sweep vs formula, g/omega=1, delta/omega=10 (formula breaks down)",
-            lambda: _lz_spec("lz_scan", 1.0, 10.0, _log_grid(-1, 2, 2), n_fock=48),
+            lambda: _lz_spec(1.0, 10.0, _log_grid(-1, 2, 2), n_fock=48),
             svg_labels=_CASCADE_LABELS,
         ),
         Preset(

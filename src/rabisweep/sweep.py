@@ -78,7 +78,6 @@ class SweepSchedule:
     end_value: float
     rate_v: float
     n_steps: int = 100_000
-    n_samples: int = 400
     sample_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -91,8 +90,6 @@ class SweepSchedule:
             raise InvalidParameterError(f"rate_v must be positive, got {self.rate_v}")
         if self.n_steps < MIN_N_STEPS:
             raise InvalidParameterError(f"n_steps must be >= {MIN_N_STEPS}, got {self.n_steps}")
-        if self.n_samples < 2:
-            raise InvalidParameterError("need at least two samples (start and end)")
         if self.sample_times is not None:
             ts = tuple(float(t) for t in self.sample_times)
             if not all(np.isfinite(ts)):
@@ -221,25 +218,6 @@ def _chebyshev_expansion(
     return center, radius, _chebyshev_coefficients(radius * dt)
 
 
-def _chebyshev_terms(
-    h_static: np.ndarray,
-    h_ramp: np.ndarray,
-    f_start: float,
-    f_end: float,
-    total_time: float,
-    n_steps: int,
-) -> int:
-    """Chebyshev terms per step of the run ``_evolve_linear`` makes with these
-    arguments: the most any chunk takes, and 0 on the eigh branch."""
-    if h_static.shape[0] <= _EIGH_BACKEND_MAX_DIM or total_time == 0.0:
-        return 0
-    dt = total_time / n_steps
-    return max(
-        len(_chebyshev_expansion(h_static, h_ramp, f_mid, dt)[2])
-        for _, f_mid in _chunk_midpoints(f_start, f_end, total_time, n_steps, _CHEB_CHUNK)
-    )
-
-
 def _evolve_linear(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
@@ -249,8 +227,12 @@ def _evolve_linear(
     n_steps: int,
     psi0: np.ndarray,
     sample_steps: set[int],
-) -> dict[int, np.ndarray]:
+) -> tuple[dict[int, np.ndarray], int]:
     """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp.
+
+    Returns the state after each step in ``sample_steps`` and the Chebyshev
+    terms per step: the most any chunk took, 0 on the eigh branch and for a
+    zero-length sweep.
 
     The only code that applies exp(-i H dt); the branch is chosen by
     dimension, as the module docstring describes. The Chebyshev branch holds
@@ -262,7 +244,7 @@ def _evolve_linear(
     dim = h_static.shape[0]
     psi = np.asarray(psi0, dtype=complex).copy()
     if total_time == 0.0:
-        return {k: psi.copy() for k in sample_steps}
+        return {k: psi.copy() for k in sample_steps}, 0
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
         out[0] = psi.copy()
@@ -276,7 +258,7 @@ def _evolve_linear(
                 psi = v[i] @ (phases[i] * (v[i].conj().T @ psi))
                 if k + 1 in sample_steps:
                     out[k + 1] = psi.copy()
-        return out
+        return out, 0
 
     # Flat indices of the ramp's nonzero entries: the diagonal for a sector
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
@@ -288,8 +270,10 @@ def _evolve_linear(
     b_idx = np.empty(ramp_idx.size, dtype=complex)
     entries = np.empty(ramp_idx.size, dtype=complex)
     buf1, buf2, acc, scratch = (np.empty(dim, dtype=complex) for _ in range(4))
+    max_terms = 0
     for steps, f_mid in _chunk_midpoints(f_start, f_end, total_time, n_steps, _CHEB_CHUNK):
         center, radius, coeffs = _chebyshev_expansion(h_static, h_ramp, f_mid, dt)
+        max_terms = max(max_terms, len(coeffs))
         phase = np.exp(-1j * center * dt)
         np.copyto(h2, h_static)
         h2_flat[:: dim + 1] -= center
@@ -316,7 +300,7 @@ def _evolve_linear(
             np.multiply(acc, phase, out=psi)
             if k + 1 in sample_steps:
                 out[k + 1] = psi.copy()
-    return out
+    return out, max_terms
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +336,12 @@ def _hamiltonian_parts(
 
 def _sample_steps(schedule: SweepSchedule) -> list[int]:
     """The steps a run returns: one per requested sample time, in order, or
-    ``n_samples`` evenly spaced steps from the start to the end."""
+    the start and the end when no sample times are given."""
     n = schedule.n_steps
     total = schedule.total_time
-    if schedule.sample_times is not None:
-        return [int(round(t / total * n)) if total else 0 for t in schedule.sample_times]
-    return sorted(set(np.linspace(0, n, schedule.n_samples).round().astype(int).tolist()))
+    if schedule.sample_times is None:
+        return [0, n]
+    return [int(round(t / total * n)) if total else 0 for t in schedule.sample_times]
 
 
 def _endpoint_ground_occupancy(
@@ -423,8 +407,8 @@ def run_sweep(
 ) -> Trajectory:
     """Evolve psi0 under the scheduled ramp, check conservation and
     truncation, and return the normalized state at every sample time: one
-    per entry of ``schedule.sample_times`` when given, else ``n_samples``
-    evenly spaced ones from the start to the end.
+    per entry of ``schedule.sample_times`` when given, else the start and
+    the end.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
     With ``sector`` given (bias-free gap sweeps only) the evolution runs inside
@@ -479,11 +463,11 @@ def run_sweep(
     guard_truncation(endpoint_occ, "an endpoint ground state")
 
     steps = _sample_steps(schedule)
-    ramp = (schedule.start_value, schedule.end_value, schedule.total_time, schedule.n_steps)
     # The end state is always propagated: the truncation guard and the
     # conservation log check it even when no sample asks for it.
-    sampled = _evolve_linear(
-        h_static, h_ramp, *ramp, psi0.amplitudes, set(steps) | {schedule.n_steps}
+    sampled, chebyshev_terms = _evolve_linear(
+        h_static, h_ramp, schedule.start_value, schedule.end_value, schedule.total_time,
+        schedule.n_steps, psi0.amplitudes, set(steps) | {schedule.n_steps},
     )
     dt = schedule.total_time / schedule.n_steps if schedule.total_time else 0.0
     times = np.array([k * dt for k in steps])
@@ -526,7 +510,7 @@ def run_sweep(
             "endpoint_top_fock_occupancy": endpoint_occ,
             "sector": sector.sign if sector else None,
             "n_steps": schedule.n_steps,
-            "chebyshev_terms": _chebyshev_terms(h_static, h_ramp, *ramp),
+            "chebyshev_terms": chebyshev_terms,
         },
     )
 
@@ -599,28 +583,6 @@ class ConvergenceReport:
     notes: tuple[str, ...] = ()
 
 
-def _embed_state(
-    p_old: QrmParams | MultiModeParams,
-    p_new: QrmParams | MultiModeParams,
-    psi: StateVector,
-) -> StateVector:
-    """Zero-pad a state into a larger truncation, preserving labels."""
-    if psi.basis_tag in ("parity-symmetric", "parity-antisymmetric"):
-        # Block coordinates are indexed by photon number directly.
-        amp = np.zeros(p_new.n_fock, dtype=complex)
-        amp[: psi.dim] = psi.amplitudes
-        return StateVector(amp, psi.basis_tag)
-    if isinstance(p_old, QrmParams):
-        old_shape: tuple[int, ...] = (2, p_old.n_fock)
-        new_shape: tuple[int, ...] = (2, p_new.n_fock)
-    else:
-        old_shape = (2, *(m.n_fock for m in p_old.modes))
-        new_shape = (2, *(m.n_fock for m in p_new.modes))
-    amp = np.zeros(new_shape, dtype=complex)
-    amp[tuple(slice(0, s) for s in old_shape)] = psi.amplitudes.reshape(old_shape)
-    return StateVector(amp.ravel(), psi.basis_tag)
-
-
 def _scaled_truncation(p: QrmParams | MultiModeParams, factor: int):
     if isinstance(p, QrmParams):
         return replace(p, n_fock=factor * p.n_fock)
@@ -642,11 +604,15 @@ def convergence_scan(
     """Rerun the sweep at 2x and 4x resolution and report final-probability
     drift in the ``readout`` scheme (in the run's sector, when one is given).
 
-    ``state_builder(p, sector) -> StateVector`` regenerates the initial state
-    for truncation changes; without it the state is zero-padded.
+    ``state_builder(p, schedule) -> StateVector`` builds each run's initial
+    state from that run's parameters and schedule: the scaled truncation for
+    ``n_fock``, which needs a builder, and the scaled endpoints for
+    ``endpoint_magnitude``, which without one starts every run from psi0.
     """
     if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
         raise InvalidParameterError(f"unknown convergence knob {knob!r}")
+    if knob == "n_fock" and state_builder is None:
+        raise InvalidParameterError("an n_fock scan needs a state_builder for each truncation")
     # Built before any run, so an unknown scheme fails before propagating.
     base_columns = readout_columns(p, readout, sector)
 
@@ -661,12 +627,7 @@ def convergence_scan(
             return p, replace(schedule, n_steps=factor * schedule.n_steps), psi0
         if knob == "n_fock":
             p_new = _scaled_truncation(p, factor)
-            state = (
-                state_builder(p_new, sector)
-                if state_builder is not None
-                else _embed_state(p, p_new, psi0)
-            )
-            return p_new, schedule, state
+            return p_new, schedule, state_builder(p_new, schedule)
         # endpoint_magnitude: scale both endpoints, keep dt fixed.
         sched = replace(
             schedule,
@@ -674,7 +635,7 @@ def convergence_scan(
             end_value=factor * schedule.end_value,
             n_steps=factor * schedule.n_steps,
         )
-        state = state_builder(p, sector) if state_builder is not None else psi0
+        state = state_builder(p, sched) if state_builder is not None else psi0
         return p, sched, state
 
     notes: list[str] = []

@@ -1,6 +1,9 @@
+import numpy as np
 import pytest
 
+from rabisweep import sweep
 from rabisweep.cli import main
+from rabisweep.experiments import sector_ground_state
 
 
 @pytest.fixture
@@ -35,8 +38,13 @@ class TestExitCodes:
             ["formula", "--g-over-omega", "1", "--cascade", "--v-over-delta2", "10", "--n", "100"],
             ["formula", "--g-over-omega", "1", "--cascade", "--v-over-delta2", "10", "--n", "-1"],
             ["lz", "--g-over-omega", "0.1", "--delta-over-omega", "0.1", "--n-steps", "500"],
+            ["multimode", "--delta-over-omega", "1", "--modes", "1:x:8", "--no-simulate"],
+            ["multimode", "--delta-over-omega", "1", "--modes", "1:0.5:8", "--caps", "5,a"],
         ],
-        ids=["nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps"],
+        ids=[
+            "nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps",
+            "bad-mode-field", "bad-cap",
+        ],
     )
     def test_bad_values_are_invalid_configuration(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)  # a run that got through would write here
@@ -47,6 +55,29 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.cfg")
         assert main(["--config", missing, "formula"]) == 2
         assert "run failed" in capsys.readouterr().err
+
+
+class TestConvergence:
+    def test_endpoint_runs_start_from_their_own_ground_state(self, monkeypatch, capsys):
+        # The 2x and 4x runs scale both endpoints, so each starts from the
+        # ground state at its own large-gap endpoint.
+        runs = []
+        run_sweep = sweep.run_sweep
+
+        def recording_run(p, schedule, psi0, **kwargs):
+            runs.append((p, schedule.start_value, psi0))
+            return run_sweep(p, schedule, psi0, **kwargs)
+
+        monkeypatch.setattr(sweep, "run_sweep", recording_run)
+        argv = [
+            "convergence", "--knob", "endpoint_magnitude", "--g-over-omega", "1",
+            "--n-fock", "16", "--rate", "1e4", "--delta-i", "20", "--n-steps", "1000",
+        ]
+        assert main(argv) == 0
+        assert [start for _, start, _ in runs] == [20.0, 40.0, 80.0]
+        for p, start, psi0 in runs:
+            expected = sector_ground_state(p, start).amplitudes
+            assert np.linalg.norm(psi0.amplitudes - expected) <= 1e-12
 
 
 class TestConfig:

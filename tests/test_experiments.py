@@ -50,7 +50,7 @@ class TestRowChecks:
         # verdict, it fails a row at the default limit and passes one whose
         # own limit lies above it.
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000, n_samples=2)
+        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
         traj = run_sweep(
             p, s, sector_ground_state(p, 100.0), sector=EVEN_SECTOR, check_truncation=False
         )
@@ -81,7 +81,7 @@ class TestRowChecks:
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
         terms = []
         for rate in (1e3, 1e5):
-            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000, n_samples=2)
+            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
             traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
             checks, ok, _ = _row_checks(
                 traj, tuple(project_records(cols, labels, traj.final_state.amplitudes))
@@ -117,6 +117,19 @@ class TestTraces:
         assert [row.scan_value for row in table.rows] == pytest.approx([0.0, 50.0, 100.0])
         assert all(row.converged for row in table.rows)
 
+    @pytest.mark.parametrize(
+        "kind, axis, options",
+        [
+            ("quench_trace", (0.0, 101.0), {"direction": "sn", "rate": 1e4, "delta_hi": 100.0}),
+            ("lz_trace", (-10.0, 11.0), {"rate": 1e3, "window": 10.0}),
+        ],
+    )
+    def test_axis_past_the_end_is_refused(self, kind, axis, options):
+        p = QrmParams(0.1, 0.0, 1.0, 0.5, 16)
+        spec = ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
+        with pytest.raises(InvalidParameterError, match="outside the sweep"):
+            run_experiment(spec)
+
     def test_end_of_sweep_is_checked_when_not_sampled(self):
         # Sampling only the first half of a sweep returns those samples, but
         # the truncation and conservation checks still see the end state.
@@ -127,7 +140,7 @@ class TestTraces:
         psi0 = sector_ground_state(p, 100.0)
         traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
         whole = run_sweep(
-            p, replace(s, sample_times=None, n_samples=2), psi0, sector=EVEN_SECTOR,
+            p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR,
             check_truncation=False,
         )
         assert list(traj.times) == pytest.approx([0.0, 0.05])
@@ -139,8 +152,22 @@ class TestTraces:
         assert halfway != pytest.approx(traj.metadata["top_fock_occupancy"], rel=1e-3)
 
 
+class TestQuenchDirection:
+    def test_the_kind_sets_the_direction(self):
+        # quench_ns ends at zero gap and reads out in the doublet states; a
+        # stray direction option does not turn it around.
+        p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+        spec = ExperimentSpec(
+            "quench_ns", p, "v_over_omega2", (1e4,), n_steps=1000,
+            options={"direction": "sn", "delta_hi": 100.0},
+        )
+        (row,) = run_experiment(spec).rows
+        assert row.converged
+        assert {rec.label.scheme for rec in row.sim} == {"superradiant"}
+
+
 class TestSpec:
-    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn", "lz_scan", "lz_formula"])
+    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn", "lz_scan"])
     @pytest.mark.parametrize("first_rate", [-1.0, 0.0])
     def test_rate_scans_refuse_non_positive_rates(self, kind, first_rate):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)

@@ -13,7 +13,9 @@ from rabisweep.model import BasisLabel, Mode, MultiModeParams, QrmParams
 @pytest.fixture(scope="module")
 def table():
     p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
-    return run_experiment(ExperimentSpec("lz_formula", p, "v_over_delta2", (1.0, 10.0, 100.0)))
+    return run_experiment(ExperimentSpec(
+        "lz_scan", p, "v_over_delta2", (1.0, 10.0, 100.0), options={"simulate": False}
+    ))
 
 
 class TestCsv:
@@ -36,7 +38,9 @@ class TestCsv:
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
         paths = []
         for out in ("a", "b"):
-            spec = ExperimentSpec("lz_formula", p, "v_over_delta2", (1.0, 10.0, 100.0))
+            spec = ExperimentSpec(
+                "lz_scan", p, "v_over_delta2", (1.0, 10.0, 100.0), options={"simulate": False}
+            )
             csv_path, _ = write_result_table(run_experiment(spec), tmp_path / out)
             paths.append(csv_path)
         assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -167,7 +167,7 @@ def propagate(h, dt, psi, n_steps=1):
     """n_steps steps of exp(-i H dt) through the sweep propagator, with a
     zero ramp so that H stays fixed."""
     h = np.asarray(h, dtype=complex)
-    out = _evolve_linear(
+    out, _ = _evolve_linear(
         h, np.zeros_like(h), 0.0, 0.0, n_steps * dt, n_steps, psi, {n_steps}
     )
     return out[n_steps]

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -28,6 +29,8 @@ class TestExports:
             "SIGMA_Y",
             "parity_projector",
             "scheme_state",
+            "_chebyshev_terms",
+            "_embed_state",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -41,6 +44,15 @@ class TestExports:
         # Readout is project_records over readout_columns, not a run option.
         assert "readout" not in inspect.signature(rabisweep.run_sweep).parameters
         assert not hasattr(rabisweep.Trajectory, "records")
+
+    def test_each_input_has_one_spelling(self):
+        # Formula-only bias scans are lz_scan with options["simulate"] false,
+        # and a run without sample_times returns its start and its end.
+        from rabisweep.experiments import EXPERIMENT_KINDS
+
+        assert "lz_formula" not in EXPERIMENT_KINDS
+        fields = {f.name for f in dataclasses.fields(rabisweep.SweepSchedule)}
+        assert "n_samples" not in fields
 
     def test_truncation_policy_lives_in_model(self):
         from rabisweep import model

@@ -113,7 +113,7 @@ class TestEngine:
             h1 = ramp(dim)
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
             psi /= np.linalg.norm(psi)
-            got = _evolve_linear(
+            got, _ = _evolve_linear(
                 h0, h1, f_start, f_end, total_time, n_steps, psi, {1, 750, 1500}
             )
             assert set(got) == {1, 750, 1500}
@@ -127,7 +127,7 @@ class TestEngine:
     def test_two_level_crossing_matches_survival_formula(self):
         # Bias sweep over +-100 delta at v = delta^2: survival within 5e-3.
         p = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
-        s = SweepSchedule("epsilon", -100.0, 100.0, 1.0, n_steps=100_000, n_samples=2)
+        s = SweepSchedule("epsilon", -100.0, 100.0, 1.0, n_steps=100_000)
         psi0 = displaced_state(p, "down", 0)
         traj = run_sweep(p, s, psi0)
         p_down = sum(
@@ -137,7 +137,9 @@ class TestEngine:
 
     def test_norm_is_conserved(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        s = SweepSchedule("delta", 200.0, 0.0, 100.0, n_steps=5000, n_samples=9)
+        s = SweepSchedule(
+            "delta", 200.0, 0.0, 100.0, n_steps=5000, sample_times=tuple(np.linspace(0, 2.0, 9))
+        )
         traj = run_sweep(p, s, block_ground(p, 200.0), sector=EVEN_SECTOR)
         assert traj.max_norm_deviation <= 1e-10
 
@@ -148,7 +150,9 @@ class TestConservation:
         # must stay empty to numerical precision.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         psi0 = StateVector(superradiant_state(p, "+", 0).amplitudes, "bare")
-        s = SweepSchedule("delta", 0.0, 50.0, 25.0, n_steps=20_000, n_samples=21)
+        s = SweepSchedule(
+            "delta", 0.0, 50.0, 25.0, n_steps=20_000, sample_times=tuple(np.linspace(0, 2.0, 21))
+        )
         traj = run_sweep(p, s, psi0)
         assert traj.max_parity_leakage <= 1e-10
         assert traj.max_norm_deviation <= 1e-8
@@ -158,7 +162,7 @@ class TestConservation:
         # conjugated final state retraces the forward midpoint sequence and
         # must land on conj(psi0).
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000, n_samples=2)
+        s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000)
         psi0 = block_ground(p, 200.0)
         forward = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
         echo = StateVector(forward.final_state.amplitudes.conj(), "parity-symmetric")
@@ -168,7 +172,7 @@ class TestConservation:
 
     def test_truncation_guard_raises(self):
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000, n_samples=2)
+        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)
         h = basis.conj().T @ build_qrm(replace(p, delta=100.0)) @ basis
         _, vecs = eig_hermitian(h)
@@ -183,7 +187,7 @@ class TestAccuracyScalings:
         psi0 = block_ground(p, 200.0)
 
         def final_probs(n_steps):
-            s = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=n_steps, n_samples=2)
+            s = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=n_steps)
             traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
             recs = final_records(p, traj, "superradiant", EVEN_SECTOR)
             return np.array([r.probability for r in recs])
@@ -205,7 +209,7 @@ class TestAccuracyScalings:
         _, final_vecs = eig_hermitian(h_final)
         survivals = []
         for rate in (0.3, 0.1, 0.03):
-            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=20_000, n_samples=2)
+            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=20_000)
             traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
             survivals.append(
                 abs(np.vdot(final_vecs[:, 0], traj.final_state.amplitudes)) ** 2
@@ -293,7 +297,7 @@ class TestConvergenceScan:
     def test_frozen_schedule_always_converged(self):
         p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
         psi0 = block_ground(p, 1.0)
-        s = SweepSchedule("delta", 1.0, 1.0, 1.0, n_steps=1000, n_samples=2)
+        s = SweepSchedule("delta", 1.0, 1.0, 1.0, n_steps=1000)
         report = convergence_scan(
             p, s, psi0, "n_steps", readout="normal", sector=EVEN_SECTOR
         )
@@ -306,16 +310,27 @@ class TestConvergenceScan:
 
         monkeypatch.setattr(sweep, "run_sweep", no_run)
         p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
-        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000, n_samples=2)
+        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000)
         for readout in ("foo", "state"):
             with pytest.raises(InvalidParameterError):
                 convergence_scan(p, s, block_ground(p, 1.0), "n_steps", readout=readout,
                                  sector=EVEN_SECTOR)
 
+    def test_n_fock_scan_needs_a_builder(self, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated before checking for a state builder")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_run)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        s = SweepSchedule("delta", 20.0, 0.0, 1e4, n_steps=1000)
+        with pytest.raises(InvalidParameterError):
+            convergence_scan(p, s, block_ground(p, 20.0), "n_fock", readout="superradiant",
+                             sector=EVEN_SECTOR)
+
     def test_quench_step_doubling_is_stable(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = block_ground(p, 200.0)
-        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=10_000, n_samples=2)
+        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=10_000)
         report = convergence_scan(
             p, s, psi0, "n_steps", readout="superradiant", sector=EVEN_SECTOR
         )
@@ -324,13 +339,13 @@ class TestConvergenceScan:
 
     def test_tiny_truncation_flagged(self):
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=5000, n_samples=2)
+        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=5000)
 
-        def builder(pp, sector):
-            return block_ground(pp, 200.0)
+        def builder(pp, schedule):
+            return block_ground(pp, schedule.start_value)
 
         report = convergence_scan(
-            p, s, builder(p, None), "n_fock",
+            p, s, builder(p, s), "n_fock",
             readout="superradiant", sector=EVEN_SECTOR, state_builder=builder,
         )
         assert not report.passed
@@ -339,7 +354,7 @@ class TestConvergenceScan:
 class TestBatch:
     def test_failures_are_isolated(self):
         good = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
-        schedule = SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000, n_samples=2)
+        schedule = SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000)
         with pytest.raises(InvalidParameterError):
             run_sweep(
                 good,
