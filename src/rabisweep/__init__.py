@@ -95,6 +95,7 @@ from .presets import PRESETS
 from .sweep import (
     ConservationSample,
     ConvergenceReport,
+    RateBlock,
     SweepSchedule,
     Trajectory,
     convergence_scan,
@@ -124,6 +125,6 @@ __all__ = [
     "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
     "unitary_displacement", "PRESETS", "ConservationSample", "ConvergenceReport",
-    "SweepSchedule", "Trajectory", "convergence_scan", "greedy_label_assignment",
+    "RateBlock", "SweepSchedule", "Trajectory", "convergence_scan", "greedy_label_assignment",
     "project_records", "readout_columns", "run_sweep",
 ]

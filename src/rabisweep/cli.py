@@ -56,6 +56,10 @@ def _add_grid_flags(sp, default_min: float, default_max: float, per_decade: int 
 def _grid(args) -> tuple[float, ...]:
     if not (0 < args.v_min < args.v_max < np.inf):
         raise InvalidParameterError("need 0 < v-min < v-max, both finite")
+    if args.points_per_decade < 1:
+        raise InvalidParameterError(
+            f"points-per-decade must be at least 1, got {args.points_per_decade}"
+        )
     decades = np.log10(args.v_max) - np.log10(args.v_min)
     n = max(2, int(round(decades * args.points_per_decade)) + 1)
     return tuple(np.logspace(np.log10(args.v_min), np.log10(args.v_max), n))

@@ -40,6 +40,7 @@ from .sweep import (
     LEAKAGE_TOL,
     MIN_N_STEPS,
     SAMPLE_NORM_TOL,
+    RateBlock,
     SweepSchedule,
     Trajectory,
     _hamiltonian_parts,
@@ -237,19 +238,46 @@ def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
     )
 
 
-def _scan(spec: ExperimentSpec, row_for_value: Callable[[float], ResultRow]) -> ResultTable:
-    """One row per scan value, each timed; a row that raises a package error
-    becomes a failed row and the scan goes on."""
-    rows = []
-    times = []
-    for scan_value in spec.scan_values:
+def _scan(
+    spec: ExperimentSpec,
+    row_for_value: Callable[[float, Trajectory | None], ResultRow],
+    run_block: Callable[[tuple[float, ...]], list] | None = None,
+) -> ResultTable:
+    """One row per scan value, each timed; a row whose run or row function
+    hits a package error becomes a failed row and the scan goes on.
+
+    With ``run_block`` the scan's sweeps are propagated first, in one
+    ``run_sweep`` call over a ``RateBlock``, and each row is built from its
+    own entry of the result (None without a block). The block's time is
+    recorded once, as ``provenance["block_propagation_s"]``; the rows' wall
+    times do not include it. An error that the whole block raises fails
+    every row.
+    """
+    runs: list = [None] * len(spec.scan_values)
+    block_s = None
+    if run_block is not None:
         t0 = time.perf_counter()
         try:
-            rows.append(row_for_value(scan_value))
+            runs = run_block(spec.scan_values)
         except RabisweepError as exc:
-            rows.append(_failed_row(scan_value, exc))
+            runs = [exc] * len(spec.scan_values)
+        block_s = time.perf_counter() - t0
+    rows = []
+    times = []
+    for scan_value, run in zip(spec.scan_values, runs):
+        t0 = time.perf_counter()
+        if isinstance(run, RabisweepError):
+            rows.append(_failed_row(scan_value, run))
+        else:
+            try:
+                rows.append(row_for_value(scan_value, run))
+            except RabisweepError as exc:
+                rows.append(_failed_row(scan_value, exc))
         times.append(time.perf_counter() - t0)
-    return ResultTable(spec, rows, _provenance(spec, times))
+    provenance = _provenance(spec, times)
+    if block_s is not None:
+        provenance["block_propagation_s"] = round(block_s, 4)
+    return ResultTable(spec, rows, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -327,15 +355,19 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
 
     psi0 = sector_ground_state(p, start)
 
-    def row(scan_value: float) -> ResultRow:
-        rate = scan_value * p.omega**2
-        schedule = SweepSchedule("delta", start, end, rate, n_steps=spec.n_steps)
-        traj = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR, check_truncation=False)
+    def run_block(values: tuple[float, ...]) -> list:
+        block = RateBlock(tuple(
+            SweepSchedule("delta", start, end, v * p.omega**2, n_steps=spec.n_steps)
+            for v in values
+        ))
+        return run_sweep(p, block, psi0, sector=EVEN_SECTOR, check_truncation=False)
+
+    def row(scan_value: float, traj: Trajectory) -> ResultRow:
         sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    return _scan(spec, row)
+    return _scan(spec, row, run_block)
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -407,28 +439,33 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     window = float(spec.options.get("window", lz_window(p)))
     simulate = bool(spec.options.get("simulate", True))
     top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
+    run_block = None
     if simulate:
         psi0 = instantaneous_ground_state(p, -window)
         cols, labels = readout_columns(p, "displaced")
 
-    def row(scan_value: float) -> ResultRow:
-        rate = scan_value * p.delta**2
-        oracle = tuple(
-            sequential_crossing_probabilities(spectrum, rate, residual_tol=residual_tol)
-        )
+        def run_block(values: tuple[float, ...]) -> list:
+            block = RateBlock(tuple(
+                SweepSchedule("epsilon", -window, window, v * p.delta**2, n_steps=spec.n_steps)
+                for v in values
+            ))
+            return run_sweep(p, block, psi0, check_truncation=False)
+
+    def row(scan_value: float, traj: Trajectory | None) -> ResultRow:
+        oracle = tuple(sequential_crossing_probabilities(
+            spectrum, scan_value * p.delta**2, residual_tol=residual_tol
+        ))
         oracle_residual = 1.0 - sum(r.probability for r in oracle)
-        if not simulate:
+        if traj is None:
             return ResultRow(
                 scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
             )
-        schedule = SweepSchedule("epsilon", -window, window, rate, n_steps=spec.n_steps)
-        traj = run_sweep(p, schedule, psi0, check_truncation=False)
         sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
         checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    table = _scan(spec, row)
+    table = _scan(spec, row, run_block)
     table.provenance["window"] = window
     return table
 

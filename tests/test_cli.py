@@ -40,10 +40,14 @@ class TestExitCodes:
             ["lz", "--g-over-omega", "0.1", "--delta-over-omega", "0.1", "--n-steps", "500"],
             ["multimode", "--delta-over-omega", "1", "--modes", "1:x:8", "--no-simulate"],
             ["multimode", "--delta-over-omega", "1", "--modes", "1:0.5:8", "--caps", "5,a"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--formula-only",
+             "--points-per-decade", "0"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--formula-only",
+             "--points-per-decade", "-3"],
         ],
         ids=[
             "nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps",
-            "bad-mode-field", "bad-cap",
+            "bad-mode-field", "bad-cap", "zero-points-per-decade", "negative-points-per-decade",
         ],
     )
     def test_bad_values_are_invalid_configuration(self, argv, tmp_path, monkeypatch, capsys):

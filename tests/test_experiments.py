@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from rabisweep.errors import InvalidParameterError
-from rabisweep.experiments import ExperimentSpec, _row_checks, run_experiment, sector_ground_state
+from rabisweep import sweep
+from rabisweep.experiments import (
+    ExperimentSpec,
+    _row_checks,
+    default_quench_delta_hi,
+    instantaneous_ground_state,
+    lz_window,
+    run_experiment,
+    sector_ground_state,
+)
 from rabisweep.model import (
     EVEN_SECTOR,
     TOP_OCCUPANCY_TOL,
@@ -41,6 +50,56 @@ class TestScanLoop:
             assert row.sim is not None and row.oracle is not None
             assert abs(sum(r.probability for r in row.sim) - 1.0) <= 1e-8
         assert len(table.provenance["wall_times_s"]) == 3
+
+    @pytest.mark.parametrize(
+        "kind, params, parameter",
+        [
+            ("quench_ns", QrmParams(0.0, 0.0, 1.0, 1.0, 32), "delta"),
+            ("lz_scan", QrmParams(0.1, 0.0, 1.0, 0.3, 16), "epsilon"),
+        ],
+    )
+    def test_rows_match_single_runs(self, kind, params, parameter):
+        # A scan propagates its rates as one block; each row must be what
+        # its rate gives in a run of its own.
+        spec = ExperimentSpec(kind, params, "rate", (10.0, 100.0, 1e3), n_steps=1000)
+        table = run_experiment(spec)
+        assert table.provenance["block_propagation_s"] > 0
+        if kind == "quench_ns":
+            start, end = default_quench_delta_hi(params), 0.0
+            scale, sector = params.omega**2, EVEN_SECTOR
+            psi0, scheme = sector_ground_state(params, start), "superradiant"
+        else:
+            window = lz_window(params)
+            start, end, scale, sector = -window, window, params.delta**2, None
+            psi0, scheme = instantaneous_ground_state(params, start), "displaced"
+        cols, labels = readout_columns(params, scheme, sector)
+        for row in table.rows:
+            schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
+            traj = run_sweep(params, schedule, psi0, sector=sector, check_truncation=False)
+            alone = project_records(cols, labels, traj.final_state.amplitudes)
+            assert row.checks["chebyshev_terms"] == traj.metadata["chebyshev_terms"] > 0
+            assert [r.label for r in row.sim] == [r.label for r in alone]
+            for got, ref in zip(row.sim, alone):
+                assert got.probability == pytest.approx(ref.probability, abs=1e-12)
+
+    def test_a_failed_entry_fails_only_its_row(self, monkeypatch):
+        # One run of the block drifts in norm: its row fails with the
+        # run's error and the rows on either side still converge.
+        evolve = sweep._evolve_linear
+
+        def drift_second_run(*args):
+            sampled, terms = evolve(*args)
+            for states in sampled.values():
+                states[:, 1] *= 1.01
+            return sampled, terms
+
+        monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        spec = ExperimentSpec("quench_ns", p, "rate", (10.0, 100.0, 1e3), n_steps=1000)
+        first, failed, last = run_experiment(spec).rows
+        assert failed.sim is None and not failed.converged
+        assert failed.warnings[0].startswith("NumericalInstabilityError")
+        assert first.converged and last.converged
 
 
 class TestRowChecks:

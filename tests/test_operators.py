@@ -168,9 +168,9 @@ def propagate(h, dt, psi, n_steps=1):
     zero ramp so that H stays fixed."""
     h = np.asarray(h, dtype=complex)
     out, _ = _evolve_linear(
-        h, np.zeros_like(h), 0.0, 0.0, n_steps * dt, n_steps, psi, {n_steps}
+        h, np.zeros_like(h), 0.0, 0.0, [n_steps * dt], n_steps, psi, {n_steps}
     )
-    return out[n_steps]
+    return out[n_steps][:, 0]
 
 
 class TestPropagateStep:

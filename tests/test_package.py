@@ -61,14 +61,41 @@ class TestExports:
         assert rabisweep.top_fock_occupancy is model.top_fock_occupancy
 
 
-def test_every_traced_layer_name_resolves():
-    # The benchmark traces these names and skips any it cannot find, so a
-    # deletion would otherwise only show as an "absent" layer in its records.
+def _benchmark_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_layer_name_resolves():
+    # The benchmark traces these names and skips any it cannot find, so a
+    # deletion would otherwise only show as an "absent" layer in its records.
+    tracing = _benchmark_tracing()
     for _, owner, names in tracing.LAYERS:
         module = importlib.import_module(f"rabisweep.{owner}")
         for name in names:
             assert callable(getattr(module, name, None)), f"{owner}.{name}"
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("quench_ns", rabisweep.QrmParams(0.0, 0.0, 1.0, 1.0, 32)),
+        ("lz_scan", rabisweep.QrmParams(0.1, 0.0, 1.0, 0.3, 16)),
+    ],
+)
+def test_benchmark_tracer_sees_scan_propagation(kind, params):
+    # The benchmark counts runs and steps from the argument of run_sweep
+    # that has n_steps; a scan that propagated elsewhere would read as none.
+    tracing = _benchmark_tracing()
+    tracer = tracing.Tracer()
+    spec = rabisweep.ExperimentSpec(kind, params, "rate", (10.0, 100.0), n_steps=1000)
+    with tracing.installed(tracer) as absent:
+        assert absent == []
+        table = rabisweep.run_experiment(spec)
+    assert all(row.converged for row in table.rows)
+    runs = tracer.counts["sweep.runs"]
+    assert runs >= 1
+    assert tracer.counts["sweep.steps_requested"] == spec.n_steps * runs

@@ -6,7 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from rabisweep import sweep
-from rabisweep.errors import InsufficientTruncationError, InvalidParameterError
+from rabisweep.errors import (
+    InsufficientTruncationError,
+    InvalidParameterError,
+    NumericalInstabilityError,
+)
 from rabisweep.experiments import sector_ground_state
 from rabisweep.model import (
     EVEN_SECTOR,
@@ -22,6 +26,7 @@ from rabisweep.model import (
 )
 from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
 from rabisweep.sweep import (
+    RateBlock,
     SweepSchedule,
     _evolve_linear,
     convergence_scan,
@@ -91,38 +96,56 @@ class TestEngine:
         # must match a per-step dense matrix exponential of the midpoint H.
         # The Chebyshev branch rewrites only the entries where h1 is nonzero,
         # so its ramps are dense, diagonal (sector gap and bias sweeps),
-        # sparse off-diagonal (full-space gap sweep) and zero. The sample at
-        # step 1 would be overwritten if it aliased a working buffer.
+        # sparse off-diagonal (full-space gap sweep) and zero. Real parts are
+        # multiplied through float views, so the sparse ramps run under a
+        # real h0, and the diagonal one under a complex h0 as well. Each case
+        # runs alone and as a block of two rates 10x apart, faster first, so
+        # the block reorders its columns. The sample at step 1 would be
+        # overwritten if it aliased a working buffer.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
-        dt = total_time / n_steps
-        slope = (f_end - f_start) / total_time
 
         def hermitian(dim):
             m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
             return 0.5 * (m + m.conj().T)
 
-        ramps = [
-            (12, hermitian),
-            (24, hermitian),
-            (24, lambda dim: np.diag(RNG.normal(size=dim)).astype(complex)),
-            (24, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
-            (24, lambda dim: np.zeros((dim, dim), dtype=complex)),
+        def symmetric(dim):
+            m = RNG.normal(size=(dim, dim))
+            return 0.5 * (m + m.T)
+
+        def diagonal(dim):
+            return np.diag(RNG.normal(size=dim)).astype(complex)
+
+        cases = [
+            (12, hermitian, hermitian),
+            (24, hermitian, hermitian),
+            (24, hermitian, diagonal),
+            (24, symmetric, diagonal),
+            (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
+            (24, symmetric, lambda dim: np.zeros((dim, dim))),
         ]
-        for dim, ramp in ramps:
-            h0 = hermitian(dim)
+        for dim, static, ramp in cases:
+            h0 = static(dim)
             h1 = ramp(dim)
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
             psi /= np.linalg.norm(psi)
-            got, _ = _evolve_linear(
-                h0, h1, f_start, f_end, total_time, n_steps, psi, {1, 750, 1500}
+            alone, _ = _evolve_linear(
+                h0, h1, f_start, f_end, [total_time], n_steps, psi, {1, 750, 1500}
             )
-            assert set(got) == {1, 750, 1500}
-            ref = psi
-            for k in range(n_steps):
-                f_mid = f_start + slope * ((k + 0.5) * dt)
-                ref = expm(-1j * dt * (h0 + f_mid * h1)) @ ref
-                if k + 1 in got:
-                    assert np.linalg.norm(got[k + 1] - ref) < 1e-12, (dim, k + 1)
+            block, _ = _evolve_linear(
+                h0, h1, f_start, f_end, [total_time / 10, total_time], n_steps, psi,
+                {1, 750, 1500},
+            )
+            assert set(alone) == set(block) == {1, 750, 1500}
+            for j, run_time in enumerate([total_time / 10, total_time]):
+                dt = run_time / n_steps
+                ref = psi
+                for k in range(n_steps):
+                    f_mid = f_start + (f_end - f_start) * ((k + 0.5) / n_steps)
+                    ref = expm(-1j * dt * (h0 + f_mid * h1)) @ ref
+                    if k + 1 in block:
+                        got = [block[k + 1][:, j]] + ([alone[k + 1][:, 0]] if j else [])
+                        for amp in got:
+                            assert np.linalg.norm(amp - ref) < 1e-12, (dim, j, k + 1)
 
     def test_two_level_crossing_matches_survival_formula(self):
         # Bias sweep over +-100 delta at v = delta^2: survival within 5e-3.
@@ -327,6 +350,19 @@ class TestConvergenceScan:
             convergence_scan(p, s, block_ground(p, 20.0), "n_fock", readout="superradiant",
                              sector=EVEN_SECTOR)
 
+    def test_endpoint_scan_needs_a_builder(self, monkeypatch):
+        # psi0 is the ground state at the unscaled endpoint, so the 2x and 4x
+        # runs would start from the wrong state and report it as drift.
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated before checking for a state builder")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_run)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        s = SweepSchedule("delta", 20.0, 0.0, 1e4, n_steps=1000)
+        with pytest.raises(InvalidParameterError, match="state_builder"):
+            convergence_scan(p, s, block_ground(p, 20.0), "endpoint_magnitude",
+                             readout="superradiant", sector=EVEN_SECTOR)
+
     def test_quench_step_doubling_is_stable(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = block_ground(p, 200.0)
@@ -349,6 +385,58 @@ class TestConvergenceScan:
             readout="superradiant", sector=EVEN_SECTOR, state_builder=builder,
         )
         assert not report.passed
+
+
+class TestRateBlock:
+    def test_refuses_schedules_that_differ_in_more_than_the_rate(self):
+        base = SweepSchedule("delta", 20.0, 0.0, 1e3, n_steps=1000)
+        assert RateBlock((base, replace(base, rate_v=1e4))).n_steps == 1000
+        others = [
+            replace(base, parameter="epsilon"),
+            replace(base, start_value=10.0),
+            replace(base, end_value=1.0),
+            replace(base, n_steps=2000),
+            replace(base, sample_times=(0.0, 0.01)),
+        ]
+        for other in others:
+            with pytest.raises(InvalidParameterError, match="only in rate_v"):
+                RateBlock((base, other))
+        with pytest.raises(InvalidParameterError):
+            RateBlock(())
+
+    def test_entries_match_single_runs(self):
+        # Dim 32 in the even block runs the Chebyshev branch through its
+        # real view; each entry is the run its schedule gives alone.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        psi0 = block_ground(p, 200.0)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000, sample_times=(0.0, 0.002))
+        # The kernel runs the slowest first: a cyclic reordering of these.
+        schedules = tuple(replace(base, rate_v=r) for r in (1e4, 1e5, 1e3))
+        block = run_sweep(p, RateBlock(schedules), psi0, sector=EVEN_SECTOR)
+        assert [traj.schedule for traj in block] == list(schedules)
+        for traj, schedule in zip(block, schedules):
+            alone = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR)
+            assert traj.metadata == pytest.approx(alone.metadata, rel=1e-12, abs=0)
+            assert list(traj.times) == list(alone.times)
+            for got, ref in zip(traj.states, alone.states):
+                assert np.linalg.norm(got.amplitudes - ref.amplitudes) < 1e-12
+
+    def test_a_drifting_run_fails_only_its_entry(self, monkeypatch):
+        evolve = sweep._evolve_linear
+
+        def drift_second_run(*args):
+            sampled, terms = evolve(*args)
+            for states in sampled.values():
+                states[:, 1] *= 1.01
+            return sampled, terms
+
+        monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
+        block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
+        first, failed, last = run_sweep(p, block, block_ground(p, 200.0), sector=EVEN_SECTOR)
+        assert isinstance(failed, NumericalInstabilityError)
+        assert first.max_norm_deviation < 1e-10 and last.max_norm_deviation < 1e-10
 
 
 class TestBatch:
