@@ -36,7 +36,6 @@ from .experiments import (
     ResultRow,
     ResultTable,
     default_quench_delta_hi,
-    instantaneous_ground_state,
     lz_scan,
     lz_time_trace,
     lz_window,
@@ -44,7 +43,6 @@ from .experiments import (
     quench_rate_scan,
     quench_time_trace,
     run_experiment,
-    sector_ground_state,
 )
 from .io import (
     emit_svg,
@@ -100,6 +98,7 @@ from .sweep import (
     Trajectory,
     convergence_scan,
     greedy_label_assignment,
+    ground_state,
     project_records,
     readout_columns,
     run_sweep,
@@ -112,9 +111,9 @@ __all__ = [
     "GapTruncationError", "InsufficientTruncationError", "InvalidParameterError",
     "InvalidTruncationError", "NumericalInstabilityError", "RabisweepError",
     "ResourceLimitError", "SymmetryViolationError", "ExperimentSpec", "ResultRow",
-    "ResultTable", "default_quench_delta_hi", "instantaneous_ground_state", "lz_scan",
+    "ResultTable", "default_quench_delta_hi", "lz_scan",
     "lz_time_trace", "lz_window", "multimode_scan", "quench_rate_scan",
-    "quench_time_trace", "run_experiment", "sector_ground_state", "emit_svg",
+    "quench_time_trace", "run_experiment", "emit_svg",
     "parse_config_file", "read_result_table", "render_result_csv", "write_result_table",
     "BasisLabel", "EVEN_SECTOR", "Mode", "MultiModeParams", "ODD_SECTOR",
     "ParitySector", "ProbabilityRecord", "QrmParams", "build_multimode", "build_qrm",
@@ -126,5 +125,5 @@ __all__ = [
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
     "unitary_displacement", "PRESETS", "ConservationSample", "ConvergenceReport",
     "RateBlock", "SweepSchedule", "Trajectory", "convergence_scan", "greedy_label_assignment",
-    "project_records", "readout_columns", "run_sweep",
+    "ground_state", "project_records", "readout_columns", "run_sweep",
 ]

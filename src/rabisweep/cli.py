@@ -21,7 +21,6 @@ from .experiments import (
     default_quench_delta_hi,
     lz_window,
     run_experiment,
-    sector_ground_state,
 )
 from .io import emit_svg, parse_config_file, write_result_table
 from .model import (
@@ -35,7 +34,7 @@ from .model import (
 )
 from .operators import eig_hermitian
 from .presets import PRESETS
-from .sweep import SweepSchedule, convergence_scan
+from .sweep import SweepSchedule, convergence_scan, ground_state
 
 
 class _UsageError(Exception):
@@ -248,6 +247,8 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.levels < 1:
+        raise InvalidParameterError(f"levels must be at least 1, got {args.levels}")
     g = args.g_over_omega
     nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
     p = QrmParams(args.delta, args.epsilon, 1.0, g, nf)
@@ -267,10 +268,10 @@ def _cmd_convergence(args) -> int:
     nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
     p = QrmParams(0.0, 0.0, 1.0, g, nf)
     schedule = SweepSchedule("delta", args.delta_i, 0.0, args.rate, n_steps=args.n_steps)
-    psi0 = sector_ground_state(p, args.delta_i)
+    psi0 = ground_state(p, "delta", args.delta_i, EVEN_SECTOR)
 
     def builder(pp, sched):
-        return sector_ground_state(pp, sched.start_value)
+        return ground_state(pp, "delta", sched.start_value, EVEN_SECTOR)
 
     report = convergence_scan(
         p, schedule, psi0, args.knob,

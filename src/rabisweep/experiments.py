@@ -8,7 +8,7 @@ rates in units of delta^2, trace rows on the swept-parameter time axis.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,8 +31,6 @@ from .model import (
     ProbabilityRecord,
     QrmParams,
     TOP_OCCUPANCY_TOL,
-    build_multimode,
-    build_qrm,
     critical_delta,
 )
 from .operators import StateVector, eig_hermitian
@@ -46,6 +44,7 @@ from .sweep import (
     _hamiltonian_parts,
     eigen_level_series,
     greedy_label_assignment,
+    ground_state,
     project_records,
     readout_columns,
     run_sweep,
@@ -170,25 +169,6 @@ def lz_window(p: QrmParams | MultiModeParams) -> float:
     return farthest + 10.0 * max(m.omega for m in p.modes) + 50.0 * abs(p.delta)
 
 
-def sector_ground_state(p: QrmParams, delta_value: float) -> StateVector:
-    """Ground state of the even-parity block at the given gap, block coords."""
-    h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
-    _, vecs = eig_hermitian(h_static + delta_value * h_ramp)
-    return StateVector(vecs[:, 0], "parity-symmetric")
-
-
-def instantaneous_ground_state(
-    p: QrmParams | MultiModeParams, epsilon: float
-) -> StateVector:
-    """Full-space ground state at a frozen bias value."""
-    if isinstance(p, QrmParams):
-        h = build_qrm(replace(p, epsilon=epsilon))
-    else:
-        h = build_multimode(p, epsilon=epsilon)
-    _, vecs = eig_hermitian(h)
-    return StateVector(vecs[:, 0], "bare")
-
-
 def _row_checks(
     traj: Trajectory,
     records: tuple[ProbabilityRecord, ...],
@@ -238,46 +218,57 @@ def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
     )
 
 
+_Oracle = tuple[ProbabilityRecord, ...]
+
+
 def _scan(
     spec: ExperimentSpec,
-    row_for_value: Callable[[float, Trajectory | None], ResultRow],
+    oracle_for_value: Callable[[float], _Oracle],
+    row_for_value: Callable[[float, _Oracle, Trajectory | None], ResultRow],
     run_block: Callable[[tuple[float, ...]], list] | None = None,
 ) -> ResultTable:
-    """One row per scan value, each timed; a row whose run or row function
-    hits a package error becomes a failed row and the scan goes on.
+    """One row per scan value, each timed. Each value's oracle comes first; a
+    value whose oracle, run or row function hits a package error becomes a
+    failed row and the scan goes on.
 
-    With ``run_block`` the scan's sweeps are propagated first, in one
-    ``run_sweep`` call over a ``RateBlock``, and each row is built from its
-    own entry of the result (None without a block). The block's time is
-    recorded once, as ``provenance["block_propagation_s"]``; the rows' wall
-    times do not include it. An error that the whole block raises fails
-    every row.
+    With ``run_block`` the values whose oracle succeeded are then propagated,
+    in one ``run_sweep`` call over a ``RateBlock``, so a refused value costs
+    no propagation. Each row is built from its oracle and its own entry of
+    the result (None without a block). The block's time is recorded once, as
+    ``provenance["block_propagation_s"]``; the rows' wall times do not
+    include it. An error that the whole block raises fails every row in it.
     """
-    runs: list = [None] * len(spec.scan_values)
-    block_s = None
-    if run_block is not None:
+    # Keyed by scan value: the grid is strictly increasing.
+    oracles, failures, times = {}, {}, {}
+    for scan_value in spec.scan_values:
         t0 = time.perf_counter()
         try:
-            runs = run_block(spec.scan_values)
+            oracles[scan_value] = oracle_for_value(scan_value)
         except RabisweepError as exc:
-            runs = [exc] * len(spec.scan_values)
-        block_s = time.perf_counter() - t0
-    rows = []
-    times = []
-    for scan_value, run in zip(spec.scan_values, runs):
+            failures[scan_value] = exc
+        times[scan_value] = time.perf_counter() - t0
+    runs: dict = {}
+    block_time: dict = {}
+    if run_block is not None and oracles:
         t0 = time.perf_counter()
-        if isinstance(run, RabisweepError):
-            rows.append(_failed_row(scan_value, run))
+        try:
+            runs = dict(zip(oracles, run_block(tuple(oracles))))
+        except RabisweepError as exc:
+            runs = dict.fromkeys(oracles, exc)
+        block_time["block_propagation_s"] = round(time.perf_counter() - t0, 4)
+    rows = []
+    for scan_value in spec.scan_values:
+        t0 = time.perf_counter()
+        failure = failures.get(scan_value, runs.get(scan_value))
+        if isinstance(failure, RabisweepError):
+            rows.append(_failed_row(scan_value, failure))
         else:
             try:
-                rows.append(row_for_value(scan_value, run))
+                rows.append(row_for_value(scan_value, oracles[scan_value], runs.get(scan_value)))
             except RabisweepError as exc:
                 rows.append(_failed_row(scan_value, exc))
-        times.append(time.perf_counter() - t0)
-    provenance = _provenance(spec, times)
-    if block_s is not None:
-        provenance["block_propagation_s"] = round(block_s, 4)
-    return ResultTable(spec, rows, provenance)
+        times[scan_value] += time.perf_counter() - t0
+    return ResultTable(spec, rows, _provenance(spec, list(times.values())) | block_time)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +344,7 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         ProbabilityRecord(lab, poisson_overlap(lab.photons, p.g, p.omega)) for lab in labels
     )
 
-    psi0 = sector_ground_state(p, start)
+    psi0 = ground_state(p, "delta", start, EVEN_SECTOR)
 
     def run_block(values: tuple[float, ...]) -> list:
         block = RateBlock(tuple(
@@ -362,12 +353,12 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         ))
         return run_sweep(p, block, psi0, sector=EVEN_SECTOR, check_truncation=False)
 
-    def row(scan_value: float, traj: Trajectory) -> ResultRow:
+    def row(scan_value: float, oracle: _Oracle, traj: Trajectory) -> ResultRow:
         sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    return _scan(spec, row, run_block)
+    return _scan(spec, lambda _: oracle, row, run_block)
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -390,8 +381,8 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     offset = total_time if direction == "ns" else 0.0
     sample_times = np.asarray(spec.scan_values) * p.omega / rate + offset
     traj = _trace_run(
-        spec, "delta", start, end, rate, sample_times, sector_ground_state(p, start),
-        sector=EVEN_SECTOR,
+        spec, "delta", start, end, rate, sample_times,
+        ground_state(p, "delta", start, EVEN_SECTOR), sector=EVEN_SECTOR,
     )
 
     h0, h1, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
@@ -433,7 +424,8 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     is all a row holds. Otherwise each run starts from the instantaneous
     ground state at the window edge (the finite-window stand-in for the
     asymptotic ground state) and is read out in the displaced basis at the
-    far edge, judged at ``options["top_occupancy_tol"]``.
+    far edge, judged at ``options["top_occupancy_tol"]``. A rate whose
+    oracle is refused fails its row and is not propagated.
     """
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
@@ -441,7 +433,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
     run_block = None
     if simulate:
-        psi0 = instantaneous_ground_state(p, -window)
+        psi0 = ground_state(p, "epsilon", -window)
         cols, labels = readout_columns(p, "displaced")
 
         def run_block(values: tuple[float, ...]) -> list:
@@ -451,10 +443,12 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
             ))
             return run_sweep(p, block, psi0, check_truncation=False)
 
-    def row(scan_value: float, traj: Trajectory | None) -> ResultRow:
-        oracle = tuple(sequential_crossing_probabilities(
+    def oracle_for_value(scan_value: float) -> _Oracle:
+        return tuple(sequential_crossing_probabilities(
             spectrum, scan_value * p.delta**2, residual_tol=residual_tol
         ))
+
+    def row(scan_value: float, oracle: _Oracle, traj: Trajectory | None) -> ResultRow:
         oracle_residual = 1.0 - sum(r.probability for r in oracle)
         if traj is None:
             return ResultRow(
@@ -465,7 +459,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
         checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    table = _scan(spec, row, run_block)
+    table = _scan(spec, oracle_for_value, row, run_block)
     table.provenance["window"] = window
     return table
 
@@ -491,7 +485,7 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     sample_times = (np.asarray(spec.scan_values) * omega + window) / rate
     traj = _trace_run(
         spec, "epsilon", -window, window, rate, sample_times,
-        instantaneous_ground_state(p, -window),
+        ground_state(p, "epsilon", -window),
     )
     cols, labels = readout_columns(p, "displaced")
     rows = []

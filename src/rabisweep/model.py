@@ -265,8 +265,8 @@ def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -
 def build_qrm(p: QrmParams) -> np.ndarray:
     """Full Rabi Hamiltonian at the parameters in p."""
     a = annihilation(p.n_fock)
-    ad = a.conj().T
-    eye = np.eye(p.n_fock, dtype=complex)
+    ad = a.T
+    eye = np.eye(p.n_fock)
     h = (-0.5 * p.delta) * kron(SIGMA_X, eye)
     h += (-0.5 * p.epsilon) * kron(SIGMA_Z, eye)
     h += p.omega * kron(IDENTITY_2, ad @ a)
@@ -277,37 +277,35 @@ def build_qrm(p: QrmParams) -> np.ndarray:
 def delta_ramp(p: QrmParams | MultiModeParams) -> np.ndarray:
     """dH/d(delta): the qubit-gap ramp generator."""
     osc = (p.n_fock if isinstance(p, QrmParams) else p.osc_dim)
-    return -0.5 * kron(SIGMA_X, np.eye(osc, dtype=complex))
+    return -0.5 * kron(SIGMA_X, np.eye(osc))
 
 
 def epsilon_ramp(p: QrmParams | MultiModeParams) -> np.ndarray:
     """dH/d(epsilon): the qubit-bias ramp generator."""
     osc = (p.n_fock if isinstance(p, QrmParams) else p.osc_dim)
-    return -0.5 * kron(SIGMA_Z, np.eye(osc, dtype=complex))
+    return -0.5 * kron(SIGMA_Z, np.eye(osc))
 
 
 def _mode_operator(modes: tuple[Mode, ...], index: int, op: np.ndarray) -> np.ndarray:
     out = None
     for j, m in enumerate(modes):
-        factor = op if j == index else np.eye(m.n_fock, dtype=complex)
+        factor = op if j == index else np.eye(m.n_fock)
         out = factor if out is None else np.kron(out, factor)
     return out
 
 
-def build_multimode(p: MultiModeParams, epsilon: float = 0.0) -> np.ndarray:
-    """Multimode Hamiltonian with an instantaneous bias epsilon."""
-    _require_finite(epsilon=epsilon)
+def build_multimode(p: MultiModeParams) -> np.ndarray:
+    """Multimode Hamiltonian at zero bias; the bias enters through
+    ``epsilon_ramp``."""
     if p.dim > p.dim_cap:
         raise ResourceLimitError(
             f"multimode dimension {p.dim} exceeds the cap {p.dim_cap}"
         )
-    osc_eye = np.eye(p.osc_dim, dtype=complex)
-    h = (-0.5 * p.delta) * kron(SIGMA_X, osc_eye)
-    h += (-0.5 * epsilon) * kron(SIGMA_Z, osc_eye)
+    h = (-0.5 * p.delta) * kron(SIGMA_X, np.eye(p.osc_dim))
     for j, m in enumerate(p.modes):
         a = annihilation(m.n_fock)
-        h += m.omega * kron(IDENTITY_2, _mode_operator(p.modes, j, a.conj().T @ a))
-        h += m.g * kron(SIGMA_Z, _mode_operator(p.modes, j, a + a.conj().T))
+        h += m.omega * kron(IDENTITY_2, _mode_operator(p.modes, j, a.T @ a))
+        h += m.g * kron(SIGMA_Z, _mode_operator(p.modes, j, a + a.T))
     return h
 
 
@@ -328,7 +326,7 @@ def parity_operator(p: QrmParams) -> np.ndarray:
     Signed so that |right,0> (the weak-coupling ground state) sits in the
     +1 eigenspace.
     """
-    signs = np.diag(np.where(np.arange(p.n_fock) % 2 == 0, 1.0, -1.0)).astype(complex)
+    signs = np.diag(np.where(np.arange(p.n_fock) % 2 == 0, 1.0, -1.0))
     return kron(SIGMA_X, signs)
 
 
@@ -352,7 +350,7 @@ def parity_sector_labels(sector: ParitySector, n_fock: int, scheme: str = "norma
 def parity_sector_basis(p: QrmParams, sector: ParitySector) -> tuple[np.ndarray, list[BasisLabel]]:
     """Orthonormal columns spanning one parity sector, with their labels."""
     labels = parity_sector_labels(sector, p.n_fock, "normal")
-    b = np.zeros((p.dim, p.n_fock), dtype=complex)
+    b = np.zeros((p.dim, p.n_fock))
     s = 1.0 / np.sqrt(2.0)
     for col, lab in enumerate(labels):
         n = lab.photons

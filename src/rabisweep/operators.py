@@ -1,7 +1,8 @@
-"""Dense complex linear-algebra kernel for truncated qubit-oscillator problems.
+"""Dense linear-algebra kernel for truncated qubit-oscillator problems.
 
-All operators are plain complex ndarrays; states carry a basis tag in a thin
-wrapper. Everything here is a pure function of its inputs.
+Operators are real float64 ndarrays, except the displacement, whose amplitude
+is complex; states are complex and carry a basis tag in a thin wrapper.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ HERMITICITY_RTOL = 1e-12
 # Norm tolerance enforced on StateVector construction.
 STATE_NORM_ATOL = 1e-10
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
+IDENTITY_2 = np.eye(2)
 
 #: Basis tags a StateVector may carry.
 BASIS_TAGS = ("bare", "parity-symmetric", "parity-antisymmetric")
@@ -65,7 +66,7 @@ def hermiticity_defect(matrix: np.ndarray) -> float:
 
 
 def require_hermitian(matrix: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    m = np.asarray(matrix, dtype=complex)
+    m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameterError(f"expected a square matrix, got shape {m.shape}")
     defect = hermiticity_defect(m)
@@ -80,13 +81,13 @@ def annihilation(n_fock: int) -> np.ndarray:
     """Bosonic annihilation operator in an n_fock-dimensional truncation."""
     if n_fock < 2:
         raise InvalidTruncationError(f"Fock truncation must be >= 2, got {n_fock}")
-    return np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), k=1).astype(complex)
+    return np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), k=1)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two square operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = np.asarray(a)
+    b = np.asarray(b)
     for m in (a, b):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidParameterError("kron expects square matrices")

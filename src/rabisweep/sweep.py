@@ -11,20 +11,22 @@ across a chunk of steps, spectral bounds from Gershgorin discs) otherwise.
 Per-step eigendecomposition is prohibitively slow past dim ~ 32 on one core;
 the Chebyshev action reproduces the exact exponential to machine precision.
 
-Every run has the shape H(t) = A + f(t) B, so the Chebyshev branch builds the
-scaled matrix 2(A - c)/r once per chunk and on each step rewrites only the
-entries where B is nonzero: the diagonal for a sector gap sweep or a bias
-sweep, the sigma_x (x) I entries for a full-space gap sweep. The recurrence
-runs in buffers allocated once per run, so a step costs one matrix product
-and one in-place subtraction per term, plus one product per run for the sum.
+Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
+model layer builds every Hamiltonian, ramp and parity basis as float64, and
+the propagator refuses complex ones. The Chebyshev branch builds the scaled
+matrix 2(A - c)/r once per chunk and on each step rewrites only the entries
+where B is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
+sigma_x (x) I entries for a full-space gap sweep. The recurrence runs in
+buffers allocated once per run and multiplies the complex states through
+their float views, a real product that is cheaper per column than a complex
+one; a step costs one such product and one in-place subtraction per term,
+plus one product per run for the sum.
 
 The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
 ``RateBlock`` passed to ``run_sweep`` propagates them together, as the columns
-of one block, each with its own step size, coefficients and phase. When A and
-B are real, as for the QRM, its parity blocks and the multimode model, the
-complex states are multiplied through their float views: a real matrix
-product, which is cheaper per column than a complex one.
+of one block, each with its own step size, coefficients and phase.
+``ground_state`` is the one ground-state solve of A + f B.
 """
 
 from __future__ import annotations
@@ -221,10 +223,10 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
 
 
 def _gershgorin_bounds(h0: np.ndarray, h1: np.ndarray, f_vals: np.ndarray) -> tuple[float, float]:
-    d0 = np.real(np.diag(h0))
-    d1 = np.real(np.diag(h1))
-    s0 = np.sum(np.abs(h0), axis=1) - np.abs(np.diag(h0))
-    s1 = np.sum(np.abs(h1), axis=1) - np.abs(np.diag(h1))
+    d0 = np.diag(h0)
+    d1 = np.diag(h1)
+    s0 = np.sum(np.abs(h0), axis=1) - np.abs(d0)
+    s1 = np.sum(np.abs(h1), axis=1) - np.abs(d1)
     f_lo, f_hi = float(f_vals.min()), float(f_vals.max())
     f_abs = max(abs(f_lo), abs(f_hi))
     lo = min(
@@ -273,33 +275,31 @@ def _evolve_linear(
     """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp for
     a block of R runs that differ only in their total time.
 
-    Every run starts from psi0 and takes ``n_steps`` steps through the same
-    midpoint values f_k; run j steps by total_times[j] / n_steps. Returns the
-    (dim, R) block of states after each step in ``sample_steps``, columns in
-    the order of ``total_times``, and each run's Chebyshev terms per step: the
-    most any chunk took, 0 on the eigh branch and for a zero-length sweep. A
-    single run is a block of one.
+    h_static and h_ramp are real symmetric arrays; a complex one raises
+    ``InvalidParameterError``. Every run starts from psi0 and takes
+    ``n_steps`` steps through the same midpoint values f_k; run j steps by
+    total_times[j] / n_steps. Returns the (dim, R) block of states after each
+    step in ``sample_steps``, columns in the order of ``total_times``, and
+    each run's Chebyshev terms per step: the most any chunk took, 0 on the
+    eigh branch and for a zero-length sweep. A single run is a block of one.
 
     The only code that applies exp(-i H dt); the branch is chosen by
     dimension, as the module docstring describes. The Chebyshev branch holds
-    the chunk's scaled matrix h2 = 2(h_static - c)/r in one buffer, built
-    once per chunk and shared by every run, and on each step rewrites only
-    the entries where h_ramp is nonzero. The recurrence
-    T_{n+1} = h2 T_n - T_{n-1} fills a stack of (dim, R) blocks, one matrix
-    product and one subtraction per order. Runs are ordered slowest first, so
-    the runs that still need order n form a leading slice of the block and
-    the product at order n covers only that slice. Each run's new state is
-    then one product of its own coefficients, times its phase exp(-i c dt_j),
-    with its column of the stack. When both parts of H are real, h2 is a
-    real array and each (dim, R) block is multiplied through its float view
-    of shape (dim, 2R), whose first 2a columns are the block's first a. With
-    one OpenBLAS thread the real product took 4.2 us for three runs at dim
-    64 against 10.5 us for the complex one, and 8.3 against 15.5 us for one
-    run at dim 192; for one run at dim 32 both took about 2 us. So the real
-    view is used at every shape. Buffers grow only when a chunk needs more
-    orders than any before it, so a step allocates nothing of the problem's
-    size.
+    the chunk's real scaled matrix h2 = 2(h_static - c)/r in one buffer,
+    built once per chunk and shared by every run, and on each step rewrites
+    only the entries where h_ramp is nonzero. The recurrence
+    T_{n+1} = h2 T_n - T_{n-1} fills a stack of complex (dim, R) blocks, one
+    matrix product and one subtraction per order, h2 multiplying each block
+    through its float view of shape (dim, 2R), whose first 2a columns are
+    the block's first a. Runs are ordered slowest first, so the runs that
+    still need order n form a leading slice of the block and the product at
+    order n covers only that slice. Each run's new state is then one product
+    of its own coefficients, times its phase exp(-i c dt_j), with its column
+    of the stack. Buffers grow only when a chunk needs more orders than any
+    before it, so a step allocates nothing of the problem's size.
     """
+    if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
+        raise InvalidParameterError("the propagator takes real symmetric h_static and h_ramp")
     dim = h_static.shape[0]
     total_times = np.asarray(total_times, dtype=float).reshape(-1)
     n_runs = total_times.size
@@ -320,23 +320,20 @@ def _evolve_linear(
             w, v = np.linalg.eigh(hb)
             phases = np.exp(-1j * w[:, :, None] * dts)
             for i, k in enumerate(steps):
-                psi = v[i] @ (phases[i] * (v[i].conj().T @ psi))
+                psi = v[i] @ (phases[i] * (v[i].T @ psi))
                 if k + 1 in sample_steps:
                     out[k + 1] = psi[:, restore]
         return out, [0] * n_runs
 
-    real = not np.any(np.imag(h_static)) and not np.any(np.imag(h_ramp))
-    if real:
-        h_static, h_ramp = np.real(h_static), np.real(h_ramp)
     # Flat indices of the ramp's nonzero entries: the diagonal for a sector
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
     ramp_idx = np.flatnonzero(h_ramp)
     ramp_vals = h_ramp.reshape(-1)[ramp_idx]
-    h2 = np.empty((dim, dim), dtype=h_static.dtype)
+    h2 = np.empty((dim, dim))
     h2_flat = h2.reshape(-1)
-    a_idx = np.empty(ramp_idx.size, dtype=h2.dtype)
-    b_idx = np.empty(ramp_idx.size, dtype=h2.dtype)
-    entries = np.empty(ramp_idx.size, dtype=h2.dtype)
+    a_idx = np.empty(ramp_idx.size)
+    b_idx = np.empty(ramp_idx.size)
+    entries = np.empty(ramp_idx.size)
     # stack[n] holds T_n for every run; stack[0] is the current state.
     stack = psi[None]
     new_psi = np.empty((dim, n_runs), dtype=complex)
@@ -349,16 +346,14 @@ def _evolve_linear(
             grown = np.zeros((max(lengths), dim, n_runs), dtype=complex)
             grown[0] = stack[0]
             stack = grown
-        # What h2 multiplies: the float view of each block when h2 is real.
-        operand = stack.view(float) if real else stack
-        width = 2 if real else 1
+        real_view = stack.view(float)
         # Order n >= 2: the product over the leading runs that still need it.
         orders = []
         for n in range(2, max(lengths)):
             a = 1 + max(j for j, length in enumerate(lengths) if length > n)
             orders.append((
-                operand[n - 1, :, : width * a],
-                operand[n, :, : width * a],
+                real_view[n - 1, :, : 2 * a],
+                real_view[n, :, : 2 * a],
                 stack[n, :, :a],
                 stack[n - 2, :, :a],
             ))
@@ -378,7 +373,7 @@ def _evolve_linear(
             entries += a_idx
             h2_flat[ramp_idx] = entries
             # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
-            np.matmul(h2, operand[0], out=operand[1])
+            np.matmul(h2, real_view[0], out=real_view[1])
             stack[1] *= 0.5
             for t_in, t_out, t_new, t_back in orders:
                 np.matmul(h2, t_in, out=t_out)
@@ -400,14 +395,15 @@ def _hamiltonian_parts(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(A, B, sector basis) of H = A + f B, where f is the swept parameter.
 
-    With ``sector`` given (single-mode, bias-free gap sweeps only) A and B are
-    projected onto that parity block and its basis columns come third;
-    otherwise the third entry is None.
+    A and B are real symmetric float64 arrays. With ``sector`` given
+    (single-mode, bias-free gap sweeps only) they are projected onto that
+    parity block and its basis columns come third; otherwise the third entry
+    is None.
     """
     if isinstance(p, MultiModeParams):
         if parameter != "epsilon":
             raise InvalidParameterError("multimode sweeps support the bias parameter only")
-        h_static, h_ramp = build_multimode(p, epsilon=0.0), epsilon_ramp(p)
+        h_static, h_ramp = build_multimode(p), epsilon_ramp(p)
     elif parameter == "delta":
         h_static, h_ramp = build_qrm(replace(p, delta=0.0)), delta_ramp(p)
     else:
@@ -419,7 +415,7 @@ def _hamiltonian_parts(
             "sector-restricted runs require a single-mode, bias-free gap sweep"
         )
     basis, _ = parity_sector_basis(p, sector)
-    return basis.conj().T @ h_static @ basis, basis.conj().T @ h_ramp @ basis, basis
+    return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis, basis
 
 
 def _sample_steps(schedule: SweepSchedule) -> list[int]:
@@ -432,21 +428,26 @@ def _sample_steps(schedule: SweepSchedule) -> list[int]:
     return [int(round(t / total * n)) if total else 0 for t in schedule.sample_times]
 
 
-def _endpoint_ground_occupancy(
+def _basis_tag(sector: ParitySector | None) -> str:
+    """The basis tag of a run's states: bare, or its parity sector's."""
+    if sector is None:
+        return "bare"
+    return "parity-symmetric" if sector.sign == +1 else "parity-antisymmetric"
+
+
+def ground_state(
     p: QrmParams | MultiModeParams,
-    h_static: np.ndarray,
-    h_ramp: np.ndarray,
-    schedule: SweepSchedule,
-    sector_matrix: np.ndarray | None,
-) -> float:
-    """Largest top-tenth Fock weight of the endpoint Hamiltonians' ground
-    states, taken in the run's sector when one is given."""
-    worst = 0.0
-    for value in {schedule.start_value, schedule.end_value}:
-        _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
-        ground = vecs[:, 0] if sector_matrix is None else sector_matrix @ vecs[:, 0]
-        worst = max(worst, top_fock_occupancy(p, ground))
-    return worst
+    parameter: str,
+    value: float,
+    sector: ParitySector | None = None,
+) -> StateVector:
+    """Ground state of A + value B, the Hamiltonian of a ``parameter`` sweep
+    frozen at ``value``: a ``"bare"`` full-space state, or with ``sector``
+    (single-mode, bias-free gap sweeps only) that parity block's ground
+    state in block coordinates, tagged with the sector."""
+    h_static, h_ramp, _ = _hamiltonian_parts(p, parameter, sector)
+    _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
+    return StateVector(vecs[:, 0], _basis_tag(sector))
 
 
 def readout_columns(
@@ -471,7 +472,7 @@ def readout_columns(
     basis, _ = parity_sector_basis(p, sector)
     cols_full, all_labels = scheme_basis(p, scheme)
     keep = [all_labels.index(lab) for lab in labels]
-    return basis.conj().T @ cols_full[:, keep], labels
+    return basis.T @ cols_full[:, keep], labels
 
 
 def project_records(
@@ -506,7 +507,7 @@ def run_sweep(
 
     The top-tenth Fock weights (``model.top_fock_occupancy``) of the state at
     the end of the sweep, sampled or not, and of the ground states of both
-    endpoint Hamiltonians go to
+    endpoint Hamiltonians (``ground_state``) go to
     ``metadata["top_fock_occupancy"]`` and
     ``metadata["endpoint_top_fock_occupancy"]``. With ``check_truncation=True``
     a weight above TOP_OCCUPANCY_TOL raises ``InsufficientTruncationError``;
@@ -527,21 +528,15 @@ def run_sweep(
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
     h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, sector)
-    leak_matrix = None
-    if sector is not None:
-        expected_tag = "parity-symmetric" if sector.sign == +1 else "parity-antisymmetric"
-        if psi0.basis_tag != expected_tag:
-            raise InvalidParameterError(
-                f"sector run expects a {expected_tag!r} state, got {psi0.basis_tag!r}"
-            )
-    elif psi0.basis_tag != "bare":
+    if psi0.basis_tag != _basis_tag(sector):
         raise InvalidParameterError(
-            f"full-space run expects a 'bare' state, got {psi0.basis_tag!r}"
+            f"this run expects a {_basis_tag(sector)!r} state, got {psi0.basis_tag!r}"
         )
-    elif isinstance(p, QrmParams) and first.parameter == "delta" and p.epsilon == 0.0:
+    leak_matrix = None
+    if sector is None and isinstance(p, QrmParams) and first.parameter == "delta" and p.epsilon == 0.0:
         plus, _ = parity_sector_basis(p, ParitySector(+1))
         minus, _ = parity_sector_basis(p, ParitySector(-1))
-        w_plus = float(np.sum(np.abs(plus.conj().T @ psi0.amplitudes) ** 2))
+        w_plus = float(np.sum(np.abs(plus.T @ psi0.amplitudes) ** 2))
         if w_plus > 1.0 - 1e-12:
             leak_matrix = minus
         elif w_plus < 1e-12:
@@ -558,7 +553,11 @@ def run_sweep(
                 f"Fock ladder (limit {TOP_OCCUPANCY_TOL:.0e})"
             )
 
-    endpoint_occ = _endpoint_ground_occupancy(p, h_static, h_ramp, first, sector_matrix)
+    endpoint_occ = 0.0
+    for value in {first.start_value, first.end_value}:
+        ground = ground_state(p, first.parameter, value, sector).amplitudes
+        full_ground = sector_matrix @ ground if sector_matrix is not None else ground
+        endpoint_occ = max(endpoint_occ, top_fock_occupancy(p, full_ground))
     guard_truncation(endpoint_occ, "an endpoint ground state")
 
     n_steps = first.n_steps
@@ -587,7 +586,7 @@ def run_sweep(
                 warnings.append(f"norm deviation {norm_dev:.2e} at t = {k * dt:.6g}")
             leak = None
             if leak_matrix is not None:
-                leak = float(np.sum(np.abs(leak_matrix.conj().T @ amp) ** 2))
+                leak = float(np.sum(np.abs(leak_matrix.T @ amp) ** 2))
                 if leak > LEAKAGE_TOL:
                     warnings.append(f"parity leakage {leak:.2e} at t = {k * dt:.6g}")
             conservation.append(ConservationSample(k * dt, norm_dev, leak))
@@ -720,10 +719,13 @@ def convergence_scan(
     state from that run's parameters and schedule: the scaled truncation for
     ``n_fock`` and the scaled endpoints for ``endpoint_magnitude``. Both
     knobs need one, since psi0 belongs to the unscaled run, and are refused
-    without it before any run.
+    without it before any run, as is a NaN, infinite or negative
+    ``tolerance``.
     """
     if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
         raise InvalidParameterError(f"unknown convergence knob {knob!r}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
     if knob != "n_steps" and state_builder is None:
         raise InvalidParameterError(
             f"a {knob} scan needs a state_builder: each run starts from its own state"

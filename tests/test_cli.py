@@ -3,7 +3,8 @@ import pytest
 
 from rabisweep import sweep
 from rabisweep.cli import main
-from rabisweep.experiments import sector_ground_state
+from rabisweep.model import EVEN_SECTOR
+from rabisweep.sweep import ground_state
 
 
 @pytest.fixture
@@ -44,10 +45,17 @@ class TestExitCodes:
              "--points-per-decade", "0"],
             ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--formula-only",
              "--points-per-decade", "-3"],
+            ["spectrum", "--delta", "1", "--g-over-omega", "0.5", "--levels", "0"],
+            ["spectrum", "--delta", "1", "--g-over-omega", "0.5", "--levels", "-3"],
+            ["convergence", "--knob", "n_steps", "--g-over-omega", "1", "--rate", "1e4",
+             "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "nan"],
+            ["convergence", "--knob", "n_steps", "--g-over-omega", "1", "--rate", "1e4",
+             "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "-0.001"],
         ],
         ids=[
             "nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps",
             "bad-mode-field", "bad-cap", "zero-points-per-decade", "negative-points-per-decade",
+            "zero-levels", "negative-levels", "nan-tolerance", "negative-tolerance",
         ],
     )
     def test_bad_values_are_invalid_configuration(self, argv, tmp_path, monkeypatch, capsys):
@@ -80,7 +88,7 @@ class TestConvergence:
         assert main(argv) == 0
         assert [start for _, start, _ in runs] == [20.0, 40.0, 80.0]
         for p, start, psi0 in runs:
-            expected = sector_ground_state(p, start).amplitudes
+            expected = ground_state(p, "delta", start, EVEN_SECTOR).amplitudes
             assert np.linalg.norm(psi0.amplitudes - expected) <= 1e-12
 
 

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from rabisweep.errors import InvalidParameterError
-from rabisweep import sweep
+from rabisweep import experiments, sweep
 from rabisweep.experiments import (
     ExperimentSpec,
     _row_checks,
     default_quench_delta_hi,
-    instantaneous_ground_state,
     lz_window,
     run_experiment,
-    sector_ground_state,
 )
 from rabisweep.model import (
     EVEN_SECTOR,
@@ -26,6 +24,7 @@ from rabisweep.model import (
 from rabisweep.sweep import (
     MIN_N_STEPS,
     SweepSchedule,
+    ground_state,
     project_records,
     readout_columns,
     run_sweep,
@@ -33,15 +32,25 @@ from rabisweep.sweep import (
 
 
 class TestScanLoop:
-    def test_failed_row_does_not_stop_the_scan(self):
+    def test_failed_row_does_not_stop_the_scan(self, monkeypatch):
         # At v = 0.3 delta^2 the crossings past the default caps hold more
         # survival weight than the oracle allows; the slower and the faster
-        # rate both stay inside the caps.
+        # rate both stay inside the caps. The refused rate is not propagated,
+        # and a scan whose every rate is refused propagates nothing.
+        blocks = []
+        run_sweep = sweep.run_sweep
+
+        def recording_run(p, block, psi0, **kwargs):
+            blocks.append([s.rate_v for s in block.schedules])
+            return run_sweep(p, block, psi0, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_sweep", recording_run)
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
         spec = ExperimentSpec(
             "multimode_scan", p, "v_over_delta2", (0.1, 0.3, 1e3), n_steps=1000
         )
         table = run_experiment(spec)
+        assert blocks == [[0.1, 1e3]]
         assert [row.scan_value for row in table.rows] == [0.1, 0.3, 1e3]
         first, failed, last = table.rows
         assert failed.sim is None and failed.oracle is None and not failed.converged
@@ -50,6 +59,10 @@ class TestScanLoop:
             assert row.sim is not None and row.oracle is not None
             assert abs(sum(r.probability for r in row.sim) - 1.0) <= 1e-8
         assert len(table.provenance["wall_times_s"]) == 3
+
+        (refused,) = run_experiment(replace(spec, scan_values=(0.3,))).rows
+        assert blocks == [[0.1, 1e3]]
+        assert refused.warnings[0].startswith("GapTruncationError")
 
     @pytest.mark.parametrize(
         "kind, params, parameter",
@@ -67,11 +80,11 @@ class TestScanLoop:
         if kind == "quench_ns":
             start, end = default_quench_delta_hi(params), 0.0
             scale, sector = params.omega**2, EVEN_SECTOR
-            psi0, scheme = sector_ground_state(params, start), "superradiant"
+            psi0, scheme = ground_state(params, "delta", start, sector), "superradiant"
         else:
             window = lz_window(params)
             start, end, scale, sector = -window, window, params.delta**2, None
-            psi0, scheme = instantaneous_ground_state(params, start), "displaced"
+            psi0, scheme = ground_state(params, "epsilon", start), "displaced"
         cols, labels = readout_columns(params, scheme, sector)
         for row in table.rows:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
@@ -110,9 +123,8 @@ class TestRowChecks:
         # own limit lies above it.
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
-        traj = run_sweep(
-            p, s, sector_ground_state(p, 100.0), sector=EVEN_SECTOR, check_truncation=False
-        )
+        psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
+        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
         assert traj.warnings == ()
         occupancy = traj.metadata["endpoint_top_fock_occupancy"]
         assert occupancy > TOP_OCCUPANCY_TOL
@@ -136,7 +148,7 @@ class TestRowChecks:
         # The fig1a block at 32 levels runs the Chebyshev branch; a faster
         # sweep over the same gap takes fewer terms per step.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        psi0 = sector_ground_state(p, 200.0)
+        psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
         terms = []
         for rate in (1e3, 1e5):
@@ -196,7 +208,7 @@ class TestTraces:
         s = SweepSchedule(
             "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
         )
-        psi0 = sector_ground_state(p, 100.0)
+        psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
         traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
         whole = run_sweep(
             p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR,

@@ -18,6 +18,7 @@ from rabisweep.model import (
     critical_delta,
     default_n_fock,
     displaced_state,
+    epsilon_ramp,
     normal_state,
     multimode_displaced_basis,
     parity_operator,
@@ -204,7 +205,7 @@ class TestMultimode:
     def test_single_mode_matches_qrm(self):
         p1 = QrmParams(1.3, 0.4, 1.0, 0.6, 10)
         mm = MultiModeParams(1.3, (Mode(1.0, 0.6, 10),))
-        assert np.allclose(build_multimode(mm, epsilon=0.4), build_qrm(p1))
+        assert np.allclose(build_multimode(mm) + 0.4 * epsilon_ramp(mm), build_qrm(p1))
 
     def test_decoupled_two_mode_spectrum(self):
         delta = 1.9

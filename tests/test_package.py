@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rabisweep
@@ -31,12 +32,15 @@ class TestExports:
             "scheme_state",
             "_chebyshev_terms",
             "_embed_state",
+            "sector_ground_state",
+            "instantaneous_ground_state",
+            "_endpoint_ground_occupancy",
         ],
     )
     def test_deleted_names_are_gone(self, name):
         for module in (
             "rabisweep", "rabisweep.operators", "rabisweep.sweep", "rabisweep.model",
-            "rabisweep.presets",
+            "rabisweep.presets", "rabisweep.experiments",
         ):
             assert not hasattr(importlib.import_module(module), name), module
 
@@ -47,12 +51,31 @@ class TestExports:
 
     def test_each_input_has_one_spelling(self):
         # Formula-only bias scans are lz_scan with options["simulate"] false,
-        # and a run without sample_times returns its start and its end.
+        # a run without sample_times returns its start and its end, and a
+        # multimode bias enters only through epsilon_ramp.
         from rabisweep.experiments import EXPERIMENT_KINDS
 
         assert "lz_formula" not in EXPERIMENT_KINDS
         fields = {f.name for f in dataclasses.fields(rabisweep.SweepSchedule)}
         assert "n_samples" not in fields
+        assert "epsilon" not in inspect.signature(rabisweep.build_multimode).parameters
+
+    @pytest.mark.parametrize(
+        "params, parameter, sector",
+        [
+            (rabisweep.QrmParams(0.5, 0.0, 1.0, 0.7, 6), "delta", None),
+            (rabisweep.QrmParams(0.5, 0.0, 1.0, 0.7, 6), "delta", rabisweep.EVEN_SECTOR),
+            (rabisweep.QrmParams(0.5, 0.0, 1.0, 0.7, 6), "delta", rabisweep.ODD_SECTOR),
+            (rabisweep.QrmParams(0.5, 0.3, 1.0, 0.7, 6), "epsilon", None),
+            (rabisweep.MultiModeParams(0.5, (rabisweep.Mode(1.0, 0.4, 3),) * 2), "epsilon", None),
+        ],
+    )
+    def test_hamiltonian_parts_are_real(self, params, parameter, sector):
+        # The propagator refuses complex parts, so every model builds real ones.
+        from rabisweep.sweep import _hamiltonian_parts
+
+        h_static, h_ramp, _ = _hamiltonian_parts(params, parameter, sector)
+        assert h_static.dtype == h_ramp.dtype == np.float64
 
     def test_truncation_policy_lives_in_model(self):
         from rabisweep import model

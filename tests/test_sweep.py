@@ -11,15 +11,17 @@ from rabisweep.errors import (
     InvalidParameterError,
     NumericalInstabilityError,
 )
-from rabisweep.experiments import sector_ground_state
 from rabisweep.model import (
     EVEN_SECTOR,
+    ODD_SECTOR,
     Mode,
     MultiModeParams,
     QrmParams,
+    build_multimode,
     build_qrm,
     displaced_level_fits,
     displaced_state,
+    epsilon_ramp,
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
@@ -31,12 +33,18 @@ from rabisweep.sweep import (
     _evolve_linear,
     convergence_scan,
     greedy_label_assignment,
+    ground_state,
     project_records,
     readout_columns,
     run_sweep,
 )
 
 RNG = np.random.default_rng(23)
+
+
+def symmetric(dim):
+    m = RNG.normal(size=(dim, dim))
+    return 0.5 * (m + m.T)
 
 
 def block_ground(p: QrmParams, delta_value: float) -> StateVector:
@@ -96,29 +104,19 @@ class TestEngine:
         # must match a per-step dense matrix exponential of the midpoint H.
         # The Chebyshev branch rewrites only the entries where h1 is nonzero,
         # so its ramps are dense, diagonal (sector gap and bias sweeps),
-        # sparse off-diagonal (full-space gap sweep) and zero. Real parts are
-        # multiplied through float views, so the sparse ramps run under a
-        # real h0, and the diagonal one under a complex h0 as well. Each case
-        # runs alone and as a block of two rates 10x apart, faster first, so
-        # the block reorders its columns. The sample at step 1 would be
-        # overwritten if it aliased a working buffer.
+        # sparse off-diagonal (full-space gap sweep) and zero, all real
+        # symmetric like every model Hamiltonian. Each case runs alone and as
+        # a block of two rates 10x apart, faster first, so the block reorders
+        # its columns. The sample at step 1 would be overwritten if it
+        # aliased a working buffer.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
 
-        def hermitian(dim):
-            m = RNG.normal(size=(dim, dim)) + 1j * RNG.normal(size=(dim, dim))
-            return 0.5 * (m + m.conj().T)
-
-        def symmetric(dim):
-            m = RNG.normal(size=(dim, dim))
-            return 0.5 * (m + m.T)
-
         def diagonal(dim):
-            return np.diag(RNG.normal(size=dim)).astype(complex)
+            return np.diag(RNG.normal(size=dim))
 
         cases = [
-            (12, hermitian, hermitian),
-            (24, hermitian, hermitian),
-            (24, hermitian, diagonal),
+            (12, symmetric, symmetric),
+            (24, symmetric, symmetric),
             (24, symmetric, diagonal),
             (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
             (24, symmetric, lambda dim: np.zeros((dim, dim))),
@@ -146,6 +144,16 @@ class TestEngine:
                         got = [block[k + 1][:, j]] + ([alone[k + 1][:, 0]] if j else [])
                         for amp in got:
                             assert np.linalg.norm(amp - ref) < 1e-12, (dim, j, k + 1)
+
+    @pytest.mark.parametrize("dim", [12, 24])
+    def test_refuses_complex_parts(self, dim):
+        # Both branches take real symmetric parts only; a complex part is
+        # refused whatever its imaginary entries.
+        real = symmetric(dim)
+        psi = np.eye(dim, dtype=complex)[0]
+        for h0, h1 in ((real.astype(complex), real), (real, real.astype(complex))):
+            with pytest.raises(InvalidParameterError, match="real symmetric"):
+                _evolve_linear(h0, h1, 0.0, 1.0, [1.0], 1000, psi, {1000})
 
     def test_two_level_crossing_matches_survival_formula(self):
         # Bias sweep over +-100 delta at v = delta^2: survival within 5e-3.
@@ -282,7 +290,35 @@ class TestInstantaneousPopulations:
         # A bias breaks parity, so no parity block holds the eigenstates.
         p = QrmParams(1.0, 0.5, 1.0, 0.8, 16)
         with pytest.raises(InvalidParameterError):
-            sector_ground_state(p, 1.0)
+            ground_state(p, "delta", 1.0, EVEN_SECTOR)
+
+
+class TestGroundState:
+    @pytest.mark.parametrize("epsilon", [-3.0, 0.0, 0.7])
+    def test_full_space_matches_eigh(self, epsilon):
+        p = QrmParams(1.3, 0.2, 1.0, 0.8, 12)
+        state = ground_state(p, "epsilon", epsilon)
+        _, vecs = np.linalg.eigh(build_qrm(replace(p, epsilon=epsilon)))
+        assert state.basis_tag == "bare"
+        assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    def test_multimode_matches_eigh(self):
+        mm = MultiModeParams(0.6, (Mode(1.0, 0.4, 5), Mode(2.3, 0.3, 4)))
+        state = ground_state(mm, "epsilon", -1.5)
+        _, vecs = np.linalg.eigh(build_multimode(mm) - 1.5 * epsilon_ramp(mm))
+        assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize(
+        "sector, tag", [(EVEN_SECTOR, "parity-symmetric"), (ODD_SECTOR, "parity-antisymmetric")]
+    )
+    def test_sector_matches_projected_block(self, sector, tag):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        state = ground_state(p, "delta", 2.5, sector)
+        basis, _ = parity_sector_basis(p, sector)
+        _, vecs = np.linalg.eigh(basis.T @ build_qrm(replace(p, delta=2.5)) @ basis)
+        assert state.basis_tag == tag
+        assert state.dim == p.n_fock
+        assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
 
 
 class TestReadout:
@@ -362,6 +398,20 @@ class TestConvergenceScan:
         with pytest.raises(InvalidParameterError, match="state_builder"):
             convergence_scan(p, s, block_ground(p, 20.0), "endpoint_magnitude",
                              readout="superradiant", sector=EVEN_SECTOR)
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+    def test_bad_tolerance_fails_before_any_run(self, monkeypatch, tolerance):
+        # A NaN tolerance used to run all three sweeps and report a 1e-12
+        # drift as not converged.
+        def no_run(*args, **kwargs):
+            raise AssertionError("propagated before checking the tolerance")
+
+        monkeypatch.setattr(sweep, "run_sweep", no_run)
+        p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
+        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000)
+        with pytest.raises(InvalidParameterError, match="tolerance"):
+            convergence_scan(p, s, block_ground(p, 1.0), "n_steps", readout="normal",
+                             sector=EVEN_SECTOR, tolerance=tolerance)
 
     def test_quench_step_doubling_is_stable(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
