@@ -9,6 +9,7 @@ underflow quickly in linear space.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +30,23 @@ CASCADE_RESIDUAL_TOL = 1e-9
 Occupation = int | tuple[int, ...]
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
+
+
 def poisson_overlap(n: int, g: float, omega: float) -> float:
     """Sudden-limit occupation of the n-th level: e^{-m} m^n / n!, m = (g/omega)^2."""
-    if n < 0:
-        raise InvalidParameterError(f"level index must be >= 0, got {n}")
-    if omega <= 0:
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+    if not isinstance(n, numbers.Integral) or n < 0:
+        raise InvalidParameterError(f"level index must be an integer >= 0, got {n!r}")
+    _require_finite(g=g)
+    _require_positive("omega", omega)
     mean = (g / omega) ** 2
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
@@ -43,8 +55,8 @@ def poisson_overlap(n: int, g: float, omega: float) -> float:
 
 def lz_probability(delta: float, v: float) -> float:
     """Two-level diabatic survival e^{-pi delta^2 / (2 v)} for a linear sweep."""
-    if v <= 0:
-        raise InvalidParameterError(f"sweep rate must be positive, got {v}")
+    _require_finite(delta=delta)
+    _require_positive("sweep rate", v)
     return math.exp(-math.pi * delta * delta / (2.0 * v))
 
 
@@ -111,8 +123,8 @@ def _validate_spectrum(spec: GapSpectrum) -> GapSpectrum:
 
 def cascade_gaps(delta: float, g: float, omega: float, n_max: int | None = None) -> GapSpectrum:
     """Single-mode gap ladder Delta_n with crossings at n*omega."""
-    if omega <= 0:
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+    _require_finite(delta=delta, g=g)
+    _require_positive("omega", omega)
     if n_max is None:
         n_max = default_n_max(g, omega)
     if n_max < 1:
@@ -157,64 +169,77 @@ def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
     )
 
 
-def _transit_exponents(spec: GapSpectrum, v: float) -> tuple[list[Occupation], np.ndarray]:
-    """x_k = pi gap_k^2 / (2 v) along the sorted crossing order."""
-    if v <= 0:
-        raise InvalidParameterError(f"sweep rate must be positive, got {v}")
-    order = spec.sorted_occupations()
-    log_v = math.log(v)
-    xs = np.empty(len(order))
-    for i, occ in enumerate(order):
-        lg = spec.log_gaps[occ]
-        if math.isfinite(lg):
-            xs[i] = math.exp(math.log(math.pi / 2.0) + 2.0 * lg - log_v)
-        else:
-            xs[i] = 0.0
-    return order, xs
-
-
 def sequential_crossing_probabilities(
-    spec: GapSpectrum, v: float, residual_tol: float = CASCADE_RESIDUAL_TOL
-) -> list[ProbabilityRecord]:
-    """Independent-crossing populations after one pass through the mesh.
+    spec: GapSpectrum, v, residual_tol: float = CASCADE_RESIDUAL_TOL
+) -> list[ProbabilityRecord] | list[list[ProbabilityRecord] | GapTruncationError]:
+    """Independent-crossing populations after one pass through the mesh, at
+    the sweep rate ``v`` or at each rate of a 1-D array ``v``.
+
+    A rate whose retained crossings leave more than ``residual_tol`` of
+    survival weight unassigned is refused with ``GapTruncationError``: a
+    scalar call raises it, an array call returns it as that rate's entry in
+    place of its records. Rates that are not positive and finite refuse the
+    whole call. The crossing order, the degeneracy check and the labels are
+    made once per call, and every rate's survival is one cumulative sum
+    along the crossing order.
 
     Refuses coincident crossings: probability would have to be split through
     simultaneous transitions, which the sequential picture cannot order.
     """
+    rates = np.asarray(v, dtype=float)
+    if rates.ndim > 1:
+        raise InvalidParameterError(
+            f"sweep rates must be a scalar or a 1-D array, got shape {rates.shape}"
+        )
+    grid = np.atleast_1d(rates)
+    for rate in grid.tolist():
+        _require_positive("sweep rate", rate)
     degenerate = spec.degenerate_groups()
     if degenerate:
         raise DegenerateCrossingError(
             f"coincident crossings for occupations {degenerate}; "
             "sequential evaluation is not defined there"
         )
-    order, xs = _transit_exponents(spec, v)
-    multimode = isinstance(order[0], tuple)
-    records = []
-    log_survival = 0.0
-    for occ, x in zip(order, xs):
-        transfer = math.exp(log_survival) * (-math.expm1(-x))
-        records.append(ProbabilityRecord(BasisLabel("displaced", "up", occ), transfer))
-        log_survival -= x
-    exact_log_survival = -math.pi * spec.delta**2 / (2.0 * v)
-    residual = math.exp(log_survival) - math.exp(exact_log_survival)
-    if residual > residual_tol:
-        raise GapTruncationError(
-            f"retained crossings leave residual survival weight {residual:.2e} "
-            f"(> {residual_tol:.0e}); extend the occupation caps"
-        )
-    ground_occ: Occupation = tuple(0 for _ in order[0]) if multimode else 0
-    records.append(
-        ProbabilityRecord(
-            BasisLabel("displaced", "down", ground_occ), math.exp(exact_log_survival)
-        )
-    )
-    return records
+    order = spec.sorted_occupations()
+    log_gaps = np.array([spec.log_gaps[occ] for occ in order])
+    # x[i, k] = pi gap_k^2 / (2 v_i), one row per rate; a vanishing gap gives 0.
+    exponents = np.exp((math.log(math.pi / 2.0) + 2.0 * log_gaps) - np.log(grid)[:, None])
+    log_survival = -np.cumsum(exponents, axis=1)
+    log_survival_before = np.hstack([np.zeros((len(exponents), 1)), log_survival[:, :-1]])
+    transfers = np.exp(log_survival_before) * (-np.expm1(-exponents))
+    exact_log_survival = -math.pi * spec.delta**2 / (2.0 * grid)
+
+    up_labels = [BasisLabel("displaced", "up", occ) for occ in order]
+    ground_occ: Occupation = tuple(0 for _ in order[0]) if isinstance(order[0], tuple) else 0
+    ground_label = BasisLabel("displaced", "down", ground_occ)
+    entries: list[list[ProbabilityRecord] | GapTruncationError] = []
+    for row, final, exact in zip(
+        transfers.tolist(), log_survival[:, -1].tolist(), exact_log_survival.tolist()
+    ):
+        residual = math.exp(final) - math.exp(exact)
+        if residual > residual_tol:
+            entries.append(GapTruncationError(
+                f"retained crossings leave residual survival weight {residual:.2e} "
+                f"(> {residual_tol:.0e}); extend the occupation caps"
+            ))
+            continue
+        records = [ProbabilityRecord(lab, p) for lab, p in zip(up_labels, row)]
+        records.append(ProbabilityRecord(ground_label, math.exp(exact)))
+        entries.append(records)
+    if rates.ndim == 1:
+        return entries
+    (entry,) = entries
+    if isinstance(entry, GapTruncationError):
+        raise entry
+    return entry
 
 
 def cascade_probabilities(
     delta: float, v: float, g: float, omega: float, n_max: int | None = None
 ) -> list[ProbabilityRecord]:
-    """Single-mode cascade populations P(up, n), plus the exact P(down, 0)."""
+    """Single-mode cascade populations P(up, n), plus the exact P(down, 0), at
+    one rate or, for an array of rates, one entry per rate (see
+    ``sequential_crossing_probabilities``)."""
     return sequential_crossing_probabilities(cascade_gaps(delta, g, omega, n_max), v)
 
 

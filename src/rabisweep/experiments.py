@@ -223,40 +223,48 @@ _Oracle = tuple[ProbabilityRecord, ...]
 
 def _scan(
     spec: ExperimentSpec,
-    oracle_for_value: Callable[[float], _Oracle],
+    oracles_for_values: Callable[[tuple[float, ...]], list[_Oracle | RabisweepError]],
     row_for_value: Callable[[float, _Oracle, Trajectory | None], ResultRow],
     run_block: Callable[[tuple[float, ...]], list] | None = None,
 ) -> ResultTable:
-    """One row per scan value, each timed. Each value's oracle comes first; a
-    value whose oracle, run or row function hits a package error becomes a
+    """One row per scan value. The oracles come first, from one
+    ``oracles_for_values`` call over the whole grid that returns one entry
+    per value: its records, or the package error that refuses it. That
+    call's time is recorded once, as ``provenance["oracle_s"]``; an error it
+    raises for the whole grid fails every row. A value whose oracle is
+    refused, or whose run or row function hits a package error, becomes a
     failed row and the scan goes on.
 
     With ``run_block`` the values whose oracle succeeded are then propagated,
     in one ``run_sweep`` call over a ``RateBlock``, so a refused value costs
     no propagation. Each row is built from its oracle and its own entry of
     the result (None without a block). The block's time is recorded once, as
-    ``provenance["block_propagation_s"]``; the rows' wall times do not
-    include it. An error that the whole block raises fails every row in it.
+    ``provenance["block_propagation_s"]``. ``wall_times_s`` holds each row's
+    own time, which includes neither. An error that the whole block raises
+    fails every row in it.
     """
+    t0 = time.perf_counter()
+    try:
+        entries = oracles_for_values(spec.scan_values)
+    except RabisweepError as exc:
+        entries = [exc] * len(spec.scan_values)
+    layer_times = {"oracle_s": round(time.perf_counter() - t0, 4)}
     # Keyed by scan value: the grid is strictly increasing.
-    oracles, failures, times = {}, {}, {}
-    for scan_value in spec.scan_values:
-        t0 = time.perf_counter()
-        try:
-            oracles[scan_value] = oracle_for_value(scan_value)
-        except RabisweepError as exc:
-            failures[scan_value] = exc
-        times[scan_value] = time.perf_counter() - t0
+    oracles, failures = {}, {}
+    for scan_value, entry in zip(spec.scan_values, entries, strict=True):
+        if isinstance(entry, RabisweepError):
+            failures[scan_value] = entry
+        else:
+            oracles[scan_value] = entry
     runs: dict = {}
-    block_time: dict = {}
     if run_block is not None and oracles:
         t0 = time.perf_counter()
         try:
             runs = dict(zip(oracles, run_block(tuple(oracles))))
         except RabisweepError as exc:
             runs = dict.fromkeys(oracles, exc)
-        block_time["block_propagation_s"] = round(time.perf_counter() - t0, 4)
-    rows = []
+        layer_times["block_propagation_s"] = round(time.perf_counter() - t0, 4)
+    rows, times = [], []
     for scan_value in spec.scan_values:
         t0 = time.perf_counter()
         failure = failures.get(scan_value, runs.get(scan_value))
@@ -267,8 +275,8 @@ def _scan(
                 rows.append(row_for_value(scan_value, oracles[scan_value], runs.get(scan_value)))
             except RabisweepError as exc:
                 rows.append(_failed_row(scan_value, exc))
-        times[scan_value] += time.perf_counter() - t0
-    return ResultTable(spec, rows, _provenance(spec, list(times.values())) | block_time)
+        times.append(time.perf_counter() - t0)
+    return ResultTable(spec, rows, _provenance(spec, times) | layer_times)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +366,7 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    return _scan(spec, lambda _: oracle, row, run_block)
+    return _scan(spec, lambda values: [oracle] * len(values), row, run_block)
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -424,8 +432,9 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     is all a row holds. Otherwise each run starts from the instantaneous
     ground state at the window edge (the finite-window stand-in for the
     asymptotic ground state) and is read out in the displaced basis at the
-    far edge, judged at ``options["top_occupancy_tol"]``. A rate whose
-    oracle is refused fails its row and is not propagated.
+    far edge, judged at ``options["top_occupancy_tol"]``. The oracle is one
+    call over every rate; a rate it refuses fails its row and is not
+    propagated.
     """
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
@@ -443,10 +452,11 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
             ))
             return run_sweep(p, block, psi0, check_truncation=False)
 
-    def oracle_for_value(scan_value: float) -> _Oracle:
-        return tuple(sequential_crossing_probabilities(
-            spectrum, scan_value * p.delta**2, residual_tol=residual_tol
-        ))
+    def oracles_for_values(values: tuple[float, ...]) -> list[_Oracle | RabisweepError]:
+        entries = sequential_crossing_probabilities(
+            spectrum, np.asarray(values) * p.delta**2, residual_tol=residual_tol
+        )
+        return [e if isinstance(e, RabisweepError) else tuple(e) for e in entries]
 
     def row(scan_value: float, oracle: _Oracle, traj: Trajectory | None) -> ResultRow:
         oracle_residual = 1.0 - sum(r.probability for r in oracle)
@@ -459,7 +469,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
         checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
-    table = _scan(spec, oracle_for_value, row, run_block)
+    table = _scan(spec, oracles_for_values, row, run_block)
     table.provenance["window"] = window
     return table
 
@@ -507,7 +517,7 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
         raise InvalidParameterError(f"multimode_scan cannot run kind {spec.kind!r}")
     p = spec.params
     caps = tuple(spec.options.get("caps", tuple(m.n_fock - 3 for m in p.modes)))
-    # The degenerate-crossing refusal surfaces here, before any row runs.
+    # A degenerate crossing mesh refuses the one oracle call, and so every row.
     table = _bias_scan(spec, multimode_gaps(p, caps), ORACLE_RESIDUAL_TOL)
     table.provenance["caps"] = caps
     return table

@@ -50,29 +50,28 @@ def _photons_parse(text: str):
 
 
 def render_result_csv(table: ResultTable) -> str:
+    """One line per (row, label): the row's simulated labels in order, then
+    the oracle's labels that the simulation lacks. Each label's
+    ``scheme,qubit,n`` text is built once per table."""
+    label_text: dict[BasisLabel, str] = {}
     lines = [CSV_HEADER]
     for row in table.rows:
-        sim = {r.label: r.probability for r in (row.sim or ())}
-        oracle = {r.label: r.probability for r in (row.oracle or ())}
-        labels = list(dict.fromkeys([*sim, *oracle]))
-        for lab in labels:
-            p_sim = sim.get(lab)
-            p_or = oracle.get(lab)
-            dev = abs(p_sim - p_or) if (p_sim is not None and p_or is not None) else None
-            lines.append(
-                ",".join(
-                    (
-                        _fmt(row.scan_value),
-                        lab.scheme,
-                        lab.qubit,
-                        _photons_str(lab.photons),
-                        _fmt(p_sim) if p_sim is not None else "",
-                        _fmt(p_or) if p_or is not None else "",
-                        _fmt(dev) if dev is not None else "",
-                        "true" if row.converged else "false",
-                    )
-                )
-            )
+        # label -> [simulated, oracle] probability, in first-seen order.
+        pairs: dict[BasisLabel, list] = {}
+        for rec in row.sim or ():
+            pairs[rec.label] = [rec.probability, None]
+        for rec in row.oracle or ():
+            pairs.setdefault(rec.label, [None, None])[1] = rec.probability
+        head = _fmt(row.scan_value) + ","
+        tail = ",true" if row.converged else ",false"
+        for lab, (p_sim, p_or) in pairs.items():
+            text = label_text.get(lab)
+            if text is None:
+                text = label_text[lab] = f"{lab.scheme},{lab.qubit},{_photons_str(lab.photons)}"
+            sim_text = "" if p_sim is None else _fmt(p_sim)
+            or_text = "" if p_or is None else _fmt(p_or)
+            dev_text = "" if p_sim is None or p_or is None else _fmt(abs(p_sim - p_or))
+            lines.append(f"{head}{text},{sim_text},{or_text},{dev_text}{tail}")
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,9 @@ The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
 ``RateBlock`` passed to ``run_sweep`` propagates them together, as the columns
 of one block, each with its own step size, coefficients and phase.
-``ground_state`` is the one ground-state solve of A + f B.
+``_lowest_eigenvector`` is the one ground-state solve of A + f B:
+``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
+of its own run, so a run assembles its Hamiltonian once.
 """
 
 from __future__ import annotations
@@ -435,6 +437,12 @@ def _basis_tag(sector: ParitySector | None) -> str:
     return "parity-symmetric" if sector.sign == +1 else "parity-antisymmetric"
 
 
+def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
+    """Lowest eigenvector of A + value B."""
+    _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
+    return vecs[:, 0]
+
+
 def ground_state(
     p: QrmParams | MultiModeParams,
     parameter: str,
@@ -446,8 +454,7 @@ def ground_state(
     (single-mode, bias-free gap sweeps only) that parity block's ground
     state in block coordinates, tagged with the sector."""
     h_static, h_ramp, _ = _hamiltonian_parts(p, parameter, sector)
-    _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
-    return StateVector(vecs[:, 0], _basis_tag(sector))
+    return StateVector(_lowest_eigenvector(h_static, h_ramp, value), _basis_tag(sector))
 
 
 def readout_columns(
@@ -507,7 +514,7 @@ def run_sweep(
 
     The top-tenth Fock weights (``model.top_fock_occupancy``) of the state at
     the end of the sweep, sampled or not, and of the ground states of both
-    endpoint Hamiltonians (``ground_state``) go to
+    endpoint Hamiltonians (solved on the run's own parts) go to
     ``metadata["top_fock_occupancy"]`` and
     ``metadata["endpoint_top_fock_occupancy"]``. With ``check_truncation=True``
     a weight above TOP_OCCUPANCY_TOL raises ``InsufficientTruncationError``;
@@ -555,7 +562,7 @@ def run_sweep(
 
     endpoint_occ = 0.0
     for value in {first.start_value, first.end_value}:
-        ground = ground_state(p, first.parameter, value, sector).amplitudes
+        ground = _lowest_eigenvector(h_static, h_ramp, value)
         full_ground = sector_matrix @ ground if sector_matrix is not None else ground
         endpoint_occ = max(endpoint_occ, top_fock_occupancy(p, full_ground))
     guard_truncation(endpoint_occ, "an endpoint ground state")

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from rabisweep import analytics
 from rabisweep.analytics import (
     cascade_gaps,
     cascade_probabilities,
@@ -240,6 +243,107 @@ class TestFockPrepWindow:
     def test_rejects_target_zero(self):
         with pytest.raises(InvalidParameterError):
             fock_prep_window(1.0, 1.0, 1.0, 0)
+
+
+class TestInvalidInputs:
+    @pytest.mark.parametrize(
+        "delta, v",
+        [(0.1, math.nan), (0.1, math.inf), (0.1, -1.0), (math.nan, 1.0), (math.inf, 1.0)],
+    )
+    def test_lz_probability(self, delta, v):
+        with pytest.raises(InvalidParameterError):
+            lz_probability(delta, v)
+
+    @pytest.mark.parametrize(
+        "v",
+        [math.nan, math.inf, 0.0, -2.0, [0.5, math.nan], [0.5, 0.0, 1.0], [[0.5]]],
+    )
+    def test_sequential_crossing_probabilities(self, monkeypatch, v):
+        # A bad rate refuses the whole call before any record is built.
+        def no_records(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        spec = cascade_gaps(0.3, 1.0, 1.0)
+        monkeypatch.setattr(analytics, "ProbabilityRecord", no_records)
+        with pytest.raises(InvalidParameterError):
+            sequential_crossing_probabilities(spec, v)
+
+    @pytest.mark.parametrize(
+        "n, g, omega",
+        [(2, 1.0, math.nan), (2, math.nan, 1.0), (2, math.inf, 1.0), (2, 1.0, 0.0),
+         (1.5, 1.0, 1.0), (2.0, 1.0, 1.0), (-1, 1.0, 1.0)],
+    )
+    def test_poisson_overlap(self, n, g, omega):
+        with pytest.raises(InvalidParameterError):
+            poisson_overlap(n, g, omega)
+
+    @pytest.mark.parametrize(
+        "delta, g, omega",
+        [(0.1, 1.0, math.nan), (0.1, math.nan, 1.0), (math.nan, 1.0, 1.0),
+         (0.1, math.inf, 1.0), (0.1, 1.0, -1.0)],
+    )
+    def test_cascade_gaps(self, delta, g, omega):
+        with pytest.raises(InvalidParameterError):
+            cascade_gaps(delta, g, omega)
+
+
+_RATES = st.lists(
+    st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=1, max_size=6, unique=True
+)
+
+
+class TestOracleProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        delta=st.floats(0.05, 2.0),
+        gow=st.floats(0.0, 3.0),
+        n_max=st.one_of(st.none(), st.integers(1, 30)),
+        rates=_RATES,
+    )
+    def test_array_entries_equal_scalar_calls(self, delta, gow, n_max, rates):
+        spec = cascade_gaps(delta, gow, 1.0, n_max)
+        entries = sequential_crossing_probabilities(spec, np.array(rates))
+        assert len(entries) == len(rates)
+        for v, entry in zip(rates, entries):
+            try:
+                alone = sequential_crossing_probabilities(spec, v)
+            except GapTruncationError as exc:
+                assert isinstance(entry, GapTruncationError)
+                assert str(entry) == str(exc)
+                continue
+            assert [r.label for r in entry] == [r.label for r in alone]
+            for got, ref in zip(entry, alone):
+                assert abs(got.probability - ref.probability) <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        delta=st.floats(0.05, 2.0),
+        gow=st.floats(0.0, 3.0),
+        second=st.tuples(st.floats(1.05, 2.95), st.floats(0.0, 1.0)),
+        caps=st.tuples(st.integers(2, 12), st.integers(0, 6)),
+        rates=_RATES,
+    )
+    def test_probabilities_sum_to_one_and_survival_is_exact(
+        self, delta, gow, second, caps, rates
+    ):
+        # Whenever the residual check passes, a cascade or multimode table
+        # sums to 1, and P(down, 0) is exp(-pi delta^2 / 2v) to the bit.
+        omega2, gow2 = second
+        mm = MultiModeParams(delta, (Mode(1.0, gow, 16), Mode(omega2, gow2 * omega2, 16)))
+        mesh = multimode_gaps(mm, caps)
+        assume(not mesh.degenerate_groups())
+        for spec in (cascade_gaps(delta, gow, 1.0), mesh):
+            for v, entry in zip(rates, sequential_crossing_probabilities(spec, np.array(rates))):
+                if isinstance(entry, GapTruncationError):
+                    continue
+                assert abs(sum(r.probability for r in entry) - 1.0) <= 1e-9
+                assert down0(entry) == math.exp(-math.pi * delta**2 / (2.0 * v))
+
+    @settings(max_examples=25, deadline=None)
+    @given(gow=st.floats(0.0, 3.0))
+    def test_poisson_weights_sum_to_one(self, gow):
+        total = math.fsum(poisson_overlap(n, gow, 1.0) for n in range(120))
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDefaultRetention:

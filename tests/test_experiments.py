@@ -77,6 +77,8 @@ class TestScanLoop:
         spec = ExperimentSpec(kind, params, "rate", (10.0, 100.0, 1e3), n_steps=1000)
         table = run_experiment(spec)
         assert table.provenance["block_propagation_s"] > 0
+        assert table.provenance["oracle_s"] >= 0
+        assert len(table.provenance["wall_times_s"]) == len(spec.scan_values)
         if kind == "quench_ns":
             start, end = default_quench_delta_hi(params), 0.0
             scale, sector = params.omega**2, EVEN_SECTOR
@@ -94,6 +96,38 @@ class TestScanLoop:
             assert [r.label for r in row.sim] == [r.label for r in alone]
             for got, ref in zip(row.sim, alone):
                 assert got.probability == pytest.approx(ref.probability, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("lz_scan", QrmParams(0.1, 0.0, 1.0, 0.3, 16)),
+            ("multimode_scan", MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))),
+        ],
+    )
+    def test_one_oracle_call_per_table(self, monkeypatch, kind, params):
+        # The cascade formula runs once over the whole grid; in the
+        # multimode table the v = 0.3 delta^2 rate is refused in that call
+        # and fails only its own row.
+        calls = []
+        oracle = experiments.sequential_crossing_probabilities
+
+        def counting_oracle(spectrum, v, **kwargs):
+            calls.append(np.asarray(v).tolist())
+            return oracle(spectrum, v, **kwargs)
+
+        monkeypatch.setattr(experiments, "sequential_crossing_probabilities", counting_oracle)
+        grid = (0.1, 0.3, 1e3)
+        spec = ExperimentSpec(kind, params, "v_over_delta2", grid, options={"simulate": False})
+        table = run_experiment(spec)
+        assert calls == [[v * params.delta**2 for v in grid]]
+        assert table.provenance["oracle_s"] >= 0
+        assert len(table.provenance["wall_times_s"]) == len(grid)
+        refused = [row.scan_value for row in table.rows if row.oracle is None]
+        assert refused == ([0.3] if kind == "multimode_scan" else [])
+        for row in table.rows:
+            if row.oracle is not None:
+                assert row.converged and row.sim is None
+                assert abs(row.checks["oracle_residual"]) <= experiments.ORACLE_RESIDUAL_TOL
 
     def test_a_failed_entry_fails_only_its_row(self, monkeypatch):
         # One run of the block drifts in norm: its row fails with the

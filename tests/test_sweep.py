@@ -25,6 +25,7 @@ from rabisweep.model import (
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
+    top_fock_occupancy,
 )
 from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
 from rabisweep.sweep import (
@@ -319,6 +320,33 @@ class TestGroundState:
         assert state.basis_tag == tag
         assert state.dim == p.n_fock
         assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4)])
+    def test_a_run_assembles_its_parts_once(self, monkeypatch, rates):
+        # The run and the ground states of both endpoints share one assembly,
+        # a single schedule or a rate block alike; the endpoint check still
+        # sees the ground states that ground_state gives.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
+        endpoint_occupancy = max(
+            top_fock_occupancy(p, basis @ ground_state(p, "delta", d, EVEN_SECTOR).amplitudes)
+            for d in (200.0, 0.0)
+        )
+        psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
+        schedules = tuple(SweepSchedule("delta", 200.0, 0.0, r, n_steps=1000) for r in rates)
+        calls = []
+        parts = sweep._hamiltonian_parts
+
+        def counting_parts(*args, **kwargs):
+            calls.append(args)
+            return parts(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_hamiltonian_parts", counting_parts)
+        schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
+        result = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR)
+        assert len(calls) == 1
+        for traj in result if isinstance(result, list) else [result]:
+            assert traj.metadata["endpoint_top_fock_occupancy"] == endpoint_occupancy
 
 
 class TestReadout:
