@@ -33,7 +33,7 @@ from .model import (
     TOP_OCCUPANCY_TOL,
     critical_delta,
 )
-from .operators import StateVector, eig_hermitian
+from .operators import StateVector
 from .sweep import (
     LEAKAGE_TOL,
     MIN_N_STEPS,
@@ -41,7 +41,11 @@ from .sweep import (
     RateBlock,
     SweepSchedule,
     Trajectory,
+    _basis_tag,
     _hamiltonian_parts,
+    _lowest_eigenvector,
+    _tridiagonal_eigh,
+    _tridiagonal_parts,
     eigen_level_series,
     greedy_label_assignment,
     ground_state,
@@ -134,16 +138,22 @@ class ResultTable:
                         seen.setdefault(rec.label, None)
         return list(seen)
 
-    def column(self, label: BasisLabel, which: str = "sim") -> np.ndarray:
-        out = np.full(len(self.rows), np.nan)
-        for i, row in enumerate(self.rows):
-            recs = row.sim if which == "sim" else row.oracle
-            if recs:
-                for rec in recs:
-                    if rec.label == label:
-                        out[i] = rec.probability
-                        break
-        return out
+    def columns(
+        self, labels: list[BasisLabel]
+    ) -> dict[BasisLabel, tuple[np.ndarray, np.ndarray]]:
+        """Each label's (sim, oracle) probabilities, one entry per row: the
+        row's first record of that label, NaN where it has none. One pass
+        over the rows reads each record once."""
+        index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
+        out = np.full((2, len(index), len(self.rows)), np.nan)
+        for j, row in enumerate(self.rows):
+            for which, recs in enumerate((row.sim, row.oracle)):
+                # Backwards, so that a label's first record is written last.
+                for rec in reversed(recs or ()):
+                    i = index.get(rec.label)
+                    if i is not None:
+                        out[which, i, j] = rec.probability
+        return {lab: (out[0, i], out[1, i]) for lab, i in index.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -295,13 +305,19 @@ def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
     return (hi, 0.0) if direction == "ns" else (0.0, hi)
 
 
+def _even_ground_state(block: tuple[np.ndarray, np.ndarray], delta: float) -> StateVector:
+    """Ground state of the even block at gap ``delta``, as ``ground_state``
+    gives it, solved on parts the caller already holds."""
+    return StateVector(_lowest_eigenvector(*block, delta), _basis_tag(EVEN_SECTOR))
+
+
 def _named_levels(
-    p: QrmParams, delta: float, scheme: str
+    p: QrmParams, block: tuple[np.ndarray, np.ndarray], delta: float, scheme: str
 ) -> tuple[np.ndarray, list[BasisLabel]]:
-    """Even-block eigenvectors at gap ``delta``, each labelled by its
-    best-matching state of ``scheme``."""
-    h_static, h_ramp, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
-    _, vecs = eig_hermitian(h_static + delta * h_ramp)
+    """Eigenvectors of the even block (A, B) at gap ``delta``, one
+    tridiagonal solve, each labelled by its best-matching state of
+    ``scheme``."""
+    _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), delta)
     return vecs, greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
 
 
@@ -344,15 +360,16 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         raise InvalidParameterError(f"quench_rate_scan cannot run kind {spec.kind!r}")
     p = spec.params
     start, end = _quench_endpoints(spec)
+    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
     if end < start:
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
     else:
-        cols, labels = _named_levels(p, end, "normal")
+        cols, labels = _named_levels(p, block, end, "normal")
     oracle = tuple(
         ProbabilityRecord(lab, poisson_overlap(lab.photons, p.g, p.omega)) for lab in labels
     )
 
-    psi0 = ground_state(p, "delta", start, EVEN_SECTOR)
+    psi0 = _even_ground_state(block, start)
 
     def run_block(values: tuple[float, ...]) -> list:
         block = RateBlock(tuple(
@@ -388,18 +405,18 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     # rate*t/omega away from it.
     offset = total_time if direction == "ns" else 0.0
     sample_times = np.asarray(spec.scan_values) * p.omega / rate + offset
+    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
     traj = _trace_run(
         spec, "delta", start, end, rate, sample_times,
-        ground_state(p, "delta", start, EVEN_SECTOR), sector=EVEN_SECTOR,
+        _even_ground_state(block, start), sector=EVEN_SECTOR,
     )
 
-    h0, h1, _ = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
     delta_values = np.array([traj.schedule.value_at(t) for t in traj.times])
     pops, _, flags = eigen_level_series(
-        h0, h1, delta_values, [s.amplitudes for s in traj.states]
+        *block, delta_values, [s.amplitudes for s in traj.states]
     )
     scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
-    _, level_labels = _named_levels(p, delta_values[-1], scheme)
+    _, level_labels = _named_levels(p, block, delta_values[-1], scheme)
 
     rows = []
     for i, t in enumerate(traj.times):

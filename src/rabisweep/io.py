@@ -263,10 +263,11 @@ def emit_svg(
         f'text-anchor="middle">{table.spec.scan_name}</text>'
     )
 
+    columns = table.columns(labels)
     for i, lab in enumerate(labels):
-        col = table.column(lab, "sim")
+        col, oracle_col = columns[lab]
         if np.all(np.isnan(col)):
-            col = table.column(lab, "oracle")
+            col = oracle_col
         ok = ~np.isnan(col)
         if not ok.any():
             continue

@@ -29,6 +29,12 @@ of one block, each with its own step size, coefficients and phase.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
 of its own run, so a run assembles its Hamiltonian once.
+
+A level series reads a trace out in the instantaneous eigenbasis of a parity
+block, where A is real tridiagonal and B diagonal. Each sample is one real
+symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
+the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
+same matrix ends in, without the dense reduction before it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dstevd
 from scipy.special import jv
 
 from .errors import (
@@ -656,6 +663,36 @@ def greedy_label_assignment(
     return out  # type: ignore[return-value]
 
 
+def _tridiagonal_parts(
+    h_static: np.ndarray, h_ramp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d0, d1, e) of H = A + f B: the diagonals of A and B and the
+    off-diagonal of A, for a real A that is exactly symmetric tridiagonal and
+    a real B that is exactly diagonal, as in a parity block of a gap sweep.
+    Any other parts raise ``InvalidParameterError``."""
+    a, b = np.asarray(h_static), np.asarray(h_ramp)
+    square = a.ndim == 2 and a.shape[0] == a.shape[1] and b.shape == a.shape
+    if square and not (np.iscomplexobj(a) or np.iscomplexobj(b)):
+        d0, d1, e = np.diag(a), np.diag(b), np.diag(a, 1)
+        tridiagonal = np.array_equal(a, np.diag(d0) + np.diag(e, 1) + np.diag(e, -1))
+        if tridiagonal and np.array_equal(b, np.diag(d1)):
+            return d0, d1, e
+    raise InvalidParameterError(
+        "level series take a real symmetric tridiagonal A and a real diagonal B"
+    )
+
+
+def _tridiagonal_eigh(
+    d0: np.ndarray, d1: np.ndarray, e: np.ndarray, value: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues and eigenvector columns of the tridiagonal
+    matrix with diagonal d0 + value d1 and off-diagonal e."""
+    w, v, info = dstevd(d0 + value * d1, e)
+    if info != 0:
+        raise NumericalInstabilityError(f"tridiagonal eigensolve failed (dstevd info = {info})")
+    return w, v
+
+
 def eigen_level_series(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
@@ -666,22 +703,22 @@ def eigen_level_series(
 
     Returns (populations[time, level], eigenvalues[time, level],
     degenerate_flags[time, level]). Level identity is the energy ordering at
-    each instant; labels are attached by the caller at an anchor time.
+    each instant; labels are attached by the caller at an anchor time. The
+    parts are a parity block's, a real tridiagonal A and a diagonal B (see
+    ``_tridiagonal_parts``); each sample is one tridiagonal solve.
     """
-    pops = []
-    vals = []
-    flags = []
-    for value, amp in zip(values, states):
-        w, v = np.linalg.eigh(h_static + value * h_ramp)
-        pops.append(np.abs(v.conj().T @ amp) ** 2)
-        vals.append(w)
-        scale = max(np.max(np.abs(w)), 1e-300)
-        tight = np.diff(w) <= DEGENERACY_WARN_RTOL * scale
-        near = np.zeros(len(w), dtype=bool)
-        near[:-1] |= tight
-        near[1:] |= tight
-        flags.append(near)
-    return np.array(pops), np.array(vals), np.array(flags)
+    d0, d1, e = _tridiagonal_parts(h_static, h_ramp)
+    pops = np.empty((len(values), d0.size))
+    vals = np.empty((len(values), d0.size))
+    for i, (value, amp) in enumerate(zip(values, states)):
+        vals[i], v = _tridiagonal_eigh(d0, d1, e, value)
+        pops[i] = np.abs(v.T @ amp) ** 2
+    scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)
+    tight = np.diff(vals, axis=1) <= DEGENERACY_WARN_RTOL * scale[:, None]
+    flags = np.zeros(vals.shape, dtype=bool)
+    flags[:, :-1] |= tight
+    flags[:, 1:] |= tight
+    return pops, vals, flags
 
 
 # ---------------------------------------------------------------------------

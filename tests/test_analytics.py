@@ -147,11 +147,13 @@ class TestCascadeProbabilities:
         spec = cascade_gaps(delta, gow, 1.0, n_max=2)
         x1 = math.pi * spec.gaps[1] ** 2 / 2.0
 
-        def p_up1(v):
-            return up_probs(cascade_probabilities(delta, v, gow, 1.0))[1]
-
         vs = np.exp(np.linspace(math.log(x1 / 5e3), math.log(x1 * 5e3), 4001))
-        peak_grid = max(p_up1(v) for v in vs)
+        # One array call over the grid; a scalar call would raise where an
+        # entry holds an error.
+        entries = cascade_probabilities(delta, vs, gow, 1.0)
+        assert len(entries) == len(vs)
+        assert not any(isinstance(e, Exception) for e in entries)
+        peak_grid = max(up_probs(records)[1] for records in entries)
         assert peak_grid == pytest.approx(0.880, abs=2e-3)
 
     def test_insufficient_retention_raises(self):

@@ -235,6 +235,38 @@ class TestTraces:
         with pytest.raises(InvalidParameterError, match="outside the sweep"):
             run_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "kind, axis, options",
+        [
+            ("quench_trace", (-100.0, -50.0, 0.0),
+             {"direction": "ns", "rate": 1e4, "delta_hi": 100.0}),
+            ("quench_trace", (0.0, 50.0, 100.0),
+             {"direction": "sn", "rate": 1e4, "delta_hi": 100.0}),
+            ("quench_sn", (1e4,), {"delta_hi": 100.0}),
+        ],
+    )
+    def test_a_quench_table_assembles_its_block_twice(self, monkeypatch, kind, axis, options):
+        # Once for the table (initial state and level names) and once inside
+        # run_sweep; the initial state is the vector ground_state gives.
+        p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+        spec = ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
+        calls = []
+        parts = sweep._hamiltonian_parts
+
+        def counting_parts(*args, **kwargs):
+            calls.append(args)
+            return parts(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_hamiltonian_parts", counting_parts)
+        monkeypatch.setattr(experiments, "_hamiltonian_parts", counting_parts)
+        run_experiment(spec)
+        assert len(calls) == 2
+        start = options["delta_hi"] if options.get("direction") == "ns" else 0.0
+        psi0 = experiments._even_ground_state(parts(p, "delta", EVEN_SECTOR)[:2], start)
+        reference = ground_state(p, "delta", start, EVEN_SECTOR)
+        assert psi0.basis_tag == reference.basis_tag
+        assert np.array_equal(psi0.amplitudes, reference.amplitudes)
+
     def test_end_of_sweep_is_checked_when_not_sampled(self):
         # Sampling only the first half of a sweep returns those samples, but
         # the truncation and conservation checks still see the end state.

@@ -19,6 +19,7 @@ from rabisweep.model import (
     QrmParams,
     build_multimode,
     build_qrm,
+    delta_ramp,
     displaced_level_fits,
     displaced_state,
     epsilon_ramp,
@@ -33,6 +34,7 @@ from rabisweep.sweep import (
     SweepSchedule,
     _evolve_linear,
     convergence_scan,
+    eigen_level_series,
     greedy_label_assignment,
     ground_state,
     project_records,
@@ -292,6 +294,78 @@ class TestInstantaneousPopulations:
         p = QrmParams(1.0, 0.5, 1.0, 0.8, 16)
         with pytest.raises(InvalidParameterError):
             ground_state(p, "delta", 1.0, EVEN_SECTOR)
+
+
+class TestEigenLevelSeries:
+    def test_block_matches_dense_eigh(self):
+        # The fig1a/fig2a even block over the span of its quench.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
+        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        values = np.linspace(200.0, 0.0, 41)
+        states = [RNG.normal(size=64) + 1j * RNG.normal(size=64) for _ in values]
+        states = [s / np.linalg.norm(s) for s in states]
+        pops, vals, flags = eigen_level_series(h0, h1, values, states)
+        assert pops.shape == vals.shape == flags.shape == (41, 64)
+        for i, (value, amp) in enumerate(zip(values, states)):
+            w, v = np.linalg.eigh(h0 + value * h1)
+            assert np.max(np.abs(pops[i] - np.abs(v.T @ amp) ** 2)) <= 1e-14
+            assert np.max(np.abs(vals[i] - w)) <= 1e-14 * np.max(np.abs(w))
+            tight = np.diff(w) <= sweep.DEGENERACY_WARN_RTOL * np.max(np.abs(w))
+            expected = np.zeros(64, dtype=bool)
+            expected[:-1] |= tight
+            expected[1:] |= tight
+            assert np.array_equal(flags[i], expected)
+
+    @pytest.mark.parametrize("case", ["full space", "complex", "asymmetric", "ramp off-diagonal"])
+    def test_other_parts_are_refused(self, case):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
+        if case == "full space":
+            h0, h1 = build_qrm(p), delta_ramp(p)
+        else:
+            h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+            h0, h1 = h0.copy(), h1.copy()
+            if case == "complex":
+                h0 = h0.astype(complex)
+            elif case == "asymmetric":
+                h0[1, 0] += 1e-15
+            else:
+                h1[0, 1] = h1[1, 0] = 1e-3
+        state = np.ones(h0.shape[0]) / math.sqrt(h0.shape[0])
+        with pytest.raises(InvalidParameterError, match="tridiagonal"):
+            eigen_level_series(h0, h1, np.array([1.0]), [state])
+
+    def test_failed_solve_raises(self, monkeypatch):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
+        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        monkeypatch.setattr(sweep, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
+        with pytest.raises(NumericalInstabilityError, match="info = 3"):
+            eigen_level_series(h0, h1, np.array([1.0]), [np.eye(8)[0]])
+
+    def test_degenerate_pair_is_flagged(self):
+        # Levels 1 and 2 share the diagonal entry 2 and no off-diagonal
+        # couples them; at f = 1 the ramp lifts level 2 to 3.
+        h0 = np.diag([0.0, 2.0, 2.0, 5.0, 6.0])
+        h0[3, 4] = h0[4, 3] = 0.5
+        h1 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0])
+        states = [np.eye(5)[0].astype(complex)] * 2
+        _, vals, flags = eigen_level_series(h0, h1, np.array([0.0, 1.0]), states)
+        assert vals[0, 1] == vals[0, 2] == 2.0
+        assert flags.tolist() == [
+            [False, True, True, False, False],
+            [False, False, False, False, False],
+        ]
+
+    def test_block_path_never_calls_dense_eigh(self, monkeypatch):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        state = ground_state(p, "delta", 5.0, EVEN_SECTOR).amplitudes
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense eigh called on a tridiagonal block")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_dense)
+        pops, _, _ = eigen_level_series(h0, h1, np.array([5.0, 0.0]), [state, state])
+        assert pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGroundState:
