@@ -16,24 +16,19 @@ import numpy as np
 from ._version import __version__
 from .analytics import cascade_probabilities, lz_probability, poisson_overlap
 from .errors import InvalidParameterError, RabisweepError
-from .experiments import (
-    ExperimentSpec,
-    default_quench_delta_hi,
-    lz_window,
-    run_experiment,
-)
+from .experiments import DEFAULT_N_STEPS, ExperimentSpec, run_experiment
 from .io import emit_svg, parse_config_file, write_result_table
-from .model import (
-    EVEN_SECTOR,
-    Mode,
-    MultiModeParams,
-    QrmParams,
-    build_qrm,
-    default_n_fock,
-    parity_operator,
-)
+from .model import EVEN_SECTOR, Mode, MultiModeParams, build_qrm, parity_operator
 from .operators import eig_hermitian
-from .presets import PRESETS
+from .presets import (
+    PRESETS,
+    log_grid,
+    lz_scan_spec,
+    lz_trace_spec,
+    qrm_params,
+    quench_scan_spec,
+    quench_trace_spec,
+)
 from .sweep import SweepSchedule, convergence_scan, ground_state
 
 
@@ -52,18 +47,6 @@ def _add_grid_flags(sp, default_min: float, default_max: float, per_decade: int 
     sp.add_argument("--points-per-decade", type=int, default=per_decade)
 
 
-def _grid(args) -> tuple[float, ...]:
-    if not (0 < args.v_min < args.v_max < np.inf):
-        raise InvalidParameterError("need 0 < v-min < v-max, both finite")
-    if args.points_per_decade < 1:
-        raise InvalidParameterError(
-            f"points-per-decade must be at least 1, got {args.points_per_decade}"
-        )
-    decades = np.log10(args.v_max) - np.log10(args.v_min)
-    n = max(2, int(round(decades * args.points_per_decade)) + 1)
-    return tuple(np.logspace(np.log10(args.v_min), np.log10(args.v_max), n))
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rabisweep", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
@@ -75,7 +58,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--g-over-omega", type=float, required=True)
     q.add_argument("--delta-i", type=float, default=None, help="large-gap endpoint (omega units)")
     q.add_argument("--n-fock", type=int, default=None)
-    q.add_argument("--n-steps", type=int, default=20_000)
+    q.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     q.add_argument("--trace", action="store_true", help="time trace at a single rate")
     q.add_argument("--rate", type=float, default=1e4, help="v/omega^2 for --trace")
     _add_grid_flags(q, 1e-1, 1e4)
@@ -85,7 +68,7 @@ def _build_parser() -> _Parser:
     lz.add_argument("--g-over-omega", type=float, required=True)
     lz.add_argument("--delta-over-omega", type=float, required=True)
     lz.add_argument("--n-fock", type=int, default=None)
-    lz.add_argument("--n-steps", type=int, default=20_000)
+    lz.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     lz.add_argument("--formula-only", action="store_true")
     lz.add_argument("--trace", action="store_true")
     lz.add_argument("--rate", type=float, default=1.0, help="v/delta^2 for --trace")
@@ -100,7 +83,7 @@ def _build_parser() -> _Parser:
         help="comma list of omega:g:n_fock triples, e.g. 1:0.5:8,2.3:0.92:6",
     )
     mm.add_argument("--caps", type=str, default=None, help="comma list of occupation caps")
-    mm.add_argument("--n-steps", type=int, default=20_000)
+    mm.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     mm.add_argument("--no-simulate", action="store_true", help="sequential oracle only")
     _add_grid_flags(mm, 0.5, 30.0, per_decade=2)
     _add_output_flags(mm)
@@ -153,51 +136,27 @@ def _emit(table, args, name: str, svg_labels=None) -> None:
 
 
 def _cmd_quench(args) -> int:
-    g = args.g_over_omega
-    nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
-    p = QrmParams(0.0, 0.0, 1.0, g, nf)
-    options: dict = {}
-    if args.delta_i is not None:
-        options["delta_hi"] = args.delta_i
+    common = dict(n_fock=args.n_fock, delta_hi=args.delta_i, n_steps=args.n_steps)
     if args.trace:
-        hi = options.get("delta_hi", default_quench_delta_hi(p))
-        axis = np.linspace(-hi, 0.0, 400) if args.direction == "ns" else np.linspace(0.0, hi, 400)
-        spec = ExperimentSpec(
-            "quench_trace", p,
-            "v_times_t_minus_T_over_omega" if args.direction == "ns" else "v_times_t_over_omega",
-            tuple(axis), n_steps=args.n_steps,
-            options={**options, "direction": args.direction, "rate": args.rate},
-        )
+        spec = quench_trace_spec(args.direction, args.g_over_omega, args.rate, **common)
         name = f"quench_trace_{args.direction}"
     else:
-        spec = ExperimentSpec(
-            "quench_ns" if args.direction == "ns" else "quench_sn",
-            p, "v_over_omega2", _grid(args), n_steps=args.n_steps, options=options,
-        )
+        grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+        spec = quench_scan_spec(args.direction, args.g_over_omega, grid, **common)
         name = f"quench_{args.direction}"
     _emit(run_experiment(spec), args, name)
     return 0
 
 
 def _cmd_lz(args) -> int:
-    g = args.g_over_omega
-    nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
-    p = QrmParams(args.delta_over_omega, 0.0, 1.0, g, nf)
-    options = {} if args.window is None else {"window": args.window}
+    g, d = args.g_over_omega, args.delta_over_omega
+    common = dict(n_fock=args.n_fock, window=args.window, n_steps=args.n_steps)
     if args.trace:
-        window = args.window if args.window is not None else lz_window(p)
-        axis = np.linspace(-window, window, 400)
-        spec = ExperimentSpec(
-            "lz_trace", p, "epsilon_over_omega", tuple(axis),
-            n_steps=args.n_steps, options={**options, "rate": args.rate},
-        )
+        spec = lz_trace_spec(g, d, args.rate, **common)
         name = "lz_trace"
     else:
-        if args.formula_only:
-            options["simulate"] = False
-        spec = ExperimentSpec(
-            "lz_scan", p, "v_over_delta2", _grid(args), n_steps=args.n_steps, options=options
-        )
+        grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+        spec = lz_scan_spec(g, d, grid, simulate=not args.formula_only, **common)
         name = "lz_formula" if args.formula_only else "lz_scan"
     _emit(run_experiment(spec), args, name)
     return 0
@@ -219,9 +178,9 @@ def _cmd_multimode(args) -> int:
             options["caps"] = tuple(int(t) for t in args.caps.split(","))
         except ValueError:
             raise InvalidParameterError(f"bad occupation caps {args.caps!r}") from None
+    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
     spec = ExperimentSpec(
-        "multimode_scan", p, "v_over_delta2", _grid(args),
-        n_steps=args.n_steps, options=options,
+        "multimode_scan", p, "v_over_delta2", grid, n_steps=args.n_steps, options=options
     )
     _emit(run_experiment(spec), args, "multimode_scan")
     return 0
@@ -249,9 +208,7 @@ def _cmd_formula(args) -> int:
 def _cmd_spectrum(args) -> int:
     if args.levels < 1:
         raise InvalidParameterError(f"levels must be at least 1, got {args.levels}")
-    g = args.g_over_omega
-    nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
-    p = QrmParams(args.delta, args.epsilon, 1.0, g, nf)
+    p = qrm_params(args.g_over_omega, args.delta, args.epsilon, args.n_fock)
     h = build_qrm(p)
     vals, vecs = eig_hermitian(h)
     print("level,energy,parity")
@@ -264,9 +221,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    g = args.g_over_omega
-    nf = args.n_fock if args.n_fock is not None else default_n_fock(g, 1.0)
-    p = QrmParams(0.0, 0.0, 1.0, g, nf)
+    p = qrm_params(args.g_over_omega, n_fock=args.n_fock)
     schedule = SweepSchedule("delta", args.delta_i, 0.0, args.rate, n_steps=args.n_steps)
     psi0 = ground_state(p, "delta", args.delta_i, EVEN_SECTOR)
 

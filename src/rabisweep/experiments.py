@@ -70,6 +70,10 @@ ROW_SUM_TOL = 1e-6
 # Bounded caps leave a small unassigned survival weight in the multimode
 # oracle; it is recorded per row and only fails the row past this tolerance.
 ORACLE_RESIDUAL_TOL = 1e-3
+# Steps per run unless a spec sets its own.
+DEFAULT_N_STEPS = 20_000
+# Options that, when given, must be finite and positive.
+_POSITIVE_OPTIONS = ("rate", "delta_hi", "window", "top_occupancy_tol")
 
 
 @dataclass
@@ -80,7 +84,7 @@ class ExperimentSpec:
     params: QrmParams | MultiModeParams
     scan_name: str
     scan_values: tuple[float, ...]
-    n_steps: int = 20_000
+    n_steps: int = DEFAULT_N_STEPS
     options: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -107,8 +111,13 @@ class ExperimentSpec:
                 raise InvalidParameterError("quench experiments run at zero bias")
         if self.kind == "multimode_scan" and not isinstance(self.params, MultiModeParams):
             raise InvalidParameterError("multimode_scan takes MultiModeParams")
-        if self.kind in ("quench_trace", "lz_trace") and not float(self.options.get("rate", 0.0)) > 0:
-            raise InvalidParameterError(f"{self.kind} requires a positive options['rate']")
+        if self.kind in ("quench_trace", "lz_trace") and "rate" not in self.options:
+            raise InvalidParameterError(f"{self.kind} requires options['rate']")
+        for key in _POSITIVE_OPTIONS:
+            if key in self.options and not 0 < float(self.options[key]) < np.inf:
+                raise InvalidParameterError(
+                    f"options[{key!r}] must be finite and positive, got {self.options[key]}"
+                )
         if self.kind == "quench_trace" and self.options.get("direction") not in ("ns", "sn"):
             raise InvalidParameterError("quench_trace requires options['direction'] in 'ns'/'sn'")
 

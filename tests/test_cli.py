@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from rabisweep import sweep
+from rabisweep import cli, sweep
 from rabisweep.cli import main
 from rabisweep.model import EVEN_SECTOR
+from rabisweep.presets import PRESETS
 from rabisweep.sweep import ground_state
 
 
@@ -51,11 +52,16 @@ class TestExitCodes:
              "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "nan"],
             ["convergence", "--knob", "n_steps", "--g-over-omega", "1", "--rate", "1e4",
              "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "-0.001"],
+            ["quench", "--g-over-omega", "1", "--delta-i", "nan"],
+            ["quench", "--g-over-omega", "1", "--delta-i", "0"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--window", "nan"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--window", "-5"],
         ],
         ids=[
             "nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps",
             "bad-mode-field", "bad-cap", "zero-points-per-decade", "negative-points-per-decade",
             "zero-levels", "negative-levels", "nan-tolerance", "negative-tolerance",
+            "nan-quench-endpoint", "zero-quench-endpoint", "nan-window", "negative-window",
         ],
     )
     def test_bad_values_are_invalid_configuration(self, argv, tmp_path, monkeypatch, capsys):
@@ -67,6 +73,80 @@ class TestExitCodes:
         missing = str(tmp_path / "missing.cfg")
         assert main(["--config", missing, "formula"]) == 2
         assert "run failed" in capsys.readouterr().err
+
+
+DESK_QUENCH = ["--n-fock", "64", "--delta-i", "200", "--v-min", "0.1"]
+FAST_SIDE = ["--v-min", "100", "--v-max", "1e5"]
+BIAS_SCAN = ["--v-min", "0.1", "--v-max", "100"]
+
+# The CLI spelling of every preset it can express: all but multimode_small,
+# whose row tolerance has no flag.
+PRESET_ARGV = {
+    "fig1a": ["quench", "--g-over-omega", "1", *DESK_QUENCH, "--v-max", "1e5"],
+    "fig1b": ["quench", "--g-over-omega", "2", *DESK_QUENCH, "--v-max", "1e5"],
+    "fig1c": ["quench", "--g-over-omega", "5", *FAST_SIDE],
+    "fig1d_long": ["quench", "--g-over-omega", "20", *FAST_SIDE, "--points-per-decade", "2",
+                   "--n-fock", "896"],
+    "fig2a": ["quench", "--trace", "--g-over-omega", "1", "--n-fock", "64"],
+    "fig2c": ["quench", "--trace", "--g-over-omega", "5"],
+    "fig3a": ["quench", "--direction", "sn", "--g-over-omega", "1", *DESK_QUENCH,
+              "--v-max", "1e4"],
+    "fig3c": ["quench", "--direction", "sn", "--g-over-omega", "5", *FAST_SIDE],
+    "fig4a": ["quench", "--trace", "--direction", "sn", "--g-over-omega", "1", "--n-fock", "64"],
+    "fig4c": ["quench", "--trace", "--direction", "sn", "--g-over-omega", "5"],
+    "fig5a": ["lz", "--formula-only", "--g-over-omega", "0.1", "--delta-over-omega", "0.1",
+              "--v-min", "1e-11", "--v-max", "1e2", "--points-per-decade", "20"],
+    "fig5b": ["lz", "--formula-only", "--g-over-omega", "1", "--delta-over-omega", "0.1",
+              "--v-min", "1e-4", "--v-max", "10", "--points-per-decade", "20"],
+    "fig5d": ["lz", "--formula-only", "--g-over-omega", "3", "--delta-over-omega", "0.1",
+              "--v-min", "1e-17", "--v-max", "1e-8", "--points-per-decade", "20"],
+    "fig6_small": ["lz", "--g-over-omega", "0.1", "--delta-over-omega", "0.1", *BIAS_SCAN],
+    "fig6_valid": ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", *BIAS_SCAN],
+    "fig6_breakdown": ["lz", "--g-over-omega", "1", "--delta-over-omega", "10", *BIAS_SCAN,
+                       "--points-per-decade", "2", "--n-fock", "48"],
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestPresetsAndCliAgree:
+    def test_every_expressible_preset_is_covered(self):
+        assert set(PRESET_ARGV) == set(PRESETS) - {"multimode_small"}
+
+    @pytest.mark.parametrize("name", sorted(PRESET_ARGV))
+    def test_cli_builds_the_preset_spec(self, name, monkeypatch):
+        def capture(spec):
+            raise _Captured(spec)
+
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        with pytest.raises(_Captured) as caught:
+            main(PRESET_ARGV[name])
+        assert caught.value.args[0] == PRESETS[name].build()
+
+    def test_formula_preset_and_its_cli_spelling_write_the_same_csv(self, tmp_path, capsys):
+        assert main(["presets", "fig5a", "--output-dir", str(tmp_path / "preset")]) == 0
+        assert main([*PRESET_ARGV["fig5a"], "--output-dir", str(tmp_path / "cli")]) == 0
+        preset_csv = (tmp_path / "preset" / "fig5a.csv").read_bytes()
+        assert preset_csv == (tmp_path / "cli" / "lz_formula.csv").read_bytes()
+
+
+class TestPresetsCommand:
+    def test_listing_names_every_preset(self, capsys):
+        assert main(["presets"]) == 0
+        listed = [line.split()[0] for line in printed(capsys).splitlines()]
+        assert listed == list(PRESETS)
+
+    def test_unknown_name_is_invalid_configuration(self, capsys):
+        assert main(["presets", "no_such_preset"]) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_long_preset_needs_allow_long(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["presets", "fig1d_long", "--output-dir", str(out)]) == 1
+        assert "--allow-long" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConvergence:

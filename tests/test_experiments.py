@@ -334,6 +334,22 @@ class TestSpec:
         spec = ExperimentSpec("lz_scan", p, "v_over_delta2", (1.0, 10.0), n_steps=MIN_N_STEPS)
         assert spec.n_steps == MIN_N_STEPS
 
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            ("lz_scan", {"window": 0.0}),
+            ("lz_scan", {"top_occupancy_tol": np.nan}),
+            ("quench_ns", {"delta_hi": np.inf}),
+        ],
+        ids=["zero-window", "nan-row-tolerance", "infinite-quench-endpoint"],
+    )
+    def test_refuses_non_positive_or_non_finite_options(self, kind, options):
+        # A negative window runs the sweep backwards, and a NaN tolerance
+        # passes every truncation check.
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        with pytest.raises(InvalidParameterError):
+            ExperimentSpec(kind, p, "rate", (1.0, 10.0), options=options)
+
     def test_trace_axes_stay_signed(self):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
         spec = ExperimentSpec(

@@ -35,12 +35,18 @@ class TestExports:
             "sector_ground_state",
             "instantaneous_ground_state",
             "_endpoint_ground_occupancy",
+            "_grid",
+            "_log_grid",
+            "_quench_params",
+            "_quench_scan",
+            "_quench_trace",
+            "_lz_spec",
         ],
     )
     def test_deleted_names_are_gone(self, name):
         for module in (
             "rabisweep", "rabisweep.operators", "rabisweep.sweep", "rabisweep.model",
-            "rabisweep.presets", "rabisweep.experiments",
+            "rabisweep.presets", "rabisweep.experiments", "rabisweep.cli",
         ):
             assert not hasattr(importlib.import_module(module), name), module
 
