@@ -60,6 +60,7 @@ from .model import (
     ParitySector,
     ProbabilityRecord,
     QrmParams,
+    Readout,
     build_multimode,
     build_qrm,
     critical_delta,
@@ -116,7 +117,7 @@ __all__ = [
     "quench_time_trace", "run_experiment", "emit_svg",
     "parse_config_file", "read_result_table", "render_result_csv", "write_result_table",
     "BasisLabel", "EVEN_SECTOR", "Mode", "MultiModeParams", "ODD_SECTOR",
-    "ParitySector", "ProbabilityRecord", "QrmParams", "build_multimode", "build_qrm",
+    "ParitySector", "ProbabilityRecord", "QrmParams", "Readout", "build_multimode", "build_qrm",
     "critical_delta", "default_n_fock", "delta_ramp", "displaced_fock_tail",
     "displaced_level_fits", "displaced_state", "epsilon_ramp",
     "multimode_displaced_basis", "normal_state", "parity_operator",

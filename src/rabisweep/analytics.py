@@ -20,7 +20,7 @@ from .errors import (
     GapTruncationError,
     InvalidParameterError,
 )
-from .model import BasisLabel, MultiModeParams, ProbabilityRecord
+from .model import BasisLabel, MultiModeParams, Readout
 
 # Relative tolerance used to declare two crossing positions coincident.
 CROSSING_DEGENERACY_RTOL = 1e-9
@@ -171,17 +171,17 @@ def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
 
 def sequential_crossing_probabilities(
     spec: GapSpectrum, v, residual_tol: float = CASCADE_RESIDUAL_TOL
-) -> list[ProbabilityRecord] | list[list[ProbabilityRecord] | GapTruncationError]:
+) -> Readout | list[Readout | GapTruncationError]:
     """Independent-crossing populations after one pass through the mesh, at
     the sweep rate ``v`` or at each rate of a 1-D array ``v``.
 
     A rate whose retained crossings leave more than ``residual_tol`` of
     survival weight unassigned is refused with ``GapTruncationError``: a
     scalar call raises it, an array call returns it as that rate's entry in
-    place of its records. Rates that are not positive and finite refuse the
-    whole call. The crossing order, the degeneracy check and the labels are
-    made once per call, and every rate's survival is one cumulative sum
-    along the crossing order.
+    place of its ``Readout``. Rates that are not positive and finite refuse
+    the whole call. The crossing order, the degeneracy check and the labels
+    are made once per call (every rate's readout shares the labels), and
+    every rate's survival is one cumulative sum along the crossing order.
 
     Refuses coincident crossings: probability would have to be split through
     simultaneous transitions, which the sequential picture cannot order.
@@ -209,23 +209,22 @@ def sequential_crossing_probabilities(
     transfers = np.exp(log_survival_before) * (-np.expm1(-exponents))
     exact_log_survival = -math.pi * spec.delta**2 / (2.0 * grid)
 
-    up_labels = [BasisLabel("displaced", "up", occ) for occ in order]
     ground_occ: Occupation = tuple(0 for _ in order[0]) if isinstance(order[0], tuple) else 0
-    ground_label = BasisLabel("displaced", "down", ground_occ)
-    entries: list[list[ProbabilityRecord] | GapTruncationError] = []
-    for row, final, exact in zip(
-        transfers.tolist(), log_survival[:, -1].tolist(), exact_log_survival.tolist()
-    ):
-        residual = math.exp(final) - math.exp(exact)
-        if residual > residual_tol:
-            entries.append(GapTruncationError(
-                f"retained crossings leave residual survival weight {residual:.2e} "
-                f"(> {residual_tol:.0e}); extend the occupation caps"
-            ))
-            continue
-        records = [ProbabilityRecord(lab, p) for lab, p in zip(up_labels, row)]
-        records.append(ProbabilityRecord(ground_label, math.exp(exact)))
-        entries.append(records)
+    labels = (
+        *(BasisLabel("displaced", "up", occ) for occ in order),
+        BasisLabel("displaced", "down", ground_occ),
+    )
+    survival = [math.exp(x) for x in exact_log_survival.tolist()]
+    residuals = [math.exp(f) - s for f, s in zip(log_survival[:, -1].tolist(), survival)]
+    kept = [i for i, residual in enumerate(residuals) if not residual > residual_tol]
+    readouts = dict(zip(kept, Readout.rows(labels, np.column_stack([transfers, survival])[kept])))
+    entries: list[Readout | GapTruncationError] = [
+        readouts[i] if i in readouts else GapTruncationError(
+            f"retained crossings leave residual survival weight {residual:.2e} "
+            f"(> {residual_tol:.0e}); extend the occupation caps"
+        )
+        for i, residual in enumerate(residuals)
+    ]
     if rates.ndim == 1:
         return entries
     (entry,) = entries
@@ -236,7 +235,7 @@ def sequential_crossing_probabilities(
 
 def cascade_probabilities(
     delta: float, v: float, g: float, omega: float, n_max: int | None = None
-) -> list[ProbabilityRecord]:
+) -> Readout | list[Readout | GapTruncationError]:
     """Single-mode cascade populations P(up, n), plus the exact P(down, 0), at
     one rate or, for an array of rates, one entry per rate (see
     ``sequential_crossing_probabilities``)."""

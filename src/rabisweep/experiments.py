@@ -7,6 +7,7 @@ rates in units of delta^2, trace rows on the swept-parameter time axis.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -28,8 +29,8 @@ from .model import (
     EVEN_SECTOR,
     MultiModeParams,
     ParitySector,
-    ProbabilityRecord,
     QrmParams,
+    Readout,
     TOP_OCCUPANCY_TOL,
     critical_delta,
 )
@@ -124,12 +125,21 @@ class ExperimentSpec:
 
 @dataclass
 class ResultRow:
+    """One scan value's simulated and oracle readouts (None where the row
+    has none). Records handed in are held as one ``Readout``."""
+
     scan_value: float
-    sim: tuple[ProbabilityRecord, ...] | None
-    oracle: tuple[ProbabilityRecord, ...] | None
+    sim: Readout | None
+    oracle: Readout | None
     converged: bool
     checks: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.sim is not None and not isinstance(self.sim, Readout):
+            self.sim = Readout.from_records(self.sim)
+        if self.oracle is not None and not isinstance(self.oracle, Readout):
+            self.oracle = Readout.from_records(self.oracle)
 
 
 @dataclass
@@ -138,14 +148,18 @@ class ResultTable:
     rows: list[ResultRow]
     provenance: dict = field(default_factory=dict)
 
-    def labels(self) -> list[BasisLabel]:
-        seen: dict[BasisLabel, None] = {}
+    def _label_tuples(self) -> list[tuple[BasisLabel, ...]]:
+        """The distinct label tuples of the rows' readouts, in first-seen
+        order (sim before oracle within a row)."""
+        seen: dict[int, tuple[BasisLabel, ...]] = {}
         for row in self.rows:
-            for recs in (row.sim, row.oracle):
-                if recs:
-                    for rec in recs:
-                        seen.setdefault(rec.label, None)
-        return list(seen)
+            for readout in (row.sim, row.oracle):
+                if readout:
+                    seen.setdefault(id(readout.labels), readout.labels)
+        return list(seen.values())
+
+    def labels(self) -> list[BasisLabel]:
+        return list(dict.fromkeys(itertools.chain.from_iterable(self._label_tuples())))
 
     def columns(
         self, labels: list[BasisLabel]
@@ -155,13 +169,19 @@ class ResultTable:
         over the rows reads each record once."""
         index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
         out = np.full((2, len(index), len(self.rows)), np.nan)
+        # Per label tuple: the columns it fills and the entries that fill them.
+        places = {}
+        for labs in self._label_tuples():
+            first: dict[BasisLabel, int] = {}
+            for k, lab in enumerate(labs):
+                if lab in index:
+                    first.setdefault(lab, k)
+            places[id(labs)] = ([index[lab] for lab in first], list(first.values()))
         for j, row in enumerate(self.rows):
-            for which, recs in enumerate((row.sim, row.oracle)):
-                # Backwards, so that a label's first record is written last.
-                for rec in reversed(recs or ()):
-                    i = index.get(rec.label)
-                    if i is not None:
-                        out[which, i, j] = rec.probability
+            for which, readout in enumerate((row.sim, row.oracle)):
+                if readout:
+                    targets, sources = places[id(readout.labels)]
+                    out[which, targets, j] = readout.probabilities[sources]
         return {lab: (out[0, i], out[1, i]) for lab, i in index.items()}
 
 
@@ -190,14 +210,14 @@ def lz_window(p: QrmParams | MultiModeParams) -> float:
 
 def _row_checks(
     traj: Trajectory,
-    records: tuple[ProbabilityRecord, ...],
+    readout: Readout,
     top_occupancy_tol: float = TOP_OCCUPANCY_TOL,
 ) -> tuple[dict, bool, tuple[str, ...]]:
     """A row's checks, converged flag and warnings. The one judge of a row's
     truncation: its final-state and endpoint top-tenth Fock weights against
     ``top_occupancy_tol``. The checks also carry the run's steps and its
     Chebyshev terms per step."""
-    total = float(sum(r.probability for r in records))
+    total = float(sum(readout.probabilities.tolist()))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
         "parity_leakage": traj.max_parity_leakage,
@@ -237,13 +257,10 @@ def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
     )
 
 
-_Oracle = tuple[ProbabilityRecord, ...]
-
-
 def _scan(
     spec: ExperimentSpec,
-    oracles_for_values: Callable[[tuple[float, ...]], list[_Oracle | RabisweepError]],
-    row_for_value: Callable[[float, _Oracle, Trajectory | None], ResultRow],
+    oracles_for_values: Callable[[tuple[float, ...]], list[Readout | RabisweepError]],
+    row_for_value: Callable[[float, Readout, Trajectory | None], ResultRow],
     run_block: Callable[[tuple[float, ...]], list] | None = None,
 ) -> ResultTable:
     """One row per scan value. The oracles come first, from one
@@ -374,9 +391,8 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
     else:
         cols, labels = _named_levels(p, block, end, "normal")
-    oracle = tuple(
-        ProbabilityRecord(lab, poisson_overlap(lab.photons, p.g, p.omega)) for lab in labels
-    )
+    labels = tuple(labels)
+    oracle = Readout(labels, [poisson_overlap(lab.photons, p.g, p.omega) for lab in labels])
 
     psi0 = _even_ground_state(block, start)
 
@@ -387,8 +403,8 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         ))
         return run_sweep(p, block, psi0, sector=EVEN_SECTOR, check_truncation=False)
 
-    def row(scan_value: float, oracle: _Oracle, traj: Trajectory) -> ResultRow:
-        sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
+    def row(scan_value: float, oracle: Readout, traj: Trajectory) -> ResultRow:
+        sim = project_records(cols, labels, traj.final_state.amplitudes)
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
@@ -428,12 +444,8 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     _, level_labels = _named_levels(p, block, delta_values[-1], scheme)
 
     rows = []
-    for i, t in enumerate(traj.times):
+    for t, sim in zip(traj.times, Readout.rows(level_labels, pops, flags)):
         axis_value = rate * (t - offset) / p.omega
-        sim = tuple(
-            ProbabilityRecord(lab, float(pr), degenerate_tracking=bool(fl))
-            for lab, pr, fl in zip(level_labels, pops[i], flags[i])
-        )
         checks, ok, warns = _row_checks(traj, sim)
         rows.append(ResultRow(float(axis_value), sim, None, ok, checks, warns))
     prov = _provenance(spec, [])
@@ -470,6 +482,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     if simulate:
         psi0 = ground_state(p, "epsilon", -window)
         cols, labels = readout_columns(p, "displaced")
+        labels = tuple(labels)
 
         def run_block(values: tuple[float, ...]) -> list:
             block = RateBlock(tuple(
@@ -478,19 +491,18 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
             ))
             return run_sweep(p, block, psi0, check_truncation=False)
 
-    def oracles_for_values(values: tuple[float, ...]) -> list[_Oracle | RabisweepError]:
-        entries = sequential_crossing_probabilities(
+    def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
+        return sequential_crossing_probabilities(
             spectrum, np.asarray(values) * p.delta**2, residual_tol=residual_tol
         )
-        return [e if isinstance(e, RabisweepError) else tuple(e) for e in entries]
 
-    def row(scan_value: float, oracle: _Oracle, traj: Trajectory | None) -> ResultRow:
-        oracle_residual = 1.0 - sum(r.probability for r in oracle)
+    def row(scan_value: float, oracle: Readout, traj: Trajectory | None) -> ResultRow:
+        oracle_residual = 1.0 - sum(oracle.probabilities.tolist())
         if traj is None:
             return ResultRow(
                 scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
             )
-        sim = tuple(project_records(cols, labels, traj.final_state.amplitudes))
+        sim = project_records(cols, labels, traj.final_state.amplitudes)
         checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
         checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
@@ -524,9 +536,9 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
         ground_state(p, "epsilon", -window),
     )
     cols, labels = readout_columns(p, "displaced")
+    states = np.stack([state.amplitudes for state in traj.states], axis=1)
     rows = []
-    for t, state in zip(traj.times, traj.states):
-        sim = tuple(project_records(cols, labels, state.amplitudes))
+    for t, sim in zip(traj.times, project_records(cols, labels, states)):
         checks, ok, warns = _row_checks(traj, sim)
         rows.append(ResultRow(float((t * rate - window) / omega), sim, None, ok, checks, warns))
     prov = _provenance(spec, [])

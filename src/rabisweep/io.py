@@ -1,13 +1,17 @@
 """Serialization: CSV result tables, run manifests, and self-contained SVG plots.
 
 CSV layout is fixed: one line per (grid point, label), floats at 9 significant
-digits, UTF-8 with LF line endings. Wall-clock times live only in the manifest
-so identical configurations produce byte-identical CSVs.
+digits, UTF-8 with LF line endings. A row's lines are its simulated labels in
+order, then the oracle's labels that the simulation lacks; a label repeated
+within one readout is written once, with its first entry, as
+``ResultTable.columns`` (and so the SVGs) reads it. Wall-clock times live only
+in the manifest so identical configurations produce byte-identical CSVs.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -49,29 +53,93 @@ def _photons_parse(text: str):
     return int(text)
 
 
+def _csv_layout(
+    sim_labels: tuple[BasisLabel, ...],
+    oracle_labels: tuple[BasisLabel, ...],
+    label_text: dict[BasisLabel, str],
+) -> tuple[dict[bool, str], list[int], list[int], list[int]]:
+    """The lines of a row whose readouts carry these labels: a %-template
+    for each converged flag, the positions that fill it, and the sim and
+    oracle entries of the labels both carry.
+
+    A row's values are [scan value text, *sim, *oracle, *|sim - oracle| over
+    the labels both carry]; the positions pick them in template order. A
+    label repeated within a readout takes its first entry.
+    """
+    slots: dict[BasisLabel, list] = {}
+    for k, lab in enumerate(sim_labels):
+        slots.setdefault(lab, [k, None])
+    for k, lab in enumerate(oracle_labels):
+        slot = slots.setdefault(lab, [None, None])
+        if slot[1] is None:
+            slot[1] = k
+    n_values = 1 + len(sim_labels) + len(oracle_labels)
+    lines, positions, both_sim, both_oracle = [], [], [], []
+    for lab, (k_sim, k_oracle) in slots.items():
+        text = label_text.get(lab)
+        if text is None:
+            text = label_text[lab] = f"{lab.scheme},{lab.qubit},{_photons_str(lab.photons)}"
+        positions.append(0)
+        fields = ["", "", ""]
+        if k_sim is not None:
+            positions.append(1 + k_sim)
+            fields[0] = "%.9g"
+        if k_oracle is not None:
+            positions.append(1 + len(sim_labels) + k_oracle)
+            fields[1] = "%.9g"
+        if k_sim is not None and k_oracle is not None:
+            positions.append(n_values + len(both_sim))
+            both_sim.append(k_sim)
+            both_oracle.append(k_oracle)
+            fields[2] = "%.9g"
+        lines.append(f"%s,{text},{fields[0]},{fields[1]},{fields[2]}")
+    templates = {
+        flag: "\n".join(line + tail for line in lines)
+        for flag, tail in ((True, ",true"), (False, ",false"))
+    }
+    return templates, positions, both_sim, both_oracle
+
+
+def _readout_labels(readout) -> tuple[BasisLabel, ...]:
+    return readout.labels if readout else ()
+
+
+def _probability_block(readouts, width: int) -> np.ndarray:
+    """The readouts' probabilities as (rows, width); width 0 for rows
+    without that readout."""
+    if width == 0:
+        return np.empty((len(readouts), 0))
+    return np.stack([r.probabilities for r in readouts])
+
+
 def render_result_csv(table: ResultTable) -> str:
     """One line per (row, label): the row's simulated labels in order, then
-    the oracle's labels that the simulation lacks. Each label's
-    ``scheme,qubit,n`` text is built once per table."""
+    the oracle's labels that the simulation lacks.
+
+    A row's lines depend only on its (sim, oracle) label tuples, so each run
+    of rows that share them is laid out once (``_csv_layout``) and each row
+    is one %-substitution of its values; ``"%.9g" % x`` and ``_fmt(x)`` give
+    the same text. Each label's ``scheme,qubit,n`` text is built once per
+    table.
+    """
     label_text: dict[BasisLabel, str] = {}
     lines = [CSV_HEADER]
-    for row in table.rows:
-        # label -> [simulated, oracle] probability, in first-seen order.
-        pairs: dict[BasisLabel, list] = {}
-        for rec in row.sim or ():
-            pairs[rec.label] = [rec.probability, None]
-        for rec in row.oracle or ():
-            pairs.setdefault(rec.label, [None, None])[1] = rec.probability
-        head = _fmt(row.scan_value) + ","
-        tail = ",true" if row.converged else ",false"
-        for lab, (p_sim, p_or) in pairs.items():
-            text = label_text.get(lab)
-            if text is None:
-                text = label_text[lab] = f"{lab.scheme},{lab.qubit},{_photons_str(lab.photons)}"
-            sim_text = "" if p_sim is None else _fmt(p_sim)
-            or_text = "" if p_or is None else _fmt(p_or)
-            dev_text = "" if p_sim is None or p_or is None else _fmt(abs(p_sim - p_or))
-            lines.append(f"{head}{text},{sim_text},{or_text},{dev_text}{tail}")
+    for key, group in itertools.groupby(
+        table.rows, lambda row: (_readout_labels(row.sim), _readout_labels(row.oracle))
+    ):
+        run = list(group)
+        templates, positions, both_sim, both_oracle = _csv_layout(*key, label_text)
+        if not positions:  # failed rows write no lines
+            continue
+        sims = _probability_block([row.sim for row in run], len(key[0]))
+        oracles = _probability_block([row.oracle for row in run], len(key[1]))
+        floats = np.hstack([sims, oracles, np.abs(sims[:, both_sim] - oracles[:, both_oracle])])
+        # The scan value is formatted once per row, not once per line.
+        values = np.empty((len(run), 1 + floats.shape[1]), dtype=object)
+        values[:, 0] = [_fmt(row.scan_value) for row in run]
+        values[:, 1:] = floats
+        for row, row_values in zip(run, values[:, positions].tolist()):
+            lines.append(templates[bool(row.converged)] % tuple(row_values))
     return "\n".join(lines) + "\n"
 
 

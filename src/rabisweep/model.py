@@ -1,4 +1,11 @@
-"""Physics layer: Rabi Hamiltonian, parity structure, and readout bases.
+"""Physics layer: Rabi Hamiltonian, parity structure, readout bases, and the
+readout value.
+
+Every readout, simulated or closed-form, is one ``Readout``: a tuple of basis
+labels shared by the rows of a table, and the probabilities (and, for level
+traces, the degeneracy flags) as read-only arrays, checked once on entry.
+``ProbabilityRecord`` is the view of one entry, built only when a readout is
+iterated or indexed.
 
 Conventions (fixed once, asserted in tests):
   * sigma_z |up> = +|up>, sigma_z |down> = -|down>; |right/left> = (|up> +/- |down>)/sqrt(2).
@@ -16,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,6 +184,14 @@ EVEN_SECTOR = ParitySector(+1)
 ODD_SECTOR = ParitySector(-1)
 
 
+# A readout probability may stray this far outside [0, 1] by rounding.
+_PROBABILITY_SLACK = 1e-9
+
+
+def _probability_error(value: float) -> InvalidParameterError:
+    return InvalidParameterError(f"probability {value!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ProbabilityRecord:
     """One (basis label, probability) readout entry."""
@@ -185,10 +201,121 @@ class ProbabilityRecord:
     degenerate_tracking: bool = False
 
     def __post_init__(self) -> None:
-        if not (-1e-9 <= self.probability <= 1.0 + 1e-9):
-            raise InvalidParameterError(
-                f"probability {self.probability!r} outside [0, 1]"
-            )
+        if not (-_PROBABILITY_SLACK <= self.probability <= 1.0 + _PROBABILITY_SLACK):
+            raise _probability_error(self.probability)
+
+
+def _readout_arrays(labels, probabilities, degenerate, ndim: int):
+    """(labels tuple, probabilities, flags) as read-only copies, with one
+    entry per label along the last axis and ``ProbabilityRecord``'s range
+    rule checked over the whole array (NaN refused); the error names the
+    first offending value in row-major order. Each array is a view of a
+    read-only array, so its ``writeable`` flag cannot be set again."""
+    labels = tuple(labels)
+    arrays = []
+    for values, dtype in ((probabilities, float), (degenerate, bool)):
+        array = None
+        if values is not None:
+            array = np.array(values, dtype=dtype, order="C")
+            array.flags.writeable = False
+            array = array.view()
+        arrays.append(array)
+    probs, flags = arrays
+    if probs.ndim != ndim or probs.shape[-1] != len(labels) or (
+        flags is not None and flags.shape != probs.shape
+    ):
+        raise InvalidParameterError(
+            f"a readout needs one probability (and flag) per label: {len(labels)} labels, "
+            f"probabilities {probs.shape}, flags {None if flags is None else flags.shape}"
+        )
+    ok = (probs >= -_PROBABILITY_SLACK) & (probs <= 1.0 + _PROBABILITY_SLACK)
+    if not ok.all():
+        raise _probability_error(float(probs.flat[np.argmin(ok.ravel())]))
+    return labels, probs, flags
+
+
+class Readout(Sequence):
+    """One readout: a probability for each basis label, held as arrays.
+
+    ``labels`` is a tuple of ``BasisLabel``; the rows of one table share it
+    by identity. ``probabilities`` is a read-only float64 array with one entry
+    per label, and ``degenerate``, when given, a read-only bool array of the
+    same length that flags entries whose level tracking approached a
+    degeneracy. Every probability is checked once, by the rule of
+    ``ProbabilityRecord`` (NaN refused). As a sequence a readout yields
+    ``ProbabilityRecord``s, built on demand and not stored.
+    """
+
+    __slots__ = ("labels", "probabilities", "degenerate")
+
+    def __init__(self, labels, probabilities, degenerate=None) -> None:
+        self._set(*_readout_arrays(labels, probabilities, degenerate, 1))
+
+    def _set(self, labels, probs, flags) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "degenerate", flags)
+
+    @classmethod
+    def _trusted(cls, labels, probs, flags) -> Readout:
+        out = cls.__new__(cls)
+        out._set(labels, probs, flags)
+        return out
+
+    @classmethod
+    def rows(cls, labels, probabilities, degenerate=None) -> list[Readout]:
+        """One readout per row of a (rows, labels) probability array (and
+        flag array), all sharing one ``labels`` tuple; checked once."""
+        labels, probs, flags = _readout_arrays(labels, probabilities, degenerate, 2)
+        flag_rows = itertools.repeat(None) if flags is None else flags
+        return [cls._trusted(labels, row, fl) for row, fl in zip(probs, flag_rows)]
+
+    @classmethod
+    def from_records(cls, records) -> Readout:
+        records = tuple(records)
+        flags = [r.degenerate_tracking for r in records]
+        return cls(
+            [r.label for r in records],
+            [r.probability for r in records],
+            flags if any(flags) else None,
+        )
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("a Readout is immutable")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            flags = None if self.degenerate is None else self.degenerate[index]
+            return Readout._trusted(self.labels[index], self.probabilities[index], flags)
+        flag = False if self.degenerate is None else bool(self.degenerate[index])
+        return ProbabilityRecord(self.labels[index], float(self.probabilities[index]), flag)
+
+    def __iter__(self):
+        flags = self._flags().tolist()
+        for label, p, flag in zip(self.labels, self.probabilities.tolist(), flags):
+            yield ProbabilityRecord(label, p, flag)
+
+    def _flags(self) -> np.ndarray:
+        if self.degenerate is None:
+            return np.zeros(len(self), dtype=bool)
+        return self.degenerate
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Readout):
+            return NotImplemented
+        return (
+            self.labels == other.labels
+            and np.array_equal(self.probabilities, other.probabilities)
+            and np.array_equal(self._flags(), other._flags())
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Readout({list(self)!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,8 @@ from .model import (
     BasisLabel,
     MultiModeParams,
     ParitySector,
-    ProbabilityRecord,
     QrmParams,
+    Readout,
     TOP_OCCUPANCY_TOL,
     build_multimode,
     build_qrm,
@@ -491,10 +491,14 @@ def readout_columns(
 
 def project_records(
     cols: np.ndarray, labels: list[BasisLabel], amplitudes: np.ndarray
-) -> list[ProbabilityRecord]:
-    """|<column | psi>|^2 for each column, under its label."""
+) -> Readout | list[Readout]:
+    """|<column | psi>|^2 for each column, under its label: one ``Readout``
+    for a state vector, or one per column of a (dim, k) block of states,
+    from one product."""
     probs = np.abs(cols.conj().T @ amplitudes) ** 2
-    return [ProbabilityRecord(lab, float(pr)) for lab, pr in zip(labels, probs)]
+    if probs.ndim == 1:
+        return Readout(labels, probs)
+    return Readout.rows(labels, probs.T)
 
 
 # ---------------------------------------------------------------------------

@@ -261,12 +261,15 @@ class TestInvalidInputs:
         [math.nan, math.inf, 0.0, -2.0, [0.5, math.nan], [0.5, 0.0, 1.0], [[0.5]]],
     )
     def test_sequential_crossing_probabilities(self, monkeypatch, v):
-        # A bad rate refuses the whole call before any record is built.
-        def no_records(*args, **kwargs):
-            raise AssertionError("a record was built")
+        # A bad rate refuses the whole call before any readout is built.
+        class NoReadouts:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a readout was built")
+
+            rows = classmethod(__init__)
 
         spec = cascade_gaps(0.3, 1.0, 1.0)
-        monkeypatch.setattr(analytics, "ProbabilityRecord", no_records)
+        monkeypatch.setattr(analytics, "Readout", NoReadouts)
         with pytest.raises(InvalidParameterError):
             sequential_crossing_probabilities(spec, v)
 
@@ -340,6 +343,23 @@ class TestOracleProperties:
                     continue
                 assert abs(sum(r.probability for r in entry) - 1.0) <= 1e-9
                 assert down0(entry) == math.exp(-math.pi * delta**2 / (2.0 * v))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        delta=st.floats(0.05, 2.0),
+        gow=st.floats(0.0, 3.0),
+        n_max=st.one_of(st.none(), st.integers(1, 80)),
+        second=st.tuples(st.floats(1.05, 2.95), st.floats(0.0, 1.0)),
+        caps=st.tuples(st.integers(0, 12), st.integers(0, 6)),
+    )
+    def test_gap_sum_rule(self, delta, gow, n_max, second, caps):
+        # The retained gaps hold at most delta^2, and sum_rule_tail the rest.
+        omega2, gow2 = second
+        mm = MultiModeParams(delta, (Mode(1.0, gow, 16), Mode(omega2, gow2 * omega2, 16)))
+        for spec in (cascade_gaps(delta, gow, 1.0, n_max), multimode_gaps(mm, caps)):
+            covered = math.fsum(gap * gap for gap in spec.gaps.values())
+            assert covered / delta**2 <= 1.0 + 1e-12
+            assert abs((covered + spec.sum_rule_tail) / delta**2 - 1.0) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(gow=st.floats(0.0, 3.0))

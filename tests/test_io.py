@@ -6,10 +6,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabisweep.experiments import ExperimentSpec, ResultRow, ResultTable, run_experiment
-from rabisweep.io import emit_svg, parse_result_csv, render_result_csv, write_result_table
-from rabisweep.model import BasisLabel, Mode, MultiModeParams, ProbabilityRecord, QrmParams
+from rabisweep.io import (
+    CSV_HEADER,
+    emit_svg,
+    parse_result_csv,
+    render_result_csv,
+    write_result_table,
+)
+from rabisweep.model import (
+    BasisLabel,
+    Mode,
+    MultiModeParams,
+    ProbabilityRecord,
+    QrmParams,
+    Readout,
+)
 from rabisweep.presets import PRESETS
 
 
@@ -62,6 +77,81 @@ class TestCsv:
         ]
         assert ",displaced,up,0;," in text
 
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.deferred(lambda: _rows()))
+    def test_equals_the_per_record_writer(self, rows):
+        table = ResultTable(_SPEC, rows)
+        assert render_result_csv(table) == _reference_csv(table)
+
+
+_SPEC = ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 8), "v", (1.0,))
+
+_LABELS = st.one_of(
+    st.builds(BasisLabel, st.just("displaced"), st.sampled_from(("up", "down")), st.integers(0, 2)),
+    st.builds(
+        BasisLabel, st.just("displaced"), st.sampled_from(("up", "down")),
+        st.lists(st.integers(0, 1), min_size=1, max_size=2).map(tuple),
+    ),
+    st.builds(BasisLabel, st.just("normal"), st.sampled_from(("right", "left")), st.integers(0, 2)),
+)
+_KINDS = st.sampled_from(("sim", "oracle", "both", "failed"))
+
+
+@st.composite
+def _rows(draw):
+    """Rows of sim-only, oracle-only, sim+oracle and failed kinds, whose
+    readouts draw their label tuples from a small shared pool: by identity,
+    as an equal copy, or as a fresh tuple. Labels may repeat in a readout
+    and overlap partly between sim and oracle."""
+    pool = draw(st.lists(st.lists(_LABELS, min_size=1, max_size=3).map(tuple), min_size=1, max_size=3))
+
+    def readout():
+        labels = draw(st.one_of(
+            st.sampled_from(pool),
+            st.sampled_from(pool).map(lambda t: tuple(list(t))),
+            st.lists(_LABELS, min_size=1, max_size=3).map(tuple),
+        ))
+        probs = draw(st.lists(st.floats(0.0, 1.0), min_size=len(labels), max_size=len(labels)))
+        return Readout(labels, probs)
+
+    rows = []
+    # Runs of one kind, so that neighbouring rows often have equal-length
+    # label tuples that may or may not be the same.
+    for kind, count in draw(st.lists(st.tuples(_KINDS, st.integers(1, 3)), max_size=5)):
+        for _ in range(count):
+            sim = readout() if kind in ("sim", "both") else None
+            oracle = readout() if kind in ("oracle", "both") else None
+            scan_value = draw(st.floats(-1e6, 1e6, allow_nan=False))
+            rows.append(ResultRow(scan_value, sim, oracle, draw(st.booleans())))
+    return rows
+
+
+def _reference_csv(table: ResultTable) -> str:
+    """The writer record by record: per row, the simulated labels in order,
+    then the oracle's labels the simulation lacks, each at its first record."""
+    lines = [CSV_HEADER]
+    for row in table.rows:
+        pairs: dict = {}
+        for rec in row.sim or ():
+            pairs.setdefault(rec.label, [rec.probability, None])
+        for rec in row.oracle or ():
+            pair = pairs.setdefault(rec.label, [None, None])
+            if pair[1] is None:
+                pair[1] = rec.probability
+        for lab, (p_sim, p_or) in pairs.items():
+            n = lab.photons
+            if isinstance(n, tuple):
+                n = ";".join(str(k) for k in n) + (";" if len(n) == 1 else "")
+            fields = [
+                f"{row.scan_value:.9g}", lab.scheme, lab.qubit, str(n),
+                "" if p_sim is None else f"{p_sim:.9g}",
+                "" if p_or is None else f"{p_or:.9g}",
+                "" if p_sim is None or p_or is None else f"{abs(p_sim - p_or):.9g}",
+                "true" if row.converged else "false",
+            ]
+            lines.append(",".join(fields))
+    return "\n".join(lines) + "\n"
+
 
 def _svg_spec(name):
     """The preset's table as the SVG test plots it: multimode_small formula
@@ -105,6 +195,11 @@ class TestSvg:
         np.testing.assert_array_equal(columns[a][1], [np.nan, np.nan])
         np.testing.assert_array_equal(columns[b][1], [np.nan, 0.3])
         assert np.isnan(columns[c]).all()
+        # The CSV writes the same first record.
+        assert render_result_csv(ResultTable(spec, rows)).splitlines()[1:] == [
+            "1,displaced,up,0,0.1,,,true",
+            "2,displaced,up,1,,0.3,,true",
+        ]
 
 
 class TestManifest:

@@ -12,7 +12,9 @@ from rabisweep.model import (
     BasisLabel,
     Mode,
     MultiModeParams,
+    ProbabilityRecord,
     QrmParams,
+    Readout,
     build_multimode,
     build_qrm,
     critical_delta,
@@ -280,3 +282,80 @@ class TestBasisLabel:
         with pytest.raises(InvalidParameterError):
             BasisLabel("bare", "up", -1)
         assert str(BasisLabel("displaced", "up", (1, 0))) == "(up,1;0)"
+
+
+class TestReadout:
+    LABELS = tuple(BasisLabel("displaced", q, n) for q in ("up", "down") for n in range(3))
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.nan, 1.0 + 2e-9, -2e-9, np.inf])
+    def test_out_of_range_is_refused_with_the_records_message(self, bad):
+        with pytest.raises(InvalidParameterError) as record_error:
+            ProbabilityRecord(self.LABELS[0], bad)
+        probs = [0.5, bad, 2.0, 0.1, 0.2, 0.3]
+        with pytest.raises(InvalidParameterError) as readout_error:
+            Readout(self.LABELS, probs)
+        assert str(readout_error.value) == str(record_error.value)
+        # Rows are checked in row-major order: the first offender is named.
+        with pytest.raises(InvalidParameterError) as rows_error:
+            Readout.rows(self.LABELS, [[0.1] * 6, probs])
+        assert str(rows_error.value) == str(record_error.value)
+
+    def test_the_rules_edges_are_accepted(self):
+        probs = [-1e-9, 1.0 + 1e-9, 0.0, 1.0, 0.5, 0.25]
+        for p in probs:
+            ProbabilityRecord(self.LABELS[0], p)
+        assert Readout(self.LABELS, probs).probabilities.tolist() == probs
+
+    def test_length_mismatch_is_refused(self):
+        with pytest.raises(InvalidParameterError):
+            Readout(self.LABELS, [0.1] * 5)
+        with pytest.raises(InvalidParameterError):
+            Readout(self.LABELS, [[0.1] * 6])
+        with pytest.raises(InvalidParameterError):
+            Readout(self.LABELS, [0.1] * 6, [False] * 5)
+        with pytest.raises(InvalidParameterError):
+            Readout.rows(self.LABELS, [[0.1] * 5])
+        with pytest.raises(InvalidParameterError):
+            Readout.rows(self.LABELS, [[0.1] * 6], [[False] * 6, [True] * 6])
+
+    def test_arrays_are_read_only_copies(self):
+        probs = np.full(6, 0.1)
+        flags = np.zeros(6, dtype=bool)
+        readouts = [Readout(self.LABELS, probs, flags), *Readout.rows(self.LABELS, [probs], [flags])]
+        probs[0], flags[0] = 0.9, True
+        for readout in readouts:
+            assert readout.probabilities.dtype == np.float64 and readout.degenerate.dtype == bool
+            assert readout.probabilities[0] == 0.1 and not readout.degenerate[0]
+            for array in (readout.probabilities, readout.degenerate):
+                with pytest.raises(ValueError):
+                    array[0] = 0.5
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+            with pytest.raises(AttributeError):
+                readout.labels = ()
+
+    def test_sequence_behaviour(self):
+        probs = [0.1, 0.2, 0.3, 0.15, 0.05, 0.2]
+        flags = [False, True, False, False, True, False]
+        readout = Readout(self.LABELS, probs, flags)
+        records = [ProbabilityRecord(lab, p, f) for lab, p, f in zip(self.LABELS, probs, flags)]
+        assert len(readout) == 6 and readout
+        assert list(readout) == records
+        assert [readout[i] for i in range(-6, 6)] == records + records
+        assert list(readout[1:4]) == records[1:4]
+        assert isinstance(readout[1:4], Readout)
+        with pytest.raises(IndexError):
+            readout[6]
+        assert records[2] in readout
+        empty = Readout((), [])
+        assert not empty and len(empty) == 0 and list(empty) == []
+        assert Readout.from_records(records) == readout
+        assert list(Readout(self.LABELS, probs)) == [
+            ProbabilityRecord(lab, p) for lab, p in zip(self.LABELS, probs)
+        ]
+
+    def test_rows_share_one_label_tuple(self):
+        rows = Readout.rows(list(self.LABELS), np.full((3, 6), 1 / 6))
+        assert len(rows) == 3
+        assert rows[0].labels is rows[1].labels is rows[2].labels
+        assert rows[0].degenerate is None

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,18 +91,20 @@ class TestExports:
         assert rabisweep.top_fock_occupancy is model.top_fock_occupancy
 
 
-def _benchmark_tracing():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def _benchmark_module(name: str):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    # Registered first: its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_layer_name_resolves():
     # The benchmark traces these names and skips any it cannot find, so a
     # deletion would otherwise only show as an "absent" layer in its records.
-    tracing = _benchmark_tracing()
+    tracing = _benchmark_module("tracing")
     for _, owner, names in tracing.LAYERS:
         module = importlib.import_module(f"rabisweep.{owner}")
         for name in names:
@@ -118,7 +121,7 @@ def test_every_traced_layer_name_resolves():
 def test_benchmark_tracer_sees_scan_propagation(kind, params):
     # The benchmark counts runs and steps from the argument of run_sweep
     # that has n_steps; a scan that propagated elsewhere would read as none.
-    tracing = _benchmark_tracing()
+    tracing = _benchmark_module("tracing")
     tracer = tracing.Tracer()
     spec = rabisweep.ExperimentSpec(kind, params, "rate", (10.0, 100.0), n_steps=1000)
     with tracing.installed(tracer) as absent:
@@ -128,3 +131,63 @@ def test_benchmark_tracer_sees_scan_propagation(kind, params):
     runs = tracer.counts["sweep.runs"]
     assert runs >= 1
     assert tracer.counts["sweep.steps_requested"] == spec.n_steps * runs
+
+
+_QUENCH = rabisweep.QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+_BIAS = rabisweep.QrmParams(0.1, 0.0, 1.0, 0.3, 16)
+_READER_SPECS = {
+    "quench_trace": rabisweep.ExperimentSpec(
+        "quench_trace", _QUENCH, "v_times_t_minus_T_over_omega",
+        tuple(np.linspace(-200.0, 0.0, 5)), n_steps=1000,
+        options={"direction": "ns", "rate": 1e4},
+    ),
+    "lz_trace": rabisweep.ExperimentSpec(
+        "lz_trace", _BIAS, "epsilon_over_omega", (-10.0, 0.0, 10.0), n_steps=1000,
+        options={"rate": 1e3, "window": 10.0},
+    ),
+    "lz_scan": rabisweep.ExperimentSpec(
+        "lz_scan", _BIAS, "v_over_delta2", (10.0, 1e3), n_steps=1000
+    ),
+    "formula_only": rabisweep.ExperimentSpec(
+        "lz_scan", _BIAS, "v_over_delta2", (1.0, 1e3), options={"simulate": False}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_SPECS))
+def test_benchmark_gate_reads_each_rows_readouts(name):
+    # The benchmark's gate reads rows record by record (``row.sim or ()``,
+    # each record's ``degenerate_tracking``); what it reads must be the
+    # readouts' own arrays, or its ok_frac would judge other numbers.
+    checks = _benchmark_module("checks")
+    table = rabisweep.run_experiment(_READER_SPECS[name])
+    if name == "quench_trace":
+        # Flag some entries, so that the degenerate column is read too.
+        for i, row in enumerate(table.rows):
+            flags = np.arange(len(row.sim)) % (i + 2) == 0
+            row.sim = rabisweep.Readout(row.sim.labels, row.sim.probabilities, flags)
+    got = checks.table_arrays(table)
+    keys = [checks.label_key(label) for label in table.labels()]
+    assert got.labels == keys
+    column = {key: j for j, key in enumerate(keys)}
+    shape = (len(table.rows), len(keys))
+    expected = {"sim": np.full(shape, np.nan), "oracle": np.full(shape, np.nan)}
+    degenerate = np.zeros(shape, dtype=bool)
+    for i, row in enumerate(table.rows):
+        for which in ("sim", "oracle"):
+            readout = getattr(row, which)
+            if readout is None:
+                continue
+            # Its records carry exactly its arrays.
+            flags = [False] * len(readout) if readout.degenerate is None else readout.degenerate.tolist()
+            assert [(r.label, r.probability, r.degenerate_tracking) for r in readout] == list(
+                zip(readout.labels, readout.probabilities.tolist(), flags)
+            )
+            cols = [column[checks.label_key(label)] for label in readout.labels]
+            expected[which][i, cols] = readout.probabilities
+            if which == "sim" and readout.degenerate is not None:
+                degenerate[i, cols] = readout.degenerate
+    np.testing.assert_array_equal(got.sim, expected["sim"])
+    np.testing.assert_array_equal(got.oracle, expected["oracle"])
+    np.testing.assert_array_equal(got.degenerate, degenerate)
+    assert got.degenerate.any() == (name == "quench_trace")

@@ -16,6 +16,7 @@ from rabisweep.model import (
     ODD_SECTOR,
     Mode,
     MultiModeParams,
+    ProbabilityRecord,
     QrmParams,
     build_multimode,
     build_qrm,
@@ -452,6 +453,30 @@ class TestReadout:
         assert len(sector) == p.n_fock
         for label, prob in full.items():
             assert abs(sector.get(label, 0.0) - prob) <= 1e-12
+
+    def test_records_are_the_per_entry_ones(self):
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 16)
+        cols, labels = readout_columns(p, "displaced")
+        amp = ground_state(p, "epsilon", -3.0).amplitudes
+        probs = np.abs(cols.conj().T @ amp) ** 2
+        expected = [ProbabilityRecord(lab, float(pr)) for lab, pr in zip(labels, probs)]
+        assert list(project_records(cols, labels, amp)) == expected
+
+    def test_a_block_of_states_gives_one_readout_per_column(self):
+        # One product for every state; each column's readout is the
+        # single-state one up to the product's rounding.
+        p = QrmParams(0.1, 0.0, 1.0, 1.0, 16)
+        cols, labels = readout_columns(p, "displaced")
+        states = np.stack(
+            [ground_state(p, "epsilon", e).amplitudes for e in (-3.0, -0.5, 0.0, 2.0)], axis=1
+        )
+        readouts = project_records(cols, labels, states)
+        assert len(readouts) == 4
+        assert all(r.labels is readouts[0].labels for r in readouts)
+        for readout, amp in zip(readouts, states.T):
+            alone = project_records(cols, labels, amp)
+            assert readout.labels == alone.labels
+            np.testing.assert_allclose(readout.probabilities, alone.probabilities, rtol=0, atol=1e-15)
 
 
 class TestConvergenceScan:
