@@ -32,9 +32,11 @@ from .errors import (
     SymmetryViolationError,
 )
 from .experiments import (
+    ConvergenceReport,
     ExperimentSpec,
     ResultRow,
     ResultTable,
+    convergence_scan,
     default_quench_delta_hi,
     lz_scan,
     lz_time_trace,
@@ -93,11 +95,9 @@ from .operators import (
 from .presets import PRESETS
 from .sweep import (
     ConservationSample,
-    ConvergenceReport,
     RateBlock,
     SweepSchedule,
     Trajectory,
-    convergence_scan,
     greedy_label_assignment,
     ground_state,
     project_records,
@@ -111,8 +111,8 @@ __all__ = [
     "poisson_overlap", "sequential_crossing_probabilities", "DegenerateCrossingError",
     "GapTruncationError", "InsufficientTruncationError", "InvalidParameterError",
     "InvalidTruncationError", "NumericalInstabilityError", "RabisweepError",
-    "ResourceLimitError", "SymmetryViolationError", "ExperimentSpec", "ResultRow",
-    "ResultTable", "default_quench_delta_hi", "lz_scan",
+    "ResourceLimitError", "SymmetryViolationError", "ConvergenceReport", "ExperimentSpec",
+    "ResultRow", "ResultTable", "convergence_scan", "default_quench_delta_hi", "lz_scan",
     "lz_time_trace", "lz_window", "multimode_scan", "quench_rate_scan",
     "quench_time_trace", "run_experiment", "emit_svg",
     "parse_config_file", "read_result_table", "render_result_csv", "write_result_table",
@@ -124,7 +124,7 @@ __all__ = [
     "parity_sector_basis", "parity_sector_labels", "scheme_basis", "superradiant_state",
     "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
-    "unitary_displacement", "PRESETS", "ConservationSample", "ConvergenceReport",
-    "RateBlock", "SweepSchedule", "Trajectory", "convergence_scan", "greedy_label_assignment",
+    "unitary_displacement", "PRESETS", "ConservationSample",
+    "RateBlock", "SweepSchedule", "Trajectory", "greedy_label_assignment",
     "ground_state", "project_records", "readout_columns", "run_sweep",
 ]

@@ -20,7 +20,7 @@ from .errors import (
     GapTruncationError,
     InvalidParameterError,
 )
-from .model import BasisLabel, MultiModeParams, Readout
+from .model import BasisLabel, MultiModeParams, Readout, _require_finite
 
 # Relative tolerance used to declare two crossing positions coincident.
 CROSSING_DEGENERACY_RTOL = 1e-9
@@ -28,12 +28,6 @@ CROSSING_DEGENERACY_RTOL = 1e-9
 CASCADE_RESIDUAL_TOL = 1e-9
 
 Occupation = int | tuple[int, ...]
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
 
 
 def _require_positive(name: str, value: float) -> None:

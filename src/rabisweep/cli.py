@@ -16,9 +16,9 @@ import numpy as np
 from ._version import __version__
 from .analytics import cascade_probabilities, lz_probability, poisson_overlap
 from .errors import InvalidParameterError, RabisweepError
-from .experiments import DEFAULT_N_STEPS, ExperimentSpec, run_experiment
+from .experiments import DEFAULT_N_STEPS, ExperimentSpec, convergence_scan, run_experiment
 from .io import emit_svg, parse_config_file, write_result_table
-from .model import EVEN_SECTOR, Mode, MultiModeParams, build_qrm, parity_operator
+from .model import Mode, MultiModeParams, build_qrm, parity_operator
 from .operators import eig_hermitian
 from .presets import (
     PRESETS,
@@ -29,7 +29,6 @@ from .presets import (
     quench_scan_spec,
     quench_trace_spec,
 )
-from .sweep import SweepSchedule, convergence_scan, ground_state
 
 
 class _UsageError(Exception):
@@ -221,18 +220,11 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    p = qrm_params(args.g_over_omega, n_fock=args.n_fock)
-    schedule = SweepSchedule("delta", args.delta_i, 0.0, args.rate, n_steps=args.n_steps)
-    psi0 = ground_state(p, "delta", args.delta_i, EVEN_SECTOR)
-
-    def builder(pp, sched):
-        return ground_state(pp, "delta", sched.start_value, EVEN_SECTOR)
-
-    report = convergence_scan(
-        p, schedule, psi0, args.knob,
-        readout="superradiant", sector=EVEN_SECTOR,
-        tolerance=args.tolerance, state_builder=builder,
+    spec = quench_scan_spec(
+        "ns", args.g_over_omega, (args.rate,),
+        n_fock=args.n_fock, delta_hi=args.delta_i, n_steps=args.n_steps,
     )
+    report = convergence_scan(spec, args.knob, args.tolerance)
     print(f"knob={report.knob} base={report.base_value:g} tolerance={report.tolerance:g}")
     print(f"max_change_2x={report.max_change_2x}")
     print(f"max_change_4x={report.max_change_4x}")

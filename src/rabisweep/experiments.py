@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -36,6 +36,7 @@ from .model import (
 )
 from .operators import StateVector
 from .sweep import (
+    DEFAULT_N_STEPS,
     LEAKAGE_TOL,
     MIN_N_STEPS,
     SAMPLE_NORM_TOL,
@@ -71,8 +72,6 @@ ROW_SUM_TOL = 1e-6
 # Bounded caps leave a small unassigned survival weight in the multimode
 # oracle; it is recorded per row and only fails the row past this tolerance.
 ORACLE_RESIDUAL_TOL = 1e-3
-# Steps per run unless a spec sets its own.
-DEFAULT_N_STEPS = 20_000
 # Options that, when given, must be finite and positive.
 _POSITIVE_OPTIONS = ("rate", "delta_hi", "window", "top_occupancy_tol")
 
@@ -126,7 +125,7 @@ class ExperimentSpec:
 @dataclass
 class ResultRow:
     """One scan value's simulated and oracle readouts (None where the row
-    has none). Records handed in are held as one ``Readout``."""
+    has none)."""
 
     scan_value: float
     sim: Readout | None
@@ -134,12 +133,6 @@ class ResultRow:
     converged: bool
     checks: dict = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.sim is not None and not isinstance(self.sim, Readout):
-            self.sim = Readout.from_records(self.sim)
-        if self.oracle is not None and not isinstance(self.oracle, Readout):
-            self.oracle = Readout.from_records(self.oracle)
 
 
 @dataclass
@@ -586,3 +579,103 @@ def _provenance(spec: ExperimentSpec, wall_times: list[float]) -> dict:
         "truncation": truncation,
         "wall_times_s": [round(t, 4) for t in wall_times],
     }
+
+
+# ---------------------------------------------------------------------------
+# Resolution audit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConvergenceReport:
+    """Outcome of rerunning an experiment at 2x and 4x one resolution knob."""
+
+    knob: str
+    base_value: float
+    tolerance: float
+    max_change_2x: float | None
+    max_change_4x: float | None
+    passed: bool
+    notes: tuple[str, ...] = ()
+
+
+def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
+    """The option that sets a scan's far sweep endpoint, and its value:
+    ``delta_hi`` for a quench, ``window`` for a bias scan."""
+    if spec.kind.startswith("quench"):
+        return "delta_hi", max(_quench_endpoints(spec))
+    return "window", float(spec.options.get("window", lz_window(spec.params)))
+
+
+def _scaled_spec(spec: ExperimentSpec, knob: str, factor: int) -> ExperimentSpec:
+    """``spec`` with ``knob`` scaled by ``factor``. The n_fock knob scales
+    every mode and pins the endpoint, which a multimode window derives from
+    the ladders; the endpoint knob scales ``n_steps`` too, so dt is fixed."""
+    if knob == "n_steps":
+        return replace(spec, n_steps=factor * spec.n_steps)
+    key, magnitude = _endpoint_option(spec)
+    if knob == "endpoint_magnitude":
+        options = {**spec.options, key: factor * magnitude}
+        return replace(spec, n_steps=factor * spec.n_steps, options=options)
+    p = spec.params
+    if isinstance(p, QrmParams):
+        params = replace(p, n_fock=factor * p.n_fock)
+    else:
+        params = replace(p, modes=tuple(replace(m, n_fock=factor * m.n_fock) for m in p.modes))
+    return replace(spec, params=params, options={**spec.options, key: magnitude})
+
+
+def _largest_change(coarse: ResultTable, fine: ResultTable) -> float | None:
+    """Largest change in any row's simulated probabilities, where a label
+    that only one table's row carries counts its whole probability; None
+    when a row of either table has no simulated readout."""
+    changes = [0.0]
+    for a, b in zip(coarse.rows, fine.rows, strict=True):
+        if a.sim is None or b.sim is None:
+            return None
+        pa = dict(zip(a.sim.labels, a.sim.probabilities.tolist()))
+        pb = dict(zip(b.sim.labels, b.sim.probabilities.tolist()))
+        changes += [abs(pb.get(k, 0.0) - pa.get(k, 0.0)) for k in pa.keys() | pb.keys()]
+    return max(changes)
+
+
+def convergence_scan(
+    spec: ExperimentSpec, knob: str, tolerance: float = 1e-3
+) -> ConvergenceReport:
+    """Rerun a simulated rate scan at 1x, 2x and 4x ``knob`` and report the
+    largest change in any row's simulated probabilities between successive
+    resolutions.
+
+    Each resolution is one ``run_experiment`` call, so every run starts from
+    its own initial state and reads out as its table does. ``knob`` is
+    ``n_steps``, ``n_fock`` (of every mode) or ``endpoint_magnitude``
+    (``delta_hi`` of a quench, ``window`` of a bias scan). The report passes
+    when both changes are within ``tolerance`` and every row converged at
+    every resolution; the unconverged rows' warnings are its notes, and a
+    change is None when a row failed at either resolution. An unknown
+    knob, a NaN, infinite or negative tolerance, a trace kind and a
+    formula-only spec are refused before any run.
+    """
+    if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
+        raise InvalidParameterError(f"unknown convergence knob {knob!r}")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    if spec.kind not in RATE_SCAN_KINDS:
+        raise InvalidParameterError(f"convergence_scan audits rate scans, not {spec.kind!r}")
+    if not spec.options.get("simulate", True):
+        raise InvalidParameterError("a formula-only spec has no simulation to audit")
+    p = spec.params
+    base_value = {
+        "n_steps": float(spec.n_steps),
+        "n_fock": float(p.n_fock if isinstance(p, QrmParams) else max(m.n_fock for m in p.modes)),
+        "endpoint_magnitude": _endpoint_option(spec)[1],
+    }[knob]
+    tables = {f: run_experiment(_scaled_spec(spec, knob, f)) for f in (1, 2, 4)}
+    unconverged = [(f, row) for f, t in tables.items() for row in t.rows if not row.converged]
+    notes = tuple(
+        f"{f}x, {spec.scan_name} = {row.scan_value:g}: {warning}"
+        for f, row in unconverged
+        for warning in row.warnings
+    )
+    changes = [_largest_change(tables[1], tables[2]), _largest_change(tables[2], tables[4])]
+    passed = not unconverged and all(c is not None and c <= tolerance for c in changes)
+    return ConvergenceReport(knob, base_value, tolerance, *changes, passed, notes)

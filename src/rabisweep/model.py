@@ -270,16 +270,6 @@ class Readout(Sequence):
         flag_rows = itertools.repeat(None) if flags is None else flags
         return [cls._trusted(labels, row, fl) for row, fl in zip(probs, flag_rows)]
 
-    @classmethod
-    def from_records(cls, records) -> Readout:
-        records = tuple(records)
-        flags = [r.degenerate_tracking for r in records]
-        return cls(
-            [r.label for r in records],
-            [r.probability for r in records],
-            flags if any(flags) else None,
-        )
-
     def __setattr__(self, name, value) -> None:
         raise AttributeError("a Readout is immutable")
 
@@ -330,8 +320,10 @@ def default_n_fock(g: float, omega: float) -> int:
     """Default Fock truncation for coupling ratio g/omega.
 
     It represents the low displaced levels only, by the rule of
-    ``displaced_level_fits``: n <= 14 at g/omega = 1 (32 levels) and n <= 16
-    at g/omega = 2 (50 levels). Higher displaced levels need a larger n_fock.
+    ``displaced_level_fits``: n <= 26 at g/omega = 0.1, n <= 14 at 1 (32
+    levels) and n <= 16 at 2 (50 levels). The floor over g/omega in [0, 5]
+    is n <= 10, at g/omega = 1.4-1.5. Higher displaced levels need a larger
+    n_fock.
     """
     ratio = g / omega
     return max(32, int(math.ceil(10.0 * (ratio * ratio + 1.0))))

@@ -83,6 +83,8 @@ LEAKAGE_TOL = 1e-10
 DEGENERACY_WARN_RTOL = 1e-8
 # Fewest steps a sweep may take: the resolution guard of every fixed-step run.
 MIN_N_STEPS = 1000
+# Steps per run unless a schedule or an experiment spec sets its own.
+DEFAULT_N_STEPS = 20_000
 
 _EIGH_BACKEND_MAX_DIM = 16
 _EIGH_CHUNK = 4096
@@ -98,7 +100,7 @@ class SweepSchedule:
     start_value: float
     end_value: float
     rate_v: float
-    n_steps: int = 100_000
+    n_steps: int = DEFAULT_N_STEPS
     sample_times: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -723,117 +725,3 @@ def eigen_level_series(
     flags[:, :-1] |= tight
     flags[:, 1:] |= tight
     return pops, vals, flags
-
-
-# ---------------------------------------------------------------------------
-# Convergence scanning
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Outcome of rerunning a sweep at 2x and 4x one resolution knob."""
-
-    knob: str
-    base_value: float
-    tolerance: float
-    max_change_2x: float | None
-    max_change_4x: float | None
-    passed: bool
-    notes: tuple[str, ...] = ()
-
-
-def _scaled_truncation(p: QrmParams | MultiModeParams, factor: int):
-    if isinstance(p, QrmParams):
-        return replace(p, n_fock=factor * p.n_fock)
-    return replace(
-        p, modes=tuple(replace(m, n_fock=factor * m.n_fock) for m in p.modes)
-    )
-
-
-def convergence_scan(
-    p: QrmParams | MultiModeParams,
-    schedule: SweepSchedule,
-    psi0: StateVector,
-    knob: str,
-    readout: str = "bare",
-    sector: ParitySector | None = None,
-    tolerance: float = 1e-3,
-    state_builder=None,
-) -> ConvergenceReport:
-    """Rerun the sweep at 2x and 4x resolution and report final-probability
-    drift in the ``readout`` scheme (in the run's sector, when one is given).
-
-    ``state_builder(p, schedule) -> StateVector`` builds each run's initial
-    state from that run's parameters and schedule: the scaled truncation for
-    ``n_fock`` and the scaled endpoints for ``endpoint_magnitude``. Both
-    knobs need one, since psi0 belongs to the unscaled run, and are refused
-    without it before any run, as is a NaN, infinite or negative
-    ``tolerance``.
-    """
-    if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
-        raise InvalidParameterError(f"unknown convergence knob {knob!r}")
-    if not (np.isfinite(tolerance) and tolerance >= 0):
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
-    if knob != "n_steps" and state_builder is None:
-        raise InvalidParameterError(
-            f"a {knob} scan needs a state_builder: each run starts from its own state"
-        )
-    # Built before any run, so an unknown scheme fails before propagating.
-    base_columns = readout_columns(p, readout, sector)
-
-    def final_probs(pp, sched, state) -> dict[BasisLabel, float]:
-        traj = run_sweep(pp, sched, state, sector=sector)
-        columns = base_columns if pp is p else readout_columns(pp, readout, sector)
-        records = project_records(*columns, traj.final_state.amplitudes)
-        return {rec.label: rec.probability for rec in records}
-
-    def configured(factor: int):
-        if knob == "n_steps":
-            return p, replace(schedule, n_steps=factor * schedule.n_steps), psi0
-        if knob == "n_fock":
-            p_new = _scaled_truncation(p, factor)
-            return p_new, schedule, state_builder(p_new, schedule)
-        # endpoint_magnitude: scale both endpoints, keep dt fixed.
-        sched = replace(
-            schedule,
-            start_value=factor * schedule.start_value,
-            end_value=factor * schedule.end_value,
-            n_steps=factor * schedule.n_steps,
-        )
-        return p, sched, state_builder(p, sched)
-
-    notes: list[str] = []
-    base_value = {
-        "n_steps": float(schedule.n_steps),
-        "n_fock": float(p.n_fock if isinstance(p, QrmParams) else max(m.n_fock for m in p.modes)),
-        "endpoint_magnitude": max(abs(schedule.start_value), abs(schedule.end_value)),
-    }[knob]
-    try:
-        base = final_probs(*configured(1))
-        changes = []
-        prev = base
-        for factor in (2, 4):
-            cur = final_probs(*configured(factor))
-            keys = set(prev) & set(cur)
-            missing = (set(prev) | set(cur)) - keys
-            # Labels only existing at the higher resolution carry their full
-            # probability as change.
-            extra = max(
-                (cur.get(k, prev.get(k, 0.0)) for k in missing), default=0.0
-            )
-            delta = max((abs(cur[k] - prev[k]) for k in keys), default=0.0)
-            changes.append(max(delta, extra))
-            prev = cur
-        passed = all(c <= tolerance for c in changes)
-    except (InsufficientTruncationError, NumericalInstabilityError) as exc:
-        notes.append(f"{type(exc).__name__}: {exc}")
-        return ConvergenceReport(knob, base_value, tolerance, None, None, False, tuple(notes))
-    return ConvergenceReport(
-        knob,
-        base_value,
-        tolerance,
-        changes[0],
-        changes[1],
-        passed,
-        tuple(notes),
-    )

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from rabisweep import cli, sweep
+from rabisweep import cli, experiments
 from rabisweep.cli import main
 from rabisweep.model import EVEN_SECTOR
-from rabisweep.presets import PRESETS
-from rabisweep.sweep import ground_state
+from rabisweep.presets import PRESETS, qrm_params
+from rabisweep.sweep import (
+    SweepSchedule,
+    ground_state,
+    project_records,
+    readout_columns,
+    run_sweep,
+)
 
 
 @pytest.fixture
@@ -149,23 +155,62 @@ class TestPresetsCommand:
         assert not out.exists()
 
 
+CONVERGENCE = [
+    "convergence", "--g-over-omega", "1", "--n-fock", "16", "--rate", "1e4",
+    "--delta-i", "20", "--n-steps", "1000",
+]
+
+
+def single_run_audit(knob: str) -> str:
+    """What ``convergence`` prints for CONVERGENCE, computed run by run: each
+    resolution one ``run_sweep`` from its own even-block ground state, read
+    out in the even block's superradiant basis."""
+    def final_probs(factor: int) -> dict:
+        n_fock = 16 * factor if knob == "n_fock" else 16
+        start = 20.0 * factor if knob == "endpoint_magnitude" else 20.0
+        n_steps = 1000 if knob == "n_fock" else 1000 * factor
+        p = qrm_params(1.0, n_fock=n_fock)
+        traj = run_sweep(
+            p, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
+            ground_state(p, "delta", start, EVEN_SECTOR), sector=EVEN_SECTOR,
+        )
+        readout = project_records(
+            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state.amplitudes
+        )
+        return dict(zip(readout.labels, readout.probabilities.tolist()))
+
+    probs = [final_probs(f) for f in (1, 2, 4)]
+    changes = [
+        max(abs(b.get(k, 0.0) - a.get(k, 0.0)) for k in a.keys() | b.keys())
+        for a, b in zip(probs, probs[1:])
+    ]
+    base = {"n_steps": 1000, "n_fock": 16, "endpoint_magnitude": 20}[knob]
+    return "\n".join([
+        f"knob={knob} base={base} tolerance=0.001",
+        f"max_change_2x={changes[0]}",
+        f"max_change_4x={changes[1]}",
+        "converged" if max(changes) <= 1e-3 else "NOT CONVERGED",
+    ])
+
+
 class TestConvergence:
+    @pytest.mark.parametrize("knob", ["n_steps", "n_fock", "endpoint_magnitude"])
+    def test_prints_the_run_by_run_audit(self, knob, capsys):
+        assert main([*CONVERGENCE, "--knob", knob]) == 0
+        assert printed(capsys) == single_run_audit(knob)
+
     def test_endpoint_runs_start_from_their_own_ground_state(self, monkeypatch, capsys):
         # The 2x and 4x runs scale both endpoints, so each starts from the
         # ground state at its own large-gap endpoint.
         runs = []
-        run_sweep = sweep.run_sweep
+        run_block = experiments.run_sweep
 
-        def recording_run(p, schedule, psi0, **kwargs):
-            runs.append((p, schedule.start_value, psi0))
-            return run_sweep(p, schedule, psi0, **kwargs)
+        def recording_run(p, block, psi0, **kwargs):
+            runs.append((p, block.schedules[0].start_value, psi0))
+            return run_block(p, block, psi0, **kwargs)
 
-        monkeypatch.setattr(sweep, "run_sweep", recording_run)
-        argv = [
-            "convergence", "--knob", "endpoint_magnitude", "--g-over-omega", "1",
-            "--n-fock", "16", "--rate", "1e4", "--delta-i", "20", "--n-steps", "1000",
-        ]
-        assert main(argv) == 0
+        monkeypatch.setattr(experiments, "run_sweep", recording_run)
+        assert main([*CONVERGENCE, "--knob", "endpoint_magnitude"]) == 0
         assert [start for _, start, _ in runs] == [20.0, 40.0, 80.0]
         for p, start, psi0 in runs:
             expected = ground_state(p, "delta", start, EVEN_SECTOR).amplitudes

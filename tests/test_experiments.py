@@ -7,7 +7,6 @@ from rabisweep.errors import InvalidParameterError
 from rabisweep import experiments, sweep
 from rabisweep.experiments import (
     ExperimentSpec,
-    ResultRow,
     _row_checks,
     default_quench_delta_hi,
     lz_window,
@@ -17,11 +16,8 @@ from rabisweep.model import (
     EVEN_SECTOR,
     TOP_OCCUPANCY_TOL,
     Mode,
-    BasisLabel,
     MultiModeParams,
-    ProbabilityRecord,
     QrmParams,
-    Readout,
     parity_sector_basis,
     top_fock_occupancy,
 )
@@ -365,15 +361,3 @@ class TestSpec:
             ExperimentSpec(
                 "lz_trace", p, "epsilon_over_omega", (-5.0, 5.0), options={"rate": 0.0}
             )
-
-
-class TestResultRow:
-    def test_records_handed_in_are_held_as_one_readout(self):
-        a, b = (BasisLabel("displaced", "up", n) for n in range(2))
-        records = (ProbabilityRecord(a, 0.25, True), ProbabilityRecord(b, 0.75))
-        row = ResultRow(1.0, records, list(records[:1]), True)
-        assert isinstance(row.sim, Readout) and isinstance(row.oracle, Readout)
-        assert list(row.sim) == list(records) and list(row.oracle) == list(records[:1])
-        kept = Readout((a,), [0.5])
-        assert ResultRow(2.0, kept, None, False).sim is kept
-        assert replace(row, sim=records[1:]).sim == Readout((b,), [0.75])

@@ -14,6 +14,7 @@ from rabisweep.io import (
     CSV_HEADER,
     emit_svg,
     parse_result_csv,
+    read_result_table,
     render_result_csv,
     write_result_table,
 )
@@ -21,7 +22,6 @@ from rabisweep.model import (
     BasisLabel,
     Mode,
     MultiModeParams,
-    ProbabilityRecord,
     QrmParams,
     Readout,
 )
@@ -51,6 +51,10 @@ class TestCsv:
             assert got.probability is None
             assert got.oracle_probability == pytest.approx(probability, rel=1e-8, abs=1e-300)
             assert got.converged is converged
+
+    def test_read_result_table_reads_what_was_written(self, table, tmp_path):
+        csv_path, _ = write_result_table(table, tmp_path, "formula")
+        assert read_result_table(csv_path) == parse_result_csv(render_result_csv(table))
 
     def test_identical_configs_write_identical_bytes(self, tmp_path):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
@@ -186,8 +190,8 @@ class TestSvg:
         a, b, c = (BasisLabel("displaced", "up", n) for n in range(3))
         spec = ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 8), "v", (1.0, 2.0))
         rows = [
-            ResultRow(1.0, (ProbabilityRecord(a, 0.1), ProbabilityRecord(a, 0.2)), None, True),
-            ResultRow(2.0, None, (ProbabilityRecord(b, 0.3),), True),
+            ResultRow(1.0, Readout((a, a), [0.1, 0.2]), None, True),
+            ResultRow(2.0, None, Readout((b,), [0.3]), True),
         ]
         columns = ResultTable(spec, rows).columns([a, b, a, c])
         assert list(columns) == [a, b, c]

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rabisweep import sweep
+from rabisweep import experiments, sweep
 from rabisweep.errors import (
     InsufficientTruncationError,
     InvalidParameterError,
     NumericalInstabilityError,
 )
+from rabisweep.experiments import ExperimentSpec, convergence_scan, lz_window, run_experiment
 from rabisweep.model import (
     EVEN_SECTOR,
     ODD_SECTOR,
@@ -30,11 +31,17 @@ from rabisweep.model import (
     top_fock_occupancy,
 )
 from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
+from rabisweep.presets import (
+    lz_scan_spec,
+    lz_trace_spec,
+    qrm_params,
+    quench_scan_spec,
+    quench_trace_spec,
+)
 from rabisweep.sweep import (
     RateBlock,
     SweepSchedule,
     _evolve_linear,
-    convergence_scan,
     eigen_level_series,
     greedy_label_assignment,
     ground_state,
@@ -479,89 +486,116 @@ class TestReadout:
             np.testing.assert_allclose(readout.probabilities, alone.probabilities, rtol=0, atol=1e-15)
 
 
+def _largest_change(coarse, fine) -> float:
+    """The audit's rule, record by record: the largest change of any row's
+    simulated probability, a label only one side carries counting whole."""
+    out = 0.0
+    for a, b in zip(coarse.rows, fine.rows):
+        pa = {rec.label: rec.probability for rec in a.sim}
+        pb = {rec.label: rec.probability for rec in b.sim}
+        out = max(out, *(abs(pa.get(k, 0.0) - pb.get(k, 0.0)) for k in pa.keys() | pb.keys()))
+    return out
+
+
+QUENCH = quench_scan_spec("ns", 1.0, (1e4,), n_fock=16, delta_hi=20.0, n_steps=1000)
+
+
 class TestConvergenceScan:
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("propagated before the audit checked its inputs")
+
+        monkeypatch.setattr(experiments, "run_sweep", fail)
+
     def test_frozen_schedule_always_converged(self):
-        p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
-        psi0 = block_ground(p, 1.0)
-        s = SweepSchedule("delta", 1.0, 1.0, 1.0, n_steps=1000)
-        report = convergence_scan(
-            p, s, psi0, "n_steps", readout="normal", sector=EVEN_SECTOR
-        )
-        assert report.passed
-        assert report.max_change_2x <= 1e-12
-
-    def test_unknown_scheme_fails_before_any_run(self, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("propagated before checking the readout scheme")
-
-        monkeypatch.setattr(sweep, "run_sweep", no_run)
-        p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
-        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000)
-        for readout in ("foo", "state"):
-            with pytest.raises(InvalidParameterError):
-                convergence_scan(p, s, block_ground(p, 1.0), "n_steps", readout=readout,
-                                 sector=EVEN_SECTOR)
-
-    def test_n_fock_scan_needs_a_builder(self, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("propagated before checking for a state builder")
-
-        monkeypatch.setattr(sweep, "run_sweep", no_run)
-        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        s = SweepSchedule("delta", 20.0, 0.0, 1e4, n_steps=1000)
-        with pytest.raises(InvalidParameterError):
-            convergence_scan(p, s, block_ground(p, 20.0), "n_fock", readout="superradiant",
-                             sector=EVEN_SECTOR)
-
-    def test_endpoint_scan_needs_a_builder(self, monkeypatch):
-        # psi0 is the ground state at the unscaled endpoint, so the 2x and 4x
-        # runs would start from the wrong state and report it as drift.
-        def no_run(*args, **kwargs):
-            raise AssertionError("propagated before checking for a state builder")
-
-        monkeypatch.setattr(sweep, "run_sweep", no_run)
-        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        s = SweepSchedule("delta", 20.0, 0.0, 1e4, n_steps=1000)
-        with pytest.raises(InvalidParameterError, match="state_builder"):
-            convergence_scan(p, s, block_ground(p, 20.0), "endpoint_magnitude",
-                             readout="superradiant", sector=EVEN_SECTOR)
+        # At g = 0 every H(t) of the quench commutes with the start state,
+        # so the state never moves and no resolution changes its readout.
+        spec = quench_scan_spec("ns", 0.0, (1.0, 1e4), n_fock=16, delta_hi=1.0, n_steps=1000)
+        report = convergence_scan(spec, "n_steps")
+        assert report.passed and report.notes == ()
+        assert report.max_change_2x <= 1e-12 and report.max_change_4x <= 1e-12
 
     @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
-    def test_bad_tolerance_fails_before_any_run(self, monkeypatch, tolerance):
+    def test_bad_tolerance_fails_before_any_run(self, no_run, tolerance):
         # A NaN tolerance used to run all three sweeps and report a 1e-12
         # drift as not converged.
-        def no_run(*args, **kwargs):
-            raise AssertionError("propagated before checking the tolerance")
-
-        monkeypatch.setattr(sweep, "run_sweep", no_run)
-        p = QrmParams(1.0, 0.0, 1.0, 0.5, 16)
-        s = SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000)
         with pytest.raises(InvalidParameterError, match="tolerance"):
-            convergence_scan(p, s, block_ground(p, 1.0), "n_steps", readout="normal",
-                             sector=EVEN_SECTOR, tolerance=tolerance)
+            convergence_scan(QUENCH, "n_steps", tolerance=tolerance)
+
+    @pytest.mark.parametrize(
+        "spec, knob",
+        [
+            (QUENCH, "rate"),
+            (quench_trace_spec("ns", 1.0, n_fock=16, delta_hi=20.0, n_steps=1000), "n_steps"),
+            (lz_trace_spec(1.0, 0.1, n_fock=16, n_steps=1000), "n_fock"),
+            (lz_scan_spec(1.0, 0.1, (1.0, 10.0), n_fock=16, simulate=False), "n_steps"),
+        ],
+        ids=["unknown-knob", "quench-trace", "lz-trace", "formula-only"],
+    )
+    def test_refused_before_any_run(self, no_run, spec, knob):
+        with pytest.raises(InvalidParameterError):
+            convergence_scan(spec, knob)
+
+    @pytest.mark.parametrize(
+        "spec, knob, scaled",
+        [
+            (
+                quench_scan_spec("sn", 1.0, (1e3, 1e4), n_fock=16, delta_hi=20.0, n_steps=1000),
+                "n_fock",
+                lambda f: quench_scan_spec(
+                    "sn", 1.0, (1e3, 1e4), n_fock=16 * f, delta_hi=20.0, n_steps=1000
+                ),
+            ),
+            (
+                lz_scan_spec(0.1, 0.1, (10.0, 100.0), n_fock=8, n_steps=1000),
+                "endpoint_magnitude",
+                lambda f: lz_scan_spec(
+                    0.1, 0.1, (10.0, 100.0), n_fock=8, n_steps=1000 * f,
+                    window=f * lz_window(qrm_params(0.1, 0.1, n_fock=8)),
+                ),
+            ),
+        ],
+        ids=["quench_sn-n_fock", "lz_scan-endpoint_magnitude"],
+    )
+    def test_compares_the_tables_of_the_scaled_specs(self, spec, knob, scaled):
+        # Each resolution is the table run_experiment writes for the spec
+        # with that knob scaled: named levels for quench_sn, the displaced
+        # basis at the far window edge for lz_scan.
+        tables = [run_experiment(scaled(f)) for f in (1, 2, 4)]
+        report = convergence_scan(spec, knob)
+        assert report.max_change_2x == _largest_change(tables[0], tables[1])
+        assert report.max_change_4x == _largest_change(tables[1], tables[2])
+        converged = all(row.converged for table in tables for row in table.rows)
+        assert report.notes == () and converged
+        assert report.passed == (max(report.max_change_2x, report.max_change_4x) <= 1e-3)
+
+    def test_a_failed_row_has_no_change(self):
+        # The multimode oracle refuses v = 0.3 delta^2 (crossings past the
+        # caps), so that row fails at every resolution and is not propagated.
+        p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        spec = ExperimentSpec("multimode_scan", p, "v_over_delta2", (0.3,), n_steps=1000)
+        report = convergence_scan(spec, "n_steps")
+        assert report.max_change_2x is None and report.max_change_4x is None
+        assert not report.passed
+        assert [note.split(": ")[:2] for note in report.notes] == [
+            [f"{f}x, v_over_delta2 = 0.3", "GapTruncationError"] for f in (1, 2, 4)
+        ]
 
     def test_quench_step_doubling_is_stable(self):
-        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        psi0 = block_ground(p, 200.0)
-        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=10_000)
-        report = convergence_scan(
-            p, s, psi0, "n_steps", readout="superradiant", sector=EVEN_SECTOR
-        )
+        spec = quench_scan_spec("ns", 1.0, (1e4,), n_fock=32, delta_hi=200.0, n_steps=10_000)
+        report = convergence_scan(spec, "n_steps")
         assert report.passed
         assert report.max_change_2x <= 1e-3 and report.max_change_4x <= 1e-3
 
     def test_tiny_truncation_flagged(self):
-        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        s = SweepSchedule("delta", 200.0, 0.0, 1e4, n_steps=5000)
-
-        def builder(pp, schedule):
-            return block_ground(pp, schedule.start_value)
-
-        report = convergence_scan(
-            p, s, builder(p, s), "n_fock",
-            readout="superradiant", sector=EVEN_SECTOR, state_builder=builder,
-        )
+        # At 8 levels the endpoint ground state at zero gap leaks into the
+        # top of the ladder: the row is unconverged and says why.
+        spec = quench_scan_spec("ns", 2.0, (1e4,), n_fock=8, delta_hi=200.0, n_steps=5000)
+        report = convergence_scan(spec, "n_fock")
         assert not report.passed
+        assert report.notes[0].startswith("1x, v_over_omega2 = 10000: top tenth of the Fock")
+        assert all("truncation-limited" in note for note in report.notes)
 
 
 class TestRateBlock:
