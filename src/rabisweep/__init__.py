@@ -94,7 +94,6 @@ from .operators import (
 )
 from .presets import PRESETS
 from .sweep import (
-    ConservationSample,
     RateBlock,
     SweepSchedule,
     Trajectory,
@@ -124,7 +123,7 @@ __all__ = [
     "parity_sector_basis", "parity_sector_labels", "scheme_basis", "superradiant_state",
     "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
-    "unitary_displacement", "PRESETS", "ConservationSample",
-    "RateBlock", "SweepSchedule", "Trajectory", "greedy_label_assignment",
-    "ground_state", "project_records", "readout_columns", "run_sweep",
+    "unitary_displacement", "PRESETS", "RateBlock", "SweepSchedule", "Trajectory",
+    "greedy_label_assignment", "ground_state", "project_records", "readout_columns",
+    "run_sweep",
 ]

@@ -363,7 +363,7 @@ def _trace_run(
         n_steps=spec.n_steps,
         sample_times=tuple(np.clip(sample_times, 0.0, total_time)),
     )
-    return run_sweep(spec.params, schedule, psi0, sector=sector, check_truncation=False)
+    return run_sweep(spec.params, schedule, psi0, sector=sector)
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -394,10 +394,10 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
             SweepSchedule("delta", start, end, v * p.omega**2, n_steps=spec.n_steps)
             for v in values
         ))
-        return run_sweep(p, block, psi0, sector=EVEN_SECTOR, check_truncation=False)
+        return run_sweep(p, block, psi0, sector=EVEN_SECTOR)
 
     def row(scan_value: float, oracle: Readout, traj: Trajectory) -> ResultRow:
-        sim = project_records(cols, labels, traj.final_state.amplitudes)
+        sim = project_records(cols, labels, traj.final_state)
         checks, ok, warns = _row_checks(traj, sim)
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
 
@@ -430,9 +430,7 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     )
 
     delta_values = np.array([traj.schedule.value_at(t) for t in traj.times])
-    pops, _, flags = eigen_level_series(
-        *block, delta_values, [s.amplitudes for s in traj.states]
-    )
+    pops, _, flags = eigen_level_series(*block, delta_values, traj.states)
     scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
     _, level_labels = _named_levels(p, block, delta_values[-1], scheme)
 
@@ -482,7 +480,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
                 SweepSchedule("epsilon", -window, window, v * p.delta**2, n_steps=spec.n_steps)
                 for v in values
             ))
-            return run_sweep(p, block, psi0, check_truncation=False)
+            return run_sweep(p, block, psi0)
 
     def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
         return sequential_crossing_probabilities(
@@ -495,7 +493,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
             return ResultRow(
                 scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
             )
-        sim = project_records(cols, labels, traj.final_state.amplitudes)
+        sim = project_records(cols, labels, traj.final_state)
         checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
         checks["oracle_residual"] = oracle_residual
         return ResultRow(scan_value, sim, oracle, ok, checks, warns)
@@ -529,9 +527,8 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
         ground_state(p, "epsilon", -window),
     )
     cols, labels = readout_columns(p, "displaced")
-    states = np.stack([state.amplitudes for state in traj.states], axis=1)
     rows = []
-    for t, sim in zip(traj.times, project_records(cols, labels, states)):
+    for t, sim in zip(traj.times, project_records(cols, labels, traj.states)):
         checks, ok, warns = _row_checks(traj, sim)
         rows.append(ResultRow(float((t * rate - window) / omega), sim, None, ok, checks, warns))
     prov = _provenance(spec, [])

@@ -538,11 +538,15 @@ def multimode_displaced_basis(p: MultiModeParams) -> tuple[np.ndarray, list[Basi
     return np.hstack([up_block, down_block]), labels
 
 
+def _scheme_column(label: BasisLabel, n_fock: int) -> int:
+    """Index of a single-mode label's column in ``scheme_basis`` (qubit-major)."""
+    return QUBIT_LABELS[label.scheme].index(label.qubit) * n_fock + label.photons
+
+
 def _basis_state(p: QrmParams, label: BasisLabel) -> StateVector:
     """The ``scheme_basis`` column of one label, as a full-space state."""
     cols, _ = scheme_basis(p, label.scheme)
-    q = QUBIT_LABELS[label.scheme].index(label.qubit)
-    return StateVector(cols[:, q * p.n_fock + label.photons], "bare")
+    return StateVector(cols[:, _scheme_column(label, p.n_fock)], "bare")
 
 
 def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:

@@ -28,7 +28,9 @@ a rate scan, which differ only in their rate, share every step's matrix. A
 of one block, each with its own step size, coefficients and phase.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
-of its own run, so a run assembles its Hamiltonian once.
+of its own run, so a run assembles its Hamiltonian once. A run returns a
+``Trajectory``, its sampled states as the columns of one read-only array,
+and records its truncation weights for each experiment row to judge.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
@@ -40,7 +42,6 @@ same matrix ends in, without the dense reduction before it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import eigh
@@ -48,7 +49,6 @@ from scipy.linalg.lapack import dstevd
 from scipy.special import jv
 
 from .errors import (
-    InsufficientTruncationError,
     InvalidParameterError,
     NumericalInstabilityError,
     RabisweepError,
@@ -59,7 +59,7 @@ from .model import (
     ParitySector,
     QrmParams,
     Readout,
-    TOP_OCCUPANCY_TOL,
+    _scheme_column,
     build_multimode,
     build_qrm,
     delta_ramp,
@@ -175,43 +175,28 @@ class RateBlock:
         return self.schedules[0].n_steps
 
 
-@dataclass(frozen=True)
-class ConservationSample:
-    time: float
-    norm_deviation: float
-    parity_leakage: float | None
-
-
 @dataclass
 class Trajectory:
-    """Sampled output of one sweep: the normalized state at each sample time.
-
-    States are in the run's coordinates (block coordinates for a sector run).
-    Readout probabilities come from ``project_records`` over
+    """Sampled output of one sweep. ``states`` is one read-only complex
+    (dim, samples) array, the normalized state at each sample time as a
+    column, in the run's coordinates (block coordinates for a sector run).
+    The two maxima cover every sample and the end of the sweep; leakage is 0
+    where parity is not checked. Readouts come from ``project_records`` over
     ``readout_columns``.
     """
 
     schedule: SweepSchedule
     times: np.ndarray
-    states: list[StateVector]
-    conservation_log: list[ConservationSample] = field(default_factory=list)
+    states: np.ndarray
+    max_norm_deviation: float
+    max_parity_leakage: float
     warnings: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
     @property
-    def final_state(self) -> StateVector:
-        return self.states[-1]
-
-    # Each maximum scans the whole log, and a trace judges one row per
-    # sample against it, so it is computed once per trajectory.
-    @cached_property
-    def max_norm_deviation(self) -> float:
-        return max((abs(c.norm_deviation) for c in self.conservation_log), default=0.0)
-
-    @cached_property
-    def max_parity_leakage(self) -> float:
-        vals = [c.parity_leakage for c in self.conservation_log if c.parity_leakage is not None]
-        return max(vals, default=0.0)
+    def final_state(self) -> np.ndarray:
+        """The last sampled state."""
+        return self.states[:, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +471,8 @@ def readout_columns(
         return scheme_basis(p, scheme)
     labels = parity_sector_labels(sector, p.n_fock, scheme)
     basis, _ = parity_sector_basis(p, sector)
-    cols_full, all_labels = scheme_basis(p, scheme)
-    keep = [all_labels.index(lab) for lab in labels]
+    cols_full, _ = scheme_basis(p, scheme)
+    keep = [_scheme_column(lab, p.n_fock) for lab in labels]
     return basis.T @ cols_full[:, keep], labels
 
 
@@ -512,12 +497,10 @@ def run_sweep(
     schedule: SweepSchedule | RateBlock,
     psi0: StateVector,
     sector: ParitySector | None = None,
-    check_truncation: bool = True,
 ) -> Trajectory | list[Trajectory | RabisweepError]:
-    """Evolve psi0 under the scheduled ramp, check conservation and
-    truncation, and return the normalized state at every sample time: one
-    per entry of ``schedule.sample_times`` when given, else the start and
-    the end.
+    """Evolve psi0 under the scheduled ramp, check conservation, and return
+    the normalized state at every sample time: one per entry of
+    ``schedule.sample_times`` when given, else the start and the end.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
     With ``sector`` given (bias-free gap sweeps only) the evolution runs inside
@@ -525,25 +508,21 @@ def run_sweep(
     psi0 must be a ``"bare"`` state. The run reads nothing out: project its
     states with ``project_records`` over ``readout_columns``.
 
-    The top-tenth Fock weights (``model.top_fock_occupancy``) of the state at
-    the end of the sweep, sampled or not, and of the ground states of both
-    endpoint Hamiltonians (solved on the run's own parts) go to
-    ``metadata["top_fock_occupancy"]`` and
-    ``metadata["endpoint_top_fock_occupancy"]``. With ``check_truncation=True``
-    a weight above TOP_OCCUPANCY_TOL raises ``InsufficientTruncationError``;
-    with ``False`` the run only records them, and the caller judges them
-    against its own limit. ``metadata["n_steps"]`` and
+    Every sample and the end of the sweep, sampled or not, are checked: a
+    norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
+    the first such sample; a drift past SAMPLE_NORM_TOL, or parity leakage
+    past LEAKAGE_TOL in a full-space bias-free gap sweep, is a warning. The
+    top-tenth Fock weights (``model.top_fock_occupancy``) of the end state
+    and of both endpoint ground states (solved on the run's own parts) are
+    recorded, not judged, in ``metadata["top_fock_occupancy"]`` and
+    ``metadata["endpoint_top_fock_occupancy"]``. ``metadata["n_steps"]`` and
     ``metadata["chebyshev_terms"]`` record the steps taken and the Chebyshev
     terms per step (the most any chunk took; 0 on the eigh branch).
 
-    A ``RateBlock`` runs every one of its schedules in one propagation, as
-    the columns of one block (see ``_evolve_linear``), and returns one
-    ``Trajectory`` or ``RabisweepError`` per schedule, in order. What the
-    schedules share is checked once and raises for the whole block: the
-    arguments and the endpoint ground states. What each run reaches is
-    checked per run and fails only that run's entry: its norm drift and its
-    final state's truncation. Each trajectory records its own Chebyshev
-    terms per step.
+    A ``RateBlock`` runs its schedules in one propagation, as the columns of
+    one block (see ``_evolve_linear``), and returns one ``Trajectory`` or
+    ``RabisweepError`` per schedule, in order: a bad argument raises for the
+    whole block, and a run's norm drift fails only that run's entry.
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
@@ -566,24 +545,16 @@ def run_sweep(
             f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
         )
 
-    def guard_truncation(occupancy: float, holder: str) -> None:
-        if check_truncation and occupancy > TOP_OCCUPANCY_TOL:
-            raise InsufficientTruncationError(
-                f"{holder} holds weight {occupancy:.2e} in the top tenth of the "
-                f"Fock ladder (limit {TOP_OCCUPANCY_TOL:.0e})"
-            )
-
     endpoint_occ = 0.0
     for value in {first.start_value, first.end_value}:
         ground = _lowest_eigenvector(h_static, h_ramp, value)
         full_ground = sector_matrix @ ground if sector_matrix is not None else ground
         endpoint_occ = max(endpoint_occ, top_fock_occupancy(p, full_ground))
-    guard_truncation(endpoint_occ, "an endpoint ground state")
 
     n_steps = first.n_steps
     steps = [_sample_steps(s) for s in schedules]
-    # The end state is always propagated: the truncation guard and the
-    # conservation log check it even when no sample asks for it.
+    # The end state is always propagated: the conservation checks and the
+    # final truncation weight see it even when no sample asks for it.
     sampled, chebyshev_terms = _evolve_linear(
         h_static, h_ramp, first.start_value, first.end_value,
         [s.total_time for s in schedules], n_steps, psi0.amplitudes,
@@ -593,43 +564,38 @@ def run_sweep(
     def trajectory(j: int) -> Trajectory:
         own, own_steps = schedules[j], steps[j]
         dt = own.total_time / n_steps if own.total_time else 0.0
+        # Every distinct sampled step and the end, in time order.
+        checked = sorted(set(own_steps) | {n_steps})
+        block = np.stack([sampled[k][:, j] for k in checked], axis=1)
+        norms = np.array([np.linalg.norm(column) for column in block.T])
+        deviations = norms - 1.0
+        leaks = (np.zeros(len(checked)) if leak_matrix is None
+                 else np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
         warnings: list[str] = []
-        conservation = []
-        for k in sorted(set(own_steps) | {n_steps}):
-            amp = sampled[k][:, j]
-            norm_dev = float(np.linalg.norm(amp) - 1.0)
-            if abs(norm_dev) > NORM_DRIFT_LIMIT:
+        for k, deviation, leak in zip(checked, deviations.tolist(), leaks.tolist()):
+            if abs(deviation) > NORM_DRIFT_LIMIT:
                 raise NumericalInstabilityError(
-                    f"norm drifted by {norm_dev:.2e} at t = {k * dt:.6g}"
+                    f"norm drifted by {deviation:.2e} at t = {k * dt:.6g}"
                 )
-            if abs(norm_dev) > SAMPLE_NORM_TOL:
-                warnings.append(f"norm deviation {norm_dev:.2e} at t = {k * dt:.6g}")
-            leak = None
-            if leak_matrix is not None:
-                leak = float(np.sum(np.abs(leak_matrix.T @ amp) ** 2))
-                if leak > LEAKAGE_TOL:
-                    warnings.append(f"parity leakage {leak:.2e} at t = {k * dt:.6g}")
-            conservation.append(ConservationSample(k * dt, norm_dev, leak))
+            if abs(deviation) > SAMPLE_NORM_TOL:
+                warnings.append(f"norm deviation {deviation:.2e} at t = {k * dt:.6g}")
+            if leak > LEAKAGE_TOL:
+                warnings.append(f"parity leakage {leak:.2e} at t = {k * dt:.6g}")
 
-        final_amp = sampled[n_steps][:, j]
-        full_final = sector_matrix @ final_amp if sector_matrix is not None else final_amp
-        top_occ = top_fock_occupancy(p, full_final)
-        guard_truncation(top_occ, "the final state")
-
-        states = [
-            StateVector(sampled[k][:, j] / np.linalg.norm(sampled[k][:, j]), psi0.basis_tag)
-            for k in own_steps
-        ]
+        final = block[:, -1] if sector_matrix is None else sector_matrix @ block[:, -1]
+        columns = np.searchsorted(checked, own_steps)
+        states = block[:, columns] / norms[columns]
+        states.flags.writeable = False
         return Trajectory(
             schedule=own,
-            times=np.array([k * dt for k in own_steps]),
+            times=np.array(own_steps) * dt,
             states=states,
-            conservation_log=conservation,
+            max_norm_deviation=float(np.max(np.abs(deviations))),
+            max_parity_leakage=float(np.max(leaks)),
             warnings=tuple(warnings),
             metadata={
-                "top_fock_occupancy": top_occ,
+                "top_fock_occupancy": top_fock_occupancy(p, final),
                 "endpoint_top_fock_occupancy": endpoint_occ,
-                "sector": sector.sign if sector else None,
                 "n_steps": n_steps,
                 "chebyshev_terms": chebyshev_terms[j],
             },
@@ -703,22 +669,30 @@ def eigen_level_series(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
     values: np.ndarray,
-    states: list[np.ndarray],
+    states: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy-ordered level populations along a trace.
 
-    Returns (populations[time, level], eigenvalues[time, level],
-    degenerate_flags[time, level]). Level identity is the energy ordering at
-    each instant; labels are attached by the caller at an anchor time. The
-    parts are a parity block's, a real tridiagonal A and a diagonal B (see
-    ``_tridiagonal_parts``); each sample is one tridiagonal solve.
+    ``states`` is a (dim, len(values)) block, the state at each value as a
+    column (a ``Trajectory.states``); any other shape raises
+    ``InvalidParameterError``. Returns (populations[time, level],
+    eigenvalues[time, level], degenerate_flags[time, level]). Level identity
+    is the energy ordering at each instant; labels are attached by the
+    caller at an anchor time. The parts are a parity block's, a real
+    tridiagonal A and a diagonal B (see ``_tridiagonal_parts``); each sample
+    is one tridiagonal solve.
     """
     d0, d1, e = _tridiagonal_parts(h_static, h_ramp)
+    states = np.asarray(states)
+    if states.shape != (d0.size, len(values)):
+        raise InvalidParameterError(
+            f"level series take a ({d0.size}, {len(values)}) block of states, got {states.shape}"
+        )
     pops = np.empty((len(values), d0.size))
     vals = np.empty((len(values), d0.size))
-    for i, (value, amp) in enumerate(zip(values, states)):
+    for i, value in enumerate(values):
         vals[i], v = _tridiagonal_eigh(d0, d1, e, value)
-        pops[i] = np.abs(v.T @ amp) ** 2
+        pops[i] = np.abs(v.T @ states[:, i]) ** 2
     scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)
     tight = np.diff(vals, axis=1) <= DEGENERACY_WARN_RTOL * scale[:, None]
     flags = np.zeros(vals.shape, dtype=bool)

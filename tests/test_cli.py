@@ -175,7 +175,7 @@ def single_run_audit(knob: str) -> str:
             ground_state(p, "delta", start, EVEN_SECTOR), sector=EVEN_SECTOR,
         )
         readout = project_records(
-            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state.amplitudes
+            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
         return dict(zip(readout.labels, readout.probabilities.tolist()))
 

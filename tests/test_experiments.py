@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rabisweep.errors import InvalidParameterError
+from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
 from rabisweep import experiments, sweep
 from rabisweep.experiments import (
     ExperimentSpec,
@@ -90,8 +90,8 @@ class TestScanLoop:
         cols, labels = readout_columns(params, scheme, sector)
         for row in table.rows:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
-            traj = run_sweep(params, schedule, psi0, sector=sector, check_truncation=False)
-            alone = project_records(cols, labels, traj.final_state.amplitudes)
+            traj = run_sweep(params, schedule, psi0, sector=sector)
+            alone = project_records(cols, labels, traj.final_state)
             assert row.checks["chebyshev_terms"] == traj.metadata["chebyshev_terms"] > 0
             assert [r.label for r in row.sim] == [r.label for r in alone]
             for got, ref in zip(row.sim, alone):
@@ -158,12 +158,12 @@ class TestRowChecks:
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
+        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
         assert traj.warnings == ()
         occupancy = traj.metadata["endpoint_top_fock_occupancy"]
         assert occupancy > TOP_OCCUPANCY_TOL
         records = project_records(
-            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state.amplitudes
+            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
 
         checks, ok, warnings = _row_checks(traj, records)
@@ -189,7 +189,7 @@ class TestRowChecks:
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
             traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
             checks, ok, _ = _row_checks(
-                traj, project_records(cols, labels, traj.final_state.amplitudes)
+                traj, project_records(cols, labels, traj.final_state)
             )
             assert ok
             assert checks["n_steps"] == 1000
@@ -275,18 +275,43 @@ class TestTraces:
             "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
         )
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR, check_truncation=False)
-        whole = run_sweep(
-            p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR,
-            check_truncation=False,
-        )
+        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+        whole = run_sweep(p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR)
         assert list(traj.times) == pytest.approx([0.0, 0.05])
-        assert len(traj.states) == 2
-        assert traj.conservation_log[-1].time == pytest.approx(0.1)
+        assert traj.states.shape == (p.n_fock, 2)
         assert traj.metadata["top_fock_occupancy"] == whole.metadata["top_fock_occupancy"]
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-        halfway = top_fock_occupancy(p, basis @ traj.states[-1].amplitudes)
+        halfway = top_fock_occupancy(p, basis @ traj.final_state)
         assert halfway != pytest.approx(traj.metadata["top_fock_occupancy"], rel=1e-3)
+
+    @staticmethod
+    def _run_with_the_end_scaled(monkeypatch, scale: float):
+        # The run samples the first half of the sweep; only the state at its
+        # end, which no sample asks for, is scaled.
+        evolve = sweep._evolve_linear
+
+        def scale_the_end(*args):
+            sampled, terms = evolve(*args)
+            sampled[max(sampled)] *= scale
+            return sampled, terms
+
+        monkeypatch.setattr(sweep, "_evolve_linear", scale_the_end)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        s = SweepSchedule(
+            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
+        )
+        return run_sweep(p, s, ground_state(p, "delta", 100.0, EVEN_SECTOR), sector=EVEN_SECTOR)
+
+    def test_unsampled_end_norm_drift_is_a_warning(self, monkeypatch):
+        traj = self._run_with_the_end_scaled(monkeypatch, 1.0 + 1e-7)
+        assert traj.max_norm_deviation == pytest.approx(1e-7, rel=1e-6)
+        assert [w for w in traj.warnings if "norm deviation" in w] == [
+            "norm deviation 1.00e-07 at t = 0.1"
+        ]
+
+    def test_unsampled_end_norm_drift_fails_the_run(self, monkeypatch):
+        with pytest.raises(NumericalInstabilityError, match="norm drifted by 1.00e-05 at t = 0.1"):
+            self._run_with_the_end_scaled(monkeypatch, 1.0 + 1e-5)
 
 
 class TestQuenchDirection:

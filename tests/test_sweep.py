@@ -6,11 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from rabisweep import experiments, sweep
-from rabisweep.errors import (
-    InsufficientTruncationError,
-    InvalidParameterError,
-    NumericalInstabilityError,
-)
+from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
 from rabisweep.experiments import ExperimentSpec, convergence_scan, lz_window, run_experiment
 from rabisweep.model import (
     EVEN_SECTOR,
@@ -66,7 +62,7 @@ def block_ground(p: QrmParams, delta_value: float) -> StateVector:
 
 
 def final_records(p, traj, scheme, sector=None):
-    return project_records(*readout_columns(p, scheme, sector), traj.final_state.amplitudes)
+    return project_records(*readout_columns(p, scheme, sector), traj.final_state)
 
 
 def eigen_records(h, p, scheme, amplitudes, sector=None):
@@ -105,7 +101,7 @@ class TestSchedule:
         psi0 = block_ground(p, 1.0)
         s = SweepSchedule("delta", 1.0, 1.0, 3.0, n_steps=1000)
         traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
-        overlap = abs(np.vdot(traj.final_state.amplitudes, psi0.amplitudes))
+        overlap = abs(np.vdot(traj.final_state, psi0.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,6 +181,26 @@ class TestEngine:
         traj = run_sweep(p, s, block_ground(p, 200.0), sector=EVEN_SECTOR)
         assert traj.max_norm_deviation <= 1e-10
 
+    def test_states_are_one_read_only_block(self):
+        # One column per sample time, a repeated time included; the final
+        # state is the last column and the run's end state alike.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        psi0 = block_ground(p, 20.0)
+        s = SweepSchedule(
+            "delta", 20.0, 0.0, 1e3, n_steps=1000, sample_times=(0.0, 0.01, 0.01, 0.02)
+        )
+        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+        assert traj.states.dtype == complex and traj.states.shape == (16, 4)
+        assert traj.states.flags.writeable is False
+        with pytest.raises(ValueError):
+            traj.states[0, 0] = 0.0
+        assert np.array_equal(traj.states[:, 1], traj.states[:, 2])
+        assert np.allclose(np.linalg.norm(traj.states, axis=0), 1.0, atol=1e-14)
+        assert np.allclose(traj.states[:, 0], psi0.amplitudes, atol=1e-15)
+        end = run_sweep(p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR)
+        assert np.array_equal(traj.final_state, traj.states[:, -1])
+        assert np.array_equal(traj.final_state, end.final_state)
+
 
 class TestConservation:
     def test_parity_leakage_full_space(self):
@@ -207,20 +223,10 @@ class TestConservation:
         s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000)
         psi0 = block_ground(p, 200.0)
         forward = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
-        echo = StateVector(forward.final_state.amplitudes.conj(), "parity-symmetric")
+        echo = StateVector(forward.final_state.conj(), "parity-symmetric")
         back = run_sweep(p, s.reversed(), echo, sector=EVEN_SECTOR)
-        fid = abs(np.vdot(back.final_state.amplitudes, psi0.amplitudes.conj())) ** 2
+        fid = abs(np.vdot(back.final_state, psi0.amplitudes.conj())) ** 2
         assert fid >= 1.0 - 1e-6
-
-    def test_truncation_guard_raises(self):
-        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
-        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
-        h = basis.conj().T @ build_qrm(replace(p, delta=100.0)) @ basis
-        _, vecs = eig_hermitian(h)
-        psi0 = StateVector(vecs[:, 0], "parity-symmetric")
-        with pytest.raises(InsufficientTruncationError):
-            run_sweep(p, s, psi0, sector=EVEN_SECTOR)
 
 
 class TestAccuracyScalings:
@@ -254,7 +260,7 @@ class TestAccuracyScalings:
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=20_000)
             traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
             survivals.append(
-                abs(np.vdot(final_vecs[:, 0], traj.final_state.amplitudes)) ** 2
+                abs(np.vdot(final_vecs[:, 0], traj.final_state)) ** 2
             )
         assert survivals[0] < survivals[1] < survivals[2]
         assert survivals[-1] > 0.999
@@ -310,11 +316,11 @@ class TestEigenLevelSeries:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
         h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         values = np.linspace(200.0, 0.0, 41)
-        states = [RNG.normal(size=64) + 1j * RNG.normal(size=64) for _ in values]
-        states = [s / np.linalg.norm(s) for s in states]
+        states = RNG.normal(size=(64, 41)) + 1j * RNG.normal(size=(64, 41))
+        states /= np.linalg.norm(states, axis=0)
         pops, vals, flags = eigen_level_series(h0, h1, values, states)
         assert pops.shape == vals.shape == flags.shape == (41, 64)
-        for i, (value, amp) in enumerate(zip(values, states)):
+        for i, (value, amp) in enumerate(zip(values, states.T)):
             w, v = np.linalg.eigh(h0 + value * h1)
             assert np.max(np.abs(pops[i] - np.abs(v.T @ amp) ** 2)) <= 1e-14
             assert np.max(np.abs(vals[i] - w)) <= 1e-14 * np.max(np.abs(w))
@@ -338,16 +344,25 @@ class TestEigenLevelSeries:
                 h0[1, 0] += 1e-15
             else:
                 h1[0, 1] = h1[1, 0] = 1e-3
-        state = np.ones(h0.shape[0]) / math.sqrt(h0.shape[0])
+        state = np.ones((h0.shape[0], 1)) / math.sqrt(h0.shape[0])
         with pytest.raises(InvalidParameterError, match="tridiagonal"):
-            eigen_level_series(h0, h1, np.array([1.0]), [state])
+            eigen_level_series(h0, h1, np.array([1.0]), state)
+
+    @pytest.mark.parametrize("shape", [(8,), (2, 8), (8, 1), (8, 3), (7, 2), (8, 2, 1)])
+    def test_states_of_another_shape_are_refused(self, shape):
+        # Two values take a (block dim, 2) block: one column per value.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
+        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        states = np.ones(shape, dtype=complex)
+        with pytest.raises(InvalidParameterError, match=r"\(8, 2\) block of states"):
+            eigen_level_series(h0, h1, np.array([1.0, 0.0]), states)
 
     def test_failed_solve_raises(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
         h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         monkeypatch.setattr(sweep, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
         with pytest.raises(NumericalInstabilityError, match="info = 3"):
-            eigen_level_series(h0, h1, np.array([1.0]), [np.eye(8)[0]])
+            eigen_level_series(h0, h1, np.array([1.0]), np.eye(8)[:, :1])
 
     def test_degenerate_pair_is_flagged(self):
         # Levels 1 and 2 share the diagonal entry 2 and no off-diagonal
@@ -355,7 +370,7 @@ class TestEigenLevelSeries:
         h0 = np.diag([0.0, 2.0, 2.0, 5.0, 6.0])
         h0[3, 4] = h0[4, 3] = 0.5
         h1 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0])
-        states = [np.eye(5)[0].astype(complex)] * 2
+        states = np.eye(5, dtype=complex)[:, [0, 0]]
         _, vals, flags = eigen_level_series(h0, h1, np.array([0.0, 1.0]), states)
         assert vals[0, 1] == vals[0, 2] == 2.0
         assert flags.tolist() == [
@@ -372,7 +387,7 @@ class TestEigenLevelSeries:
             raise AssertionError("dense eigh called on a tridiagonal block")
 
         monkeypatch.setattr(np.linalg, "eigh", no_dense)
-        pops, _, _ = eigen_level_series(h0, h1, np.array([5.0, 0.0]), [state, state])
+        pops, _, _ = eigen_level_series(h0, h1, np.array([5.0, 0.0]), np.stack([state] * 2, 1))
         assert pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -629,8 +644,8 @@ class TestRateBlock:
             alone = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR)
             assert traj.metadata == pytest.approx(alone.metadata, rel=1e-12, abs=0)
             assert list(traj.times) == list(alone.times)
-            for got, ref in zip(traj.states, alone.states):
-                assert np.linalg.norm(got.amplitudes - ref.amplitudes) < 1e-12
+            assert traj.states.shape == alone.states.shape == (32, 2)
+            assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
 
     def test_a_drifting_run_fails_only_its_entry(self, monkeypatch):
         evolve = sweep._evolve_linear
