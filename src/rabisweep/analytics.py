@@ -13,7 +13,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateCrossingError,
@@ -261,6 +260,12 @@ def fock_prep_window(
     The window exists when the target gap exceeds the previous one; the margin
     endpoints (one decade on each side of the adjacent gap scales) may cross
     when the separation is only partial.
+
+    The peak is closed-form. With x = pi gap_n^2 / (2 v) every lower crossing's
+    exponent is a fixed multiple of x, so P(up, target_n) = e^{-R x}(1 - e^{-x})
+    with R = sum_{m < n} (gap_m / gap_n)^2. Its one stationary point is
+    x* = log1p(1/R), where P = e^{-R x*} / (1 + R). In a non-empty window
+    R >= (gap_{n-1}/gap_n)^2 = n / (2g/omega)^2 > 0, so x* is finite.
     """
     if target_n < 1:
         raise InvalidParameterError(f"target level must be >= 1, got {target_n}")
@@ -272,19 +277,10 @@ def fock_prep_window(
     if gap_n <= gap_prev:
         return FockPrepWindow(target_n, v_low, v_high, 0.0, math.nan, True)
 
-    # Peak of P(up, target_n) over v; exponents scale together so optimize in
-    # x = pi gap_n^2 / (2 v).
-    log_ratio_sum = [
-        2.0 * (spec.log_gaps[m] - spec.log_gaps[target_n]) for m in range(target_n)
-    ]
-    big_r = sum(math.exp(lr) for lr in log_ratio_sum if math.isfinite(lr))
-
-    def negated(log_x: float) -> float:
-        x = math.exp(log_x)
-        return -(math.exp(-big_r * x) * (-math.expm1(-x)))
-
-    opt = minimize_scalar(negated, bounds=(math.log(1e-12), math.log(700.0)), method="bounded")
-    x_star = math.exp(opt.x)
-    peak = -opt.fun
+    big_r = sum(
+        math.exp(2.0 * (spec.log_gaps[m] - spec.log_gaps[target_n])) for m in range(target_n)
+    )
+    x_star = math.log1p(1.0 / big_r)
+    peak = math.exp(-big_r * x_star) / (1.0 + big_r)
     v_star = math.pi * gap_n**2 / (2.0 * x_star)
-    return FockPrepWindow(target_n, v_low, v_high, float(peak), float(v_star), False)
+    return FockPrepWindow(target_n, v_low, v_high, peak, v_star, False)

@@ -208,8 +208,9 @@ def _row_checks(
 ) -> tuple[dict, bool, tuple[str, ...]]:
     """A row's checks, converged flag and warnings. The one judge of a row's
     truncation: its final-state and endpoint top-tenth Fock weights against
-    ``top_occupancy_tol``. The checks also carry the run's steps and its
-    Chebyshev terms per step."""
+    ``top_occupancy_tol``. Parity leakage is judged only where the run
+    measured it, and is None in the checks otherwise. The checks also carry
+    the run's steps and its Chebyshev terms per step."""
     total = float(sum(readout.probabilities.tolist()))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
@@ -217,15 +218,16 @@ def _row_checks(
         "top_fock_occupancy": traj.metadata["top_fock_occupancy"],
         "endpoint_top_fock_occupancy": traj.metadata["endpoint_top_fock_occupancy"],
         "probability_sum": total,
-        "n_steps": traj.metadata["n_steps"],
+        "n_steps": traj.schedule.n_steps,
         "chebyshev_terms": traj.metadata["chebyshev_terms"],
     }
     warnings = list(traj.warnings)
     occupancy = max(checks["top_fock_occupancy"], checks["endpoint_top_fock_occupancy"])
     truncated = occupancy > top_occupancy_tol
+    leakage = checks["parity_leakage"]
     ok = (
         checks["norm_deviation"] <= SAMPLE_NORM_TOL
-        and checks["parity_leakage"] <= LEAKAGE_TOL
+        and (leakage is None or leakage <= LEAKAGE_TOL)
         and not truncated
         and abs(total - 1.0) <= ROW_SUM_TOL
     )

@@ -180,16 +180,16 @@ class Trajectory:
     """Sampled output of one sweep. ``states`` is one read-only complex
     (dim, samples) array, the normalized state at each sample time as a
     column, in the run's coordinates (block coordinates for a sector run).
-    The two maxima cover every sample and the end of the sweep; leakage is 0
-    where parity is not checked. Readouts come from ``project_records`` over
-    ``readout_columns``.
+    The two maxima cover every sample and the end of the sweep; leakage is
+    None where parity is not checked. Readouts come from ``project_records``
+    over ``readout_columns``.
     """
 
     schedule: SweepSchedule
     times: np.ndarray
     states: np.ndarray
     max_norm_deviation: float
-    max_parity_leakage: float
+    max_parity_leakage: float | None
     warnings: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
@@ -515,9 +515,11 @@ def run_sweep(
     top-tenth Fock weights (``model.top_fock_occupancy``) of the end state
     and of both endpoint ground states (solved on the run's own parts) are
     recorded, not judged, in ``metadata["top_fock_occupancy"]`` and
-    ``metadata["endpoint_top_fock_occupancy"]``. ``metadata["n_steps"]`` and
-    ``metadata["chebyshev_terms"]`` record the steps taken and the Chebyshev
-    terms per step (the most any chunk took; 0 on the eigh branch).
+    ``metadata["endpoint_top_fock_occupancy"]``, and
+    ``metadata["chebyshev_terms"]`` records the Chebyshev terms per step (the
+    most any chunk took; 0 on the eigh branch). ``max_parity_leakage`` is
+    None where leakage is not measured: sector runs, bias sweeps, and
+    full-space gap sweeps from a state of no definite parity.
 
     A ``RateBlock`` runs its schedules in one propagation, as the columns of
     one block (see ``_evolve_linear``), and returns one ``Trajectory`` or
@@ -591,12 +593,11 @@ def run_sweep(
             times=np.array(own_steps) * dt,
             states=states,
             max_norm_deviation=float(np.max(np.abs(deviations))),
-            max_parity_leakage=float(np.max(leaks)),
+            max_parity_leakage=None if leak_matrix is None else float(np.max(leaks)),
             warnings=tuple(warnings),
             metadata={
                 "top_fock_occupancy": top_fock_occupancy(p, final),
                 "endpoint_top_fock_occupancy": endpoint_occ,
-                "n_steps": n_steps,
                 "chebyshev_terms": chebyshev_terms[j],
             },
         )

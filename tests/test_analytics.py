@@ -226,14 +226,23 @@ class TestFockPrepWindow:
         assert w.empty
         assert w.predicted_peak == 0.0
 
-    def test_peak_matches_closed_form(self):
-        # Two-crossing optimum: x* = ln(1 + 1/R), R = (gap0/gap1)^2.
-        w = fock_prep_window(1.0, 3.0, 1.0, 1)
-        big_r = 1.0 / 36.0
-        x_star = math.log(1.0 + 1.0 / big_r)
-        expected = math.exp(-big_r * x_star) * (1.0 - math.exp(-x_star))
-        assert w.predicted_peak == pytest.approx(expected, abs=1e-6)
-        assert w.predicted_peak >= 0.85
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("g", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("delta", [0.1, 1.0])
+    def test_peak_matches_closed_form(self, delta, g, n):
+        # The closed-form peak is what the cascade itself gives at peak_rate,
+        # and it is a strict maximum of P(up, n) over the rate.
+        w = fock_prep_window(delta, g, 1.0, n)
+        if w.empty:
+            pytest.skip("no window: gap_n <= gap_{n-1}")
+
+        def p_up(v):
+            return up_probs(cascade_probabilities(delta, v, g, 1.0))[n]
+
+        peak = p_up(w.peak_rate)
+        assert peak == pytest.approx(w.predicted_peak, abs=1e-12)
+        assert p_up(w.peak_rate * (1.0 - 1e-2)) < peak
+        assert p_up(w.peak_rate * (1.0 + 1e-2)) < peak
 
     def test_margin_separation_needs_wide_gap_ratio(self):
         # Decade margins on both sides require (gap_n/gap_{n-1})^2 > 100;

@@ -192,6 +192,7 @@ class TestRowChecks:
                 traj, project_records(cols, labels, traj.final_state)
             )
             assert ok
+            assert checks["parity_leakage"] is None
             assert checks["n_steps"] == 1000
             terms.append(checks["chebyshev_terms"])
         assert terms[0] > terms[1] > 2

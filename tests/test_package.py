@@ -2,6 +2,8 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,6 +52,20 @@ class TestExports:
             "rabisweep.presets", "rabisweep.experiments", "rabisweep.cli",
         ):
             assert not hasattr(importlib.import_module(module), name), module
+
+    def test_import_loads_no_optimizer(self):
+        # Nothing the package or its CLI runs needs scipy.optimize, whose
+        # import alone loads about 200 more scipy modules.
+        probe = (
+            "import sys, rabisweep, rabisweep.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_run_sweep_only_propagates(self):
         # Readout is project_records over readout_columns, not a run option.

@@ -215,6 +215,14 @@ class TestConservation:
         assert traj.max_parity_leakage <= 1e-10
         assert traj.max_norm_deviation <= 1e-8
 
+    def test_parity_leakage_unmeasured_in_a_sector_run(self):
+        # A parity-block run cannot leave its block, so leakage is not
+        # measured and reads None rather than a conserved-looking 0.0.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        s = SweepSchedule("delta", 20.0, 0.0, 1e3, n_steps=1000)
+        traj = run_sweep(p, s, block_ground(p, 20.0), sector=EVEN_SECTOR)
+        assert traj.max_parity_leakage is None
+
     def test_time_reversal_fidelity(self):
         # H(t) is real in the parity block, so the reversed ramp run from the
         # conjugated final state retraces the forward midpoint sequence and
