@@ -28,22 +28,20 @@ from .model import (
     BasisLabel,
     EVEN_SECTOR,
     MultiModeParams,
-    ParitySector,
     QrmParams,
     Readout,
     TOP_OCCUPANCY_TOL,
+    _require_count,
     critical_delta,
 )
 from .operators import StateVector
 from .sweep import (
+    _SECTOR_TAGS,
     DEFAULT_N_STEPS,
-    LEAKAGE_TOL,
     MIN_N_STEPS,
-    SAMPLE_NORM_TOL,
     RateBlock,
     SweepSchedule,
     Trajectory,
-    _basis_tag,
     _hamiltonian_parts,
     _lowest_eigenvector,
     _tridiagonal_eigh,
@@ -67,7 +65,11 @@ EXPERIMENT_KINDS = (
 # Kinds whose scan axis is a sweep rate; trace kinds scan a signed time axis.
 RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "multimode_scan")
 
-# Probability-sum defect allowed before a row is flagged unconverged.
+# The limits of a converged row, judged only by ``_row_checks``: the run's
+# largest norm drift, its opposite-parity weight (where measured) and the
+# probability-sum defect of its readout.
+SAMPLE_NORM_TOL = 1e-8
+LEAKAGE_TOL = 1e-10
 ROW_SUM_TOL = 1e-6
 # Bounded caps leave a small unassigned survival weight in the multimode
 # oracle; it is recorded per row and only fails the row past this tolerance.
@@ -102,8 +104,7 @@ class ExperimentSpec:
                 f"{self.kind} scans sweep rates, which must be positive; got {values[0]}"
             )
         self.scan_values = values
-        if self.n_steps < MIN_N_STEPS:
-            raise InvalidParameterError(f"n_steps must be >= {MIN_N_STEPS}, got {self.n_steps}")
+        _require_count("n_steps", self.n_steps, MIN_N_STEPS)
         if self.kind.startswith("quench"):
             if not isinstance(self.params, QrmParams):
                 raise InvalidParameterError("quench experiments take single-mode parameters")
@@ -190,13 +191,13 @@ def default_quench_delta_hi(p: QrmParams) -> float:
 def lz_window(p: QrmParams | MultiModeParams) -> float:
     """Half-width of the bias sweep: all populated crossings sit far inside.
 
-    Single mode: +-max(50 delta, (n_rel + 10) omega + 50 delta) with
+    Single mode: +-((n_rel + 10) omega + 50 delta) with
     n_rel = ceil(4 (g/omega)^2 + 10); multimode uses the farthest retained
     crossing plus the same margins.
     """
     if isinstance(p, QrmParams):
         n_rel = int(np.ceil(4.0 * p.g_over_omega**2 + 10.0))
-        return max(50.0 * abs(p.delta), (n_rel + 10.0) * p.omega + 50.0 * abs(p.delta))
+        return (n_rel + 10.0) * p.omega + 50.0 * abs(p.delta)
     farthest = sum((m.n_fock - 1) * m.omega for m in p.modes)
     return farthest + 10.0 * max(m.omega for m in p.modes) + 50.0 * abs(p.delta)
 
@@ -207,10 +208,12 @@ def _row_checks(
     top_occupancy_tol: float = TOP_OCCUPANCY_TOL,
 ) -> tuple[dict, bool, tuple[str, ...]]:
     """A row's checks, converged flag and warnings. The one judge of a row's
-    truncation: its final-state and endpoint top-tenth Fock weights against
-    ``top_occupancy_tol``. Parity leakage is judged only where the run
-    measured it, and is None in the checks otherwise. The checks also carry
-    the run's steps and its Chebyshev terms per step."""
+    limits: the run's norm drift against SAMPLE_NORM_TOL, its parity leakage
+    against LEAKAGE_TOL (only where the run measured it; None in the checks
+    otherwise), its final-state and endpoint top-tenth Fock weights against
+    ``top_occupancy_tol``, and the readout's sum against ROW_SUM_TOL. Each
+    exceeded limit adds one warning naming the value and the limit. The
+    checks also carry the run's steps and its Chebyshev terms per step."""
     total = float(sum(readout.probabilities.tolist()))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
@@ -221,24 +224,24 @@ def _row_checks(
         "n_steps": traj.schedule.n_steps,
         "chebyshev_terms": traj.metadata["chebyshev_terms"],
     }
-    warnings = list(traj.warnings)
-    occupancy = max(checks["top_fock_occupancy"], checks["endpoint_top_fock_occupancy"])
-    truncated = occupancy > top_occupancy_tol
+    # Written as "not within", so that a NaN exceeds every limit.
+    warnings = []
+    if not checks["norm_deviation"] <= SAMPLE_NORM_TOL:
+        warnings.append(
+            f"norm deviation {checks['norm_deviation']:.2e} (limit {SAMPLE_NORM_TOL:.0e})"
+        )
     leakage = checks["parity_leakage"]
-    ok = (
-        checks["norm_deviation"] <= SAMPLE_NORM_TOL
-        and (leakage is None or leakage <= LEAKAGE_TOL)
-        and not truncated
-        and abs(total - 1.0) <= ROW_SUM_TOL
-    )
-    if truncated:
+    if leakage is not None and not leakage <= LEAKAGE_TOL:
+        warnings.append(f"parity leakage {leakage:.2e} (limit {LEAKAGE_TOL:.0e})")
+    occupancy = max(checks["top_fock_occupancy"], checks["endpoint_top_fock_occupancy"])
+    if not occupancy <= top_occupancy_tol:
         warnings.append(
             f"top tenth of the Fock ladder holds weight {occupancy:.2e} "
             f"(limit {top_occupancy_tol:.0e}); results are truncation-limited"
         )
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        warnings.append(f"readout probabilities sum to {total:.8f}")
-    return checks, ok, tuple(warnings)
+    if not abs(total - 1.0) <= ROW_SUM_TOL:
+        warnings.append(f"readout probabilities sum to {total:.8f} (limit 1 +- {ROW_SUM_TOL:.0e})")
+    return checks, not warnings, tuple(warnings)
 
 
 def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
@@ -329,7 +332,7 @@ def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
 def _even_ground_state(block: tuple[np.ndarray, np.ndarray], delta: float) -> StateVector:
     """Ground state of the even block at gap ``delta``, as ``ground_state``
     gives it, solved on parts the caller already holds."""
-    return StateVector(_lowest_eigenvector(*block, delta), _basis_tag(EVEN_SECTOR))
+    return StateVector(_lowest_eigenvector(*block, delta), _SECTOR_TAGS[EVEN_SECTOR])
 
 
 def _named_levels(
@@ -348,24 +351,19 @@ def _trace_run(
     start: float,
     end: float,
     rate: float,
-    sample_times: np.ndarray,
+    times: np.ndarray,
     psi0: StateVector,
-    sector: ParitySector | None = None,
 ) -> Trajectory:
-    """One run of a trace, sampled at ``sample_times``; times outside the
-    sweep are refused, and those a rounding error past an end are clipped."""
+    """One run of a trace, sampled at the step nearest each of ``times``,
+    step round(t/T n); times outside the sweep are refused, and those a
+    rounding error past an end are clipped."""
     total_time = abs(end - start) / rate
-    if np.any(sample_times < -1e-9) or np.any(sample_times > total_time * (1 + 1e-12)):
+    if np.any(times < -1e-9) or np.any(times > total_time * (1 + 1e-12)):
         raise InvalidParameterError("trace axis values fall outside the sweep")
-    schedule = SweepSchedule(
-        parameter,
-        start,
-        end,
-        rate,
-        n_steps=spec.n_steps,
-        sample_times=tuple(np.clip(sample_times, 0.0, total_time)),
-    )
-    return run_sweep(spec.params, schedule, psi0, sector=sector)
+    n = spec.n_steps
+    steps = tuple(round(t / total_time * n) for t in np.clip(times, 0.0, total_time).tolist())
+    schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
+    return run_sweep(spec.params, schedule, psi0)
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -396,7 +394,7 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
             SweepSchedule("delta", start, end, v * p.omega**2, n_steps=spec.n_steps)
             for v in values
         ))
-        return run_sweep(p, block, psi0, sector=EVEN_SECTOR)
+        return run_sweep(p, block, psi0)
 
     def row(scan_value: float, oracle: Readout, traj: Trajectory) -> ResultRow:
         sim = project_records(cols, labels, traj.final_state)
@@ -424,12 +422,9 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     # Paper-style axis: rate*(t - T)/omega toward the strong-coupling side,
     # rate*t/omega away from it.
     offset = total_time if direction == "ns" else 0.0
-    sample_times = np.asarray(spec.scan_values) * p.omega / rate + offset
+    times = np.asarray(spec.scan_values) * p.omega / rate + offset
     block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
-    traj = _trace_run(
-        spec, "delta", start, end, rate, sample_times,
-        _even_ground_state(block, start), sector=EVEN_SECTOR,
-    )
+    traj = _trace_run(spec, "delta", start, end, rate, times, _even_ground_state(block, start))
 
     delta_values = np.array([traj.schedule.value_at(t) for t in traj.times])
     pops, _, flags = eigen_level_series(*block, delta_values, traj.states)
@@ -523,9 +518,9 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     window = float(spec.options.get("window", lz_window(p)))
     rate = float(spec.options["rate"]) * p.delta**2
     omega = p.omega if isinstance(p, QrmParams) else min(m.omega for m in p.modes)
-    sample_times = (np.asarray(spec.scan_values) * omega + window) / rate
+    times = (np.asarray(spec.scan_values) * omega + window) / rate
     traj = _trace_run(
-        spec, "epsilon", -window, window, rate, sample_times,
+        spec, "epsilon", -window, window, rate, times,
         ground_state(p, "epsilon", -window),
     )
     cols, labels = readout_columns(p, "displaced")

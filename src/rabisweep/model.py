@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -48,8 +49,8 @@ STATE_TAIL_TOL = 1e-8
 # Weight allowed in the top tenth of a Fock ladder, for the final state of a
 # sweep and for the ground state of each endpoint Hamiltonian.
 TOP_OCCUPANCY_TOL = 1e-6
-# Default cap on the full Hilbert-space dimension for multimode problems.
-DEFAULT_DIM_CAP = 4096
+# Cap on the full Hilbert-space dimension of a multimode problem.
+MULTIMODE_DIM_CAP = 4096
 
 QUBIT_LABELS = {
     "bare": ("up", "down"),
@@ -63,6 +64,14 @@ def _require_finite(**values: float) -> None:
     for name, value in values.items():
         if not np.isfinite(value):
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Refuse a count that is not an integer of at least ``minimum``."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +88,7 @@ class QrmParams:
         _require_finite(delta=self.delta, epsilon=self.epsilon, omega=self.omega, g=self.g)
         if self.omega <= 0:
             raise InvalidParameterError(f"omega must be positive, got {self.omega}")
-        if self.n_fock < 2:
-            raise InvalidParameterError(f"n_fock must be >= 2, got {self.n_fock}")
+        _require_count("n_fock", self.n_fock, 2)
 
     @property
     def g_over_omega(self) -> float:
@@ -93,12 +101,6 @@ class QrmParams:
     @property
     def dim(self) -> int:
         return 2 * self.n_fock
-
-    @staticmethod
-    def with_default_truncation(
-        delta: float, epsilon: float, omega: float, g: float
-    ) -> "QrmParams":
-        return QrmParams(delta, epsilon, omega, g, default_n_fock(g, omega))
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,7 @@ class Mode:
         _require_finite(omega=self.omega, g=self.g)
         if self.omega <= 0:
             raise InvalidParameterError(f"mode omega must be positive, got {self.omega}")
-        if self.n_fock < 2:
-            raise InvalidParameterError(f"mode n_fock must be >= 2, got {self.n_fock}")
+        _require_count("mode n_fock", self.n_fock, 2)
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,6 @@ class MultiModeParams:
 
     delta: float
     modes: tuple[Mode, ...]
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self) -> None:
         _require_finite(delta=self.delta)
@@ -416,9 +416,9 @@ def _mode_operator(modes: tuple[Mode, ...], index: int, op: np.ndarray) -> np.nd
 def build_multimode(p: MultiModeParams) -> np.ndarray:
     """Multimode Hamiltonian at zero bias; the bias enters through
     ``epsilon_ramp``."""
-    if p.dim > p.dim_cap:
+    if p.dim > MULTIMODE_DIM_CAP:
         raise ResourceLimitError(
-            f"multimode dimension {p.dim} exceeds the cap {p.dim_cap}"
+            f"multimode dimension {p.dim} exceeds the cap {MULTIMODE_DIM_CAP}"
         )
     h = (-0.5 * p.delta) * kron(SIGMA_X, np.eye(p.osc_dim))
     for j, m in enumerate(p.modes):

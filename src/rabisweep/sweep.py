@@ -28,9 +28,11 @@ a rate scan, which differ only in their rate, share every step's matrix. A
 of one block, each with its own step size, coefficients and phase.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
-of its own run, so a run assembles its Hamiltonian once. A run returns a
-``Trajectory``, its sampled states as the columns of one read-only array,
-and records its truncation weights for each experiment row to judge.
+of its own run, so a run assembles its Hamiltonian once. A run takes its
+space from its initial state's basis tag and its samples as step indices,
+and returns a ``Trajectory``: its sampled states as the columns of one
+read-only array, with its norm drift, parity leakage and truncation weights
+recorded for ``experiments._row_checks``, the one judge of every limit.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
@@ -54,11 +56,14 @@ from .errors import (
     RabisweepError,
 )
 from .model import (
+    EVEN_SECTOR,
+    ODD_SECTOR,
     BasisLabel,
     MultiModeParams,
     ParitySector,
     QrmParams,
     Readout,
+    _require_count,
     _scheme_column,
     build_multimode,
     build_qrm,
@@ -74,10 +79,6 @@ from .operators import StateVector
 
 # Hard error threshold on norm drift during a run.
 NORM_DRIFT_LIMIT = 1e-6
-# Per-sample norm tolerance logged as a conservation violation.
-SAMPLE_NORM_TOL = 1e-8
-# Opposite-parity weight allowed in bias-free full-space runs.
-LEAKAGE_TOL = 1e-10
 # Adjacent tracked levels closer than this (times the spectral scale) are
 # flagged: their populations are not individually trustworthy there.
 DEGENERACY_WARN_RTOL = 1e-8
@@ -94,14 +95,20 @@ _CHEB_COEFF_TOL = 1e-16
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Linear ramp of one Hamiltonian parameter."""
+    """Linear ramp of one Hamiltonian parameter in ``n_steps`` equal steps.
+
+    ``sample_steps`` names the steps whose states a run returns: ordered
+    integers in [0, n_steps], repeats allowed, step k at time k T / n_steps.
+    Without it a run returns its start and its end. Steps, unlike times,
+    sit at the same ramp values for every rate of a ``RateBlock``.
+    """
 
     parameter: str
     start_value: float
     end_value: float
     rate_v: float
     n_steps: int = DEFAULT_N_STEPS
-    sample_times: tuple[float, ...] | None = None
+    sample_steps: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.parameter not in ("delta", "epsilon"):
@@ -111,18 +118,14 @@ class SweepSchedule:
                 raise InvalidParameterError(f"{name} must be finite")
         if self.rate_v <= 0:
             raise InvalidParameterError(f"rate_v must be positive, got {self.rate_v}")
-        if self.n_steps < MIN_N_STEPS:
-            raise InvalidParameterError(f"n_steps must be >= {MIN_N_STEPS}, got {self.n_steps}")
-        if self.sample_times is not None:
-            ts = tuple(float(t) for t in self.sample_times)
-            if not all(np.isfinite(ts)):
-                raise InvalidParameterError("sample_times must be finite")
-            total = self.total_time
-            if any(t < 0 or t > total + 1e-12 * max(total, 1.0) for t in ts):
-                raise InvalidParameterError("sample_times must lie within [0, T]")
-            if list(ts) != sorted(ts):
-                raise InvalidParameterError("sample_times must be ordered")
-            object.__setattr__(self, "sample_times", ts)
+        _require_count("n_steps", self.n_steps, MIN_N_STEPS)
+        if self.sample_steps is not None:
+            steps = tuple(self.sample_steps)
+            for k in steps:
+                _require_count("a sample step", k, 0)
+            if list(steps) != sorted(steps) or any(k > self.n_steps for k in steps):
+                raise InvalidParameterError("sample_steps must be ordered, within [0, n_steps]")
+            object.__setattr__(self, "sample_steps", tuple(int(k) for k in steps))
 
     @property
     def total_time(self) -> float:
@@ -146,7 +149,7 @@ class SweepSchedule:
 
 
 # What the schedules of a rate block share: everything but the rate.
-_BLOCK_SHARED = ("parameter", "start_value", "end_value", "n_steps", "sample_times")
+_BLOCK_SHARED = ("parameter", "start_value", "end_value", "n_steps", "sample_steps")
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,8 @@ class RateBlock:
     """Schedules that differ only in ``rate_v``, propagated as one block.
 
     Every rate of a scan steps through the same midpoint values of the ramp,
-    so ``run_sweep`` carries the whole block in one Chebyshev recurrence.
+    so ``run_sweep`` carries the whole block in one Chebyshev recurrence,
+    and samples every entry at the same steps, hence the same ramp values.
     """
 
     schedules: tuple[SweepSchedule, ...]
@@ -178,10 +182,11 @@ class RateBlock:
 @dataclass
 class Trajectory:
     """Sampled output of one sweep. ``states`` is one read-only complex
-    (dim, samples) array, the normalized state at each sample time as a
-    column, in the run's coordinates (block coordinates for a sector run).
-    The two maxima cover every sample and the end of the sweep; leakage is
-    None where parity is not checked. Readouts come from ``project_records``
+    (dim, samples) array, the normalized state at each sample step as a
+    column, in the run's coordinates (block coordinates for a sector run),
+    and ``times`` holds those steps' times. The two maxima cover every
+    sample and the end of the sweep, recorded, not judged; leakage is None
+    where parity is not measured. Readouts come from ``project_records``
     over ``readout_columns``.
     """
 
@@ -190,7 +195,6 @@ class Trajectory:
     states: np.ndarray
     max_norm_deviation: float
     max_parity_leakage: float | None
-    warnings: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
     @property
@@ -414,21 +418,9 @@ def _hamiltonian_parts(
     return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis, basis
 
 
-def _sample_steps(schedule: SweepSchedule) -> list[int]:
-    """The steps a run returns: one per requested sample time, in order, or
-    the start and the end when no sample times are given."""
-    n = schedule.n_steps
-    total = schedule.total_time
-    if schedule.sample_times is None:
-        return [0, n]
-    return [int(round(t / total * n)) if total else 0 for t in schedule.sample_times]
-
-
-def _basis_tag(sector: ParitySector | None) -> str:
-    """The basis tag of a run's states: bare, or its parity sector's."""
-    if sector is None:
-        return "bare"
-    return "parity-symmetric" if sector.sign == +1 else "parity-antisymmetric"
+# The basis tag of a state of each space: the full space (None) or a parity
+# block. A run takes its space from its initial state's tag.
+_SECTOR_TAGS = {None: "bare", EVEN_SECTOR: "parity-symmetric", ODD_SECTOR: "parity-antisymmetric"}
 
 
 def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
@@ -448,7 +440,7 @@ def ground_state(
     (single-mode, bias-free gap sweeps only) that parity block's ground
     state in block coordinates, tagged with the sector."""
     h_static, h_ramp, _ = _hamiltonian_parts(p, parameter, sector)
-    return StateVector(_lowest_eigenvector(h_static, h_ramp, value), _basis_tag(sector))
+    return StateVector(_lowest_eigenvector(h_static, h_ramp, value), _SECTOR_TAGS[sector])
 
 
 def readout_columns(
@@ -496,25 +488,24 @@ def run_sweep(
     p: QrmParams | MultiModeParams,
     schedule: SweepSchedule | RateBlock,
     psi0: StateVector,
-    sector: ParitySector | None = None,
 ) -> Trajectory | list[Trajectory | RabisweepError]:
-    """Evolve psi0 under the scheduled ramp, check conservation, and return
-    the normalized state at every sample time: one per entry of
-    ``schedule.sample_times`` when given, else the start and the end.
+    """Propagate psi0 under the scheduled ramp and return the normalized
+    state at every step of ``schedule.sample_steps``, or at the start and
+    the end when it is None.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
-    With ``sector`` given (bias-free gap sweeps only) the evolution runs inside
-    that parity block and psi0 must be given in block coordinates; otherwise
-    psi0 must be a ``"bare"`` state. The run reads nothing out: project its
-    states with ``project_records`` over ``readout_columns``.
+    The run's space is psi0's: a ``"bare"`` state runs in the full space, a
+    parity-tagged one (bias-free single-mode gap sweeps only) inside that
+    parity block, in block coordinates. The run reads nothing out: project
+    its states with ``project_records`` over ``readout_columns``.
 
-    Every sample and the end of the sweep, sampled or not, are checked: a
+    Every sample and the end of the sweep, sampled or not, are measured. A
     norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
-    the first such sample; a drift past SAMPLE_NORM_TOL, or parity leakage
-    past LEAKAGE_TOL in a full-space bias-free gap sweep, is a warning. The
-    top-tenth Fock weights (``model.top_fock_occupancy``) of the end state
-    and of both endpoint ground states (solved on the run's own parts) are
-    recorded, not judged, in ``metadata["top_fock_occupancy"]`` and
+    the first such sample; below it the largest drift and parity leakage are
+    recorded for ``experiments._row_checks`` to judge. The top-tenth Fock
+    weights (``model.top_fock_occupancy``) of the end state and of both
+    endpoint ground states (solved on the run's own parts) are recorded in
+    ``metadata["top_fock_occupancy"]`` and
     ``metadata["endpoint_top_fock_occupancy"]``, and
     ``metadata["chebyshev_terms"]`` records the Chebyshev terms per step (the
     most any chunk took; 0 on the eigh branch). ``max_parity_leakage`` is
@@ -528,15 +519,12 @@ def run_sweep(
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
+    sector = next(s for s, tag in _SECTOR_TAGS.items() if tag == psi0.basis_tag)
     h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, sector)
-    if psi0.basis_tag != _basis_tag(sector):
-        raise InvalidParameterError(
-            f"this run expects a {_basis_tag(sector)!r} state, got {psi0.basis_tag!r}"
-        )
     leak_matrix = None
     if sector is None and isinstance(p, QrmParams) and first.parameter == "delta" and p.epsilon == 0.0:
-        plus, _ = parity_sector_basis(p, ParitySector(+1))
-        minus, _ = parity_sector_basis(p, ParitySector(-1))
+        plus, _ = parity_sector_basis(p, EVEN_SECTOR)
+        minus, _ = parity_sector_basis(p, ODD_SECTOR)
         w_plus = float(np.sum(np.abs(plus.T @ psi0.amplitudes) ** 2))
         if w_plus > 1.0 - 1e-12:
             leak_matrix = minus
@@ -554,47 +542,41 @@ def run_sweep(
         endpoint_occ = max(endpoint_occ, top_fock_occupancy(p, full_ground))
 
     n_steps = first.n_steps
-    steps = [_sample_steps(s) for s in schedules]
-    # The end state is always propagated: the conservation checks and the
-    # final truncation weight see it even when no sample asks for it.
+    steps = [0, n_steps] if first.sample_steps is None else list(first.sample_steps)
+    # Every distinct sampled step and the end, in time order: the end state
+    # is always propagated, so the conservation checks and the final
+    # truncation weight see it even when no sample asks for it.
+    checked = sorted(set(steps) | {n_steps})
+    columns = np.searchsorted(checked, steps)
     sampled, chebyshev_terms = _evolve_linear(
         h_static, h_ramp, first.start_value, first.end_value,
-        [s.total_time for s in schedules], n_steps, psi0.amplitudes,
-        set().union(*steps) | {n_steps},
+        [s.total_time for s in schedules], n_steps, psi0.amplitudes, set(checked),
     )
 
     def trajectory(j: int) -> Trajectory:
-        own, own_steps = schedules[j], steps[j]
+        own = schedules[j]
         dt = own.total_time / n_steps if own.total_time else 0.0
-        # Every distinct sampled step and the end, in time order.
-        checked = sorted(set(own_steps) | {n_steps})
         block = np.stack([sampled[k][:, j] for k in checked], axis=1)
         norms = np.array([np.linalg.norm(column) for column in block.T])
         deviations = norms - 1.0
-        leaks = (np.zeros(len(checked)) if leak_matrix is None
-                 else np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
-        warnings: list[str] = []
-        for k, deviation, leak in zip(checked, deviations.tolist(), leaks.tolist()):
-            if abs(deviation) > NORM_DRIFT_LIMIT:
-                raise NumericalInstabilityError(
-                    f"norm drifted by {deviation:.2e} at t = {k * dt:.6g}"
-                )
-            if abs(deviation) > SAMPLE_NORM_TOL:
-                warnings.append(f"norm deviation {deviation:.2e} at t = {k * dt:.6g}")
-            if leak > LEAKAGE_TOL:
-                warnings.append(f"parity leakage {leak:.2e} at t = {k * dt:.6g}")
-
+        # "Not within" the limit: a NaN norm fails the run too.
+        drifted = np.flatnonzero(~(np.abs(deviations) <= NORM_DRIFT_LIMIT))
+        if drifted.size:
+            i = drifted[0]
+            raise NumericalInstabilityError(
+                f"norm drifted by {deviations[i]:.2e} at t = {checked[i] * dt:.6g}"
+            )
         final = block[:, -1] if sector_matrix is None else sector_matrix @ block[:, -1]
-        columns = np.searchsorted(checked, own_steps)
         states = block[:, columns] / norms[columns]
         states.flags.writeable = False
         return Trajectory(
             schedule=own,
-            times=np.array(own_steps) * dt,
+            times=np.array(steps) * dt,
             states=states,
             max_norm_deviation=float(np.max(np.abs(deviations))),
-            max_parity_leakage=None if leak_matrix is None else float(np.max(leaks)),
-            warnings=tuple(warnings),
+            max_parity_leakage=None if leak_matrix is None else float(
+                np.max(np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
+            ),
             metadata={
                 "top_fock_occupancy": top_fock_occupancy(p, final),
                 "endpoint_top_fock_occupancy": endpoint_occ,

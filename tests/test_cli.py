@@ -172,7 +172,7 @@ def single_run_audit(knob: str) -> str:
         p = qrm_params(1.0, n_fock=n_fock)
         traj = run_sweep(
             p, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
-            ground_state(p, "delta", start, EVEN_SECTOR), sector=EVEN_SECTOR,
+            ground_state(p, "delta", start, EVEN_SECTOR),
         )
         readout = project_records(
             *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state

@@ -15,15 +15,18 @@ from rabisweep.experiments import (
 from rabisweep.model import (
     EVEN_SECTOR,
     TOP_OCCUPANCY_TOL,
+    BasisLabel,
     Mode,
     MultiModeParams,
     QrmParams,
+    Readout,
     parity_sector_basis,
     top_fock_occupancy,
 )
 from rabisweep.sweep import (
     MIN_N_STEPS,
     SweepSchedule,
+    Trajectory,
     ground_state,
     project_records,
     readout_columns,
@@ -90,7 +93,7 @@ class TestScanLoop:
         cols, labels = readout_columns(params, scheme, sector)
         for row in table.rows:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
-            traj = run_sweep(params, schedule, psi0, sector=sector)
+            traj = run_sweep(params, schedule, psi0)
             alone = project_records(cols, labels, traj.final_state)
             assert row.checks["chebyshev_terms"] == traj.metadata["chebyshev_terms"] > 0
             assert [r.label for r in row.sim] == [r.label for r in alone]
@@ -158,8 +161,9 @@ class TestRowChecks:
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
-        assert traj.warnings == ()
+        traj = run_sweep(p, s, psi0)
+        # The run records its weights and passes no verdict on them.
+        assert not hasattr(traj, "warnings")
         occupancy = traj.metadata["endpoint_top_fock_occupancy"]
         assert occupancy > TOP_OCCUPANCY_TOL
         records = project_records(
@@ -187,7 +191,7 @@ class TestRowChecks:
         terms = []
         for rate in (1e3, 1e5):
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
-            traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+            traj = run_sweep(p, s, psi0)
             checks, ok, _ = _row_checks(
                 traj, project_records(cols, labels, traj.final_state)
             )
@@ -196,6 +200,58 @@ class TestRowChecks:
             assert checks["n_steps"] == 1000
             terms.append(checks["chebyshev_terms"])
         assert terms[0] > terms[1] > 2
+
+
+    @staticmethod
+    def _judge(norm=0.0, leakage=None, occupancy=0.0, total=1.0):
+        """``_row_checks`` of a run that recorded these values."""
+        traj = Trajectory(
+            schedule=SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000),
+            times=np.zeros(1),
+            states=np.ones((1, 1), dtype=complex),
+            max_norm_deviation=norm,
+            max_parity_leakage=leakage,
+            metadata={
+                "top_fock_occupancy": occupancy,
+                "endpoint_top_fock_occupancy": 0.0,
+                "chebyshev_terms": 0,
+            },
+        )
+        labels = (BasisLabel("normal", "right", 0), BasisLabel("normal", "left", 0))
+        return _row_checks(traj, Readout(labels, [total - 0.25, 0.25]))
+
+    @pytest.mark.parametrize(
+        "recorded, warning",
+        [
+            ({"norm": 3e-8}, "norm deviation 3.00e-08 (limit 1e-08)"),
+            ({"leakage": 3e-10}, "parity leakage 3.00e-10 (limit 1e-10)"),
+            (
+                {"occupancy": 3e-6},
+                "top tenth of the Fock ladder holds weight 3.00e-06 (limit 1e-06); "
+                "results are truncation-limited",
+            ),
+            (
+                {"total": 1.0 - 3e-6},
+                "readout probabilities sum to 0.99999700 (limit 1 +- 1e-06)",
+            ),
+            ({"norm": np.nan}, "norm deviation nan (limit 1e-08)"),
+        ],
+        ids=["norm", "leakage", "truncation", "probability-sum", "nan-norm"],
+    )
+    def test_one_warning_per_exceeded_limit(self, recorded, warning):
+        # Each limit is compared once, here: one warning naming the value
+        # and the limit, and an unconverged row.
+        _, ok, warnings = self._judge(**recorded)
+        assert not ok
+        assert warnings == (warning,)
+
+    def test_no_warning_within_the_limits(self):
+        # At each limit, or with leakage unmeasured, the row converges.
+        for recorded in ({}, {"norm": 1e-8, "leakage": 1e-10, "occupancy": 1e-6}):
+            _, ok, warnings = self._judge(**recorded)
+            assert ok and warnings == ()
+        _, ok, warnings = self._judge(norm=1.0, leakage=1.0, occupancy=1.0, total=0.5)
+        assert not ok and len(warnings) == 4
 
 
 class TestTraces:
@@ -273,11 +329,11 @@ class TestTraces:
         # the truncation and conservation checks still see the end state.
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule(
-            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
+            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_steps=(0, 1000)
         )
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
-        whole = run_sweep(p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR)
+        traj = run_sweep(p, s, psi0)
+        whole = run_sweep(p, replace(s, sample_steps=None), psi0)
         assert list(traj.times) == pytest.approx([0.0, 0.05])
         assert traj.states.shape == (p.n_fock, 2)
         assert traj.metadata["top_fock_occupancy"] == whole.metadata["top_fock_occupancy"]
@@ -299,20 +355,58 @@ class TestTraces:
         monkeypatch.setattr(sweep, "_evolve_linear", scale_the_end)
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         s = SweepSchedule(
-            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_times=(0.0, 0.05)
+            "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_steps=(0, 1000)
         )
-        return run_sweep(p, s, ground_state(p, "delta", 100.0, EVEN_SECTOR), sector=EVEN_SECTOR)
+        return run_sweep(p, s, ground_state(p, "delta", 100.0, EVEN_SECTOR))
 
     def test_unsampled_end_norm_drift_is_a_warning(self, monkeypatch):
+        # The run records the drift; the row judges it, once, against its limit.
         traj = self._run_with_the_end_scaled(monkeypatch, 1.0 + 1e-7)
         assert traj.max_norm_deviation == pytest.approx(1e-7, rel=1e-6)
-        assert [w for w in traj.warnings if "norm deviation" in w] == [
-            "norm deviation 1.00e-07 at t = 0.1"
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        readout = project_records(
+            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
+        )
+        _, ok, warnings = _row_checks(traj, readout)
+        assert not ok
+        assert [w for w in warnings if "norm deviation" in w] == [
+            "norm deviation 1.00e-07 (limit 1e-08)"
         ]
+
+    def test_a_drifting_trace_warns_once_per_row(self, monkeypatch):
+        # From the midpoint on, all 201 of the 401 samples drift past the
+        # row limit; each row still carries one norm warning, with the
+        # run's largest drift.
+        evolve = sweep._evolve_linear
+
+        def drift_the_second_half(*args):
+            sampled, terms = evolve(*args)
+            n_steps = args[5]
+            for k, states in sampled.items():
+                if 2 * k >= n_steps:
+                    states *= 1.0 + 1e-7 * (1.0 + k / n_steps)
+            return sampled, terms
+
+        monkeypatch.setattr(sweep, "_evolve_linear", drift_the_second_half)
+        p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+        spec = ExperimentSpec(
+            "quench_trace", p, "v_t_over_omega", tuple(np.linspace(0.0, 100.0, 401)),
+            n_steps=1200, options={"direction": "sn", "rate": 1e4, "delta_hi": 100.0},
+        )
+        rows = run_experiment(spec).rows
+        assert len(rows) == 401
+        for row in rows:
+            assert not row.converged
+            assert row.warnings == ("norm deviation 2.00e-07 (limit 1e-08)",)
 
     def test_unsampled_end_norm_drift_fails_the_run(self, monkeypatch):
         with pytest.raises(NumericalInstabilityError, match="norm drifted by 1.00e-05 at t = 0.1"):
             self._run_with_the_end_scaled(monkeypatch, 1.0 + 1e-5)
+
+    def test_a_nan_end_state_fails_the_run(self, monkeypatch):
+        # A NaN norm is not within the drift limit, though it compares below it.
+        with pytest.raises(NumericalInstabilityError, match="norm drifted by nan at t = 0.1"):
+            self._run_with_the_end_scaled(monkeypatch, np.nan)
 
 
 class TestQuenchDirection:
@@ -330,6 +424,40 @@ class TestQuenchDirection:
 
 
 class TestSpec:
+    @pytest.mark.parametrize(
+        "build, good, bad",
+        [
+            (lambda n: SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=n), 2000, 2000.5),
+            (lambda n: SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=n), 2000, 2000.0),
+            (
+                lambda n: ExperimentSpec(
+                    "quench_ns", QrmParams(0.0, 0.0, 1.0, 1.0, 16), "v", (1e4,), n_steps=n
+                ),
+                2000, 2000.5,
+            ),
+            (
+                lambda n: ExperimentSpec(
+                    "quench_ns", QrmParams(0.0, 0.0, 1.0, 1.0, 16), "v", (1e4,), n_steps=n
+                ),
+                np.int64(2000), np.float64(2000.0),
+            ),
+            (lambda n: QrmParams(0.0, 0.0, 1.0, 1.0, n), 16, 16.5),
+            (lambda n: QrmParams(0.0, 0.0, 1.0, 1.0, n), 16, 16.0),
+            (lambda n: Mode(1.0, 0.5, n), 4, 4.5),
+            (lambda n: Mode(1.0, 0.5, n), 4, "4"),
+        ],
+        ids=[
+            "schedule-fraction", "schedule-float", "spec-fraction", "spec-numpy-float",
+            "qrm-fraction", "qrm-float", "mode-fraction", "mode-string",
+        ],
+    )
+    def test_refuses_non_integer_counts(self, build, good, bad):
+        # A non-integer count used to escape as a bare TypeError from
+        # range() or a model builder; it is refused where it is given.
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            build(bad)
+        build(good)
+
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn", "lz_scan"])
     @pytest.mark.parametrize("first_rate", [-1.0, 0.0])
     def test_rate_scans_refuse_non_positive_rates(self, kind, first_rate):

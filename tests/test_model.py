@@ -30,6 +30,7 @@ from rabisweep.model import (
     superradiant_state,
 )
 from rabisweep.operators import eig_hermitian, hermiticity_defect, unitary_displacement
+from rabisweep.presets import qrm_params
 
 RNG = np.random.default_rng(7)
 
@@ -57,8 +58,7 @@ class TestParams:
     def test_default_truncation(self):
         assert default_n_fock(0.1, 1.0) == 32
         assert default_n_fock(2.0, 1.0) == 50
-        p = QrmParams.with_default_truncation(1.0, 0.0, 1.0, 5.0)
-        assert p.n_fock == 260
+        assert qrm_params(5.0).n_fock == 260
 
     def test_default_truncation_fits_the_low_displaced_levels(self):
         # The floor over this grid is n <= 10, at g/omega = 1.4-1.5.

@@ -44,6 +44,9 @@ class TestExports:
             "_quench_scan",
             "_quench_trace",
             "_lz_spec",
+            "_sample_steps",
+            "_basis_tag",
+            "DEFAULT_DIM_CAP",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -74,13 +77,23 @@ class TestExports:
 
     def test_each_input_has_one_spelling(self):
         # Formula-only bias scans are lz_scan with options["simulate"] false,
-        # a run without sample_times returns its start and its end, and a
-        # multimode bias enters only through epsilon_ramp.
+        # a run's space is its initial state's basis tag, its samples are
+        # step indices (none: its start and its end), a multimode bias
+        # enters only through epsilon_ramp, the multimode dimension cap is
+        # a constant, and default truncation is presets.qrm_params. Only
+        # the row checks judge a run's limits, so a run carries no warnings.
         from rabisweep.experiments import EXPERIMENT_KINDS
 
+        def fields(cls):
+            return {f.name for f in dataclasses.fields(cls)}
+
         assert "lz_formula" not in EXPERIMENT_KINDS
-        fields = {f.name for f in dataclasses.fields(rabisweep.SweepSchedule)}
-        assert "n_samples" not in fields
+        assert fields(rabisweep.SweepSchedule) & {"n_samples", "sample_times"} == set()
+        assert "sample_steps" in fields(rabisweep.SweepSchedule)
+        assert "sector" not in inspect.signature(rabisweep.run_sweep).parameters
+        assert "warnings" not in fields(rabisweep.Trajectory)
+        assert "dim_cap" not in fields(rabisweep.MultiModeParams)
+        assert not hasattr(rabisweep.QrmParams, "with_default_truncation")
         assert "epsilon" not in inspect.signature(rabisweep.build_multimode).parameters
 
     @pytest.mark.parametrize(

@@ -87,20 +87,26 @@ class TestSchedule:
             SweepSchedule("delta", 1.0, 0.0, -1.0)
         with pytest.raises(InvalidParameterError):
             SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=10)
-        with pytest.raises(InvalidParameterError):
-            SweepSchedule("delta", 1.0, 0.0, 1.0, sample_times=(2.0,))
+        # Sample steps lie in [0, n_steps] and are ordered; repeats are allowed.
+        for steps in ((20_001,), (-1,), (10, 5)):
+            with pytest.raises(InvalidParameterError):
+                SweepSchedule("delta", 1.0, 0.0, 1.0, sample_steps=steps)
+        s = SweepSchedule("delta", 1.0, 0.0, 1.0, sample_steps=[0, np.int64(5), 5, 20_000])
+        assert s.sample_steps == (0, 5, 5, 20_000)
+        assert all(type(k) is int for k in s.sample_steps)
 
     def test_refuses_nan_sample_times(self):
-        # NaN passes every range and order comparison, so it needs its own check.
-        for times in ((0.0, math.nan), (math.nan,)):
-            with pytest.raises(InvalidParameterError):
-                SweepSchedule("delta", 1.0, 0.0, 1.0, sample_times=times)
+        # Samples are step indices: NaN, fractional and float-valued steps
+        # are refused, not rounded.
+        for steps in ((0, math.nan), (math.nan,), (0.5,), (1.0,)):
+            with pytest.raises(InvalidParameterError, match="integer"):
+                SweepSchedule("delta", 1.0, 0.0, 1.0, sample_steps=steps)
 
     def test_zero_length_sweep_is_identity(self):
         p = QrmParams(1.0, 0.0, 1.0, 0.7, 12)
         psi0 = block_ground(p, 1.0)
         s = SweepSchedule("delta", 1.0, 1.0, 3.0, n_steps=1000)
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+        traj = run_sweep(p, s, psi0)
         overlap = abs(np.vdot(traj.final_state, psi0.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -176,28 +182,29 @@ class TestEngine:
     def test_norm_is_conserved(self):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         s = SweepSchedule(
-            "delta", 200.0, 0.0, 100.0, n_steps=5000, sample_times=tuple(np.linspace(0, 2.0, 9))
+            "delta", 200.0, 0.0, 100.0, n_steps=5000, sample_steps=tuple(range(0, 5001, 625))
         )
-        traj = run_sweep(p, s, block_ground(p, 200.0), sector=EVEN_SECTOR)
+        traj = run_sweep(p, s, block_ground(p, 200.0))
         assert traj.max_norm_deviation <= 1e-10
 
     def test_states_are_one_read_only_block(self):
-        # One column per sample time, a repeated time included; the final
+        # One column per sample step, a repeated step included; the final
         # state is the last column and the run's end state alike.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         psi0 = block_ground(p, 20.0)
         s = SweepSchedule(
-            "delta", 20.0, 0.0, 1e3, n_steps=1000, sample_times=(0.0, 0.01, 0.01, 0.02)
+            "delta", 20.0, 0.0, 1e3, n_steps=1000, sample_steps=(0, 500, 500, 1000)
         )
-        traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+        traj = run_sweep(p, s, psi0)
         assert traj.states.dtype == complex and traj.states.shape == (16, 4)
+        assert list(traj.times) == pytest.approx([0.0, 0.01, 0.01, 0.02], rel=1e-12)
         assert traj.states.flags.writeable is False
         with pytest.raises(ValueError):
             traj.states[0, 0] = 0.0
         assert np.array_equal(traj.states[:, 1], traj.states[:, 2])
         assert np.allclose(np.linalg.norm(traj.states, axis=0), 1.0, atol=1e-14)
         assert np.allclose(traj.states[:, 0], psi0.amplitudes, atol=1e-15)
-        end = run_sweep(p, replace(s, sample_times=None), psi0, sector=EVEN_SECTOR)
+        end = run_sweep(p, replace(s, sample_steps=None), psi0)
         assert np.array_equal(traj.final_state, traj.states[:, -1])
         assert np.array_equal(traj.final_state, end.final_state)
 
@@ -209,7 +216,7 @@ class TestConservation:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         psi0 = StateVector(superradiant_state(p, "+", 0).amplitudes, "bare")
         s = SweepSchedule(
-            "delta", 0.0, 50.0, 25.0, n_steps=20_000, sample_times=tuple(np.linspace(0, 2.0, 21))
+            "delta", 0.0, 50.0, 25.0, n_steps=20_000, sample_steps=tuple(range(0, 20_001, 1000))
         )
         traj = run_sweep(p, s, psi0)
         assert traj.max_parity_leakage <= 1e-10
@@ -220,7 +227,7 @@ class TestConservation:
         # measured and reads None rather than a conserved-looking 0.0.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         s = SweepSchedule("delta", 20.0, 0.0, 1e3, n_steps=1000)
-        traj = run_sweep(p, s, block_ground(p, 20.0), sector=EVEN_SECTOR)
+        traj = run_sweep(p, s, block_ground(p, 20.0))
         assert traj.max_parity_leakage is None
 
     def test_time_reversal_fidelity(self):
@@ -230,9 +237,9 @@ class TestConservation:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000)
         psi0 = block_ground(p, 200.0)
-        forward = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+        forward = run_sweep(p, s, psi0)
         echo = StateVector(forward.final_state.conj(), "parity-symmetric")
-        back = run_sweep(p, s.reversed(), echo, sector=EVEN_SECTOR)
+        back = run_sweep(p, s.reversed(), echo)
         fid = abs(np.vdot(back.final_state, psi0.amplitudes.conj())) ** 2
         assert fid >= 1.0 - 1e-6
 
@@ -244,7 +251,7 @@ class TestAccuracyScalings:
 
         def final_probs(n_steps):
             s = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=n_steps)
-            traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+            traj = run_sweep(p, s, psi0)
             recs = final_records(p, traj, "superradiant", EVEN_SECTOR)
             return np.array([r.probability for r in recs])
 
@@ -266,7 +273,7 @@ class TestAccuracyScalings:
         survivals = []
         for rate in (0.3, 0.1, 0.03):
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=20_000)
-            traj = run_sweep(p, s, psi0, sector=EVEN_SECTOR)
+            traj = run_sweep(p, s, psi0)
             survivals.append(
                 abs(np.vdot(final_vecs[:, 0], traj.final_state)) ** 2
             )
@@ -448,7 +455,7 @@ class TestGroundState:
 
         monkeypatch.setattr(sweep, "_hamiltonian_parts", counting_parts)
         schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
-        result = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR)
+        result = run_sweep(p, schedule, psi0)
         assert len(calls) == 1
         for traj in result if isinstance(result, list) else [result]:
             assert traj.metadata["endpoint_top_fock_occupancy"] == endpoint_occupancy
@@ -630,7 +637,7 @@ class TestRateBlock:
             replace(base, start_value=10.0),
             replace(base, end_value=1.0),
             replace(base, n_steps=2000),
-            replace(base, sample_times=(0.0, 0.01)),
+            replace(base, sample_steps=(0, 500)),
         ]
         for other in others:
             with pytest.raises(InvalidParameterError, match="only in rate_v"):
@@ -640,19 +647,24 @@ class TestRateBlock:
 
     def test_entries_match_single_runs(self):
         # Dim 32 in the even block runs the Chebyshev branch through its
-        # real view; each entry is the run its schedule gives alone.
+        # real view; each entry is the run its schedule gives alone. Sample
+        # steps, unlike sample times, sit at one point of the ramp for every
+        # rate: sample i of each entry is at the same gap value.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = block_ground(p, 200.0)
-        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000, sample_times=(0.0, 0.002))
+        steps = (0, 10, 250, 250, 999, 1000)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000, sample_steps=steps)
         # The kernel runs the slowest first: a cyclic reordering of these.
         schedules = tuple(replace(base, rate_v=r) for r in (1e4, 1e5, 1e3))
-        block = run_sweep(p, RateBlock(schedules), psi0, sector=EVEN_SECTOR)
+        block = run_sweep(p, RateBlock(schedules), psi0)
         assert [traj.schedule for traj in block] == list(schedules)
+        gaps = [200.0 * (1.0 - k / 1000) for k in steps]
         for traj, schedule in zip(block, schedules):
-            alone = run_sweep(p, schedule, psi0, sector=EVEN_SECTOR)
+            assert [schedule.value_at(t) for t in traj.times] == pytest.approx(gaps, abs=1e-12)
+            alone = run_sweep(p, schedule, psi0)
             assert traj.metadata == pytest.approx(alone.metadata, rel=1e-12, abs=0)
             assert list(traj.times) == list(alone.times)
-            assert traj.states.shape == alone.states.shape == (32, 2)
+            assert traj.states.shape == alone.states.shape == (32, len(steps))
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
 
     def test_a_drifting_run_fails_only_its_entry(self, monkeypatch):
@@ -668,7 +680,7 @@ class TestRateBlock:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
         block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
-        first, failed, last = run_sweep(p, block, block_ground(p, 200.0), sector=EVEN_SECTOR)
+        first, failed, last = run_sweep(p, block, block_ground(p, 200.0))
         assert isinstance(failed, NumericalInstabilityError)
         assert first.max_norm_deviation < 1e-10 and last.max_norm_deviation < 1e-10
 
