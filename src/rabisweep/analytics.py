@@ -9,7 +9,6 @@ underflow quickly in linear space.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,14 @@ from .errors import (
     GapTruncationError,
     InvalidParameterError,
 )
-from .model import BasisLabel, MultiModeParams, Readout, _require_finite
+from .model import (
+    BasisLabel,
+    MultiModeParams,
+    Readout,
+    _require_count,
+    _require_finite,
+    _require_positive,
+)
 
 # Relative tolerance used to declare two crossing positions coincident.
 CROSSING_DEGENERACY_RTOL = 1e-9
@@ -29,15 +35,9 @@ CASCADE_RESIDUAL_TOL = 1e-9
 Occupation = int | tuple[int, ...]
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
-
-
 def poisson_overlap(n: int, g: float, omega: float) -> float:
     """Sudden-limit occupation of the n-th level: e^{-m} m^n / n!, m = (g/omega)^2."""
-    if not isinstance(n, numbers.Integral) or n < 0:
-        raise InvalidParameterError(f"level index must be an integer >= 0, got {n!r}")
+    _require_count("level index", n, 0)
     _require_finite(g=g)
     _require_positive("omega", omega)
     mean = (g / omega) ** 2
@@ -120,8 +120,7 @@ def cascade_gaps(delta: float, g: float, omega: float, n_max: int | None = None)
     _require_positive("omega", omega)
     if n_max is None:
         n_max = default_n_max(g, omega)
-    if n_max < 1:
-        raise InvalidParameterError(f"n_max must be >= 1, got {n_max}")
+    _require_count("n_max", n_max, 1)
     alpha = g / omega
     log_delta = math.log(abs(delta)) if delta != 0.0 else -math.inf
     log_gaps = {n: _log_gap_factor(n, alpha) + log_delta for n in range(n_max + 1)}
@@ -140,8 +139,8 @@ def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
     """Gap mesh of a qubit swept past several modes; crossings at sum_j n_j w_j."""
     if len(caps) != len(p.modes):
         raise InvalidParameterError("one occupation cap per mode is required")
-    if any(c < 0 for c in caps):
-        raise InvalidParameterError("occupation caps must be >= 0")
+    for cap in caps:
+        _require_count("an occupation cap", cap, 0)
     occs: list[tuple[int, ...]] = [()]
     for cap in caps:
         occs = [o + (n,) for o in occs for n in range(cap + 1)]
@@ -267,9 +266,8 @@ def fock_prep_window(
     x* = log1p(1/R), where P = e^{-R x*} / (1 + R). In a non-empty window
     R >= (gap_{n-1}/gap_n)^2 = n / (2g/omega)^2 > 0, so x* is finite.
     """
-    if target_n < 1:
-        raise InvalidParameterError(f"target level must be >= 1, got {target_n}")
-    spec = cascade_gaps(delta, g, omega, n_max=max(target_n, 1))
+    _require_count("target_n", target_n, 1)
+    spec = cascade_gaps(delta, g, omega, n_max=target_n)
     gap_prev = spec.gaps[target_n - 1]
     gap_n = spec.gaps[target_n]
     v_low = 10.0 * math.pi * gap_prev**2 / 2.0

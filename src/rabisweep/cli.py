@@ -106,9 +106,9 @@ def _build_parser() -> _Parser:
     c.add_argument("--knob", choices=("n_steps", "n_fock", "endpoint_magnitude"), required=True)
     c.add_argument("--g-over-omega", type=float, required=True)
     c.add_argument("--rate", type=float, required=True, help="v/omega^2")
-    c.add_argument("--delta-i", type=float, default=200.0)
+    c.add_argument("--delta-i", type=float, default=None, help="large-gap endpoint (omega units)")
     c.add_argument("--n-fock", type=int, default=None)
-    c.add_argument("--n-steps", type=int, default=10_000)
+    c.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     c.add_argument("--tolerance", type=float, default=1e-3)
 
     pr = sub.add_parser("presets", help="list or run bundled experiment presets")

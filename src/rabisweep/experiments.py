@@ -32,6 +32,8 @@ from .model import (
     Readout,
     TOP_OCCUPANCY_TOL,
     _require_count,
+    _require_finite,
+    _require_positive,
     critical_delta,
 )
 from .operators import StateVector
@@ -54,14 +56,16 @@ from .sweep import (
     run_sweep,
 )
 
-EXPERIMENT_KINDS = (
-    "quench_ns",
-    "quench_sn",
-    "quench_trace",
-    "lz_scan",
-    "lz_trace",
-    "multimode_scan",
-)
+# Each kind's option keys; any other key is refused.
+_OPTION_KEYS = {
+    "quench_ns": ("delta_hi",),
+    "quench_sn": ("delta_hi",),
+    "quench_trace": ("delta_hi", "direction", "rate"),
+    "lz_scan": ("window", "simulate", "top_occupancy_tol"),
+    "lz_trace": ("window", "rate"),
+    "multimode_scan": ("window", "simulate", "top_occupancy_tol", "caps"),
+}
+EXPERIMENT_KINDS = tuple(_OPTION_KEYS)
 # Kinds whose scan axis is a sweep rate; trace kinds scan a signed time axis.
 RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "multimode_scan")
 
@@ -92,11 +96,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidParameterError(f"unknown experiment kind {self.kind!r}")
-        values = tuple(float(v) for v in self.scan_values)
+        values = tuple(self.scan_values)
         if len(values) == 0:
             raise InvalidParameterError("scan grid must be nonempty")
-        if not all(np.isfinite(values)):
-            raise InvalidParameterError("scan grid values must be finite")
+        for value in values:
+            _require_finite(scan_value=value)
+        values = tuple(float(v) for v in values)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("scan grid must be strictly increasing")
         if self.kind in RATE_SCAN_KINDS and values[0] <= 0:
@@ -114,11 +119,20 @@ class ExperimentSpec:
             raise InvalidParameterError("multimode_scan takes MultiModeParams")
         if self.kind in ("quench_trace", "lz_trace") and "rate" not in self.options:
             raise InvalidParameterError(f"{self.kind} requires options['rate']")
+        unknown = [key for key in self.options if key not in _OPTION_KEYS[self.kind]]
+        if unknown:
+            raise InvalidParameterError(
+                f"unknown options {unknown} for {self.kind}; it takes {_OPTION_KEYS[self.kind]}"
+            )
         for key in _POSITIVE_OPTIONS:
-            if key in self.options and not 0 < float(self.options[key]) < np.inf:
-                raise InvalidParameterError(
-                    f"options[{key!r}] must be finite and positive, got {self.options[key]}"
-                )
+            if key in self.options:
+                _require_positive(f"options[{key!r}]", self.options[key])
+        if "caps" in self.options:
+            caps = self.options["caps"]
+            if not isinstance(caps, (tuple, list)) or len(caps) != len(self.params.modes):
+                raise InvalidParameterError(f"options['caps'] needs one cap per mode, got {caps!r}")
+            for cap in caps:
+                _require_count("an occupation cap", cap, 0)
         if self.kind == "quench_trace" and self.options.get("direction") not in ("ns", "sn"):
             raise InvalidParameterError("quench_trace requires options['direction'] in 'ns'/'sn'")
 
@@ -244,38 +258,29 @@ def _row_checks(
     return checks, not warnings, tuple(warnings)
 
 
-def _failed_row(scan_value: float, exc: Exception) -> ResultRow:
-    return ResultRow(
-        scan_value,
-        sim=None,
-        oracle=None,
-        converged=False,
-        checks={},
-        warnings=(f"{type(exc).__name__}: {exc}",),
-    )
-
-
-def _scan(
+def _rate_scan(
     spec: ExperimentSpec,
     oracles_for_values: Callable[[tuple[float, ...]], list[Readout | RabisweepError]],
-    row_for_value: Callable[[float, Readout, Trajectory | None], ResultRow],
-    run_block: Callable[[tuple[float, ...]], list] | None = None,
+    ramp: tuple[str, float, float, float] | None = None,
+    psi0: StateVector | None = None,
+    readout: tuple[np.ndarray, tuple[BasisLabel, ...]] | None = None,
 ) -> ResultTable:
-    """One row per scan value. The oracles come first, from one
-    ``oracles_for_values`` call over the whole grid that returns one entry
-    per value: its records, or the package error that refuses it. That
-    call's time is recorded once, as ``provenance["oracle_s"]``; an error it
-    raises for the whole grid fails every row. A value whose oracle is
-    refused, or whose run or row function hits a package error, becomes a
-    failed row and the scan goes on.
+    """One row per rate: the body of every rate scan.
 
-    With ``run_block`` the values whose oracle succeeded are then propagated,
-    in one ``run_sweep`` call over a ``RateBlock``, so a refused value costs
-    no propagation. Each row is built from its oracle and its own entry of
-    the result (None without a block). The block's time is recorded once, as
-    ``provenance["block_propagation_s"]``. ``wall_times_s`` holds each row's
-    own time, which includes neither. An error that the whole block raises
-    fails every row in it.
+    One ``oracles_for_values`` call over the whole grid gives each rate its
+    oracle readout or the package error that refuses it (an error raised for
+    the whole grid refuses every rate), timed as ``provenance["oracle_s"]``.
+    ``ramp`` is ``(parameter, start, end, rate_unit)``, or None for a
+    formula-only table. The rates not refused run from ``psi0`` as one
+    ``RateBlock`` at scan value x ``rate_unit``, timed as
+    ``provenance["block_propagation_s"]``; an error the whole block raises,
+    a schedule the sweep layer refuses included, fails its rows. Each final
+    state is projected onto ``readout`` ``(cols, labels)`` and judged by
+    ``_row_checks`` at ``options["top_occupancy_tol"]`` (the default for
+    kinds that do not take it), and every row records its oracle's
+    unassigned weight as ``checks["oracle_residual"]``. A package error in a
+    rate's oracle, run or row fails only that row; ``wall_times_s`` holds
+    each row's own time.
     """
     t0 = time.perf_counter()
     try:
@@ -284,31 +289,40 @@ def _scan(
         entries = [exc] * len(spec.scan_values)
     layer_times = {"oracle_s": round(time.perf_counter() - t0, 4)}
     # Keyed by scan value: the grid is strictly increasing.
-    oracles, failures = {}, {}
-    for scan_value, entry in zip(spec.scan_values, entries, strict=True):
-        if isinstance(entry, RabisweepError):
-            failures[scan_value] = entry
-        else:
-            oracles[scan_value] = entry
+    oracles = dict(zip(spec.scan_values, entries, strict=True))
+    kept = [v for v, oracle in oracles.items() if not isinstance(oracle, RabisweepError)]
     runs: dict = {}
-    if run_block is not None and oracles:
+    if ramp is not None and kept:
+        parameter, start, end, rate_unit = ramp
         t0 = time.perf_counter()
         try:
-            runs = dict(zip(oracles, run_block(tuple(oracles))))
+            block = RateBlock(tuple(
+                SweepSchedule(parameter, start, end, v * rate_unit, n_steps=spec.n_steps)
+                for v in kept
+            ))
+            runs = dict(zip(kept, run_sweep(spec.params, block, psi0)))
         except RabisweepError as exc:
-            runs = dict.fromkeys(oracles, exc)
+            runs = dict.fromkeys(kept, exc)
         layer_times["block_propagation_s"] = round(time.perf_counter() - t0, 4)
+    top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
     rows, times = [], []
-    for scan_value in spec.scan_values:
+    for scan_value, oracle in oracles.items():
         t0 = time.perf_counter()
-        failure = failures.get(scan_value, runs.get(scan_value))
-        if isinstance(failure, RabisweepError):
-            rows.append(_failed_row(scan_value, failure))
-        else:
+        traj = runs.get(scan_value)
+        failure = next((e for e in (oracle, traj) if isinstance(e, RabisweepError)), None)
+        if failure is None:
             try:
-                rows.append(row_for_value(scan_value, oracles[scan_value], runs.get(scan_value)))
+                sim, checks, ok, warns = None, {}, True, ()
+                if traj is not None:
+                    sim = project_records(*readout, traj.final_state)
+                    checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
+                checks["oracle_residual"] = 1.0 - sum(oracle.probabilities.tolist())
+                rows.append(ResultRow(scan_value, sim, oracle, ok, checks, warns))
             except RabisweepError as exc:
-                rows.append(_failed_row(scan_value, exc))
+                failure = exc
+        if failure is not None:
+            warning = f"{type(failure).__name__}: {failure}"
+            rows.append(ResultRow(scan_value, None, None, False, {}, (warning,)))
         times.append(time.perf_counter() - t0)
     return ResultTable(spec, rows, _provenance(spec, times) | layer_times)
 
@@ -318,14 +332,11 @@ def _scan(
 # ---------------------------------------------------------------------------
 
 def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
-    """(start, end) gap of a quench between ``delta_hi`` and zero gap. The
-    kind gives the direction; only ``quench_trace`` takes it from the options."""
+    """(start, end) gap of a quench between ``delta_hi`` and zero gap, in the
+    kind's direction or, for ``quench_trace`` only, ``options["direction"]``."""
     p = spec.params
     hi = float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
-    if spec.kind == "quench_trace":
-        direction = spec.options["direction"]
-    else:
-        direction = spec.kind.removeprefix("quench_")
+    direction = spec.options.get("direction", spec.kind.removeprefix("quench_"))
     return (hi, 0.0) if direction == "ns" else (0.0, hi)
 
 
@@ -367,7 +378,8 @@ def _trace_run(
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
-    """Final-state populations vs sweep rate for a gap quench.
+    """Final-state populations vs sweep rate for a gap quench, one
+    ``_rate_scan`` row per rate v/omega^2.
 
     The run stays in the even-parity block (the ground state's sector).
     Readout: exact strong-coupling doublet states for sweeps ending at zero
@@ -386,22 +398,11 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
         cols, labels = _named_levels(p, block, end, "normal")
     labels = tuple(labels)
     oracle = Readout(labels, [poisson_overlap(lab.photons, p.g, p.omega) for lab in labels])
-
-    psi0 = _even_ground_state(block, start)
-
-    def run_block(values: tuple[float, ...]) -> list:
-        block = RateBlock(tuple(
-            SweepSchedule("delta", start, end, v * p.omega**2, n_steps=spec.n_steps)
-            for v in values
-        ))
-        return run_sweep(p, block, psi0)
-
-    def row(scan_value: float, oracle: Readout, traj: Trajectory) -> ResultRow:
-        sim = project_records(cols, labels, traj.final_state)
-        checks, ok, warns = _row_checks(traj, sim)
-        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
-
-    return _scan(spec, lambda values: [oracle] * len(values), row, run_block)
+    return _rate_scan(
+        spec, lambda values: [oracle] * len(values),
+        ramp=("delta", start, end, p.omega**2),
+        psi0=_even_ground_state(block, start), readout=(cols, labels),
+    )
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -451,51 +452,28 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
 
 def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float) -> ResultTable:
     """Bias sweeps across the window vs the sequential-crossing oracle of
-    ``spectrum``, one row per rate v/delta^2.
+    ``spectrum``, one ``_rate_scan`` row per rate v/delta^2.
 
-    Every row carries the oracle and its unassigned survival weight
-    (``checks["oracle_residual"]``). With ``options["simulate"]`` false that
-    is all a row holds. Otherwise each run starts from the instantaneous
-    ground state at the window edge (the finite-window stand-in for the
-    asymptotic ground state) and is read out in the displaced basis at the
-    far edge, judged at ``options["top_occupancy_tol"]``. The oracle is one
-    call over every rate; a rate it refuses fails its row and is not
-    propagated.
+    With ``options["simulate"]`` false a row holds only the oracle. Otherwise
+    each run starts from the instantaneous ground state at the window edge
+    (the finite-window stand-in for the asymptotic ground state) and is read
+    out in the displaced basis at the far edge.
     """
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
-    simulate = bool(spec.options.get("simulate", True))
-    top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
-    run_block = None
-    if simulate:
+    ramp = psi0 = readout = None
+    if spec.options.get("simulate", True):
+        ramp = ("epsilon", -window, window, p.delta**2)
         psi0 = ground_state(p, "epsilon", -window)
         cols, labels = readout_columns(p, "displaced")
-        labels = tuple(labels)
-
-        def run_block(values: tuple[float, ...]) -> list:
-            block = RateBlock(tuple(
-                SweepSchedule("epsilon", -window, window, v * p.delta**2, n_steps=spec.n_steps)
-                for v in values
-            ))
-            return run_sweep(p, block, psi0)
+        readout = (cols, tuple(labels))
 
     def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
         return sequential_crossing_probabilities(
             spectrum, np.asarray(values) * p.delta**2, residual_tol=residual_tol
         )
 
-    def row(scan_value: float, oracle: Readout, traj: Trajectory | None) -> ResultRow:
-        oracle_residual = 1.0 - sum(oracle.probabilities.tolist())
-        if traj is None:
-            return ResultRow(
-                scan_value, None, oracle, True, {"oracle_residual": oracle_residual}, ()
-            )
-        sim = project_records(cols, labels, traj.final_state)
-        checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
-        checks["oracle_residual"] = oracle_residual
-        return ResultRow(scan_value, sim, oracle, ok, checks, warns)
-
-    table = _scan(spec, oracles_for_values, row, run_block)
+    table = _rate_scan(spec, oracles_for_values, ramp=ramp, psi0=psi0, readout=readout)
     table.provenance["window"] = window
     return table
 
@@ -503,7 +481,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
 def lz_scan(spec: ExperimentSpec) -> ResultTable:
     """Single-mode bias sweep through the crossing mesh vs the
     independent-crossing cascade formula; ``options["simulate"] = False``
-    gives the formula-only table. See ``_bias_scan``."""
+    gives the formula-only table. See ``_bias_scan`` and ``_rate_scan``."""
     if spec.kind != "lz_scan":
         raise InvalidParameterError(f"lz_scan cannot run kind {spec.kind!r}")
     p = spec.params
@@ -537,7 +515,7 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
     """Multimode bias sweep vs the sequential-crossing oracle over the
     occupations up to ``options["caps"]`` (default n_fock - 3 per mode); a
     row whose retained crossings leave more than ORACLE_RESIDUAL_TOL of
-    survival weight unassigned fails. See ``_bias_scan``."""
+    survival weight unassigned fails. See ``_bias_scan`` and ``_rate_scan``."""
     if spec.kind != "multimode_scan":
         raise InvalidParameterError(f"multimode_scan cannot run kind {spec.kind!r}")
     p = spec.params

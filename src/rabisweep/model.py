@@ -61,9 +61,16 @@ QUBIT_LABELS = {
 
 
 def _require_finite(**values: float) -> None:
+    """Refuse a value that is not a finite real number."""
     for name, value in values.items():
-        if not np.isfinite(value):
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
             raise InvalidParameterError(f"{name} must be finite, got {value!r}")
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a value that is not a positive, finite real number."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0):
+        raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
 def _require_count(name: str, value: int, minimum: int) -> None:

@@ -64,6 +64,7 @@ from .model import (
     QrmParams,
     Readout,
     _require_count,
+    _require_finite,
     _scheme_column,
     build_multimode,
     build_qrm,
@@ -113,9 +114,9 @@ class SweepSchedule:
     def __post_init__(self) -> None:
         if self.parameter not in ("delta", "epsilon"):
             raise InvalidParameterError(f"unknown sweep parameter {self.parameter!r}")
-        for name in ("start_value", "end_value", "rate_v"):
-            if not np.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        _require_finite(
+            start_value=self.start_value, end_value=self.end_value, rate_v=self.rate_v
+        )
         if self.rate_v <= 0:
             raise InvalidParameterError(f"rate_v must be positive, got {self.rate_v}")
         _require_count("n_steps", self.n_steps, MIN_N_STEPS)

@@ -4,8 +4,9 @@ import pytest
 from rabisweep import cli, experiments
 from rabisweep.cli import main
 from rabisweep.model import EVEN_SECTOR
-from rabisweep.presets import PRESETS, qrm_params
+from rabisweep.presets import PRESETS, qrm_params, quench_scan_spec
 from rabisweep.sweep import (
+    DEFAULT_N_STEPS,
     SweepSchedule,
     ground_state,
     project_records,
@@ -198,6 +199,24 @@ class TestConvergence:
     def test_prints_the_run_by_run_audit(self, knob, capsys):
         assert main([*CONVERGENCE, "--knob", knob]) == 0
         assert printed(capsys) == single_run_audit(knob)
+
+    @pytest.mark.parametrize("g, delta_hi", [("2", 800.0), ("5", 5000.0)])
+    def test_defaults_audit_the_quench_table(self, monkeypatch, g, delta_hi):
+        # Without --delta-i and --n-steps the audit takes the endpoint and
+        # steps of the table `rabisweep quench` runs, not 200 and 10,000.
+        specs = []
+
+        def capture(spec, knob, tolerance):
+            specs.append(spec)
+            return experiments.ConvergenceReport(knob, 1.0, tolerance, 0.0, 0.0, True)
+
+        monkeypatch.setattr(cli, "convergence_scan", capture)
+        argv = ["convergence", "--knob", "n_steps", "--g-over-omega", g, "--rate", "1e4"]
+        assert main(argv) == 0
+        (spec,) = specs
+        assert experiments._endpoint_option(spec) == ("delta_hi", delta_hi)
+        assert spec.n_steps == DEFAULT_N_STEPS
+        assert spec == quench_scan_spec("ns", float(g), (1e4,))
 
     def test_endpoint_runs_start_from_their_own_ground_state(self, monkeypatch, capsys):
         # The 2x and 4x runs scale both endpoints, so each starts from the

@@ -5,6 +5,13 @@ import pytest
 
 from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
 from rabisweep import experiments, sweep
+from rabisweep.analytics import (
+    cascade_gaps,
+    fock_prep_window,
+    lz_probability,
+    multimode_gaps,
+    poisson_overlap,
+)
 from rabisweep.experiments import (
     ExperimentSpec,
     _row_checks,
@@ -150,6 +157,52 @@ class TestScanLoop:
         assert failed.sim is None and not failed.converged
         assert failed.warnings[0].startswith("NumericalInstabilityError")
         assert first.converged and last.converged
+
+
+class TestRateScan:
+    # The g/omega = 2 quench in 16 levels leaves 7.91e-6 of its final weight
+    # in the top tenth of the ladder, above the default limit.
+    P = QrmParams(0.0, 0.0, 1.0, 2.0, 16)
+
+    def _row(self, **options):
+        spec = ExperimentSpec(
+            "quench_ns", self.P, "v_over_omega2", (1e4,), n_steps=1000,
+            options={"delta_hi": 100.0, **options},
+        )
+        (row,) = run_experiment(spec).rows
+        return row
+
+    def test_quench_rows_are_judged_at_the_row_limit(self):
+        row = self._row()
+        assert not row.converged
+        assert row.warnings == (
+            "top tenth of the Fock ladder holds weight 7.91e-06 (limit 1e-06); "
+            "results are truncation-limited",
+        )
+        # Quench kinds do not take the bias scans' limit option; it used to
+        # be accepted and then ignored.
+        with pytest.raises(InvalidParameterError, match="unknown options"):
+            self._row(top_occupancy_tol=1e-2)
+
+    def test_quench_rows_record_the_oracle_residual(self):
+        row = self._row()
+        expected = 1.0 - sum(poisson_overlap(lab.photons, 2.0, 1.0) for lab in row.sim.labels)
+        assert row.checks["oracle_residual"] == expected
+        assert row.checks["oracle_residual"] == pytest.approx(4.89e-6, rel=1e-3)
+
+    def test_a_refused_schedule_fails_the_block_rows(self):
+        # At omega = 2, v = 1e308 omega^2 overflows to an infinite rate. The
+        # block is built where its run is, so the table still comes back.
+        p = replace(self.P, omega=2.0)
+        spec = ExperimentSpec(
+            "quench_ns", p, "v_over_omega2", (1e4, 1e308), n_steps=1000,
+            options={"delta_hi": 100.0},
+        )
+        rows = run_experiment(spec).rows
+        assert len(rows) == 2
+        for row in rows:
+            assert row.sim is None and not row.converged
+            assert "rate_v must be finite" in row.warnings[0]
 
 
 class TestRowChecks:
@@ -412,11 +465,15 @@ class TestTraces:
 class TestQuenchDirection:
     def test_the_kind_sets_the_direction(self):
         # quench_ns ends at zero gap and reads out in the doublet states; a
-        # stray direction option does not turn it around.
+        # direction option, which only quench_trace takes, is refused.
         p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
+        with pytest.raises(InvalidParameterError, match="unknown options"):
+            ExperimentSpec(
+                "quench_ns", p, "v_over_omega2", (1e4,), n_steps=1000,
+                options={"direction": "sn", "delta_hi": 100.0},
+            )
         spec = ExperimentSpec(
-            "quench_ns", p, "v_over_omega2", (1e4,), n_steps=1000,
-            options={"direction": "sn", "delta_hi": 100.0},
+            "quench_ns", p, "v_over_omega2", (1e4,), n_steps=1000, options={"delta_hi": 100.0}
         )
         (row,) = run_experiment(spec).rows
         assert row.converged
@@ -503,6 +560,57 @@ class TestSpec:
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
         with pytest.raises(InvalidParameterError):
             ExperimentSpec(kind, p, "rate", (1.0, 10.0), options=options)
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            ("quench_ns", {"windw": 5.0}),
+            ("quench_sn", {"window": 5.0}),
+            ("quench_trace", {"direction": "ns", "rate": 1e4, "simulate": False}),
+            ("lz_scan", {"delta_hi": 5.0}),
+            ("lz_trace", {"rate": 10.0, "top_occupancy_tol": 1e-3}),
+            ("multimode_scan", {"direction": "ns"}),
+        ],
+    )
+    def test_refuses_unknown_options(self, kind, options):
+        # An unknown key used to run silently at the default it meant to set.
+        p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        if kind != "multimode_scan":
+            p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
+        with pytest.raises(InvalidParameterError, match="unknown options"):
+            ExperimentSpec(kind, p, "rate", (1.0, 10.0), options=options)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SweepSchedule("delta", "1", 0.0, 1.0),
+            lambda: QrmParams("0", 0.0, 1.0, 1.0, 16),
+            lambda: lz_probability(1.0, "2"),
+            lambda: ExperimentSpec(
+                "lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 32), "v", (1.0,),
+                options={"window": "x"},
+            ),
+            lambda: ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 32), "v", ("a",)),
+            lambda: fock_prep_window(0.1, 1.0, 1.0, 1.5),
+            lambda: cascade_gaps(0.1, 1.0, 1.0, n_max=2.5),
+            lambda: multimode_gaps(MultiModeParams(1.0, (Mode(1.0, 1.0, 8),)), (2.5,)),
+        ],
+        ids=[
+            "schedule-string", "qrm-string", "lz-rate-string", "option-string",
+            "scan-value-string", "fock-window-fraction", "n-max-fraction", "cap-fraction",
+        ],
+    )
+    def test_refuses_values_of_the_wrong_type(self, build):
+        # Each used to escape as a bare TypeError or ValueError.
+        with pytest.raises(InvalidParameterError):
+            build()
+
+    @pytest.mark.parametrize("caps", [(2.5,), 5, (-1,), (3, 3)])
+    def test_refuses_bad_caps(self, caps):
+        # run_experiment used to raise TypeError from range() or tuple().
+        p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        with pytest.raises(InvalidParameterError, match="cap"):
+            ExperimentSpec("multimode_scan", p, "v_over_delta2", (1e3,), options={"caps": caps})
 
     def test_trace_axes_stay_signed(self):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)
