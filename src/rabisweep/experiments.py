@@ -127,6 +127,11 @@ class ExperimentSpec:
         for key in _POSITIVE_OPTIONS:
             if key in self.options:
                 _require_positive(f"options[{key!r}]", self.options[key])
+        # Read as a flag, so only a real bool is taken: "no" would be true.
+        if not isinstance(self.options.get("simulate", True), (bool, np.bool_)):
+            raise InvalidParameterError(
+                f"options['simulate'] must be True or False, got {self.options['simulate']!r}"
+            )
         if "caps" in self.options:
             caps = self.options["caps"]
             if not isinstance(caps, (tuple, list)) or len(caps) != len(self.params.modes):

@@ -10,6 +10,11 @@ tiny dimensions, and a Chebyshev expansion of exp(-i H dt) (coefficients shared
 across a chunk of steps, spectral bounds from Gershgorin discs) otherwise.
 Per-step eigendecomposition is prohibitively slow past dim ~ 32 on one core;
 the Chebyshev action reproduces the exact exponential to machine precision.
+Its series exp(-i z x) = sum_k c_k T_k(x), with z = r dt for spectral radius r,
+stops at the first order K whose tail bound 2 sum_{k >= K} |J_k(z)| is below
+1e-16. Since |T_k| <= 1 on the Gershgorin interval, that bounds each step's
+truncation error by 1e-16 times the state's norm; a tail that does not fall
+below it raises ``NumericalInstabilityError``.
 
 Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
 model layer builds every Hamiltonian, ramp and parity basis as float64, and
@@ -209,16 +214,27 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 
 def _chebyshev_coefficients(z: float) -> np.ndarray:
-    """Expansion coefficients of exp(-i z x) over Chebyshev T_k(x), x in [-1, 1]."""
+    """Coefficients c_0 = J_0(z), c_k = 2 (-i)^k J_k(z) of exp(-i z x) =
+    sum_k c_k T_k(x) on [-1, 1], for the orders k < K: K is the first order
+    whose tail bound 2 sum_{j >= K} |J_j(z)| is below ``_CHEB_COEFF_TOL``, and
+    at least 2, since the propagator always forms T_1. Orders past k_max are
+    far below J_{k_max}; a tail still above the tolerance at k_max raises
+    ``NumericalInstabilityError``."""
     if z < 1e-14:
         k_max = 4
     else:
         k_max = int(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
     k = np.arange(k_max + 1)
     bessels = jv(k, z)
-    keep = np.nonzero(np.abs(bessels) >= _CHEB_COEFF_TOL)[0]
-    cut = min(int(keep[-1]) + 2 if keep.size else 1, k_max)
-    coeffs = ((-1j) ** k[: cut + 1]) * bessels[: cut + 1]
+    tails = 2.0 * np.cumsum(np.abs(bessels)[::-1])[::-1]
+    below = np.flatnonzero(tails < _CHEB_COEFF_TOL)
+    if not below.size:
+        raise NumericalInstabilityError(
+            f"Chebyshev tail of exp(-i z x) at z = {z:.6g} stays at {tails[-1]:.2e} "
+            f"through order {k_max} (tolerance {_CHEB_COEFF_TOL:g})"
+        )
+    cut = max(int(below[0]), 2)
+    coeffs = ((-1j) ** k[:cut]) * bessels[:cut]
     coeffs[1:] *= 2.0
     return coeffs
 
@@ -283,6 +299,9 @@ def _evolve_linear(
     step in ``sample_steps``, columns in the order of ``total_times``, and
     each run's Chebyshev terms per step: the most any chunk took, 0 on the
     eigh branch and for a zero-length sweep. A single run is a block of one.
+    A step keeps the orders below the first whose dropped tail
+    2 sum_{k >= K} |J_k(r dt)| is under 1e-16 (``_chebyshev_coefficients``),
+    so its truncation error is at most 1e-16 times the state's norm.
 
     The only code that applies exp(-i H dt); the branch is chosen by
     dimension, as the module docstring describes. The Chebyshev branch holds
@@ -294,10 +313,12 @@ def _evolve_linear(
     through its float view of shape (dim, 2R), whose first 2a columns are
     the block's first a. Runs are ordered slowest first, so the runs that
     still need order n form a leading slice of the block and the product at
-    order n covers only that slice. Each run's new state is then one product
-    of its own coefficients, times its phase exp(-i c dt_j), with its column
-    of the stack. Buffers grow only when a chunk needs more orders than any
-    before it, so a step allocates nothing of the problem's size.
+    order n covers only that slice: ``np.matmul`` into the strided slice, or
+    ``np.dot`` into the contiguous view when every run needs the order. Each
+    run's new state is then one product of its own coefficients, times its
+    phase exp(-i c dt_j), with its column of the stack. Buffers grow only
+    when a chunk needs more orders than any before it, so a step allocates
+    nothing of the problem's size.
     """
     if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
         raise InvalidParameterError("the propagator takes real symmetric h_static and h_ramp")
@@ -348,11 +369,13 @@ def _evolve_linear(
             grown[0] = stack[0]
             stack = grown
         real_view = stack.view(float)
-        # Order n >= 2: the product over the leading runs that still need it.
+        # Order n >= 2: the product over the leading runs that still need it,
+        # np.dot into the contiguous full width, np.matmul into a strided slice.
         orders = []
         for n in range(2, max(lengths)):
             a = 1 + max(j for j, length in enumerate(lengths) if length > n)
             orders.append((
+                np.dot if a == n_runs else np.matmul,
                 real_view[n - 1, :, : 2 * a],
                 real_view[n, :, : 2 * a],
                 stack[n, :, :a],
@@ -374,10 +397,10 @@ def _evolve_linear(
             entries += a_idx
             h2_flat[ramp_idx] = entries
             # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
-            np.matmul(h2, real_view[0], out=real_view[1])
+            np.dot(h2, real_view[0], out=real_view[1])
             stack[1] *= 0.5
-            for t_in, t_out, t_new, t_back in orders:
-                np.matmul(h2, t_in, out=t_out)
+            for product, t_in, t_out, t_new, t_back in orders:
+                product(h2, t_in, out=t_out)
                 t_new -= t_back
             for weights, column_terms, column in finals:
                 np.matmul(weights, column_terms, out=column)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from rabisweep import experiments, sweep
 from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
@@ -118,11 +119,20 @@ class TestEngine:
         # The Chebyshev branch rewrites only the entries where h1 is nonzero,
         # so its ramps are dense, diagonal (sector gap and bias sweeps),
         # sparse off-diagonal (full-space gap sweep) and zero, all real
-        # symmetric like every model Hamiltonian. Each case runs alone and as
-        # a block of two rates 10x apart, faster first, so the block reorders
-        # its columns. The sample at step 1 would be overwritten if it
-        # aliased a working buffer.
+        # symmetric like every model Hamiltonian. Each case runs alone, as a
+        # block of two rates 10x apart, faster first, so the block reorders
+        # its columns, and as a block of three rates spanning 100x, whose
+        # fewer-term runs drop out of the later orders: those orders switch
+        # from the full-width product to the product over a leading slice. A
+        # run of duration 1e-13 keeps the two terms that the Chebyshev
+        # branch always forms (z < 1e-14). Every block column must match its
+        # single-run propagation to 1e-14 after one step and to 1e-13 after
+        # 750 and 1500: BLAS sums a product of another width in another
+        # order, and that rounding walks to about 5e-14 by step 1500. The
+        # sample at step 1 would be overwritten if it aliased a working
+        # buffer.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
+        samples = {1, 750, 1500}
 
         def diagonal(dim):
             return np.diag(RNG.normal(size=dim))
@@ -134,29 +144,90 @@ class TestEngine:
             (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
             (24, symmetric, lambda dim: np.zeros((dim, dim))),
         ]
+        blocks = [
+            [total_time / 10, total_time],
+            [total_time / 100, total_time, total_time / 10],
+        ]
+        tiny = 1e-13
         for dim, static, ramp in cases:
             h0 = static(dim)
             h1 = ramp(dim)
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
             psi /= np.linalg.norm(psi)
-            alone, _ = _evolve_linear(
-                h0, h1, f_start, f_end, [total_time], n_steps, psi, {1, 750, 1500}
-            )
-            block, _ = _evolve_linear(
-                h0, h1, f_start, f_end, [total_time / 10, total_time], n_steps, psi,
-                {1, 750, 1500},
-            )
-            assert set(alone) == set(block) == {1, 750, 1500}
-            for j, run_time in enumerate([total_time / 10, total_time]):
-                dt = run_time / n_steps
+
+            def evolve(times):
+                return _evolve_linear(h0, h1, f_start, f_end, times, n_steps, psi, samples)
+
+            single = {t: evolve([t])[0] for t in (total_time, total_time / 10, total_time / 100)}
+            single[tiny], tiny_terms = evolve([tiny])
+            assert all(set(sampled) == samples for sampled in single.values())
+            if dim > 12:
+                assert tiny_terms == [2], dim
+            f_mid = f_start + (f_end - f_start) * ((np.arange(n_steps) + 0.5) / n_steps)
+            h_mid = h0 + f_mid[:, None, None] * h1
+            refs = {}
+            for run_time in single:
                 ref = psi
-                for k in range(n_steps):
-                    f_mid = f_start + (f_end - f_start) * ((k + 0.5) / n_steps)
-                    ref = expm(-1j * dt * (h0 + f_mid * h1)) @ ref
-                    if k + 1 in block:
-                        got = [block[k + 1][:, j]] + ([alone[k + 1][:, 0]] if j else [])
-                        for amp in got:
-                            assert np.linalg.norm(amp - ref) < 1e-12, (dim, j, k + 1)
+                for k, step in enumerate(expm(-1j * (run_time / n_steps) * h_mid)):
+                    ref = step @ ref
+                    if k + 1 in samples:
+                        refs[run_time, k + 1] = ref
+            columns = [(t, sampled[k][:, 0], k) for t, sampled in single.items() for k in sampled]
+            for block_times in blocks:
+                block, terms = evolve(block_times)
+                if dim > 12:
+                    # Terms fall with the rate, so the block takes the
+                    # leading-slice product at some order.
+                    assert len(set(terms)) == len(block_times), (dim, terms)
+                assert set(block) == samples
+                for j, t in enumerate(block_times):
+                    for k in samples:
+                        column = block[k][:, j]
+                        diff = np.linalg.norm(column - single[t][k][:, 0])
+                        assert diff < (1e-14 if k == 1 else 1e-13), (dim, block_times, j, k)
+                        columns.append((t, column, k))
+            for run_time, column, k in columns:
+                assert np.linalg.norm(column - refs[run_time, k]) < 1e-12, (dim, run_time, k)
+
+    def test_chebyshev_series_stops_where_its_tail_bound_does(self):
+        # K kept orders: the first K whose dropped tail 2 sum_{k >= K} |J_k(z)|
+        # is below the tolerance (at least 2), which bounds each step's
+        # truncation error since |T_k| <= 1 on [-1, 1]. On the grid x = j/32,
+        # z x is exact for z >= 1 and rounds by under 1e-18 below, so
+        # exp(-i z x) carries only its own rounding.
+        # Through z = 10 the kept series matches it to 1e-15. At z = 100
+        # scipy's J_k(100) are themselves off by up to 3e-15 each (against
+        # mpmath), so the series matches to 5e-14, its Bessel values' error.
+        tol = sweep._CHEB_COEFF_TOL
+        x = np.linspace(-1.0, 1.0, 65)
+        counts = []
+        for z in (0.0, 1e-15, 1e-4, 0.01, 1.0, 10.0, 100.0):
+            coeffs = sweep._chebyshev_coefficients(z)
+            cut = len(coeffs)
+            bessels = np.abs(jv(np.arange(cut + 200), z))
+            tails = 2.0 * np.cumsum(bessels[::-1])[::-1]
+            assert tails[cut] < tol, z
+            assert cut == 2 or tails[cut - 1] >= tol, z
+            series = np.polynomial.chebyshev.chebval(x, coeffs)
+            bound = 1e-15 if z <= 10.0 else 5e-14
+            assert np.max(np.abs(series - np.exp(-1j * z * x))) < bound, z
+            counts.append(cut)
+        assert counts[:2] == [2, 2]
+        assert counts == sorted(counts)
+
+    def test_chebyshev_terms_of_a_pinned_quench(self):
+        # The g/omega = 1 even-block quench over 200 -> 0 at v/omega^2 = 1e3,
+        # 1e4 and 1e5 in 4,000 steps: no term past the tail bound is kept.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=4000)
+        block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
+        runs = run_sweep(p, block, block_ground(p, 200.0))
+        assert [traj.metadata["chebyshev_terms"] for traj in runs] == [6, 5, 4]
+
+    def test_chebyshev_tail_that_never_falls_is_refused(self, monkeypatch):
+        monkeypatch.setattr(sweep, "_CHEB_COEFF_TOL", 0.0)
+        with pytest.raises(NumericalInstabilityError, match="Chebyshev tail"):
+            sweep._chebyshev_coefficients(1.0)
 
     @pytest.mark.parametrize("dim", [12, 24])
     def test_refuses_complex_parts(self, dim):
@@ -270,13 +341,12 @@ class TestAccuracyScalings:
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)
         h_final = basis.conj().T @ build_qrm(replace(p, delta=0.0)) @ basis
         _, final_vecs = eig_hermitian(h_final)
-        survivals = []
-        for rate in (0.3, 0.1, 0.03):
-            s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=20_000)
-            traj = run_sweep(p, s, psi0)
-            survivals.append(
-                abs(np.vdot(final_vecs[:, 0], traj.final_state)) ** 2
-            )
+        base = SweepSchedule("delta", 200.0, 0.0, 0.3, n_steps=20_000)
+        block = RateBlock(tuple(replace(base, rate_v=r) for r in (0.3, 0.1, 0.03)))
+        survivals = [
+            abs(np.vdot(final_vecs[:, 0], traj.final_state)) ** 2
+            for traj in run_sweep(p, block, psi0)
+        ]
         assert survivals[0] < survivals[1] < survivals[2]
         assert survivals[-1] > 0.999
 
