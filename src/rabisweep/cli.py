@@ -4,20 +4,34 @@ All frequencies are given as ratios to the oscillator frequency (omega = 1
 internally); sweep-rate grids are dimensionless (v/omega^2 for gap sweeps,
 v/delta^2 for bias sweeps). Exit codes: 0 success, 1 argument/validation
 error, 2 numerical or I/O failure.
+
+The table commands (quench, lz, multimode, presets NAME) write NAME.csv and
+its manifest to --output-dir. With --audit KNOB (n_steps, n_fock or
+endpoint_magnitude; repeatable) they write no table: they rerun the same
+table at 2x and 4x each knob and write NAME_audit.json, which holds per knob
+the largest change in any simulated probability, where it sits, whether it
+passed at 1e-3 and the seconds taken, with the version and environment.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
 from ._version import __version__
 from .analytics import cascade_probabilities, lz_probability, poisson_overlap
 from .errors import InvalidParameterError, RabisweepError
-from .experiments import DEFAULT_N_STEPS, ExperimentSpec, convergence_scan, run_experiment
-from .io import emit_svg, parse_config_file, write_result_table
+from .experiments import (
+    AUDIT_KNOBS,
+    DEFAULT_N_STEPS,
+    ExperimentSpec,
+    convergence_scan,
+    run_experiment,
+)
+from .io import emit_svg, parse_config_file, write_audit, write_result_table
 from .model import Mode, MultiModeParams, build_qrm, parity_operator
 from .operators import eig_hermitian
 from .presets import (
@@ -102,15 +116,6 @@ def _build_parser() -> _Parser:
     s.add_argument("--n-fock", type=int, default=None)
     s.add_argument("--levels", type=int, default=10)
 
-    c = sub.add_parser("convergence", help="rerun a quench point at 2x/4x one knob")
-    c.add_argument("--knob", choices=("n_steps", "n_fock", "endpoint_magnitude"), required=True)
-    c.add_argument("--g-over-omega", type=float, required=True)
-    c.add_argument("--rate", type=float, required=True, help="v/omega^2")
-    c.add_argument("--delta-i", type=float, default=None, help="large-gap endpoint (omega units)")
-    c.add_argument("--n-fock", type=int, default=None)
-    c.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
-    c.add_argument("--tolerance", type=float, default=1e-3)
-
     pr = sub.add_parser("presets", help="list or run bundled experiment presets")
     pr.add_argument("name", nargs="?", default=None)
     pr.add_argument("--allow-long", action="store_true")
@@ -120,48 +125,55 @@ def _build_parser() -> _Parser:
 
 def _add_output_flags(sp) -> None:
     sp.add_argument("--output-dir", type=str, default="runs")
-    sp.add_argument("--emit-svg", action="store_true")
+    out = sp.add_mutually_exclusive_group()
+    out.add_argument("--emit-svg", action="store_true")
+    out.add_argument(
+        "--audit", action="append", choices=AUDIT_KNOBS, metavar="KNOB",
+        help=f"audit the table at 2x/4x KNOB ({', '.join(AUDIT_KNOBS)}); repeatable",
+    )
 
 
-def _emit(table, args, name: str, svg_labels=None) -> None:
-    paths = write_result_table(table, args.output_dir, name)
-    for p in paths:
+def _run_table(args, spec: ExperimentSpec, name: str, svg_labels=None) -> int:
+    """Run the table and write it, or with --audit write its audit file."""
+    if args.audit:
+        reports = []
+        for knob in args.audit:
+            start = time.perf_counter()
+            reports.append((convergence_scan(spec, knob), time.perf_counter() - start))
+        print(write_audit(spec, reports, args.output_dir, name))
+        return 0
+    table = run_experiment(spec)
+    for p in write_result_table(table, args.output_dir, name):
         print(p)
     if args.emit_svg:
         labels = svg_labels or table.labels()[:8]
         svg = emit_svg(table, list(labels), args.output_dir, name)
         if svg is not None:
             print(svg)
+    return 0
 
 
-def _cmd_quench(args) -> int:
+def _cmd_quench(args):
     common = dict(n_fock=args.n_fock, delta_hi=args.delta_i, n_steps=args.n_steps)
     if args.trace:
         spec = quench_trace_spec(args.direction, args.g_over_omega, args.rate, **common)
-        name = f"quench_trace_{args.direction}"
-    else:
-        grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
-        spec = quench_scan_spec(args.direction, args.g_over_omega, grid, **common)
-        name = f"quench_{args.direction}"
-    _emit(run_experiment(spec), args, name)
-    return 0
+        return spec, f"quench_trace_{args.direction}", None
+    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+    spec = quench_scan_spec(args.direction, args.g_over_omega, grid, **common)
+    return spec, f"quench_{args.direction}", None
 
 
-def _cmd_lz(args) -> int:
+def _cmd_lz(args):
     g, d = args.g_over_omega, args.delta_over_omega
     common = dict(n_fock=args.n_fock, window=args.window, n_steps=args.n_steps)
     if args.trace:
-        spec = lz_trace_spec(g, d, args.rate, **common)
-        name = "lz_trace"
-    else:
-        grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
-        spec = lz_scan_spec(g, d, grid, simulate=not args.formula_only, **common)
-        name = "lz_formula" if args.formula_only else "lz_scan"
-    _emit(run_experiment(spec), args, name)
-    return 0
+        return lz_trace_spec(g, d, args.rate, **common), "lz_trace", None
+    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+    spec = lz_scan_spec(g, d, grid, simulate=not args.formula_only, **common)
+    return spec, "lz_formula" if args.formula_only else "lz_scan", None
 
 
-def _cmd_multimode(args) -> int:
+def _cmd_multimode(args):
     modes = []
     for part in args.modes.split(","):
         try:
@@ -181,8 +193,7 @@ def _cmd_multimode(args) -> int:
     spec = ExperimentSpec(
         "multimode_scan", p, "v_over_delta2", grid, n_steps=args.n_steps, options=options
     )
-    _emit(run_experiment(spec), args, "multimode_scan")
-    return 0
+    return spec, "multimode_scan", None
 
 
 def _cmd_formula(args) -> int:
@@ -219,23 +230,10 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_convergence(args) -> int:
-    spec = quench_scan_spec(
-        "ns", args.g_over_omega, (args.rate,),
-        n_fock=args.n_fock, delta_hi=args.delta_i, n_steps=args.n_steps,
-    )
-    report = convergence_scan(spec, args.knob, args.tolerance)
-    print(f"knob={report.knob} base={report.base_value:g} tolerance={report.tolerance:g}")
-    print(f"max_change_2x={report.max_change_2x}")
-    print(f"max_change_4x={report.max_change_4x}")
-    for note in report.notes:
-        print(f"note: {note}")
-    print("converged" if report.passed else "NOT CONVERGED")
-    return 0
-
-
-def _cmd_presets(args) -> int:
+def _cmd_presets(args):
     if args.name is None:
+        if args.audit:
+            raise _UsageError("--audit needs a preset name")
         for name, preset in PRESETS.items():
             tag = " [long-running]" if preset.long_running else ""
             print(f"{name:16s} {preset.description}{tag}")
@@ -244,21 +242,17 @@ def _cmd_presets(args) -> int:
         raise InvalidParameterError(f"unknown preset {args.name!r}")
     preset = PRESETS[args.name]
     if preset.long_running and not args.allow_long:
-        raise InvalidParameterError(
-            f"preset {args.name!r} runs for hours; pass --allow-long to confirm"
-        )
-    table = run_experiment(preset.build())
-    _emit(table, args, args.name, svg_labels=preset.svg_labels)
-    return 0
+        raise _UsageError(f"preset {args.name!r} runs for hours; pass --allow-long to confirm")
+    return preset.build(), args.name, preset.svg_labels
 
 
+# A command returns its exit code, or a table (spec, name, SVG labels) to run.
 _COMMANDS = {
     "quench": _cmd_quench,
     "lz": _cmd_lz,
     "multimode": _cmd_multimode,
     "formula": _cmd_formula,
     "spectrum": _cmd_spectrum,
-    "convergence": _cmd_convergence,
     "presets": _cmd_presets,
 }
 
@@ -292,7 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_splice_config(argv))
-        return _COMMANDS[args.command](args)
+        outcome = _COMMANDS[args.command](args)
+        return outcome if isinstance(outcome, int) else _run_table(args, *outcome)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

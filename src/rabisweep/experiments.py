@@ -562,6 +562,10 @@ def _provenance(spec: ExperimentSpec, wall_times: list[float]) -> dict:
 # Resolution audit
 # ---------------------------------------------------------------------------
 
+# The resolution knobs ``convergence_scan`` scales (see ``_scaled_spec``).
+AUDIT_KNOBS = ("n_steps", "n_fock", "endpoint_magnitude")
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Outcome of rerunning an experiment at 2x and 4x one resolution knob."""
@@ -573,6 +577,10 @@ class ConvergenceReport:
     max_change_4x: float | None
     passed: bool
     notes: tuple[str, ...] = ()
+    # Where each largest change sits: (scan value, label text), or None
+    # when that change is None.
+    where_2x: tuple[float, str] | None = None
+    where_4x: tuple[float, str] | None = None
 
 
 def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
@@ -601,18 +609,24 @@ def _scaled_spec(spec: ExperimentSpec, knob: str, factor: int) -> ExperimentSpec
     return replace(spec, params=params, options={**spec.options, key: magnitude})
 
 
-def _largest_change(coarse: ResultTable, fine: ResultTable) -> float | None:
+def _largest_change(
+    coarse: ResultTable, fine: ResultTable
+) -> tuple[float | None, tuple[float, str] | None]:
     """Largest change in any row's simulated probabilities, where a label
-    that only one table's row carries counts its whole probability; None
-    when a row of either table has no simulated readout."""
-    changes = [0.0]
+    that only one table's row carries counts its whole probability, and
+    where it sits: (scan value, label text) of its first occurrence. Both
+    are None when a row of either table has no simulated readout."""
+    changes = []
     for a, b in zip(coarse.rows, fine.rows, strict=True):
         if a.sim is None or b.sim is None:
-            return None
+            return None, None
         pa = dict(zip(a.sim.labels, a.sim.probabilities.tolist()))
         pb = dict(zip(b.sim.labels, b.sim.probabilities.tolist()))
-        changes += [abs(pb.get(k, 0.0) - pa.get(k, 0.0)) for k in pa.keys() | pb.keys()]
-    return max(changes)
+        changes += [
+            (abs(pb.get(k, 0.0) - pa.get(k, 0.0)), a.scan_value, str(k)) for k in {**pa, **pb}
+        ]
+    change, value, label = max(changes, key=lambda c: c[0])
+    return change, (value, label)
 
 
 def convergence_scan(
@@ -627,15 +641,22 @@ def convergence_scan(
     ``n_steps``, ``n_fock`` (of every mode) or ``endpoint_magnitude``
     (``delta_hi`` of a quench, ``window`` of a bias scan). The report passes
     when both changes are within ``tolerance`` and every row converged at
-    every resolution; the unconverged rows' warnings are its notes, and a
-    change is None when a row failed at either resolution. An unknown
-    knob, a NaN, infinite or negative tolerance, a trace kind and a
+    every resolution; the unconverged rows' warnings are its notes. A change
+    is None when a row failed at either resolution; otherwise its report
+    names the scan value and label where it sits. An unknown knob, a
+    tolerance that is not a finite real number >= 0, a trace kind and a
     formula-only spec are refused before any run.
+
+    On the command line, ``--audit KNOB`` on a table command (``quench``,
+    ``lz``, ``multimode`` or ``presets NAME``) runs this on the spec that
+    command would run, at the default tolerance, and writes the reports to
+    ``<name>_audit.json`` (``io.write_audit``).
     """
-    if knob not in ("n_steps", "n_fock", "endpoint_magnitude"):
+    if knob not in AUDIT_KNOBS:
         raise InvalidParameterError(f"unknown convergence knob {knob!r}")
-    if not (np.isfinite(tolerance) and tolerance >= 0):
-        raise InvalidParameterError(f"tolerance must be finite and >= 0, got {tolerance!r}")
+    _require_finite(tolerance=tolerance)
+    if tolerance < 0:
+        raise InvalidParameterError(f"tolerance must be >= 0, got {tolerance!r}")
     if spec.kind not in RATE_SCAN_KINDS:
         raise InvalidParameterError(f"convergence_scan audits rate scans, not {spec.kind!r}")
     if not spec.options.get("simulate", True):
@@ -653,6 +674,11 @@ def convergence_scan(
         for f, row in unconverged
         for warning in row.warnings
     )
-    changes = [_largest_change(tables[1], tables[2]), _largest_change(tables[2], tables[4])]
-    passed = not unconverged and all(c is not None and c <= tolerance for c in changes)
-    return ConvergenceReport(knob, base_value, tolerance, *changes, passed, notes)
+    change_2x, where_2x = _largest_change(tables[1], tables[2])
+    change_4x, where_4x = _largest_change(tables[2], tables[4])
+    passed = not unconverged and all(
+        c is not None and c <= tolerance for c in (change_2x, change_4x)
+    )
+    return ConvergenceReport(
+        knob, base_value, tolerance, change_2x, change_4x, passed, notes, where_2x, where_4x
+    )

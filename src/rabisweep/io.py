@@ -18,14 +18,15 @@ import os
 import platform
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
 from .errors import InvalidParameterError
-from .experiments import ResultTable
+from ._version import __version__
+from .experiments import ConvergenceReport, ExperimentSpec, ResultTable
 from .model import BasisLabel
 
 CSV_HEADER = "scan_value,label_scheme,qubit_label,n,probability,oracle_probability,abs_dev,converged"
@@ -184,6 +185,16 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _spec_config(spec: ExperimentSpec) -> dict:
+    return {
+        "kind": spec.kind,
+        "scan_name": spec.scan_name,
+        "scan_values": [float(v) for v in spec.scan_values],
+        "n_steps": spec.n_steps,
+        "options": {k: _jsonable(v) for k, v in spec.options.items()},
+    }
+
+
 def write_result_table(
     table: ResultTable, out_dir: str | Path, name: str | None = None
 ) -> list[Path]:
@@ -198,14 +209,7 @@ def write_result_table(
     manifest = {
         "name": name,
         "version": table.provenance.get("version"),
-        "config": {
-            "kind": table.spec.kind,
-            "scan_name": table.spec.scan_name,
-            "scan_values": [float(v) for v in table.spec.scan_values],
-            "n_steps": table.spec.n_steps,
-            "truncation": table.provenance.get("truncation"),
-            "options": {k: _jsonable(v) for k, v in table.spec.options.items()},
-        },
+        "config": {**_spec_config(table.spec), "truncation": table.provenance.get("truncation")},
         "provenance": {k: _jsonable(v) for k, v in table.provenance.items()},
         "convergence": {
             _fmt(row.scan_value): bool(row.converged) for row in table.rows
@@ -220,6 +224,32 @@ def write_result_table(
     manifest_path = out / f"{name}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return [csv_path, manifest_path]
+
+
+def write_audit(
+    spec: ExperimentSpec, reports: list[tuple[ConvergenceReport, float]],
+    out_dir: str | Path, name: str,
+) -> Path:
+    """Write the resolution audit of one table as ``<name>_audit.json``: the
+    audited spec, each knob's ``ConvergenceReport`` fields with the seconds
+    its audit took, the package version and the environment, in the
+    manifest's JSON style. Returns the written path."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    record = {
+        "name": name,
+        "version": __version__,
+        "config": {**_spec_config(spec), "params": _jsonable(asdict(spec.params))},
+        "audits": [
+            {**_jsonable(asdict(report)), "seconds": round(seconds, 3)}
+            for report, seconds in reports
+        ],
+        "environment": _environment(),
+        "written_at_unix": time.time(),
+    }
+    path = out / f"{name}_audit.json"
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return path
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -245,6 +275,8 @@ def _environment() -> dict:
 
 
 def _jsonable(value):
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):

@@ -545,6 +545,10 @@ def run_sweep(
     first = schedules[0]
     sector = next(s for s, tag in _SECTOR_TAGS.items() if tag == psi0.basis_tag)
     h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, sector)
+    if psi0.dim != h_static.shape[0]:
+        raise InvalidParameterError(
+            f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
+        )
     leak_matrix = None
     if sector is None and isinstance(p, QrmParams) and first.parameter == "delta" and p.epsilon == 0.0:
         plus, _ = parity_sector_basis(p, EVEN_SECTOR)
@@ -554,10 +558,6 @@ def run_sweep(
             leak_matrix = minus
         elif w_plus < 1e-12:
             leak_matrix = plus
-    if psi0.dim != h_static.shape[0]:
-        raise InvalidParameterError(
-            f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
-        )
 
     endpoint_occ = 0.0
     for value in {first.start_value, first.end_value}:

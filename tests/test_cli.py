@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from rabisweep import cli, experiments
+from rabisweep import cli, experiments, io
 from rabisweep.cli import main
+from rabisweep.experiments import AUDIT_KNOBS
 from rabisweep.model import EVEN_SECTOR
-from rabisweep.presets import PRESETS, qrm_params, quench_scan_spec
+from rabisweep.presets import PRESETS, Preset, qrm_params, quench_scan_spec
 from rabisweep.sweep import (
     DEFAULT_N_STEPS,
     SweepSchedule,
@@ -55,10 +58,9 @@ class TestExitCodes:
              "--points-per-decade", "-3"],
             ["spectrum", "--delta", "1", "--g-over-omega", "0.5", "--levels", "0"],
             ["spectrum", "--delta", "1", "--g-over-omega", "0.5", "--levels", "-3"],
-            ["convergence", "--knob", "n_steps", "--g-over-omega", "1", "--rate", "1e4",
-             "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "nan"],
-            ["convergence", "--knob", "n_steps", "--g-over-omega", "1", "--rate", "1e4",
-             "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000", "--tolerance", "-0.001"],
+            ["quench", "--trace", "--g-over-omega", "1", "--audit", "n_steps"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--formula-only",
+             "--audit", "n_fock"],
             ["quench", "--g-over-omega", "1", "--delta-i", "nan"],
             ["quench", "--g-over-omega", "1", "--delta-i", "0"],
             ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--window", "nan"],
@@ -67,7 +69,7 @@ class TestExitCodes:
         ids=[
             "nan-grid", "cascade-level-too-high", "cascade-level-negative", "too-few-steps",
             "bad-mode-field", "bad-cap", "zero-points-per-decade", "negative-points-per-decade",
-            "zero-levels", "negative-levels", "nan-tolerance", "negative-tolerance",
+            "zero-levels", "negative-levels", "audit-of-a-trace", "audit-of-formula-only",
             "nan-quench-endpoint", "zero-quench-endpoint", "nan-window", "negative-window",
         ],
     )
@@ -156,16 +158,23 @@ class TestPresetsCommand:
         assert not out.exists()
 
 
-CONVERGENCE = [
-    "convergence", "--g-over-omega", "1", "--n-fock", "16", "--rate", "1e4",
-    "--delta-i", "20", "--n-steps", "1000",
-]
+def trimmed_spec():
+    """fig1a trimmed to one rate, a 16-level ladder and a near endpoint."""
+    return quench_scan_spec("ns", 1.0, (1e4,), n_fock=16, delta_hi=20.0, n_steps=1000)
 
 
-def single_run_audit(knob: str) -> str:
-    """What ``convergence`` prints for CONVERGENCE, computed run by run: each
-    resolution one ``run_sweep`` from its own even-block ground state, read
-    out in the even block's superradiant basis."""
+@pytest.fixture
+def trimmed(monkeypatch, tmp_path):
+    """Argv that audits the trimmed preset into tmp_path, less its knobs."""
+    preset = Preset("fig1a_trimmed", "fig1a trimmed to one rate", trimmed_spec)
+    monkeypatch.setitem(PRESETS, preset.name, preset)
+    return ["presets", preset.name, "--output-dir", str(tmp_path)]
+
+
+def single_run_audit(knob: str) -> dict:
+    """The audit of the trimmed preset, computed run by run: each resolution
+    one ``run_sweep`` from its own even-block ground state, read out in the
+    even block's superradiant basis."""
     def final_probs(factor: int) -> dict:
         n_fock = 16 * factor if knob == "n_fock" else 16
         start = 20.0 * factor if knob == "endpoint_magnitude" else 20.0
@@ -185,40 +194,62 @@ def single_run_audit(knob: str) -> str:
         max(abs(b.get(k, 0.0) - a.get(k, 0.0)) for k in a.keys() | b.keys())
         for a, b in zip(probs, probs[1:])
     ]
-    base = {"n_steps": 1000, "n_fock": 16, "endpoint_magnitude": 20}[knob]
-    return "\n".join([
-        f"knob={knob} base={base} tolerance=0.001",
-        f"max_change_2x={changes[0]}",
-        f"max_change_4x={changes[1]}",
-        "converged" if max(changes) <= 1e-3 else "NOT CONVERGED",
-    ])
+    return {
+        "max_change_2x": changes[0],
+        "max_change_4x": changes[1],
+        "base_value": {"n_steps": 1000, "n_fock": 16, "endpoint_magnitude": 20}[knob],
+        "passed": max(changes) <= 1e-3,
+    }
 
 
 class TestConvergence:
-    @pytest.mark.parametrize("knob", ["n_steps", "n_fock", "endpoint_magnitude"])
-    def test_prints_the_run_by_run_audit(self, knob, capsys):
-        assert main([*CONVERGENCE, "--knob", knob]) == 0
-        assert printed(capsys) == single_run_audit(knob)
+    @pytest.mark.parametrize("knob", AUDIT_KNOBS)
+    def test_audit_file_holds_the_run_by_run_audit(self, knob, trimmed, tmp_path, capsys):
+        assert main([*trimmed, "--audit", knob]) == 0
+        path = tmp_path / "fig1a_trimmed_audit.json"
+        assert printed(capsys) == str(path)
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["config"]["scan_values"] == [1e4]
+        (audit,) = record["audits"]
+        assert audit["knob"] == knob and audit["tolerance"] == 1e-3 and audit["seconds"] > 0
+        assert {key: audit[key] for key in single_run_audit(knob)} == single_run_audit(knob)
+        assert record["environment"] == io._environment()
+        assert not (tmp_path / "fig1a_trimmed.csv").exists()
+
+    def test_knobs_are_audited_in_the_order_given(self, monkeypatch, trimmed, tmp_path):
+        def stub(spec, knob):
+            return experiments.ConvergenceReport(knob, 1.0, 1e-3, 0.0, 0.0, True)
+
+        monkeypatch.setattr(cli, "convergence_scan", stub)
+        assert main([*trimmed, "--audit", "n_fock", "--audit", "n_steps"]) == 0
+        record = json.loads((tmp_path / "fig1a_trimmed_audit.json").read_text(encoding="utf-8"))
+        assert [audit["knob"] for audit in record["audits"]] == ["n_fock", "n_steps"]
 
     @pytest.mark.parametrize("g, delta_hi", [("2", 800.0), ("5", 5000.0)])
-    def test_defaults_audit_the_quench_table(self, monkeypatch, g, delta_hi):
-        # Without --delta-i and --n-steps the audit takes the endpoint and
-        # steps of the table `rabisweep quench` runs, not 200 and 10,000.
-        specs = []
+    def test_defaults_audit_the_quench_table(self, monkeypatch, tmp_path, g, delta_hi):
+        # The audit takes the spec `rabisweep quench` runs without --audit,
+        # with that table's default endpoint and steps.
+        audited = []
 
-        def capture(spec, knob, tolerance):
-            specs.append(spec)
-            return experiments.ConvergenceReport(knob, 1.0, tolerance, 0.0, 0.0, True)
+        def stub(spec, knob):
+            audited.append(spec)
+            return experiments.ConvergenceReport(knob, 1.0, 1e-3, 0.0, 0.0, True)
 
-        monkeypatch.setattr(cli, "convergence_scan", capture)
-        argv = ["convergence", "--knob", "n_steps", "--g-over-omega", g, "--rate", "1e4"]
-        assert main(argv) == 0
-        (spec,) = specs
+        def capture(spec):
+            raise _Captured(spec)
+
+        monkeypatch.setattr(cli, "convergence_scan", stub)
+        monkeypatch.setattr(cli, "run_experiment", capture)
+        argv = ["quench", "--g-over-omega", g, *FAST_SIDE, "--output-dir", str(tmp_path)]
+        assert main([*argv, "--audit", "n_steps"]) == 0
+        with pytest.raises(_Captured) as caught:
+            main(argv)
+        (spec,) = audited
+        assert spec == caught.value.args[0]
         assert experiments._endpoint_option(spec) == ("delta_hi", delta_hi)
         assert spec.n_steps == DEFAULT_N_STEPS
-        assert spec == quench_scan_spec("ns", float(g), (1e4,))
 
-    def test_endpoint_runs_start_from_their_own_ground_state(self, monkeypatch, capsys):
+    def test_endpoint_runs_start_from_their_own_ground_state(self, monkeypatch, trimmed):
         # The 2x and 4x runs scale both endpoints, so each starts from the
         # ground state at its own large-gap endpoint.
         runs = []
@@ -229,11 +260,31 @@ class TestConvergence:
             return run_block(p, block, psi0, **kwargs)
 
         monkeypatch.setattr(experiments, "run_sweep", recording_run)
-        assert main([*CONVERGENCE, "--knob", "endpoint_magnitude"]) == 0
+        assert main([*trimmed, "--audit", "endpoint_magnitude"]) == 0
         assert [start for _, start, _ in runs] == [20.0, 40.0, 80.0]
         for p, start, psi0 in runs:
             expected = ground_state(p, "delta", start, EVEN_SECTOR).amplitudes
             assert np.linalg.norm(psi0.amplitudes - expected) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["presets", "--audit", "n_steps"],
+            ["presets", "fig1d_long", "--audit", "n_steps"],
+            ["presets", "fig6_small", "--audit", "n_steps", "--emit-svg"],
+            ["quench", "--g-over-omega", "1", "--audit", "n_steps", "--emit-svg"],
+            ["quench", "--g-over-omega", "1", "--audit", "rate"],
+        ],
+        ids=["no-preset-name", "long-preset", "preset-svg", "quench-svg", "unknown-knob"],
+    )
+    def test_refused_as_usage_errors(self, argv, monkeypatch, tmp_path, capsys):
+        def fail(spec, knob):
+            raise AssertionError("audited a refused command")
+
+        monkeypatch.setattr(cli, "convergence_scan", fail)
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfig:

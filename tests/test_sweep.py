@@ -111,11 +111,25 @@ class TestSchedule:
         overlap = abs(np.vdot(traj.final_state, psi0.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("parameter", ["delta", "epsilon"])
+    def test_state_of_the_wrong_dimension_is_refused(self, parameter):
+        # A bias-free full-space gap sweep weighs psi0's parity before it
+        # propagates; the dimension is checked ahead of that product.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        psi0 = StateVector(np.ones(30, dtype=complex) / np.sqrt(30), "bare")
+        s = SweepSchedule(parameter, 20.0, 0.0, 1e3, n_steps=1000)
+        with pytest.raises(InvalidParameterError, match="dimension 30"):
+            run_sweep(p, s, psi0)
+
 
 class TestEngine:
     def test_backends_agree(self):
         # dim 12 runs the eigh branch and dim 24 the Chebyshev branch; each
-        # must match a per-step dense matrix exponential of the midpoint H.
+        # must match a per-step exponential of the midpoint H. The reference
+        # steps come from one batched eigh of the midpoints per case, except
+        # on the eigh branch, whose own arithmetic that is, and on the zero
+        # ramp, whose 1,500 equal steps would compound the eigenvectors'
+        # rounding to 1e-12: those two take a dense matrix exponential.
         # The Chebyshev branch rewrites only the entries where h1 is nonzero,
         # so its ramps are dense, diagonal (sector gap and bias sweeps),
         # sparse off-diagonal (full-space gap sweep) and zero, all real
@@ -137,19 +151,26 @@ class TestEngine:
         def diagonal(dim):
             return np.diag(RNG.normal(size=dim))
 
+        def by_eigh(h_mid):
+            w, v = np.linalg.eigh(h_mid)
+            return lambda dt: (v * np.exp(-1j * dt * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+
+        def by_expm(h_mid):
+            return lambda dt: expm(-1j * dt * h_mid)
+
         cases = [
-            (12, symmetric, symmetric),
-            (24, symmetric, symmetric),
-            (24, symmetric, diagonal),
-            (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2))),
-            (24, symmetric, lambda dim: np.zeros((dim, dim))),
+            (12, symmetric, symmetric, by_expm),
+            (24, symmetric, symmetric, by_eigh),
+            (24, symmetric, diagonal, by_eigh),
+            (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2)), by_eigh),
+            (24, symmetric, lambda dim: np.zeros((dim, dim)), by_expm),
         ]
         blocks = [
             [total_time / 10, total_time],
             [total_time / 100, total_time, total_time / 10],
         ]
         tiny = 1e-13
-        for dim, static, ramp in cases:
+        for dim, static, ramp, reference in cases:
             h0 = static(dim)
             h1 = ramp(dim)
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
@@ -164,11 +185,11 @@ class TestEngine:
             if dim > 12:
                 assert tiny_terms == [2], dim
             f_mid = f_start + (f_end - f_start) * ((np.arange(n_steps) + 0.5) / n_steps)
-            h_mid = h0 + f_mid[:, None, None] * h1
+            steps_of = reference(h0 + f_mid[:, None, None] * h1)
             refs = {}
             for run_time in single:
                 ref = psi
-                for k, step in enumerate(expm(-1j * (run_time / n_steps) * h_mid)):
+                for k, step in enumerate(steps_of(run_time / n_steps)):
                     ref = step @ ref
                     if k + 1 in samples:
                         refs[run_time, k + 1] = ref
@@ -586,6 +607,18 @@ class TestReadout:
             np.testing.assert_allclose(readout.probabilities, alone.probabilities, rtol=0, atol=1e-15)
 
 
+def _where_largest_change(coarse, fine) -> tuple[float, str]:
+    """(scan value, label text) of the audit's largest change: the first
+    argmax over each row's records, then the labels only the fine row has."""
+    at = []
+    for a, b in zip(coarse.rows, fine.rows):
+        pa = {rec.label: rec.probability for rec in a.sim}
+        pb = {rec.label: rec.probability for rec in b.sim}
+        at += [(abs(pa.get(k, 0.0) - pb.get(k, 0.0)), a.scan_value, str(k)) for k in {**pa, **pb}]
+    _, value, label = at[int(np.argmax([change for change, _, _ in at]))]
+    return value, label
+
+
 def _largest_change(coarse, fine) -> float:
     """The audit's rule, record by record: the largest change of any row's
     simulated probability, a label only one side carries counting whole."""
@@ -616,10 +649,11 @@ class TestConvergenceScan:
         assert report.passed and report.notes == ()
         assert report.max_change_2x <= 1e-12 and report.max_change_4x <= 1e-12
 
-    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3])
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-3, "1e-3", None, [1e-3]])
     def test_bad_tolerance_fails_before_any_run(self, no_run, tolerance):
         # A NaN tolerance used to run all three sweeps and report a 1e-12
-        # drift as not converged.
+        # drift as not converged; a string, None or a list escaped as a
+        # TypeError.
         with pytest.raises(InvalidParameterError, match="tolerance"):
             convergence_scan(QUENCH, "n_steps", tolerance=tolerance)
 
@@ -666,6 +700,9 @@ class TestConvergenceScan:
         report = convergence_scan(spec, knob)
         assert report.max_change_2x == _largest_change(tables[0], tables[1])
         assert report.max_change_4x == _largest_change(tables[1], tables[2])
+        assert (report.where_2x, report.where_4x) == (
+            _where_largest_change(tables[0], tables[1]), _where_largest_change(tables[1], tables[2])
+        )
         converged = all(row.converged for table in tables for row in table.rows)
         assert report.notes == () and converged
         assert report.passed == (max(report.max_change_2x, report.max_change_4x) <= 1e-3)
