@@ -133,7 +133,7 @@ def _add_output_flags(sp) -> None:
     )
 
 
-def _run_table(args, spec: ExperimentSpec, name: str, svg_labels=None) -> int:
+def _run_table(args, spec: ExperimentSpec, name: str, svg_labels) -> int:
     """Run the table and write it, or with --audit write its audit file."""
     if args.audit:
         reports = []
