@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._version import __version__ as _version
 from .analytics import (
     CASCADE_RESIDUAL_TOL,
     GapSpectrum,
@@ -38,7 +37,6 @@ from .model import (
 )
 from .operators import StateVector
 from .sweep import (
-    _SECTOR_TAGS,
     DEFAULT_N_STEPS,
     MIN_N_STEPS,
     RateBlock,
@@ -55,19 +53,6 @@ from .sweep import (
     readout_columns,
     run_sweep,
 )
-
-# Each kind's option keys; any other key is refused.
-_OPTION_KEYS = {
-    "quench_ns": ("delta_hi",),
-    "quench_sn": ("delta_hi",),
-    "quench_trace": ("delta_hi", "direction", "rate"),
-    "lz_scan": ("window", "simulate", "top_occupancy_tol"),
-    "lz_trace": ("window", "rate"),
-    "multimode_scan": ("window", "simulate", "top_occupancy_tol", "caps"),
-}
-EXPERIMENT_KINDS = tuple(_OPTION_KEYS)
-# Kinds whose scan axis is a sweep rate; trace kinds scan a signed time axis.
-RATE_SCAN_KINDS = ("quench_ns", "quench_sn", "lz_scan", "multimode_scan")
 
 # The limits of a converged row, judged only by ``_row_checks``: the run's
 # largest norm drift, its opposite-parity weight (where measured) and the
@@ -96,6 +81,7 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidParameterError(f"unknown experiment kind {self.kind!r}")
+        kind = _KINDS[self.kind]
         values = tuple(self.scan_values)
         if len(values) == 0:
             raise InvalidParameterError("scan grid must be nonempty")
@@ -104,7 +90,7 @@ class ExperimentSpec:
         values = tuple(float(v) for v in values)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("scan grid must be strictly increasing")
-        if self.kind in RATE_SCAN_KINDS and values[0] <= 0:
+        if kind.scans_rates and values[0] <= 0:
             raise InvalidParameterError(
                 f"{self.kind} scans sweep rates, which must be positive; got {values[0]}"
             )
@@ -117,12 +103,12 @@ class ExperimentSpec:
                 raise InvalidParameterError("quench experiments run at zero bias")
         if self.kind == "multimode_scan" and not isinstance(self.params, MultiModeParams):
             raise InvalidParameterError("multimode_scan takes MultiModeParams")
-        if self.kind in ("quench_trace", "lz_trace") and "rate" not in self.options:
+        if not kind.scans_rates and "rate" not in self.options:
             raise InvalidParameterError(f"{self.kind} requires options['rate']")
-        unknown = [key for key in self.options if key not in _OPTION_KEYS[self.kind]]
+        unknown = [key for key in self.options if key not in kind.options]
         if unknown:
             raise InvalidParameterError(
-                f"unknown options {unknown} for {self.kind}; it takes {_OPTION_KEYS[self.kind]}"
+                f"unknown options {unknown} for {self.kind}; it takes {kind.options}"
             )
         for key in _POSITIVE_OPTIONS:
             if key in self.options:
@@ -145,14 +131,18 @@ class ExperimentSpec:
 @dataclass
 class ResultRow:
     """One scan value's simulated and oracle readouts (None where the row
-    has none)."""
+    has none), the numbers ``_row_checks`` recorded and the warnings of the
+    limits they exceeded; a row converged when it has no warning."""
 
     scan_value: float
     sim: Readout | None
     oracle: Readout | None
-    converged: bool
-    checks: dict = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+    checks: dict = field(default_factory=dict, kw_only=True)
+    warnings: tuple[str, ...] = field(default=(), kw_only=True)
+
+    @property
+    def converged(self) -> bool:
+        return not self.warnings
 
 
 @dataclass
@@ -225,23 +215,25 @@ def _row_checks(
     traj: Trajectory,
     readout: Readout,
     top_occupancy_tol: float = TOP_OCCUPANCY_TOL,
-) -> tuple[dict, bool, tuple[str, ...]]:
-    """A row's checks, converged flag and warnings. The one judge of a row's
-    limits: the run's norm drift against SAMPLE_NORM_TOL, its parity leakage
-    against LEAKAGE_TOL (only where the run measured it; None in the checks
-    otherwise), its final-state and endpoint top-tenth Fock weights against
-    ``top_occupancy_tol``, and the readout's sum against ROW_SUM_TOL. Each
-    exceeded limit adds one warning naming the value and the limit. The
-    checks also carry the run's steps and its Chebyshev terms per step."""
+) -> tuple[dict, tuple[str, ...]]:
+    """A row's checks and warnings; the row converged when there are none.
+    The one judge of a row's limits: the run's norm drift against
+    SAMPLE_NORM_TOL, its parity leakage against LEAKAGE_TOL (only where the
+    run measured it; None in the checks otherwise), its final-state and
+    endpoint top-tenth Fock weights against ``top_occupancy_tol``, and the
+    readout's sum against ROW_SUM_TOL. Each exceeded limit adds one warning
+    naming the value and the limit. The checks, read from the
+    ``Trajectory``'s fields, also carry the run's steps and its Chebyshev
+    terms per step; ``io.write_result_table`` writes them to the manifest."""
     total = float(sum(readout.probabilities.tolist()))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
         "parity_leakage": traj.max_parity_leakage,
-        "top_fock_occupancy": traj.metadata["top_fock_occupancy"],
-        "endpoint_top_fock_occupancy": traj.metadata["endpoint_top_fock_occupancy"],
+        "top_fock_occupancy": traj.top_fock_occupancy,
+        "endpoint_top_fock_occupancy": traj.endpoint_top_fock_occupancy,
         "probability_sum": total,
         "n_steps": traj.schedule.n_steps,
-        "chebyshev_terms": traj.metadata["chebyshev_terms"],
+        "chebyshev_terms": traj.chebyshev_terms,
     }
     # Written as "not within", so that a NaN exceeds every limit.
     warnings = []
@@ -260,7 +252,7 @@ def _row_checks(
         )
     if not abs(total - 1.0) <= ROW_SUM_TOL:
         warnings.append(f"readout probabilities sum to {total:.8f} (limit 1 +- {ROW_SUM_TOL:.0e})")
-    return checks, not warnings, tuple(warnings)
+    return checks, tuple(warnings)
 
 
 def _rate_scan(
@@ -317,19 +309,19 @@ def _rate_scan(
         failure = next((e for e in (oracle, traj) if isinstance(e, RabisweepError)), None)
         if failure is None:
             try:
-                sim, checks, ok, warns = None, {}, True, ()
+                sim, checks, warns = None, {}, ()
                 if traj is not None:
                     sim = project_records(*readout, traj.final_state)
-                    checks, ok, warns = _row_checks(traj, sim, top_occupancy_tol)
+                    checks, warns = _row_checks(traj, sim, top_occupancy_tol)
                 checks["oracle_residual"] = 1.0 - sum(oracle.probabilities.tolist())
-                rows.append(ResultRow(scan_value, sim, oracle, ok, checks, warns))
+                rows.append(ResultRow(scan_value, sim, oracle, checks=checks, warnings=warns))
             except RabisweepError as exc:
                 failure = exc
         if failure is not None:
             warning = f"{type(failure).__name__}: {failure}"
-            rows.append(ResultRow(scan_value, None, None, False, {}, (warning,)))
+            rows.append(ResultRow(scan_value, None, None, warnings=(warning,)))
         times.append(time.perf_counter() - t0)
-    return ResultTable(spec, rows, _provenance(spec, times) | layer_times)
+    return ResultTable(spec, rows, {"wall_times_s": [round(t, 4) for t in times]} | layer_times)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +340,7 @@ def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
 def _even_ground_state(block: tuple[np.ndarray, np.ndarray], delta: float) -> StateVector:
     """Ground state of the even block at gap ``delta``, as ``ground_state``
     gives it, solved on parts the caller already holds."""
-    return StateVector(_lowest_eigenvector(*block, delta), _SECTOR_TAGS[EVEN_SECTOR])
+    return StateVector(_lowest_eigenvector(*block, delta), EVEN_SECTOR)
 
 
 def _named_levels(
@@ -440,14 +432,13 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     rows = []
     for t, sim in zip(traj.times, Readout.rows(level_labels, pops, flags)):
         axis_value = rate * (t - offset) / p.omega
-        checks, ok, warns = _row_checks(traj, sim)
-        rows.append(ResultRow(float(axis_value), sim, None, ok, checks, warns))
-    prov = _provenance(spec, [])
-    prov["semiclassical_crossing_axis_value"] = (
-        -critical_delta(p.g, p.omega) / p.omega
-        if direction == "ns"
-        else critical_delta(p.g, p.omega) / p.omega
-    )
+        checks, warns = _row_checks(traj, sim)
+        rows.append(ResultRow(float(axis_value), sim, None, checks=checks, warnings=warns))
+    crossing = critical_delta(p.g, p.omega) / p.omega
+    prov = {
+        "wall_times_s": [],
+        "semiclassical_crossing_axis_value": -crossing if direction == "ns" else crossing,
+    }
     return ResultTable(spec, rows, prov)
 
 
@@ -509,11 +500,10 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     cols, labels = readout_columns(p, "displaced")
     rows = []
     for t, sim in zip(traj.times, project_records(cols, labels, traj.states)):
-        checks, ok, warns = _row_checks(traj, sim)
-        rows.append(ResultRow(float((t * rate - window) / omega), sim, None, ok, checks, warns))
-    prov = _provenance(spec, [])
-    prov["window"] = window
-    return ResultTable(spec, rows, prov)
+        checks, warns = _row_checks(traj, sim)
+        axis_value = (t * rate - window) / omega
+        rows.append(ResultRow(float(axis_value), sim, None, checks=checks, warnings=warns))
+    return ResultTable(spec, rows, {"wall_times_s": [], "window": window})
 
 
 def multimode_scan(spec: ExperimentSpec) -> ResultTable:
@@ -531,31 +521,33 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
     return table
 
 
+class _Kind(NamedTuple):
+    """A kind's driver, the option keys it takes (any other is refused) and
+    whether its scan axis is a sweep rate; a trace kind scans a signed time
+    axis at the one rate options["rate"]."""
+
+    driver: Callable[[ExperimentSpec], ResultTable]
+    options: tuple[str, ...]
+    scans_rates: bool
+
+
+# Every experiment kind: a new kind is one entry here.
+_KINDS = {
+    "quench_ns": _Kind(quench_rate_scan, ("delta_hi",), True),
+    "quench_sn": _Kind(quench_rate_scan, ("delta_hi",), True),
+    "quench_trace": _Kind(quench_time_trace, ("delta_hi", "direction", "rate"), False),
+    "lz_scan": _Kind(lz_scan, ("window", "simulate", "top_occupancy_tol"), True),
+    "lz_trace": _Kind(lz_time_trace, ("window", "rate"), False),
+    "multimode_scan": _Kind(
+        multimode_scan, ("window", "simulate", "top_occupancy_tol", "caps"), True
+    ),
+}
+EXPERIMENT_KINDS = tuple(_KINDS)
+RATE_SCAN_KINDS = tuple(name for name, kind in _KINDS.items() if kind.scans_rates)
+
+
 def run_experiment(spec: ExperimentSpec) -> ResultTable:
-    runner = {
-        "quench_ns": quench_rate_scan,
-        "quench_sn": quench_rate_scan,
-        "quench_trace": quench_time_trace,
-        "lz_scan": lz_scan,
-        "lz_trace": lz_time_trace,
-        "multimode_scan": multimode_scan,
-    }[spec.kind]
-    return runner(spec)
-
-
-def _provenance(spec: ExperimentSpec, wall_times: list[float]) -> dict:
-    p = spec.params
-    if isinstance(p, QrmParams):
-        truncation: object = p.n_fock
-    else:
-        truncation = tuple(m.n_fock for m in p.modes)
-    return {
-        "version": _version,
-        "kind": spec.kind,
-        "n_steps": spec.n_steps,
-        "truncation": truncation,
-        "wall_times_s": [round(t, 4) for t in wall_times],
-    }
+    return _KINDS[spec.kind].driver(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ order, then the oracle's labels that the simulation lacks; a label repeated
 within one readout is written once, with its first entry, as
 ``ResultTable.columns`` (and so the SVGs) reads it. Wall-clock times live only
 in the manifest so identical configurations produce byte-identical CSVs.
+
+A manifest and an audit hold the same ``config`` (``_spec_config``): the
+spec's kind, model parameters, grid, steps and options.
 """
 
 from __future__ import annotations
@@ -186,8 +189,10 @@ def _sha256(data: bytes) -> str:
 
 
 def _spec_config(spec: ExperimentSpec) -> dict:
+    """The one record of a spec, in manifests and audits alike."""
     return {
         "kind": spec.kind,
+        "params": _jsonable(asdict(spec.params)),
         "scan_name": spec.scan_name,
         "scan_values": [float(v) for v in spec.scan_values],
         "n_steps": spec.n_steps,
@@ -198,7 +203,11 @@ def _spec_config(spec: ExperimentSpec) -> dict:
 def write_result_table(
     table: ResultTable, out_dir: str | Path, name: str | None = None
 ) -> list[Path]:
-    """Write one CSV plus its run manifest; returns the written paths."""
+    """Write one CSV plus its run manifest; returns the written paths. The
+    manifest holds the ``version``, the spec's ``config``, the run's own
+    measurements in ``provenance``, each row's ``convergence`` flag and
+    ``checks`` (both keyed by scan value) and its ``warnings`` if any, the
+    CSV's ``checksums``, the ``environment`` and the write time."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = name or table.spec.kind
@@ -208,12 +217,11 @@ def write_result_table(
         fh.write(payload)
     manifest = {
         "name": name,
-        "version": table.provenance.get("version"),
-        "config": {**_spec_config(table.spec), "truncation": table.provenance.get("truncation")},
-        "provenance": {k: _jsonable(v) for k, v in table.provenance.items()},
-        "convergence": {
-            _fmt(row.scan_value): bool(row.converged) for row in table.rows
-        },
+        "version": __version__,
+        "config": _spec_config(table.spec),
+        "provenance": _jsonable(table.provenance),
+        "convergence": {_fmt(row.scan_value): row.converged for row in table.rows},
+        "checks": {_fmt(row.scan_value): _jsonable(row.checks) for row in table.rows},
         "warnings": {
             _fmt(row.scan_value): list(row.warnings) for row in table.rows if row.warnings
         },
@@ -239,7 +247,7 @@ def write_audit(
     record = {
         "name": name,
         "version": __version__,
-        "config": {**_spec_config(spec), "params": _jsonable(asdict(spec.params))},
+        "config": _spec_config(spec),
         "audits": [
             {**_jsonable(asdict(report)), "seconds": round(seconds, 3)}
             for report, seconds in reports

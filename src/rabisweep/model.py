@@ -34,10 +34,14 @@ from .errors import (
     InvalidParameterError,
     ResourceLimitError,
 )
+# Re-exported: the parity sectors live with StateVector, which names its space by one.
 from .operators import (
+    EVEN_SECTOR,
     IDENTITY_2,
+    ODD_SECTOR,
     SIGMA_X,
     SIGMA_Z,
+    ParitySector,
     StateVector,
     annihilation,
     kron,
@@ -176,19 +180,6 @@ class BasisLabel:
     def __str__(self) -> str:
         n = ";".join(str(k) for k in self.photons) if isinstance(self.photons, tuple) else self.photons
         return f"({self.qubit},{n})"
-
-
-@dataclass(frozen=True)
-class ParitySector:
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (+1, -1):
-            raise InvalidParameterError(f"parity sign must be +1 or -1, got {self.sign}")
-
-
-EVEN_SECTOR = ParitySector(+1)
-ODD_SECTOR = ParitySector(-1)
 
 
 # A readout probability may stray this far outside [0, 1] by rounding.
@@ -553,7 +544,7 @@ def _scheme_column(label: BasisLabel, n_fock: int) -> int:
 def _basis_state(p: QrmParams, label: BasisLabel) -> StateVector:
     """The ``scheme_basis`` column of one label, as a full-space state."""
     cols, _ = scheme_basis(p, label.scheme)
-    return StateVector(cols[:, _scheme_column(label, p.n_fock)], "bare")
+    return StateVector(cols[:, _scheme_column(label, p.n_fock)])
 
 
 def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:

@@ -1,8 +1,9 @@
 """Dense linear-algebra kernel for truncated qubit-oscillator problems.
 
 Operators are real float64 ndarrays, except the displacement, whose amplitude
-is complex; states are complex and carry a basis tag in a thin wrapper.
-Everything here is a pure function of its inputs.
+is complex; states are complex, in a thin wrapper that names their space: the
+full space or one parity sector. Everything here is a pure function of its
+inputs.
 """
 
 from __future__ import annotations
@@ -27,24 +28,36 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 IDENTITY_2 = np.eye(2)
 
-#: Basis tags a StateVector may carry.
-BASIS_TAGS = ("bare", "parity-symmetric", "parity-antisymmetric")
+
+@dataclass(frozen=True)
+class ParitySector:
+    sign: int
+
+    def __post_init__(self) -> None:
+        if self.sign not in (+1, -1):
+            raise InvalidParameterError(f"parity sign must be +1 or -1, got {self.sign}")
+
+
+EVEN_SECTOR = ParitySector(+1)
+ODD_SECTOR = ParitySector(-1)
 
 
 @dataclass(frozen=True)
 class StateVector:
-    """Unit-norm complex amplitude vector over a labelled basis."""
+    """Unit-norm complex amplitude vector: over the full space when
+    ``sector`` is None, else over that parity block in its block
+    coordinates."""
 
     amplitudes: np.ndarray
-    basis_tag: str = "bare"
+    sector: ParitySector | None = None
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amp)
         if amp.ndim != 1 or amp.size < 1:
             raise InvalidParameterError("amplitudes must be a nonempty 1-D array")
-        if self.basis_tag not in BASIS_TAGS:
-            raise InvalidParameterError(f"unknown basis tag {self.basis_tag!r}")
+        if self.sector is not None and not isinstance(self.sector, ParitySector):
+            raise InvalidParameterError(f"unknown state sector {self.sector!r}")
         nrm = np.linalg.norm(amp)
         if abs(nrm - 1.0) > STATE_NORM_ATOL:
             raise InvalidParameterError(

@@ -34,7 +34,7 @@ of one block, each with its own step size, coefficients and phase.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
 of its own run, so a run assembles its Hamiltonian once. A run takes its
-space from its initial state's basis tag and its samples as step indices,
+space from its initial state's ``sector`` and its samples as step indices,
 and returns a ``Trajectory``: its sampled states as the columns of one
 read-only array, with its norm drift, parity leakage and truncation weights
 recorded for ``experiments._row_checks``, the one judge of every limit.
@@ -48,7 +48,7 @@ same matrix ends in, without the dense reduction before it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh
@@ -190,10 +190,10 @@ class Trajectory:
     """Sampled output of one sweep. ``states`` is one read-only complex
     (dim, samples) array, the normalized state at each sample step as a
     column, in the run's coordinates (block coordinates for a sector run),
-    and ``times`` holds those steps' times. The two maxima cover every
-    sample and the end of the sweep, recorded, not judged; leakage is None
-    where parity is not measured. Readouts come from ``project_records``
-    over ``readout_columns``.
+    and ``times`` holds those steps' times. The two maxima, the truncation
+    weights and the Chebyshev terms are recorded, not judged, as
+    ``run_sweep`` describes; leakage is None where parity is not measured.
+    Readouts come from ``project_records`` over ``readout_columns``.
     """
 
     schedule: SweepSchedule
@@ -201,7 +201,9 @@ class Trajectory:
     states: np.ndarray
     max_norm_deviation: float
     max_parity_leakage: float | None
-    metadata: dict = field(default_factory=dict)
+    top_fock_occupancy: float
+    endpoint_top_fock_occupancy: float
+    chebyshev_terms: int
 
     @property
     def final_state(self) -> np.ndarray:
@@ -442,11 +444,6 @@ def _hamiltonian_parts(
     return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis, basis
 
 
-# The basis tag of a state of each space: the full space (None) or a parity
-# block. A run takes its space from its initial state's tag.
-_SECTOR_TAGS = {None: "bare", EVEN_SECTOR: "parity-symmetric", ODD_SECTOR: "parity-antisymmetric"}
-
-
 def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
     """Lowest eigenvector of A + value B."""
     _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
@@ -460,11 +457,11 @@ def ground_state(
     sector: ParitySector | None = None,
 ) -> StateVector:
     """Ground state of A + value B, the Hamiltonian of a ``parameter`` sweep
-    frozen at ``value``: a ``"bare"`` full-space state, or with ``sector``
-    (single-mode, bias-free gap sweeps only) that parity block's ground
-    state in block coordinates, tagged with the sector."""
+    frozen at ``value``: a full-space state, or with ``sector`` (single-mode,
+    bias-free gap sweeps only) that parity block's ground state in block
+    coordinates, whose ``sector`` it carries."""
     h_static, h_ramp, _ = _hamiltonian_parts(p, parameter, sector)
-    return StateVector(_lowest_eigenvector(h_static, h_ramp, value), _SECTOR_TAGS[sector])
+    return StateVector(_lowest_eigenvector(h_static, h_ramp, value), sector)
 
 
 def readout_columns(
@@ -518,9 +515,9 @@ def run_sweep(
     the end when it is None.
 
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
-    The run's space is psi0's: a ``"bare"`` state runs in the full space, a
-    parity-tagged one (bias-free single-mode gap sweeps only) inside that
-    parity block, in block coordinates. The run reads nothing out: project
+    The run's space is psi0's ``sector``: None runs in the full space, a
+    parity sector (bias-free single-mode gap sweeps only) inside that parity
+    block, in block coordinates. The run reads nothing out: project
     its states with ``project_records`` over ``readout_columns``.
 
     Every sample and the end of the sweep, sampled or not, are measured. A
@@ -528,13 +525,12 @@ def run_sweep(
     the first such sample; below it the largest drift and parity leakage are
     recorded for ``experiments._row_checks`` to judge. The top-tenth Fock
     weights (``model.top_fock_occupancy``) of the end state and of both
-    endpoint ground states (solved on the run's own parts) are recorded in
-    ``metadata["top_fock_occupancy"]`` and
-    ``metadata["endpoint_top_fock_occupancy"]``, and
-    ``metadata["chebyshev_terms"]`` records the Chebyshev terms per step (the
-    most any chunk took; 0 on the eigh branch). ``max_parity_leakage`` is
-    None where leakage is not measured: sector runs, bias sweeps, and
-    full-space gap sweeps from a state of no definite parity.
+    endpoint ground states (solved on the run's own parts) are recorded as
+    ``top_fock_occupancy`` and ``endpoint_top_fock_occupancy``, and
+    ``chebyshev_terms`` records the Chebyshev terms per step (the most any
+    chunk took; 0 on the eigh branch). ``max_parity_leakage`` is None where
+    leakage is not measured: sector runs, bias sweeps, and full-space gap
+    sweeps from a state of no definite parity.
 
     A ``RateBlock`` runs its schedules in one propagation, as the columns of
     one block (see ``_evolve_linear``), and returns one ``Trajectory`` or
@@ -543,14 +539,14 @@ def run_sweep(
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
-    sector = next(s for s, tag in _SECTOR_TAGS.items() if tag == psi0.basis_tag)
-    h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, sector)
+    h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, psi0.sector)
     if psi0.dim != h_static.shape[0]:
         raise InvalidParameterError(
             f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
         )
     leak_matrix = None
-    if sector is None and isinstance(p, QrmParams) and first.parameter == "delta" and p.epsilon == 0.0:
+    if (psi0.sector is None and isinstance(p, QrmParams)
+            and first.parameter == "delta" and p.epsilon == 0.0):
         plus, _ = parity_sector_basis(p, EVEN_SECTOR)
         minus, _ = parity_sector_basis(p, ODD_SECTOR)
         w_plus = float(np.sum(np.abs(plus.T @ psi0.amplitudes) ** 2))
@@ -601,11 +597,9 @@ def run_sweep(
             max_parity_leakage=None if leak_matrix is None else float(
                 np.max(np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
             ),
-            metadata={
-                "top_fock_occupancy": top_fock_occupancy(p, final),
-                "endpoint_top_fock_occupancy": endpoint_occ,
-                "chebyshev_terms": chebyshev_terms[j],
-            },
+            top_fock_occupancy=top_fock_occupancy(p, final),
+            endpoint_top_fock_occupancy=endpoint_occ,
+            chebyshev_terms=chebyshev_terms[j],
         )
 
     if not isinstance(schedule, RateBlock):

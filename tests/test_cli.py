@@ -287,6 +287,36 @@ class TestConvergence:
         assert not (tmp_path / "out").exists()
 
 
+# A quench table small enough to run and audit in a test.
+SMALL_QUENCH = ["quench", "--n-fock", "16", "--delta-i", "20", "--n-steps", "1000",
+                "--v-min", "1e3", "--v-max", "1e4"]
+
+
+def read_json(path) -> dict:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestManifestConfig:
+    def test_records_the_coupling(self, tmp_path, capsys):
+        # Two couplings used to write equal config blocks.
+        configs = []
+        for g in ("1", "2"):
+            out = tmp_path / g
+            assert main([*SMALL_QUENCH, "--g-over-omega", g, "--output-dir", str(out)]) == 0
+            configs.append(read_json(out / "quench_ns_manifest.json")["config"])
+        assert [config["params"]["g"] for config in configs] == [1.0, 2.0]
+        assert configs[0]["params"]["n_fock"] == 16
+
+    def test_manifest_and_audit_share_the_config(self, tmp_path, capsys):
+        argv = [*SMALL_QUENCH, "--g-over-omega", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert main([*argv, "--audit", "n_steps"]) == 0
+        manifest = read_json(tmp_path / "quench_ns_manifest.json")
+        assert manifest["config"] == read_json(tmp_path / "quench_ns_audit.json")["config"]
+        # The provenance holds what the run measured, not the config again.
+        assert set(manifest["provenance"]) == {"wall_times_s", "oracle_s", "block_propagation_s"}
+
+
 class TestConfig:
     @pytest.mark.parametrize("position", ["top", "sub", "equals"])
     def test_either_position(self, config, position, capsys):

@@ -14,6 +14,7 @@ from rabisweep.analytics import (
 )
 from rabisweep.experiments import (
     ExperimentSpec,
+    ResultRow,
     _row_checks,
     default_quench_delta_hi,
     lz_window,
@@ -102,7 +103,7 @@ class TestScanLoop:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
             traj = run_sweep(params, schedule, psi0)
             alone = project_records(cols, labels, traj.final_state)
-            assert row.checks["chebyshev_terms"] == traj.metadata["chebyshev_terms"] > 0
+            assert row.checks["chebyshev_terms"] == traj.chebyshev_terms > 0
             assert [r.label for r in row.sim] == [r.label for r in alone]
             for got, ref in zip(row.sim, alone):
                 assert got.probability == pytest.approx(ref.probability, abs=1e-12)
@@ -217,22 +218,20 @@ class TestRowChecks:
         traj = run_sweep(p, s, psi0)
         # The run records its weights and passes no verdict on them.
         assert not hasattr(traj, "warnings")
-        occupancy = traj.metadata["endpoint_top_fock_occupancy"]
+        occupancy = traj.endpoint_top_fock_occupancy
         assert occupancy > TOP_OCCUPANCY_TOL
         records = project_records(
             *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
 
-        checks, ok, warnings = _row_checks(traj, records)
-        assert not ok
+        checks, warnings = _row_checks(traj, records)
         assert len([w for w in warnings if "Fock ladder" in w]) == 1
         assert checks["endpoint_top_fock_occupancy"] == occupancy
         # Dim 8 runs the eigh branch, which takes no Chebyshev terms.
         assert checks["n_steps"] == 2000
         assert checks["chebyshev_terms"] == 0
 
-        _, ok, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
-        assert ok
+        _, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
         assert warnings == ()
 
     def test_chebyshev_runs_report_their_terms(self):
@@ -245,10 +244,10 @@ class TestRowChecks:
         for rate in (1e3, 1e5):
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
             traj = run_sweep(p, s, psi0)
-            checks, ok, _ = _row_checks(
+            checks, warnings = _row_checks(
                 traj, project_records(cols, labels, traj.final_state)
             )
-            assert ok
+            assert warnings == ()
             assert checks["parity_leakage"] is None
             assert checks["n_steps"] == 1000
             terms.append(checks["chebyshev_terms"])
@@ -264,11 +263,9 @@ class TestRowChecks:
             states=np.ones((1, 1), dtype=complex),
             max_norm_deviation=norm,
             max_parity_leakage=leakage,
-            metadata={
-                "top_fock_occupancy": occupancy,
-                "endpoint_top_fock_occupancy": 0.0,
-                "chebyshev_terms": 0,
-            },
+            top_fock_occupancy=occupancy,
+            endpoint_top_fock_occupancy=0.0,
+            chebyshev_terms=0,
         )
         labels = (BasisLabel("normal", "right", 0), BasisLabel("normal", "left", 0))
         return _row_checks(traj, Readout(labels, [total - 0.25, 0.25]))
@@ -293,18 +290,24 @@ class TestRowChecks:
     )
     def test_one_warning_per_exceeded_limit(self, recorded, warning):
         # Each limit is compared once, here: one warning naming the value
-        # and the limit, and an unconverged row.
-        _, ok, warnings = self._judge(**recorded)
-        assert not ok
+        # and the limit.
+        _, warnings = self._judge(**recorded)
         assert warnings == (warning,)
 
     def test_no_warning_within_the_limits(self):
         # At each limit, or with leakage unmeasured, the row converges.
         for recorded in ({}, {"norm": 1e-8, "leakage": 1e-10, "occupancy": 1e-6}):
-            _, ok, warnings = self._judge(**recorded)
-            assert ok and warnings == ()
-        _, ok, warnings = self._judge(norm=1.0, leakage=1.0, occupancy=1.0, total=0.5)
-        assert not ok and len(warnings) == 4
+            _, warnings = self._judge(**recorded)
+            assert warnings == ()
+        _, warnings = self._judge(norm=1.0, leakage=1.0, occupancy=1.0, total=0.5)
+        assert len(warnings) == 4
+
+    def test_a_row_converged_when_it_has_no_warning(self):
+        assert ResultRow(1.0, None, None).converged
+        assert not ResultRow(1.0, None, None, warnings=("a limit",)).converged
+        # A flag passed where converged used to be would land in the checks.
+        with pytest.raises(TypeError):
+            ResultRow(1.0, None, None, True)
 
 
 class TestTraces:
@@ -374,7 +377,7 @@ class TestTraces:
         start = options["delta_hi"] if options.get("direction") == "ns" else 0.0
         psi0 = experiments._even_ground_state(parts(p, "delta", EVEN_SECTOR)[:2], start)
         reference = ground_state(p, "delta", start, EVEN_SECTOR)
-        assert psi0.basis_tag == reference.basis_tag
+        assert psi0.sector == reference.sector == EVEN_SECTOR
         assert np.array_equal(psi0.amplitudes, reference.amplitudes)
 
     def test_end_of_sweep_is_checked_when_not_sampled(self):
@@ -389,10 +392,10 @@ class TestTraces:
         whole = run_sweep(p, replace(s, sample_steps=None), psi0)
         assert list(traj.times) == pytest.approx([0.0, 0.05])
         assert traj.states.shape == (p.n_fock, 2)
-        assert traj.metadata["top_fock_occupancy"] == whole.metadata["top_fock_occupancy"]
+        assert traj.top_fock_occupancy == whole.top_fock_occupancy
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)
         halfway = top_fock_occupancy(p, basis @ traj.final_state)
-        assert halfway != pytest.approx(traj.metadata["top_fock_occupancy"], rel=1e-3)
+        assert halfway != pytest.approx(traj.top_fock_occupancy, rel=1e-3)
 
     @staticmethod
     def _run_with_the_end_scaled(monkeypatch, scale: float):
@@ -420,8 +423,7 @@ class TestTraces:
         readout = project_records(
             *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
-        _, ok, warnings = _row_checks(traj, readout)
-        assert not ok
+        _, warnings = _row_checks(traj, readout)
         assert [w for w in warnings if "norm deviation" in w] == [
             "norm deviation 1.00e-07 (limit 1e-08)"
         ]
@@ -623,6 +625,10 @@ class TestSpec:
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
         with pytest.raises(InvalidParameterError, match="cap"):
             ExperimentSpec("multimode_scan", p, "v_over_delta2", (1e3,), options={"caps": caps})
+
+    def test_kinds_come_from_one_map(self):
+        assert experiments.EXPERIMENT_KINDS == tuple(experiments._KINDS)
+        assert experiments.RATE_SCAN_KINDS == ("quench_ns", "quench_sn", "lz_scan", "multimode_scan")
 
     def test_trace_axes_stay_signed(self):
         p = QrmParams(0.1, 0.0, 1.0, 1.0, 32)

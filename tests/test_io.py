@@ -126,7 +126,8 @@ def _rows(draw):
             sim = readout() if kind in ("sim", "both") else None
             oracle = readout() if kind in ("oracle", "both") else None
             scan_value = draw(st.floats(-1e6, 1e6, allow_nan=False))
-            rows.append(ResultRow(scan_value, sim, oracle, draw(st.booleans())))
+            warnings = draw(st.sampled_from(((), ("a limit was exceeded",))))
+            rows.append(ResultRow(scan_value, sim, oracle, warnings=warnings))
     return rows
 
 
@@ -190,8 +191,8 @@ class TestSvg:
         a, b, c = (BasisLabel("displaced", "up", n) for n in range(3))
         spec = ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 8), "v", (1.0, 2.0))
         rows = [
-            ResultRow(1.0, Readout((a, a), [0.1, 0.2]), None, True),
-            ResultRow(2.0, None, Readout((b,), [0.3]), True),
+            ResultRow(1.0, Readout((a, a), [0.1, 0.2]), None),
+            ResultRow(2.0, None, Readout((b,), [0.3])),
         ]
         columns = ResultTable(spec, rows).columns([a, b, a, c])
         assert list(columns) == [a, b, c]
@@ -224,3 +225,20 @@ class TestManifest:
         }
         # The environment goes to the manifest only: the CSV keeps its bytes.
         assert csv_path.read_bytes() == render_result_csv(table).encode("utf-8")
+
+    def test_records_each_rows_checks(self, tmp_path):
+        # Keyed by scan value, as the convergence flags are.
+        spec = ExperimentSpec(
+            "lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 16), "v_over_delta2", (10.0, 100.0),
+            n_steps=1000,
+        )
+        table = run_experiment(spec)
+        _, manifest_path = write_result_table(table, tmp_path)
+        checks = json.loads(manifest_path.read_text())["checks"]
+        assert set(checks) == {"10", "100"}
+        for row in table.rows:
+            recorded = checks[f"{row.scan_value:g}"]
+            assert recorded == row.checks
+            assert recorded["n_steps"] == 1000
+            assert recorded["chebyshev_terms"] > 0
+            assert recorded["oracle_residual"] == pytest.approx(0.0, abs=1e-12)

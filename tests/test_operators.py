@@ -234,8 +234,8 @@ class TestStateVector:
             StateVector(np.array([1.0, 1.0]))
 
     def test_rejects_unknown_tag(self):
-        # "displaced" was a tag that nothing produced.
-        for tag in ("mystery", "displaced"):
+        # A state names its space by a ParitySector or None, not by a string.
+        for tag in ("mystery", "parity-symmetric", +1):
             with pytest.raises(InvalidParameterError):
                 StateVector(np.array([1.0, 0.0]), tag)
 

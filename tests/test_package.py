@@ -47,6 +47,9 @@ class TestExports:
             "_sample_steps",
             "_basis_tag",
             "DEFAULT_DIM_CAP",
+            "BASIS_TAGS",
+            "_SECTOR_TAGS",
+            "_OPTION_KEYS",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -77,11 +80,12 @@ class TestExports:
 
     def test_each_input_has_one_spelling(self):
         # Formula-only bias scans are lz_scan with options["simulate"] false,
-        # a run's space is its initial state's basis tag, its samples are
+        # a run's space is its initial state's sector, its samples are
         # step indices (none: its start and its end), a multimode bias
         # enters only through epsilon_ramp, the multimode dimension cap is
         # a constant, and default truncation is presets.qrm_params. Only
-        # the row checks judge a run's limits, so a run carries no warnings.
+        # the row checks judge a run's limits, so a run carries no warnings;
+        # it records its measurements as typed fields, not string keys.
         from rabisweep.experiments import EXPERIMENT_KINDS
 
         def fields(cls):
@@ -92,6 +96,8 @@ class TestExports:
         assert "sample_steps" in fields(rabisweep.SweepSchedule)
         assert "sector" not in inspect.signature(rabisweep.run_sweep).parameters
         assert "warnings" not in fields(rabisweep.Trajectory)
+        assert "metadata" not in fields(rabisweep.Trajectory)
+        assert "basis_tag" not in fields(rabisweep.StateVector)
         assert "dim_cap" not in fields(rabisweep.MultiModeParams)
         assert not hasattr(rabisweep.QrmParams, "with_default_truncation")
         assert "epsilon" not in inspect.signature(rabisweep.build_multimode).parameters

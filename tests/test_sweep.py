@@ -59,7 +59,7 @@ def block_ground(p: QrmParams, delta_value: float) -> StateVector:
     basis, _ = parity_sector_basis(p, EVEN_SECTOR)
     h = basis.conj().T @ build_qrm(replace(p, delta=delta_value)) @ basis
     _, vecs = eig_hermitian(h)
-    return StateVector(vecs[:, 0], "parity-symmetric")
+    return StateVector(vecs[:, 0], EVEN_SECTOR)
 
 
 def final_records(p, traj, scheme, sector=None):
@@ -116,7 +116,7 @@ class TestSchedule:
         # A bias-free full-space gap sweep weighs psi0's parity before it
         # propagates; the dimension is checked ahead of that product.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        psi0 = StateVector(np.ones(30, dtype=complex) / np.sqrt(30), "bare")
+        psi0 = StateVector(np.ones(30, dtype=complex) / np.sqrt(30))
         s = SweepSchedule(parameter, 20.0, 0.0, 1e3, n_steps=1000)
         with pytest.raises(InvalidParameterError, match="dimension 30"):
             run_sweep(p, s, psi0)
@@ -243,7 +243,7 @@ class TestEngine:
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=4000)
         block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
         runs = run_sweep(p, block, block_ground(p, 200.0))
-        assert [traj.metadata["chebyshev_terms"] for traj in runs] == [6, 5, 4]
+        assert [traj.chebyshev_terms for traj in runs] == [6, 5, 4]
 
     def test_chebyshev_tail_that_never_falls_is_refused(self, monkeypatch):
         monkeypatch.setattr(sweep, "_CHEB_COEFF_TOL", 0.0)
@@ -306,7 +306,7 @@ class TestConservation:
         # Full-space bias-free sweep from an even-sector state: the odd sector
         # must stay empty to numerical precision.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        psi0 = StateVector(superradiant_state(p, "+", 0).amplitudes, "bare")
+        psi0 = StateVector(superradiant_state(p, "+", 0).amplitudes)
         s = SweepSchedule(
             "delta", 0.0, 50.0, 25.0, n_steps=20_000, sample_steps=tuple(range(0, 20_001, 1000))
         )
@@ -330,7 +330,7 @@ class TestConservation:
         s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000)
         psi0 = block_ground(p, 200.0)
         forward = run_sweep(p, s, psi0)
-        echo = StateVector(forward.final_state.conj(), "parity-symmetric")
+        echo = StateVector(forward.final_state.conj(), EVEN_SECTOR)
         back = run_sweep(p, s.reversed(), echo)
         fid = abs(np.vdot(back.final_state, psi0.amplitudes.conj())) ** 2
         assert fid >= 1.0 - 1e-6
@@ -503,7 +503,7 @@ class TestGroundState:
         p = QrmParams(1.3, 0.2, 1.0, 0.8, 12)
         state = ground_state(p, "epsilon", epsilon)
         _, vecs = np.linalg.eigh(build_qrm(replace(p, epsilon=epsilon)))
-        assert state.basis_tag == "bare"
+        assert state.sector is None
         assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
 
     def test_multimode_matches_eigh(self):
@@ -512,15 +512,13 @@ class TestGroundState:
         _, vecs = np.linalg.eigh(build_multimode(mm) - 1.5 * epsilon_ramp(mm))
         assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
 
-    @pytest.mark.parametrize(
-        "sector, tag", [(EVEN_SECTOR, "parity-symmetric"), (ODD_SECTOR, "parity-antisymmetric")]
-    )
-    def test_sector_matches_projected_block(self, sector, tag):
+    @pytest.mark.parametrize("sector", [EVEN_SECTOR, ODD_SECTOR])
+    def test_sector_matches_projected_block(self, sector):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         state = ground_state(p, "delta", 2.5, sector)
         basis, _ = parity_sector_basis(p, sector)
         _, vecs = np.linalg.eigh(basis.T @ build_qrm(replace(p, delta=2.5)) @ basis)
-        assert state.basis_tag == tag
+        assert state.sector == sector
         assert state.dim == p.n_fock
         assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
 
@@ -549,7 +547,7 @@ class TestGroundState:
         result = run_sweep(p, schedule, psi0)
         assert len(calls) == 1
         for traj in result if isinstance(result, list) else [result]:
-            assert traj.metadata["endpoint_top_fock_occupancy"] == endpoint_occupancy
+            assert traj.endpoint_top_fock_occupancy == endpoint_occupancy
 
 
 class TestReadout:
@@ -769,7 +767,8 @@ class TestRateBlock:
         for traj, schedule in zip(block, schedules):
             assert [schedule.value_at(t) for t in traj.times] == pytest.approx(gaps, abs=1e-12)
             alone = run_sweep(p, schedule, psi0)
-            assert traj.metadata == pytest.approx(alone.metadata, rel=1e-12, abs=0)
+            for name in ("top_fock_occupancy", "endpoint_top_fock_occupancy", "chebyshev_terms"):
+                assert getattr(traj, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0)
             assert list(traj.times) == list(alone.times)
             assert traj.states.shape == alone.states.shape == (32, len(steps))
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
@@ -800,7 +799,7 @@ class TestBatch:
             run_sweep(
                 good,
                 schedule,
-                StateVector(np.array([1.0, 0, 0, 0], dtype=complex), "parity-symmetric"),
+                StateVector(np.array([1.0, 0, 0, 0], dtype=complex), EVEN_SECTOR),
             )
         traj = run_sweep(good, schedule, displaced_state(good, "down", 0))
         assert abs(sum(r.probability for r in final_records(good, traj, "bare")) - 1.0) <= 1e-10
