@@ -96,13 +96,15 @@ class ExperimentSpec:
             )
         self.scan_values = values
         _require_count("n_steps", self.n_steps, MIN_N_STEPS)
+        if not isinstance(self.params, kind.params):
+            raise InvalidParameterError(
+                f"{self.kind} takes {kind.params.__name__}, got {type(self.params).__name__}"
+            )
         if self.kind.startswith("quench"):
-            if not isinstance(self.params, QrmParams):
-                raise InvalidParameterError("quench experiments take single-mode parameters")
             if self.params.epsilon != 0.0:
                 raise InvalidParameterError("quench experiments run at zero bias")
-        if self.kind == "multimode_scan" and not isinstance(self.params, MultiModeParams):
-            raise InvalidParameterError("multimode_scan takes MultiModeParams")
+        elif self.params.delta == 0.0:
+            raise InvalidParameterError(f"{self.kind} rates are in units of delta^2; delta is 0")
         if not kind.scans_rates and "rate" not in self.options:
             raise InvalidParameterError(f"{self.kind} requires options['rate']")
         unknown = [key for key in self.options if key not in kind.options]
@@ -491,8 +493,7 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
     rate = float(spec.options["rate"]) * p.delta**2
-    omega = p.omega if isinstance(p, QrmParams) else min(m.omega for m in p.modes)
-    times = (np.asarray(spec.scan_values) * omega + window) / rate
+    times = (np.asarray(spec.scan_values) * p.omega + window) / rate
     traj = _trace_run(
         spec, "epsilon", -window, window, rate, times,
         ground_state(p, "epsilon", -window),
@@ -501,7 +502,7 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     rows = []
     for t, sim in zip(traj.times, project_records(cols, labels, traj.states)):
         checks, warns = _row_checks(traj, sim)
-        axis_value = (t * rate - window) / omega
+        axis_value = (t * rate - window) / p.omega
         rows.append(ResultRow(float(axis_value), sim, None, checks=checks, warnings=warns))
     return ResultTable(spec, rows, {"wall_times_s": [], "window": window})
 
@@ -522,24 +523,27 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
 
 
 class _Kind(NamedTuple):
-    """A kind's driver, the option keys it takes (any other is refused) and
-    whether its scan axis is a sweep rate; a trace kind scans a signed time
-    axis at the one rate options["rate"]."""
+    """A kind's driver, its one parameter type, the option keys it takes
+    (any other is refused) and whether its scan axis is a sweep rate; a
+    trace kind scans a signed time axis at the one rate options["rate"]."""
 
     driver: Callable[[ExperimentSpec], ResultTable]
+    params: type
     options: tuple[str, ...]
     scans_rates: bool
 
 
 # Every experiment kind: a new kind is one entry here.
 _KINDS = {
-    "quench_ns": _Kind(quench_rate_scan, ("delta_hi",), True),
-    "quench_sn": _Kind(quench_rate_scan, ("delta_hi",), True),
-    "quench_trace": _Kind(quench_time_trace, ("delta_hi", "direction", "rate"), False),
-    "lz_scan": _Kind(lz_scan, ("window", "simulate", "top_occupancy_tol"), True),
-    "lz_trace": _Kind(lz_time_trace, ("window", "rate"), False),
+    "quench_ns": _Kind(quench_rate_scan, QrmParams, ("delta_hi",), True),
+    "quench_sn": _Kind(quench_rate_scan, QrmParams, ("delta_hi",), True),
+    "quench_trace": _Kind(
+        quench_time_trace, QrmParams, ("delta_hi", "direction", "rate"), False
+    ),
+    "lz_scan": _Kind(lz_scan, QrmParams, ("window", "simulate", "top_occupancy_tol"), True),
+    "lz_trace": _Kind(lz_time_trace, QrmParams, ("window", "rate"), False),
     "multimode_scan": _Kind(
-        multimode_scan, ("window", "simulate", "top_occupancy_tol", "caps"), True
+        multimode_scan, MultiModeParams, ("window", "simulate", "top_occupancy_tol", "caps"), True
     ),
 }
 EXPERIMENT_KINDS = tuple(_KINDS)

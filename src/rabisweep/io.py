@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import InvalidParameterError
 from ._version import __version__
@@ -207,7 +206,8 @@ def write_result_table(
     manifest holds the ``version``, the spec's ``config``, the run's own
     measurements in ``provenance``, each row's ``convergence`` flag and
     ``checks`` (both keyed by scan value) and its ``warnings`` if any, the
-    CSV's ``checksums``, the ``environment`` and the write time."""
+    CSV's ``checksums``, the ``environment`` and the write time, as one line
+    of JSON with sorted keys: without ``indent`` json uses its C encoder."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     name = name or table.spec.kind
@@ -230,7 +230,7 @@ def write_result_table(
         "written_at_unix": time.time(),
     }
     manifest_path = out / f"{name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
     return [csv_path, manifest_path]
 
 
@@ -256,7 +256,7 @@ def write_audit(
         "written_at_unix": time.time(),
     }
     path = out / f"{name}_audit.json"
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
 
@@ -265,7 +265,10 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _environment() -> dict:
     """Python, numpy, scipy and BLAS versions and the BLAS thread settings
-    (None where unset) of the writing process."""
+    (None where unset) of the writing process. scipy is imported here, for
+    its version only."""
+    import scipy
+
     try:
         blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
     except TypeError:  # numpy < 1.26 only prints its config

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -625,6 +626,43 @@ class TestSpec:
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
         with pytest.raises(InvalidParameterError, match="cap"):
             ExperimentSpec("multimode_scan", p, "v_over_delta2", (1e3,), options={"caps": caps})
+
+    @pytest.mark.parametrize(
+        "kind, scan, options",
+        [
+            ("quench_ns", (10.0,), {}),
+            ("quench_trace", (-1.0, 0.0), {"direction": "ns", "rate": 10.0}),
+            ("lz_scan", (10.0,), {"simulate": False}),
+            ("lz_trace", (-1.0, 0.0), {"rate": 10.0}),
+            ("multimode_scan", (10.0,), {"simulate": False}),
+        ],
+    )
+    def test_each_kind_takes_one_params_type(self, kind, scan, options):
+        # An lz_scan on multimode parameters used to escape run_experiment
+        # as a bare AttributeError from cascade_gaps.
+        single = QrmParams(1.0, 0.0, 1.0, 1.0, 8)
+        multi = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
+        good, bad = (multi, single) if kind == "multimode_scan" else (single, multi)
+        ExperimentSpec(kind, good, "v", scan, options=options)
+        with pytest.raises(InvalidParameterError, match=f"{kind} takes {type(good).__name__}"):
+            ExperimentSpec(kind, bad, "v", scan, options=options)
+
+    @pytest.mark.parametrize(
+        "kind, params, scan, options",
+        [
+            ("lz_scan", QrmParams(0.0, 0.0, 1.0, 1.0, 8), (10.0,), {"simulate": False}),
+            ("lz_trace", QrmParams(0.0, 0.0, 1.0, 1.0, 8), (-1.0, 0.0), {"rate": 10.0}),
+            ("multimode_scan", MultiModeParams(0.0, (Mode(1.0, 1.0, 8),)), (10.0,), {}),
+        ],
+    )
+    def test_bias_sweeps_refuse_zero_delta(self, kind, params, scan, options):
+        # Their rates are in units of delta^2: an lz trace at delta = 0 used
+        # to escape as a ZeroDivisionError after a RuntimeWarning, and the
+        # scans failed every row.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidParameterError, match="units of delta"):
+                ExperimentSpec(kind, params, "v", scan, options=options)
 
     def test_kinds_come_from_one_map(self):
         assert experiments.EXPERIMENT_KINDS == tuple(experiments._KINDS)

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -61,17 +62,27 @@ class TestExports:
 
     def test_import_loads_no_optimizer(self):
         # Nothing the package or its CLI runs needs scipy.optimize, whose
-        # import alone loads about 200 more scipy modules.
-        probe = (
-            "import sys, rabisweep, rabisweep.cli; print(sorted(m for m in sys.modules"
-            " if m == 'scipy.optimize' or m.startswith('scipy.optimize.')))"
+        # import alone loads about 200 more scipy modules. scipy.linalg and
+        # scipy.special (about 110 modules, over half the import time) are not
+        # imported either: the two LAPACK solves import scipy.linalg at
+        # their first call.
+        loaded = _scipy_modules_after(
+            "import rabisweep, rabisweep.cli", ("scipy.linalg", "scipy.special", "scipy.optimize")
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=120, check=True,
+        assert loaded == []
+
+    def test_trimmed_formula_table_loads_no_linalg(self, tmp_path):
+        # A formula-only table (fig5a trimmed to its first rate), run and
+        # written as CSV and manifest, makes no eigensolve.
+        run = (
+            "import dataclasses\n"
+            "from rabisweep import PRESETS, run_experiment, write_result_table\n"
+            "spec = PRESETS['fig5a'].build()\n"
+            "spec = dataclasses.replace(spec, scan_values=spec.scan_values[:1])\n"
+            f"write_result_table(run_experiment(spec), {str(tmp_path)!r})"
         )
-        assert proc.stdout.strip() == "[]"
+        assert _scipy_modules_after(run, ("scipy.linalg",)) == []
+        assert (tmp_path / "lz_scan.csv").is_file()
 
     def test_run_sweep_only_propagates(self):
         # Readout is project_records over readout_columns, not a run option.
@@ -124,6 +135,21 @@ class TestExports:
 
         assert rabisweep.displaced_fock_tail is model.displaced_fock_tail
         assert rabisweep.top_fock_occupancy is model.top_fock_occupancy
+
+
+def _scipy_modules_after(code: str, packages: tuple[str, ...]) -> list[str]:
+    """The modules of ``packages`` loaded after ``code`` runs in a fresh
+    interpreter on this checkout's ``src``."""
+    probe = (
+        f"{code}\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+        f" if any(m == p or m.startswith(p + '.') for p in {packages!r}))))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout)
 
 
 def _benchmark_module(name: str):

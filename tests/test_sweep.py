@@ -216,13 +216,15 @@ class TestEngine:
         # truncation error since |T_k| <= 1 on [-1, 1]. On the grid x = j/32,
         # z x is exact for z >= 1 and rounds by under 1e-18 below, so
         # exp(-i z x) carries only its own rounding.
-        # Through z = 10 the kept series matches it to 1e-15. At z = 100
-        # scipy's J_k(100) are themselves off by up to 3e-15 each (against
-        # mpmath), so the series matches to 5e-14, its Bessel values' error.
+        # The cut is the one scipy's jv gives; its values only decide the cut
+        # here, since at z = 100 they are off by up to 3e-15 each, and the
+        # Miller J_k that the series uses by under 2e-16. Through z = 10 the
+        # kept series matches exp(-i z x) to 1e-15, to 5e-15 through z = 100
+        # and to 5e-14 at z = 300: the rounding of its 153 and 375 terms.
         tol = sweep._CHEB_COEFF_TOL
         x = np.linspace(-1.0, 1.0, 65)
         counts = []
-        for z in (0.0, 1e-15, 1e-4, 0.01, 1.0, 10.0, 100.0):
+        for z in (0.0, 1e-15, 1e-4, 0.01, 1.0, 10.0, 40.0, 100.0, 300.0):
             coeffs = sweep._chebyshev_coefficients(z)
             cut = len(coeffs)
             bessels = np.abs(jv(np.arange(cut + 200), z))
@@ -230,11 +232,32 @@ class TestEngine:
             assert tails[cut] < tol, z
             assert cut == 2 or tails[cut - 1] >= tol, z
             series = np.polynomial.chebyshev.chebval(x, coeffs)
-            bound = 1e-15 if z <= 10.0 else 5e-14
+            bound = 1e-15 if z <= 10.0 else 5e-15 if z <= 100.0 else 5e-14
             assert np.max(np.abs(series - np.exp(-1j * z * x))) < bound, z
             counts.append(cut)
         assert counts[:2] == [2, 2]
         assert counts == sorted(counts)
+
+    def test_bessel_values_match_scipy(self):
+        # Miller's backward recurrence against scipy's jv, order by order,
+        # and against its own normalization J_0 + 2 sum_k J_{2k} = 1. jv is
+        # itself off by up to 2.8e-16 near z = 2-3 (against 40 digits), so
+        # accuracy is checked against mpmath below.
+        for z in (1e-14, 1e-4, 0.01, 0.1, 1.0, 2.5, 5.0, 10.0):
+            k_max = int(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
+            bessels = sweep._bessel_j(z, k_max)
+            assert np.max(np.abs(bessels - jv(np.arange(k_max + 1), z))) < 2e-16, z
+            assert abs(bessels[0] + 2.0 * bessels[2::2].sum() - 1.0) < 3e-16, z
+
+    def test_bessel_values_match_mpmath(self):
+        # Against 40-digit values, the recurrence holds 2e-16 through z = 300,
+        # where jv drifts to 6e-15.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for z in (0.001, 1.0, 10.0, 40.0, 100.0, 300.0):
+                k_max = int(z + 12.0 * z ** (1.0 / 3.0) + 30.0)
+                exact = np.array([float(mpmath.besselj(k, z)) for k in range(k_max + 1)])
+                assert np.max(np.abs(sweep._bessel_j(z, k_max) - exact)) < 2e-16, z
 
     def test_chebyshev_terms_of_a_pinned_quench(self):
         # The g/omega = 1 even-block quench over 200 -> 0 at v/omega^2 = 1e3,
@@ -466,7 +489,10 @@ class TestEigenLevelSeries:
     def test_failed_solve_raises(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
         h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
-        monkeypatch.setattr(sweep, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
+        # The solve imports dstevd at its first call, so it is patched at its source.
+        import scipy.linalg.lapack
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
         with pytest.raises(NumericalInstabilityError, match="info = 3"):
             eigen_level_series(h0, h1, np.array([1.0]), np.eye(8)[:, :1])
 
