@@ -82,8 +82,9 @@ def _build_parser() -> _Parser:
     lz.add_argument("--delta-over-omega", type=float, required=True)
     lz.add_argument("--n-fock", type=int, default=None)
     lz.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
-    lz.add_argument("--formula-only", action="store_true")
-    lz.add_argument("--trace", action="store_true")
+    lz_mode = lz.add_mutually_exclusive_group()
+    lz_mode.add_argument("--formula-only", action="store_true")
+    lz_mode.add_argument("--trace", action="store_true")
     lz.add_argument("--rate", type=float, default=1.0, help="v/delta^2 for --trace")
     lz.add_argument("--window", type=float, default=None, help="bias half-width (omega units)")
     _add_grid_flags(lz, 1e-1, 1e2)
@@ -106,8 +107,11 @@ def _build_parser() -> _Parser:
     f.add_argument("--n", type=int, default=0)
     f.add_argument("--delta-over-omega", type=float, default=1.0)
     f.add_argument("--v-over-delta2", type=float, default=None)
-    f.add_argument("--lz", action="store_true", help="two-level survival probability")
-    f.add_argument("--cascade", action="store_true", help="cascade P(up, n) at --v-over-delta2")
+    f_mode = f.add_mutually_exclusive_group()
+    f_mode.add_argument("--lz", action="store_true", help="two-level survival probability")
+    f_mode.add_argument(
+        "--cascade", action="store_true", help="cascade P(up, n) at --v-over-delta2"
+    )
 
     s = sub.add_parser("spectrum", help="low-lying eigenvalues at fixed parameters")
     s.add_argument("--delta", type=float, required=True, help="qubit gap (omega units)")

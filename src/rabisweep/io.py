@@ -157,25 +157,25 @@ class CsvRecord:
 
 
 def parse_result_csv(text: str) -> list[CsvRecord]:
+    """The records of a result CSV. A row that does not have eight fields,
+    a number in each numeric field and ``true`` or ``false`` as its
+    converged flag raises ``InvalidParameterError``."""
     lines = text.strip("\n").split("\n")
     if not lines or lines[0] != CSV_HEADER:
         raise InvalidParameterError("unrecognized result-table header")
     records = []
     for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise InvalidParameterError(f"malformed result row: {line!r}")
-        sv, scheme, qubit, n, p, po, dev, conv = parts
-        records.append(
-            CsvRecord(
-                float(sv),
-                BasisLabel(scheme, qubit, _photons_parse(n)),
-                float(p) if p else None,
-                float(po) if po else None,
-                float(dev) if dev else None,
-                conv == "true",
-            )
-        )
+        try:
+            sv, scheme, qubit, n, p, po, dev, conv = line.split(",")
+            if conv not in ("true", "false"):
+                raise ValueError(conv)
+            scan_value, photons = float(sv), _photons_parse(n)
+            probabilities = [float(x) if x else None for x in (p, po, dev)]
+        except ValueError:
+            raise InvalidParameterError(f"malformed result row: {line!r}") from None
+        records.append(CsvRecord(
+            scan_value, BasisLabel(scheme, qubit, photons), *probabilities, conv == "true"
+        ))
     return records
 
 

@@ -5,12 +5,10 @@ Hamiltonian is frozen at the step's midpoint and its exact exponential is
 applied, so every step is unitary by construction and the scheme is
 second-order in the step size.
 
-The exponential action is computed two ways: batched eigendecomposition for
-tiny dimensions, and a Chebyshev expansion of exp(-i H dt) (coefficients shared
-across a chunk of steps, spectral bounds from Gershgorin discs) otherwise.
-Per-step eigendecomposition is prohibitively slow past dim ~ 32 on one core;
-the Chebyshev action reproduces the exact exponential to machine precision.
-Its series exp(-i z x) = sum_k c_k T_k(x), with z = r dt for spectral radius r,
+At every dimension the exponential action is one Chebyshev expansion of
+exp(-i H dt), with spectral bounds from Gershgorin discs shared across a chunk
+of steps, which reproduces the exact exponential to machine precision. Its
+series exp(-i z x) = sum_k c_k T_k(x), with z = r dt for spectral radius r,
 stops at the first order K whose tail bound 2 sum_{k >= K} |J_k(z)| is below
 1e-16. Since |T_k| <= 1 on the Gershgorin interval, that bounds each step's
 truncation error by 1e-16 times the state's norm; a tail that does not fall
@@ -20,8 +18,8 @@ values at every z measured up to 300, where scipy's ``jv`` drifts to 6e-15.
 
 Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
 model layer builds every Hamiltonian, ramp and parity basis as float64, and
-the propagator refuses complex ones. The Chebyshev branch builds the scaled
-matrix 2(A - c)/r once per chunk and on each step rewrites only the entries
+the propagator refuses complex ones. It builds the scaled matrix
+2(A - c)/r once per chunk and on each step rewrites only the entries
 where B is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
 sigma_x (x) I entries for a full-space gap sweep. The recurrence runs in
 buffers allocated once per run and multiplies the complex states through
@@ -99,8 +97,6 @@ MIN_N_STEPS = 1000
 # Steps per run unless a schedule or an experiment spec sets its own.
 DEFAULT_N_STEPS = 20_000
 
-_EIGH_BACKEND_MAX_DIM = 16
-_EIGH_CHUNK = 4096
 _CHEB_CHUNK = 1024
 _CHEB_COEFF_TOL = 1e-16
 
@@ -218,7 +214,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Propagation backends
+# Propagation
 # ---------------------------------------------------------------------------
 
 def _bessel_j(z: float, k_max: int) -> np.ndarray:
@@ -290,26 +286,14 @@ def _gershgorin_bounds(h0: np.ndarray, h1: np.ndarray, f_vals: np.ndarray) -> tu
     return lo, hi
 
 
-def _chunk_midpoints(f_start: float, f_end: float, n_steps: int, chunk_size: int):
+def _chunk_midpoints(f_start: float, f_end: float, n_steps: int):
     """Yield each chunk's step indices and the ramp's values at their midpoints.
 
     The values f_k = f_start + (f_end - f_start)(k + 1/2)/n_steps do not
     depend on the sweep's duration, so every rate of a scan shares them."""
-    for start in range(0, n_steps, chunk_size):
-        steps = np.arange(start, min(n_steps, start + chunk_size))
+    for start in range(0, n_steps, _CHEB_CHUNK):
+        steps = np.arange(start, min(n_steps, start + _CHEB_CHUNK))
         yield steps, f_start + (f_end - f_start) * ((steps + 0.5) / n_steps)
-
-
-def _chebyshev_expansion(
-    h_static: np.ndarray, h_ramp: np.ndarray, f_mid: np.ndarray, dts: np.ndarray
-) -> tuple[float, float, list[np.ndarray]]:
-    """Centre c, radius r and, for each step size in ``dts``, the
-    coefficients of one chunk's expansion. c and r come from the Gershgorin
-    bounds of H over the chunk's ramp values, so every run shares them."""
-    lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
-    center = 0.5 * (hi + lo)
-    radius = 0.5 * (hi - lo) + 1e-300
-    return center, radius, [_chebyshev_coefficients(radius * dt) for dt in dts]
 
 
 def _evolve_linear(
@@ -330,17 +314,18 @@ def _evolve_linear(
     ``n_steps`` steps through the same midpoint values f_k; run j steps by
     total_times[j] / n_steps. Returns the (dim, R) block of states after each
     step in ``sample_steps``, columns in the order of ``total_times``, and
-    each run's Chebyshev terms per step: the most any chunk took, 0 on the
-    eigh branch and for a zero-length sweep. A single run is a block of one.
+    each run's Chebyshev terms per step: the most any chunk took, 0 only for
+    a zero-length sweep. A single run is a block of one.
     A step keeps the orders below the first whose dropped tail
     2 sum_{k >= K} |J_k(r dt)| is under 1e-16 (``_chebyshev_coefficients``),
     so its truncation error is at most 1e-16 times the state's norm.
 
-    The only code that applies exp(-i H dt); the branch is chosen by
-    dimension, as the module docstring describes. The Chebyshev branch holds
-    the chunk's real scaled matrix h2 = 2(h_static - c)/r in one buffer,
-    built once per chunk and shared by every run, and on each step rewrites
-    only the entries where h_ramp is nonzero. The recurrence
+    The only code that applies exp(-i H dt), at every dimension. Each chunk
+    takes its centre c and radius r from the Gershgorin bounds of H over its
+    ramp values, so every run shares them, and gives each run its own
+    coefficients. The chunk's real scaled matrix h2 = 2(h_static - c)/r sits
+    in one buffer, built once per chunk and shared by every run, and each
+    step rewrites only the entries where h_ramp is nonzero. The recurrence
     T_{n+1} = h2 T_n - T_{n-1} fills a stack of complex (dim, R) blocks, one
     matrix product and one subtraction per order, h2 multiplying each block
     through its float view of shape (dim, 2R), whose first 2a columns are
@@ -369,17 +354,6 @@ def _evolve_linear(
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
         out[0] = psi.copy()
-    if dim <= _EIGH_BACKEND_MAX_DIM:
-        for steps, f_mid in _chunk_midpoints(f_start, f_end, n_steps, _EIGH_CHUNK):
-            hb = h_static[None, :, :] + f_mid[:, None, None] * h_ramp[None, :, :]
-            w, v = np.linalg.eigh(hb)
-            phases = np.exp(-1j * w[:, :, None] * dts)
-            for i, k in enumerate(steps):
-                psi = v[i] @ (phases[i] * (v[i].T @ psi))
-                if k + 1 in sample_steps:
-                    out[k + 1] = psi[:, restore]
-        return out, [0] * n_runs
-
     # Flat indices of the ramp's nonzero entries: the diagonal for a sector
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
     ramp_idx = np.flatnonzero(h_ramp)
@@ -393,8 +367,11 @@ def _evolve_linear(
     stack = psi[None]
     new_psi = np.empty((dim, n_runs), dtype=complex)
     terms = [0] * n_runs
-    for steps, f_mid in _chunk_midpoints(f_start, f_end, n_steps, _CHEB_CHUNK):
-        center, radius, coeffs = _chebyshev_expansion(h_static, h_ramp, f_mid, dts)
+    for steps, f_mid in _chunk_midpoints(f_start, f_end, n_steps):
+        lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
+        center = 0.5 * (hi + lo)
+        radius = 0.5 * (hi - lo) + 1e-300
+        coeffs = [_chebyshev_coefficients(radius * dt) for dt in dts]
         lengths = [len(c) for c in coeffs]
         terms = [max(t, n) for t, n in zip(terms, lengths)]
         if max(lengths) > stack.shape[0]:
@@ -562,9 +539,9 @@ def run_sweep(
     endpoint ground states (solved on the run's own parts) are recorded as
     ``top_fock_occupancy`` and ``endpoint_top_fock_occupancy``, and
     ``chebyshev_terms`` records the Chebyshev terms per step (the most any
-    chunk took; 0 on the eigh branch). ``max_parity_leakage`` is None where
-    leakage is not measured: sector runs, bias sweeps, and full-space gap
-    sweeps from a state of no definite parity.
+    chunk took; 0 only for a zero-length sweep). ``max_parity_leakage`` is
+    None where leakage is not measured: sector runs, bias sweeps, and
+    full-space gap sweeps from a state of no definite parity.
 
     A ``RateBlock`` runs its schedules in one propagation, as the columns of
     one block (see ``_evolve_linear``), and returns one ``Trajectory`` or

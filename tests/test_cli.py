@@ -34,10 +34,20 @@ class TestExitCodes:
         assert main(["formula", "--g-over-omega", "1.0", "--n", "1"]) == 0
         assert printed(capsys) == "0.367879"
 
-    def test_usage_error(self, capsys):
+    def test_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run that got through would write here
         assert main(["formula"]) == 1
         assert main(["no-such-command"]) == 1
-        assert "usage error" in capsys.readouterr().err
+        # Flags that contradict each other are refused, not one of them
+        # silently dropped.
+        assert main(["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1",
+                     "--n-fock", "8", "--n-steps", "1000", "--trace", "--formula-only"]) == 1
+        assert main(["formula", "--g-over-omega", "1", "--lz", "--cascade",
+                     "--v-over-delta2", "1", "--n", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("usage error") == 4
+        assert "not allowed with argument" in err
+        assert not any(tmp_path.iterdir())
 
     def test_invalid_configuration(self, capsys):
         assert main(["formula", "--g-over-omega", "1.0", "--lz"]) == 1

@@ -228,16 +228,16 @@ class TestRowChecks:
         checks, warnings = _row_checks(traj, records)
         assert len([w for w in warnings if "Fock ladder" in w]) == 1
         assert checks["endpoint_top_fock_occupancy"] == occupancy
-        # Dim 8 runs the eigh branch, which takes no Chebyshev terms.
+        # The row carries the run's step count and Chebyshev terms per step.
         assert checks["n_steps"] == 2000
-        assert checks["chebyshev_terms"] == 0
+        assert checks["chebyshev_terms"] == traj.chebyshev_terms
 
         _, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
         assert warnings == ()
 
     def test_chebyshev_runs_report_their_terms(self):
-        # The fig1a block at 32 levels runs the Chebyshev branch; a faster
-        # sweep over the same gap takes fewer terms per step.
+        # On the fig1a block at 32 levels, a faster sweep over the same gap
+        # takes fewer terms per step.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)

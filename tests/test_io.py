@@ -9,6 +9,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabisweep.errors import InvalidParameterError
 from rabisweep.experiments import ExperimentSpec, ResultRow, ResultTable, run_experiment
 from rabisweep.io import (
     CSV_HEADER,
@@ -80,6 +81,24 @@ class TestCsv:
             rec.label for row in table.rows for rec in row.oracle
         ]
         assert ",displaced,up,0;," in text
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "abc,displaced,up,0,0.5,,,true",
+            "1,displaced,up,x,0.5,,,true",
+            "1,displaced,up,0,0.5q,,,true",
+            "1,displaced,up,0;x;,0.5,,,true",
+            "1,displaced,up,0,0.5,,,yes",
+            "1,displaced,up,0,0.5,,,",
+            "1,displaced,up,0,0.5,,",
+        ],
+        ids=["scan-value", "photons", "probability", "photon-tuple", "converged-yes",
+             "converged-empty", "seven-fields"],
+    )
+    def test_malformed_rows_raise_the_package_error(self, row):
+        with pytest.raises(InvalidParameterError, match="malformed result row"):
+            parse_result_csv(f"{CSV_HEADER}\n1,displaced,up,0,0.5,,,true\n{row}\n")
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.deferred(lambda: _rows()))

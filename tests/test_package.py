@@ -51,6 +51,9 @@ class TestExports:
             "BASIS_TAGS",
             "_SECTOR_TAGS",
             "_OPTION_KEYS",
+            "_EIGH_BACKEND_MAX_DIM",
+            "_EIGH_CHUNK",
+            "_chebyshev_expansion",
         ],
     )
     def test_deleted_names_are_gone(self, name):

@@ -124,13 +124,14 @@ class TestSchedule:
 
 class TestEngine:
     def test_backends_agree(self):
-        # dim 12 runs the eigh branch and dim 24 the Chebyshev branch; each
-        # must match a per-step exponential of the midpoint H. The reference
+        # The one Chebyshev kernel runs at every dimension and must match a
+        # per-step exponential of the midpoint H: at dim 24, at the small
+        # dimension 12 and in the two-level limit, dim 2. The reference
         # steps come from one batched eigh of the midpoints per case, except
-        # on the eigh branch, whose own arithmetic that is, and on the zero
-        # ramp, whose 1,500 equal steps would compound the eigenvectors'
-        # rounding to 1e-12: those two take a dense matrix exponential.
-        # The Chebyshev branch rewrites only the entries where h1 is nonzero,
+        # at dims 12 and 2, which keep a dense matrix exponential as an
+        # independent check, and on the zero ramp, whose 1,500 equal steps
+        # would compound the eigenvectors' rounding to 1e-12.
+        # The kernel rewrites only the entries where h1 is nonzero,
         # so its ramps are dense, diagonal (sector gap and bias sweeps),
         # sparse off-diagonal (full-space gap sweep) and zero, all real
         # symmetric like every model Hamiltonian. Each case runs alone, as a
@@ -138,8 +139,8 @@ class TestEngine:
         # its columns, and as a block of three rates spanning 100x, whose
         # fewer-term runs drop out of the later orders: those orders switch
         # from the full-width product to the product over a leading slice. A
-        # run of duration 1e-13 keeps the two terms that the Chebyshev
-        # branch always forms (z < 1e-14). Every block column must match its
+        # run of duration 1e-13 keeps the two terms that the kernel always
+        # forms (z < 1e-14). Every block column must match its
         # single-run propagation to 1e-14 after one step and to 1e-13 after
         # 750 and 1500: BLAS sums a product of another width in another
         # order, and that rounding walks to about 5e-14 by step 1500. The
@@ -164,6 +165,7 @@ class TestEngine:
             (24, symmetric, diagonal, by_eigh),
             (24, symmetric, lambda dim: np.kron(SIGMA_X, np.eye(dim // 2)), by_eigh),
             (24, symmetric, lambda dim: np.zeros((dim, dim)), by_expm),
+            (2, symmetric, symmetric, by_expm),
         ]
         blocks = [
             [total_time / 10, total_time],
@@ -182,8 +184,7 @@ class TestEngine:
             single = {t: evolve([t])[0] for t in (total_time, total_time / 10, total_time / 100)}
             single[tiny], tiny_terms = evolve([tiny])
             assert all(set(sampled) == samples for sampled in single.values())
-            if dim > 12:
-                assert tiny_terms == [2], dim
+            assert tiny_terms == [2], dim
             f_mid = f_start + (f_end - f_start) * ((np.arange(n_steps) + 0.5) / n_steps)
             steps_of = reference(h0 + f_mid[:, None, None] * h1)
             refs = {}
@@ -196,10 +197,9 @@ class TestEngine:
             columns = [(t, sampled[k][:, 0], k) for t, sampled in single.items() for k in sampled]
             for block_times in blocks:
                 block, terms = evolve(block_times)
-                if dim > 12:
-                    # Terms fall with the rate, so the block takes the
-                    # leading-slice product at some order.
-                    assert len(set(terms)) == len(block_times), (dim, terms)
+                # Terms fall with the rate, so the block takes the
+                # leading-slice product at some order.
+                assert len(set(terms)) == len(block_times), (dim, terms)
                 assert set(block) == samples
                 for j, t in enumerate(block_times):
                     for k in samples:
@@ -275,8 +275,9 @@ class TestEngine:
 
     @pytest.mark.parametrize("dim", [12, 24])
     def test_refuses_complex_parts(self, dim):
-        # Both branches take real symmetric parts only; a complex part is
-        # refused whatever its imaginary entries.
+        # The propagator takes real symmetric parts only, at a small
+        # dimension as at a larger one; a complex part is refused whatever
+        # its imaginary entries.
         real = symmetric(dim)
         psi = np.eye(dim, dtype=complex)[0]
         for h0, h1 in ((real.astype(complex), real), (real, real.astype(complex))):
@@ -777,7 +778,7 @@ class TestRateBlock:
             RateBlock(())
 
     def test_entries_match_single_runs(self):
-        # Dim 32 in the even block runs the Chebyshev branch through its
+        # Dim 32 in the even block runs the Chebyshev kernel through its
         # real view; each entry is the run its schedule gives alone. Sample
         # steps, unlike sample times, sit at one point of the ramp for every
         # rate: sample i of each entry is at the same gap value.
