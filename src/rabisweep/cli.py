@@ -54,10 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_grid_flags(sp, default_min: float, default_max: float, per_decade: int = 4):
-    sp.add_argument("--v-min", type=float, default=default_min)
-    sp.add_argument("--v-max", type=float, default=default_max)
-    sp.add_argument("--points-per-decade", type=int, default=per_decade)
+def _add_grid_flags(sp) -> None:
+    sp.add_argument("--v-min", type=float)
+    sp.add_argument("--v-max", type=float)
+    sp.add_argument("--points-per-decade", type=int)
+
+
+def _rate_grid(args, v_min: float, v_max: float, per_decade: int = 4) -> tuple[float, ...]:
+    """The log grid of the grid flags, each defaulting to its value here."""
+    flags = (args.v_min, args.v_max, args.points_per_decade)
+    return log_grid(*(d if f is None else f for f, d in zip(flags, (v_min, v_max, per_decade))))
 
 
 def _build_parser() -> _Parser:
@@ -73,8 +79,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--n-fock", type=int, default=None)
     q.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     q.add_argument("--trace", action="store_true", help="time trace at a single rate")
-    q.add_argument("--rate", type=float, default=1e4, help="v/omega^2 for --trace")
-    _add_grid_flags(q, 1e-1, 1e4)
+    q.add_argument("--rate", type=float, help="v/omega^2 of a --trace")
+    _add_grid_flags(q)
     _add_output_flags(q)
 
     lz = sub.add_parser("lz", help="bias sweep through the crossing mesh")
@@ -85,9 +91,9 @@ def _build_parser() -> _Parser:
     lz_mode = lz.add_mutually_exclusive_group()
     lz_mode.add_argument("--formula-only", action="store_true")
     lz_mode.add_argument("--trace", action="store_true")
-    lz.add_argument("--rate", type=float, default=1.0, help="v/delta^2 for --trace")
+    lz.add_argument("--rate", type=float, help="v/delta^2 of a --trace")
     lz.add_argument("--window", type=float, default=None, help="bias half-width (omega units)")
-    _add_grid_flags(lz, 1e-1, 1e2)
+    _add_grid_flags(lz)
     _add_output_flags(lz)
 
     mm = sub.add_parser("multimode", help="bias sweep with several oscillator modes")
@@ -99,7 +105,7 @@ def _build_parser() -> _Parser:
     mm.add_argument("--caps", type=str, default=None, help="comma list of occupation caps")
     mm.add_argument("--n-steps", type=int, default=DEFAULT_N_STEPS)
     mm.add_argument("--no-simulate", action="store_true", help="sequential oracle only")
-    _add_grid_flags(mm, 0.5, 30.0, per_decade=2)
+    _add_grid_flags(mm)
     _add_output_flags(mm)
 
     f = sub.add_parser("formula", help="closed-form quantities")
@@ -157,12 +163,24 @@ def _run_table(args, spec: ExperimentSpec, name: str, svg_labels) -> int:
     return 0
 
 
+def _trace_rate(args) -> dict:
+    """The rate keyword of a --trace, empty for the spec builder's default.
+    The grid flags with --trace and --rate without it are usage errors."""
+    unused = ("v_min", "v_max", "points_per_decade") if args.trace else ("rate",)
+    given = [f"--{n.replace('_', '-')}" for n in unused if getattr(args, n) is not None]
+    if given:
+        where = "with" if args.trace else "without"
+        raise _UsageError(f"{'/'.join(given)}: not allowed {where} --trace")
+    return {} if args.rate is None else {"rate": args.rate}
+
+
 def _cmd_quench(args):
     common = dict(n_fock=args.n_fock, delta_hi=args.delta_i, n_steps=args.n_steps)
+    rate = _trace_rate(args)
     if args.trace:
-        spec = quench_trace_spec(args.direction, args.g_over_omega, args.rate, **common)
+        spec = quench_trace_spec(args.direction, args.g_over_omega, **rate, **common)
         return spec, f"quench_trace_{args.direction}", None
-    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+    grid = _rate_grid(args, 1e-1, 1e4)
     spec = quench_scan_spec(args.direction, args.g_over_omega, grid, **common)
     return spec, f"quench_{args.direction}", None
 
@@ -170,9 +188,10 @@ def _cmd_quench(args):
 def _cmd_lz(args):
     g, d = args.g_over_omega, args.delta_over_omega
     common = dict(n_fock=args.n_fock, window=args.window, n_steps=args.n_steps)
+    rate = _trace_rate(args)
     if args.trace:
-        return lz_trace_spec(g, d, args.rate, **common), "lz_trace", None
-    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+        return lz_trace_spec(g, d, **rate, **common), "lz_trace", None
+    grid = _rate_grid(args, 1e-1, 1e2)
     spec = lz_scan_spec(g, d, grid, simulate=not args.formula_only, **common)
     return spec, "lz_formula" if args.formula_only else "lz_scan", None
 
@@ -193,7 +212,7 @@ def _cmd_multimode(args):
             options["caps"] = tuple(int(t) for t in args.caps.split(","))
         except ValueError:
             raise InvalidParameterError(f"bad occupation caps {args.caps!r}") from None
-    grid = log_grid(args.v_min, args.v_max, args.points_per_decade)
+    grid = _rate_grid(args, 0.5, 30.0, per_decade=2)
     spec = ExperimentSpec(
         "multimode_scan", p, "v_over_delta2", grid, n_steps=args.n_steps, options=options
     )

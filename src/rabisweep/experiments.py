@@ -2,7 +2,7 @@
 tables, each pairing the dynamics with its closed-form oracle where one exists.
 
 Scan axes are dimensionless: quench rates in units of omega^2, bias sweep
-rates in units of delta^2, trace rows on the swept-parameter time axis.
+rates in units of delta^2, trace rows on the swept parameter over omega.
 """
 
 from __future__ import annotations
@@ -326,6 +326,37 @@ def _rate_scan(
     return ResultTable(spec, rows, {"wall_times_s": [round(t, 4) for t in times]} | layer_times)
 
 
+def _time_trace(
+    spec: ExperimentSpec, ramp: tuple[str, float, float, float], axis_unit: float,
+    psi0: StateVector, readout: Callable[[np.ndarray, np.ndarray], list[Readout]],
+) -> ResultTable:
+    """One row per axis value: the body of every time trace. ``ramp`` is
+    ``(parameter, start, end, rate_unit)``, as in ``_rate_scan``, run once
+    from ``psi0`` at ``options["rate"]`` x ``rate_unit``. An axis value times
+    ``axis_unit`` is a value of the swept parameter, sampled at the step k
+    whose ramp value start + (end - start) k/n_steps is nearest; values
+    outside the sweep are refused, those a rounding error past an end are
+    clipped. ``readout(values, states)`` reads the samples out at their ramp
+    values, and each row, at its value over ``axis_unit``, is judged by
+    ``_row_checks``."""
+    parameter, start, end, rate_unit = ramp
+    n = spec.n_steps
+    fractions = (np.asarray(spec.scan_values) * axis_unit - start) / (end - start)
+    if np.any(fractions < -1e-12) or np.any(fractions > 1.0 + 1e-12):
+        raise InvalidParameterError("trace axis values fall outside the sweep")
+    steps = [round(f * n) for f in np.clip(fractions, 0.0, 1.0).tolist()]
+    rate = float(spec.options["rate"]) * rate_unit
+    schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
+    traj = run_sweep(spec.params, schedule, psi0)
+    values = start + (end - start) * (np.array(steps) / n)
+    rows = []
+    for value, sim in zip(values.tolist(), readout(values, traj.states)):
+        checks, warns = _row_checks(traj, sim)
+        # Adding 0.0 turns the -0.0 of a negative unit at zero into 0.0.
+        rows.append(ResultRow(value / axis_unit + 0.0, sim, None, checks=checks, warnings=warns))
+    return ResultTable(spec, rows, {"wall_times_s": []})
+
+
 # ---------------------------------------------------------------------------
 # Quench experiments
 # ---------------------------------------------------------------------------
@@ -353,27 +384,6 @@ def _named_levels(
     ``scheme``."""
     _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), delta)
     return vecs, greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
-
-
-def _trace_run(
-    spec: ExperimentSpec,
-    parameter: str,
-    start: float,
-    end: float,
-    rate: float,
-    times: np.ndarray,
-    psi0: StateVector,
-) -> Trajectory:
-    """One run of a trace, sampled at the step nearest each of ``times``,
-    step round(t/T n); times outside the sweep are refused, and those a
-    rounding error past an end are clipped."""
-    total_time = abs(end - start) / rate
-    if np.any(times < -1e-9) or np.any(times > total_time * (1 + 1e-12)):
-        raise InvalidParameterError("trace axis values fall outside the sweep")
-    n = spec.n_steps
-    steps = tuple(round(t / total_time * n) for t in np.clip(times, 0.0, total_time).tolist())
-    schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
-    return run_sweep(spec.params, schedule, psi0)
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -405,43 +415,35 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
-    """Populations of the instantaneous energy levels along one gap quench.
+    """Populations of the instantaneous energy levels along one gap quench,
+    one ``_time_trace`` row per sample of the paper's axis: v(t - T)/omega
+    = -delta/omega toward zero gap, v t/omega = delta/omega away from it.
 
     Levels are tracked by their energy ordering at each sample and named by
-    the basis state each level matches at the last sample, so the curves read
-    as that sample's labels; samples where adjacent tracked levels approach
-    degeneracy are flagged on their records.
+    the basis state each matches at the last sample, in the scheme of the
+    direction, as in ``quench_rate_scan``: superradiant toward zero gap,
+    normal away from it. Samples where adjacent levels near degeneracy are
+    flagged on their records.
     """
     if spec.kind != "quench_trace":
         raise InvalidParameterError(f"quench_time_trace cannot run kind {spec.kind!r}")
     p = spec.params
-    direction = spec.options["direction"]
-    rate = float(spec.options["rate"]) * p.omega**2
     start, end = _quench_endpoints(spec)
-    total_time = abs(end - start) / rate
-    # Paper-style axis: rate*(t - T)/omega toward the strong-coupling side,
-    # rate*t/omega away from it.
-    offset = total_time if direction == "ns" else 0.0
-    times = np.asarray(spec.scan_values) * p.omega / rate + offset
+    sign, scheme = (-1.0, "superradiant") if end < start else (1.0, "normal")
     block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
-    traj = _trace_run(spec, "delta", start, end, rate, times, _even_ground_state(block, start))
 
-    delta_values = np.array([traj.schedule.value_at(t) for t in traj.times])
-    pops, _, flags = eigen_level_series(*block, delta_values, traj.states)
-    scheme = "superradiant" if abs(delta_values[-1]) < abs(delta_values[0]) else "normal"
-    _, level_labels = _named_levels(p, block, delta_values[-1], scheme)
+    def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
+        pops, _, flags = eigen_level_series(*block, values, states)
+        _, labels = _named_levels(p, block, values[-1], scheme)
+        return Readout.rows(labels, pops, flags)
 
-    rows = []
-    for t, sim in zip(traj.times, Readout.rows(level_labels, pops, flags)):
-        axis_value = rate * (t - offset) / p.omega
-        checks, warns = _row_checks(traj, sim)
-        rows.append(ResultRow(float(axis_value), sim, None, checks=checks, warnings=warns))
-    crossing = critical_delta(p.g, p.omega) / p.omega
-    prov = {
-        "wall_times_s": [],
-        "semiclassical_crossing_axis_value": -crossing if direction == "ns" else crossing,
-    }
-    return ResultTable(spec, rows, prov)
+    table = _time_trace(
+        spec, ("delta", start, end, p.omega**2), sign * p.omega,
+        _even_ground_state(block, start), readout,
+    )
+    crossing = sign * critical_delta(p.g, p.omega) / p.omega
+    table.provenance["semiclassical_crossing_axis_value"] = crossing
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +489,20 @@ def lz_scan(spec: ExperimentSpec) -> ResultTable:
 
 
 def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
-    """Displaced-basis populations along one bias sweep; axis is bias/omega."""
+    """Displaced-basis populations along one bias sweep, one ``_time_trace``
+    row per sample of the axis epsilon/omega."""
     if spec.kind != "lz_trace":
         raise InvalidParameterError(f"lz_time_trace cannot run kind {spec.kind!r}")
     p = spec.params
     window = float(spec.options.get("window", lz_window(p)))
-    rate = float(spec.options["rate"]) * p.delta**2
-    times = (np.asarray(spec.scan_values) * p.omega + window) / rate
-    traj = _trace_run(
-        spec, "epsilon", -window, window, rate, times,
-        ground_state(p, "epsilon", -window),
-    )
     cols, labels = readout_columns(p, "displaced")
-    rows = []
-    for t, sim in zip(traj.times, project_records(cols, labels, traj.states)):
-        checks, warns = _row_checks(traj, sim)
-        axis_value = (t * rate - window) / p.omega
-        rows.append(ResultRow(float(axis_value), sim, None, checks=checks, warnings=warns))
-    return ResultTable(spec, rows, {"wall_times_s": [], "window": window})
+    table = _time_trace(
+        spec, ("epsilon", -window, window, p.delta**2), p.omega,
+        ground_state(p, "epsilon", -window),
+        lambda values, states: project_records(cols, labels, states),
+    )
+    table.provenance["window"] = window
+    return table
 
 
 def multimode_scan(spec: ExperimentSpec) -> ResultTable:
@@ -525,7 +523,7 @@ def multimode_scan(spec: ExperimentSpec) -> ResultTable:
 class _Kind(NamedTuple):
     """A kind's driver, its one parameter type, the option keys it takes
     (any other is refused) and whether its scan axis is a sweep rate; a
-    trace kind scans a signed time axis at the one rate options["rate"]."""
+    trace kind scans its swept parameter over omega at the one rate options["rate"]."""
 
     driver: Callable[[ExperimentSpec], ResultTable]
     params: type

@@ -7,8 +7,9 @@ within one readout is written once, with its first entry, as
 ``ResultTable.columns`` (and so the SVGs) reads it. Wall-clock times live only
 in the manifest so identical configurations produce byte-identical CSVs.
 
-A manifest and an audit hold the same ``config`` (``_spec_config``): the
-spec's kind, model parameters, grid, steps and options.
+A manifest and an audit are records of one writer (``_write_record``) and
+hold the same ``config`` (``_spec_config``): the spec's kind, model
+parameters, grid, steps and options.
 """
 
 from __future__ import annotations
@@ -183,10 +184,6 @@ def read_result_table(path: str | Path) -> list[CsvRecord]:
     return parse_result_csv(Path(path).read_text(encoding="utf-8"))
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _spec_config(spec: ExperimentSpec) -> dict:
     """The one record of a spec, in manifests and audits alike."""
     return {
@@ -199,38 +196,42 @@ def _spec_config(spec: ExperimentSpec) -> dict:
     }
 
 
+def _write_record(
+    out_dir: str | Path, name: str, kind: str, spec: ExperimentSpec, fields: dict
+) -> Path:
+    """Write ``fields`` with the ``name``, ``version``, spec ``config``,
+    ``environment`` and ``written_at_unix`` to ``<name>_<kind>.json`` in
+    ``out_dir`` (made if missing) as one line of JSON with sorted keys
+    (without ``indent`` json uses its C encoder); returns the path."""
+    path = Path(out_dir) / f"{name}_{kind}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    record = {**fields, "name": name, "version": __version__, "config": _spec_config(spec),
+              "environment": _environment(), "written_at_unix": time.time()}
+    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
 def write_result_table(
     table: ResultTable, out_dir: str | Path, name: str | None = None
 ) -> list[Path]:
-    """Write one CSV plus its run manifest; returns the written paths. The
-    manifest holds the ``version``, the spec's ``config``, the run's own
-    measurements in ``provenance``, each row's ``convergence`` flag and
-    ``checks`` (both keyed by scan value) and its ``warnings`` if any, the
-    CSV's ``checksums``, the ``environment`` and the write time, as one line
-    of JSON with sorted keys: without ``indent`` json uses its C encoder."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    """Write one CSV and its run manifest (``_write_record``); returns their
+    paths. The manifest holds the run's ``provenance``, each row's
+    ``convergence`` flag, ``checks`` and any ``warnings``, keyed by scan
+    value, and the CSV's ``checksums``."""
     name = name or table.spec.kind
-    csv_path = out / f"{name}.csv"
+    csv_path = Path(out_dir) / f"{name}.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = render_result_csv(table).encode("utf-8")
-    with open(csv_path, "wb") as fh:
-        fh.write(payload)
-    manifest = {
-        "name": name,
-        "version": __version__,
-        "config": _spec_config(table.spec),
+    csv_path.write_bytes(payload)
+    manifest_path = _write_record(out_dir, name, "manifest", table.spec, {
         "provenance": _jsonable(table.provenance),
         "convergence": {_fmt(row.scan_value): row.converged for row in table.rows},
         "checks": {_fmt(row.scan_value): _jsonable(row.checks) for row in table.rows},
         "warnings": {
             _fmt(row.scan_value): list(row.warnings) for row in table.rows if row.warnings
         },
-        "checksums": {csv_path.name: _sha256(payload)},
-        "environment": _environment(),
-        "written_at_unix": time.time(),
-    }
-    manifest_path = out / f"{name}_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8")
+        "checksums": {csv_path.name: hashlib.sha256(payload).hexdigest()},
+    })
     return [csv_path, manifest_path]
 
 
@@ -238,26 +239,15 @@ def write_audit(
     spec: ExperimentSpec, reports: list[tuple[ConvergenceReport, float]],
     out_dir: str | Path, name: str,
 ) -> Path:
-    """Write the resolution audit of one table as ``<name>_audit.json``: the
-    audited spec, each knob's ``ConvergenceReport`` fields with the seconds
-    its audit took, the package version and the environment, in the
-    manifest's JSON style. Returns the written path."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    record = {
-        "name": name,
-        "version": __version__,
-        "config": _spec_config(spec),
+    """Write the resolution audit of one table as ``<name>_audit.json``
+    (``_write_record``): each knob's ``ConvergenceReport`` fields with the
+    seconds its audit took. Returns the written path."""
+    return _write_record(out_dir, name, "audit", spec, {
         "audits": [
             {**_jsonable(asdict(report)), "seconds": round(seconds, 3)}
             for report, seconds in reports
         ],
-        "environment": _environment(),
-        "written_at_unix": time.time(),
-    }
-    path = out / f"{name}_audit.json"
-    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    })
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

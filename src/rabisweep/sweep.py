@@ -34,10 +34,10 @@ of one block, each with its own step size, coefficients and phase.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
 of its own run, so a run assembles its Hamiltonian once. A run takes its
-space from its initial state's ``sector`` and its samples as step indices,
-and returns a ``Trajectory``: its sampled states as the columns of one
-read-only array, with its norm drift, parity leakage and truncation weights
-recorded for ``experiments._row_checks``, the one judge of every limit.
+space from its initial state's ``sector`` and returns a ``Trajectory``: the
+states at its schedule's sample steps as the columns of one read-only array,
+with its norm drift, parity leakage and truncation weights recorded for
+``experiments._row_checks``, the one judge of every limit.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
@@ -139,12 +139,6 @@ class SweepSchedule:
     def total_time(self) -> float:
         return abs(self.end_value - self.start_value) / self.rate_v
 
-    def value_at(self, t: float) -> float:
-        total = self.total_time
-        if total == 0.0:
-            return self.start_value
-        return self.start_value + (self.end_value - self.start_value) * (t / total)
-
     def reversed(self) -> "SweepSchedule":
         """The opposite-direction ramp: same rate and steps, endpoints swapped.
 
@@ -190,16 +184,15 @@ class RateBlock:
 @dataclass
 class Trajectory:
     """Sampled output of one sweep. ``states`` is one read-only complex
-    (dim, samples) array, the normalized state at each sample step as a
-    column, in the run's coordinates (block coordinates for a sector run),
-    and ``times`` holds those steps' times. The two maxima, the truncation
-    weights and the Chebyshev terms are recorded, not judged, as
+    (dim, samples) array: the normalized state at each of the schedule's
+    ``sample_steps`` (its start and end when None) as a column, in the
+    run's coordinates (block coordinates for a sector run). The maxima,
+    truncation weights and Chebyshev terms are recorded, not judged, as
     ``run_sweep`` describes; leakage is None where parity is not measured.
     Readouts come from ``project_records`` over ``readout_columns``.
     """
 
     schedule: SweepSchedule
-    times: np.ndarray
     states: np.ndarray
     max_norm_deviation: float
     max_parity_leakage: float | None
@@ -602,7 +595,6 @@ def run_sweep(
         states.flags.writeable = False
         return Trajectory(
             schedule=own,
-            times=np.array(steps) * dt,
             states=states,
             max_norm_deviation=float(np.max(np.abs(deviations))),
             max_parity_leakage=None if leak_matrix is None else float(

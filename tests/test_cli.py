@@ -44,9 +44,22 @@ class TestExitCodes:
                      "--n-fock", "8", "--n-steps", "1000", "--trace", "--formula-only"]) == 1
         assert main(["formula", "--g-over-omega", "1", "--lz", "--cascade",
                      "--v-over-delta2", "1", "--n", "2"]) == 1
+        # A trace takes no rate grid, and a scan no trace rate.
+        quench = ["quench", "--g-over-omega", "1", "--n-fock", "16", "--delta-i", "20",
+                  "--n-steps", "1000"]
+        lz = ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--n-fock", "8",
+              "--n-steps", "1000"]
+        assert main([*quench, "--v-min", "1e3", "--v-max", "1e4", "--trace"]) == 1
+        assert main([*quench, "--trace", "--points-per-decade", "2"]) == 1
+        assert main([*quench, "--rate", "1e4"]) == 1
+        assert main([*lz, "--rate", "5", "--formula-only"]) == 1
+        assert main([*lz, "--rate", "5"]) == 1
+        assert main([*lz, "--trace", "--v-max", "10"]) == 1
         err = capsys.readouterr().err
-        assert err.count("usage error") == 4
+        assert err.count("usage error") == 10
         assert "not allowed with argument" in err
+        assert "--v-min/--v-max: not allowed with --trace" in err
+        assert err.count("--rate: not allowed without --trace") == 3
         assert not any(tmp_path.iterdir())
 
     def test_invalid_configuration(self, capsys):

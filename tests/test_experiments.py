@@ -21,6 +21,7 @@ from rabisweep.experiments import (
     lz_window,
     run_experiment,
 )
+from rabisweep.io import render_result_csv
 from rabisweep.model import (
     EVEN_SECTOR,
     TOP_OCCUPANCY_TOL,
@@ -259,8 +260,7 @@ class TestRowChecks:
     def _judge(norm=0.0, leakage=None, occupancy=0.0, total=1.0):
         """``_row_checks`` of a run that recorded these values."""
         traj = Trajectory(
-            schedule=SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000),
-            times=np.zeros(1),
+            schedule=SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=1000, sample_steps=(1000,)),
             states=np.ones((1, 1), dtype=complex),
             max_norm_deviation=norm,
             max_parity_leakage=leakage,
@@ -381,6 +381,67 @@ class TestTraces:
         assert psi0.sector == reference.sector == EVEN_SECTOR
         assert np.array_equal(psi0.amplitudes, reference.amplitudes)
 
+    @pytest.mark.parametrize(
+        "kind, axis, options, unit",
+        [
+            ("quench_trace", (-10.0, -3.7, 0.0),
+             {"direction": "ns", "rate": 1e3, "delta_hi": 20.0}, -2.0),
+            ("quench_trace", (0.0, 3.7, 10.0),
+             {"direction": "sn", "rate": 1e3, "delta_hi": 20.0}, 2.0),
+            ("lz_trace", (-5.0, 0.0, 1.3, 5.0), {"rate": 1e3, "window": 10.0}, 2.0),
+        ],
+        ids=["quench-ns", "quench-sn", "lz"],
+    )
+    def test_rows_sit_at_the_ramp_values_of_their_steps(
+        self, monkeypatch, kind, axis, options, unit
+    ):
+        # At omega = 2 an axis unit is -omega toward zero gap and +omega
+        # otherwise: each row's scan value times it is the ramp value
+        # start + (end - start) k/n of its sampled step k, the step nearest
+        # its axis value, and the axis value 0 prints as 0, never -0.
+        runs = []
+        run = experiments.run_sweep
+
+        def recording_run(*args):
+            runs.append(run(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(experiments, "run_sweep", recording_run)
+        p = QrmParams(0.1 if kind == "lz_trace" else 0.0, 0.0, 2.0, 1.0, 16)
+        table = run_experiment(
+            ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
+        )
+        (traj,) = runs
+        s = traj.schedule
+        ramp = [
+            s.start_value + (s.end_value - s.start_value) * (k / s.n_steps)
+            for k in s.sample_steps
+        ]
+        assert [row.scan_value * unit for row in table.rows] == pytest.approx(ramp, rel=1e-15)
+        half_step = 0.5 * abs(s.end_value - s.start_value) / s.n_steps / abs(unit)
+        assert [row.scan_value for row in table.rows] == pytest.approx(axis, abs=half_step)
+        scan_texts = [line.split(",")[0] for line in render_result_csv(table).splitlines()[1:]]
+        assert "0" in scan_texts and "-0" not in scan_texts
+
+    @pytest.mark.parametrize("direction, scheme", [("ns", "superradiant"), ("sn", "normal")])
+    def test_a_quench_trace_names_its_levels_by_its_direction(self, direction, scheme):
+        # Its zero-gap sample alone, the end of an ns quench or the start of
+        # an sn one, reads in the scheme of its direction; the ns end reads
+        # as the last of several samples does.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        options = {"direction": direction, "rate": 1e3, "delta_hi": 20.0}
+
+        def trace(axis):
+            spec = ExperimentSpec("quench_trace", p, "axis", axis, n_steps=1000, options=options)
+            return run_experiment(spec).rows
+
+        (alone,) = trace((0.0,))
+        assert {label.scheme for label in alone.sim.labels} == {scheme}
+        if direction == "ns":
+            last = trace((-20.0, 0.0))[-1]
+            assert alone.sim.labels == last.sim.labels
+            assert np.array_equal(alone.sim.probabilities, last.sim.probabilities)
+
     def test_end_of_sweep_is_checked_when_not_sampled(self):
         # Sampling only the first half of a sweep returns those samples, but
         # the truncation and conservation checks still see the end state.
@@ -391,7 +452,7 @@ class TestTraces:
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
         traj = run_sweep(p, s, psi0)
         whole = run_sweep(p, replace(s, sample_steps=None), psi0)
-        assert list(traj.times) == pytest.approx([0.0, 0.05])
+        assert traj.schedule.sample_steps == (0, 1000)
         assert traj.states.shape == (p.n_fock, 2)
         assert traj.top_fock_occupancy == whole.top_fock_occupancy
         basis, _ = parity_sector_basis(p, EVEN_SECTOR)

@@ -17,6 +17,7 @@ from rabisweep.io import (
     parse_result_csv,
     read_result_table,
     render_result_csv,
+    write_audit,
     write_result_table,
 )
 from rabisweep.model import (
@@ -244,6 +245,23 @@ class TestManifest:
         }
         # The environment goes to the manifest only: the CSV keeps its bytes.
         assert csv_path.read_bytes() == render_result_csv(table).encode("utf-8")
+
+    def test_manifest_and_audit_are_records_of_one_writer(self, table, tmp_path):
+        # Both carry the same envelope and are one line of sorted JSON.
+        _, manifest_path = write_result_table(table, tmp_path / "out", "t")
+        audit_path = write_audit(table.spec, [], tmp_path / "out", "t")
+        assert audit_path == tmp_path / "out" / "t_audit.json"
+        envelope = {"name", "version", "config", "environment", "written_at_unix"}
+        own = {
+            manifest_path: {"provenance", "convergence", "checks", "warnings", "checksums"},
+            audit_path: {"audits"},
+        }
+        for path, keys in own.items():
+            text = path.read_text(encoding="utf-8")
+            record = json.loads(text)
+            assert set(record) == envelope | keys
+            assert text == json.dumps(record, sort_keys=True) + "\n"
+            assert record["name"] == "t"
 
     def test_records_each_rows_checks(self, tmp_path):
         # Keyed by scan value, as the convergence flags are.

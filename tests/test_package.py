@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,8 @@ class TestExports:
             "_EIGH_BACKEND_MAX_DIM",
             "_EIGH_CHUNK",
             "_chebyshev_expansion",
+            "_trace_run",
+            "value_at",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -62,6 +65,13 @@ class TestExports:
             "rabisweep.presets", "rabisweep.experiments", "rabisweep.cli",
         ):
             assert not hasattr(importlib.import_module(module), name), module
+
+    def test_pyproject_holds_the_package_version(self):
+        # Two files hold the version. A regex reads pyproject.toml, since
+        # tomllib is missing on Python 3.10.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+        versions = re.findall(r'^version = "([^"]*)"$', text, flags=re.MULTILINE)
+        assert versions == [rabisweep.__version__]
 
     def test_import_loads_no_optimizer(self):
         # Nothing the package or its CLI runs needs scipy.optimize, whose
@@ -95,7 +105,8 @@ class TestExports:
     def test_each_input_has_one_spelling(self):
         # Formula-only bias scans are lz_scan with options["simulate"] false,
         # a run's space is its initial state's sector, its samples are
-        # step indices (none: its start and its end), a multimode bias
+        # step indices in and out (none: its start and its end), with no
+        # times on a run and no value_at on a schedule, a multimode bias
         # enters only through epsilon_ramp, the multimode dimension cap is
         # a constant, and default truncation is presets.qrm_params. Only
         # the row checks judge a run's limits, so a run carries no warnings;
@@ -110,6 +121,8 @@ class TestExports:
         assert "sample_steps" in fields(rabisweep.SweepSchedule)
         assert "sector" not in inspect.signature(rabisweep.run_sweep).parameters
         assert "warnings" not in fields(rabisweep.Trajectory)
+        assert "times" not in fields(rabisweep.Trajectory)
+        assert not hasattr(rabisweep.SweepSchedule, "value_at")
         assert "metadata" not in fields(rabisweep.Trajectory)
         assert "basis_tag" not in fields(rabisweep.StateVector)
         assert "dim_cap" not in fields(rabisweep.MultiModeParams)

@@ -78,8 +78,8 @@ class TestSchedule:
     def test_total_time(self):
         s = SweepSchedule("delta", 200.0, 0.0, 50.0, n_steps=2000)
         assert s.total_time == 4.0
-        assert s.value_at(0.0) == 200.0
-        assert s.value_at(4.0) == 0.0
+        # A run without sample steps returns its start and its end.
+        assert s.sample_steps is None
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -313,7 +313,7 @@ class TestEngine:
         )
         traj = run_sweep(p, s, psi0)
         assert traj.states.dtype == complex and traj.states.shape == (16, 4)
-        assert list(traj.times) == pytest.approx([0.0, 0.01, 0.01, 0.02], rel=1e-12)
+        assert traj.schedule.sample_steps == (0, 500, 500, 1000)
         assert traj.states.flags.writeable is False
         with pytest.raises(ValueError):
             traj.states[0, 0] = 0.0
@@ -792,11 +792,16 @@ class TestRateBlock:
         assert [traj.schedule for traj in block] == list(schedules)
         gaps = [200.0 * (1.0 - k / 1000) for k in steps]
         for traj, schedule in zip(block, schedules):
-            assert [schedule.value_at(t) for t in traj.times] == pytest.approx(gaps, abs=1e-12)
+            ramp = [
+                schedule.start_value
+                + (schedule.end_value - schedule.start_value) * (k / schedule.n_steps)
+                for k in traj.schedule.sample_steps
+            ]
+            assert ramp == pytest.approx(gaps, abs=1e-12)
             alone = run_sweep(p, schedule, psi0)
             for name in ("top_fock_occupancy", "endpoint_top_fock_occupancy", "chebyshev_terms"):
                 assert getattr(traj, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0)
-            assert list(traj.times) == list(alone.times)
+            assert traj.schedule.sample_steps == alone.schedule.sample_steps == steps
             assert traj.states.shape == alone.states.shape == (32, len(steps))
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
 
