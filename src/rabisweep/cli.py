@@ -27,6 +27,7 @@ from .errors import InvalidParameterError, RabisweepError
 from .experiments import (
     AUDIT_KNOBS,
     DEFAULT_N_STEPS,
+    RATE_SCAN_KINDS,
     ExperimentSpec,
     convergence_scan,
     run_experiment,
@@ -144,7 +145,10 @@ def _add_output_flags(sp) -> None:
 
 
 def _run_table(args, spec: ExperimentSpec, name: str, svg_labels) -> int:
-    """Run the table and write it, or with --audit write its audit file."""
+    """Run the table and write it, or with --audit write its audit file.
+    --emit-svg draws rate scans only, so a trace given it runs nothing."""
+    if args.emit_svg and spec.kind not in RATE_SCAN_KINDS:
+        raise _UsageError(f"--emit-svg: {name} is a trace, and only rate scans are drawn")
     if args.audit:
         reports = []
         for knob in args.audit:

@@ -3,6 +3,10 @@ tables, each pairing the dynamics with its closed-form oracle where one exists.
 
 Scan axes are dimensionless: quench rates in units of omega^2, bias sweep
 rates in units of delta^2, trace rows on the swept parameter over omega.
+
+Each ramp family has one setup that its scans and its trace share, with one
+``readout(values, states)`` for both bodies: ``_quench`` reads out in the even
+block's named eigenbasis, ``_bias`` in the displaced columns.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .model import (
     _require_finite,
     _require_positive,
     critical_delta,
+    parity_sector_labels,
 )
 from .operators import StateVector
 from .sweep import (
@@ -126,6 +131,9 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"options['caps'] needs one cap per mode, got {caps!r}")
             for cap in caps:
                 _require_count("an occupation cap", cap, 0)
+        elif self.kind == "multimode_scan":
+            for mode in self.params.modes:
+                _require_count("a mode's n_fock under the default caps n_fock - 3", mode.n_fock, 3)
         if self.kind == "quench_trace" and self.options.get("direction") not in ("ns", "sn"):
             raise InvalidParameterError("quench_trace requires options['direction'] in 'ns'/'sn'")
 
@@ -213,6 +221,15 @@ def lz_window(p: QrmParams | MultiModeParams) -> float:
     return farthest + 10.0 * max(m.omega for m in p.modes) + 50.0 * abs(p.delta)
 
 
+def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
+    """The option that sets a sweep's far endpoint, and its value, given or
+    default: ``delta_hi`` for a quench, ``window`` for a bias sweep."""
+    p = spec.params
+    if spec.kind.startswith("quench"):
+        return "delta_hi", float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
+    return "window", float(spec.options.get("window", lz_window(p)))
+
+
 def _row_checks(
     traj: Trajectory,
     readout: Readout,
@@ -262,7 +279,7 @@ def _rate_scan(
     oracles_for_values: Callable[[tuple[float, ...]], list[Readout | RabisweepError]],
     ramp: tuple[str, float, float, float] | None = None,
     psi0: StateVector | None = None,
-    readout: tuple[np.ndarray, tuple[BasisLabel, ...]] | None = None,
+    readout: Callable[[np.ndarray, np.ndarray], list[Readout]] | None = None,
 ) -> ResultTable:
     """One row per rate: the body of every rate scan.
 
@@ -271,26 +288,27 @@ def _rate_scan(
     the whole grid refuses every rate), timed as ``provenance["oracle_s"]``.
     ``ramp`` is ``(parameter, start, end, rate_unit)``, or None for a
     formula-only table. The rates not refused run from ``psi0`` as one
-    ``RateBlock`` at scan value x ``rate_unit``, timed as
-    ``provenance["block_propagation_s"]``; an error the whole block raises,
-    a schedule the sweep layer refuses included, fails its rows. Each final
-    state is projected onto ``readout`` ``(cols, labels)`` and judged by
-    ``_row_checks`` at ``options["top_occupancy_tol"]`` (the default for
-    kinds that do not take it), and every row records its oracle's
-    unassigned weight as ``checks["oracle_residual"]``. A package error in a
-    rate's oracle, run or row fails only that row; ``wall_times_s`` holds
-    each row's own time.
+    ``RateBlock`` at scan value x ``rate_unit``, and one
+    ``readout(values, states)`` call reads their (dim, runs) block of final
+    states, every value at ``end``; the two are timed as
+    ``provenance["propagation_s"]`` and ``provenance["readout_s"]``. A
+    package error in a rate's oracle or run fails only that row; one that
+    the whole block, its schedules or its readout raise fails every row it
+    covers. Each row is judged by ``_row_checks`` at
+    ``options["top_occupancy_tol"]`` (the default for kinds that do not take
+    it) and records its oracle's unassigned weight as
+    ``checks["oracle_residual"]``.
     """
     t0 = time.perf_counter()
     try:
         entries = oracles_for_values(spec.scan_values)
     except RabisweepError as exc:
         entries = [exc] * len(spec.scan_values)
-    layer_times = {"oracle_s": round(time.perf_counter() - t0, 4)}
+    provenance = {"oracle_s": round(time.perf_counter() - t0, 4)}
     # Keyed by scan value: the grid is strictly increasing.
     oracles = dict(zip(spec.scan_values, entries, strict=True))
     kept = [v for v, oracle in oracles.items() if not isinstance(oracle, RabisweepError)]
-    runs: dict = {}
+    runs, sims = {}, {}
     if ramp is not None and kept:
         parameter, start, end, rate_unit = ramp
         t0 = time.perf_counter()
@@ -302,28 +320,29 @@ def _rate_scan(
             runs = dict(zip(kept, run_sweep(spec.params, block, psi0)))
         except RabisweepError as exc:
             runs = dict.fromkeys(kept, exc)
-        layer_times["block_propagation_s"] = round(time.perf_counter() - t0, 4)
-    top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
-    rows, times = [], []
-    for scan_value, oracle in oracles.items():
-        t0 = time.perf_counter()
-        traj = runs.get(scan_value)
-        failure = next((e for e in (oracle, traj) if isinstance(e, RabisweepError)), None)
-        if failure is None:
+        t1 = time.perf_counter()
+        done = [v for v, traj in runs.items() if not isinstance(traj, RabisweepError)]
+        if done:
+            finals = np.stack([runs[v].final_state for v in done], axis=1)
             try:
-                sim, checks, warns = None, {}, ()
-                if traj is not None:
-                    sim = project_records(*readout, traj.final_state)
-                    checks, warns = _row_checks(traj, sim, top_occupancy_tol)
-                checks["oracle_residual"] = 1.0 - sum(oracle.probabilities.tolist())
-                rows.append(ResultRow(scan_value, sim, oracle, checks=checks, warnings=warns))
+                sims = dict(zip(done, readout(np.full(len(done), end), finals)))
             except RabisweepError as exc:
-                failure = exc
+                sims = dict.fromkeys(done, exc)
+        provenance["propagation_s"] = round(t1 - t0, 4)
+        provenance["readout_s"] = round(time.perf_counter() - t1, 4)
+    top_occupancy_tol = float(spec.options.get("top_occupancy_tol", TOP_OCCUPANCY_TOL))
+    rows = []
+    for scan_value, oracle in oracles.items():
+        traj, sim = runs.get(scan_value), sims.get(scan_value)
+        failure = next((e for e in (oracle, traj, sim) if isinstance(e, RabisweepError)), None)
         if failure is not None:
             warning = f"{type(failure).__name__}: {failure}"
             rows.append(ResultRow(scan_value, None, None, warnings=(warning,)))
-        times.append(time.perf_counter() - t0)
-    return ResultTable(spec, rows, {"wall_times_s": [round(t, 4) for t in times]} | layer_times)
+            continue
+        checks, warns = ({}, ()) if traj is None else _row_checks(traj, sim, top_occupancy_tol)
+        checks["oracle_residual"] = 1.0 - sum(oracle.probabilities.tolist())
+        rows.append(ResultRow(scan_value, sim, oracle, checks=checks, warnings=warns))
+    return ResultTable(spec, rows, provenance)
 
 
 def _time_trace(
@@ -338,7 +357,7 @@ def _time_trace(
     outside the sweep are refused, those a rounding error past an end are
     clipped. ``readout(values, states)`` reads the samples out at their ramp
     values, and each row, at its value over ``axis_unit``, is judged by
-    ``_row_checks``."""
+    ``_row_checks``; the run and the readout are timed as in ``_rate_scan``."""
     parameter, start, end, rate_unit = ramp
     n = spec.n_steps
     fractions = (np.asarray(spec.scan_values) * axis_unit - start) / (end - start)
@@ -347,100 +366,81 @@ def _time_trace(
     steps = [round(f * n) for f in np.clip(fractions, 0.0, 1.0).tolist()]
     rate = float(spec.options["rate"]) * rate_unit
     schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
-    traj = run_sweep(spec.params, schedule, psi0)
     values = start + (end - start) * (np.array(steps) / n)
+    t0 = time.perf_counter()
+    traj = run_sweep(spec.params, schedule, psi0)
+    t1 = time.perf_counter()
+    sims = readout(values, traj.states)
+    provenance = {
+        "propagation_s": round(t1 - t0, 4), "readout_s": round(time.perf_counter() - t1, 4)
+    }
     rows = []
-    for value, sim in zip(values.tolist(), readout(values, traj.states)):
+    for value, sim in zip(values.tolist(), sims):
         checks, warns = _row_checks(traj, sim)
         # Adding 0.0 turns the -0.0 of a negative unit at zero into 0.0.
         rows.append(ResultRow(value / axis_unit + 0.0, sim, None, checks=checks, warnings=warns))
-    return ResultTable(spec, rows, {"wall_times_s": []})
+    return ResultTable(spec, rows, provenance)
 
 
 # ---------------------------------------------------------------------------
 # Quench experiments
 # ---------------------------------------------------------------------------
 
-def _quench_endpoints(spec: ExperimentSpec) -> tuple[float, float]:
-    """(start, end) gap of a quench between ``delta_hi`` and zero gap, in the
-    kind's direction or, for ``quench_trace`` only, ``options["direction"]``."""
+def _quench(spec: ExperimentSpec) -> tuple:
+    """The gap-quench setup that its scans and its trace share:
+    ``(ramp, sign, scheme, psi0, readout)``. The ramp ``("delta", start,
+    end, omega^2)`` runs between ``delta_hi`` and zero gap in the kind's
+    direction or, for ``quench_trace`` only, ``options["direction"]``,
+    inside the even-parity block from its ground state ``psi0``. ``sign`` is
+    the trace axis' sign: -1 toward zero gap (v(t - T)/omega = -delta/omega),
+    +1 away from it (v t/omega = delta/omega). ``readout(values, states)``
+    gives each state's populations of the block's eigenvectors at its gap
+    (``eigen_level_series``: levels in energy order, flagged near a
+    degeneracy), each level named by the state of ``scheme`` it matches best
+    at the last value: superradiant toward zero gap, normal away from it."""
     p = spec.params
-    hi = float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
-    direction = spec.options.get("direction", spec.kind.removeprefix("quench_"))
-    return (hi, 0.0) if direction == "ns" else (0.0, hi)
+    hi = _endpoint_option(spec)[1]
+    ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
+    start, end, sign, scheme = (hi, 0.0, -1.0, "superradiant") if ns else (0.0, hi, 1.0, "normal")
+    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
 
+    def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
+        pops, _, flags = eigen_level_series(*block, values, states)
+        _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), values[-1])
+        labels = greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
+        return Readout.rows(labels, pops, flags)
 
-def _even_ground_state(block: tuple[np.ndarray, np.ndarray], delta: float) -> StateVector:
-    """Ground state of the even block at gap ``delta``, as ``ground_state``
-    gives it, solved on parts the caller already holds."""
-    return StateVector(_lowest_eigenvector(*block, delta), EVEN_SECTOR)
-
-
-def _named_levels(
-    p: QrmParams, block: tuple[np.ndarray, np.ndarray], delta: float, scheme: str
-) -> tuple[np.ndarray, list[BasisLabel]]:
-    """Eigenvectors of the even block (A, B) at gap ``delta``, one
-    tridiagonal solve, each labelled by its best-matching state of
-    ``scheme``."""
-    _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), delta)
-    return vecs, greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
+    psi0 = StateVector(_lowest_eigenvector(*block, start), EVEN_SECTOR)
+    return ("delta", start, end, p.omega**2), sign, scheme, psi0, readout
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     """Final-state populations vs sweep rate for a gap quench, one
-    ``_rate_scan`` row per rate v/omega^2.
-
-    The run stays in the even-parity block (the ground state's sector).
-    Readout: exact strong-coupling doublet states for sweeps ending at zero
-    gap, instantaneous eigenstates named by the weak-coupling labels for
-    sweeps ending at large gap. The sudden-limit Poisson law rides along as
-    the oracle column.
+    ``_rate_scan`` row per rate v/omega^2, read out in the even block's
+    named eigenbasis at the far end (see ``_quench``). The sudden-limit
+    Poisson law over the scheme's even-sector states rides along as the
+    oracle column.
     """
     if spec.kind not in ("quench_ns", "quench_sn"):
         raise InvalidParameterError(f"quench_rate_scan cannot run kind {spec.kind!r}")
     p = spec.params
-    start, end = _quench_endpoints(spec)
-    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
-    if end < start:
-        cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
-    else:
-        cols, labels = _named_levels(p, block, end, "normal")
-    labels = tuple(labels)
+    ramp, _, scheme, psi0, readout = _quench(spec)
+    labels = parity_sector_labels(EVEN_SECTOR, p.n_fock, scheme)
     oracle = Readout(labels, [poisson_overlap(lab.photons, p.g, p.omega) for lab in labels])
     return _rate_scan(
-        spec, lambda values: [oracle] * len(values),
-        ramp=("delta", start, end, p.omega**2),
-        psi0=_even_ground_state(block, start), readout=(cols, labels),
+        spec, lambda values: [oracle] * len(values), ramp=ramp, psi0=psi0, readout=readout
     )
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     """Populations of the instantaneous energy levels along one gap quench,
-    one ``_time_trace`` row per sample of the paper's axis: v(t - T)/omega
-    = -delta/omega toward zero gap, v t/omega = delta/omega away from it.
-
-    Levels are tracked by their energy ordering at each sample and named by
-    the basis state each matches at the last sample, in the scheme of the
-    direction, as in ``quench_rate_scan``: superradiant toward zero gap,
-    normal away from it. Samples where adjacent levels near degeneracy are
-    flagged on their records.
-    """
+    one ``_time_trace`` row per sample of the paper's axis, named as in
+    ``quench_rate_scan`` (see ``_quench``)."""
     if spec.kind != "quench_trace":
         raise InvalidParameterError(f"quench_time_trace cannot run kind {spec.kind!r}")
     p = spec.params
-    start, end = _quench_endpoints(spec)
-    sign, scheme = (-1.0, "superradiant") if end < start else (1.0, "normal")
-    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
-
-    def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
-        pops, _, flags = eigen_level_series(*block, values, states)
-        _, labels = _named_levels(p, block, values[-1], scheme)
-        return Readout.rows(labels, pops, flags)
-
-    table = _time_trace(
-        spec, ("delta", start, end, p.omega**2), sign * p.omega,
-        _even_ground_state(block, start), readout,
-    )
+    ramp, sign, _, psi0, readout = _quench(spec)
+    table = _time_trace(spec, ramp, sign * p.omega, psi0, readout)
     crossing = sign * critical_delta(p.g, p.omega) / p.omega
     table.provenance["semiclassical_crossing_axis_value"] = crossing
     return table
@@ -450,23 +450,33 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
 # Bias-sweep (multi-crossing) experiments
 # ---------------------------------------------------------------------------
 
+def _bias(spec: ExperimentSpec) -> tuple:
+    """The bias-sweep setup that its scans and its trace share:
+    ``(window, ramp, psi0, readout)``. The ramp ``("epsilon", -window,
+    window, delta^2)`` starts from the instantaneous ground state ``psi0``
+    at the window edge (the finite-window stand-in for the asymptotic
+    ground state); ``readout(values, states)`` projects the states onto the
+    displaced columns, one ``project_records`` product."""
+    p = spec.params
+    window = _endpoint_option(spec)[1]
+    cols, labels = readout_columns(p, "displaced")
+    return (
+        window, ("epsilon", -window, window, p.delta**2), ground_state(p, "epsilon", -window),
+        lambda values, states: project_records(cols, labels, states),
+    )
+
+
 def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float) -> ResultTable:
     """Bias sweeps across the window vs the sequential-crossing oracle of
-    ``spectrum``, one ``_rate_scan`` row per rate v/delta^2.
-
-    With ``options["simulate"]`` false a row holds only the oracle. Otherwise
-    each run starts from the instantaneous ground state at the window edge
-    (the finite-window stand-in for the asymptotic ground state) and is read
-    out in the displaced basis at the far edge.
+    ``spectrum``, one ``_rate_scan`` row per rate v/delta^2, each run set up
+    by ``_bias``. With ``options["simulate"]`` false a row holds only the
+    oracle, and no setup is built.
     """
     p = spec.params
-    window = float(spec.options.get("window", lz_window(p)))
-    ramp = psi0 = readout = None
     if spec.options.get("simulate", True):
-        ramp = ("epsilon", -window, window, p.delta**2)
-        psi0 = ground_state(p, "epsilon", -window)
-        cols, labels = readout_columns(p, "displaced")
-        readout = (cols, tuple(labels))
+        window, ramp, psi0, readout = _bias(spec)
+    else:
+        window, ramp, psi0, readout = _endpoint_option(spec)[1], None, None, None
 
     def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
         return sequential_crossing_probabilities(
@@ -490,17 +500,11 @@ def lz_scan(spec: ExperimentSpec) -> ResultTable:
 
 def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     """Displaced-basis populations along one bias sweep, one ``_time_trace``
-    row per sample of the axis epsilon/omega."""
+    row per sample of the axis epsilon/omega, set up by ``_bias``."""
     if spec.kind != "lz_trace":
         raise InvalidParameterError(f"lz_time_trace cannot run kind {spec.kind!r}")
-    p = spec.params
-    window = float(spec.options.get("window", lz_window(p)))
-    cols, labels = readout_columns(p, "displaced")
-    table = _time_trace(
-        spec, ("epsilon", -window, window, p.delta**2), p.omega,
-        ground_state(p, "epsilon", -window),
-        lambda values, states: project_records(cols, labels, states),
-    )
+    window, ramp, psi0, readout = _bias(spec)
+    table = _time_trace(spec, ramp, spec.params.omega, psi0, readout)
     table.provenance["window"] = window
     return table
 
@@ -575,14 +579,6 @@ class ConvergenceReport:
     # when that change is None.
     where_2x: tuple[float, str] | None = None
     where_4x: tuple[float, str] | None = None
-
-
-def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
-    """The option that sets a scan's far sweep endpoint, and its value:
-    ``delta_hi`` for a quench, ``window`` for a bias scan."""
-    if spec.kind.startswith("quench"):
-        return "delta_hi", max(_quench_endpoints(spec))
-    return "window", float(spec.options.get("window", lz_window(spec.params)))
 
 
 def _scaled_spec(spec: ExperimentSpec, knob: str, factor: int) -> ExperimentSpec:

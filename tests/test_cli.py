@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from rabisweep import cli, experiments, io
+from rabisweep import cli, experiments, io, sweep
 from rabisweep.cli import main
 from rabisweep.experiments import AUDIT_KNOBS
 from rabisweep.model import EVEN_SECTOR
@@ -11,8 +11,9 @@ from rabisweep.presets import PRESETS, Preset, qrm_params, quench_scan_spec
 from rabisweep.sweep import (
     DEFAULT_N_STEPS,
     SweepSchedule,
+    eigen_level_series,
+    greedy_label_assignment,
     ground_state,
-    project_records,
     readout_columns,
     run_sweep,
 )
@@ -61,6 +62,31 @@ class TestExitCodes:
         assert "--v-min/--v-max: not allowed with --trace" in err
         assert err.count("--rate: not allowed without --trace") == 3
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quench", "--g-over-omega", "1", "--n-fock", "16", "--delta-i", "20",
+             "--n-steps", "1000", "--trace"],
+            ["lz", "--g-over-omega", "1", "--delta-over-omega", "0.1", "--n-fock", "8",
+             "--n-steps", "1000", "--trace"],
+            ["presets", "fig2a"],
+            ["presets", "fig2c"],
+            ["presets", "fig4a"],
+            ["presets", "fig4c"],
+        ],
+        ids=["quench-trace", "lz-trace", "fig2a", "fig2c", "fig4a", "fig4c"],
+    )
+    def test_svg_of_a_trace_is_a_usage_error(self, argv, monkeypatch, tmp_path, capsys):
+        # emit_svg draws rate scans only; a trace used to write its table,
+        # skip the SVG with a warning and exit 0. It is refused before the run.
+        def fail(spec):
+            raise AssertionError("ran a refused command")
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        assert main([*argv, "--emit-svg", "--output-dir", str(tmp_path / "out")]) == 1
+        assert "usage error: --emit-svg" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_configuration(self, capsys):
         assert main(["formula", "--g-over-omega", "1.0", "--lz"]) == 1
@@ -197,7 +223,8 @@ def trimmed(monkeypatch, tmp_path):
 def single_run_audit(knob: str) -> dict:
     """The audit of the trimmed preset, computed run by run: each resolution
     one ``run_sweep`` from its own even-block ground state, read out in the
-    even block's superradiant basis."""
+    even block's eigenbasis at zero gap, each level named by the
+    superradiant state it matches best."""
     def final_probs(factor: int) -> dict:
         n_fock = 16 * factor if knob == "n_fock" else 16
         start = 20.0 * factor if knob == "endpoint_magnitude" else 20.0
@@ -207,10 +234,13 @@ def single_run_audit(knob: str) -> dict:
             p, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
             ground_state(p, "delta", start, EVEN_SECTOR),
         )
-        readout = project_records(
-            *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
+        a, b, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        (probs,), _, _ = eigen_level_series(a, b, [0.0], traj.final_state[:, None])
+        _, vecs = sweep._tridiagonal_eigh(*sweep._tridiagonal_parts(a, b), 0.0)
+        labels = greedy_label_assignment(
+            *readout_columns(p, "superradiant", EVEN_SECTOR), vecs
         )
-        return dict(zip(readout.labels, readout.probabilities.tolist()))
+        return dict(zip(labels, probs.tolist()))
 
     probs = [final_probs(f) for f in (1, 2, 4)]
     changes = [
@@ -337,7 +367,7 @@ class TestManifestConfig:
         manifest = read_json(tmp_path / "quench_ns_manifest.json")
         assert manifest["config"] == read_json(tmp_path / "quench_ns_audit.json")["config"]
         # The provenance holds what the run measured, not the config again.
-        assert set(manifest["provenance"]) == {"wall_times_s", "oracle_s", "block_propagation_s"}
+        assert set(manifest["provenance"]) == {"oracle_s", "propagation_s", "readout_s"}
 
 
 class TestConfig:

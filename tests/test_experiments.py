@@ -30,6 +30,8 @@ from rabisweep.model import (
     MultiModeParams,
     QrmParams,
     Readout,
+    displaced_fock_tail,
+    displaced_level_fits,
     parity_sector_basis,
     top_fock_occupancy,
 )
@@ -37,6 +39,7 @@ from rabisweep.sweep import (
     MIN_N_STEPS,
     SweepSchedule,
     Trajectory,
+    greedy_label_assignment,
     ground_state,
     project_records,
     readout_columns,
@@ -71,7 +74,7 @@ class TestScanLoop:
         for row in (first, last):
             assert row.sim is not None and row.oracle is not None
             assert abs(sum(r.probability for r in row.sim) - 1.0) <= 1e-8
-        assert len(table.provenance["wall_times_s"]) == 3
+        assert table.provenance["propagation_s"] > 0 and table.provenance["readout_s"] >= 0
 
         (refused,) = run_experiment(replace(spec, scan_values=(0.3,))).rows
         assert blocks == [[0.1, 1e3]]
@@ -85,22 +88,28 @@ class TestScanLoop:
         ],
     )
     def test_rows_match_single_runs(self, kind, params, parameter):
-        # A scan propagates its rates as one block; each row must be what
-        # its rate gives in a run of its own.
+        # A scan propagates its rates as one block and reads them out in one
+        # call; each row must be what its rate gives in a run of its own,
+        # read out in the even block's eigenbasis at zero gap (one dense
+        # eigh, named by the superradiant states) or in the displaced basis.
         spec = ExperimentSpec(kind, params, "rate", (10.0, 100.0, 1e3), n_steps=1000)
         table = run_experiment(spec)
-        assert table.provenance["block_propagation_s"] > 0
-        assert table.provenance["oracle_s"] >= 0
-        assert len(table.provenance["wall_times_s"]) == len(spec.scan_values)
+        assert table.provenance["propagation_s"] > 0
+        assert table.provenance["oracle_s"] >= 0 and table.provenance["readout_s"] >= 0
         if kind == "quench_ns":
             start, end = default_quench_delta_hi(params), 0.0
             scale, sector = params.omega**2, EVEN_SECTOR
-            psi0, scheme = ground_state(params, "delta", start, sector), "superradiant"
+            psi0 = ground_state(params, "delta", start, sector)
+            a, b, _ = sweep._hamiltonian_parts(params, "delta", sector)
+            _, cols = np.linalg.eigh(a + end * b)
+            labels = greedy_label_assignment(
+                *readout_columns(params, "superradiant", sector), cols
+            )
         else:
             window = lz_window(params)
             start, end, scale, sector = -window, window, params.delta**2, None
-            psi0, scheme = ground_state(params, "epsilon", start), "displaced"
-        cols, labels = readout_columns(params, scheme, sector)
+            psi0 = ground_state(params, "epsilon", start)
+            cols, labels = readout_columns(params, "displaced")
         for row in table.rows:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
             traj = run_sweep(params, schedule, psi0)
@@ -134,7 +143,7 @@ class TestScanLoop:
         table = run_experiment(spec)
         assert calls == [[v * params.delta**2 for v in grid]]
         assert table.provenance["oracle_s"] >= 0
-        assert len(table.provenance["wall_times_s"]) == len(grid)
+        assert "propagation_s" not in table.provenance and "readout_s" not in table.provenance
         refused = [row.scan_value for row in table.rows if row.oracle is None]
         assert refused == ([0.3] if kind == "multimode_scan" else [])
         for row in table.rows:
@@ -160,6 +169,36 @@ class TestScanLoop:
         assert failed.sim is None and not failed.converged
         assert failed.warnings[0].startswith("NumericalInstabilityError")
         assert first.converged and last.converged
+
+    def test_one_readout_call_reads_the_finished_runs(self, monkeypatch):
+        # The second run drifts; the other two final states are read out in
+        # one call, and an error that call raises fails just their rows.
+        evolve = sweep._evolve_linear
+
+        def drift_second_run(*args):
+            sampled, terms = evolve(*args)
+            for states in sampled.values():
+                states[:, 1] *= 1.01
+            return sampled, terms
+
+        blocks = []
+
+        def failing_series(h_static, h_ramp, values, states):
+            blocks.append((list(values), states.shape))
+            raise NumericalInstabilityError("no level series")
+
+        monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
+        monkeypatch.setattr(experiments, "eigen_level_series", failing_series)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        spec = ExperimentSpec(
+            "quench_ns", p, "rate", (10.0, 100.0, 1e3), n_steps=1000, options={"delta_hi": 20.0}
+        )
+        first, drifted, last = run_experiment(spec).rows
+        assert blocks == [([0.0, 0.0], (16, 2))]
+        assert drifted.warnings[0].startswith("NumericalInstabilityError: norm drifted")
+        for row in (first, last):
+            assert row.sim is None
+            assert row.warnings == ("NumericalInstabilityError: no level series",)
 
 
 class TestRateScan:
@@ -360,8 +399,9 @@ class TestTraces:
         ],
     )
     def test_a_quench_table_assembles_its_block_twice(self, monkeypatch, kind, axis, options):
-        # Once for the table (initial state and level names) and once inside
-        # run_sweep; the initial state is the vector ground_state gives.
+        # Once for the table's setup, ``_quench`` (initial state and
+        # readout), and once inside run_sweep; the initial state is the
+        # vector ground_state gives, at the start of the table's ramp.
         p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
         spec = ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
         calls = []
@@ -376,8 +416,9 @@ class TestTraces:
         run_experiment(spec)
         assert len(calls) == 2
         start = options["delta_hi"] if options.get("direction") == "ns" else 0.0
-        psi0 = experiments._even_ground_state(parts(p, "delta", EVEN_SECTOR)[:2], start)
+        ramp, _, _, psi0, _ = experiments._quench(spec)
         reference = ground_state(p, "delta", start, EVEN_SECTOR)
+        assert ramp[1] == start
         assert psi0.sector == reference.sector == EVEN_SECTOR
         assert np.array_equal(psi0.amplitudes, reference.amplitudes)
 
@@ -441,6 +482,24 @@ class TestTraces:
             last = trace((-20.0, 0.0))[-1]
             assert alone.sim.labels == last.sim.labels
             assert np.array_equal(alone.sim.probabilities, last.sim.probabilities)
+
+    @pytest.mark.parametrize("direction, axis", [("ns", (-20.0, 0.0)), ("sn", (0.0, 20.0))])
+    def test_a_scan_row_is_the_last_row_of_its_trace(self, direction, axis):
+        # Scans and traces share one readout: a quench scan row at rate v
+        # reads as the trace at v does at the far end. The ns row used to be
+        # projected onto the truncated superradiant columns.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        scan = ExperimentSpec(
+            f"quench_{direction}", p, "v", (1e3,), n_steps=1000, options={"delta_hi": 20.0}
+        )
+        trace = ExperimentSpec(
+            "quench_trace", p, "axis", axis, n_steps=1000,
+            options={"direction": direction, "rate": 1e3, "delta_hi": 20.0},
+        )
+        (row,) = run_experiment(scan).rows
+        last = run_experiment(trace).rows[-1]
+        assert row.sim.labels == last.sim.labels
+        assert np.max(np.abs(row.sim.probabilities - last.sim.probabilities)) <= 1e-12
 
     def test_end_of_sweep_is_checked_when_not_sampled(self):
         # Sampling only the first half of a sweep returns those samples, but
@@ -542,6 +601,31 @@ class TestQuenchDirection:
         (row,) = run_experiment(spec).rows
         assert row.converged
         assert {rec.label.scheme for rec in row.sim} == {"superradiant"}
+
+
+    @pytest.mark.parametrize("g, n_fock", [(1.0, 32), (1.0, 64), (2.0, 32), (2.0, 64)])
+    def test_the_zero_gap_eigenbasis_is_the_superradiant_basis(self, g, n_fock):
+        # An ns quench reads out in the even block's eigenvectors at zero
+        # gap, named by the superradiant states. On every level that fits
+        # the ladder, each vector is its named state's column within 1e-13
+        # of fidelity beyond that level's own truncation tail, and the names
+        # run in photon order.
+        p = QrmParams(0.0, 0.0, 1.0, g, n_fock)
+        spec = ExperimentSpec("quench_ns", p, "v", (1e3,), options={"delta_hi": 20.0})
+        _, _, scheme, _, readout = experiments._quench(spec)
+        cols, labels = readout_columns(p, scheme, EVEN_SECTOR)
+        # Read out, the columns give the fidelity of each named level with
+        # each column.
+        overlaps = readout(np.zeros(n_fock), cols)
+        named = overlaps[0].labels
+        assert sorted(named, key=lambda lab: lab.photons) == labels
+        fits = [displaced_level_fits(g, lab.photons, n_fock) for lab in named]
+        assert named[: sum(fits)] == tuple(labels[: sum(fits)])
+        for k, row in enumerate(overlaps):
+            level = named.index(labels[k])
+            if fits[level]:
+                tail = displaced_fock_tail(g, labels[k].photons, n_fock)
+                assert 1.0 - row.probabilities[level] <= tail + 1e-13
 
 
 class TestSpec:
@@ -680,6 +764,17 @@ class TestSpec:
         # Each used to escape as a bare TypeError or ValueError.
         with pytest.raises(InvalidParameterError):
             build()
+
+    @pytest.mark.parametrize("simulate", [True, False])
+    def test_refuses_a_mode_below_its_default_cap(self, simulate):
+        # Without caps a mode's cap is n_fock - 3; at n_fock 2 the run used
+        # to fail on a cap of -1 that nobody gave. A given cap is accepted.
+        p = MultiModeParams(1.0, (Mode(1.0, 0.5, 2),))
+        with pytest.raises(InvalidParameterError, match="n_fock under the default caps.*got 2"):
+            ExperimentSpec(
+                "multimode_scan", p, "v_over_delta2", (1e3,), options={"simulate": simulate}
+            )
+        ExperimentSpec("multimode_scan", p, "v_over_delta2", (1e3,), options={"caps": (0,)})
 
     @pytest.mark.parametrize("caps", [(2.5,), 5, (-1,), (3, 3)])
     def test_refuses_bad_caps(self, caps):

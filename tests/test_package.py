@@ -57,6 +57,7 @@ class TestExports:
             "_chebyshev_expansion",
             "_trace_run",
             "value_at",
+            "_even_ground_state",
         ],
     )
     def test_deleted_names_are_gone(self, name):
