@@ -17,11 +17,13 @@ from .errors import (
     DegenerateCrossingError,
     GapTruncationError,
     InvalidParameterError,
+    ResourceLimitError,
 )
 from .model import (
     BasisLabel,
     MultiModeParams,
     Readout,
+    _finite_derived,
     _require_count,
     _require_finite,
     _require_positive,
@@ -31,6 +33,8 @@ from .model import (
 CROSSING_DEGENERACY_RTOL = 1e-9
 # Residual survival weight allowed past the last retained crossing.
 CASCADE_RESIDUAL_TOL = 1e-9
+# Cap on the crossings a gap mesh retains; every preset needs at most 97.
+CROSSING_CAP = 10_000
 
 Occupation = int | tuple[int, ...]
 
@@ -40,7 +44,7 @@ def poisson_overlap(n: int, g: float, omega: float) -> float:
     _require_count("level index", n, 0)
     _require_finite(g=g)
     _require_positive("omega", omega)
-    mean = (g / omega) ** 2
+    mean = _finite_derived("Poisson mean (g/omega)^2", (g / omega) * (g / omega))
     if mean == 0.0:
         return 1.0 if n == 0 else 0.0
     return math.exp(-mean + n * math.log(mean) - math.lgamma(n + 1))
@@ -62,7 +66,14 @@ def _log_gap_factor(n: int, alpha: float) -> float:
 
 def default_n_max(g: float, omega: float) -> int:
     """Crossings retained by default: covers the gap-spectrum peak plus a tail."""
-    return int(math.ceil(4.0 * (g / omega) ** 2)) + 60
+    alpha = g / omega
+    return int(math.ceil(_finite_derived("default crossing count", 4.0 * (alpha * alpha)))) + 60
+
+
+def _require_crossings(count: int) -> None:
+    """Refuse a mesh of more than CROSSING_CAP crossings before it is built."""
+    if count > CROSSING_CAP:
+        raise ResourceLimitError(f"{count} retained crossings exceed the cap {CROSSING_CAP}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,7 @@ def cascade_gaps(delta: float, g: float, omega: float, n_max: int | None = None)
     if n_max is None:
         n_max = default_n_max(g, omega)
     _require_count("n_max", n_max, 1)
+    _require_crossings(n_max + 1)
     alpha = g / omega
     log_delta = math.log(abs(delta)) if delta != 0.0 else -math.inf
     log_gaps = {n: _log_gap_factor(n, alpha) + log_delta for n in range(n_max + 1)}
@@ -141,6 +153,7 @@ def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
         raise InvalidParameterError("one occupation cap per mode is required")
     for cap in caps:
         _require_count("an occupation cap", cap, 0)
+    _require_crossings(math.prod(cap + 1 for cap in caps))
     occs: list[tuple[int, ...]] = [()]
     for cap in caps:
         occs = [o + (n,) for o in occs for n in range(cap + 1)]
@@ -199,7 +212,7 @@ def sequential_crossing_probabilities(
     log_survival = -np.cumsum(exponents, axis=1)
     log_survival_before = np.hstack([np.zeros((len(exponents), 1)), log_survival[:, :-1]])
     transfers = np.exp(log_survival_before) * (-np.expm1(-exponents))
-    exact_log_survival = -math.pi * spec.delta**2 / (2.0 * grid)
+    exact_log_survival = -math.pi * (spec.delta * spec.delta) / (2.0 * grid)
 
     ground_occ: Occupation = tuple(0 for _ in order[0]) if isinstance(order[0], tuple) else 0
     labels = (

@@ -232,7 +232,8 @@ def _cmd_formula(args) -> int:
         if args.v_over_delta2 is None:
             raise InvalidParameterError("--cascade needs --v-over-delta2")
         delta = args.delta_over_omega
-        recs = cascade_probabilities(delta, args.v_over_delta2 * delta**2, args.g_over_omega, 1.0)
+        rate = args.v_over_delta2 * (delta * delta)
+        recs = cascade_probabilities(delta, rate, args.g_over_omega, 1.0)
         up = {r.label.photons: r.probability for r in recs if r.label.qubit == "up"}
         if args.n not in up:
             raise InvalidParameterError(f"--n {args.n} is not a cascade level (0..{max(up)})")

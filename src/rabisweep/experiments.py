@@ -6,7 +6,8 @@ rates in units of delta^2, trace rows on the swept parameter over omega.
 
 Each ramp family has one setup that its scans and its trace share, with one
 ``readout(values, states)`` for both bodies: ``_quench`` reads out in the even
-block's named eigenbasis, ``_bias`` in the displaced columns.
+block's eigenbasis under one label tuple, named once at the far end, and
+``_bias`` in the displaced columns.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from .model import (
     QrmParams,
     Readout,
     TOP_OCCUPANCY_TOL,
+    _finite_derived,
     _require_count,
     _require_finite,
     _require_positive,
     critical_delta,
-    parity_sector_labels,
 )
 from .operators import StateVector
 from .sweep import (
@@ -136,6 +137,9 @@ class ExperimentSpec:
                 _require_count("a mode's n_fock under the default caps n_fock - 3", mode.n_fock, 3)
         if self.kind == "quench_trace" and self.options.get("direction") not in ("ns", "sn"):
             raise InvalidParameterError("quench_trace requires options['direction'] in 'ns'/'sn'")
+        # A default far endpoint that is not finite raises; so does the rate unit.
+        _endpoint_option(self)
+        _finite_derived("rate unit", _rate_unit(self))
 
 
 @dataclass
@@ -204,7 +208,8 @@ class ResultTable:
 
 def default_quench_delta_hi(p: QrmParams) -> float:
     """Desk-scale initial/final gap: far above the semiclassical change."""
-    return max(200.0 * p.omega, 50.0 * critical_delta(p.g, p.omega))
+    hi = max(200.0 * p.omega, 50.0 * critical_delta(p.g, p.omega))
+    return _finite_derived("default delta_hi", hi)
 
 
 def lz_window(p: QrmParams | MultiModeParams) -> float:
@@ -215,19 +220,29 @@ def lz_window(p: QrmParams | MultiModeParams) -> float:
     crossing plus the same margins.
     """
     if isinstance(p, QrmParams):
-        n_rel = int(np.ceil(4.0 * p.g_over_omega**2 + 10.0))
-        return (n_rel + 10.0) * p.omega + 50.0 * abs(p.delta)
-    farthest = sum((m.n_fock - 1) * m.omega for m in p.modes)
-    return farthest + 10.0 * max(m.omega for m in p.modes) + 50.0 * abs(p.delta)
+        n_rel = float(np.ceil(4.0 * (p.g_over_omega * p.g_over_omega) + 10.0))
+        window = (n_rel + 10.0) * p.omega + 50.0 * abs(p.delta)
+    else:
+        farthest = sum((m.n_fock - 1) * m.omega for m in p.modes)
+        window = farthest + 10.0 * max(m.omega for m in p.modes) + 50.0 * abs(p.delta)
+    return _finite_derived("default window", window)
+
+
+def _rate_unit(spec: ExperimentSpec) -> float:
+    """The unit of a sweep rate: omega^2 for a quench, delta^2 for a bias sweep."""
+    p = spec.params
+    return p.omega * p.omega if spec.kind.startswith("quench") else p.delta * p.delta
 
 
 def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
     """The option that sets a sweep's far endpoint, and its value, given or
-    default: ``delta_hi`` for a quench, ``window`` for a bias sweep."""
-    p = spec.params
-    if spec.kind.startswith("quench"):
-        return "delta_hi", float(spec.options.get("delta_hi", default_quench_delta_hi(p)))
-    return "window", float(spec.options.get("window", lz_window(p)))
+    default: ``delta_hi`` for a quench, ``window`` for a bias sweep. The
+    default is derived only when the option is not given."""
+    key, default = (
+        ("delta_hi", default_quench_delta_hi) if spec.kind.startswith("quench")
+        else ("window", lz_window)
+    )
+    return key, float(spec.options[key]) if key in spec.options else default(spec.params)
 
 
 def _row_checks(
@@ -388,44 +403,43 @@ def _time_trace(
 
 def _quench(spec: ExperimentSpec) -> tuple:
     """The gap-quench setup that its scans and its trace share:
-    ``(ramp, sign, scheme, psi0, readout)``. The ramp ``("delta", start,
+    ``(ramp, sign, labels, psi0, readout)``. The ramp ``("delta", start,
     end, omega^2)`` runs between ``delta_hi`` and zero gap in the kind's
     direction or, for ``quench_trace`` only, ``options["direction"]``,
     inside the even-parity block from its ground state ``psi0``. ``sign`` is
     the trace axis' sign: -1 toward zero gap (v(t - T)/omega = -delta/omega),
-    +1 away from it (v t/omega = delta/omega). ``readout(values, states)``
-    gives each state's populations of the block's eigenvectors at its gap
-    (``eigen_level_series``: levels in energy order, flagged near a
-    degeneracy), each level named by the state of ``scheme`` it matches best
-    at the last value: superradiant toward zero gap, normal away from it."""
+    +1 away from it (v t/omega = delta/omega). ``labels`` names the block's
+    eigenvectors at ``end``, once, each by its best match in the direction's
+    scheme: superradiant toward zero gap, normal away from it.
+    ``readout(values, states)`` gives each state's populations of the
+    block's eigenvectors at its gap (``eigen_level_series``: levels in
+    energy order, flagged near a degeneracy) under that one tuple."""
     p = spec.params
     hi = _endpoint_option(spec)[1]
     ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
     start, end, sign, scheme = (hi, 0.0, -1.0, "superradiant") if ns else (0.0, hi, 1.0, "normal")
-    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)[:2]
+    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
+    _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), end)
+    labels = tuple(greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs))
 
     def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
         pops, _, flags = eigen_level_series(*block, values, states)
-        _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), values[-1])
-        labels = greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs)
         return Readout.rows(labels, pops, flags)
 
     psi0 = StateVector(_lowest_eigenvector(*block, start), EVEN_SECTOR)
-    return ("delta", start, end, p.omega**2), sign, scheme, psi0, readout
+    return ("delta", start, end, _rate_unit(spec)), sign, labels, psi0, readout
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     """Final-state populations vs sweep rate for a gap quench, one
     ``_rate_scan`` row per rate v/omega^2, read out in the even block's
     named eigenbasis at the far end (see ``_quench``). The sudden-limit
-    Poisson law over the scheme's even-sector states rides along as the
-    oracle column.
+    Poisson law over the same label tuple rides along as the oracle column.
     """
     if spec.kind not in ("quench_ns", "quench_sn"):
         raise InvalidParameterError(f"quench_rate_scan cannot run kind {spec.kind!r}")
     p = spec.params
-    ramp, _, scheme, psi0, readout = _quench(spec)
-    labels = parity_sector_labels(EVEN_SECTOR, p.n_fock, scheme)
+    ramp, _, labels, psi0, readout = _quench(spec)
     oracle = Readout(labels, [poisson_overlap(lab.photons, p.g, p.omega) for lab in labels])
     return _rate_scan(
         spec, lambda values: [oracle] * len(values), ramp=ramp, psi0=psi0, readout=readout
@@ -461,7 +475,8 @@ def _bias(spec: ExperimentSpec) -> tuple:
     window = _endpoint_option(spec)[1]
     cols, labels = readout_columns(p, "displaced")
     return (
-        window, ("epsilon", -window, window, p.delta**2), ground_state(p, "epsilon", -window),
+        window, ("epsilon", -window, window, _rate_unit(spec)),
+        ground_state(p, "epsilon", -window),
         lambda values, states: project_records(cols, labels, states),
     )
 
@@ -472,7 +487,6 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     by ``_bias``. With ``options["simulate"]`` false a row holds only the
     oracle, and no setup is built.
     """
-    p = spec.params
     if spec.options.get("simulate", True):
         window, ramp, psi0, readout = _bias(spec)
     else:
@@ -480,7 +494,7 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
 
     def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
         return sequential_crossing_probabilities(
-            spectrum, np.asarray(values) * p.delta**2, residual_tol=residual_tol
+            spectrum, np.asarray(values) * _rate_unit(spec), residual_tol=residual_tol
         )
 
     table = _rate_scan(spec, oracles_for_values, ramp=ramp, psi0=psi0, readout=readout)

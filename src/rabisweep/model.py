@@ -77,6 +77,14 @@ def _require_positive(name: str, value: float) -> None:
         raise InvalidParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
+def _finite_derived(name: str, value: float) -> float:
+    """``value``, derived from the model's parameters; one that is not
+    finite (a parameter too large for it) is refused."""
+    if not math.isfinite(value):
+        raise InvalidParameterError(f"the {name} of these parameters is {value!r}, not finite")
+    return value
+
+
 def _require_count(name: str, value: int, minimum: int) -> None:
     """Refuse a count that is not an integer of at least ``minimum``."""
     if not isinstance(value, numbers.Integral):
@@ -321,10 +329,13 @@ def default_n_fock(g: float, omega: float) -> int:
     ``displaced_level_fits``: n <= 26 at g/omega = 0.1, n <= 14 at 1 (32
     levels) and n <= 16 at 2 (50 levels). The floor over g/omega in [0, 5]
     is n <= 10, at g/omega = 1.4-1.5. Higher displaced levels need a larger
-    n_fock.
+    n_fock. A g/omega that is not finite, or so large that the count is not,
+    is refused.
     """
+    _require_finite(g=g)
+    _require_positive("omega", omega)
     ratio = g / omega
-    return max(32, int(math.ceil(10.0 * (ratio * ratio + 1.0))))
+    return max(32, int(math.ceil(_finite_derived("default n_fock", 10.0 * (ratio * ratio + 1.0)))))
 
 
 def displaced_fock_tail(alpha: complex, n: int, n_fock: int) -> float:
@@ -358,15 +369,18 @@ def _require_displaced_level(alpha: float, n: int, n_fock: int) -> None:
 
 
 def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -> float:
-    """Largest per-mode weight of a full-space state in the top tenth of any
-    Fock ladder."""
-    if isinstance(p, QrmParams):
-        shape: tuple[int, ...] = (2, p.n_fock)
-        sizes = (p.n_fock,)
-    else:
-        sizes = tuple(m.n_fock for m in p.modes)
-        shape = (2, *sizes)
-    probs = np.abs(amplitudes.reshape(shape)) ** 2
+    """Largest per-mode weight in the top tenth of any Fock ladder of a
+    full-space state or, for a single mode, of a parity block's state as it
+    is: block coordinate k is photon number k (see ``parity_sector_basis``).
+    Any other shape raises ``InvalidParameterError``."""
+    sizes = (p.n_fock,) if isinstance(p, QrmParams) else tuple(m.n_fock for m in p.modes)
+    block = isinstance(p, QrmParams) and np.shape(amplitudes) == (p.n_fock,)
+    if not block and np.shape(amplitudes) != (p.dim,):
+        raise InvalidParameterError(
+            f"a state of shape {np.shape(amplitudes)} is neither a parity block's "
+            "nor the full space's"
+        )
+    probs = np.abs(np.reshape(amplitudes, (1 if block else 2, *sizes))) ** 2
     worst = 0.0
     for j, size in enumerate(sizes):
         top = max(1, size // 10)

@@ -31,6 +31,8 @@ The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
 ``RateBlock`` passed to ``run_sweep`` propagates them together, as the columns
 of one block, each with its own step size, coefficients and phase.
+A sector run is measured in its parity block, whose coordinate k is photon
+number k, and is never lifted to the full space.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
 of its own run, so a run assembles its Hamiltonian once. A run takes its
@@ -43,7 +45,8 @@ A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
 symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
 the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
-same matrix ends in, without the dense reduction before it.
+same matrix ends in, without the dense reduction before it. Its levels are
+named once per table, at the sweep's far end (``experiments._quench``).
 
 That solve and the one-vector ground-state ``eigh`` are the package's only
 uses of ``scipy.linalg``, which numpy cannot match at the same cost (numpy has
@@ -99,6 +102,9 @@ DEFAULT_N_STEPS = 20_000
 
 _CHEB_CHUNK = 1024
 _CHEB_COEFF_TOL = 1e-16
+# Largest Chebyshev argument z = r dt a step may take: the series needs about
+# z terms. The presets reach 6,450 (fig1d_long's 4x endpoint audit).
+_CHEB_Z_MAX = 1e5
 
 
 @dataclass(frozen=True)
@@ -240,7 +246,12 @@ def _chebyshev_coefficients(z: float) -> np.ndarray:
     ``_bessel_j``, or below z = 1e-14 from the series' leading terms
     (z/2)^k / k!, exact there in double precision. Orders past k_max are
     far below J_{k_max}; a tail still above the tolerance at k_max raises
-    ``NumericalInstabilityError``."""
+    ``NumericalInstabilityError``, as does a z above ``_CHEB_Z_MAX`` or not
+    finite, before any order is sized by it."""
+    if not z <= _CHEB_Z_MAX:
+        raise NumericalInstabilityError(
+            f"Chebyshev argument z = {z:.6g} is above the limit {_CHEB_Z_MAX:g}"
+        )
     if z < 1e-14:
         k_max = 4
         bessels = np.array([(0.5 * z) ** k / math.factorial(k) for k in range(k_max + 1)])
@@ -311,7 +322,10 @@ def _evolve_linear(
     a zero-length sweep. A single run is a block of one.
     A step keeps the orders below the first whose dropped tail
     2 sum_{k >= K} |J_k(r dt)| is under 1e-16 (``_chebyshev_coefficients``),
-    so its truncation error is at most 1e-16 times the state's norm.
+    so its truncation error is at most 1e-16 times the state's norm. A block
+    whose slowest step could take z = r dt above ``_CHEB_Z_MAX`` (r from the
+    whole ramp's Gershgorin bounds) is refused before it runs, with
+    ``NumericalInstabilityError`` naming the step count that would fit.
 
     The only code that applies exp(-i H dt), at every dimension. Each chunk
     takes its centre c and radius r from the Gershgorin bounds of H over its
@@ -344,6 +358,15 @@ def _evolve_linear(
     order = np.argsort(-total_times, kind="stable")
     restore = np.argsort(order)
     dts = total_times[order] / n_steps
+    # No chunk's radius exceeds the whole ramp's, so no step's z exceeds this.
+    lo, hi = _gershgorin_bounds(h_static, h_ramp, np.array([f_start, f_end]))
+    z_max = 0.5 * (hi - lo) * float(dts[0])
+    if not z_max <= _CHEB_Z_MAX:
+        fit = n_steps * (z_max / _CHEB_Z_MAX)
+        raise NumericalInstabilityError(
+            f"a step spans z = r dt = {z_max:.3g} (limit {_CHEB_Z_MAX:g}): "
+            + (f"{math.ceil(fit)} steps would fit" if math.isfinite(fit) else "no step count fits")
+        )
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
         out[0] = psi.copy()
@@ -419,13 +442,10 @@ def _evolve_linear(
 
 def _hamiltonian_parts(
     p: QrmParams | MultiModeParams, parameter: str, sector: ParitySector | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(A, B, sector basis) of H = A + f B, where f is the swept parameter.
-
-    A and B are real symmetric float64 arrays. With ``sector`` given
-    (single-mode, bias-free gap sweeps only) they are projected onto that
-    parity block and its basis columns come third; otherwise the third entry
-    is None.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) of H = A + f B, where f is the swept parameter: real symmetric
+    float64 arrays, projected with ``sector`` (single-mode, bias-free gap
+    sweeps only) onto that parity block, whose coordinate k is photon number k.
     """
     if isinstance(p, MultiModeParams):
         if parameter != "epsilon":
@@ -436,13 +456,13 @@ def _hamiltonian_parts(
     else:
         h_static, h_ramp = build_qrm(replace(p, epsilon=0.0)), epsilon_ramp(p)
     if sector is None:
-        return h_static, h_ramp, None
+        return h_static, h_ramp
     if isinstance(p, MultiModeParams) or parameter != "delta" or p.epsilon != 0.0:
         raise InvalidParameterError(
             "sector-restricted runs require a single-mode, bias-free gap sweep"
         )
     basis, _ = parity_sector_basis(p, sector)
-    return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis, basis
+    return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis
 
 
 def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
@@ -464,7 +484,7 @@ def ground_state(
     frozen at ``value``: a full-space state, or with ``sector`` (single-mode,
     bias-free gap sweeps only) that parity block's ground state in block
     coordinates, whose ``sector`` it carries."""
-    h_static, h_ramp, _ = _hamiltonian_parts(p, parameter, sector)
+    h_static, h_ramp = _hamiltonian_parts(p, parameter, sector)
     return StateVector(_lowest_eigenvector(h_static, h_ramp, value), sector)
 
 
@@ -521,15 +541,15 @@ def run_sweep(
     The swept parameter's value in ``p`` is ignored; the schedule supplies it.
     The run's space is psi0's ``sector``: None runs in the full space, a
     parity sector (bias-free single-mode gap sweeps only) inside that parity
-    block, in block coordinates. The run reads nothing out: project
-    its states with ``project_records`` over ``readout_columns``.
+    block, in block coordinates (photon numbers). The run reads nothing out.
 
     Every sample and the end of the sweep, sampled or not, are measured. A
     norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
     the first such sample; below it the largest drift and parity leakage are
     recorded for ``experiments._row_checks`` to judge. The top-tenth Fock
-    weights (``model.top_fock_occupancy``) of the end state and of both
-    endpoint ground states (solved on the run's own parts) are recorded as
+    weights (``model.top_fock_occupancy``, in the run's coordinates) of the
+    end state and of both endpoint ground states (solved on its own parts)
+    are recorded as
     ``top_fock_occupancy`` and ``endpoint_top_fock_occupancy``, and
     ``chebyshev_terms`` records the Chebyshev terms per step (the most any
     chunk took; 0 only for a zero-length sweep). ``max_parity_leakage`` is
@@ -543,7 +563,7 @@ def run_sweep(
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
-    h_static, h_ramp, sector_matrix = _hamiltonian_parts(p, first.parameter, psi0.sector)
+    h_static, h_ramp = _hamiltonian_parts(p, first.parameter, psi0.sector)
     if psi0.dim != h_static.shape[0]:
         raise InvalidParameterError(
             f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
@@ -559,11 +579,10 @@ def run_sweep(
         elif w_plus < 1e-12:
             leak_matrix = plus
 
-    endpoint_occ = 0.0
-    for value in {first.start_value, first.end_value}:
-        ground = _lowest_eigenvector(h_static, h_ramp, value)
-        full_ground = sector_matrix @ ground if sector_matrix is not None else ground
-        endpoint_occ = max(endpoint_occ, top_fock_occupancy(p, full_ground))
+    endpoint_occ = max(
+        top_fock_occupancy(p, _lowest_eigenvector(h_static, h_ramp, value))
+        for value in {first.start_value, first.end_value}
+    )
 
     n_steps = first.n_steps
     steps = [0, n_steps] if first.sample_steps is None else list(first.sample_steps)
@@ -590,7 +609,6 @@ def run_sweep(
             raise NumericalInstabilityError(
                 f"norm drifted by {deviations[i]:.2e} at t = {checked[i] * dt:.6g}"
             )
-        final = block[:, -1] if sector_matrix is None else sector_matrix @ block[:, -1]
         states = block[:, columns] / norms[columns]
         states.flags.writeable = False
         return Trajectory(
@@ -600,7 +618,7 @@ def run_sweep(
             max_parity_leakage=None if leak_matrix is None else float(
                 np.max(np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
             ),
-            top_fock_occupancy=top_fock_occupancy(p, final),
+            top_fock_occupancy=top_fock_occupancy(p, block[:, -1]),
             endpoint_top_fock_occupancy=endpoint_occ,
             chebyshev_terms=chebyshev_terms[j],
         )
@@ -684,10 +702,10 @@ def eigen_level_series(
     column (a ``Trajectory.states``); any other shape raises
     ``InvalidParameterError``. Returns (populations[time, level],
     eigenvalues[time, level], degenerate_flags[time, level]). Level identity
-    is the energy ordering at each instant; labels are attached by the
-    caller at an anchor time. The parts are a parity block's, a real
-    tridiagonal A and a diagonal B (see ``_tridiagonal_parts``); each sample
-    is one tridiagonal solve.
+    is the energy ordering at each instant; the caller names the levels once
+    (``experiments._quench``, at the far end). The parts are a parity
+    block's, a real tridiagonal A and a diagonal B (see
+    ``_tridiagonal_parts``); each sample is one tridiagonal solve.
     """
     d0, d1, e = _tridiagonal_parts(h_static, h_ramp)
     states = np.asarray(states)

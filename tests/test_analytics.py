@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rabisweep import analytics
 from rabisweep.analytics import (
+    CROSSING_CAP,
     cascade_gaps,
     cascade_probabilities,
     default_n_max,
@@ -20,6 +21,7 @@ from rabisweep.errors import (
     DegenerateCrossingError,
     GapTruncationError,
     InvalidParameterError,
+    ResourceLimitError,
 )
 from rabisweep.model import Mode, MultiModeParams
 
@@ -299,6 +301,27 @@ class TestInvalidInputs:
     def test_cascade_gaps(self, delta, g, omega):
         with pytest.raises(InvalidParameterError):
             cascade_gaps(delta, g, omega)
+
+    def test_a_coupling_whose_defaults_overflow_is_refused(self):
+        # (g/omega)^2 overflows at g/omega = 1e200; it used to raise
+        # OverflowError from the float power.
+        for call in (lambda: default_n_max(1e200, 1.0), lambda: poisson_overlap(0, 1e200, 1.0)):
+            with pytest.raises(InvalidParameterError, match="not finite"):
+                call()
+
+    def test_a_mesh_past_the_crossing_cap_is_refused_before_it_is_built(self):
+        # g/omega = 1e10 asks for about 4e20 crossings by default; every
+        # preset needs at most 97.
+        assert default_n_max(3.0, 1.0) + 1 < CROSSING_CAP
+        for call in (
+            lambda: cascade_gaps(1.0, 1e10, 1.0),
+            lambda: cascade_gaps(1.0, 1.0, 1.0, n_max=CROSSING_CAP),
+            lambda: multimode_gaps(
+                MultiModeParams(0.1, (Mode(1.0, 0.5, 8), Mode(2.3, 0.9, 8))), (200, 200)
+            ),
+        ):
+            with pytest.raises(ResourceLimitError, match=f"exceed the cap {CROSSING_CAP}"):
+                call()
 
 
 _RATES = st.lists(

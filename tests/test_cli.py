@@ -127,6 +127,67 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["quench", "--g-over-omega", "nan"], "g must be finite, got nan"),
+            (["quench", "--g-over-omega", "inf"], "g must be finite, got inf"),
+            (["quench", "--g-over-omega", "1e200"], "the default n_fock of these parameters"),
+            (["spectrum", "--delta", "1", "--g-over-omega", "nan"], "g must be finite"),
+            (["lz", "--g-over-omega", "nan", "--delta-over-omega", "1", "--formula-only"],
+             "g must be finite"),
+            (["quench", "--g-over-omega", "1e200", "--n-fock", "16", "--n-steps", "1000"],
+             "the default delta_hi of these parameters is inf"),
+            (["quench", "--g-over-omega", "1e200", "--n-fock", "16", "--n-steps", "1000",
+              "--trace"], "the default delta_hi of these parameters is inf"),
+            (["lz", "--g-over-omega", "1e200", "--delta-over-omega", "1", "--n-fock", "16",
+              "--window", "30", "--formula-only"], "the default crossing count"),
+            (["lz", "--g-over-omega", "1", "--delta-over-omega", "1e200", "--n-fock", "16",
+              "--formula-only", "--v-min", "1", "--v-max", "10"], "the rate unit"),
+            (["formula", "--cascade", "--g-over-omega", "1", "--delta-over-omega", "1e200",
+              "--v-over-delta2", "1"], "sweep rate must be positive and finite, got inf"),
+            (["formula", "--g-over-omega", "1e200"], "Poisson mean"),
+        ],
+    )
+    def test_parameters_that_overflow_are_invalid_configuration(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        # Each used to escape main as a ValueError or OverflowError: a NaN or
+        # overflowing default truncation, far endpoint, crossing count or
+        # rate unit. Now main prints one line and writes nothing.
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+    def test_crossings_past_the_cap_fail_the_run(self, tmp_path, monkeypatch, capsys):
+        # About 4e20 crossings by default at g/omega = 1e10: refused before
+        # the mesh is built (the process used to run out of memory).
+        monkeypatch.chdir(tmp_path)
+        argv = ["lz", "--g-over-omega", "1e10", "--delta-over-omega", "1", "--n-fock", "16",
+                "--formula-only"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ResourceLimitError: ") and "exceed the cap" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_an_overflowing_chebyshev_argument_fails_the_rows(self, tmp_path, capsys):
+        # At delta_i = 1e308, z = r dt overflows; every row of the scan fails
+        # with that warning, where OverflowError used to escape.
+        out = tmp_path / "out"
+        argv = ["quench", "--g-over-omega", "1", "--n-fock", "16", "--delta-i", "1e308",
+                "--n-steps", "1000", "--v-min", "1", "--v-max", "10", "--output-dir", str(out)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "quench_ns_manifest.json").read_text(encoding="utf-8"))
+        assert len(manifest["warnings"]) == 5
+        for warnings in manifest["warnings"].values():
+            assert warnings == [
+                "NumericalInstabilityError: a step spans z = r dt = inf (limit 100000): "
+                "no step count fits"
+            ]
+
     def test_run_failure(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.cfg")
         assert main(["--config", missing, "formula"]) == 2
@@ -234,7 +295,7 @@ def single_run_audit(knob: str) -> dict:
             p, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
             ground_state(p, "delta", start, EVEN_SECTOR),
         )
-        a, b, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        a, b = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         (probs,), _, _ = eigen_level_series(a, b, [0.0], traj.final_state[:, None])
         _, vecs = sweep._tridiagonal_eigh(*sweep._tridiagonal_parts(a, b), 0.0)
         labels = greedy_label_assignment(

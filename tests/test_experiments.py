@@ -100,7 +100,7 @@ class TestScanLoop:
             start, end = default_quench_delta_hi(params), 0.0
             scale, sector = params.omega**2, EVEN_SECTOR
             psi0 = ground_state(params, "delta", start, sector)
-            a, b, _ = sweep._hamiltonian_parts(params, "delta", sector)
+            a, b = sweep._hamiltonian_parts(params, "delta", sector)
             _, cols = np.linalg.eigh(a + end * b)
             labels = greedy_label_assignment(
                 *readout_columns(params, "superradiant", sector), cols
@@ -231,6 +231,18 @@ class TestRateScan:
         expected = 1.0 - sum(poisson_overlap(lab.photons, 2.0, 1.0) for lab in row.sim.labels)
         assert row.checks["oracle_residual"] == expected
         assert row.checks["oracle_residual"] == pytest.approx(4.89e-6, rel=1e-3)
+
+    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
+    def test_sim_and_oracle_share_one_label_tuple(self, kind):
+        # The levels are named once per table, and the Poisson oracle takes
+        # those names: every row's sim and oracle hold the one tuple.
+        spec = ExperimentSpec(
+            kind, self.P, "v_over_omega2", (1e3, 1e4), n_steps=1000,
+            options={"delta_hi": 100.0},
+        )
+        rows = run_experiment(spec).rows
+        for row in rows:
+            assert row.sim.labels is row.oracle.labels is rows[0].sim.labels
 
     def test_a_refused_schedule_fails_the_block_rows(self):
         # At omega = 2, v = 1e308 omega^2 overflows to an infinite rate. The
@@ -501,6 +513,27 @@ class TestTraces:
         assert row.sim.labels == last.sim.labels
         assert np.max(np.abs(row.sim.probabilities - last.sim.probabilities)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "direction, axis", [("ns", (-20.0, -10.0, 0.0)), ("sn", (0.0, 10.0, 20.0))]
+    )
+    def test_a_trace_short_of_the_far_end_keeps_the_far_end_names(self, direction, axis):
+        # The levels are named once, at the far end of the sweep: a trace
+        # whose axis stops short of it carries the labels of the full trace
+        # and of the scan row at its rate. A short trace used to name its
+        # levels at its last sample, where their order differs (both
+        # directions here).
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        trace = {"direction": direction, "rate": 1e3, "delta_hi": 20.0}
+
+        def labels(kind, values, options):
+            spec = ExperimentSpec(kind, p, "axis", values, n_steps=1000, options=options)
+            return {row.sim.labels for row in run_experiment(spec).rows}
+
+        scan = labels(f"quench_{direction}", (1e3,), {"delta_hi": 20.0})
+        assert len(scan) == 1
+        assert labels("quench_trace", axis[:-1], trace) == labels("quench_trace", axis, trace)
+        assert labels("quench_trace", axis, trace) == scan
+
     def test_end_of_sweep_is_checked_when_not_sampled(self):
         # Sampling only the first half of a sweep returns those samples, but
         # the truncation and conservation checks still see the end state.
@@ -612,12 +645,12 @@ class TestQuenchDirection:
         # run in photon order.
         p = QrmParams(0.0, 0.0, 1.0, g, n_fock)
         spec = ExperimentSpec("quench_ns", p, "v", (1e3,), options={"delta_hi": 20.0})
-        _, _, scheme, _, readout = experiments._quench(spec)
-        cols, labels = readout_columns(p, scheme, EVEN_SECTOR)
+        _, _, named, _, readout = experiments._quench(spec)
+        cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
         # Read out, the columns give the fidelity of each named level with
         # each column.
         overlaps = readout(np.zeros(n_fock), cols)
-        named = overlaps[0].labels
+        assert overlaps[0].labels is named
         assert sorted(named, key=lambda lab: lab.photons) == labels
         fits = [displaced_level_fits(g, lab.photons, n_fock) for lab in named]
         assert named[: sum(fits)] == tuple(labels[: sum(fits)])
@@ -819,6 +852,40 @@ class TestSpec:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(InvalidParameterError, match="units of delta"):
                 ExperimentSpec(kind, params, "v", scan, options=options)
+
+    @pytest.mark.parametrize(
+        "kind, params, scan, options, message",
+        [
+            ("quench_ns", QrmParams(0.0, 0.0, 1.0, 1e200, 16), (10.0,), {}, "default delta_hi"),
+            ("quench_trace", QrmParams(0.0, 0.0, 1.0, 1e200, 16), (0.0,),
+             {"rate": 10.0, "direction": "sn"}, "default delta_hi"),
+            ("lz_scan", QrmParams(1.0, 0.0, 1.0, 1e200, 16), (10.0,), {}, "default window"),
+            ("lz_scan", QrmParams(1e200, 0.0, 1.0, 1.0, 16), (10.0,),
+             {"window": 30.0, "simulate": False}, "rate unit"),
+            ("multimode_scan", MultiModeParams(1e200, (Mode(1.0, 1.0, 8),)), (10.0,),
+             {"window": 30.0}, "rate unit"),
+            ("quench_sn", QrmParams(0.0, 0.0, 1e200, 1.0, 16), (10.0,), {"delta_hi": 20.0},
+             "rate unit"),
+        ],
+    )
+    def test_refuses_a_derived_endpoint_or_rate_unit_that_is_not_finite(
+        self, kind, params, scan, options, message
+    ):
+        # 4 (g/omega)^2 and delta^2 overflow here: the spec is refused when
+        # built, where the run used to fail on an infinite endpoint or the
+        # float power's OverflowError.
+        with pytest.raises(InvalidParameterError, match=message):
+            ExperimentSpec(kind, params, "v", scan, options=options)
+        if "default" in message:
+            with pytest.raises(InvalidParameterError, match=message):
+                (default_quench_delta_hi if kind.startswith("quench") else lz_window)(params)
+
+    def test_a_given_endpoint_skips_its_default(self):
+        # The default delta_hi at g/omega = 1e200 is infinite; a given one
+        # is used without deriving it.
+        p = QrmParams(0.0, 0.0, 1.0, 1e200, 16)
+        spec = ExperimentSpec("quench_ns", p, "v", (10.0,), options={"delta_hi": 20.0})
+        assert experiments._endpoint_option(spec) == ("delta_hi", 20.0)
 
     def test_kinds_come_from_one_map(self):
         assert experiments.EXPERIMENT_KINDS == tuple(experiments._KINDS)

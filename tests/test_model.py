@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from rabisweep.model import (
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
+    top_fock_occupancy,
 )
 from rabisweep.operators import eig_hermitian, hermiticity_defect, unitary_displacement
 from rabisweep.presets import qrm_params
@@ -54,6 +57,12 @@ class TestParams:
         p = QrmParams(3.0, 0.0, 2.0, 1.0, 8)
         assert p.g_over_omega == 0.5
         assert p.delta_over_omega == 1.5
+
+    @pytest.mark.parametrize("g", [np.nan, np.inf, 1e200])
+    def test_default_truncation_of_a_coupling_that_overflows_is_refused(self, g):
+        # It used to raise ValueError (nan) or OverflowError from int().
+        with pytest.raises(InvalidParameterError):
+            default_n_fock(g, 1.0)
 
     def test_default_truncation(self):
         assert default_n_fock(0.1, 1.0) == 32
@@ -160,6 +169,36 @@ class TestParity:
         minus, _ = parity_sector_basis(p, ODD_SECTOR)
         off = minus.conj().T @ h @ plus
         assert np.max(np.abs(off)) <= 1e-12 * np.linalg.norm(h)
+
+
+class TestTopFockOccupancy:
+    @pytest.mark.parametrize("sector", [EVEN_SECTOR, ODD_SECTOR])
+    def test_a_block_state_weighs_as_its_lift(self, sector):
+        # Block coordinate k is photon number k, so a sector state is weighed
+        # without lifting it to the full space.
+        p = QrmParams(0.0, 0.0, 1.0, 1.5, 20)
+        basis, _ = parity_sector_basis(p, sector)
+        rng = np.random.default_rng(11)
+        block = rng.normal(size=p.n_fock) + 1j * rng.normal(size=p.n_fock)
+        block /= np.linalg.norm(block)
+        _, vecs = np.linalg.eigh(basis.T @ build_qrm(replace(p, delta=3.0)) @ basis)
+        for state in (block, vecs[:, 0]):
+            lifted = top_fock_occupancy(p, basis @ state)
+            assert lifted > 0.0
+            assert top_fock_occupancy(p, state) == pytest.approx(lifted, rel=1e-15, abs=0.0)
+
+    def test_other_lengths_are_refused(self):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
+        for size in (p.n_fock - 1, p.n_fock + 1, p.dim - 1, p.dim + 1):
+            with pytest.raises(InvalidParameterError, match="neither a parity block's"):
+                top_fock_occupancy(p, np.ones(size))
+        with pytest.raises(InvalidParameterError):
+            top_fock_occupancy(p, np.ones((p.n_fock, 1)))
+        # A multimode model has no parity block: half its space is refused.
+        mm = MultiModeParams(0.5, (Mode(1.0, 0.5, 4), Mode(2.0, 0.5, 3)))
+        assert top_fock_occupancy(mm, np.ones(mm.dim) / np.sqrt(mm.dim)) > 0.0
+        with pytest.raises(InvalidParameterError):
+            top_fock_occupancy(mm, np.ones(mm.osc_dim))
 
 
 class TestStates:

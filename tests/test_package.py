@@ -144,7 +144,7 @@ class TestExports:
         # The propagator refuses complex parts, so every model builds real ones.
         from rabisweep.sweep import _hamiltonian_parts
 
-        h_static, h_ramp, _ = _hamiltonian_parts(params, parameter, sector)
+        h_static, h_ramp = _hamiltonian_parts(params, parameter, sector)
         assert h_static.dtype == h_ramp.dtype == np.float64
 
     def test_truncation_policy_lives_in_model(self):

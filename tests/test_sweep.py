@@ -29,6 +29,7 @@ from rabisweep.model import (
 )
 from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
 from rabisweep.presets import (
+    PRESETS,
     lz_scan_spec,
     lz_trace_spec,
     qrm_params,
@@ -273,6 +274,60 @@ class TestEngine:
         with pytest.raises(NumericalInstabilityError, match="Chebyshev tail"):
             sweep._chebyshev_coefficients(1.0)
 
+    @pytest.mark.parametrize("z", [math.inf, math.nan, 2.0 * sweep._CHEB_Z_MAX])
+    def test_chebyshev_argument_past_the_limit_is_refused(self, z):
+        # A z that is not finite or above the limit is refused before any
+        # Bessel order is sized by it.
+        with pytest.raises(NumericalInstabilityError, match="Chebyshev argument"):
+            sweep._chebyshev_coefficients(z)
+
+    def test_a_step_past_the_limit_names_the_steps_that_fit(self):
+        # 1e9 -> 0 at v = 0.1 in 1,000 steps: r ~ 5e8 and dt = 1e7, so z ~ 5e15,
+        # refused from the Gershgorin bounds before any chunk runs.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        slow = SweepSchedule("delta", 1e9, 0.0, 0.1, n_steps=1000)
+        with pytest.raises(NumericalInstabilityError, match=r"z = r dt = 5(\.\d+)?e\+15") as info:
+            run_sweep(p, slow, block_ground(p, 1e9))
+        fit = int(str(info.value).rsplit(": ", 1)[1].split()[0])
+        lo, hi = sweep._gershgorin_bounds(
+            *sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR), np.array([1e9, 0.0])
+        )
+        radius = 0.5 * (hi - lo)
+        cap = sweep._CHEB_Z_MAX
+        assert radius * slow.total_time / fit <= cap < radius * slow.total_time / (fit - 1)
+        # An overflowing z names no step count.
+        far = SweepSchedule("delta", 1e308, 0.0, 1.0, n_steps=1000)
+        with pytest.raises(NumericalInstabilityError, match="no step count fits"):
+            run_sweep(p, far, block_ground(p, 1e308))
+
+    def test_the_z_limit_is_far_above_every_preset_and_its_audits(self):
+        # The largest z = r dt of any step, from the whole ramp's Gershgorin
+        # bounds and the slowest rate, without propagating: the limit is 10x
+        # above every preset at 1x and at 4x of each audit knob. Two 4x
+        # n_fock cases are left out, whose dense parts would be large
+        # (fig1d_long at dim 7,168, 1,728 against 6,450 at its 4x endpoint;
+        # multimode_small at dim 3,072, 49 against 68).
+        largest = 0.0
+        for preset in PRESETS.values():
+            spec = preset.build()
+            if not spec.options.get("simulate", True):
+                continue
+            for knob in (None, *experiments.AUDIT_KNOBS):
+                run = spec if knob is None else experiments._scaled_spec(spec, knob, 4)
+                if run.params.dim > 2000:
+                    continue
+                _, far = experiments._endpoint_option(run)
+                quench = run.kind.startswith("quench")
+                parts = sweep._hamiltonian_parts(
+                    run.params, "delta" if quench else "epsilon", EVEN_SECTOR if quench else None
+                )
+                ends = (0.0, far) if quench else (-far, far)
+                lo, hi = sweep._gershgorin_bounds(*parts, np.array(ends))
+                slowest = run.options.get("rate", run.scan_values[0]) * experiments._rate_unit(run)
+                z = 0.5 * (hi - lo) * (ends[1] - ends[0]) / slowest / run.n_steps
+                largest = max(largest, z)
+        assert 6000.0 < largest < 0.1 * sweep._CHEB_Z_MAX
+
     @pytest.mark.parametrize("dim", [12, 24])
     def test_refuses_complex_parts(self, dim):
         # The propagator takes real symmetric parts only, at a small
@@ -444,7 +499,7 @@ class TestEigenLevelSeries:
     def test_block_matches_dense_eigh(self):
         # The fig1a/fig2a even block over the span of its quench.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
-        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         values = np.linspace(200.0, 0.0, 41)
         states = RNG.normal(size=(64, 41)) + 1j * RNG.normal(size=(64, 41))
         states /= np.linalg.norm(states, axis=0)
@@ -466,7 +521,7 @@ class TestEigenLevelSeries:
         if case == "full space":
             h0, h1 = build_qrm(p), delta_ramp(p)
         else:
-            h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+            h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
             h0, h1 = h0.copy(), h1.copy()
             if case == "complex":
                 h0 = h0.astype(complex)
@@ -482,14 +537,14 @@ class TestEigenLevelSeries:
     def test_states_of_another_shape_are_refused(self, shape):
         # Two values take a (block dim, 2) block: one column per value.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         states = np.ones(shape, dtype=complex)
         with pytest.raises(InvalidParameterError, match=r"\(8, 2\) block of states"):
             eigen_level_series(h0, h1, np.array([1.0, 0.0]), states)
 
     def test_failed_solve_raises(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         # The solve imports dstevd at its first call, so it is patched at its source.
         import scipy.linalg.lapack
 
@@ -513,7 +568,7 @@ class TestEigenLevelSeries:
 
     def test_block_path_never_calls_dense_eigh(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        h0, h1, _ = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
         state = ground_state(p, "delta", 5.0, EVEN_SECTOR).amplitudes
 
         def no_dense(*args, **kwargs):
