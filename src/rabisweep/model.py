@@ -50,10 +50,12 @@ from .operators import (
 
 # Truncation-tail weight allowed for a displaced Fock level.
 STATE_TAIL_TOL = 1e-8
-# Weight allowed in the top tenth of a Fock ladder, for the final state of a
-# sweep and for the ground state of each endpoint Hamiltonian.
+# Weight allowed in the top tenth of a Fock ladder, for the initial and final
+# states of a sweep and for the ground state at its far end.
 TOP_OCCUPANCY_TOL = 1e-6
-# Cap on the full Hilbert-space dimension of a multimode problem.
+# Caps on the full Hilbert-space dimension of a single-mode problem (2 n_fock;
+# the presets reach 1,792, fig1d_long's) and of a multimode problem.
+QRM_DIM_CAP = 4096
 MULTIMODE_DIM_CAP = 4096
 
 QUBIT_LABELS = {
@@ -317,7 +319,7 @@ class Readout(Sequence):
 # ---------------------------------------------------------------------------
 # Truncation adequacy. A displaced Fock level fits a truncation when its weight
 # outside it is at most STATE_TAIL_TOL. A sweep's truncation is adequate when
-# its final state and the ground state of each endpoint Hamiltonian hold at
+# its initial state, final state and far-end ground state hold at
 # most TOP_OCCUPANCY_TOL (or a row's own limit) in the top tenth of every
 # Fock ladder.
 # ---------------------------------------------------------------------------
@@ -393,8 +395,21 @@ def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -
 # Hamiltonians
 # ---------------------------------------------------------------------------
 
+def _capped_dim(p: QrmParams | MultiModeParams) -> int:
+    """``p.dim``, refused with ``ResourceLimitError`` past its cap
+    (QRM_DIM_CAP or MULTIMODE_DIM_CAP) before any dense array of it is
+    allocated."""
+    single = isinstance(p, QrmParams)
+    cap = QRM_DIM_CAP if single else MULTIMODE_DIM_CAP
+    if p.dim > cap:
+        kind = "single-mode" if single else "multimode"
+        raise ResourceLimitError(f"{kind} dimension {p.dim} exceeds the cap {cap}")
+    return p.dim
+
+
 def build_qrm(p: QrmParams) -> np.ndarray:
     """Full Rabi Hamiltonian at the parameters in p."""
+    _capped_dim(p)
     a = annihilation(p.n_fock)
     ad = a.T
     eye = np.eye(p.n_fock)
@@ -407,14 +422,12 @@ def build_qrm(p: QrmParams) -> np.ndarray:
 
 def delta_ramp(p: QrmParams | MultiModeParams) -> np.ndarray:
     """dH/d(delta): the qubit-gap ramp generator."""
-    osc = (p.n_fock if isinstance(p, QrmParams) else p.osc_dim)
-    return -0.5 * kron(SIGMA_X, np.eye(osc))
+    return -0.5 * kron(SIGMA_X, np.eye(_capped_dim(p) // 2))
 
 
 def epsilon_ramp(p: QrmParams | MultiModeParams) -> np.ndarray:
     """dH/d(epsilon): the qubit-bias ramp generator."""
-    osc = (p.n_fock if isinstance(p, QrmParams) else p.osc_dim)
-    return -0.5 * kron(SIGMA_Z, np.eye(osc))
+    return -0.5 * kron(SIGMA_Z, np.eye(_capped_dim(p) // 2))
 
 
 def _mode_operator(modes: tuple[Mode, ...], index: int, op: np.ndarray) -> np.ndarray:
@@ -428,10 +441,7 @@ def _mode_operator(modes: tuple[Mode, ...], index: int, op: np.ndarray) -> np.nd
 def build_multimode(p: MultiModeParams) -> np.ndarray:
     """Multimode Hamiltonian at zero bias; the bias enters through
     ``epsilon_ramp``."""
-    if p.dim > MULTIMODE_DIM_CAP:
-        raise ResourceLimitError(
-            f"multimode dimension {p.dim} exceeds the cap {MULTIMODE_DIM_CAP}"
-        )
+    _capped_dim(p)
     h = (-0.5 * p.delta) * kron(SIGMA_X, np.eye(p.osc_dim))
     for j, m in enumerate(p.modes):
         a = annihilation(m.n_fock)
@@ -481,7 +491,7 @@ def parity_sector_labels(sector: ParitySector, n_fock: int, scheme: str = "norma
 def parity_sector_basis(p: QrmParams, sector: ParitySector) -> tuple[np.ndarray, list[BasisLabel]]:
     """Orthonormal columns spanning one parity sector, with their labels."""
     labels = parity_sector_labels(sector, p.n_fock, "normal")
-    b = np.zeros((p.dim, p.n_fock))
+    b = np.zeros((_capped_dim(p), p.n_fock))
     s = 1.0 / np.sqrt(2.0)
     for col, lab in enumerate(labels):
         n = lab.photons
@@ -525,6 +535,7 @@ def scheme_basis(p: QrmParams, scheme: str) -> tuple[np.ndarray, list[BasisLabel
     """
     if scheme not in QUBIT_LABELS:
         raise InvalidParameterError(f"unknown labelling scheme {scheme!r}")
+    _capped_dim(p)
     labels = [
         BasisLabel(scheme, q, n) for q in QUBIT_LABELS[scheme] for n in range(p.n_fock)
     ]

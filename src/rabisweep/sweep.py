@@ -35,7 +35,8 @@ A sector run is measured in its parity block, whose coordinate k is photon
 number k, and is never lifted to the full space.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
 ``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
-of its own run, so a run assembles its Hamiltonian once. A run takes its
+of its own run at the far end only, so a run assembles its Hamiltonian once
+and solves it once. A run takes its
 space from its initial state's ``sector`` and returns a ``Trajectory``: the
 states at its schedule's sample steps as the columns of one read-only array,
 with its norm drift, parity leakage and truncation weights recorded for
@@ -48,11 +49,12 @@ the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
 same matrix ends in, without the dense reduction before it. Its levels are
 named once per table, at the sweep's far end (``experiments._quench``).
 
-That solve and the one-vector ground-state ``eigh`` are the package's only
-uses of ``scipy.linalg``, which numpy cannot match at the same cost (numpy has
-no tridiagonal solve, and its full ``eigh`` is about 4x slower at dim 192).
-Each imports it at its first call, so ``import rabisweep`` and the
-formula-only tables never load its ~110 modules.
+That solve is the package's only use of ``scipy.linalg``: numpy has no
+tridiagonal solve, and its batched ``eigh`` is about 1.9x slower per sample
+at dim 64. It imports ``scipy.linalg`` at its first call, so ``import
+rabisweep``, the formula-only tables and every bias sweep never load its ~110
+modules and the second OpenBLAS they bring. The ground states are numpy's
+(``operators.eig_hermitian``): a run makes one such solve, a few ms at dim 192.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .errors import (
     InvalidParameterError,
     NumericalInstabilityError,
     RabisweepError,
+    ResourceLimitError,
 )
 from .model import (
     EVEN_SECTOR,
@@ -88,7 +91,7 @@ from .model import (
     scheme_basis,
     top_fock_occupancy,
 )
-from .operators import StateVector
+from .operators import StateVector, eig_hermitian
 
 # Hard error threshold on norm drift during a run.
 NORM_DRIFT_LIMIT = 1e-6
@@ -105,6 +108,9 @@ _CHEB_COEFF_TOL = 1e-16
 # Largest Chebyshev argument z = r dt a step may take: the series needs about
 # z terms. The presets reach 6,450 (fig1d_long's 4x endpoint audit).
 _CHEB_Z_MAX = 1e5
+# Largest Chebyshev stack a block may hold: one complex (dim, runs) block per
+# term. fig1d_long's 4x endpoint audit needs 0.67 GB.
+_CHEB_STACK_BYTES_MAX = 2**30
 
 
 @dataclass(frozen=True)
@@ -325,7 +331,9 @@ def _evolve_linear(
     so its truncation error is at most 1e-16 times the state's norm. A block
     whose slowest step could take z = r dt above ``_CHEB_Z_MAX`` (r from the
     whole ramp's Gershgorin bounds) is refused before it runs, with
-    ``NumericalInstabilityError`` naming the step count that would fit.
+    ``NumericalInstabilityError`` naming the step count that would fit; so
+    is one whose stack at that z would pass ``_CHEB_STACK_BYTES_MAX``, with
+    ``ResourceLimitError`` naming its bytes and a step count that fits.
 
     The only code that applies exp(-i H dt), at every dimension. Each chunk
     takes its centre c and radius r from the Gershgorin bounds of H over its
@@ -366,6 +374,19 @@ def _evolve_linear(
         raise NumericalInstabilityError(
             f"a step spans z = r dt = {z_max:.3g} (limit {_CHEB_Z_MAX:g}): "
             + (f"{math.ceil(fit)} steps would fit" if math.isfinite(fit) else "no step count fits")
+        )
+    # Nor does any step need more terms than a step at z_max.
+    order_bytes = 16 * dim * n_runs
+    stack_bytes = len(_chebyshev_coefficients(z_max)) * order_bytes
+    if stack_bytes > _CHEB_STACK_BYTES_MAX:
+        # Every z below z_fit takes at most z + 12 z^(1/3) + 30 terms, which fit.
+        orders = _CHEB_STACK_BYTES_MAX // order_bytes
+        z_fit = orders - 12.0 * orders ** (1.0 / 3.0) - 30.0
+        raise ResourceLimitError(
+            f"the Chebyshev stack of {n_runs} runs at dim {dim} needs {stack_bytes} bytes "
+            f"(limit {_CHEB_STACK_BYTES_MAX}): "
+            + (f"{math.ceil(n_steps * z_max / z_fit)} steps would fit" if z_fit > 0
+               else "no step count fits")
         )
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
@@ -466,12 +487,9 @@ def _hamiltonian_parts(
 
 
 def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
-    """Lowest eigenvector of A + value B, by scipy's one-vector ``eigh``
-    (imported at the first call; see the module docstring)."""
-    from scipy.linalg import eigh
-
-    _, vecs = eigh(h_static + value * h_ramp, subset_by_index=[0, 0])
-    return vecs[:, 0]
+    """Lowest eigenvector of A + value B: the first column of the package's
+    dense eigensolve, ``operators.eig_hermitian`` (numpy's ``eigh``)."""
+    return eig_hermitian(h_static + value * h_ramp)[1][:, 0]
 
 
 def ground_state(
@@ -547,10 +565,11 @@ def run_sweep(
     norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
     the first such sample; below it the largest drift and parity leakage are
     recorded for ``experiments._row_checks`` to judge. The top-tenth Fock
-    weights (``model.top_fock_occupancy``, in the run's coordinates) of the
-    end state and of both endpoint ground states (solved on its own parts)
-    are recorded as
-    ``top_fock_occupancy`` and ``endpoint_top_fock_occupancy``, and
+    weights (``model.top_fock_occupancy``, in the run's coordinates) are
+    recorded as ``top_fock_occupancy``, that of the end state, and
+    ``endpoint_top_fock_occupancy``, the larger of psi0's and that of the
+    far end's ground state (the run's one solve, on its own parts): psi0
+    stands for the start's ground state, which every driver starts from.
     ``chebyshev_terms`` records the Chebyshev terms per step (the most any
     chunk took; 0 only for a zero-length sweep). ``max_parity_leakage`` is
     None where leakage is not measured: sector runs, bias sweeps, and
@@ -580,8 +599,8 @@ def run_sweep(
             leak_matrix = plus
 
     endpoint_occ = max(
-        top_fock_occupancy(p, _lowest_eigenvector(h_static, h_ramp, value))
-        for value in {first.start_value, first.end_value}
+        top_fock_occupancy(p, psi0.amplitudes),
+        top_fock_occupancy(p, _lowest_eigenvector(h_static, h_ramp, first.end_value)),
     )
 
     n_steps = first.n_steps
@@ -705,7 +724,7 @@ def eigen_level_series(
     is the energy ordering at each instant; the caller names the levels once
     (``experiments._quench``, at the far end). The parts are a parity
     block's, a real tridiagonal A and a diagonal B (see
-    ``_tridiagonal_parts``); each sample is one tridiagonal solve.
+    ``_tridiagonal_parts``); each distinct value is one tridiagonal solve.
     """
     d0, d1, e = _tridiagonal_parts(h_static, h_ramp)
     states = np.asarray(states)
@@ -715,8 +734,15 @@ def eigen_level_series(
         )
     pops = np.empty((len(values), d0.size))
     vals = np.empty((len(values), d0.size))
-    for i, value in enumerate(values):
-        vals[i], v = _tridiagonal_eigh(d0, d1, e, value)
+    # In value order, one solve per distinct value: a rate scan reads every
+    # state at one.
+    values = np.asarray(values, dtype=float)
+    last = None
+    for i in np.argsort(values, kind="stable").tolist():
+        if values[i] != last:
+            last = values[i]
+            w, v = _tridiagonal_eigh(d0, d1, e, last)
+        vals[i] = w
         pops[i] = np.abs(v.T @ states[:, i]) ** 2
     scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)
     tight = np.diff(vals, axis=1) <= DEGENERACY_WARN_RTOL * scale[:, None]

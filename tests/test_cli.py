@@ -173,6 +173,15 @@ class TestExitCodes:
         assert err.startswith("run failed: ResourceLimitError: ") and "exceed the cap" in err
         assert not any(tmp_path.iterdir())
 
+    def test_a_truncation_past_the_dimension_cap_fails_at_once(self, tmp_path, monkeypatch, capsys):
+        # g/omega = 100 defaults to 100,010 levels: refused before the
+        # dense (200,020 x 200,020) Hamiltonian is built.
+        monkeypatch.chdir(tmp_path)
+        assert main(["quench", "--g-over-omega", "100"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run failed: ResourceLimitError: single-mode dimension 200020")
+        assert not any(tmp_path.iterdir())
+
     def test_an_overflowing_chebyshev_argument_fails_the_rows(self, tmp_path, capsys):
         # At delta_i = 1e308, z = r dt overflows; every row of the scan fails
         # with that warning, where OverflowError used to escape.

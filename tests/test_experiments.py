@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +244,24 @@ class TestRateScan:
         rows = run_experiment(spec).rows
         for row in rows:
             assert row.sim.labels is row.oracle.labels is rows[0].sim.labels
+
+    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
+    def test_a_quench_table_makes_two_tridiagonal_solves(self, monkeypatch, kind):
+        # One solve names the far end's levels and one reads every rate's
+        # final state there; the ground states are numpy's, one per run
+        # and one for the initial state.
+        spies = {}
+        for name in ("_tridiagonal_eigh", "_lowest_eigenvector"):
+            spies[name] = mock.Mock(wraps=getattr(sweep, name))
+            monkeypatch.setattr(sweep, name, spies[name])
+            monkeypatch.setattr(experiments, name, spies[name])
+        spec = ExperimentSpec(
+            kind, self.P, "v_over_omega2", (1e2, 1e3, 1e4), n_steps=1000,
+            options={"delta_hi": 100.0},
+        )
+        rows = run_experiment(spec).rows
+        assert all(row.sim is not None for row in rows)
+        assert [spy.call_count for spy in spies.values()] == [2, 2]
 
     def test_a_refused_schedule_fails_the_block_rows(self):
         # At omega = 2, v = 1e308 omega^2 overflows to an infinite rate. The

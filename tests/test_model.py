@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from rabisweep.errors import (
 from rabisweep.model import (
     EVEN_SECTOR,
     ODD_SECTOR,
+    QRM_DIM_CAP,
     BasisLabel,
     Mode,
     MultiModeParams,
@@ -21,6 +23,7 @@ from rabisweep.model import (
     build_qrm,
     critical_delta,
     default_n_fock,
+    delta_ramp,
     displaced_level_fits,
     displaced_state,
     epsilon_ramp,
@@ -296,6 +299,43 @@ class TestMultimode:
         mm = MultiModeParams(1.0, (Mode(1.0, 0.1, 64), Mode(1.5, 0.1, 64)))
         with pytest.raises(ResourceLimitError):
             build_multimode(mm)
+
+
+class TestSingleModeDimensionCap:
+    # One level past the cap: each dense array would take about 134 MB.
+    P = QrmParams(0.3, 0.2, 1.0, 0.5, QRM_DIM_CAP // 2 + 1)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            build_qrm,
+            delta_ramp,
+            epsilon_ramp,
+            lambda p: parity_sector_basis(p, EVEN_SECTOR),
+            lambda p: scheme_basis(p, "displaced"),
+            lambda p: scheme_basis(p, "normal"),
+        ],
+    )
+    def test_refused_before_any_dense_array(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="single-mode dimension 4098 exceeds"):
+                build(self.P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_every_preset_fits(self):
+        from rabisweep.presets import PRESETS
+
+        dims = [
+            spec.params.dim for spec in (preset.build() for preset in PRESETS.values())
+            if isinstance(spec.params, QrmParams)
+        ]
+        assert max(dims) == 1792 <= QRM_DIM_CAP
+        at_cap = replace(self.P, n_fock=QRM_DIM_CAP // 2)
+        assert parity_sector_basis(at_cap, EVEN_SECTOR)[0].shape == (QRM_DIM_CAP, QRM_DIM_CAP // 2)
 
 
 class TestCriticalDelta:

@@ -78,8 +78,8 @@ class TestExports:
         # Nothing the package or its CLI runs needs scipy.optimize, whose
         # import alone loads about 200 more scipy modules. scipy.linalg and
         # scipy.special (about 110 modules, over half the import time) are not
-        # imported either: the two LAPACK solves import scipy.linalg at
-        # their first call.
+        # imported either: the one LAPACK solve, the quench level series'
+        # tridiagonal dstevd, imports scipy.linalg at its first call.
         loaded = _scipy_modules_after(
             "import rabisweep, rabisweep.cli", ("scipy.linalg", "scipy.special", "scipy.optimize")
         )
@@ -97,6 +97,34 @@ class TestExports:
         )
         assert _scipy_modules_after(run, ("scipy.linalg",)) == []
         assert (tmp_path / "lz_scan.csv").is_file()
+
+    @pytest.mark.parametrize(
+        "build, linalg",
+        [
+            ("PRESETS['fig6_valid'].build()", False),
+            ("PRESETS['multimode_small'].build()", False),
+            ("lz_trace_spec(1.0, 0.1, 100.0)", False),
+            ("PRESETS['fig1a'].build()", True),
+        ],
+        ids=["lz_scan", "multimode_scan", "lz_trace", "quench_ns"],
+    )
+    def test_only_quench_tables_load_linalg(self, tmp_path, build, linalg):
+        # A simulated bias sweep, trimmed to one rate and 1,000 steps, solves
+        # its ground states with numpy, so only the quench level series
+        # loads scipy.linalg (and the second OpenBLAS it brings).
+        run = (
+            "import dataclasses\n"
+            "from rabisweep import PRESETS, run_experiment, write_result_table\n"
+            "from rabisweep.presets import lz_trace_spec\n"
+            f"spec = {build}\n"
+            "spec = dataclasses.replace(spec, n_steps=1000, scan_values=(\n"
+            "    spec.scan_values if 'rate' in spec.options else spec.scan_values[-1:]))\n"
+            "table = run_experiment(spec)\n"
+            "assert all(row.sim is not None for row in table.rows)\n"
+            f"write_result_table(table, {str(tmp_path)!r})"
+        )
+        assert bool(_scipy_modules_after(run, ("scipy.linalg",))) == linalg
+        assert len(list(tmp_path.glob("*.csv"))) == 1
 
     def test_run_sweep_only_propagates(self):
         # Readout is project_records over readout_columns, not a run option.

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from scipy.linalg import expm
 from scipy.special import jv
 
 from rabisweep import experiments, sweep
-from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
+from rabisweep.errors import InvalidParameterError, NumericalInstabilityError, ResourceLimitError
 from rabisweep.experiments import ExperimentSpec, convergence_scan, lz_window, run_experiment
 from rabisweep.model import (
     EVEN_SECTOR,
@@ -300,14 +302,48 @@ class TestEngine:
         with pytest.raises(NumericalInstabilityError, match="no step count fits"):
             run_sweep(p, far, block_ground(p, 1e308))
 
+    def test_a_stack_past_the_cap_is_refused_before_it_is_allocated(self):
+        # 40 runs at dim 64 whose slowest step spans z ~ 5e4: about 5e4
+        # orders of 40 kB, 2 GB, refused from the whole ramp's z with the
+        # bytes it needs and a step count whose stack fits.
+        h0 = symmetric(64)
+        h1 = np.diag(np.linspace(-1.0, 1.0, 64))
+        lo, hi = sweep._gershgorin_bounds(h0, h1, np.array([0.0, 1.0]))
+        n_steps = 1000
+        slowest = 5e4 * n_steps / (0.5 * (hi - lo))
+        times = slowest * np.linspace(1.0, 0.5, 40)
+        psi0 = np.eye(64)[0]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"needs (\d+) bytes") as info:
+                _evolve_linear(h0, h1, 0.0, 1.0, times, n_steps, psi0, {n_steps})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        message = str(info.value)
+        order_bytes = 16 * 64 * 40
+        assert int(message.split("needs ")[1].split()[0]) == order_bytes * len(
+            sweep._chebyshev_coefficients(5e4)
+        ) > sweep._CHEB_STACK_BYTES_MAX
+        fit = int(message.rsplit(": ", 1)[1].split()[0])
+
+        def stack(steps):
+            return order_bytes * len(sweep._chebyshev_coefficients(5e4 * n_steps / steps))
+
+        assert stack(fit) <= sweep._CHEB_STACK_BYTES_MAX < stack(int(0.97 * fit))
+
     def test_the_z_limit_is_far_above_every_preset_and_its_audits(self):
         # The largest z = r dt of any step, from the whole ramp's Gershgorin
         # bounds and the slowest rate, without propagating: the limit is 10x
         # above every preset at 1x and at 4x of each audit knob. Two 4x
         # n_fock cases are left out, whose dense parts would be large
         # (fig1d_long at dim 7,168, 1,728 against 6,450 at its 4x endpoint;
-        # multimode_small at dim 3,072, 49 against 68).
+        # multimode_small at dim 3,072, 49 against 68). The Chebyshev stack
+        # cap is above them too: the largest stack, 0.67 GB, is that
+        # of fig1d_long's 4x endpoint audit.
         largest = 0.0
+        largest_stack = 0
         for preset in PRESETS.values():
             spec = preset.build()
             if not spec.options.get("simulate", True):
@@ -326,7 +362,11 @@ class TestEngine:
                 slowest = run.options.get("rate", run.scan_values[0]) * experiments._rate_unit(run)
                 z = 0.5 * (hi - lo) * (ends[1] - ends[0]) / slowest / run.n_steps
                 largest = max(largest, z)
+                runs = 1 if "rate" in run.options else len(run.scan_values)
+                stack = 16 * parts[0].shape[0] * runs * len(sweep._chebyshev_coefficients(z))
+                largest_stack = max(largest_stack, stack)
         assert 6000.0 < largest < 0.1 * sweep._CHEB_Z_MAX
+        assert 6e8 < largest_stack < 0.7 * sweep._CHEB_STACK_BYTES_MAX
 
     @pytest.mark.parametrize("dim", [12, 24])
     def test_refuses_complex_parts(self, dim):
@@ -515,6 +555,22 @@ class TestEigenLevelSeries:
             expected[1:] |= tight
             assert np.array_equal(flags[i], expected)
 
+    def test_one_solve_per_distinct_value(self, monkeypatch):
+        # Repeated values, in any order, share one solve and read out
+        # exactly as each value's own series does.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        values = np.array([5.0, 0.0, 5.0, 2.0, 0.0, 0.0])
+        states = RNG.normal(size=(16, 6)) + 1j * RNG.normal(size=(16, 6))
+        states /= np.linalg.norm(states, axis=0)
+        single = [eigen_level_series(h0, h1, values[[i]], states[:, [i]]) for i in range(6)]
+        solve = mock.Mock(wraps=sweep._tridiagonal_eigh)
+        monkeypatch.setattr(sweep, "_tridiagonal_eigh", solve)
+        series = eigen_level_series(h0, h1, values, states)
+        assert solve.call_count == 3
+        for got, want in zip(series, (np.concatenate(parts) for parts in zip(*single))):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("case", ["full space", "complex", "asymmetric", "ramp off-diagonal"])
     def test_other_parts_are_refused(self, case):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
@@ -604,32 +660,65 @@ class TestGroundState:
         assert state.dim == p.n_fock
         assert abs(np.vdot(vecs[:, 0], state.amplitudes)) ** 2 >= 1.0 - 1e-12
 
+    @pytest.mark.parametrize("preset", ["fig1a", "fig6_valid", "multimode_small"])
+    def test_lowest_eigenvector_matches_a_one_vector_eigh(self, preset):
+        # numpy's full eigh against scipy's one-vector solve at both ends of
+        # the preset's ramp: the dim-64 even block of a quench, the dim-64
+        # full space of a bias sweep and the dim-192 multimode space.
+        from scipy.linalg import eigh
+
+        spec = PRESETS[preset].build()
+        _, far = experiments._endpoint_option(spec)
+        quench = spec.kind.startswith("quench")
+        parts = sweep._hamiltonian_parts(
+            spec.params, "delta" if quench else "epsilon", EVEN_SECTOR if quench else None
+        )
+        assert parts[0].shape == ((64, 64) if preset != "multimode_small" else (192, 192))
+        for value in (0.0, far) if quench else (-far, far):
+            h = parts[0] + value * parts[1]
+            _, ref = eigh(h, subset_by_index=[0, 0])
+            vec = sweep._lowest_eigenvector(*parts, value)
+            assert abs(np.vdot(ref[:, 0], vec)) >= 1.0 - 1e-12
+            residual = h @ vec - (vec @ h @ vec) * vec
+            assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(h, 2)
+
     @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4)])
     def test_a_run_assembles_its_parts_once(self, monkeypatch, rates):
-        # The run and the ground states of both endpoints share one assembly,
-        # a single schedule or a rate block alike; the endpoint check still
-        # sees the ground states that ground_state gives.
+        # The run and its far-end ground state share one assembly and make
+        # one ground-state solve, a single schedule or a rate block alike;
+        # the endpoint check still sees the ground states that ground_state
+        # gives, weighed in block coordinates as the run weighs them.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        basis, _ = parity_sector_basis(p, EVEN_SECTOR)
         endpoint_occupancy = max(
-            top_fock_occupancy(p, basis @ ground_state(p, "delta", d, EVEN_SECTOR).amplitudes)
+            top_fock_occupancy(p, ground_state(p, "delta", d, EVEN_SECTOR).amplitudes)
             for d in (200.0, 0.0)
         )
         psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
         schedules = tuple(SweepSchedule("delta", 200.0, 0.0, r, n_steps=1000) for r in rates)
-        calls = []
-        parts = sweep._hamiltonian_parts
-
-        def counting_parts(*args, **kwargs):
-            calls.append(args)
-            return parts(*args, **kwargs)
-
-        monkeypatch.setattr(sweep, "_hamiltonian_parts", counting_parts)
+        spies = {}
+        for name in ("_hamiltonian_parts", "_lowest_eigenvector"):
+            spies[name] = mock.Mock(wraps=getattr(sweep, name))
+            monkeypatch.setattr(sweep, name, spies[name])
         schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
         result = run_sweep(p, schedule, psi0)
-        assert len(calls) == 1
+        assert [spy.call_count for spy in spies.values()] == [1, 1]
         for traj in result if isinstance(result, list) else [result]:
             assert traj.endpoint_top_fock_occupancy == endpoint_occupancy
+
+    @pytest.mark.parametrize("top", [5e-2, 1e-3])
+    def test_the_endpoint_check_weighs_psi0_and_the_far_ground_state(self, top):
+        # From a state that is no ground state, |0> with weight ``top`` on
+        # the top level, the check is the larger of that weight and the
+        # zero-gap ground state's (1.43e-2 in 8 levels at g/omega = 2), not
+        # the start's ground state's (4e-12 at gap 100).
+        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
+        amplitudes = np.zeros(8)
+        amplitudes[[0, 7]] = math.sqrt(1.0 - top), math.sqrt(top)
+        psi0 = StateVector(amplitudes, EVEN_SECTOR)
+        far = top_fock_occupancy(p, ground_state(p, "delta", 0.0, EVEN_SECTOR).amplitudes)
+        traj = run_sweep(p, SweepSchedule("delta", 100.0, 0.0, 1e3, n_steps=1000), psi0)
+        assert traj.endpoint_top_fock_occupancy == max(top_fock_occupancy(p, amplitudes), far)
+        assert traj.endpoint_top_fock_occupancy == pytest.approx(max(top, 1.43e-2), rel=1e-2)
 
 
 class TestReadout:
