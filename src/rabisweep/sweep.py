@@ -22,15 +22,18 @@ the propagator refuses complex ones. It builds the scaled matrix
 2(A - c)/r once per chunk and on each step rewrites only the entries
 where B is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
 sigma_x (x) I entries for a full-space gap sweep. The recurrence runs in
-buffers allocated once per run and multiplies the complex states through
-their float views, a real product that is cheaper per column than a complex
-one; a step costs one such product and one in-place subtraction per term,
-plus one product per run for the sum.
+real buffers allocated once per run: each order is one (2R, dim) array that
+holds every run's real and imaginary parts as two rows. h2 is symmetric, so
+a step costs one real product of an order's leading rows with h2 and one
+in-place subtraction per term, the rows of the runs that still need it,
+plus one real product per run for its sum and two whole-block operations
+that form every run's new state from those sums.
 
 The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
-``RateBlock`` passed to ``run_sweep`` propagates them together, as the columns
-of one block, each with its own step size, coefficients and phase.
+``RateBlock`` passed to ``run_sweep`` propagates them together, as the rows
+of one stack, each with its own step size, coefficients and phase; a run
+whose step or stack would pass the propagator's limits fails only its entry.
 A sector run is measured in its parity block, whose coordinate k is photon
 number k, and is never lifted to the full space.
 ``_lowest_eigenvector`` is the one ground-state solve of A + f B:
@@ -108,8 +111,8 @@ _CHEB_COEFF_TOL = 1e-16
 # Largest Chebyshev argument z = r dt a step may take: the series needs about
 # z terms. The presets reach 6,450 (fig1d_long's 4x endpoint audit).
 _CHEB_Z_MAX = 1e5
-# Largest Chebyshev stack a block may hold: one complex (dim, runs) block per
-# term. fig1d_long's 4x endpoint audit needs 0.67 GB.
+# Largest Chebyshev stack a block may hold: per term, two real rows of dim
+# entries per run. fig1d_long's 4x endpoint audit needs 0.67 GB.
 _CHEB_STACK_BYTES_MAX = 2**30
 
 
@@ -306,6 +309,52 @@ def _chunk_midpoints(f_start: float, f_end: float, n_steps: int):
         yield steps, f_start + (f_end - f_start) * ((steps + 0.5) / n_steps)
 
 
+def _block_refusal(
+    h_static: np.ndarray,
+    h_ramp: np.ndarray,
+    f_start: float,
+    f_end: float,
+    total_times,
+    n_steps: int,
+) -> RabisweepError | None:
+    """Why a block of runs may not propagate, or None if it may: the one
+    limit rule, which ``_evolve_linear`` raises and ``run_sweep`` applies to
+    a ``RateBlock`` run by run. A block whose slowest step could take
+    z = r dt above ``_CHEB_Z_MAX`` (r from the whole ramp's Gershgorin
+    bounds) is refused with ``NumericalInstabilityError`` naming the step
+    count that would fit; one whose stack at that z would pass
+    ``_CHEB_STACK_BYTES_MAX``, with ``ResourceLimitError`` naming its bytes
+    and a step count that fits. No chunk's radius exceeds the whole ramp's,
+    so no step's z, nor its number of terms, exceeds the ones checked."""
+    dim = h_static.shape[0]
+    n_runs = len(total_times)
+    lo, hi = _gershgorin_bounds(h_static, h_ramp, np.array([f_start, f_end]))
+    z_max = 0.5 * (hi - lo) * (float(np.max(total_times)) / n_steps)
+    if not z_max <= _CHEB_Z_MAX:
+        fit = n_steps * (z_max / _CHEB_Z_MAX)
+        return NumericalInstabilityError(
+            f"a step spans z = r dt = {z_max:.3g} (limit {_CHEB_Z_MAX:g}): "
+            + (f"{math.ceil(fit)} steps would fit" if math.isfinite(fit) else "no step count fits")
+        )
+    # Each order holds every run's real and imaginary parts: 16 bytes an entry.
+    order_bytes = 16 * dim * n_runs
+    try:
+        stack_bytes = len(_chebyshev_coefficients(z_max)) * order_bytes
+    except NumericalInstabilityError as exc:
+        return exc
+    if stack_bytes > _CHEB_STACK_BYTES_MAX:
+        # Every z below z_fit takes at most z + 12 z^(1/3) + 30 terms, which fit.
+        orders = _CHEB_STACK_BYTES_MAX // order_bytes
+        z_fit = orders - 12.0 * orders ** (1.0 / 3.0) - 30.0
+        return ResourceLimitError(
+            f"the Chebyshev stack of {n_runs} runs at dim {dim} needs {stack_bytes} bytes "
+            f"(limit {_CHEB_STACK_BYTES_MAX}): "
+            + (f"{math.ceil(n_steps * z_max / z_fit)} steps would fit" if z_fit > 0
+               else "no step count fits")
+        )
+    return None
+
+
 def _evolve_linear(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
@@ -329,11 +378,8 @@ def _evolve_linear(
     A step keeps the orders below the first whose dropped tail
     2 sum_{k >= K} |J_k(r dt)| is under 1e-16 (``_chebyshev_coefficients``),
     so its truncation error is at most 1e-16 times the state's norm. A block
-    whose slowest step could take z = r dt above ``_CHEB_Z_MAX`` (r from the
-    whole ramp's Gershgorin bounds) is refused before it runs, with
-    ``NumericalInstabilityError`` naming the step count that would fit; so
-    is one whose stack at that z would pass ``_CHEB_STACK_BYTES_MAX``, with
-    ``ResourceLimitError`` naming its bytes and a step count that fits.
+    that ``_block_refusal`` refuses (its slowest step's z or its stack past
+    the limits) raises that error before it runs.
 
     The only code that applies exp(-i H dt), at every dimension. Each chunk
     takes its centre c and radius r from the Gershgorin bounds of H over its
@@ -341,16 +387,17 @@ def _evolve_linear(
     coefficients. The chunk's real scaled matrix h2 = 2(h_static - c)/r sits
     in one buffer, built once per chunk and shared by every run, and each
     step rewrites only the entries where h_ramp is nonzero. The recurrence
-    T_{n+1} = h2 T_n - T_{n-1} fills a stack of complex (dim, R) blocks, one
-    matrix product and one subtraction per order, h2 multiplying each block
-    through its float view of shape (dim, 2R), whose first 2a columns are
-    the block's first a. Runs are ordered slowest first, so the runs that
-    still need order n form a leading slice of the block and the product at
-    order n covers only that slice: ``np.matmul`` into the strided slice, or
-    ``np.dot`` into the contiguous view when every run needs the order. Each
-    run's new state is then one product of its own coefficients, times its
-    phase exp(-i c dt_j), with its column of the stack. Buffers grow only
-    when a chunk needs more orders than any before it, so a step allocates
+    T_{n+1} = h2 T_n - T_{n-1} fills a stack of real (2R, dim) orders: row
+    2j holds the real part of run j's T_n and row 2j + 1 its imaginary part.
+    h2 is symmetric, so an order is one product of its rows with h2 and one
+    subtraction. Runs are ordered slowest first, so the runs that still
+    need order n form its leading rows, and both act on that contiguous
+    leading slice. Run j's sum is one real product of its phased
+    coefficients w (times exp(-i c dt_j)), as the rows [Re w; Im w], with
+    its two rows of every order it takes; two whole-block operations then
+    combine every run's four partial sums into its new state, written
+    straight back into the stack's first order. Buffers grow only when a
+    chunk needs more orders than any before it, so a step allocates
     nothing of the problem's size.
     """
     if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
@@ -358,39 +405,32 @@ def _evolve_linear(
     dim = h_static.shape[0]
     total_times = np.asarray(total_times, dtype=float).reshape(-1)
     n_runs = total_times.size
-    psi = np.zeros((dim, n_runs), dtype=complex)
-    psi[:] = np.asarray(psi0, dtype=complex)[:, None]
+    psi0 = np.asarray(psi0, dtype=complex)
     if not total_times.any():
-        return {k: psi.copy() for k in sample_steps}, [0] * n_runs
+        return {k: np.repeat(psi0[:, None], n_runs, axis=1) for k in sample_steps}, [0] * n_runs
+    refusal = _block_refusal(h_static, h_ramp, f_start, f_end, total_times, n_steps)
+    if refusal is not None:
+        raise refusal
     # Slowest run first: the runs with terms left at any order lead the block.
     order = np.argsort(-total_times, kind="stable")
     restore = np.argsort(order)
     dts = total_times[order] / n_steps
-    # No chunk's radius exceeds the whole ramp's, so no step's z exceeds this.
-    lo, hi = _gershgorin_bounds(h_static, h_ramp, np.array([f_start, f_end]))
-    z_max = 0.5 * (hi - lo) * float(dts[0])
-    if not z_max <= _CHEB_Z_MAX:
-        fit = n_steps * (z_max / _CHEB_Z_MAX)
-        raise NumericalInstabilityError(
-            f"a step spans z = r dt = {z_max:.3g} (limit {_CHEB_Z_MAX:g}): "
-            + (f"{math.ceil(fit)} steps would fit" if math.isfinite(fit) else "no step count fits")
-        )
-    # Nor does any step need more terms than a step at z_max.
-    order_bytes = 16 * dim * n_runs
-    stack_bytes = len(_chebyshev_coefficients(z_max)) * order_bytes
-    if stack_bytes > _CHEB_STACK_BYTES_MAX:
-        # Every z below z_fit takes at most z + 12 z^(1/3) + 30 terms, which fit.
-        orders = _CHEB_STACK_BYTES_MAX // order_bytes
-        z_fit = orders - 12.0 * orders ** (1.0 / 3.0) - 30.0
-        raise ResourceLimitError(
-            f"the Chebyshev stack of {n_runs} runs at dim {dim} needs {stack_bytes} bytes "
-            f"(limit {_CHEB_STACK_BYTES_MAX}): "
-            + (f"{math.ceil(n_steps * z_max / z_fit)} steps would fit" if z_fit > 0
-               else "no step count fits")
-        )
+    # stack[n] holds T_n, run j in rows 2j (real) and 2j + 1 (imaginary);
+    # stack[0] is the current state.
+    stack = np.empty((1, 2 * n_runs, dim))
+    stack[0, 0::2] = psi0.real
+    stack[0, 1::2] = psi0.imag
+
+    def states() -> np.ndarray:
+        # Every run's current state as a new complex column, in input order.
+        block = np.empty((dim, n_runs), dtype=complex)
+        block.real = stack[0, 0::2][restore].T
+        block.imag = stack[0, 1::2][restore].T
+        return block
+
     out: dict[int, np.ndarray] = {}
     if 0 in sample_steps:
-        out[0] = psi.copy()
+        out[0] = states()
     # Flat indices of the ramp's nonzero entries: the diagonal for a sector
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
     ramp_idx = np.flatnonzero(h_ramp)
@@ -400,9 +440,12 @@ def _evolve_linear(
     a_idx = np.empty(ramp_idx.size)
     b_idx = np.empty(ramp_idx.size)
     entries = np.empty(ramp_idx.size)
-    # stack[n] holds T_n for every run; stack[0] is the current state.
-    stack = psi[None]
-    new_psi = np.empty((dim, n_runs), dtype=complex)
+    # sums[j] = [Re w; Im w] @ [Re T | Im T] for run j: the four real
+    # partial sums of its new state, Re w Re T, Re w Im T, Im w Re T and
+    # Im w Im T summed over its orders.
+    sums = np.empty((n_runs, 2, 2 * dim))
+    rw_rt, rw_it = sums[:, 0, :dim], sums[:, 0, dim:]
+    iw_rt, iw_it = sums[:, 1, :dim], sums[:, 1, dim:]
     terms = [0] * n_runs
     for steps, f_mid in _chunk_midpoints(f_start, f_end, n_steps):
         lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
@@ -412,28 +455,25 @@ def _evolve_linear(
         lengths = [len(c) for c in coeffs]
         terms = [max(t, n) for t, n in zip(terms, lengths)]
         if max(lengths) > stack.shape[0]:
-            grown = np.zeros((max(lengths), dim, n_runs), dtype=complex)
+            grown = np.zeros((max(lengths), 2 * n_runs, dim))
             grown[0] = stack[0]
             stack = grown
-        real_view = stack.view(float)
-        # Order n >= 2: the product over the leading runs that still need it,
-        # np.dot into the contiguous full width, np.matmul into a strided slice.
+        new_re, new_im = stack[0, 0::2], stack[0, 1::2]
+        # Order n >= 2: the rows of the leading runs that still need it.
         orders = []
         for n in range(2, max(lengths)):
-            a = 1 + max(j for j, length in enumerate(lengths) if length > n)
-            orders.append((
-                np.dot if a == n_runs else np.matmul,
-                real_view[n - 1, :, : 2 * a],
-                real_view[n, :, : 2 * a],
-                stack[n, :, :a],
-                stack[n - 2, :, :a],
-            ))
-        # Run j's new state: its phased coefficients times its own T_n.
+            rows = 2 * (1 + max(j for j, length in enumerate(lengths) if length > n))
+            orders.append((stack[n - 1, :rows], stack[n, :rows], stack[n - 2, :rows]))
+        # Run j's sum: its phased coefficients times its own two rows of T_n.
         phases = np.exp(-1j * center * dts)
-        finals = [
-            (phase * c, stack[: len(c), :, j], new_psi[:, j])
-            for j, (phase, c) in enumerate(zip(phases, coeffs))
-        ]
+        finals = []
+        for j, (phase, c) in enumerate(zip(phases, coeffs)):
+            weights = phase * c
+            finals.append((
+                np.stack([weights.real, weights.imag]),
+                stack[: len(c), 2 * j : 2 * j + 2].reshape(len(c), 2 * dim),
+                sums[j],
+            ))
         np.copyto(h2, h_static)
         h2_flat[:: dim + 1] -= center
         h2 *= 2.0 / radius
@@ -444,16 +484,17 @@ def _evolve_linear(
             entries += a_idx
             h2_flat[ramp_idx] = entries
             # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
-            np.dot(h2, real_view[0], out=real_view[1])
+            np.dot(stack[0], h2, out=stack[1])
             stack[1] *= 0.5
-            for product, t_in, t_out, t_new, t_back in orders:
-                product(h2, t_in, out=t_out)
-                t_new -= t_back
-            for weights, column_terms, column in finals:
-                np.matmul(weights, column_terms, out=column)
-            stack[0] = new_psi
+            for t_in, t_out, t_back in orders:
+                np.dot(t_in, h2, out=t_out)
+                t_out -= t_back
+            for weights, run_rows, run_sums in finals:
+                np.dot(weights, run_rows, out=run_sums)
+            np.subtract(rw_rt, iw_it, out=new_re)
+            np.add(rw_it, iw_rt, out=new_im)
             if k + 1 in sample_steps:
-                out[k + 1] = new_psi[:, restore]
+                out[k + 1] = states()
     return out, [terms[j] for j in restore]
 
 
@@ -578,7 +619,11 @@ def run_sweep(
     A ``RateBlock`` runs its schedules in one propagation, as the columns of
     one block (see ``_evolve_linear``), and returns one ``Trajectory`` or
     ``RabisweepError`` per schedule, in order: a bad argument raises for the
-    whole block, and a run's norm drift fails only that run's entry.
+    whole block, and a run's norm drift fails only that run's entry. So does
+    a step or stack past the propagator's limits (``_block_refusal``): the
+    block gives up its slowest runs one at a time until the rest fit, and
+    each of those entries is the error that refused it. A single schedule
+    past them raises.
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
@@ -610,15 +655,31 @@ def run_sweep(
     # truncation weight see it even when no sample asks for it.
     checked = sorted(set(steps) | {n_steps})
     columns = np.searchsorted(checked, steps)
+    # A block gives up its slowest runs, one at a time, until the rest fit
+    # the propagator's limits.
+    times = [s.total_time for s in schedules]
+    refused: dict[int, RabisweepError] = {}
+    live = list(range(len(schedules)))
+    while isinstance(schedule, RateBlock) and live:
+        error = _block_refusal(
+            h_static, h_ramp, first.start_value, first.end_value,
+            [times[j] for j in live], n_steps,
+        )
+        if error is None:
+            break
+        slowest = max(live, key=times.__getitem__)
+        refused[slowest] = error
+        live.remove(slowest)
     sampled, chebyshev_terms = _evolve_linear(
         h_static, h_ramp, first.start_value, first.end_value,
-        [s.total_time for s in schedules], n_steps, psi0.amplitudes, set(checked),
-    )
+        [times[j] for j in live], n_steps, psi0.amplitudes, set(checked),
+    ) if live else ({}, [])
+    column = {j: i for i, j in enumerate(live)}
 
     def trajectory(j: int) -> Trajectory:
         own = schedules[j]
         dt = own.total_time / n_steps if own.total_time else 0.0
-        block = np.stack([sampled[k][:, j] for k in checked], axis=1)
+        block = np.stack([sampled[k][:, column[j]] for k in checked], axis=1)
         norms = np.array([np.linalg.norm(column) for column in block.T])
         deviations = norms - 1.0
         # "Not within" the limit: a NaN norm fails the run too.
@@ -639,7 +700,7 @@ def run_sweep(
             ),
             top_fock_occupancy=top_fock_occupancy(p, block[:, -1]),
             endpoint_top_fock_occupancy=endpoint_occ,
-            chebyshev_terms=chebyshev_terms[j],
+            chebyshev_terms=chebyshev_terms[column[j]],
         )
 
     if not isinstance(schedule, RateBlock):
@@ -647,7 +708,7 @@ def run_sweep(
     results: list[Trajectory | RabisweepError] = []
     for j in range(len(schedules)):
         try:
-            results.append(trajectory(j))
+            results.append(refused[j] if j in refused else trajectory(j))
         except RabisweepError as exc:
             results.append(exc)
     return results

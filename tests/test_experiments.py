@@ -171,6 +171,18 @@ class TestScanLoop:
         assert failed.warnings[0].startswith("NumericalInstabilityError")
         assert first.converged and last.converged
 
+    def test_a_rate_past_the_z_limit_fails_only_its_row(self):
+        # The slowest rate's step spans z far past the propagator's limit:
+        # its row carries that refusal, and the faster rates still run.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        spec = ExperimentSpec(
+            "quench_ns", p, "rate", (1e-9, 100.0, 1e3), n_steps=1000, options={"delta_hi": 20.0}
+        )
+        refused, *ran = run_experiment(spec).rows
+        assert refused.sim is None and not refused.converged
+        assert refused.warnings[0].startswith("NumericalInstabilityError: a step spans z")
+        assert all(row.sim is not None and row.converged for row in ran)
+
     def test_one_readout_call_reads_the_finished_runs(self, monkeypatch):
         # The second run drifts; the other two final states are read out in
         # one call, and an error that call raises fails just their rows.

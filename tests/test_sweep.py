@@ -140,15 +140,15 @@ class TestEngine:
         # symmetric like every model Hamiltonian. Each case runs alone, as a
         # block of two rates 10x apart, faster first, so the block reorders
         # its columns, and as a block of three rates spanning 100x, whose
-        # fewer-term runs drop out of the later orders: those orders switch
-        # from the full-width product to the product over a leading slice. A
-        # run of duration 1e-13 keeps the two terms that the kernel always
-        # forms (z < 1e-14). Every block column must match its
-        # single-run propagation to 1e-14 after one step and to 1e-13 after
-        # 750 and 1500: BLAS sums a product of another width in another
-        # order, and that rounding walks to about 5e-14 by step 1500. The
-        # sample at step 1 would be overwritten if it aliased a working
-        # buffer.
+        # fewer-term runs drop out of the later orders: those orders multiply
+        # only the leading rows, the slower runs' real and imaginary parts,
+        # not every run's rows. A run of duration 1e-13 keeps the two terms
+        # that the kernel always forms (z < 1e-14). Every block column must
+        # match its single-run propagation to 1e-14 after one step and to
+        # 1e-13 after 750 and 1500: BLAS sums a product of another height in
+        # another order, and that rounding walks to about 5e-14 by step
+        # 1500. The sample at step 1 would be overwritten if it aliased the
+        # working stack.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
         samples = {1, 750, 1500}
 
@@ -201,7 +201,7 @@ class TestEngine:
             for block_times in blocks:
                 block, terms = evolve(block_times)
                 # Terms fall with the rate, so the block takes the
-                # leading-slice product at some order.
+                # leading-row product at some order.
                 assert len(set(terms)) == len(block_times), (dim, terms)
                 assert set(block) == samples
                 for j, t in enumerate(block_times):
@@ -922,8 +922,8 @@ class TestRateBlock:
             RateBlock(())
 
     def test_entries_match_single_runs(self):
-        # Dim 32 in the even block runs the Chebyshev kernel through its
-        # real view; each entry is the run its schedule gives alone. Sample
+        # Dim 32 in the even block runs the Chebyshev kernel on its real
+        # rows; each entry is the run its schedule gives alone. Sample
         # steps, unlike sample times, sit at one point of the ramp for every
         # rate: sample i of each entry is at the same gap value.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
@@ -948,6 +948,88 @@ class TestRateBlock:
             assert traj.schedule.sample_steps == alone.schedule.sample_steps == steps
             assert traj.states.shape == alone.states.shape == (32, len(steps))
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
+
+    def test_a_stack_grown_mid_run_carries_the_state(self):
+        # The sn quench 0 -> 200 in 3,000 steps spans three chunks, and the
+        # radius grows with the gap, so each chunk needs more orders than the
+        # one before it and the stack grows twice, carrying every run's rows
+        # of the state into the larger stack. Each entry matches its single
+        # run to 1e-12, and a per-step exponential of the midpoint H from one
+        # batched eigh to 1e-12, at the chunk boundaries and the end.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        n_steps = 3000
+        steps = (0, 1024, 2048, 3000)
+        base = SweepSchedule("delta", 0.0, 200.0, 10.0, n_steps=n_steps, sample_steps=steps)
+        schedules = tuple(replace(base, rate_v=r) for r in (100.0, 10.0, 1e3))
+        per_chunk = []
+        for _, f_mid in sweep._chunk_midpoints(0.0, 200.0, n_steps):
+            lo, hi = sweep._gershgorin_bounds(h0, h1, f_mid)
+            radius = 0.5 * (hi - lo) + 1e-300
+            per_chunk.append([
+                len(sweep._chebyshev_coefficients(radius * s.total_time / n_steps))
+                for s in schedules
+            ])
+        assert len(per_chunk) == 3
+        assert max(per_chunk[0]) < max(per_chunk[1]) < max(per_chunk[2])
+        psi0 = block_ground(p, 0.0)
+        block = run_sweep(p, RateBlock(schedules), psi0)
+        f_mid = 200.0 * (np.arange(n_steps) + 0.5) / n_steps
+        w, v = np.linalg.eigh(h0 + f_mid[:, None, None] * h1)
+        for j, (traj, schedule) in enumerate(zip(block, schedules)):
+            assert traj.chebyshev_terms == max(terms[j] for terms in per_chunk)
+            alone = run_sweep(p, schedule, psi0)
+            assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
+            dt = schedule.total_time / n_steps
+            ref = psi0.amplitudes.astype(complex)
+            refs = [ref]
+            for k in range(n_steps):
+                ref = v[k] @ (np.exp(-1j * dt * w[k]) * (v[k].T @ ref))
+                if k + 1 in steps:
+                    refs.append(ref)
+            assert np.all(np.linalg.norm(traj.states - np.array(refs).T, axis=0) < 1e-12)
+
+    def test_a_run_past_the_z_limit_fails_only_its_entry(self):
+        # Only the slowest rate's step spans z past the limit (twice it): its
+        # entry is the error that refuses it, and the other two run as their
+        # own block, each matching its single run. That rate alone raises.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        psi0 = block_ground(p, 200.0)
+        parts = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        lo, hi = sweep._gershgorin_bounds(*parts, np.array([200.0, 0.0]))
+        slow = 0.5 * (hi - lo) * 200.0 / (1000 * 2.0 * sweep._CHEB_Z_MAX)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
+        schedules = tuple(replace(base, rate_v=r) for r in (1e4, slow, 1e3))
+        fast, refused, last = run_sweep(p, RateBlock(schedules), psi0)
+        assert isinstance(refused, NumericalInstabilityError)
+        assert "z = r dt = 2e+05" in str(refused)
+        for traj, schedule in ((fast, schedules[0]), (last, schedules[2])):
+            alone = run_sweep(p, schedule, psi0)
+            assert traj.chebyshev_terms == alone.chebyshev_terms
+            assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
+        with pytest.raises(NumericalInstabilityError, match="z = r dt"):
+            run_sweep(p, schedules[1], psi0)
+
+    def test_a_block_past_the_stack_cap_gives_up_its_slowest_runs(self, monkeypatch):
+        # With the cap set to the stack of the two faster runs, the block of
+        # three is refused by its stack; it gives up its slowest run, whose
+        # entry names the three runs' bytes, and runs the other two.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        psi0 = block_ground(p, 200.0)
+        parts = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
+        schedules = tuple(replace(base, rate_v=r) for r in (1e4, 10.0, 1e3))
+        alone = [run_sweep(p, schedule, psi0) for schedule in schedules]
+        lo, hi = sweep._gershgorin_bounds(*parts, np.array([200.0, 0.0]))
+        z_of = [0.5 * (hi - lo) * s.total_time / 1000 for s in schedules]
+        cap = 16 * 32 * 2 * len(sweep._chebyshev_coefficients(z_of[2]))
+        assert 16 * 32 * 3 * len(sweep._chebyshev_coefficients(z_of[1])) > cap
+        monkeypatch.setattr(sweep, "_CHEB_STACK_BYTES_MAX", cap)
+        fast, refused, last = run_sweep(p, RateBlock(schedules), psi0)
+        assert isinstance(refused, ResourceLimitError)
+        assert "stack of 3 runs at dim 32" in str(refused)
+        for traj, single in ((fast, alone[0]), (last, alone[2])):
+            assert np.all(np.linalg.norm(traj.states - single.states, axis=0) < 1e-12)
 
     def test_a_drifting_run_fails_only_its_entry(self, monkeypatch):
         evolve = sweep._evolve_linear
