@@ -111,8 +111,8 @@ def _build_parser() -> _Parser:
 
     f = sub.add_parser("formula", help="closed-form quantities")
     f.add_argument("--g-over-omega", type=float, required=True)
-    f.add_argument("--n", type=int, default=0)
-    f.add_argument("--delta-over-omega", type=float, default=1.0)
+    f.add_argument("--n", type=int, default=None, help="photon number (default 0)")
+    f.add_argument("--delta-over-omega", type=float, default=None, help="cascade only (default 1)")
     f.add_argument("--v-over-delta2", type=float, default=None)
     f_mode = f.add_mutually_exclusive_group()
     f_mode.add_argument("--lz", action="store_true", help="two-level survival probability")
@@ -167,14 +167,19 @@ def _run_table(args, spec: ExperimentSpec, name: str, svg_labels) -> int:
     return 0
 
 
+def _refuse_unread(args, names: tuple[str, ...], where: str) -> None:
+    """A usage error naming each flag of ``names`` that was given: it is
+    not allowed ``where``, since that mode does not read it."""
+    given = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is not None]
+    if given:
+        raise _UsageError(f"{'/'.join(given)}: not allowed {where}")
+
+
 def _trace_rate(args) -> dict:
     """The rate keyword of a --trace, empty for the spec builder's default.
     The grid flags with --trace and --rate without it are usage errors."""
     unused = ("v_min", "v_max", "points_per_decade") if args.trace else ("rate",)
-    given = [f"--{n.replace('_', '-')}" for n in unused if getattr(args, n) is not None]
-    if given:
-        where = "with" if args.trace else "without"
-        raise _UsageError(f"{'/'.join(given)}: not allowed {where} --trace")
+    _refuse_unread(args, unused, f"{'with' if args.trace else 'without'} --trace")
     return {} if args.rate is None else {"rate": args.rate}
 
 
@@ -224,22 +229,28 @@ def _cmd_multimode(args):
 
 
 def _cmd_formula(args) -> int:
+    """One closed-form value. Each mode refuses the flags it does not read:
+    the Poisson overlap (the default) reads --n, --lz reads --v-over-delta2
+    and --cascade reads all three."""
+    n = 0 if args.n is None else args.n
     if args.lz:
+        _refuse_unread(args, ("n", "delta_over_omega"), "with --lz")
         if args.v_over_delta2 is None:
             raise InvalidParameterError("--lz needs --v-over-delta2")
         print(f"{lz_probability(1.0, args.v_over_delta2):.6f}")
     elif args.cascade:
         if args.v_over_delta2 is None:
             raise InvalidParameterError("--cascade needs --v-over-delta2")
-        delta = args.delta_over_omega
+        delta = 1.0 if args.delta_over_omega is None else args.delta_over_omega
         rate = args.v_over_delta2 * (delta * delta)
         recs = cascade_probabilities(delta, rate, args.g_over_omega, 1.0)
         up = {r.label.photons: r.probability for r in recs if r.label.qubit == "up"}
-        if args.n not in up:
-            raise InvalidParameterError(f"--n {args.n} is not a cascade level (0..{max(up)})")
-        print(f"{up[args.n]:.6f}")
+        if n not in up:
+            raise InvalidParameterError(f"--n {n} is not a cascade level (0..{max(up)})")
+        print(f"{up[n]:.6f}")
     else:
-        print(f"{poisson_overlap(args.n, args.g_over_omega, 1.0):.6f}")
+        _refuse_unread(args, ("v_over_delta2", "delta_over_omega"), "without --lz or --cascade")
+        print(f"{poisson_overlap(n, args.g_over_omega, 1.0):.6f}")
     return 0
 
 
@@ -260,8 +271,10 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_presets(args):
     if args.name is None:
-        if args.audit:
-            raise _UsageError("--audit needs a preset name")
+        given = [flag for flag, on in (("--audit", args.audit), ("--emit-svg", args.emit_svg),
+                                       ("--allow-long", args.allow_long)) if on]
+        if given:
+            raise _UsageError(f"{'/'.join(given)} needs a preset name")
         for name, preset in PRESETS.items():
             tag = " [long-running]" if preset.long_running else ""
             print(f"{name:16s} {preset.description}{tag}")

@@ -4,10 +4,11 @@ tables, each pairing the dynamics with its closed-form oracle where one exists.
 Scan axes are dimensionless: quench rates in units of omega^2, bias sweep
 rates in units of delta^2, trace rows on the swept parameter over omega.
 
-Each ramp family has one setup that its scans and its trace share, with one
-``readout(values, states)`` for both bodies: ``_quench`` reads out in the even
-block's eigenbasis under one label tuple, named once at the far end, and
-``_bias`` in the displaced columns.
+Each ramp family has one setup that its scans and its trace share, a
+``_Setup`` whose ``readout(values, states)`` serves both bodies: ``_quench``
+reads out in the even block's eigenbasis under one label tuple, named once at
+the far end, and ``_bias`` in the displaced columns. A setup also solves both
+ends of its sweep once per table for the endpoint truncation check.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .model import (
     _require_finite,
     _require_positive,
     critical_delta,
+    top_fock_occupancy,
 )
 from .operators import StateVector
 from .sweep import (
@@ -54,7 +56,6 @@ from .sweep import (
     _tridiagonal_parts,
     eigen_level_series,
     greedy_label_assignment,
-    ground_state,
     project_records,
     readout_columns,
     run_sweep,
@@ -245,26 +246,41 @@ def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
     return key, float(spec.options[key]) if key in spec.options else default(spec.params)
 
 
+class _Setup(NamedTuple):
+    """What a ramp family's setup hands its scans and its trace: the ramp
+    ``(parameter, start, end, rate_unit)``, the initial state ``psi0``, the
+    table's ``endpoint_occupancy`` (the larger top-tenth Fock weight of psi0
+    and of the far end's ground state, each end solved once per table) and
+    ``readout(values, states)``."""
+
+    ramp: tuple[str, float, float, float]
+    psi0: StateVector
+    endpoint_occupancy: float
+    readout: Callable[[np.ndarray, np.ndarray], list[Readout]]
+
+
 def _row_checks(
     traj: Trajectory,
     readout: Readout,
+    endpoint_occupancy: float,
     top_occupancy_tol: float = TOP_OCCUPANCY_TOL,
 ) -> tuple[dict, tuple[str, ...]]:
     """A row's checks and warnings; the row converged when there are none.
     The one judge of a row's limits: the run's norm drift against
     SAMPLE_NORM_TOL, its parity leakage against LEAKAGE_TOL (only where the
-    run measured it; None in the checks otherwise), its final-state and
-    endpoint top-tenth Fock weights against ``top_occupancy_tol``, and the
-    readout's sum against ROW_SUM_TOL. Each exceeded limit adds one warning
-    naming the value and the limit. The checks, read from the
-    ``Trajectory``'s fields, also carry the run's steps and its Chebyshev
-    terms per step; ``io.write_result_table`` writes them to the manifest."""
+    run measured it; None in the checks otherwise), its final state's
+    top-tenth Fock weight and its table's ``endpoint_occupancy`` (see
+    ``_Setup``) against ``top_occupancy_tol``, and the readout's sum against
+    ROW_SUM_TOL. Each exceeded limit adds one warning naming the value and
+    the limit. The checks, read from the ``Trajectory``'s fields and the
+    endpoint weight, also carry the run's steps and its Chebyshev terms per
+    step; ``io.write_result_table`` writes them to the manifest."""
     total = float(sum(readout.probabilities.tolist()))
     checks = {
         "norm_deviation": traj.max_norm_deviation,
         "parity_leakage": traj.max_parity_leakage,
         "top_fock_occupancy": traj.top_fock_occupancy,
-        "endpoint_top_fock_occupancy": traj.endpoint_top_fock_occupancy,
+        "endpoint_top_fock_occupancy": endpoint_occupancy,
         "probability_sum": total,
         "n_steps": traj.schedule.n_steps,
         "chebyshev_terms": traj.chebyshev_terms,
@@ -292,17 +308,15 @@ def _row_checks(
 def _rate_scan(
     spec: ExperimentSpec,
     oracles_for_values: Callable[[tuple[float, ...]], list[Readout | RabisweepError]],
-    ramp: tuple[str, float, float, float] | None = None,
-    psi0: StateVector | None = None,
-    readout: Callable[[np.ndarray, np.ndarray], list[Readout]] | None = None,
+    setup: _Setup | None = None,
 ) -> ResultTable:
     """One row per rate: the body of every rate scan.
 
     One ``oracles_for_values`` call over the whole grid gives each rate its
     oracle readout or the package error that refuses it (an error raised for
     the whole grid refuses every rate), timed as ``provenance["oracle_s"]``.
-    ``ramp`` is ``(parameter, start, end, rate_unit)``, or None for a
-    formula-only table. The rates not refused run from ``psi0`` as one
+    ``setup`` is the ramp family's (see ``_Setup``), or None for a
+    formula-only table. The rates not refused run from its ``psi0`` as one
     ``RateBlock`` at scan value x ``rate_unit``, and one
     ``readout(values, states)`` call reads their (dim, runs) block of final
     states, every value at ``end``; the two are timed as
@@ -324,15 +338,15 @@ def _rate_scan(
     oracles = dict(zip(spec.scan_values, entries, strict=True))
     kept = [v for v, oracle in oracles.items() if not isinstance(oracle, RabisweepError)]
     runs, sims = {}, {}
-    if ramp is not None and kept:
-        parameter, start, end, rate_unit = ramp
+    if setup is not None and kept:
+        parameter, start, end, rate_unit = setup.ramp
         t0 = time.perf_counter()
         try:
             block = RateBlock(tuple(
                 SweepSchedule(parameter, start, end, v * rate_unit, n_steps=spec.n_steps)
                 for v in kept
             ))
-            runs = dict(zip(kept, run_sweep(spec.params, block, psi0)))
+            runs = dict(zip(kept, run_sweep(spec.params, block, setup.psi0)))
         except RabisweepError as exc:
             runs = dict.fromkeys(kept, exc)
         t1 = time.perf_counter()
@@ -340,7 +354,7 @@ def _rate_scan(
         if done:
             finals = np.stack([runs[v].final_state for v in done], axis=1)
             try:
-                sims = dict(zip(done, readout(np.full(len(done), end), finals)))
+                sims = dict(zip(done, setup.readout(np.full(len(done), end), finals)))
             except RabisweepError as exc:
                 sims = dict.fromkeys(done, exc)
         provenance["propagation_s"] = round(t1 - t0, 4)
@@ -354,26 +368,25 @@ def _rate_scan(
             warning = f"{type(failure).__name__}: {failure}"
             rows.append(ResultRow(scan_value, None, None, warnings=(warning,)))
             continue
-        checks, warns = ({}, ()) if traj is None else _row_checks(traj, sim, top_occupancy_tol)
+        checks, warns = ({}, ()) if traj is None else _row_checks(
+            traj, sim, setup.endpoint_occupancy, top_occupancy_tol
+        )
         checks["oracle_residual"] = 1.0 - sum(oracle.probabilities.tolist())
         rows.append(ResultRow(scan_value, sim, oracle, checks=checks, warnings=warns))
     return ResultTable(spec, rows, provenance)
 
 
-def _time_trace(
-    spec: ExperimentSpec, ramp: tuple[str, float, float, float], axis_unit: float,
-    psi0: StateVector, readout: Callable[[np.ndarray, np.ndarray], list[Readout]],
-) -> ResultTable:
-    """One row per axis value: the body of every time trace. ``ramp`` is
-    ``(parameter, start, end, rate_unit)``, as in ``_rate_scan``, run once
-    from ``psi0`` at ``options["rate"]`` x ``rate_unit``. An axis value times
+def _time_trace(spec: ExperimentSpec, setup: _Setup, axis_unit: float) -> ResultTable:
+    """One row per axis value: the body of every time trace. The ramp of
+    ``setup`` (see ``_Setup``) runs once from its ``psi0`` at
+    ``options["rate"]`` x ``rate_unit``. An axis value times
     ``axis_unit`` is a value of the swept parameter, sampled at the step k
     whose ramp value start + (end - start) k/n_steps is nearest; values
     outside the sweep are refused, those a rounding error past an end are
     clipped. ``readout(values, states)`` reads the samples out at their ramp
     values, and each row, at its value over ``axis_unit``, is judged by
     ``_row_checks``; the run and the readout are timed as in ``_rate_scan``."""
-    parameter, start, end, rate_unit = ramp
+    parameter, start, end, rate_unit = setup.ramp
     n = spec.n_steps
     fractions = (np.asarray(spec.scan_values) * axis_unit - start) / (end - start)
     if np.any(fractions < -1e-12) or np.any(fractions > 1.0 + 1e-12):
@@ -383,15 +396,15 @@ def _time_trace(
     schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
     values = start + (end - start) * (np.array(steps) / n)
     t0 = time.perf_counter()
-    traj = run_sweep(spec.params, schedule, psi0)
+    traj = run_sweep(spec.params, schedule, setup.psi0)
     t1 = time.perf_counter()
-    sims = readout(values, traj.states)
+    sims = setup.readout(values, traj.states)
     provenance = {
         "propagation_s": round(t1 - t0, 4), "readout_s": round(time.perf_counter() - t1, 4)
     }
     rows = []
     for value, sim in zip(values.tolist(), sims):
-        checks, warns = _row_checks(traj, sim)
+        checks, warns = _row_checks(traj, sim, setup.endpoint_occupancy)
         # Adding 0.0 turns the -0.0 of a negative unit at zero into 0.0.
         rows.append(ResultRow(value / axis_unit + 0.0, sim, None, checks=checks, warnings=warns))
     return ResultTable(spec, rows, provenance)
@@ -401,19 +414,21 @@ def _time_trace(
 # Quench experiments
 # ---------------------------------------------------------------------------
 
-def _quench(spec: ExperimentSpec) -> tuple:
+def _quench(spec: ExperimentSpec) -> tuple[_Setup, float, tuple[BasisLabel, ...]]:
     """The gap-quench setup that its scans and its trace share:
-    ``(ramp, sign, labels, psi0, readout)``. The ramp ``("delta", start,
-    end, omega^2)`` runs between ``delta_hi`` and zero gap in the kind's
-    direction or, for ``quench_trace`` only, ``options["direction"]``,
-    inside the even-parity block from its ground state ``psi0``. ``sign`` is
-    the trace axis' sign: -1 toward zero gap (v(t - T)/omega = -delta/omega),
-    +1 away from it (v t/omega = delta/omega). ``labels`` names the block's
-    eigenvectors at ``end``, once, each by its best match in the direction's
-    scheme: superradiant toward zero gap, normal away from it.
-    ``readout(values, states)`` gives each state's populations of the
-    block's eigenvectors at its gap (``eigen_level_series``: levels in
-    energy order, flagged near a degeneracy) under that one tuple."""
+    ``(setup, sign, labels)``. The ramp ``("delta", start, end, omega^2)``
+    runs between ``delta_hi`` and zero gap in the kind's direction or, for
+    ``quench_trace`` only, ``options["direction"]``, inside the even-parity
+    block from its ground state ``psi0``. ``sign`` is the trace axis' sign:
+    -1 toward zero gap (v(t - T)/omega = -delta/omega), +1 away from it
+    (v t/omega = delta/omega). One tridiagonal solve of the block at
+    ``end`` serves twice: ``labels`` names its eigenvectors, once, each by
+    its best match in the direction's scheme (superradiant toward zero gap,
+    normal away from it), and its lowest column is the far end's ground
+    state for the endpoint weight. ``readout(values, states)`` gives each
+    state's populations of the block's eigenvectors at its gap
+    (``eigen_level_series``: levels in energy order, flagged near a
+    degeneracy) under that one tuple."""
     p = spec.params
     hi = _endpoint_option(spec)[1]
     ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
@@ -427,7 +442,9 @@ def _quench(spec: ExperimentSpec) -> tuple:
         return Readout.rows(labels, pops, flags)
 
     psi0 = StateVector(_lowest_eigenvector(*block, start), EVEN_SECTOR)
-    return ("delta", start, end, _rate_unit(spec)), sign, labels, psi0, readout
+    occupancy = max(top_fock_occupancy(p, psi0.amplitudes), top_fock_occupancy(p, vecs[:, 0]))
+    ramp = ("delta", start, end, _rate_unit(spec))
+    return _Setup(ramp, psi0, occupancy, readout), sign, labels
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -439,11 +456,9 @@ def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
     if spec.kind not in ("quench_ns", "quench_sn"):
         raise InvalidParameterError(f"quench_rate_scan cannot run kind {spec.kind!r}")
     p = spec.params
-    ramp, _, labels, psi0, readout = _quench(spec)
+    setup, _, labels = _quench(spec)
     oracle = Readout(labels, [poisson_overlap(lab.photons, p.g, p.omega) for lab in labels])
-    return _rate_scan(
-        spec, lambda values: [oracle] * len(values), ramp=ramp, psi0=psi0, readout=readout
-    )
+    return _rate_scan(spec, lambda values: [oracle] * len(values), setup)
 
 
 def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
@@ -453,8 +468,8 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
     if spec.kind != "quench_trace":
         raise InvalidParameterError(f"quench_time_trace cannot run kind {spec.kind!r}")
     p = spec.params
-    ramp, sign, _, psi0, readout = _quench(spec)
-    table = _time_trace(spec, ramp, sign * p.omega, psi0, readout)
+    setup, sign, _ = _quench(spec)
+    table = _time_trace(spec, setup, sign * p.omega)
     crossing = sign * critical_delta(p.g, p.omega) / p.omega
     table.provenance["semiclassical_crossing_axis_value"] = crossing
     return table
@@ -464,19 +479,24 @@ def quench_time_trace(spec: ExperimentSpec) -> ResultTable:
 # Bias-sweep (multi-crossing) experiments
 # ---------------------------------------------------------------------------
 
-def _bias(spec: ExperimentSpec) -> tuple:
+def _bias(spec: ExperimentSpec) -> tuple[float, _Setup]:
     """The bias-sweep setup that its scans and its trace share:
-    ``(window, ramp, psi0, readout)``. The ramp ``("epsilon", -window,
-    window, delta^2)`` starts from the instantaneous ground state ``psi0``
-    at the window edge (the finite-window stand-in for the asymptotic
-    ground state); ``readout(values, states)`` projects the states onto the
-    displaced columns, one ``project_records`` product."""
+    ``(window, setup)``. The ramp ``("epsilon", -window, window, delta^2)``
+    starts from the instantaneous ground state ``psi0`` at the window edge
+    (the finite-window stand-in for the asymptotic ground state). The full
+    space's parts are assembled once and solved at both edges, -window for
+    psi0 and +window for the endpoint weight; ``readout(values, states)``
+    projects the states onto the displaced columns, one ``project_records``
+    product."""
     p = spec.params
     window = _endpoint_option(spec)[1]
     cols, labels = readout_columns(p, "displaced")
-    return (
-        window, ("epsilon", -window, window, _rate_unit(spec)),
-        ground_state(p, "epsilon", -window),
+    parts = _hamiltonian_parts(p, "epsilon")
+    psi0 = StateVector(_lowest_eigenvector(*parts, -window))
+    far = _lowest_eigenvector(*parts, window)
+    occupancy = max(top_fock_occupancy(p, psi0.amplitudes), top_fock_occupancy(p, far))
+    return window, _Setup(
+        ("epsilon", -window, window, _rate_unit(spec)), psi0, occupancy,
         lambda values, states: project_records(cols, labels, states),
     )
 
@@ -488,16 +508,16 @@ def _bias_scan(spec: ExperimentSpec, spectrum: GapSpectrum, residual_tol: float)
     oracle, and no setup is built.
     """
     if spec.options.get("simulate", True):
-        window, ramp, psi0, readout = _bias(spec)
+        window, setup = _bias(spec)
     else:
-        window, ramp, psi0, readout = _endpoint_option(spec)[1], None, None, None
+        window, setup = _endpoint_option(spec)[1], None
 
     def oracles_for_values(values: tuple[float, ...]) -> list[Readout | RabisweepError]:
         return sequential_crossing_probabilities(
             spectrum, np.asarray(values) * _rate_unit(spec), residual_tol=residual_tol
         )
 
-    table = _rate_scan(spec, oracles_for_values, ramp=ramp, psi0=psi0, readout=readout)
+    table = _rate_scan(spec, oracles_for_values, setup)
     table.provenance["window"] = window
     return table
 
@@ -517,8 +537,8 @@ def lz_time_trace(spec: ExperimentSpec) -> ResultTable:
     row per sample of the axis epsilon/omega, set up by ``_bias``."""
     if spec.kind != "lz_trace":
         raise InvalidParameterError(f"lz_time_trace cannot run kind {spec.kind!r}")
-    window, ramp, psi0, readout = _bias(spec)
-    table = _time_trace(spec, ramp, spec.params.omega, psi0, readout)
+    window, setup = _bias(spec)
+    table = _time_trace(spec, setup, spec.params.omega)
     table.provenance["window"] = window
     return table
 

@@ -319,9 +319,11 @@ class Readout(Sequence):
 # ---------------------------------------------------------------------------
 # Truncation adequacy. A displaced Fock level fits a truncation when its weight
 # outside it is at most STATE_TAIL_TOL. A sweep's truncation is adequate when
-# its initial state, final state and far-end ground state hold at
+# its final state, and the ground states at both ends of its ramp, hold at
 # most TOP_OCCUPANCY_TOL (or a row's own limit) in the top tenth of every
-# Fock ladder.
+# Fock ladder. A run records its final state's weight; a table's setup
+# (``experiments._quench``, ``experiments._bias``) solves both ends once, and
+# ``experiments._row_checks`` judges every row against both.
 # ---------------------------------------------------------------------------
 
 def default_n_fock(g: float, omega: float) -> int:

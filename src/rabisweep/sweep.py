@@ -36,28 +36,31 @@ of one stack, each with its own step size, coefficients and phase; a run
 whose step or stack would pass the propagator's limits fails only its entry.
 A sector run is measured in its parity block, whose coordinate k is photon
 number k, and is never lifted to the full space.
-``_lowest_eigenvector`` is the one ground-state solve of A + f B:
-``ground_state`` applies it to a model's parts, and ``run_sweep`` to the parts
-of its own run at the far end only, so a run assembles its Hamiltonian once
-and solves it once. A run takes its
+``_lowest_eigenvector`` is the one dense ground-state solve of A + f B, and
+``ground_state`` applies it to a model's parts. ``run_sweep`` solves
+nothing: it assembles its run's parts once, propagates and measures, and
+assumes nothing about its initial state. A run takes its
 space from its initial state's ``sector`` and returns a ``Trajectory``: the
 states at its schedule's sample steps as the columns of one read-only array,
-with its norm drift, parity leakage and truncation weights recorded for
-``experiments._row_checks``, the one judge of every limit.
+with its norm drift, parity leakage and final truncation weight recorded for
+``experiments._row_checks``, the one judge of every limit. The endpoint
+truncation check is a table's: each ramp family's setup in ``experiments``
+solves both ends of its sweep once per table.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
 symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
 the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
 same matrix ends in, without the dense reduction before it. Its levels are
-named once per table, at the sweep's far end (``experiments._quench``).
+named once per table, at the sweep's far end, by the solve whose lowest
+column is also the far end's ground state (``experiments._quench``).
 
 That solve is the package's only use of ``scipy.linalg``: numpy has no
 tridiagonal solve, and its batched ``eigh`` is about 1.9x slower per sample
 at dim 64. It imports ``scipy.linalg`` at its first call, so ``import
 rabisweep``, the formula-only tables and every bias sweep never load its ~110
-modules and the second OpenBLAS they bring. The ground states are numpy's
-(``operators.eig_hermitian``): a run makes one such solve, a few ms at dim 192.
+modules and the second OpenBLAS they bring. The dense ground states are
+numpy's (``operators.eig_hermitian``), a few ms at dim 192; a run makes none.
 """
 
 from __future__ import annotations
@@ -202,9 +205,10 @@ class Trajectory:
     (dim, samples) array: the normalized state at each of the schedule's
     ``sample_steps`` (its start and end when None) as a column, in the
     run's coordinates (block coordinates for a sector run). The maxima,
-    truncation weights and Chebyshev terms are recorded, not judged, as
-    ``run_sweep`` describes; leakage is None where parity is not measured.
-    Readouts come from ``project_records`` over ``readout_columns``.
+    the final truncation weight and the Chebyshev terms are recorded, not
+    judged, as ``run_sweep`` describes; leakage is None where parity is not
+    measured. A run reads nothing out: its family's ``readout(values,
+    states)`` in ``experiments`` does.
     """
 
     schedule: SweepSchedule
@@ -212,7 +216,6 @@ class Trajectory:
     max_norm_deviation: float
     max_parity_leakage: float | None
     top_fock_occupancy: float
-    endpoint_top_fock_occupancy: float
     chebyshev_terms: int
 
     @property
@@ -605,12 +608,11 @@ def run_sweep(
     Every sample and the end of the sweep, sampled or not, are measured. A
     norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
     the first such sample; below it the largest drift and parity leakage are
-    recorded for ``experiments._row_checks`` to judge. The top-tenth Fock
-    weights (``model.top_fock_occupancy``, in the run's coordinates) are
-    recorded as ``top_fock_occupancy``, that of the end state, and
-    ``endpoint_top_fock_occupancy``, the larger of psi0's and that of the
-    far end's ground state (the run's one solve, on its own parts): psi0
-    stands for the start's ground state, which every driver starts from.
+    recorded for ``experiments._row_checks`` to judge. The end state's
+    top-tenth Fock weight (``model.top_fock_occupancy``, in the run's
+    coordinates) is recorded as ``top_fock_occupancy``. The run makes no
+    eigensolve and assumes nothing about psi0: the weights of the sweep's
+    ends are its table's (see ``experiments._row_checks``).
     ``chebyshev_terms`` records the Chebyshev terms per step (the most any
     chunk took; 0 only for a zero-length sweep). ``max_parity_leakage`` is
     None where leakage is not measured: sector runs, bias sweeps, and
@@ -642,11 +644,6 @@ def run_sweep(
             leak_matrix = minus
         elif w_plus < 1e-12:
             leak_matrix = plus
-
-    endpoint_occ = max(
-        top_fock_occupancy(p, psi0.amplitudes),
-        top_fock_occupancy(p, _lowest_eigenvector(h_static, h_ramp, first.end_value)),
-    )
 
     n_steps = first.n_steps
     steps = [0, n_steps] if first.sample_steps is None else list(first.sample_steps)
@@ -699,7 +696,6 @@ def run_sweep(
                 np.max(np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
             ),
             top_fock_occupancy=top_fock_occupancy(p, block[:, -1]),
-            endpoint_top_fock_occupancy=endpoint_occ,
             chebyshev_terms=chebyshev_terms[column[j]],
         )
 

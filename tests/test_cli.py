@@ -64,6 +64,42 @@ class TestExitCodes:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["formula", "--g-over-omega", "1", "--v-over-delta2", "1"],
+             "--v-over-delta2: not allowed without --lz or --cascade"),
+            (["formula", "--g-over-omega", "1", "--delta-over-omega", "2"],
+             "--delta-over-omega: not allowed without --lz or --cascade"),
+            (["formula", "--g-over-omega", "1", "--lz", "--v-over-delta2", "1", "--n", "4",
+              "--delta-over-omega", "3"], "--n/--delta-over-omega: not allowed with --lz"),
+            (["formula", "--g-over-omega", "1", "--lz", "--v-over-delta2", "1", "--n", "0"],
+             "--n: not allowed with --lz"),
+            (["presets", "--emit-svg"], "--emit-svg needs a preset name"),
+            (["presets", "--allow-long"], "--allow-long needs a preset name"),
+        ],
+        ids=["poisson-rate", "poisson-gap", "lz-level-and-gap", "lz-level-zero",
+             "presets-svg", "presets-allow-long"],
+    )
+    def test_a_flag_its_mode_does_not_read_is_a_usage_error(self, argv, message, capsys):
+        # Each used to exit 0 without reading the flag: formula printed the
+        # Poisson or Landau-Zener value, and presets listed the presets.
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"usage error: {message}\n"
+
+    def test_each_formula_mode_applies_its_own_defaults(self, capsys):
+        # --n defaults to 0 and --delta-over-omega to 1, as given explicitly.
+        for mode, defaults in (
+            ([], ["--n", "0"]),
+            (["--cascade", "--v-over-delta2", "2"], ["--n", "0", "--delta-over-omega", "1"]),
+        ):
+            assert main(["formula", "--g-over-omega", "1", *mode]) == 0
+            implicit = printed(capsys)
+            assert main(["formula", "--g-over-omega", "1", *mode, *defaults]) == 0
+            assert printed(capsys) == implicit
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["quench", "--g-over-omega", "1", "--n-fock", "16", "--delta-i", "20",

@@ -259,9 +259,10 @@ class TestRateScan:
 
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
     def test_a_quench_table_makes_two_tridiagonal_solves(self, monkeypatch, kind):
-        # One solve names the far end's levels and one reads every rate's
-        # final state there; the ground states are numpy's, one per run
-        # and one for the initial state.
+        # One solve names the far end's levels, and its lowest column is
+        # the far end's ground state for the endpoint check; one reads every
+        # rate's final state there. The initial state is the one dense
+        # solve, and the runs make none.
         spies = {}
         for name in ("_tridiagonal_eigh", "_lowest_eigenvector"):
             spies[name] = mock.Mock(wraps=getattr(sweep, name))
@@ -273,7 +274,60 @@ class TestRateScan:
         )
         rows = run_experiment(spec).rows
         assert all(row.sim is not None for row in rows)
-        assert [spy.call_count for spy in spies.values()] == [2, 2]
+        assert [spy.call_count for spy in spies.values()] == [2, 1]
+
+    @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
+    def test_every_row_weighs_both_ends_of_its_quench(self, kind):
+        # At g/omega = 2 in 8 levels the zero-gap ground state holds 1.43e-2
+        # on the top level, and the gap-100 one 4e-12. That is the far end
+        # of an ns quench and psi0 of an sn one, so each half of the
+        # table's max is covered: every row records the weight once and
+        # fails on it with one warning.
+        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
+        spec = ExperimentSpec(
+            kind, p, "v_over_omega2", (1e3, 1e4), n_steps=1000, options={"delta_hi": 100.0}
+        )
+        ends = [
+            top_fock_occupancy(p, ground_state(p, "delta", d, EVEN_SECTOR).amplitudes)
+            for d in (0.0, 100.0)
+        ]
+        assert ends[1] < 1e-10
+        rows = run_experiment(spec).rows
+        assert len(rows) == 2
+        for row in rows:
+            assert row.checks["endpoint_top_fock_occupancy"] == pytest.approx(1.43e-2, rel=1e-2)
+            assert row.checks["endpoint_top_fock_occupancy"] == pytest.approx(max(ends), rel=1e-12)
+            assert len([w for w in row.warnings if "Fock ladder" in w]) == 1
+
+    @pytest.mark.parametrize(
+        "kind, params, axis, options",
+        [
+            ("lz_scan", QrmParams(0.3, 0.0, 1.0, 1.0, 16), (10.0, 100.0), {"window": 10.0}),
+            ("lz_trace", QrmParams(0.3, 0.0, 1.0, 1.0, 16), (-5.0, 0.0, 5.0),
+             {"window": 10.0, "rate": 100.0}),
+            ("multimode_scan", MultiModeParams(1.0, (Mode(1.0, 1.0, 8),)), (1e3,), {}),
+        ],
+    )
+    def test_a_bias_table_weighs_both_edges_once(self, monkeypatch, kind, params, axis, options):
+        # The setup assembles the full space once and solves it at both
+        # window edges, psi0 at -window and the far end at +window; every
+        # row records the larger of the two dense ground states' weights.
+        spec = ExperimentSpec(kind, params, "axis", axis, n_steps=1000, options=options)
+        window = experiments._endpoint_option(spec)[1]
+        expected = max(
+            top_fock_occupancy(params, ground_state(params, "epsilon", e).amplitudes)
+            for e in (-window, window)
+        )
+        assert expected > 0.0
+        spies = {}
+        for name in ("_hamiltonian_parts", "_lowest_eigenvector"):
+            spies[name] = mock.Mock(wraps=getattr(sweep, name))
+            monkeypatch.setattr(experiments, name, spies[name])
+        monkeypatch.setattr(sweep, "_lowest_eigenvector", spies["_lowest_eigenvector"])
+        rows = run_experiment(spec).rows
+        assert [spy.call_count for spy in spies.values()] == [1, 2]
+        for row in rows:
+            assert row.checks["endpoint_top_fock_occupancy"] == expected
 
     def test_a_refused_schedule_fails_the_block_rows(self):
         # At omega = 2, v = 1e308 omega^2 overflows to an infinite rate. The
@@ -302,20 +356,20 @@ class TestRowChecks:
         traj = run_sweep(p, s, psi0)
         # The run records its weights and passes no verdict on them.
         assert not hasattr(traj, "warnings")
-        occupancy = traj.endpoint_top_fock_occupancy
+        occupancy = top_fock_occupancy(p, ground_state(p, "delta", 0.0, EVEN_SECTOR).amplitudes)
         assert occupancy > TOP_OCCUPANCY_TOL
         records = project_records(
             *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
 
-        checks, warnings = _row_checks(traj, records)
+        checks, warnings = _row_checks(traj, records, occupancy)
         assert len([w for w in warnings if "Fock ladder" in w]) == 1
         assert checks["endpoint_top_fock_occupancy"] == occupancy
         # The row carries the run's step count and Chebyshev terms per step.
         assert checks["n_steps"] == 2000
         assert checks["chebyshev_terms"] == traj.chebyshev_terms
 
-        _, warnings = _row_checks(traj, records, top_occupancy_tol=2.0 * occupancy)
+        _, warnings = _row_checks(traj, records, occupancy, top_occupancy_tol=2.0 * occupancy)
         assert warnings == ()
 
     def test_chebyshev_runs_report_their_terms(self):
@@ -329,7 +383,7 @@ class TestRowChecks:
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
             traj = run_sweep(p, s, psi0)
             checks, warnings = _row_checks(
-                traj, project_records(cols, labels, traj.final_state)
+                traj, project_records(cols, labels, traj.final_state), 0.0
             )
             assert warnings == ()
             assert checks["parity_leakage"] is None
@@ -347,11 +401,10 @@ class TestRowChecks:
             max_norm_deviation=norm,
             max_parity_leakage=leakage,
             top_fock_occupancy=occupancy,
-            endpoint_top_fock_occupancy=0.0,
             chebyshev_terms=0,
         )
         labels = (BasisLabel("normal", "right", 0), BasisLabel("normal", "left", 0))
-        return _row_checks(traj, Readout(labels, [total - 0.25, 0.25]))
+        return _row_checks(traj, Readout(labels, [total - 0.25, 0.25]), 0.0)
 
     @pytest.mark.parametrize(
         "recorded, warning",
@@ -459,9 +512,10 @@ class TestTraces:
         run_experiment(spec)
         assert len(calls) == 2
         start = options["delta_hi"] if options.get("direction") == "ns" else 0.0
-        ramp, _, _, psi0, _ = experiments._quench(spec)
+        setup, _, _ = experiments._quench(spec)
+        psi0 = setup.psi0
         reference = ground_state(p, "delta", start, EVEN_SECTOR)
-        assert ramp[1] == start
+        assert setup.ramp[1] == start
         assert psi0.sector == reference.sector == EVEN_SECTOR
         assert np.array_equal(psi0.amplitudes, reference.amplitudes)
 
@@ -608,7 +662,7 @@ class TestTraces:
         readout = project_records(
             *readout_columns(p, "superradiant", EVEN_SECTOR), traj.final_state
         )
-        _, warnings = _row_checks(traj, readout)
+        _, warnings = _row_checks(traj, readout, 0.0)
         assert [w for w in warnings if "norm deviation" in w] == [
             "norm deviation 1.00e-07 (limit 1e-08)"
         ]
@@ -676,7 +730,8 @@ class TestQuenchDirection:
         # run in photon order.
         p = QrmParams(0.0, 0.0, 1.0, g, n_fock)
         spec = ExperimentSpec("quench_ns", p, "v", (1e3,), options={"delta_hi": 20.0})
-        _, _, named, _, readout = experiments._quench(spec)
+        setup, _, named = experiments._quench(spec)
+        readout = setup.readout
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
         # Read out, the columns give the fidelity of each named level with
         # each column.

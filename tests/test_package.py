@@ -139,7 +139,8 @@ class TestExports:
         # enters only through epsilon_ramp, the multimode dimension cap is
         # a constant, and default truncation is presets.qrm_params. Only
         # the row checks judge a run's limits, so a run carries no warnings;
-        # it records its measurements as typed fields, not string keys.
+        # it records its measurements as typed fields, not string keys, and
+        # the weights of a sweep's ends are its table's, not its run's.
         from rabisweep.experiments import EXPERIMENT_KINDS
 
         def fields(cls):
@@ -153,6 +154,7 @@ class TestExports:
         assert "times" not in fields(rabisweep.Trajectory)
         assert not hasattr(rabisweep.SweepSchedule, "value_at")
         assert "metadata" not in fields(rabisweep.Trajectory)
+        assert "endpoint_top_fock_occupancy" not in fields(rabisweep.Trajectory)
         assert "basis_tag" not in fields(rabisweep.StateVector)
         assert "dim_cap" not in fields(rabisweep.MultiModeParams)
         assert not hasattr(rabisweep.QrmParams, "with_default_truncation")

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from rabisweep import experiments, sweep
+from rabisweep import experiments, operators, sweep
 from rabisweep.errors import InvalidParameterError, NumericalInstabilityError, ResourceLimitError
 from rabisweep.experiments import ExperimentSpec, convergence_scan, lz_window, run_experiment
 from rabisweep.model import (
@@ -27,7 +27,6 @@ from rabisweep.model import (
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
-    top_fock_occupancy,
 )
 from rabisweep.operators import SIGMA_X, StateVector, eig_hermitian
 from rabisweep.presets import (
@@ -41,6 +40,7 @@ from rabisweep.presets import (
 from rabisweep.sweep import (
     RateBlock,
     SweepSchedule,
+    Trajectory,
     _evolve_linear,
     eigen_level_series,
     greedy_label_assignment,
@@ -682,44 +682,27 @@ class TestGroundState:
             residual = h @ vec - (vec @ h @ vec) * vec
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(h, 2)
 
-    @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4)])
+    @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4), (1e2, 1e3, 1e4)])
     def test_a_run_assembles_its_parts_once(self, monkeypatch, rates):
-        # The run and its far-end ground state share one assembly and make
-        # one ground-state solve, a single schedule or a rate block alike;
-        # the endpoint check still sees the ground states that ground_state
-        # gives, weighed in block coordinates as the run weighs them.
+        # A single schedule or a rate block alike assembles its parts once
+        # and solves nothing: neither the dense ground-state solve, nor
+        # numpy's eigh under it, nor the tridiagonal level solve runs inside
+        # run_sweep. The endpoint check is its table's.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        endpoint_occupancy = max(
-            top_fock_occupancy(p, ground_state(p, "delta", d, EVEN_SECTOR).amplitudes)
-            for d in (200.0, 0.0)
-        )
         psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
         schedules = tuple(SweepSchedule("delta", 200.0, 0.0, r, n_steps=1000) for r in rates)
-        spies = {}
-        for name in ("_hamiltonian_parts", "_lowest_eigenvector"):
-            spies[name] = mock.Mock(wraps=getattr(sweep, name))
-            monkeypatch.setattr(sweep, name, spies[name])
+        eigh = mock.Mock(wraps=operators.eig_hermitian)
+        monkeypatch.setattr(operators, "eig_hermitian", eigh)
+        monkeypatch.setattr(sweep, "eig_hermitian", eigh)
+        spies = [eigh]
+        for name in ("_hamiltonian_parts", "_lowest_eigenvector", "_tridiagonal_eigh"):
+            spies.append(mock.Mock(wraps=getattr(sweep, name)))
+            monkeypatch.setattr(sweep, name, spies[-1])
         schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
         result = run_sweep(p, schedule, psi0)
-        assert [spy.call_count for spy in spies.values()] == [1, 1]
-        for traj in result if isinstance(result, list) else [result]:
-            assert traj.endpoint_top_fock_occupancy == endpoint_occupancy
-
-    @pytest.mark.parametrize("top", [5e-2, 1e-3])
-    def test_the_endpoint_check_weighs_psi0_and_the_far_ground_state(self, top):
-        # From a state that is no ground state, |0> with weight ``top`` on
-        # the top level, the check is the larger of that weight and the
-        # zero-gap ground state's (1.43e-2 in 8 levels at g/omega = 2), not
-        # the start's ground state's (4e-12 at gap 100).
-        p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
-        amplitudes = np.zeros(8)
-        amplitudes[[0, 7]] = math.sqrt(1.0 - top), math.sqrt(top)
-        psi0 = StateVector(amplitudes, EVEN_SECTOR)
-        far = top_fock_occupancy(p, ground_state(p, "delta", 0.0, EVEN_SECTOR).amplitudes)
-        traj = run_sweep(p, SweepSchedule("delta", 100.0, 0.0, 1e3, n_steps=1000), psi0)
-        assert traj.endpoint_top_fock_occupancy == max(top_fock_occupancy(p, amplitudes), far)
-        assert traj.endpoint_top_fock_occupancy == pytest.approx(max(top, 1.43e-2), rel=1e-2)
-
+        trajectories = result if isinstance(result, list) else [result]
+        assert [type(traj) for traj in trajectories] == [Trajectory] * len(rates)
+        assert [spy.call_count for spy in spies] == [0, 1, 0, 0]
 
 class TestReadout:
     def test_unknown_scheme_is_refused(self):
@@ -943,7 +926,7 @@ class TestRateBlock:
             ]
             assert ramp == pytest.approx(gaps, abs=1e-12)
             alone = run_sweep(p, schedule, psi0)
-            for name in ("top_fock_occupancy", "endpoint_top_fock_occupancy", "chebyshev_terms"):
+            for name in ("top_fock_occupancy", "chebyshev_terms"):
                 assert getattr(traj, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0)
             assert traj.schedule.sample_steps == alone.schedule.sample_steps == steps
             assert traj.states.shape == alone.states.shape == (32, len(steps))
