@@ -19,15 +19,19 @@ values at every z measured up to 300, where scipy's ``jv`` drifts to 6e-15.
 Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
 model layer builds every Hamiltonian, ramp and parity basis as float64, and
 the propagator refuses complex ones. It builds the scaled matrix
-2(A - c)/r once per chunk and on each step rewrites only the entries
-where B is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
-sigma_x (x) I entries for a full-space gap sweep. The recurrence runs in
-real buffers allocated once per run: each order is one (2R, dim) array that
-holds every run's real and imaginary parts as two rows. h2 is symmetric, so
-a step costs one real product of an order's leading rows with h2 and one
-in-place subtraction per term, the rows of the runs that still need it,
-plus one real product per run for its sum and two whole-block operations
-that form every run's new state from those sums.
+2(A - c)/r once per chunk, and each step rewrites only the entries where B
+is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
+sigma_x (x) I entries for a full-space gap sweep. Their values a + f_k b
+come from a table of 64 steps, filled by one vectorised operation per 64
+steps, so a step writes them with one indexed assignment. The recurrence
+runs in real buffers allocated once per run: each order is one (2R, dim)
+array that holds every run's real and imaginary parts as two rows. h2 is
+symmetric, so a step costs that one write, one real product of an order's
+leading rows with h2 and one in-place subtraction per term (the rows of the
+runs that still need it), one batched product for every run's sum, whose
+weights are zero past each run's own orders, and two whole-block operations
+that form every run's new state from those sums: 14 numpy calls for a
+block whose slowest run takes 6 terms.
 
 The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
@@ -110,6 +114,8 @@ MIN_N_STEPS = 1000
 DEFAULT_N_STEPS = 20_000
 
 _CHEB_CHUNK = 1024
+# Steps whose ramp entries are written into one table by one vectorised op.
+_RAMP_ROWS = 64
 _CHEB_COEFF_TOL = 1e-16
 # Largest Chebyshev argument z = r dt a step may take: the series needs about
 # z terms. The presets reach 6,450 (fig1d_long's 4x endpoint audit).
@@ -395,13 +401,19 @@ def _evolve_linear(
     h2 is symmetric, so an order is one product of its rows with h2 and one
     subtraction. Runs are ordered slowest first, so the runs that still
     need order n form its leading rows, and both act on that contiguous
-    leading slice. Run j's sum is one real product of its phased
-    coefficients w (times exp(-i c dt_j)), as the rows [Re w; Im w], with
-    its two rows of every order it takes; two whole-block operations then
-    combine every run's four partial sums into its new state, written
-    straight back into the stack's first order. Buffers grow only when a
-    chunk needs more orders than any before it, so a step allocates
-    nothing of the problem's size.
+    leading slice. The ramp entries a + f_k b of ``_RAMP_ROWS`` steps at a
+    time fill one fixed table by one vectorised operation, and a step
+    writes its row into h2 with one indexed assignment. Every run's sum is
+    one batched real product: run j's phased coefficients w (times
+    exp(-i c dt_j)), as the rows [Re w; Im w] zero-padded to the chunk's
+    most orders n_max, times its own two rows [Re T_n | Im T_n] of every
+    order below n_max. Its rows past its own orders are zeros or values of
+    its own recurrence from an earlier chunk, finite either way, so their
+    zero weights add exactly 0 and no run reads another's rows. Two
+    whole-block operations then combine every run's four partial sums into
+    its new state, written straight back into the stack's first order.
+    Buffers grow only when a chunk needs more orders than any before it,
+    so a step allocates nothing of the problem's size.
     """
     if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
         raise InvalidParameterError("the propagator takes real symmetric h_static and h_ramp")
@@ -442,7 +454,9 @@ def _evolve_linear(
     h2_flat = h2.reshape(-1)
     a_idx = np.empty(ramp_idx.size)
     b_idx = np.empty(ramp_idx.size)
-    entries = np.empty(ramp_idx.size)
+    # table[i]: the scaled entries a + f b of step i of a sub-block of
+    # _RAMP_ROWS steps; a whole chunk's table would hold 16 times as many.
+    table = np.empty((_RAMP_ROWS, ramp_idx.size))
     # sums[j] = [Re w; Im w] @ [Re T | Im T] for run j: the four real
     # partial sums of its new state, Re w Re T, Re w Im T, Im w Re T and
     # Im w Im T summed over its orders.
@@ -457,47 +471,49 @@ def _evolve_linear(
         coeffs = [_chebyshev_coefficients(radius * dt) for dt in dts]
         lengths = [len(c) for c in coeffs]
         terms = [max(t, n) for t, n in zip(terms, lengths)]
-        if max(lengths) > stack.shape[0]:
-            grown = np.zeros((max(lengths), 2 * n_runs, dim))
+        n_max = max(lengths)
+        if n_max > stack.shape[0]:
+            grown = np.zeros((n_max, 2 * n_runs, dim))
             grown[0] = stack[0]
             stack = grown
         new_re, new_im = stack[0, 0::2], stack[0, 1::2]
         # Order n >= 2: the rows of the leading runs that still need it.
         orders = []
-        for n in range(2, max(lengths)):
+        for n in range(2, n_max):
             rows = 2 * (1 + max(j for j, length in enumerate(lengths) if length > n))
             orders.append((stack[n - 1, :rows], stack[n, :rows], stack[n - 2, :rows]))
-        # Run j's sum: its phased coefficients times its own two rows of T_n.
-        phases = np.exp(-1j * center * dts)
-        finals = []
-        for j, (phase, c) in enumerate(zip(phases, coeffs)):
-            weights = phase * c
-            finals.append((
-                np.stack([weights.real, weights.imag]),
-                stack[: len(c), 2 * j : 2 * j + 2].reshape(len(c), 2 * dim),
-                sums[j],
-            ))
+        # Run j's phased coefficients, zero past its own orders, and its own
+        # rows [Re T_n | Im T_n] of every order below n_max: one batched
+        # product forms every run's sum.
+        weights = np.zeros((n_runs, 2, n_max))
+        for j, (phase, c) in enumerate(zip(np.exp(-1j * center * dts), coeffs)):
+            w = phase * c
+            weights[j, 0, : len(c)] = w.real
+            weights[j, 1, : len(c)] = w.imag
+        run_rows = stack[:n_max].reshape(n_max, n_runs, 2 * dim).transpose(1, 0, 2)
         np.copyto(h2, h_static)
         h2_flat[:: dim + 1] -= center
         h2 *= 2.0 / radius
         np.take(h2_flat, ramp_idx, out=a_idx)
         np.multiply(ramp_vals, 2.0 / radius, out=b_idx)
-        for k, f in zip(steps.tolist(), f_mid.tolist()):
-            np.multiply(b_idx, f, out=entries)
+        for first in range(0, steps.size, _RAMP_ROWS):
+            f_sub = f_mid[first : first + _RAMP_ROWS]
+            entries = table[: f_sub.size]
+            np.multiply.outer(f_sub, b_idx, out=entries)
             entries += a_idx
-            h2_flat[ramp_idx] = entries
-            # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
-            np.dot(stack[0], h2, out=stack[1])
-            stack[1] *= 0.5
-            for t_in, t_out, t_back in orders:
-                np.dot(t_in, h2, out=t_out)
-                t_out -= t_back
-            for weights, run_rows, run_sums in finals:
-                np.dot(weights, run_rows, out=run_sums)
-            np.subtract(rw_rt, iw_it, out=new_re)
-            np.add(rw_it, iw_rt, out=new_im)
-            if k + 1 in sample_steps:
-                out[k + 1] = states()
+            for k, row in zip(steps[first : first + _RAMP_ROWS].tolist(), entries):
+                h2_flat[ramp_idx] = row
+                # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
+                np.dot(stack[0], h2, out=stack[1])
+                stack[1] *= 0.5
+                for t_in, t_out, t_back in orders:
+                    np.dot(t_in, h2, out=t_out)
+                    t_out -= t_back
+                np.matmul(weights, run_rows, out=sums)
+                np.subtract(rw_rt, iw_it, out=new_re)
+                np.add(rw_it, iw_rt, out=new_im)
+                if k + 1 in sample_steps:
+                    out[k + 1] = states()
     return out, [terms[j] for j in restore]
 
 
@@ -677,7 +693,13 @@ def run_sweep(
         own = schedules[j]
         dt = own.total_time / n_steps if own.total_time else 0.0
         block = np.stack([sampled[k][:, column[j]] for k in checked], axis=1)
-        norms = np.array([np.linalg.norm(column) for column in block.T])
+        # Every sample's norm at once, summed as np.linalg.norm sums one
+        # vector's, Re.Re + Im.Im, each a (1, dim).(dim, 1) product (a BLAS
+        # dot) of that sample's own contiguous row: so a norm does not
+        # depend on the samples taken beside it.
+        rows = block.T.copy()[:, None, :]
+        re, im = rows.real, rows.imag
+        norms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
         deviations = norms - 1.0
         # "Not within" the limit: a NaN norm fails the run too.
         drifted = np.flatnonzero(~(np.abs(deviations) <= NORM_DRIFT_LIMIT))

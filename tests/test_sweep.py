@@ -213,6 +213,42 @@ class TestEngine:
             for run_time, column, k in columns:
                 assert np.linalg.norm(column - refs[run_time, k]) < 1e-12, (dim, run_time, k)
 
+    def test_the_entry_table_at_its_edges(self):
+        # A step takes its ramp entries from a table of 64 steps, filled
+        # once per sub-block of a chunk. With 1,100 steps the second chunk
+        # (steps 1024-1099) and its last sub-block (1088-1099) are partial.
+        # The samples sit on each side of the first sub-block's edge (64),
+        # the first chunk's edge (1024) and the end. Dense, diagonal and
+        # sigma_x (x) I ramps each match a per-step exponential of the
+        # midpoint H from one batched eigh to 1e-12, and every column of a
+        # block of three rates its single run to 1e-13.
+        dim, f_start, f_end, total_time, n_steps = 16, -2.0, 3.0, 5.0, 1100
+        samples = {63, 64, 65, 1023, 1024, 1025, 1100}
+        times = [total_time / 10, total_time, total_time / 100]
+        ramps = [
+            symmetric,
+            lambda dim: np.diag(RNG.normal(size=dim)),
+            lambda dim: np.kron(SIGMA_X, np.eye(dim // 2)),
+        ]
+        f_mid = f_start + (f_end - f_start) * ((np.arange(n_steps) + 0.5) / n_steps)
+        for ramp in ramps:
+            h0, h1 = symmetric(dim), ramp(dim)
+            psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            block, _ = _evolve_linear(h0, h1, f_start, f_end, times, n_steps, psi, samples)
+            assert set(block) == samples
+            w, v = np.linalg.eigh(h0 + f_mid[:, None, None] * h1)
+            for j, run_time in enumerate(times):
+                alone, _ = _evolve_linear(h0, h1, f_start, f_end, [run_time], n_steps, psi, samples)
+                ref = psi
+                for k in range(n_steps):
+                    ref = v[k] @ (np.exp(-1j * (run_time / n_steps) * w[k]) * (v[k].T @ ref))
+                    if k + 1 in samples:
+                        assert np.linalg.norm(alone[k + 1][:, 0] - ref) < 1e-12, (run_time, k)
+                        assert np.linalg.norm(block[k + 1][:, j] - ref) < 1e-12, (run_time, k)
+                        diff = np.linalg.norm(block[k + 1][:, j] - alone[k + 1][:, 0])
+                        assert diff < 1e-13, (run_time, k)
+
     def test_chebyshev_series_stops_where_its_tail_bound_does(self):
         # K kept orders: the first K whose dropped tail 2 sum_{k >= K} |J_k(z)|
         # is below the tolerance (at least 2), which bounds each step's
@@ -1014,22 +1050,46 @@ class TestRateBlock:
         for traj, single in ((fast, alone[0]), (last, alone[2])):
             assert np.all(np.linalg.norm(traj.states - single.states, axis=0) < 1e-12)
 
+    def test_a_two_term_run_beside_a_many_term_run(self):
+        # Every run's sum is one batched product over the orders of the
+        # slowest run, with zero weights past each run's own. A run of
+        # duration 1e-13 keeps its two terms beside runs of many. The quench
+        # 200 -> 0 in 2,048 steps spans two chunks and its radius falls, so
+        # the middle run takes 9 terms, then 8: in the second chunk its row
+        # of order 8 still holds a value of the first, which only a zero
+        # weight keeps out of its sum. Each entry matches its single run,
+        # terms included, to 1e-14 after one step and 1e-13 after many.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        psi0 = block_ground(p, 200.0)
+        steps = (0, 1, 1024, 1025, 2048)
+        base = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=2048, sample_steps=steps)
+        schedules = tuple(replace(base, rate_v=r) for r in (200.0 / 1e-13, 100.0, 10.0))
+        block = run_sweep(p, RateBlock(schedules), psi0)
+        alone = [run_sweep(p, schedule, psi0) for schedule in schedules]
+        assert [traj.chebyshev_terms for traj in block] == [2, 9, 16]
+        for traj, single in zip(block, alone):
+            assert traj.chebyshev_terms == single.chebyshev_terms
+            diffs = np.linalg.norm(traj.states - single.states, axis=0)
+            assert diffs[1] < 1e-14 and np.all(diffs[2:] < 1e-13), diffs
+
     def test_a_drifting_run_fails_only_its_entry(self, monkeypatch):
+        # A norm that drifts, or is NaN, fails its run's entry alone.
         evolve = sweep._evolve_linear
-
-        def drift_second_run(*args):
-            sampled, terms = evolve(*args)
-            for states in sampled.values():
-                states[:, 1] *= 1.01
-            return sampled, terms
-
-        monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
         block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
-        first, failed, last = run_sweep(p, block, block_ground(p, 200.0))
-        assert isinstance(failed, NumericalInstabilityError)
-        assert first.max_norm_deviation < 1e-10 and last.max_norm_deviation < 1e-10
+        for factor in (1.01, math.nan):
+
+            def drift_second_run(*args):
+                sampled, terms = evolve(*args)
+                for states in sampled.values():
+                    states[:, 1] *= factor
+                return sampled, terms
+
+            monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
+            first, failed, last = run_sweep(p, block, block_ground(p, 200.0))
+            assert isinstance(failed, NumericalInstabilityError), factor
+            assert first.max_norm_deviation < 1e-10 and last.max_norm_deviation < 1e-10
 
 
 class TestBatch:
