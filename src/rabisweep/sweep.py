@@ -28,10 +28,16 @@ runs in real buffers allocated once per run: each order is one (2R, dim)
 array that holds every run's real and imaginary parts as two rows. h2 is
 symmetric, so a step costs that one write, one real product of an order's
 leading rows with h2 and one in-place subtraction per term (the rows of the
-runs that still need it), one batched product for every run's sum, whose
-weights are zero past each run's own orders, and two whole-block operations
-that form every run's new state from those sums: 14 numpy calls for a
-block whose slowest run takes 6 terms.
+runs that still need it), one batched product for every run's four partial
+sums, whose weights are zero past each run's own orders, and one addition
+that forms every run's new state from them: 13 numpy calls for a block
+whose slowest run takes 6 terms. Every buffer handed to BLAS (h2, the
+stack and the partial sums) starts on a 64-byte cache line
+(``_aligned_zeros``): numpy's own arrays start 16 bytes past one, and
+OpenBLAS's small-M products are slower there. On an AVX-512 Xeon, one BLAS
+thread, multimode_small's dim-192 step took 101.5 µs with h2 16 bytes past
+a line and 64.4 µs with it on one (best of 30 calls), so its speed had
+depended on where the allocator put h2.
 
 The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
@@ -364,6 +370,21 @@ def _block_refusal(
     return None
 
 
+def _aligned_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed, C-contiguous float64 array of ``shape`` whose data starts on
+    a 64-byte cache line: the next line inside an array 8 entries longer.
+
+    numpy's own arrays start 16 bytes past a line (a large one is mapped at
+    a page plus 16, a small one is a 16-byte aligned heap chunk), and
+    OpenBLAS's small-M ``dgemm`` on an AVX-512 core is about 1.5x slower on
+    a matrix that does not start on a line: a (2, 192)·(192, 192) product
+    took 9.6 µs against 6.2 on one."""
+    size = math.prod(shape)
+    raw = np.zeros(size + 8)
+    start = (-raw.ctypes.data % 64) // 8
+    return raw[start : start + size].reshape(shape)
+
+
 def _evolve_linear(
     h_static: np.ndarray,
     h_ramp: np.ndarray,
@@ -405,15 +426,21 @@ def _evolve_linear(
     time fill one fixed table by one vectorised operation, and a step
     writes its row into h2 with one indexed assignment. Every run's sum is
     one batched real product: run j's phased coefficients w (times
-    exp(-i c dt_j)), as the rows [Re w; Im w] zero-padded to the chunk's
-    most orders n_max, times its own two rows [Re T_n | Im T_n] of every
-    order below n_max. Its rows past its own orders are zeros or values of
-    its own recurrence from an earlier chunk, finite either way, so their
-    zero weights add exactly 0 and no run reads another's rows. Two
-    whole-block operations then combine every run's four partial sums into
-    its new state, written straight back into the stack's first order.
-    Buffers grow only when a chunk needs more orders than any before it,
-    so a step allocates nothing of the problem's size.
+    exp(-i c dt_j)), zero-padded to the chunk's most orders n_max, as the
+    weights [[Re w, Im w], [-Im w, Re w]] of its real row and its imaginary
+    row of every order below n_max. Its rows past its own orders are zeros
+    or values of its own recurrence from an earlier chunk, finite either
+    way, so their zero weights add exactly 0 and no run reads another's
+    rows. One addition of the real rows' two partial sums to the imaginary
+    rows' forms every run's new state, written straight back into the
+    stack's first order: a step makes 5 + 2(n_max - 2) numpy calls, 13 for
+    a block whose slowest run takes 6 terms. Buffers grow only when a chunk
+    needs more orders than any before it, so a step allocates nothing of
+    the problem's size. h2, the stack (also as it grows) and the partial
+    sums come from ``_aligned_zeros``, so each starts on a 64-byte line and
+    the step's speed does not depend on where the allocator put them (see
+    the module docstring); rows whose length is not a multiple of 8
+    entries still alternate in alignment within a buffer.
     """
     if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
         raise InvalidParameterError("the propagator takes real symmetric h_static and h_ramp")
@@ -432,7 +459,7 @@ def _evolve_linear(
     dts = total_times[order] / n_steps
     # stack[n] holds T_n, run j in rows 2j (real) and 2j + 1 (imaginary);
     # stack[0] is the current state.
-    stack = np.empty((1, 2 * n_runs, dim))
+    stack = _aligned_zeros((1, 2 * n_runs, dim))
     stack[0, 0::2] = psi0.real
     stack[0, 1::2] = psi0.imag
 
@@ -450,19 +477,17 @@ def _evolve_linear(
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
     ramp_idx = np.flatnonzero(h_ramp)
     ramp_vals = h_ramp.reshape(-1)[ramp_idx]
-    h2 = np.empty((dim, dim))
+    h2 = _aligned_zeros((dim, dim))
     h2_flat = h2.reshape(-1)
     a_idx = np.empty(ramp_idx.size)
     b_idx = np.empty(ramp_idx.size)
     # table[i]: the scaled entries a + f b of step i of a sub-block of
     # _RAMP_ROWS steps; a whole chunk's table would hold 16 times as many.
     table = np.empty((_RAMP_ROWS, ramp_idx.size))
-    # sums[j] = [Re w; Im w] @ [Re T | Im T] for run j: the four real
-    # partial sums of its new state, Re w Re T, Re w Im T, Im w Re T and
-    # Im w Im T summed over its orders.
-    sums = np.empty((n_runs, 2, 2 * dim))
-    rw_rt, rw_it = sums[:, 0, :dim], sums[:, 0, dim:]
-    iw_rt, iw_it = sums[:, 1, :dim], sums[:, 1, dim:]
+    # parts[j, p, q]: run j's sum over its orders of weights[j, p, q] times
+    # part p (0 real, 1 imaginary) of T_n; its new state's part q is
+    # parts[j, 0, q] + parts[j, 1, q].
+    parts = _aligned_zeros((n_runs, 2, 2, dim))
     terms = [0] * n_runs
     for steps, f_mid in _chunk_midpoints(f_start, f_end, n_steps):
         lo, hi = _gershgorin_bounds(h_static, h_ramp, f_mid)
@@ -473,24 +498,27 @@ def _evolve_linear(
         terms = [max(t, n) for t, n in zip(terms, lengths)]
         n_max = max(lengths)
         if n_max > stack.shape[0]:
-            grown = np.zeros((n_max, 2 * n_runs, dim))
+            grown = _aligned_zeros((n_max, 2 * n_runs, dim))
             grown[0] = stack[0]
             stack = grown
-        new_re, new_im = stack[0, 0::2], stack[0, 1::2]
+        t_0, t_1 = stack[0], stack[1]
+        new_state = t_0.reshape(n_runs, 2, dim)
         # Order n >= 2: the rows of the leading runs that still need it.
         orders = []
         for n in range(2, n_max):
             rows = 2 * (1 + max(j for j, length in enumerate(lengths) if length > n))
             orders.append((stack[n - 1, :rows], stack[n, :rows], stack[n - 2, :rows]))
-        # Run j's phased coefficients, zero past its own orders, and its own
-        # rows [Re T_n | Im T_n] of every order below n_max: one batched
-        # product forms every run's sum.
-        weights = np.zeros((n_runs, 2, n_max))
+        # Run j's phased coefficients w, zero past its own orders, as the
+        # weights [[Re w, Im w], [-Im w, Re w]] of its real and imaginary
+        # rows of every order below n_max: one batched product forms every
+        # run's partial sums.
+        weights = np.zeros((n_runs, 2, 2, n_max))
         for j, (phase, c) in enumerate(zip(np.exp(-1j * center * dts), coeffs)):
             w = phase * c
-            weights[j, 0, : len(c)] = w.real
-            weights[j, 1, : len(c)] = w.imag
-        run_rows = stack[:n_max].reshape(n_max, n_runs, 2 * dim).transpose(1, 0, 2)
+            weights[j, 0, 0, : len(c)] = weights[j, 1, 1, : len(c)] = w.real
+            weights[j, 0, 1, : len(c)] = w.imag
+            weights[j, 1, 0, : len(c)] = -w.imag
+        run_rows = stack[:n_max].reshape(n_max, n_runs, 2, dim).transpose(1, 2, 0, 3)
         np.copyto(h2, h_static)
         h2_flat[:: dim + 1] -= center
         h2 *= 2.0 / radius
@@ -504,14 +532,13 @@ def _evolve_linear(
             for k, row in zip(steps[first : first + _RAMP_ROWS].tolist(), entries):
                 h2_flat[ramp_idx] = row
                 # T_0 = psi, T_1 = h2 psi / 2, T_{n+1} = h2 T_n - T_{n-1}.
-                np.dot(stack[0], h2, out=stack[1])
-                stack[1] *= 0.5
+                np.dot(t_0, h2, out=t_1)
+                t_1 *= 0.5
                 for t_in, t_out, t_back in orders:
                     np.dot(t_in, h2, out=t_out)
                     t_out -= t_back
-                np.matmul(weights, run_rows, out=sums)
-                np.subtract(rw_rt, iw_it, out=new_re)
-                np.add(rw_it, iw_rt, out=new_im)
+                np.matmul(weights, run_rows, out=parts)
+                np.add(parts[:, 0], parts[:, 1], out=new_state)
                 if k + 1 in sample_steps:
                     out[k + 1] = states()
     return out, [terms[j] for j in restore]

@@ -415,6 +415,54 @@ class TestEngine:
             with pytest.raises(InvalidParameterError, match="real symmetric"):
                 _evolve_linear(h0, h1, 0.0, 1.0, [1.0], 1000, psi, {1000})
 
+    @pytest.mark.parametrize("shape", [(1,), (13,), (192,), (3, 2, 11), (5, 6, 192)])
+    def test_aligned_zeros_start_on_a_cache_line(self, shape):
+        # Zeroed, C-contiguous and writeable, on a 64-byte line, at sizes
+        # that are and are not multiples of 8 entries; a few allocations
+        # each, so that more than one starting address is met.
+        for _ in range(4):
+            buf = sweep._aligned_zeros(shape)
+            assert buf.shape == shape and buf.dtype == np.float64
+            assert buf.flags.c_contiguous and buf.flags.writeable
+            assert buf.ctypes.data % 64 == 0
+            assert not buf.any()
+            buf[...] = 1.0
+            assert buf.sum() == math.prod(shape)
+
+    def test_every_buffer_blas_reads_starts_on_a_cache_line(self, monkeypatch):
+        # The sn quench 0 -> 200 over two chunks of 1,024 steps: the radius
+        # grows with the gap, so the second chunk needs more orders and the
+        # stack regrows. Every buffer the propagator hands to BLAS comes
+        # from _aligned_zeros and starts on a line: the stack as first made
+        # and as each chunk grows it, h2 and every run's partial sums.
+        made = []
+        aligned_zeros = sweep._aligned_zeros
+
+        def spy(shape):
+            made.append(aligned_zeros(shape))
+            return made[-1]
+
+        monkeypatch.setattr(sweep, "_aligned_zeros", spy)
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
+        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        n_steps = 2048
+        base = SweepSchedule("delta", 0.0, 200.0, 10.0, n_steps=n_steps)
+        schedules = tuple(replace(base, rate_v=r) for r in (100.0, 1e3))
+        n_max = []
+        for _, f_mid in sweep._chunk_midpoints(0.0, 200.0, n_steps):
+            lo, hi = sweep._gershgorin_bounds(h0, h1, f_mid)
+            radius = 0.5 * (hi - lo) + 1e-300
+            n_max.append(max(
+                len(sweep._chebyshev_coefficients(radius * s.total_time / n_steps))
+                for s in schedules
+            ))
+        assert len(n_max) == 2 and n_max[0] < n_max[1]
+        run_sweep(p, RateBlock(schedules), block_ground(p, 0.0))
+        assert [buf.shape for buf in made] == [
+            (1, 4, 32), (32, 32), (2, 2, 2, 32), (n_max[0], 4, 32), (n_max[1], 4, 32)
+        ]
+        assert all(buf.ctypes.data % 64 == 0 for buf in made)
+
     def test_two_level_crossing_matches_survival_formula(self):
         # Bias sweep over +-100 delta at v = delta^2: survival within 5e-3.
         p = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
