@@ -99,6 +99,7 @@ from .sweep import (
     Trajectory,
     greedy_label_assignment,
     ground_state,
+    hamiltonian_parts,
     project_records,
     readout_columns,
     run_sweep,
@@ -124,6 +125,6 @@ __all__ = [
     "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",
     "unitary_displacement", "PRESETS", "RateBlock", "SweepSchedule", "Trajectory",
-    "greedy_label_assignment", "ground_state", "project_records", "readout_columns",
-    "run_sweep",
+    "greedy_label_assignment", "ground_state", "hamiltonian_parts", "project_records",
+    "readout_columns", "run_sweep",
 ]

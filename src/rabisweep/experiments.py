@@ -7,8 +7,8 @@ rates in units of delta^2, trace rows on the swept parameter over omega.
 Each ramp family has one setup that its scans and its trace share, a
 ``_Setup`` whose ``readout(values, states)`` serves both bodies: ``_quench``
 reads out in the even block's eigenbasis under one label tuple, named once at
-the far end, and ``_bias`` in the displaced columns. A setup also solves both
-ends of its sweep once per table for the endpoint truncation check.
+the far end, and ``_bias`` in the displaced columns. A setup alone assembles
+a table's Hamiltonian parts, which its runs take, and solves both sweep ends.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ from .sweep import (
     RateBlock,
     SweepSchedule,
     Trajectory,
-    _hamiltonian_parts,
     _lowest_eigenvector,
     _tridiagonal_eigh,
     _tridiagonal_parts,
     eigen_level_series,
     greedy_label_assignment,
+    hamiltonian_parts,
     project_records,
     readout_columns,
     run_sweep,
@@ -248,12 +248,14 @@ def _endpoint_option(spec: ExperimentSpec) -> tuple[str, float]:
 
 class _Setup(NamedTuple):
     """What a ramp family's setup hands its scans and its trace: the ramp
-    ``(parameter, start, end, rate_unit)``, the initial state ``psi0``, the
-    table's ``endpoint_occupancy`` (the larger top-tenth Fock weight of psi0
-    and of the far end's ground state, each end solved once per table) and
+    ``(parameter, start, end, rate_unit)``, the ``parts`` (A, B) that every
+    run of the table takes, the initial state ``psi0``, the table's
+    ``endpoint_occupancy`` (the larger top-tenth Fock weight of psi0 and of
+    the far end's ground state, each end solved once per table) and
     ``readout(values, states)``."""
 
     ramp: tuple[str, float, float, float]
+    parts: tuple[np.ndarray, np.ndarray]
     psi0: StateVector
     endpoint_occupancy: float
     readout: Callable[[np.ndarray, np.ndarray], list[Readout]]
@@ -316,8 +318,8 @@ def _rate_scan(
     oracle readout or the package error that refuses it (an error raised for
     the whole grid refuses every rate), timed as ``provenance["oracle_s"]``.
     ``setup`` is the ramp family's (see ``_Setup``), or None for a
-    formula-only table. The rates not refused run from its ``psi0`` as one
-    ``RateBlock`` at scan value x ``rate_unit``, and one
+    formula-only table. The rates not refused run under its ``parts`` from
+    its ``psi0`` as one ``RateBlock`` at scan value x ``rate_unit``, and one
     ``readout(values, states)`` call reads their (dim, runs) block of final
     states, every value at ``end``; the two are timed as
     ``provenance["propagation_s"]`` and ``provenance["readout_s"]``. A
@@ -346,7 +348,7 @@ def _rate_scan(
                 SweepSchedule(parameter, start, end, v * rate_unit, n_steps=spec.n_steps)
                 for v in kept
             ))
-            runs = dict(zip(kept, run_sweep(spec.params, block, setup.psi0)))
+            runs = dict(zip(kept, run_sweep(spec.params, setup.parts, block, setup.psi0)))
         except RabisweepError as exc:
             runs = dict.fromkeys(kept, exc)
         t1 = time.perf_counter()
@@ -378,8 +380,8 @@ def _rate_scan(
 
 def _time_trace(spec: ExperimentSpec, setup: _Setup, axis_unit: float) -> ResultTable:
     """One row per axis value: the body of every time trace. The ramp of
-    ``setup`` (see ``_Setup``) runs once from its ``psi0`` at
-    ``options["rate"]`` x ``rate_unit``. An axis value times
+    ``setup`` (see ``_Setup``) runs once under its ``parts`` from its
+    ``psi0`` at ``options["rate"]`` x ``rate_unit``. An axis value times
     ``axis_unit`` is a value of the swept parameter, sampled at the step k
     whose ramp value start + (end - start) k/n_steps is nearest; values
     outside the sweep are refused, those a rounding error past an end are
@@ -396,7 +398,7 @@ def _time_trace(spec: ExperimentSpec, setup: _Setup, axis_unit: float) -> Result
     schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
     values = start + (end - start) * (np.array(steps) / n)
     t0 = time.perf_counter()
-    traj = run_sweep(spec.params, schedule, setup.psi0)
+    traj = run_sweep(spec.params, setup.parts, schedule, setup.psi0)
     t1 = time.perf_counter()
     sims = setup.readout(values, traj.states)
     provenance = {
@@ -421,30 +423,32 @@ def _quench(spec: ExperimentSpec) -> tuple[_Setup, float, tuple[BasisLabel, ...]
     ``quench_trace`` only, ``options["direction"]``, inside the even-parity
     block from its ground state ``psi0``. ``sign`` is the trace axis' sign:
     -1 toward zero gap (v(t - T)/omega = -delta/omega), +1 away from it
-    (v t/omega = delta/omega). One tridiagonal solve of the block at
-    ``end`` serves twice: ``labels`` names its eigenvectors, once, each by
-    its best match in the direction's scheme (superradiant toward zero gap,
-    normal away from it), and its lowest column is the far end's ground
-    state for the endpoint weight. ``readout(values, states)`` gives each
-    state's populations of the block's eigenvectors at its gap
+    (v t/omega = delta/omega). The block is assembled and checked
+    tridiagonal once, and its one solve at ``end`` serves three uses:
+    ``labels`` names its vectors, each by its best match in the direction's
+    scheme (superradiant toward zero gap, normal away from it), its lowest
+    column is the far end's ground state for the endpoint weight, and its
+    vectors read out every state at ``end``. ``readout(values, states)``
+    gives each state's populations of the block's eigenvectors at its gap
     (``eigen_level_series``: levels in energy order, flagged near a
     degeneracy) under that one tuple."""
     p = spec.params
     hi = _endpoint_option(spec)[1]
     ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
     start, end, sign, scheme = (hi, 0.0, -1.0, "superradiant") if ns else (0.0, hi, 1.0, "normal")
-    block = _hamiltonian_parts(p, "delta", EVEN_SECTOR)
-    _, vecs = _tridiagonal_eigh(*_tridiagonal_parts(*block), end)
-    labels = tuple(greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), vecs))
+    parts = hamiltonian_parts(p, "delta", EVEN_SECTOR)
+    tridiagonal = _tridiagonal_parts(*parts)
+    far = _tridiagonal_eigh(*tridiagonal, end)
+    labels = tuple(greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), far[1]))
 
     def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
-        pops, _, flags = eigen_level_series(*block, values, states)
+        pops, _, flags = eigen_level_series(tridiagonal, values, states, {end: far})
         return Readout.rows(labels, pops, flags)
 
-    psi0 = StateVector(_lowest_eigenvector(*block, start), EVEN_SECTOR)
-    occupancy = max(top_fock_occupancy(p, psi0.amplitudes), top_fock_occupancy(p, vecs[:, 0]))
+    psi0 = StateVector(_lowest_eigenvector(*parts, start), EVEN_SECTOR)
+    occupancy = max(top_fock_occupancy(p, psi0.amplitudes), top_fock_occupancy(p, far[1][:, 0]))
     ramp = ("delta", start, end, _rate_unit(spec))
-    return _Setup(ramp, psi0, occupancy, readout), sign, labels
+    return _Setup(ramp, parts, psi0, occupancy, readout), sign, labels
 
 
 def quench_rate_scan(spec: ExperimentSpec) -> ResultTable:
@@ -484,19 +488,18 @@ def _bias(spec: ExperimentSpec) -> tuple[float, _Setup]:
     ``(window, setup)``. The ramp ``("epsilon", -window, window, delta^2)``
     starts from the instantaneous ground state ``psi0`` at the window edge
     (the finite-window stand-in for the asymptotic ground state). The full
-    space's parts are assembled once and solved at both edges, -window for
-    psi0 and +window for the endpoint weight; ``readout(values, states)``
-    projects the states onto the displaced columns, one ``project_records``
-    product."""
+    space's parts are assembled once, for every run of the table, and solved
+    at both edges, -window for psi0 and +window for the endpoint weight;
+    ``readout(values, states)`` projects onto the displaced columns."""
     p = spec.params
     window = _endpoint_option(spec)[1]
     cols, labels = readout_columns(p, "displaced")
-    parts = _hamiltonian_parts(p, "epsilon")
+    parts = hamiltonian_parts(p, "epsilon")
     psi0 = StateVector(_lowest_eigenvector(*parts, -window))
     far = _lowest_eigenvector(*parts, window)
     occupancy = max(top_fock_occupancy(p, psi0.amplitudes), top_fock_occupancy(p, far))
     return window, _Setup(
-        ("epsilon", -window, window, _rate_unit(spec)), psi0, occupancy,
+        ("epsilon", -window, window, _rate_unit(spec)), parts, psi0, occupancy,
         lambda values, states: project_records(cols, labels, states),
     )
 

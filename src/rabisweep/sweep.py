@@ -18,26 +18,14 @@ values at every z measured up to 300, where scipy's ``jv`` drifts to 6e-15.
 
 Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
 model layer builds every Hamiltonian, ramp and parity basis as float64, and
-the propagator refuses complex ones. It builds the scaled matrix
-2(A - c)/r once per chunk, and each step rewrites only the entries where B
-is nonzero: the diagonal for a sector gap sweep or a bias sweep, the
-sigma_x (x) I entries for a full-space gap sweep. Their values a + f_k b
-come from a table of 64 steps, filled by one vectorised operation per 64
-steps, so a step writes them with one indexed assignment. The recurrence
-runs in real buffers allocated once per run: each order is one (2R, dim)
-array that holds every run's real and imaginary parts as two rows. h2 is
-symmetric, so a step costs that one write, one real product of an order's
-leading rows with h2 and one in-place subtraction per term (the rows of the
-runs that still need it), one batched product for every run's four partial
-sums, whose weights are zero past each run's own orders, and one addition
-that forms every run's new state from them: 13 numpy calls for a block
-whose slowest run takes 6 terms. Every buffer handed to BLAS (h2, the
-stack and the partial sums) starts on a 64-byte cache line
-(``_aligned_zeros``): numpy's own arrays start 16 bytes past one, and
-OpenBLAS's small-M products are slower there. On an AVX-512 Xeon, one BLAS
-thread, multimode_small's dim-192 step took 101.5 µs with h2 16 bytes past
-a line and 64.4 µs with it on one (best of 30 calls), so its speed had
-depended on where the allocator put h2.
+the propagator refuses complex ones. ``_evolve_linear`` holds the step: one
+scaled matrix h2 per chunk, in which each step rewrites the entries where B
+is nonzero, and a stack of real orders, each one (2R, dim) array of every
+run's real and imaginary parts: 13 numpy calls per step for a block whose
+slowest run takes 6 terms. Every buffer handed to BLAS starts on a 64-byte
+cache line (``_aligned_zeros``): on an AVX-512 Xeon, one BLAS thread,
+multimode_small's dim-192 step took 101.5 µs with h2 16 bytes past a line,
+where numpy puts it, and 64.4 µs with it on one (best of 30 calls).
 
 The midpoint values of f do not depend on the sweep's duration, so the runs of
 a rate scan, which differ only in their rate, share every step's matrix. A
@@ -45,25 +33,24 @@ a rate scan, which differ only in their rate, share every step's matrix. A
 of one stack, each with its own step size, coefficients and phase; a run
 whose step or stack would pass the propagator's limits fails only its entry.
 A sector run is measured in its parity block, whose coordinate k is photon
-number k, and is never lifted to the full space.
-``_lowest_eigenvector`` is the one dense ground-state solve of A + f B, and
-``ground_state`` applies it to a model's parts. ``run_sweep`` solves
-nothing: it assembles its run's parts once, propagates and measures, and
-assumes nothing about its initial state. A run takes its
-space from its initial state's ``sector`` and returns a ``Trajectory``: the
-states at its schedule's sample steps as the columns of one read-only array,
-with its norm drift, parity leakage and final truncation weight recorded for
-``experiments._row_checks``, the one judge of every limit. The endpoint
-truncation check is a table's: each ramp family's setup in ``experiments``
-solves both ends of its sweep once per table.
+number k, and is never lifted to the full space. A table's ramp family setup
+in ``experiments`` assembles the sweep's (A, B) once (``hamiltonian_parts``)
+and solves both of its ends (``_lowest_eigenvector``, the one dense
+ground-state solve, or a quench's level-naming tridiagonal solve).
+``run_sweep`` takes those parts, assembles and solves nothing, and assumes
+nothing about its initial state: it takes its space from psi0's ``sector``
+and returns a ``Trajectory``, the states at its sample steps as the columns
+of one read-only array, with its norm drift, parity leakage and final
+truncation weight recorded for ``experiments._row_checks``, the one judge of
+every limit.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
 symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
 the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
-same matrix ends in, without the dense reduction before it. Its levels are
-named once per table, at the sweep's far end, by the solve whose lowest
-column is also the far end's ground state (``experiments._quench``).
+same matrix ends in, without the dense reduction before it. A quench's one
+solve at its far end names its levels, gives that end's ground state and
+reads out every state there (``experiments._quench``).
 
 That solve is the package's only use of ``scipy.linalg``: numpy has no
 tridiagonal solve, and its batched ``eigh`` is about 1.9x slower per sample
@@ -548,13 +535,13 @@ def _evolve_linear(
 # Model plumbing
 # ---------------------------------------------------------------------------
 
-def _hamiltonian_parts(
+def hamiltonian_parts(
     p: QrmParams | MultiModeParams, parameter: str, sector: ParitySector | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) of H = A + f B, where f is the swept parameter: real symmetric
     float64 arrays, projected with ``sector`` (single-mode, bias-free gap
-    sweeps only) onto that parity block, whose coordinate k is photon number k.
-    """
+    sweeps only) onto that parity block, whose coordinate k is photon number k:
+    the parts that a table assembles once and hands every ``run_sweep``."""
     if isinstance(p, MultiModeParams):
         if parameter != "epsilon":
             raise InvalidParameterError("multimode sweeps support the bias parameter only")
@@ -589,7 +576,7 @@ def ground_state(
     frozen at ``value``: a full-space state, or with ``sector`` (single-mode,
     bias-free gap sweeps only) that parity block's ground state in block
     coordinates, whose ``sector`` it carries."""
-    h_static, h_ramp = _hamiltonian_parts(p, parameter, sector)
+    h_static, h_ramp = hamiltonian_parts(p, parameter, sector)
     return StateVector(_lowest_eigenvector(h_static, h_ramp, value), sector)
 
 
@@ -636,17 +623,22 @@ def project_records(
 
 def run_sweep(
     p: QrmParams | MultiModeParams,
+    parts: tuple[np.ndarray, np.ndarray],
     schedule: SweepSchedule | RateBlock,
     psi0: StateVector,
 ) -> Trajectory | list[Trajectory | RabisweepError]:
-    """Propagate psi0 under the scheduled ramp and return the normalized
-    state at every step of ``schedule.sample_steps``, or at the start and
-    the end when it is None.
+    """Propagate psi0 under H = A + f B, ``parts`` = (A, B) with f ramped by
+    ``schedule``, and return the normalized state at every step of
+    ``schedule.sample_steps``, or at the start and the end when it is None.
 
-    The swept parameter's value in ``p`` is ignored; the schedule supplies it.
+    The run assembles nothing: its table builds the parts once, with
+    ``hamiltonian_parts(p, parameter, psi0.sector)``, and ``p`` serves only
+    the measurements (its Fock layout; a full-space gap run's parity blocks).
     The run's space is psi0's ``sector``: None runs in the full space, a
     parity sector (bias-free single-mode gap sweeps only) inside that parity
-    block, in block coordinates (photon numbers). The run reads nothing out.
+    block, in block coordinates (photon numbers). Parts or a state that do
+    not fit it raise ``InvalidParameterError`` before any step. The run
+    reads nothing out.
 
     Every sample and the end of the sweep, sampled or not, are measured. A
     norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
@@ -672,10 +664,13 @@ def run_sweep(
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
-    h_static, h_ramp = _hamiltonian_parts(p, first.parameter, psi0.sector)
-    if psi0.dim != h_static.shape[0]:
+    h_static, h_ramp = parts
+    # A parity block's coordinate k is photon number k; multimode has none.
+    space = p.dim if psi0.sector is None else (p.n_fock if isinstance(p, QrmParams) else 0)
+    if not (space, space) == (psi0.dim, psi0.dim) == np.shape(h_static) == np.shape(h_ramp):
         raise InvalidParameterError(
-            f"initial state dimension {psi0.dim} does not match the model ({h_static.shape[0]})"
+            f"initial state dimension {psi0.dim} and parts of shape {np.shape(h_static)} "
+            f"do not fit the model's {'full space' if psi0.sector is None else 'block'} ({space})"
         )
     leak_matrix = None
     if (psi0.sector is None and isinstance(p, QrmParams)
@@ -816,10 +811,10 @@ def _tridiagonal_eigh(
 
 
 def eigen_level_series(
-    h_static: np.ndarray,
-    h_ramp: np.ndarray,
+    tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray],
     values: np.ndarray,
     states: np.ndarray,
+    solved: dict[float, tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy-ordered level populations along a trace.
 
@@ -828,11 +823,11 @@ def eigen_level_series(
     ``InvalidParameterError``. Returns (populations[time, level],
     eigenvalues[time, level], degenerate_flags[time, level]). Level identity
     is the energy ordering at each instant; the caller names the levels once
-    (``experiments._quench``, at the far end). The parts are a parity
-    block's, a real tridiagonal A and a diagonal B (see
-    ``_tridiagonal_parts``); each distinct value is one tridiagonal solve.
+    (``experiments._quench``, at the far end). ``tridiagonal`` is a parity
+    block's (d0, d1, e) from ``_tridiagonal_parts``. Each distinct value is
+    one tridiagonal solve, or its ``_tridiagonal_eigh`` result in ``solved``.
     """
-    d0, d1, e = _tridiagonal_parts(h_static, h_ramp)
+    d0 = tridiagonal[0]
     states = np.asarray(states)
     if states.shape != (d0.size, len(values)):
         raise InvalidParameterError(
@@ -847,7 +842,7 @@ def eigen_level_series(
     for i in np.argsort(values, kind="stable").tolist():
         if values[i] != last:
             last = values[i]
-            w, v = _tridiagonal_eigh(d0, d1, e, last)
+            w, v = solved.get(last) or _tridiagonal_eigh(*tridiagonal, last)
         vals[i] = w
         pops[i] = np.abs(v.T @ states[:, i]) ** 2
     scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)

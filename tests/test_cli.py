@@ -336,13 +336,14 @@ def single_run_audit(knob: str) -> dict:
         start = 20.0 * factor if knob == "endpoint_magnitude" else 20.0
         n_steps = 1000 if knob == "n_fock" else 1000 * factor
         p = qrm_params(1.0, n_fock=n_fock)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         traj = run_sweep(
-            p, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
+            p, parts, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
             ground_state(p, "delta", start, EVEN_SECTOR),
         )
-        a, b = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
-        (probs,), _, _ = eigen_level_series(a, b, [0.0], traj.final_state[:, None])
-        _, vecs = sweep._tridiagonal_eigh(*sweep._tridiagonal_parts(a, b), 0.0)
+        tridiagonal = sweep._tridiagonal_parts(*parts)
+        (probs,), _, _ = eigen_level_series(tridiagonal, [0.0], traj.final_state[:, None], {})
+        _, vecs = sweep._tridiagonal_eigh(*tridiagonal, 0.0)
         labels = greedy_label_assignment(
             *readout_columns(p, "superradiant", EVEN_SECTOR), vecs
         )
@@ -414,9 +415,9 @@ class TestConvergence:
         runs = []
         run_block = experiments.run_sweep
 
-        def recording_run(p, block, psi0, **kwargs):
+        def recording_run(p, parts, block, psi0):
             runs.append((p, block.schedules[0].start_value, psi0))
-            return run_block(p, block, psi0, **kwargs)
+            return run_block(p, parts, block, psi0)
 
         monkeypatch.setattr(experiments, "run_sweep", recording_run)
         assert main([*trimmed, "--audit", "endpoint_magnitude"]) == 0

@@ -57,9 +57,9 @@ class TestScanLoop:
         blocks = []
         run_sweep = sweep.run_sweep
 
-        def recording_run(p, block, psi0, **kwargs):
+        def recording_run(p, parts, block, psi0):
             blocks.append([s.rate_v for s in block.schedules])
-            return run_sweep(p, block, psi0, **kwargs)
+            return run_sweep(p, parts, block, psi0)
 
         monkeypatch.setattr(experiments, "run_sweep", recording_run)
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
@@ -101,8 +101,8 @@ class TestScanLoop:
             start, end = default_quench_delta_hi(params), 0.0
             scale, sector = params.omega**2, EVEN_SECTOR
             psi0 = ground_state(params, "delta", start, sector)
-            a, b = sweep._hamiltonian_parts(params, "delta", sector)
-            _, cols = np.linalg.eigh(a + end * b)
+            parts = sweep.hamiltonian_parts(params, "delta", sector)
+            _, cols = np.linalg.eigh(parts[0] + end * parts[1])
             labels = greedy_label_assignment(
                 *readout_columns(params, "superradiant", sector), cols
             )
@@ -110,10 +110,11 @@ class TestScanLoop:
             window = lz_window(params)
             start, end, scale, sector = -window, window, params.delta**2, None
             psi0 = ground_state(params, "epsilon", start)
+            parts = sweep.hamiltonian_parts(params, "epsilon")
             cols, labels = readout_columns(params, "displaced")
         for row in table.rows:
             schedule = SweepSchedule(parameter, start, end, row.scan_value * scale, n_steps=1000)
-            traj = run_sweep(params, schedule, psi0)
+            traj = run_sweep(params, parts, schedule, psi0)
             alone = project_records(cols, labels, traj.final_state)
             assert row.checks["chebyshev_terms"] == traj.chebyshev_terms > 0
             assert [r.label for r in row.sim] == [r.label for r in alone]
@@ -196,7 +197,7 @@ class TestScanLoop:
 
         blocks = []
 
-        def failing_series(h_static, h_ramp, values, states):
+        def failing_series(tridiagonal, values, states, solved):
             blocks.append((list(values), states.shape))
             raise NumericalInstabilityError("no level series")
 
@@ -258,11 +259,11 @@ class TestRateScan:
             assert row.sim.labels is row.oracle.labels is rows[0].sim.labels
 
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
-    def test_a_quench_table_makes_two_tridiagonal_solves(self, monkeypatch, kind):
-        # One solve names the far end's levels, and its lowest column is
-        # the far end's ground state for the endpoint check; one reads every
-        # rate's final state there. The initial state is the one dense
-        # solve, and the runs make none.
+    def test_a_quench_table_makes_one_tridiagonal_solve(self, monkeypatch, kind):
+        # The one solve at the far end names the levels, its lowest column
+        # is the far end's ground state for the endpoint check, and its
+        # vectors read every rate's final state there. The initial state is
+        # the one dense solve, and the runs make none.
         spies = {}
         for name in ("_tridiagonal_eigh", "_lowest_eigenvector"):
             spies[name] = mock.Mock(wraps=getattr(sweep, name))
@@ -274,7 +275,7 @@ class TestRateScan:
         )
         rows = run_experiment(spec).rows
         assert all(row.sim is not None for row in rows)
-        assert [spy.call_count for spy in spies.values()] == [2, 1]
+        assert [spy.call_count for spy in spies.values()] == [1, 1]
 
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
     def test_every_row_weighs_both_ends_of_its_quench(self, kind):
@@ -320,7 +321,7 @@ class TestRateScan:
         )
         assert expected > 0.0
         spies = {}
-        for name in ("_hamiltonian_parts", "_lowest_eigenvector"):
+        for name in ("hamiltonian_parts", "_lowest_eigenvector"):
             spies[name] = mock.Mock(wraps=getattr(sweep, name))
             monkeypatch.setattr(experiments, name, spies[name])
         monkeypatch.setattr(sweep, "_lowest_eigenvector", spies["_lowest_eigenvector"])
@@ -353,7 +354,7 @@ class TestRowChecks:
         p = QrmParams(0.0, 0.0, 1.0, 2.0, 8)
         s = SweepSchedule("delta", 100.0, 0.0, 1000.0, n_steps=2000)
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0)
+        traj = run_sweep(p, sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR), s, psi0)
         # The run records its weights and passes no verdict on them.
         assert not hasattr(traj, "warnings")
         occupancy = top_fock_occupancy(p, ground_state(p, "delta", 0.0, EVEN_SECTOR).amplitudes)
@@ -378,10 +379,11 @@ class TestRowChecks:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
         cols, labels = readout_columns(p, "superradiant", EVEN_SECTOR)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         terms = []
         for rate in (1e3, 1e5):
             s = SweepSchedule("delta", 200.0, 0.0, rate, n_steps=1000)
-            traj = run_sweep(p, s, psi0)
+            traj = run_sweep(p, parts, s, psi0)
             checks, warnings = _row_checks(
                 traj, project_records(cols, labels, traj.final_state), 0.0
             )
@@ -485,39 +487,59 @@ class TestTraces:
             run_experiment(spec)
 
     @pytest.mark.parametrize(
-        "kind, axis, options",
+        "kind, params, axis, options",
         [
-            ("quench_trace", (-100.0, -50.0, 0.0),
+            ("quench_ns", QrmParams(0.0, 0.0, 1.0, 0.5, 16), (1e3, 1e4), {"delta_hi": 100.0}),
+            ("quench_sn", QrmParams(0.0, 0.0, 1.0, 0.5, 16), (1e4,), {"delta_hi": 100.0}),
+            ("quench_trace", QrmParams(0.0, 0.0, 1.0, 0.5, 16), (-100.0, -50.0, 0.0),
              {"direction": "ns", "rate": 1e4, "delta_hi": 100.0}),
-            ("quench_trace", (0.0, 50.0, 100.0),
+            ("quench_trace", QrmParams(0.0, 0.0, 1.0, 0.5, 16), (0.0, 50.0, 100.0),
              {"direction": "sn", "rate": 1e4, "delta_hi": 100.0}),
-            ("quench_sn", (1e4,), {"delta_hi": 100.0}),
+            ("lz_scan", QrmParams(0.3, 0.0, 1.0, 1.0, 16), (10.0, 100.0), {"window": 10.0}),
+            ("lz_trace", QrmParams(0.3, 0.0, 1.0, 1.0, 16), (-5.0, 0.0, 5.0),
+             {"window": 10.0, "rate": 100.0}),
+            ("multimode_scan", MultiModeParams(1.0, (Mode(1.0, 1.0, 8),)), (1e3,), {}),
         ],
+        ids=["quench_ns", "quench_sn", "trace-ns", "trace-sn", "lz_scan", "lz_trace", "multimode"],
     )
-    def test_a_quench_table_assembles_its_block_twice(self, monkeypatch, kind, axis, options):
-        # Once for the table's setup, ``_quench`` (initial state and
-        # readout), and once inside run_sweep; the initial state is the
-        # vector ground_state gives, at the start of the table's ramp.
-        p = QrmParams(0.0, 0.0, 1.0, 0.5, 16)
-        spec = ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
-        calls = []
-        parts = sweep._hamiltonian_parts
+    def test_a_simulated_table_assembles_its_parts_once(
+        self, monkeypatch, kind, params, axis, options
+    ):
+        # Its setup assembles the parts, and a quench's setup checks them
+        # tridiagonal, once per table; every run takes those same arrays.
+        # A quench starts from the ground state that ground_state gives at
+        # the start of the table's ramp.
+        spec = ExperimentSpec(kind, params, "axis", axis, n_steps=1000, options=options)
+        assembled, handed = [], []
+        assemble = sweep.hamiltonian_parts
 
-        def counting_parts(*args, **kwargs):
-            calls.append(args)
-            return parts(*args, **kwargs)
+        def recording_parts(*args):
+            assembled.append(assemble(*args))
+            return assembled[-1]
 
-        monkeypatch.setattr(sweep, "_hamiltonian_parts", counting_parts)
-        monkeypatch.setattr(experiments, "_hamiltonian_parts", counting_parts)
-        run_experiment(spec)
-        assert len(calls) == 2
-        start = options["delta_hi"] if options.get("direction") == "ns" else 0.0
-        setup, _, _ = experiments._quench(spec)
-        psi0 = setup.psi0
-        reference = ground_state(p, "delta", start, EVEN_SECTOR)
-        assert setup.ramp[1] == start
-        assert psi0.sector == reference.sector == EVEN_SECTOR
-        assert np.array_equal(psi0.amplitudes, reference.amplitudes)
+        check = mock.Mock(wraps=sweep._tridiagonal_parts)
+        for module in (sweep, experiments):
+            monkeypatch.setattr(module, "hamiltonian_parts", recording_parts)
+            monkeypatch.setattr(module, "_tridiagonal_parts", check)
+        run = experiments.run_sweep
+
+        def recording_run(p, parts, schedule, psi0):
+            handed.append(parts)
+            return run(p, parts, schedule, psi0)
+
+        monkeypatch.setattr(experiments, "run_sweep", recording_run)
+        rows = run_experiment(spec).rows
+        assert all(row.sim is not None for row in rows)
+        quench = kind.startswith("quench")
+        assert len(assembled) == 1 and check.call_count == (1 if quench else 0)
+        assert len(handed) == 1 and handed[0] is assembled[0]
+        if quench:
+            setup, _, _ = experiments._quench(spec)
+            start = setup.ramp[1]
+            reference = ground_state(params, "delta", start, EVEN_SECTOR)
+            assert start == (100.0 if options.get("direction", kind[-2:]) == "ns" else 0.0)
+            assert setup.psi0.sector == reference.sector == EVEN_SECTOR
+            assert np.array_equal(setup.psi0.amplitudes, reference.amplitudes)
 
     @pytest.mark.parametrize(
         "kind, axis, options, unit",
@@ -627,8 +649,9 @@ class TestTraces:
             "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_steps=(0, 1000)
         )
         psi0 = ground_state(p, "delta", 100.0, EVEN_SECTOR)
-        traj = run_sweep(p, s, psi0)
-        whole = run_sweep(p, replace(s, sample_steps=None), psi0)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        traj = run_sweep(p, parts, s, psi0)
+        whole = run_sweep(p, parts, replace(s, sample_steps=None), psi0)
         assert traj.schedule.sample_steps == (0, 1000)
         assert traj.states.shape == (p.n_fock, 2)
         assert traj.top_fock_occupancy == whole.top_fock_occupancy
@@ -652,7 +675,8 @@ class TestTraces:
         s = SweepSchedule(
             "delta", 100.0, 0.0, 1000.0, n_steps=2000, sample_steps=(0, 1000)
         )
-        return run_sweep(p, s, ground_state(p, "delta", 100.0, EVEN_SECTOR))
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        return run_sweep(p, parts, s, ground_state(p, "delta", 100.0, EVEN_SECTOR))
 
     def test_unsampled_end_norm_drift_is_a_warning(self, monkeypatch):
         # The run records the drift; the row judges it, once, against its limit.

@@ -37,6 +37,7 @@ from rabisweep.model import (
 )
 from rabisweep.operators import eig_hermitian, hermiticity_defect, unitary_displacement
 from rabisweep.presets import qrm_params
+from rabisweep.sweep import hamiltonian_parts
 
 RNG = np.random.default_rng(7)
 
@@ -138,6 +139,38 @@ class TestParity:
         h = build_qrm(p)
         par = parity_operator(p)
         assert np.linalg.norm(h @ par - par @ h) > 0.1 * abs(p.epsilon)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            QrmParams(0.3, 0.0, 1.0, 1.0, 32),
+            MultiModeParams(1.0, (Mode(1.0, 0.5, 8), Mode(2.3, 0.92, 6))),
+        ],
+        ids=["single-mode", "two-mode"],
+    )
+    def test_parity_reflects_the_bias_sweep(self, p):
+        # P = sigma_x (x) prod_j (-1)^{n_j} keeps the bias-free part A and
+        # flips the bias ramp B exactly, so it maps H(epsilon) = A + epsilon
+        # B to H(-epsilon) and the ground state at -W to the one at +W. P
+        # only swaps the qubit states and signs amplitudes, so it keeps
+        # every Fock weight: both window edges have one top-tenth weight,
+        # and a bias table's +W solve adds no information to that check.
+        modes = (p.n_fock,) if isinstance(p, QrmParams) else tuple(m.n_fock for m in p.modes)
+        signs = np.ones(1)
+        for n_fock in modes:
+            signs = np.kron(signs, np.where(np.arange(n_fock) % 2 == 0, 1.0, -1.0))
+        par = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag(signs))
+        if isinstance(p, QrmParams):
+            assert np.array_equal(par, parity_operator(p))
+        h_static, h_ramp = hamiltonian_parts(p, "epsilon")
+        assert np.array_equal(par @ h_static @ par, h_static)
+        assert np.array_equal(par @ h_ramp @ par, -h_ramp)
+        # Its own generator, so the module's draws elsewhere are unchanged.
+        rng = np.random.default_rng(11)
+        state = rng.normal(size=p.dim) + 1j * rng.normal(size=p.dim)
+        state /= np.linalg.norm(state)
+        weight = top_fock_occupancy(p, state)
+        assert top_fock_occupancy(p, par @ state) == pytest.approx(weight, rel=1e-14, abs=0)
 
     def test_projector_idempotent_and_rank(self):
         # The sector basis B spans the sector: B B^dag = (I + sign P)/2.

@@ -127,8 +127,13 @@ class TestExports:
         assert len(list(tmp_path.glob("*.csv"))) == 1
 
     def test_run_sweep_only_propagates(self):
-        # Readout is project_records over readout_columns, not a run option.
+        # Readout is project_records over readout_columns, not a run option,
+        # and a run takes the parts its table assembled, with no default.
         assert "readout" not in inspect.signature(rabisweep.run_sweep).parameters
+        parameters = inspect.signature(rabisweep.run_sweep).parameters.values()
+        assert [(x.name, x.default) for x in parameters] == [
+            (name, inspect.Parameter.empty) for name in ("p", "parts", "schedule", "psi0")
+        ]
         assert not hasattr(rabisweep.Trajectory, "records")
 
     def test_each_input_has_one_spelling(self):
@@ -171,10 +176,10 @@ class TestExports:
         ],
     )
     def test_hamiltonian_parts_are_real(self, params, parameter, sector):
-        # The propagator refuses complex parts, so every model builds real ones.
-        from rabisweep.sweep import _hamiltonian_parts
-
-        h_static, h_ramp = _hamiltonian_parts(params, parameter, sector)
+        # The propagator refuses complex parts, so every model builds real
+        # ones; a table's setup builds them through the public builder.
+        assert rabisweep.hamiltonian_parts is rabisweep.sweep.hamiltonian_parts
+        h_static, h_ramp = rabisweep.hamiltonian_parts(params, parameter, sector)
         assert h_static.dtype == h_ramp.dtype == np.float64
 
     def test_truncation_policy_lives_in_model(self):

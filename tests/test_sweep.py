@@ -65,6 +65,12 @@ def block_ground(p: QrmParams, delta_value: float) -> StateVector:
     return StateVector(vecs[:, 0], EVEN_SECTOR)
 
 
+def block_parts(p: QrmParams) -> tuple[np.ndarray, np.ndarray]:
+    """The even block's (A, B) of a gap sweep: what a quench table's setup
+    hands each of its runs."""
+    return sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
+
+
 def final_records(p, traj, scheme, sector=None):
     return project_records(*readout_columns(p, scheme, sector), traj.final_state)
 
@@ -110,7 +116,7 @@ class TestSchedule:
         p = QrmParams(1.0, 0.0, 1.0, 0.7, 12)
         psi0 = block_ground(p, 1.0)
         s = SweepSchedule("delta", 1.0, 1.0, 3.0, n_steps=1000)
-        traj = run_sweep(p, s, psi0)
+        traj = run_sweep(p, block_parts(p), s, psi0)
         overlap = abs(np.vdot(traj.final_state, psi0.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -122,7 +128,26 @@ class TestSchedule:
         psi0 = StateVector(np.ones(30, dtype=complex) / np.sqrt(30))
         s = SweepSchedule(parameter, 20.0, 0.0, 1e3, n_steps=1000)
         with pytest.raises(InvalidParameterError, match="dimension 30"):
-            run_sweep(p, s, psi0)
+            run_sweep(p, sweep.hamiltonian_parts(p, parameter), s, psi0)
+
+    @pytest.mark.parametrize("sector", [None, EVEN_SECTOR], ids=["full-space", "block"])
+    def test_parts_that_do_not_fit_psi0_are_refused(self, monkeypatch, sector):
+        # Full-space parts with a parity-block state, and block parts with
+        # a full-space state: refused before any step.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        psi0 = ground_state(p, "delta", 20.0, sector)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR if sector is None else None)
+        assert parts[0].shape[0] != psi0.dim
+        evolve = mock.Mock(wraps=sweep._evolve_linear)
+        monkeypatch.setattr(sweep, "_evolve_linear", evolve)
+        s = SweepSchedule("delta", 20.0, 0.0, 1e3, n_steps=1000)
+        for schedule in (s, RateBlock((s, replace(s, rate_v=1e4)))):
+            with pytest.raises(InvalidParameterError, match="do not fit"):
+                run_sweep(p, parts, schedule, psi0)
+        assert evolve.call_count == 0
+        # The same state runs under the parts of its own space.
+        run_sweep(p, sweep.hamiltonian_parts(p, "delta", sector), s, psi0)
+        assert evolve.call_count == 1
 
 
 class TestEngine:
@@ -304,7 +329,7 @@ class TestEngine:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=4000)
         block = RateBlock(tuple(replace(base, rate_v=r) for r in (1e3, 1e4, 1e5)))
-        runs = run_sweep(p, block, block_ground(p, 200.0))
+        runs = run_sweep(p, block_parts(p), block, block_ground(p, 200.0))
         assert [traj.chebyshev_terms for traj in runs] == [6, 5, 4]
 
     def test_chebyshev_tail_that_never_falls_is_refused(self, monkeypatch):
@@ -325,10 +350,10 @@ class TestEngine:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         slow = SweepSchedule("delta", 1e9, 0.0, 0.1, n_steps=1000)
         with pytest.raises(NumericalInstabilityError, match=r"z = r dt = 5(\.\d+)?e\+15") as info:
-            run_sweep(p, slow, block_ground(p, 1e9))
+            run_sweep(p, block_parts(p), slow, block_ground(p, 1e9))
         fit = int(str(info.value).rsplit(": ", 1)[1].split()[0])
         lo, hi = sweep._gershgorin_bounds(
-            *sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR), np.array([1e9, 0.0])
+            *sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR), np.array([1e9, 0.0])
         )
         radius = 0.5 * (hi - lo)
         cap = sweep._CHEB_Z_MAX
@@ -336,7 +361,7 @@ class TestEngine:
         # An overflowing z names no step count.
         far = SweepSchedule("delta", 1e308, 0.0, 1.0, n_steps=1000)
         with pytest.raises(NumericalInstabilityError, match="no step count fits"):
-            run_sweep(p, far, block_ground(p, 1e308))
+            run_sweep(p, block_parts(p), far, block_ground(p, 1e308))
 
     def test_a_stack_past_the_cap_is_refused_before_it_is_allocated(self):
         # 40 runs at dim 64 whose slowest step spans z ~ 5e4: about 5e4
@@ -390,7 +415,7 @@ class TestEngine:
                     continue
                 _, far = experiments._endpoint_option(run)
                 quench = run.kind.startswith("quench")
-                parts = sweep._hamiltonian_parts(
+                parts = sweep.hamiltonian_parts(
                     run.params, "delta" if quench else "epsilon", EVEN_SECTOR if quench else None
                 )
                 ends = (0.0, far) if quench else (-far, far)
@@ -444,7 +469,7 @@ class TestEngine:
 
         monkeypatch.setattr(sweep, "_aligned_zeros", spy)
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         n_steps = 2048
         base = SweepSchedule("delta", 0.0, 200.0, 10.0, n_steps=n_steps)
         schedules = tuple(replace(base, rate_v=r) for r in (100.0, 1e3))
@@ -457,7 +482,7 @@ class TestEngine:
                 for s in schedules
             ))
         assert len(n_max) == 2 and n_max[0] < n_max[1]
-        run_sweep(p, RateBlock(schedules), block_ground(p, 0.0))
+        run_sweep(p, block_parts(p), RateBlock(schedules), block_ground(p, 0.0))
         assert [buf.shape for buf in made] == [
             (1, 4, 32), (32, 32), (2, 2, 2, 32), (n_max[0], 4, 32), (n_max[1], 4, 32)
         ]
@@ -468,7 +493,7 @@ class TestEngine:
         p = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
         s = SweepSchedule("epsilon", -100.0, 100.0, 1.0, n_steps=100_000)
         psi0 = displaced_state(p, "down", 0)
-        traj = run_sweep(p, s, psi0)
+        traj = run_sweep(p, sweep.hamiltonian_parts(p, "epsilon"), s, psi0)
         p_down = sum(
             r.probability for r in final_records(p, traj, "bare") if r.label.qubit == "down"
         )
@@ -479,7 +504,7 @@ class TestEngine:
         s = SweepSchedule(
             "delta", 200.0, 0.0, 100.0, n_steps=5000, sample_steps=tuple(range(0, 5001, 625))
         )
-        traj = run_sweep(p, s, block_ground(p, 200.0))
+        traj = run_sweep(p, block_parts(p), s, block_ground(p, 200.0))
         assert traj.max_norm_deviation <= 1e-10
 
     def test_states_are_one_read_only_block(self):
@@ -490,7 +515,7 @@ class TestEngine:
         s = SweepSchedule(
             "delta", 20.0, 0.0, 1e3, n_steps=1000, sample_steps=(0, 500, 500, 1000)
         )
-        traj = run_sweep(p, s, psi0)
+        traj = run_sweep(p, block_parts(p), s, psi0)
         assert traj.states.dtype == complex and traj.states.shape == (16, 4)
         assert traj.schedule.sample_steps == (0, 500, 500, 1000)
         assert traj.states.flags.writeable is False
@@ -499,7 +524,7 @@ class TestEngine:
         assert np.array_equal(traj.states[:, 1], traj.states[:, 2])
         assert np.allclose(np.linalg.norm(traj.states, axis=0), 1.0, atol=1e-14)
         assert np.allclose(traj.states[:, 0], psi0.amplitudes, atol=1e-15)
-        end = run_sweep(p, replace(s, sample_steps=None), psi0)
+        end = run_sweep(p, block_parts(p), replace(s, sample_steps=None), psi0)
         assert np.array_equal(traj.final_state, traj.states[:, -1])
         assert np.array_equal(traj.final_state, end.final_state)
 
@@ -513,7 +538,7 @@ class TestConservation:
         s = SweepSchedule(
             "delta", 0.0, 50.0, 25.0, n_steps=20_000, sample_steps=tuple(range(0, 20_001, 1000))
         )
-        traj = run_sweep(p, s, psi0)
+        traj = run_sweep(p, sweep.hamiltonian_parts(p, "delta"), s, psi0)
         assert traj.max_parity_leakage <= 1e-10
         assert traj.max_norm_deviation <= 1e-8
 
@@ -522,7 +547,7 @@ class TestConservation:
         # measured and reads None rather than a conserved-looking 0.0.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
         s = SweepSchedule("delta", 20.0, 0.0, 1e3, n_steps=1000)
-        traj = run_sweep(p, s, block_ground(p, 20.0))
+        traj = run_sweep(p, block_parts(p), s, block_ground(p, 20.0))
         assert traj.max_parity_leakage is None
 
     def test_time_reversal_fidelity(self):
@@ -532,9 +557,9 @@ class TestConservation:
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         s = SweepSchedule("delta", 200.0, 0.0, 2000.0, n_steps=4000)
         psi0 = block_ground(p, 200.0)
-        forward = run_sweep(p, s, psi0)
+        forward = run_sweep(p, block_parts(p), s, psi0)
         echo = StateVector(forward.final_state.conj(), EVEN_SECTOR)
-        back = run_sweep(p, s.reversed(), echo)
+        back = run_sweep(p, block_parts(p), s.reversed(), echo)
         fid = abs(np.vdot(back.final_state, psi0.amplitudes.conj())) ** 2
         assert fid >= 1.0 - 1e-6
 
@@ -546,7 +571,7 @@ class TestAccuracyScalings:
 
         def final_probs(n_steps):
             s = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=n_steps)
-            traj = run_sweep(p, s, psi0)
+            traj = run_sweep(p, block_parts(p), s, psi0)
             recs = final_records(p, traj, "superradiant", EVEN_SECTOR)
             return np.array([r.probability for r in recs])
 
@@ -569,7 +594,7 @@ class TestAccuracyScalings:
         block = RateBlock(tuple(replace(base, rate_v=r) for r in (0.3, 0.1, 0.03)))
         survivals = [
             abs(np.vdot(final_vecs[:, 0], traj.final_state)) ** 2
-            for traj in run_sweep(p, block, psi0)
+            for traj in run_sweep(p, block_parts(p), block, psi0)
         ]
         assert survivals[0] < survivals[1] < survivals[2]
         assert survivals[-1] > 0.999
@@ -623,11 +648,12 @@ class TestEigenLevelSeries:
     def test_block_matches_dense_eigh(self):
         # The fig1a/fig2a even block over the span of its quench.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 64)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         values = np.linspace(200.0, 0.0, 41)
         states = RNG.normal(size=(64, 41)) + 1j * RNG.normal(size=(64, 41))
         states /= np.linalg.norm(states, axis=0)
-        pops, vals, flags = eigen_level_series(h0, h1, values, states)
+        tridiagonal = sweep._tridiagonal_parts(h0, h1)
+        pops, vals, flags = eigen_level_series(tridiagonal, values, states, {})
         assert pops.shape == vals.shape == flags.shape == (41, 64)
         for i, (value, amp) in enumerate(zip(values, states.T)):
             w, v = np.linalg.eigh(h0 + value * h1)
@@ -643,16 +669,25 @@ class TestEigenLevelSeries:
         # Repeated values, in any order, share one solve and read out
         # exactly as each value's own series does.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         values = np.array([5.0, 0.0, 5.0, 2.0, 0.0, 0.0])
         states = RNG.normal(size=(16, 6)) + 1j * RNG.normal(size=(16, 6))
         states /= np.linalg.norm(states, axis=0)
-        single = [eigen_level_series(h0, h1, values[[i]], states[:, [i]]) for i in range(6)]
+        tridiagonal = sweep._tridiagonal_parts(h0, h1)
+        single = [
+            eigen_level_series(tridiagonal, values[[i]], states[:, [i]], {}) for i in range(6)
+        ]
         solve = mock.Mock(wraps=sweep._tridiagonal_eigh)
         monkeypatch.setattr(sweep, "_tridiagonal_eigh", solve)
-        series = eigen_level_series(h0, h1, values, states)
+        series = eigen_level_series(tridiagonal, values, states, {})
         assert solve.call_count == 3
         for got, want in zip(series, (np.concatenate(parts) for parts in zip(*single))):
+            assert got.tobytes() == want.tobytes()
+        # A value already solved is read with that solve, not solved again.
+        solved = {0.0: sweep._tridiagonal_eigh(*tridiagonal, 0.0)}
+        again = eigen_level_series(tridiagonal, values, states, solved)
+        assert solve.call_count == 3 + 1 + 2
+        for got, want in zip(again, series):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("case", ["full space", "complex", "asymmetric", "ramp off-diagonal"])
@@ -661,7 +696,7 @@ class TestEigenLevelSeries:
         if case == "full space":
             h0, h1 = build_qrm(p), delta_ramp(p)
         else:
-            h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+            h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
             h0, h1 = h0.copy(), h1.copy()
             if case == "complex":
                 h0 = h0.astype(complex)
@@ -669,28 +704,28 @@ class TestEigenLevelSeries:
                 h0[1, 0] += 1e-15
             else:
                 h1[0, 1] = h1[1, 0] = 1e-3
-        state = np.ones((h0.shape[0], 1)) / math.sqrt(h0.shape[0])
+        # Checked once per table, where a quench's setup assembles its block.
         with pytest.raises(InvalidParameterError, match="tridiagonal"):
-            eigen_level_series(h0, h1, np.array([1.0]), state)
+            sweep._tridiagonal_parts(h0, h1)
 
     @pytest.mark.parametrize("shape", [(8,), (2, 8), (8, 1), (8, 3), (7, 2), (8, 2, 1)])
     def test_states_of_another_shape_are_refused(self, shape):
         # Two values take a (block dim, 2) block: one column per value.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         states = np.ones(shape, dtype=complex)
         with pytest.raises(InvalidParameterError, match=r"\(8, 2\) block of states"):
-            eigen_level_series(h0, h1, np.array([1.0, 0.0]), states)
+            eigen_level_series(sweep._tridiagonal_parts(h0, h1), np.array([1.0, 0.0]), states, {})
 
     def test_failed_solve_raises(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         # The solve imports dstevd at its first call, so it is patched at its source.
         import scipy.linalg.lapack
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
         with pytest.raises(NumericalInstabilityError, match="info = 3"):
-            eigen_level_series(h0, h1, np.array([1.0]), np.eye(8)[:, :1])
+            eigen_level_series(sweep._tridiagonal_parts(h0, h1), [1.0], np.eye(8)[:, :1], {})
 
     def test_degenerate_pair_is_flagged(self):
         # Levels 1 and 2 share the diagonal entry 2 and no off-diagonal
@@ -699,7 +734,8 @@ class TestEigenLevelSeries:
         h0[3, 4] = h0[4, 3] = 0.5
         h1 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0])
         states = np.eye(5, dtype=complex)[:, [0, 0]]
-        _, vals, flags = eigen_level_series(h0, h1, np.array([0.0, 1.0]), states)
+        tridiagonal = sweep._tridiagonal_parts(h0, h1)
+        _, vals, flags = eigen_level_series(tridiagonal, np.array([0.0, 1.0]), states, {})
         assert vals[0, 1] == vals[0, 2] == 2.0
         assert flags.tolist() == [
             [False, True, True, False, False],
@@ -708,14 +744,16 @@ class TestEigenLevelSeries:
 
     def test_block_path_never_calls_dense_eigh(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         state = ground_state(p, "delta", 5.0, EVEN_SECTOR).amplitudes
 
         def no_dense(*args, **kwargs):
             raise AssertionError("dense eigh called on a tridiagonal block")
 
         monkeypatch.setattr(np.linalg, "eigh", no_dense)
-        pops, _, _ = eigen_level_series(h0, h1, np.array([5.0, 0.0]), np.stack([state] * 2, 1))
+        pops, _, _ = eigen_level_series(
+            sweep._tridiagonal_parts(h0, h1), np.array([5.0, 0.0]), np.stack([state] * 2, 1), {}
+        )
         assert pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -754,7 +792,7 @@ class TestGroundState:
         spec = PRESETS[preset].build()
         _, far = experiments._endpoint_option(spec)
         quench = spec.kind.startswith("quench")
-        parts = sweep._hamiltonian_parts(
+        parts = sweep.hamiltonian_parts(
             spec.params, "delta" if quench else "epsilon", EVEN_SECTOR if quench else None
         )
         assert parts[0].shape == ((64, 64) if preset != "multimode_small" else (192, 192))
@@ -767,26 +805,41 @@ class TestGroundState:
             assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(h, 2)
 
     @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4), (1e2, 1e3, 1e4)])
-    def test_a_run_assembles_its_parts_once(self, monkeypatch, rates):
-        # A single schedule or a rate block alike assembles its parts once
-        # and solves nothing: neither the dense ground-state solve, nor
-        # numpy's eigh under it, nor the tridiagonal level solve runs inside
-        # run_sweep. The endpoint check is its table's.
-        p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        psi0 = ground_state(p, "delta", 200.0, EVEN_SECTOR)
-        schedules = tuple(SweepSchedule("delta", 200.0, 0.0, r, n_steps=1000) for r in rates)
-        eigh = mock.Mock(wraps=operators.eig_hermitian)
-        monkeypatch.setattr(operators, "eig_hermitian", eigh)
-        monkeypatch.setattr(sweep, "eig_hermitian", eigh)
-        spies = [eigh]
-        for name in ("_hamiltonian_parts", "_lowest_eigenvector", "_tridiagonal_eigh"):
-            spies.append(mock.Mock(wraps=getattr(sweep, name)))
-            monkeypatch.setattr(sweep, name, spies[-1])
+    @pytest.mark.parametrize(
+        "parameter, sector, leak_bases",
+        [("delta", EVEN_SECTOR, 0), ("delta", None, 2), ("epsilon", None, 0)],
+        ids=["block", "full-gap", "bias"],
+    )
+    def test_a_run_assembles_and_solves_nothing(
+        self, monkeypatch, parameter, sector, leak_bases, rates
+    ):
+        # A single schedule or a rate block alike takes the parts it is
+        # handed: no model builder runs inside run_sweep, nor the dense
+        # ground-state solve, numpy's eigh under it or the tridiagonal level
+        # solve. Only a full-space gap run builds the two parity bases that
+        # measure its leakage. The endpoint check is its table's.
+        p = QrmParams(0.0 if parameter == "delta" else 0.3, 0.0, 1.0, 1.0, 16)
+        ends = (20.0, 0.0) if parameter == "delta" else (-10.0, 10.0)
+        parts = sweep.hamiltonian_parts(p, parameter, sector)
+        psi0 = StateVector(sweep._lowest_eigenvector(*parts, ends[0]), sector)
+        schedules = tuple(SweepSchedule(parameter, *ends, r, n_steps=1000) for r in rates)
+        spies = {}
+        for name in (
+            "build_qrm", "build_multimode", "delta_ramp", "epsilon_ramp", "parity_sector_basis",
+            "_lowest_eigenvector", "eig_hermitian", "_tridiagonal_eigh",
+        ):
+            spies[name] = mock.Mock(wraps=getattr(sweep, name))
+            monkeypatch.setattr(sweep, name, spies[name])
+        monkeypatch.setattr(operators, "eig_hermitian", spies["eig_hermitian"])
         schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
-        result = run_sweep(p, schedule, psi0)
+        result = run_sweep(p, parts, schedule, psi0)
         trajectories = result if isinstance(result, list) else [result]
         assert [type(traj) for traj in trajectories] == [Trajectory] * len(rates)
-        assert [spy.call_count for spy in spies] == [0, 1, 0, 0]
+        calls = {name: spy.call_count for name, spy in spies.items()}
+        assert calls == {**dict.fromkeys(spies, 0), "parity_sector_basis": leak_bases}
+        leakage = [traj.max_parity_leakage for traj in trajectories]
+        assert all((x is None) == (leak_bases == 0) for x in leakage)
+
 
 class TestReadout:
     def test_unknown_scheme_is_refused(self):
@@ -999,7 +1052,7 @@ class TestRateBlock:
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000, sample_steps=steps)
         # The kernel runs the slowest first: a cyclic reordering of these.
         schedules = tuple(replace(base, rate_v=r) for r in (1e4, 1e5, 1e3))
-        block = run_sweep(p, RateBlock(schedules), psi0)
+        block = run_sweep(p, block_parts(p), RateBlock(schedules), psi0)
         assert [traj.schedule for traj in block] == list(schedules)
         gaps = [200.0 * (1.0 - k / 1000) for k in steps]
         for traj, schedule in zip(block, schedules):
@@ -1009,7 +1062,7 @@ class TestRateBlock:
                 for k in traj.schedule.sample_steps
             ]
             assert ramp == pytest.approx(gaps, abs=1e-12)
-            alone = run_sweep(p, schedule, psi0)
+            alone = run_sweep(p, block_parts(p), schedule, psi0)
             for name in ("top_fock_occupancy", "chebyshev_terms"):
                 assert getattr(traj, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0)
             assert traj.schedule.sample_steps == alone.schedule.sample_steps == steps
@@ -1024,7 +1077,7 @@ class TestRateBlock:
         # run to 1e-12, and a per-step exponential of the midpoint H from one
         # batched eigh to 1e-12, at the chunk boundaries and the end.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
-        h0, h1 = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         n_steps = 3000
         steps = (0, 1024, 2048, 3000)
         base = SweepSchedule("delta", 0.0, 200.0, 10.0, n_steps=n_steps, sample_steps=steps)
@@ -1040,12 +1093,12 @@ class TestRateBlock:
         assert len(per_chunk) == 3
         assert max(per_chunk[0]) < max(per_chunk[1]) < max(per_chunk[2])
         psi0 = block_ground(p, 0.0)
-        block = run_sweep(p, RateBlock(schedules), psi0)
+        block = run_sweep(p, block_parts(p), RateBlock(schedules), psi0)
         f_mid = 200.0 * (np.arange(n_steps) + 0.5) / n_steps
         w, v = np.linalg.eigh(h0 + f_mid[:, None, None] * h1)
         for j, (traj, schedule) in enumerate(zip(block, schedules)):
             assert traj.chebyshev_terms == max(terms[j] for terms in per_chunk)
-            alone = run_sweep(p, schedule, psi0)
+            alone = run_sweep(p, block_parts(p), schedule, psi0)
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
             dt = schedule.total_time / n_steps
             ref = psi0.amplitudes.astype(complex)
@@ -1062,20 +1115,20 @@ class TestRateBlock:
         # own block, each matching its single run. That rate alone raises.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = block_ground(p, 200.0)
-        parts = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         lo, hi = sweep._gershgorin_bounds(*parts, np.array([200.0, 0.0]))
         slow = 0.5 * (hi - lo) * 200.0 / (1000 * 2.0 * sweep._CHEB_Z_MAX)
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
         schedules = tuple(replace(base, rate_v=r) for r in (1e4, slow, 1e3))
-        fast, refused, last = run_sweep(p, RateBlock(schedules), psi0)
+        fast, refused, last = run_sweep(p, block_parts(p), RateBlock(schedules), psi0)
         assert isinstance(refused, NumericalInstabilityError)
         assert "z = r dt = 2e+05" in str(refused)
         for traj, schedule in ((fast, schedules[0]), (last, schedules[2])):
-            alone = run_sweep(p, schedule, psi0)
+            alone = run_sweep(p, block_parts(p), schedule, psi0)
             assert traj.chebyshev_terms == alone.chebyshev_terms
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
         with pytest.raises(NumericalInstabilityError, match="z = r dt"):
-            run_sweep(p, schedules[1], psi0)
+            run_sweep(p, block_parts(p), schedules[1], psi0)
 
     def test_a_block_past_the_stack_cap_gives_up_its_slowest_runs(self, monkeypatch):
         # With the cap set to the stack of the two faster runs, the block of
@@ -1083,16 +1136,16 @@ class TestRateBlock:
         # entry names the three runs' bytes, and runs the other two.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 32)
         psi0 = block_ground(p, 200.0)
-        parts = sweep._hamiltonian_parts(p, "delta", EVEN_SECTOR)
+        parts = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         base = SweepSchedule("delta", 200.0, 0.0, 1e3, n_steps=1000)
         schedules = tuple(replace(base, rate_v=r) for r in (1e4, 10.0, 1e3))
-        alone = [run_sweep(p, schedule, psi0) for schedule in schedules]
+        alone = [run_sweep(p, block_parts(p), schedule, psi0) for schedule in schedules]
         lo, hi = sweep._gershgorin_bounds(*parts, np.array([200.0, 0.0]))
         z_of = [0.5 * (hi - lo) * s.total_time / 1000 for s in schedules]
         cap = 16 * 32 * 2 * len(sweep._chebyshev_coefficients(z_of[2]))
         assert 16 * 32 * 3 * len(sweep._chebyshev_coefficients(z_of[1])) > cap
         monkeypatch.setattr(sweep, "_CHEB_STACK_BYTES_MAX", cap)
-        fast, refused, last = run_sweep(p, RateBlock(schedules), psi0)
+        fast, refused, last = run_sweep(p, block_parts(p), RateBlock(schedules), psi0)
         assert isinstance(refused, ResourceLimitError)
         assert "stack of 3 runs at dim 32" in str(refused)
         for traj, single in ((fast, alone[0]), (last, alone[2])):
@@ -1112,8 +1165,8 @@ class TestRateBlock:
         steps = (0, 1, 1024, 1025, 2048)
         base = SweepSchedule("delta", 200.0, 0.0, 10.0, n_steps=2048, sample_steps=steps)
         schedules = tuple(replace(base, rate_v=r) for r in (200.0 / 1e-13, 100.0, 10.0))
-        block = run_sweep(p, RateBlock(schedules), psi0)
-        alone = [run_sweep(p, schedule, psi0) for schedule in schedules]
+        block = run_sweep(p, block_parts(p), RateBlock(schedules), psi0)
+        alone = [run_sweep(p, block_parts(p), schedule, psi0) for schedule in schedules]
         assert [traj.chebyshev_terms for traj in block] == [2, 9, 16]
         for traj, single in zip(block, alone):
             assert traj.chebyshev_terms == single.chebyshev_terms
@@ -1135,7 +1188,7 @@ class TestRateBlock:
                 return sampled, terms
 
             monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
-            first, failed, last = run_sweep(p, block, block_ground(p, 200.0))
+            first, failed, last = run_sweep(p, block_parts(p), block, block_ground(p, 200.0))
             assert isinstance(failed, NumericalInstabilityError), factor
             assert first.max_norm_deviation < 1e-10 and last.max_norm_deviation < 1e-10
 
@@ -1144,11 +1197,13 @@ class TestBatch:
     def test_failures_are_isolated(self):
         good = QrmParams(1.0, 0.0, 1.0, 0.0, 2)
         schedule = SweepSchedule("epsilon", -50.0, 50.0, 1.0, n_steps=2000)
+        parts = sweep.hamiltonian_parts(good, "epsilon")
         with pytest.raises(InvalidParameterError):
             run_sweep(
                 good,
+                parts,
                 schedule,
                 StateVector(np.array([1.0, 0, 0, 0], dtype=complex), EVEN_SECTOR),
             )
-        traj = run_sweep(good, schedule, displaced_state(good, "down", 0))
+        traj = run_sweep(good, parts, schedule, displaced_state(good, "down", 0))
         assert abs(sum(r.probability for r in final_records(good, traj, "bare")) - 1.0) <= 1e-10
