@@ -36,6 +36,7 @@ from .model import (
     QrmParams,
     Readout,
     TOP_OCCUPANCY_TOL,
+    _as_tuple,
     _finite_derived,
     _require_count,
     _require_finite,
@@ -89,7 +90,9 @@ class ExperimentSpec:
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidParameterError(f"unknown experiment kind {self.kind!r}")
         kind = _KINDS[self.kind]
-        values = tuple(self.scan_values)
+        if not isinstance(self.options, dict):
+            raise InvalidParameterError(f"options must be a dict, got {self.options!r}")
+        values = _as_tuple("scan_values", self.scan_values)
         if len(values) == 0:
             raise InvalidParameterError("scan grid must be nonempty")
         for value in values:

@@ -87,6 +87,14 @@ def _finite_derived(name: str, value: float) -> float:
     return value
 
 
+def _as_tuple(name: str, values) -> tuple:
+    """``values`` as a tuple; a value that is not iterable is refused."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be a sequence, got {values!r}") from None
+
+
 def _require_count(name: str, value: int, minimum: int) -> None:
     """Refuse a count that is not an integer of at least ``minimum``."""
     if not isinstance(value, numbers.Integral):
@@ -148,9 +156,12 @@ class MultiModeParams:
 
     def __post_init__(self) -> None:
         _require_finite(delta=self.delta)
-        if len(self.modes) < 1:
+        modes = _as_tuple("modes", self.modes)
+        if not all(isinstance(m, Mode) for m in modes):
+            raise InvalidParameterError(f"modes must be Mode entries, got {self.modes!r}")
+        if not modes:
             raise InvalidParameterError("at least one mode is required")
-        object.__setattr__(self, "modes", tuple(self.modes))
+        object.__setattr__(self, "modes", modes)
 
     @property
     def dim(self) -> int:
@@ -184,8 +195,11 @@ class BasisLabel:
                 f"qubit label {self.qubit!r} not valid for scheme {self.scheme!r}"
             )
         ns = self.photons if isinstance(self.photons, tuple) else (self.photons,)
-        if any((not isinstance(n, int)) or n < 0 for n in ns):
+        if any((not isinstance(n, numbers.Integral)) or n < 0 for n in ns):
             raise InvalidParameterError(f"photon numbers must be >= 0, got {self.photons}")
+        # Stored as int, whatever integral type they came as.
+        ns = tuple(int(n) for n in ns)
+        object.__setattr__(self, "photons", ns if isinstance(self.photons, tuple) else ns[0])
 
     def __str__(self) -> str:
         n = ";".join(str(k) for k in self.photons) if isinstance(self.photons, tuple) else self.photons

@@ -32,17 +32,20 @@ a rate scan, which differ only in their rate, share every step's matrix. A
 ``RateBlock`` passed to ``run_sweep`` propagates them together, as the rows
 of one stack, each with its own step size, coefficients and phase; a run
 whose step or stack would pass the propagator's limits fails only its entry.
-A sector run is measured in its parity block, whose coordinate k is photon
-number k, and is never lifted to the full space. A table's ramp family setup
-in ``experiments`` assembles the sweep's (A, B) once (``hamiltonian_parts``)
-and solves both of its ends (``_lowest_eigenvector``, the one dense
-ground-state solve, or a quench's level-naming tridiagonal solve).
+A single ``SweepSchedule`` is a block of one on the same path: the kernel
+writes every run's samples into one (runs, samples, dim) array, and
+``run_sweep`` measures them all at once. A sector run is measured in its
+parity block, whose coordinate k is photon number k, and is never lifted to
+the full space. A table's ramp family setup in ``experiments`` assembles the
+sweep's (A, B) once (``hamiltonian_parts``) and solves both of its ends
+(``_lowest_eigenvector``, the one dense ground-state solve, or a quench's
+level-naming tridiagonal solve).
 ``run_sweep`` takes those parts, assembles and solves nothing, and assumes
 nothing about its initial state: it takes its space from psi0's ``sector``
-and returns a ``Trajectory``, the states at its sample steps as the columns
-of one read-only array, with its norm drift, parity leakage and final
-truncation weight recorded for ``experiments._row_checks``, the one judge of
-every limit.
+and returns a ``Trajectory`` per run, the states at its sample steps as the
+columns of one read-only array, with its norm drift, parity leakage and
+final truncation weight recorded for ``experiments._row_checks``, the one
+judge of every limit.
 
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
@@ -81,6 +84,7 @@ from .model import (
     ParitySector,
     QrmParams,
     Readout,
+    _as_tuple,
     _require_count,
     _require_finite,
     _scheme_column,
@@ -145,7 +149,9 @@ class SweepSchedule:
             raise InvalidParameterError(f"rate_v must be positive, got {self.rate_v}")
         _require_count("n_steps", self.n_steps, MIN_N_STEPS)
         if self.sample_steps is not None:
-            steps = tuple(self.sample_steps)
+            steps = _as_tuple("sample_steps", self.sample_steps)
+            if not steps:
+                raise InvalidParameterError("sample_steps must name at least one step")
             for k in steps:
                 _require_count("a sample step", k, 0)
             if list(steps) != sorted(steps) or any(k > self.n_steps for k in steps):
@@ -183,7 +189,7 @@ class RateBlock:
     schedules: tuple[SweepSchedule, ...]
 
     def __post_init__(self) -> None:
-        schedules = tuple(self.schedules)
+        schedules = _as_tuple("a rate block's schedules", self.schedules)
         if not schedules:
             raise InvalidParameterError("a rate block needs at least one schedule")
         if not all(isinstance(s, SweepSchedule) for s in schedules):
@@ -201,13 +207,13 @@ class RateBlock:
 @dataclass
 class Trajectory:
     """Sampled output of one sweep. ``states`` is one read-only complex
-    (dim, samples) array: the normalized state at each of the schedule's
-    ``sample_steps`` (its start and end when None) as a column, in the
-    run's coordinates (block coordinates for a sector run). The maxima,
-    the final truncation weight and the Chebyshev terms are recorded, not
-    judged, as ``run_sweep`` describes; leakage is None where parity is not
-    measured. A run reads nothing out: its family's ``readout(values,
-    states)`` in ``experiments`` does.
+    (dim, samples) array of its own: the normalized state at each of the
+    schedule's ``sample_steps`` (its start and end when None) as a
+    contiguous column, in the run's coordinates (block coordinates for a
+    sector run). The maxima, the final truncation weight and the Chebyshev
+    terms are recorded, not judged, as ``run_sweep`` describes; leakage is
+    None where parity is not measured. A run reads nothing out: its
+    family's ``readout(values, states)`` in ``experiments`` does.
     """
 
     schedule: SweepSchedule
@@ -320,8 +326,9 @@ def _block_refusal(
     n_steps: int,
 ) -> RabisweepError | None:
     """Why a block of runs may not propagate, or None if it may: the one
-    limit rule, which ``_evolve_linear`` raises and ``run_sweep`` applies to
-    a ``RateBlock`` run by run. A block whose slowest step could take
+    limit rule, which ``run_sweep`` applies to every block run by run and
+    ``_evolve_linear`` raises, the guard of its direct callers; a block of
+    no runs may. A block whose slowest step could take
     z = r dt above ``_CHEB_Z_MAX`` (r from the whole ramp's Gershgorin
     bounds) is refused with ``NumericalInstabilityError`` naming the step
     count that would fit; one whose stack at that z would pass
@@ -331,7 +338,7 @@ def _block_refusal(
     dim = h_static.shape[0]
     n_runs = len(total_times)
     lo, hi = _gershgorin_bounds(h_static, h_ramp, np.array([f_start, f_end]))
-    z_max = 0.5 * (hi - lo) * (float(np.max(total_times)) / n_steps)
+    z_max = 0.5 * (hi - lo) * (float(np.max(total_times, initial=0.0)) / n_steps)
     if not z_max <= _CHEB_Z_MAX:
         fit = n_steps * (z_max / _CHEB_Z_MAX)
         return NumericalInstabilityError(
@@ -380,18 +387,20 @@ def _evolve_linear(
     total_times,
     n_steps: int,
     psi0: np.ndarray,
-    sample_steps: set[int],
-) -> tuple[dict[int, np.ndarray], list[int]]:
+    sample_steps: list[int],
+) -> tuple[np.ndarray, list[int]]:
     """Midpoint-exponential propagation of H(t) = h_static + f(t) h_ramp for
     a block of R runs that differ only in their total time.
 
     h_static and h_ramp are real symmetric arrays; a complex one raises
     ``InvalidParameterError``. Every run starts from psi0 and takes
     ``n_steps`` steps through the same midpoint values f_k; run j steps by
-    total_times[j] / n_steps. Returns the (dim, R) block of states after each
-    step in ``sample_steps``, columns in the order of ``total_times``, and
-    each run's Chebyshev terms per step: the most any chunk took, 0 only for
-    a zero-length sweep. A single run is a block of one.
+    total_times[j] / n_steps. ``sample_steps`` are distinct steps in
+    [0, n_steps]. Returns one new complex (R, len(sample_steps), dim) array,
+    allocated once the block passes its limits, whose entry [j, i] is run j
+    (in the order of ``total_times``) after step sample_steps[i], and each
+    run's Chebyshev terms per step: the most any chunk took, 0 only for a
+    zero-length sweep. A single run is a block of one.
     A step keeps the orders below the first whose dropped tail
     2 sum_{k >= K} |J_k(r dt)| is under 1e-16 (``_chebyshev_coefficients``),
     so its truncation error is at most 1e-16 times the state's norm. A block
@@ -423,11 +432,12 @@ def _evolve_linear(
     stack's first order: a step makes 5 + 2(n_max - 2) numpy calls, 13 for
     a block whose slowest run takes 6 terms. Buffers grow only when a chunk
     needs more orders than any before it, so a step allocates nothing of
-    the problem's size. h2, the stack (also as it grows) and the partial
-    sums come from ``_aligned_zeros``, so each starts on a 64-byte line and
-    the step's speed does not depend on where the allocator put them (see
-    the module docstring); rows whose length is not a multiple of 8
-    entries still alternate in alignment within a buffer.
+    the problem's size; a sampled step copies the stack's first order into
+    its slot of the returned array. h2, the stack (also as it grows) and
+    the partial sums come from ``_aligned_zeros``, so each starts on a
+    64-byte line and the step's speed does not depend on where the
+    allocator put them (see the module docstring); rows whose length is not
+    a multiple of 8 entries still alternate in alignment within a buffer.
     """
     if np.iscomplexobj(h_static) or np.iscomplexobj(h_ramp):
         raise InvalidParameterError("the propagator takes real symmetric h_static and h_ramp")
@@ -435,11 +445,15 @@ def _evolve_linear(
     total_times = np.asarray(total_times, dtype=float).reshape(-1)
     n_runs = total_times.size
     psi0 = np.asarray(psi0, dtype=complex)
-    if not total_times.any():
-        return {k: np.repeat(psi0[:, None], n_runs, axis=1) for k in sample_steps}, [0] * n_runs
     refusal = _block_refusal(h_static, h_ramp, f_start, f_end, total_times, n_steps)
     if refusal is not None:
         raise refusal
+    # Every sample starts as psi0: the state at step 0, and at every step of
+    # a zero-length sweep.
+    sampled = np.tile(psi0, (n_runs, len(sample_steps), 1))
+    if not total_times.any():
+        return sampled, [0] * n_runs
+    slot = {k: i for i, k in enumerate(sample_steps)}
     # Slowest run first: the runs with terms left at any order lead the block.
     order = np.argsort(-total_times, kind="stable")
     restore = np.argsort(order)
@@ -449,17 +463,7 @@ def _evolve_linear(
     stack = _aligned_zeros((1, 2 * n_runs, dim))
     stack[0, 0::2] = psi0.real
     stack[0, 1::2] = psi0.imag
-
-    def states() -> np.ndarray:
-        # Every run's current state as a new complex column, in input order.
-        block = np.empty((dim, n_runs), dtype=complex)
-        block.real = stack[0, 0::2][restore].T
-        block.imag = stack[0, 1::2][restore].T
-        return block
-
-    out: dict[int, np.ndarray] = {}
-    if 0 in sample_steps:
-        out[0] = states()
+    sampled_re, sampled_im = sampled.real, sampled.imag
     # Flat indices of the ramp's nonzero entries: the diagonal for a sector
     # gap sweep or a bias sweep, sigma_x (x) I for a full-space gap sweep.
     ramp_idx = np.flatnonzero(h_ramp)
@@ -526,9 +530,11 @@ def _evolve_linear(
                     t_out -= t_back
                 np.matmul(weights, run_rows, out=parts)
                 np.add(parts[:, 0], parts[:, 1], out=new_state)
-                if k + 1 in sample_steps:
-                    out[k + 1] = states()
-    return out, [terms[j] for j in restore]
+                if k + 1 in slot:
+                    # Stack row j is input run order[j].
+                    sampled_re[order, slot[k + 1]] = t_0[0::2]
+                    sampled_im[order, slot[k + 1]] = t_0[1::2]
+    return sampled, [terms[j] for j in restore]
 
 
 # ---------------------------------------------------------------------------
@@ -640,9 +646,10 @@ def run_sweep(
     not fit it raise ``InvalidParameterError`` before any step. The run
     reads nothing out.
 
-    Every sample and the end of the sweep, sampled or not, are measured. A
-    norm drift past NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at
-    the first such sample; below it the largest drift and parity leakage are
+    Every sample and the end of the sweep, sampled or not, are measured,
+    every run's norms in one batched product. A norm drift past
+    NORM_DRIFT_LIMIT raises ``NumericalInstabilityError`` at the first such
+    sample; below it the largest drift and parity leakage are
     recorded for ``experiments._row_checks`` to judge. The end state's
     top-tenth Fock weight (``model.top_fock_occupancy``, in the run's
     coordinates) is recorded as ``top_fock_occupancy``. The run makes no
@@ -653,14 +660,15 @@ def run_sweep(
     None where leakage is not measured: sector runs, bias sweeps, and
     full-space gap sweeps from a state of no definite parity.
 
-    A ``RateBlock`` runs its schedules in one propagation, as the columns of
-    one block (see ``_evolve_linear``), and returns one ``Trajectory`` or
+    A ``RateBlock`` runs its schedules in one propagation, as the rows of
+    one stack (see ``_evolve_linear``), and returns one ``Trajectory`` or
     ``RabisweepError`` per schedule, in order: a bad argument raises for the
     whole block, and a run's norm drift fails only that run's entry. So does
     a step or stack past the propagator's limits (``_block_refusal``): the
     block gives up its slowest runs one at a time until the rest fit, and
     each of those entries is the error that refused it. A single schedule
-    past them raises.
+    is a block of one on the same path: its entry is returned, or raised
+    when it is an error.
     """
     schedules = schedule.schedules if isinstance(schedule, RateBlock) else (schedule,)
     first = schedules[0]
@@ -691,11 +699,12 @@ def run_sweep(
     checked = sorted(set(steps) | {n_steps})
     columns = np.searchsorted(checked, steps)
     # A block gives up its slowest runs, one at a time, until the rest fit
-    # the propagator's limits.
+    # the propagator's limits; each refused entry holds the error that
+    # refused it.
     times = [s.total_time for s in schedules]
-    refused: dict[int, RabisweepError] = {}
+    results: list[Trajectory | RabisweepError | None] = [None] * len(schedules)
     live = list(range(len(schedules)))
-    while isinstance(schedule, RateBlock) and live:
+    while live:
         error = _block_refusal(
             h_static, h_ramp, first.start_value, first.end_value,
             [times[j] for j in live], n_steps,
@@ -703,55 +712,46 @@ def run_sweep(
         if error is None:
             break
         slowest = max(live, key=times.__getitem__)
-        refused[slowest] = error
+        results[slowest] = error
         live.remove(slowest)
     sampled, chebyshev_terms = _evolve_linear(
         h_static, h_ramp, first.start_value, first.end_value,
-        [times[j] for j in live], n_steps, psi0.amplitudes, set(checked),
-    ) if live else ({}, [])
-    column = {j: i for i, j in enumerate(live)}
-
-    def trajectory(j: int) -> Trajectory:
-        own = schedules[j]
-        dt = own.total_time / n_steps if own.total_time else 0.0
-        block = np.stack([sampled[k][:, column[j]] for k in checked], axis=1)
-        # Every sample's norm at once, summed as np.linalg.norm sums one
-        # vector's, Re.Re + Im.Im, each a (1, dim).(dim, 1) product (a BLAS
-        # dot) of that sample's own contiguous row: so a norm does not
-        # depend on the samples taken beside it.
-        rows = block.T.copy()[:, None, :]
-        re, im = rows.real, rows.imag
-        norms = np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-        deviations = norms - 1.0
+        [times[j] for j in live], n_steps, psi0.amplitudes, checked,
+    )
+    # Every sample's norm at once, summed as np.linalg.norm sums one
+    # vector's, Re.Re + Im.Im, each a (1, dim).(dim, 1) product (a BLAS dot)
+    # of that sample's own row: so a norm does not depend on the samples or
+    # runs beside it.
+    re, im = sampled.real[:, :, None, :], sampled.imag[:, :, None, :]
+    norms = np.sqrt((re @ re.swapaxes(2, 3) + im @ im.swapaxes(2, 3))[:, :, 0, 0])
+    deviations = norms - 1.0
+    for i, j in enumerate(live):
         # "Not within" the limit: a NaN norm fails the run too.
-        drifted = np.flatnonzero(~(np.abs(deviations) <= NORM_DRIFT_LIMIT))
+        drifted = np.flatnonzero(~(np.abs(deviations[i]) <= NORM_DRIFT_LIMIT))
         if drifted.size:
-            i = drifted[0]
-            raise NumericalInstabilityError(
-                f"norm drifted by {deviations[i]:.2e} at t = {checked[i] * dt:.6g}"
+            k = drifted[0]
+            results[j] = NumericalInstabilityError(
+                f"norm drifted by {deviations[i, k]:.2e} "
+                f"at t = {checked[k] * (times[j] / n_steps):.6g}"
             )
-        states = block[:, columns] / norms[columns]
+            continue
+        states = sampled[i, columns].T / norms[i, columns]
         states.flags.writeable = False
-        return Trajectory(
-            schedule=own,
+        results[j] = Trajectory(
+            schedule=schedules[j],
             states=states,
-            max_norm_deviation=float(np.max(np.abs(deviations))),
+            max_norm_deviation=float(np.max(np.abs(deviations[i]))),
             max_parity_leakage=None if leak_matrix is None else float(
-                np.max(np.sum(np.abs(leak_matrix.T @ block) ** 2, axis=0))
+                np.max(np.sum(np.abs(leak_matrix.T @ sampled[i].T) ** 2, axis=0))
             ),
-            top_fock_occupancy=top_fock_occupancy(p, block[:, -1]),
-            chebyshev_terms=chebyshev_terms[column[j]],
+            top_fock_occupancy=top_fock_occupancy(p, sampled[i, -1]),
+            chebyshev_terms=chebyshev_terms[i],
         )
-
-    if not isinstance(schedule, RateBlock):
-        return trajectory(0)
-    results: list[Trajectory | RabisweepError] = []
-    for j in range(len(schedules)):
-        try:
-            results.append(refused[j] if j in refused else trajectory(j))
-        except RabisweepError as exc:
-            results.append(exc)
-    return results
+    if isinstance(schedule, RateBlock):
+        return results
+    if isinstance(results[0], RabisweepError):
+        raise results[0]
+    return results[0]
 
 
 # ---------------------------------------------------------------------------

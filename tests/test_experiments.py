@@ -160,8 +160,7 @@ class TestScanLoop:
 
         def drift_second_run(*args):
             sampled, terms = evolve(*args)
-            for states in sampled.values():
-                states[:, 1] *= 1.01
+            sampled[1] *= 1.01
             return sampled, terms
 
         monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
@@ -191,8 +190,7 @@ class TestScanLoop:
 
         def drift_second_run(*args):
             sampled, terms = evolve(*args)
-            for states in sampled.values():
-                states[:, 1] *= 1.01
+            sampled[1] *= 1.01
             return sampled, terms
 
         blocks = []
@@ -667,7 +665,7 @@ class TestTraces:
 
         def scale_the_end(*args):
             sampled, terms = evolve(*args)
-            sampled[max(sampled)] *= scale
+            sampled[:, -1] *= scale
             return sampled, terms
 
         monkeypatch.setattr(sweep, "_evolve_linear", scale_the_end)
@@ -699,10 +697,10 @@ class TestTraces:
 
         def drift_the_second_half(*args):
             sampled, terms = evolve(*args)
-            n_steps = args[5]
-            for k, states in sampled.items():
+            n_steps, steps = args[5], args[7]
+            for i, k in enumerate(steps):
                 if 2 * k >= n_steps:
-                    states *= 1.0 + 1e-7 * (1.0 + k / n_steps)
+                    sampled[:, i] *= 1.0 + 1e-7 * (1.0 + k / n_steps)
             return sampled, terms
 
         monkeypatch.setattr(sweep, "_evolve_linear", drift_the_second_half)
@@ -897,14 +895,22 @@ class TestSpec:
             lambda: fock_prep_window(0.1, 1.0, 1.0, 1.5),
             lambda: cascade_gaps(0.1, 1.0, 1.0, n_max=2.5),
             lambda: multimode_gaps(MultiModeParams(1.0, (Mode(1.0, 1.0, 8),)), (2.5,)),
+            lambda: ExperimentSpec(
+                "lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 32), "v", (1.0,), options=None
+            ),
+            lambda: ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 32), "v", 1.0),
+            lambda: MultiModeParams(0.1, (1, 2)),
+            lambda: MultiModeParams(0.1, Mode(1.0, 1.0, 8)),
         ],
         ids=[
             "schedule-string", "qrm-string", "lz-rate-string", "option-string",
             "scan-value-string", "fock-window-fraction", "n-max-fraction", "cap-fraction",
+            "options-none", "scan-values-scalar", "modes-of-numbers", "mode-not-in-a-sequence",
         ],
     )
     def test_refuses_values_of_the_wrong_type(self, build):
-        # Each used to escape as a bare TypeError or ValueError.
+        # Each used to escape as a bare TypeError, ValueError or, from a
+        # later p.dim, AttributeError.
         with pytest.raises(InvalidParameterError):
             build()
 

@@ -400,7 +400,15 @@ class TestBasisLabel:
             BasisLabel("normal", "up", 0)
         with pytest.raises(InvalidParameterError):
             BasisLabel("bare", "up", -1)
+        for bad in (np.int64(-1), 2.0, (1, 2.0)):
+            with pytest.raises(InvalidParameterError):
+                BasisLabel("displaced", "up", bad)
         assert str(BasisLabel("displaced", "up", (1, 0))) == "(up,1;0)"
+        # Integral photon numbers of any type are stored as int.
+        label = BasisLabel("bare", "up", np.int64(2))
+        assert label == BasisLabel("bare", "up", 2) and type(label.photons) is int
+        pair = BasisLabel("displaced", "up", (np.int64(1), 0)).photons
+        assert pair == (1, 0) and all(type(n) is int for n in pair)
 
 
 class TestReadout:

@@ -174,9 +174,9 @@ def propagate(h, dt, psi, n_steps=1):
     propagator requires."""
     h = np.asarray(h)
     out, _ = _evolve_linear(
-        h, np.zeros_like(h), 0.0, 0.0, [n_steps * dt], n_steps, psi, {n_steps}
+        h, np.zeros_like(h), 0.0, 0.0, [n_steps * dt], n_steps, psi, [n_steps]
     )
-    return out[n_steps][:, 0]
+    return out[0, 0]
 
 
 class TestPropagateStep:

@@ -97,8 +97,9 @@ class TestSchedule:
             SweepSchedule("delta", 1.0, 0.0, -1.0)
         with pytest.raises(InvalidParameterError):
             SweepSchedule("delta", 1.0, 0.0, 1.0, n_steps=10)
-        # Sample steps lie in [0, n_steps] and are ordered; repeats are allowed.
-        for steps in ((20_001,), (-1,), (10, 5)):
+        # Sample steps lie in [0, n_steps] and are ordered; repeats are
+        # allowed. A run samples at least one step.
+        for steps in ((20_001,), (-1,), (10, 5), (), 5):
             with pytest.raises(InvalidParameterError):
                 SweepSchedule("delta", 1.0, 0.0, 1.0, sample_steps=steps)
         s = SweepSchedule("delta", 1.0, 0.0, 1.0, sample_steps=[0, np.int64(5), 5, 20_000])
@@ -175,7 +176,7 @@ class TestEngine:
         # 1500. The sample at step 1 would be overwritten if it aliased the
         # working stack.
         f_start, f_end, total_time, n_steps = -2.0, 3.0, 5.0, 1500
-        samples = {1, 750, 1500}
+        samples = [1, 750, 1500]
 
         def diagonal(dim):
             return np.diag(RNG.normal(size=dim))
@@ -211,7 +212,7 @@ class TestEngine:
 
             single = {t: evolve([t])[0] for t in (total_time, total_time / 10, total_time / 100)}
             single[tiny], tiny_terms = evolve([tiny])
-            assert all(set(sampled) == samples for sampled in single.values())
+            assert all(sampled.shape == (1, 3, dim) for sampled in single.values())
             assert tiny_terms == [2], dim
             f_mid = f_start + (f_end - f_start) * ((np.arange(n_steps) + 0.5) / n_steps)
             steps_of = reference(h0 + f_mid[:, None, None] * h1)
@@ -222,17 +223,19 @@ class TestEngine:
                     ref = step @ ref
                     if k + 1 in samples:
                         refs[run_time, k + 1] = ref
-            columns = [(t, sampled[k][:, 0], k) for t, sampled in single.items() for k in sampled]
+            columns = [
+                (t, sampled[0, i], k) for t, sampled in single.items() for i, k in enumerate(samples)
+            ]
             for block_times in blocks:
                 block, terms = evolve(block_times)
                 # Terms fall with the rate, so the block takes the
                 # leading-row product at some order.
                 assert len(set(terms)) == len(block_times), (dim, terms)
-                assert set(block) == samples
+                assert block.shape == (len(block_times), len(samples), dim)
                 for j, t in enumerate(block_times):
-                    for k in samples:
-                        column = block[k][:, j]
-                        diff = np.linalg.norm(column - single[t][k][:, 0])
+                    for i, k in enumerate(samples):
+                        column = block[j, i]
+                        diff = np.linalg.norm(column - single[t][0, i])
                         assert diff < (1e-14 if k == 1 else 1e-13), (dim, block_times, j, k)
                         columns.append((t, column, k))
             for run_time, column, k in columns:
@@ -248,7 +251,7 @@ class TestEngine:
         # midpoint H from one batched eigh to 1e-12, and every column of a
         # block of three rates its single run to 1e-13.
         dim, f_start, f_end, total_time, n_steps = 16, -2.0, 3.0, 5.0, 1100
-        samples = {63, 64, 65, 1023, 1024, 1025, 1100}
+        samples = [63, 64, 65, 1023, 1024, 1025, 1100]
         times = [total_time / 10, total_time, total_time / 100]
         ramps = [
             symmetric,
@@ -261,7 +264,7 @@ class TestEngine:
             psi = RNG.normal(size=dim) + 1j * RNG.normal(size=dim)
             psi /= np.linalg.norm(psi)
             block, _ = _evolve_linear(h0, h1, f_start, f_end, times, n_steps, psi, samples)
-            assert set(block) == samples
+            assert block.shape == (len(times), len(samples), dim)
             w, v = np.linalg.eigh(h0 + f_mid[:, None, None] * h1)
             for j, run_time in enumerate(times):
                 alone, _ = _evolve_linear(h0, h1, f_start, f_end, [run_time], n_steps, psi, samples)
@@ -269,9 +272,10 @@ class TestEngine:
                 for k in range(n_steps):
                     ref = v[k] @ (np.exp(-1j * (run_time / n_steps) * w[k]) * (v[k].T @ ref))
                     if k + 1 in samples:
-                        assert np.linalg.norm(alone[k + 1][:, 0] - ref) < 1e-12, (run_time, k)
-                        assert np.linalg.norm(block[k + 1][:, j] - ref) < 1e-12, (run_time, k)
-                        diff = np.linalg.norm(block[k + 1][:, j] - alone[k + 1][:, 0])
+                        i = samples.index(k + 1)
+                        assert np.linalg.norm(alone[0, i] - ref) < 1e-12, (run_time, k)
+                        assert np.linalg.norm(block[j, i] - ref) < 1e-12, (run_time, k)
+                        diff = np.linalg.norm(block[j, i] - alone[0, i])
                         assert diff < 1e-13, (run_time, k)
 
     def test_chebyshev_series_stops_where_its_tail_bound_does(self):
@@ -377,7 +381,7 @@ class TestEngine:
         tracemalloc.start()
         try:
             with pytest.raises(ResourceLimitError, match=r"needs (\d+) bytes") as info:
-                _evolve_linear(h0, h1, 0.0, 1.0, times, n_steps, psi0, {n_steps})
+                _evolve_linear(h0, h1, 0.0, 1.0, times, n_steps, psi0, [n_steps])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -438,7 +442,7 @@ class TestEngine:
         psi = np.eye(dim, dtype=complex)[0]
         for h0, h1 in ((real.astype(complex), real), (real, real.astype(complex))):
             with pytest.raises(InvalidParameterError, match="real symmetric"):
-                _evolve_linear(h0, h1, 0.0, 1.0, [1.0], 1000, psi, {1000})
+                _evolve_linear(h0, h1, 0.0, 1.0, [1.0], 1000, psi, [1000])
 
     @pytest.mark.parametrize("shape", [(1,), (13,), (192,), (3, 2, 11), (5, 6, 192)])
     def test_aligned_zeros_start_on_a_cache_line(self, shape):
@@ -1038,8 +1042,9 @@ class TestRateBlock:
         for other in others:
             with pytest.raises(InvalidParameterError, match="only in rate_v"):
                 RateBlock((base, other))
-        with pytest.raises(InvalidParameterError):
-            RateBlock(())
+        for bad in ((), (base, 1e4), base, None):
+            with pytest.raises(InvalidParameterError):
+                RateBlock(bad)
 
     def test_entries_match_single_runs(self):
         # Dim 32 in the even block runs the Chebyshev kernel on its real
@@ -1127,8 +1132,11 @@ class TestRateBlock:
             alone = run_sweep(p, block_parts(p), schedule, psi0)
             assert traj.chebyshev_terms == alone.chebyshev_terms
             assert np.all(np.linalg.norm(traj.states - alone.states, axis=0) < 1e-12)
-        with pytest.raises(NumericalInstabilityError, match="z = r dt"):
+        with pytest.raises(NumericalInstabilityError, match="z = r dt") as info:
             run_sweep(p, block_parts(p), schedules[1], psi0)
+        # A single schedule raises the error its block of one holds.
+        (entry,) = run_sweep(p, block_parts(p), RateBlock((schedules[1],)), psi0)
+        assert type(info.value) is type(entry) and str(info.value) == str(entry)
 
     def test_a_block_past_the_stack_cap_gives_up_its_slowest_runs(self, monkeypatch):
         # With the cap set to the stack of the two faster runs, the block of
@@ -1183,8 +1191,7 @@ class TestRateBlock:
 
             def drift_second_run(*args):
                 sampled, terms = evolve(*args)
-                for states in sampled.values():
-                    states[:, 1] *= factor
+                sampled[1] *= factor
                 return sampled, terms
 
             monkeypatch.setattr(sweep, "_evolve_linear", drift_second_run)
