@@ -4,11 +4,17 @@ the independent-crossing cascade with its gap spectrum.
 Gap arithmetic is done in log space throughout; at g/omega = 3 the common
 prefactor exp(-2 (g/omega)^2) is already ~1.5e-8 and products of such factors
 underflow quickly in linear space.
+
+One mesh body (``_gap_mesh``) builds every crossing mesh from (g/omega, omega)
+per mode: ``multimode_gaps`` keys it by occupation tuple, and
+``cascade_gaps``, the one-mode mesh, by photon number.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +72,8 @@ def _log_gap_factor(n: int, alpha: float) -> float:
 
 def default_n_max(g: float, omega: float) -> int:
     """Crossings retained by default: covers the gap-spectrum peak plus a tail."""
+    _require_finite(g=g)
+    _require_positive("omega", omega)
     alpha = g / omega
     return int(math.ceil(_finite_derived("default crossing count", 4.0 * (alpha * alpha)))) + 60
 
@@ -125,26 +133,39 @@ def _validate_spectrum(spec: GapSpectrum) -> GapSpectrum:
     return spec
 
 
+def _gap_mesh(
+    delta: float, modes: list[tuple[float, float]], caps: tuple[int, ...], key
+) -> GapSpectrum:
+    """The crossing mesh of a qubit swept past modes given as (g/omega, omega)
+    pairs, over every occupation tuple up to ``caps`` in lexicographic order:
+    gap Delta prod_j (2 r_j)^{n_j} / sqrt(n_j!) exp(-2 r_j^2) and crossing
+    sum_j n_j omega_j, each stored under ``key(occupation)``."""
+    _require_crossings(math.prod(cap + 1 for cap in caps))
+    ratios, omegas = zip(*modes)
+    log_delta = math.log(abs(delta)) if delta != 0.0 else -math.inf
+    log_gaps: dict[Occupation, float] = {}
+    positions: dict[Occupation, float] = {}
+    covered = 0.0
+    for occ in itertools.product(*(range(cap + 1) for cap in caps)):
+        lg = sum(_log_gap_factor(n, r) for n, r in zip(occ, ratios))
+        log_gaps[key(occ)] = lg + log_delta
+        positions[key(occ)] = float(sum(n * w for n, w in zip(occ, omegas)))
+        if math.isfinite(lg):
+            covered += math.exp(2.0 * lg)
+    gaps = {o: math.exp(lg) if math.isfinite(lg) else 0.0 for o, lg in log_gaps.items()}
+    tail = max(0.0, 1.0 - covered) * delta * delta
+    return _validate_spectrum(GapSpectrum(delta, ratios, gaps, log_gaps, positions, tail))
+
+
 def cascade_gaps(delta: float, g: float, omega: float, n_max: int | None = None) -> GapSpectrum:
-    """Single-mode gap ladder Delta_n with crossings at n*omega."""
+    """Single-mode gap ladder Delta_n with crossings at n*omega: the one-mode
+    mesh, keyed by n."""
     _require_finite(delta=delta, g=g)
     _require_positive("omega", omega)
     if n_max is None:
         n_max = default_n_max(g, omega)
     _require_count("n_max", n_max, 1)
-    _require_crossings(n_max + 1)
-    alpha = g / omega
-    log_delta = math.log(abs(delta)) if delta != 0.0 else -math.inf
-    log_gaps = {n: _log_gap_factor(n, alpha) + log_delta for n in range(n_max + 1)}
-    gaps = {n: math.exp(lg) if math.isfinite(lg) else 0.0 for n, lg in log_gaps.items()}
-    covered = sum(
-        math.exp(2.0 * _log_gap_factor(n, alpha)) for n in range(n_max + 1)
-    ) if alpha != 0.0 else 1.0
-    tail = max(0.0, 1.0 - covered) * delta * delta
-    positions = {n: n * omega for n in range(n_max + 1)}
-    return _validate_spectrum(
-        GapSpectrum(delta, (alpha,), gaps, log_gaps, positions, tail)
-    )
+    return _gap_mesh(delta, [(g / omega, omega)], (n_max,), operator.itemgetter(0))
 
 
 def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
@@ -153,25 +174,7 @@ def multimode_gaps(p: MultiModeParams, caps: tuple[int, ...]) -> GapSpectrum:
         raise InvalidParameterError("one occupation cap per mode is required")
     for cap in caps:
         _require_count("an occupation cap", cap, 0)
-    _require_crossings(math.prod(cap + 1 for cap in caps))
-    occs: list[tuple[int, ...]] = [()]
-    for cap in caps:
-        occs = [o + (n,) for o in occs for n in range(cap + 1)]
-    log_delta = math.log(abs(p.delta)) if p.delta != 0.0 else -math.inf
-    log_gaps: dict[Occupation, float] = {}
-    positions: dict[Occupation, float] = {}
-    covered = 0.0
-    for occ in occs:
-        lg = sum(_log_gap_factor(n, r) for n, r in zip(occ, p.ratios))
-        log_gaps[occ] = lg + log_delta
-        positions[occ] = float(sum(n * m.omega for n, m in zip(occ, p.modes)))
-        if math.isfinite(lg):
-            covered += math.exp(2.0 * lg)
-    gaps = {o: math.exp(lg) if math.isfinite(lg) else 0.0 for o, lg in log_gaps.items()}
-    tail = max(0.0, 1.0 - covered) * p.delta * p.delta
-    return _validate_spectrum(
-        GapSpectrum(p.delta, p.ratios, gaps, log_gaps, positions, tail)
-    )
+    return _gap_mesh(p.delta, [(m.g / m.omega, m.omega) for m in p.modes], caps, tuple)
 
 
 def sequential_crossing_probabilities(

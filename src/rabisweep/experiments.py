@@ -691,10 +691,9 @@ def convergence_scan(
         raise InvalidParameterError(f"convergence_scan audits rate scans, not {spec.kind!r}")
     if not spec.options.get("simulate", True):
         raise InvalidParameterError("a formula-only spec has no simulation to audit")
-    p = spec.params
     base_value = {
         "n_steps": float(spec.n_steps),
-        "n_fock": float(p.n_fock if isinstance(p, QrmParams) else max(m.n_fock for m in p.modes)),
+        "n_fock": float(max(m.n_fock for m in spec.params.modes)),
         "endpoint_magnitude": _endpoint_option(spec)[1],
     }[knob]
     tables = {f: run_experiment(_scaled_spec(spec, knob, f)) for f in (1, 2, 4)}

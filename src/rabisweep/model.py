@@ -7,6 +7,12 @@ traces, the degeneracy flags) as read-only arrays, checked once on entry.
 ``ProbabilityRecord`` is the view of one entry, built only when a readout is
 iterated or indexed.
 
+A single mode is the one-mode case of the multimode model: ``QrmParams.modes``
+holds its one ``Mode``, ``build_multimode`` assembles every Hamiltonian's
+qubit, oscillator and coupling terms (``build_qrm`` adds only the static
+bias), the displaced bases and the Fock-ladder weights read ``p.modes``, and
+one DIM_CAP bounds every dimension. Parity sectors are single-mode only.
+
 Conventions (fixed once, asserted in tests):
   * sigma_z |up> = +|up>, sigma_z |down> = -|down>; |right/left> = (|up> +/- |down>)/sqrt(2).
   * Tensor ordering is qubit (x) oscillator; for several modes, qubit (x) mode1 (x) mode2 ...
@@ -53,10 +59,9 @@ STATE_TAIL_TOL = 1e-8
 # Weight allowed in the top tenth of a Fock ladder, for the initial and final
 # states of a sweep and for the ground state at its far end.
 TOP_OCCUPANCY_TOL = 1e-6
-# Caps on the full Hilbert-space dimension of a single-mode problem (2 n_fock;
-# the presets reach 1,792, fig1d_long's) and of a multimode problem.
-QRM_DIM_CAP = 4096
-MULTIMODE_DIM_CAP = 4096
+# Cap on the full Hilbert-space dimension of a problem, single-mode (2 n_fock;
+# the presets reach 1,792, fig1d_long's) or multimode.
+DIM_CAP = 4096
 
 QUBIT_LABELS = {
     "bare": ("up", "down"),
@@ -131,6 +136,11 @@ class QrmParams:
     def dim(self) -> int:
         return 2 * self.n_fock
 
+    @property
+    def modes(self) -> tuple[Mode]:
+        """The model's one mode, as a multimode model holds its modes."""
+        return (Mode(self.omega, self.g, self.n_fock),)
+
 
 @dataclass(frozen=True)
 class Mode:
@@ -173,10 +183,6 @@ class MultiModeParams:
     @property
     def osc_dim(self) -> int:
         return self.dim // 2
-
-    @property
-    def ratios(self) -> tuple[float, ...]:
-        return tuple(m.g / m.omega for m in self.modes)
 
 
 @dataclass(frozen=True)
@@ -391,8 +397,8 @@ def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -
     full-space state or, for a single mode, of a parity block's state as it
     is: block coordinate k is photon number k (see ``parity_sector_basis``).
     Any other shape raises ``InvalidParameterError``."""
-    sizes = (p.n_fock,) if isinstance(p, QrmParams) else tuple(m.n_fock for m in p.modes)
-    block = isinstance(p, QrmParams) and np.shape(amplitudes) == (p.n_fock,)
+    sizes = tuple(m.n_fock for m in p.modes)
+    block = len(sizes) == 1 and np.shape(amplitudes) == sizes
     if not block and np.shape(amplitudes) != (p.dim,):
         raise InvalidParameterError(
             f"a state of shape {np.shape(amplitudes)} is neither a parity block's "
@@ -412,27 +418,20 @@ def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -
 # ---------------------------------------------------------------------------
 
 def _capped_dim(p: QrmParams | MultiModeParams) -> int:
-    """``p.dim``, refused with ``ResourceLimitError`` past its cap
-    (QRM_DIM_CAP or MULTIMODE_DIM_CAP) before any dense array of it is
-    allocated."""
-    single = isinstance(p, QrmParams)
-    cap = QRM_DIM_CAP if single else MULTIMODE_DIM_CAP
-    if p.dim > cap:
-        kind = "single-mode" if single else "multimode"
-        raise ResourceLimitError(f"{kind} dimension {p.dim} exceeds the cap {cap}")
+    """``p.dim``, refused with ``ResourceLimitError`` past DIM_CAP before any
+    dense array of it is allocated."""
+    if p.dim > DIM_CAP:
+        kind = "single-mode" if isinstance(p, QrmParams) else "multimode"
+        raise ResourceLimitError(f"{kind} dimension {p.dim} exceeds the cap {DIM_CAP}")
     return p.dim
 
 
 def build_qrm(p: QrmParams) -> np.ndarray:
-    """Full Rabi Hamiltonian at the parameters in p."""
+    """Full Rabi Hamiltonian at the parameters in p: the one-mode
+    ``build_multimode`` plus the static bias epsilon times ``epsilon_ramp``."""
     _capped_dim(p)
-    a = annihilation(p.n_fock)
-    ad = a.T
-    eye = np.eye(p.n_fock)
-    h = (-0.5 * p.delta) * kron(SIGMA_X, eye)
-    h += (-0.5 * p.epsilon) * kron(SIGMA_Z, eye)
-    h += p.omega * kron(IDENTITY_2, ad @ a)
-    h += p.g * kron(SIGMA_Z, a + ad)
+    h = build_multimode(MultiModeParams(p.delta, p.modes))
+    h += p.epsilon * epsilon_ramp(p)
     return h
 
 
@@ -455,7 +454,8 @@ def _mode_operator(modes: tuple[Mode, ...], index: int, op: np.ndarray) -> np.nd
 
 
 def build_multimode(p: MultiModeParams) -> np.ndarray:
-    """Multimode Hamiltonian at zero bias; the bias enters through
+    """Multimode Hamiltonian at zero bias, the one assembly of every model's
+    qubit, oscillator and coupling terms; the bias enters through
     ``epsilon_ramp``."""
     _capped_dim(p)
     h = (-0.5 * p.delta) * kron(SIGMA_X, np.eye(p.osc_dim))
@@ -468,8 +468,8 @@ def build_multimode(p: MultiModeParams) -> np.ndarray:
 
 def critical_delta(g: float, omega: float) -> float:
     """Gap value where the semiclassical normal/superradiant change occurs."""
-    if omega <= 0:
-        raise InvalidParameterError(f"omega must be positive, got {omega}")
+    _require_finite(g=g)
+    _require_positive("omega", omega)
     return 4.0 * g * g / omega
 
 
@@ -528,15 +528,17 @@ _QUBIT_COLUMNS = {
 }
 
 
-def _displaced_blocks(modes: list[tuple[float, int]]) -> list[np.ndarray]:
-    """The blocks |up> (x)_j D(-g_j/w_j) and |down> (x)_j D(+g_j/w_j), for
-    modes given as (g/omega, n_fock) pairs. A block's columns run over the
-    occupation tuples (n_1, n_2, ...) in lexicographic order.
+def _displaced_blocks(p: QrmParams | MultiModeParams) -> list[np.ndarray]:
+    """The blocks |up> (x)_j D(-g_j/w_j) and |down> (x)_j D(+g_j/w_j) over
+    the modes of ``p``. A block's columns run over the occupation tuples
+    (n_1, n_2, ...) in lexicographic order.
     """
     eye2 = np.eye(2, dtype=complex)
     blocks = []
     for q, sign in ((0, -1.0), (1, +1.0)):
-        osc = functools.reduce(np.kron, [unitary_displacement(sign * r, n) for r, n in modes])
+        osc = functools.reduce(
+            np.kron, [unitary_displacement(sign * (m.g / m.omega), m.n_fock) for m in p.modes]
+        )
         blocks.append(np.kron(eye2[:, [q]], osc))
     return blocks
 
@@ -557,7 +559,7 @@ def scheme_basis(p: QrmParams, scheme: str) -> tuple[np.ndarray, list[BasisLabel
     ]
     if scheme in _QUBIT_COLUMNS:
         return np.kron(_QUBIT_COLUMNS[scheme], np.eye(p.n_fock, dtype=complex)), labels
-    up_block, down_block = _displaced_blocks([(p.g_over_omega, p.n_fock)])
+    up_block, down_block = _displaced_blocks(p)
     if scheme == "displaced":
         return np.hstack([up_block, down_block]), labels
     s = _SQRT_HALF
@@ -571,7 +573,7 @@ def multimode_displaced_basis(p: MultiModeParams) -> tuple[np.ndarray, list[Basi
     readout: up columns first, then down, each with the occupation tuples in
     lexicographic order.
     """
-    up_block, down_block = _displaced_blocks([(m.g / m.omega, m.n_fock) for m in p.modes])
+    up_block, down_block = _displaced_blocks(p)
     occs = list(itertools.product(*(range(m.n_fock) for m in p.modes)))
     labels = [BasisLabel("displaced", q, occ) for q in ("up", "down") for occ in occs]
     return np.hstack([up_block, down_block]), labels

@@ -52,14 +52,20 @@ class StateVector:
     sector: ParitySector | None = None
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        try:
+            amp = np.asarray(self.amplitudes, dtype=complex)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"amplitudes must be complex numbers, got {self.amplitudes!r}"
+            ) from None
         object.__setattr__(self, "amplitudes", amp)
         if amp.ndim != 1 or amp.size < 1:
             raise InvalidParameterError("amplitudes must be a nonempty 1-D array")
         if self.sector is not None and not isinstance(self.sector, ParitySector):
             raise InvalidParameterError(f"unknown state sector {self.sector!r}")
         nrm = np.linalg.norm(amp)
-        if abs(nrm - 1.0) > STATE_NORM_ATOL:
+        # "Not within" the tolerance: a NaN norm is refused too.
+        if not abs(nrm - 1.0) <= STATE_NORM_ATOL:
             raise InvalidParameterError(
                 f"state norm {nrm:.12f} deviates from 1 beyond {STATE_NORM_ATOL}"
             )

@@ -77,8 +77,6 @@ from .errors import (
     ResourceLimitError,
 )
 from .model import (
-    EVEN_SECTOR,
-    ODD_SECTOR,
     BasisLabel,
     MultiModeParams,
     ParitySector,
@@ -541,6 +539,21 @@ def _evolve_linear(
 # Model plumbing
 # ---------------------------------------------------------------------------
 
+def _conserves_parity(p: QrmParams | MultiModeParams, parameter: str) -> bool:
+    """Whether a ``parameter`` sweep of ``p`` conserves the parity
+    sx (x) (-1)^n: a single-mode gap sweep at zero bias."""
+    return isinstance(p, QrmParams) and parameter == "delta" and p.epsilon == 0.0
+
+
+def _weight_outside(p: QrmParams, states: np.ndarray, sign: int) -> np.ndarray:
+    """Weight of full-space states (along the last axis) outside the parity
+    sector of ``sign``: sum_n |psi_up,n - sign (-1)^n psi_down,n|^2 / 2, the
+    weight on the other sector's columns of ``parity_sector_basis``."""
+    signs = sign * (1.0 - 2.0 * (np.arange(p.n_fock) % 2))
+    up, down = states[..., : p.n_fock], states[..., p.n_fock :]
+    return 0.5 * np.sum(np.abs(up - signs * down) ** 2, axis=-1)
+
+
 def hamiltonian_parts(
     p: QrmParams | MultiModeParams, parameter: str, sector: ParitySector | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -558,7 +571,7 @@ def hamiltonian_parts(
         h_static, h_ramp = build_qrm(replace(p, epsilon=0.0)), epsilon_ramp(p)
     if sector is None:
         return h_static, h_ramp
-    if isinstance(p, MultiModeParams) or parameter != "delta" or p.epsilon != 0.0:
+    if not _conserves_parity(p, parameter):
         raise InvalidParameterError(
             "sector-restricted runs require a single-mode, bias-free gap sweep"
         )
@@ -639,7 +652,7 @@ def run_sweep(
 
     The run assembles nothing: its table builds the parts once, with
     ``hamiltonian_parts(p, parameter, psi0.sector)``, and ``p`` serves only
-    the measurements (its Fock layout; a full-space gap run's parity blocks).
+    the measurements (its Fock layout, and whether its sweep conserves parity).
     The run's space is psi0's ``sector``: None runs in the full space, a
     parity sector (bias-free single-mode gap sweeps only) inside that parity
     block, in block coordinates (photon numbers). Parts or a state that do
@@ -657,6 +670,9 @@ def run_sweep(
     ends are its table's (see ``experiments._row_checks``).
     ``chebyshev_terms`` records the Chebyshev terms per step (the most any
     chunk took; 0 only for a zero-length sweep). ``max_parity_leakage`` is
+    the largest weight outside psi0's parity, weighed from each state's two
+    qubit halves (``_weight_outside``), on full-space runs of a sweep that
+    conserves it (``_conserves_parity``) from a state of one parity; it is
     None where leakage is not measured: sector runs, bias sweeps, and
     full-space gap sweeps from a state of no definite parity.
 
@@ -680,16 +696,14 @@ def run_sweep(
             f"initial state dimension {psi0.dim} and parts of shape {np.shape(h_static)} "
             f"do not fit the model's {'full space' if psi0.sector is None else 'block'} ({space})"
         )
-    leak_matrix = None
-    if (psi0.sector is None and isinstance(p, QrmParams)
-            and first.parameter == "delta" and p.epsilon == 0.0):
-        plus, _ = parity_sector_basis(p, EVEN_SECTOR)
-        minus, _ = parity_sector_basis(p, ODD_SECTOR)
-        w_plus = float(np.sum(np.abs(plus.T @ psi0.amplitudes) ** 2))
-        if w_plus > 1.0 - 1e-12:
-            leak_matrix = minus
-        elif w_plus < 1e-12:
-            leak_matrix = plus
+    # A full-space run of a parity-conserving sweep from a state of one
+    # parity measures the weight it leaks out of that parity.
+    leak_sign = None
+    if psi0.sector is None and _conserves_parity(p, first.parameter):
+        leak_sign = next(
+            (sign for sign in (+1, -1) if _weight_outside(p, psi0.amplitudes, sign) < 1e-12),
+            None,
+        )
 
     n_steps = first.n_steps
     steps = [0, n_steps] if first.sample_steps is None else list(first.sample_steps)
@@ -725,6 +739,7 @@ def run_sweep(
     re, im = sampled.real[:, :, None, :], sampled.imag[:, :, None, :]
     norms = np.sqrt((re @ re.swapaxes(2, 3) + im @ im.swapaxes(2, 3))[:, :, 0, 0])
     deviations = norms - 1.0
+    leakage = None if leak_sign is None else _weight_outside(p, sampled, leak_sign)
     for i, j in enumerate(live):
         # "Not within" the limit: a NaN norm fails the run too.
         drifted = np.flatnonzero(~(np.abs(deviations[i]) <= NORM_DRIFT_LIMIT))
@@ -741,9 +756,7 @@ def run_sweep(
             schedule=schedules[j],
             states=states,
             max_norm_deviation=float(np.max(np.abs(deviations[i]))),
-            max_parity_leakage=None if leak_matrix is None else float(
-                np.max(np.sum(np.abs(leak_matrix.T @ sampled[i].T) ** 2, axis=0))
-            ),
+            max_parity_leakage=None if leakage is None else float(np.max(leakage[i])),
             top_fock_occupancy=top_fock_occupancy(p, sampled[i, -1]),
             chebyshev_terms=chebyshev_terms[i],
         )

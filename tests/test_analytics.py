@@ -103,6 +103,23 @@ class TestCascadeGaps:
         spec = cascade_gaps(1.0, 0.5, 2.0, n_max=3)
         assert spec.crossing_positions == {0: 0.0, 1: 2.0, 2: 4.0, 3: 6.0}
 
+    @pytest.mark.parametrize(
+        "delta, g, omega", [(0.37, 0.3, 1.0), (1.0, 1.0, 1.3), (0.2, 3.9, 1.5)]
+    )
+    def test_every_gap_and_position_matches_the_ladder_formula(self, delta, g, omega):
+        # Delta_n = Delta exp(-2 alpha^2) (2 alpha)^n / sqrt(n!), alpha = g/omega,
+        # computed directly (no logs), with the crossing of n at n omega.
+        spec = cascade_gaps(delta, g, omega)
+        alpha = g / omega
+        n_max = default_n_max(g, omega)
+        assert list(spec.gaps) == list(range(n_max + 1)) and spec.ratios == (alpha,)
+        for n in range(n_max + 1):
+            want = delta * math.exp(-2.0 * alpha * alpha) * (2.0 * alpha) ** n / math.sqrt(
+                math.factorial(n)
+            )
+            assert spec.gaps[n] == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert spec.crossing_positions[n] == n * omega
+
 
 class TestCascadeProbabilities:
     def test_normalization(self):
@@ -301,6 +318,15 @@ class TestInvalidInputs:
     def test_cascade_gaps(self, delta, g, omega):
         with pytest.raises(InvalidParameterError):
             cascade_gaps(delta, g, omega)
+
+    @pytest.mark.parametrize(
+        "g, omega",
+        [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)],
+    )
+    def test_default_n_max(self, g, omega):
+        # omega = 0 used to raise ZeroDivisionError and omega = -1 gave 64.
+        with pytest.raises(InvalidParameterError):
+            default_n_max(g, omega)
 
     def test_a_coupling_whose_defaults_overflow_is_refused(self):
         # (g/omega)^2 overflows at g/omega = 1e200; it used to raise

@@ -10,9 +10,9 @@ from rabisweep.errors import (
     ResourceLimitError,
 )
 from rabisweep.model import (
+    DIM_CAP,
     EVEN_SECTOR,
     ODD_SECTOR,
-    QRM_DIM_CAP,
     BasisLabel,
     Mode,
     MultiModeParams,
@@ -62,6 +62,13 @@ class TestParams:
         assert p.g_over_omega == 0.5
         assert p.delta_over_omega == 1.5
 
+    def test_a_single_mode_is_one_mode(self):
+        p = QrmParams(3.0, 0.2, 2.0, 1.0, 8)
+        assert p.modes == (Mode(2.0, 1.0, 8),)
+        assert MultiModeParams(p.delta, p.modes).dim == p.dim
+        with pytest.raises(AttributeError):
+            p.modes = ()
+
     @pytest.mark.parametrize("g", [np.nan, np.inf, 1e200])
     def test_default_truncation_of_a_coupling_that_overflows_is_refused(self, g):
         # It used to raise ValueError (nan) or OverflowError from int().
@@ -103,6 +110,24 @@ class TestBuildQrm:
         ground = basis @ vecs[:, 0]
         target = superradiant_state(p, "+", 0).amplitudes
         assert abs(np.vdot(ground, target)) ** 2 >= 1.0 - 1e-6
+
+    @pytest.mark.parametrize(
+        "p",
+        [QrmParams(0.7, 0.0, 1.0, 0.4, 8), QrmParams(2.1, 0.37, 1.3, 1.1, 12),
+         QrmParams(0.0, -0.6, 0.8, 2.5, 6)],
+    )
+    def test_is_the_four_term_sum(self, p):
+        # -(delta/2) sx (x) I - (epsilon/2) sz (x) I + omega I (x) a^dag a
+        # + g sz (x) (a + a^dag), written out here.
+        a = np.diag(np.sqrt(np.arange(1.0, p.n_fock)), k=1)
+        sx, sz, eye = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0]), np.eye(p.n_fock)
+        want = (
+            -(p.delta / 2) * np.kron(sx, eye)
+            - (p.epsilon / 2) * np.kron(sz, eye)
+            + p.omega * np.kron(np.eye(2), a.T @ a)
+            + p.g * np.kron(sz, a + a.T)
+        )
+        assert np.array_equal(build_qrm(p), want)
 
     def test_hermiticity(self):
         for _ in range(4):
@@ -336,7 +361,7 @@ class TestMultimode:
 
 class TestSingleModeDimensionCap:
     # One level past the cap: each dense array would take about 134 MB.
-    P = QrmParams(0.3, 0.2, 1.0, 0.5, QRM_DIM_CAP // 2 + 1)
+    P = QrmParams(0.3, 0.2, 1.0, 0.5, DIM_CAP // 2 + 1)
 
     @pytest.mark.parametrize(
         "build",
@@ -366,9 +391,9 @@ class TestSingleModeDimensionCap:
             spec.params.dim for spec in (preset.build() for preset in PRESETS.values())
             if isinstance(spec.params, QrmParams)
         ]
-        assert max(dims) == 1792 <= QRM_DIM_CAP
-        at_cap = replace(self.P, n_fock=QRM_DIM_CAP // 2)
-        assert parity_sector_basis(at_cap, EVEN_SECTOR)[0].shape == (QRM_DIM_CAP, QRM_DIM_CAP // 2)
+        assert max(dims) == 1792 <= DIM_CAP
+        at_cap = replace(self.P, n_fock=DIM_CAP // 2)
+        assert parity_sector_basis(at_cap, EVEN_SECTOR)[0].shape == (DIM_CAP, DIM_CAP // 2)
 
 
 class TestCriticalDelta:
@@ -376,6 +401,14 @@ class TestCriticalDelta:
         assert critical_delta(0.0, 1.0) == 0.0
         assert critical_delta(1.0, 1.0) == 4.0
         assert critical_delta(20.0, 1.0) == 1600.0
+
+    @pytest.mark.parametrize(
+        "g, omega", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (1.0, 0.0), (1.0, -1.0)]
+    )
+    def test_refusals(self, g, omega):
+        # A NaN used to pass the omega <= 0 check and come back as NaN.
+        with pytest.raises(InvalidParameterError):
+            critical_delta(g, omega)
 
     def test_minimum_sector_gap_sits_near_it(self):
         # At strong coupling the smallest even-sector gap localizes within 20%

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -232,6 +234,15 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidParameterError):
             StateVector(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "amplitudes", [[math.nan, 0.0], "ab", [1, "x"]], ids=["nan", "string", "mixed"]
+    )
+    def test_rejects_amplitudes_that_are_not_numbers(self, amplitudes):
+        # A NaN norm is not within the tolerance; a string fails the complex
+        # conversion, which used to escape as a bare ValueError.
+        with pytest.raises(InvalidParameterError):
+            StateVector(amplitudes)
 
     def test_rejects_unknown_tag(self):
         # A state names its space by a ParitySector or None, not by a string.

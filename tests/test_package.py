@@ -58,6 +58,9 @@ class TestExports:
             "_trace_run",
             "value_at",
             "_even_ground_state",
+            "QRM_DIM_CAP",
+            "MULTIMODE_DIM_CAP",
+            "ratios",
         ],
     )
     def test_deleted_names_are_gone(self, name):
@@ -66,6 +69,9 @@ class TestExports:
             "rabisweep.presets", "rabisweep.experiments", "rabisweep.cli",
         ):
             assert not hasattr(importlib.import_module(module), name), module
+        # Nor does a parameter class hold one (MultiModeParams.ratios is gone).
+        for params in (rabisweep.QrmParams, rabisweep.MultiModeParams, rabisweep.Mode):
+            assert not hasattr(params, name), params.__name__
 
     def test_pyproject_holds_the_package_version(self):
         # Two files hold the version. A regex reads pyproject.toml, since

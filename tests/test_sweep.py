@@ -546,6 +546,33 @@ class TestConservation:
         assert traj.max_parity_leakage <= 1e-10
         assert traj.max_norm_deviation <= 1e-8
 
+    def test_parity_leakage_full_space_from_an_odd_state(self):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        psi0 = StateVector(superradiant_state(p, "-", 0).amplitudes)
+        s = SweepSchedule("delta", 0.0, 20.0, 25.0, n_steps=4000)
+        traj = run_sweep(p, sweep.hamiltonian_parts(p, "delta"), s, psi0)
+        assert traj.max_parity_leakage <= 1e-10
+        even, _ = parity_sector_basis(p, EVEN_SECTOR)
+        assert np.sum(np.abs(even.T @ traj.final_state) ** 2) <= 1e-10
+
+    def test_leaked_weight_is_the_other_sectors_projection(self):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 12)
+        states = RNG.normal(size=(3, 5, p.dim)) + 1j * RNG.normal(size=(3, 5, p.dim))
+        for sign, other in ((+1, ODD_SECTOR), (-1, EVEN_SECTOR)):
+            basis, _ = parity_sector_basis(p, other)
+            want = np.sum(np.abs(states @ basis) ** 2, axis=-1)
+            assert np.allclose(sweep._weight_outside(p, states, sign), want, rtol=1e-13, atol=0)
+
+    def test_parity_leakage_unmeasured_from_a_mixed_state(self):
+        # A state of no definite parity has no sector to leak from.
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
+        mixed = superradiant_state(p, "+", 0).amplitudes + superradiant_state(p, "-", 0).amplitudes
+        s = SweepSchedule("delta", 0.0, 20.0, 25.0, n_steps=1000)
+        traj = run_sweep(
+            p, sweep.hamiltonian_parts(p, "delta"), s, StateVector(mixed / np.linalg.norm(mixed))
+        )
+        assert traj.max_parity_leakage is None
+
     def test_parity_leakage_unmeasured_in_a_sector_run(self):
         # A parity-block run cannot leave its block, so leakage is not
         # measured and reads None rather than a conserved-looking 0.0.
@@ -810,18 +837,19 @@ class TestGroundState:
 
     @pytest.mark.parametrize("rates", [(1e3,), (1e3, 1e4), (1e2, 1e3, 1e4)])
     @pytest.mark.parametrize(
-        "parameter, sector, leak_bases",
-        [("delta", EVEN_SECTOR, 0), ("delta", None, 2), ("epsilon", None, 0)],
+        "parameter, sector, leak_measured",
+        [("delta", EVEN_SECTOR, False), ("delta", None, True), ("epsilon", None, False)],
         ids=["block", "full-gap", "bias"],
     )
     def test_a_run_assembles_and_solves_nothing(
-        self, monkeypatch, parameter, sector, leak_bases, rates
+        self, monkeypatch, parameter, sector, leak_measured, rates
     ):
         # A single schedule or a rate block alike takes the parts it is
         # handed: no model builder runs inside run_sweep, nor the dense
         # ground-state solve, numpy's eigh under it or the tridiagonal level
-        # solve. Only a full-space gap run builds the two parity bases that
-        # measure its leakage. The endpoint check is its table's.
+        # solve. A full-space gap run measures its leakage from the state's
+        # two qubit halves, with no parity basis. The endpoint check is its
+        # table's.
         p = QrmParams(0.0 if parameter == "delta" else 0.3, 0.0, 1.0, 1.0, 16)
         ends = (20.0, 0.0) if parameter == "delta" else (-10.0, 10.0)
         parts = sweep.hamiltonian_parts(p, parameter, sector)
@@ -840,9 +868,9 @@ class TestGroundState:
         trajectories = result if isinstance(result, list) else [result]
         assert [type(traj) for traj in trajectories] == [Trajectory] * len(rates)
         calls = {name: spy.call_count for name, spy in spies.items()}
-        assert calls == {**dict.fromkeys(spies, 0), "parity_sector_basis": leak_bases}
+        assert calls == dict.fromkeys(spies, 0)
         leakage = [traj.max_parity_leakage for traj in trajectories]
-        assert all((x is None) == (leak_bases == 0) for x in leakage)
+        assert all((x is None) != leak_measured for x in leakage)
 
 
 class TestReadout:
