@@ -74,6 +74,7 @@ from .model import (
     epsilon_ramp,
     multimode_displaced_basis,
     normal_state,
+    parity_block_ladder,
     parity_operator,
     parity_sector_basis,
     parity_sector_labels,
@@ -120,7 +121,7 @@ __all__ = [
     "ParitySector", "ProbabilityRecord", "QrmParams", "Readout", "build_multimode", "build_qrm",
     "critical_delta", "default_n_fock", "delta_ramp", "displaced_fock_tail",
     "displaced_level_fits", "displaced_state", "epsilon_ramp",
-    "multimode_displaced_basis", "normal_state", "parity_operator",
+    "multimode_displaced_basis", "normal_state", "parity_block_ladder", "parity_operator",
     "parity_sector_basis", "parity_sector_labels", "scheme_basis", "superradiant_state",
     "top_fock_occupancy", "IDENTITY_2", "SIGMA_X", "SIGMA_Z", "StateVector",
     "annihilation", "eig_hermitian", "hermiticity_defect", "kron",

@@ -42,6 +42,7 @@ from .model import (
     _require_finite,
     _require_positive,
     critical_delta,
+    parity_block_ladder,
     top_fock_occupancy,
 )
 from .operators import StateVector
@@ -53,7 +54,6 @@ from .sweep import (
     Trajectory,
     _lowest_eigenvector,
     _tridiagonal_eigh,
-    _tridiagonal_parts,
     eigen_level_series,
     greedy_label_assignment,
     hamiltonian_parts,
@@ -426,9 +426,9 @@ def _quench(spec: ExperimentSpec) -> tuple[_Setup, float, tuple[BasisLabel, ...]
     ``quench_trace`` only, ``options["direction"]``, inside the even-parity
     block from its ground state ``psi0``. ``sign`` is the trace axis' sign:
     -1 toward zero gap (v(t - T)/omega = -delta/omega), +1 away from it
-    (v t/omega = delta/omega). The block is assembled and checked
-    tridiagonal once, and its one solve at ``end`` serves three uses:
-    ``labels`` names its vectors, each by its best match in the direction's
+    (v t/omega = delta/omega). The block's ladder (``parity_block_ladder``)
+    forms its parts and every level solve; its one solve at ``end`` serves
+    three uses: ``labels`` names its vectors, each by its best match in the direction's
     scheme (superradiant toward zero gap, normal away from it), its lowest
     column is the far end's ground state for the endpoint weight, and its
     vectors read out every state at ``end``. ``readout(values, states)``
@@ -440,12 +440,12 @@ def _quench(spec: ExperimentSpec) -> tuple[_Setup, float, tuple[BasisLabel, ...]
     ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
     start, end, sign, scheme = (hi, 0.0, -1.0, "superradiant") if ns else (0.0, hi, 1.0, "normal")
     parts = hamiltonian_parts(p, "delta", EVEN_SECTOR)
-    tridiagonal = _tridiagonal_parts(*parts)
-    far = _tridiagonal_eigh(*tridiagonal, end)
+    ladder = parity_block_ladder(p, EVEN_SECTOR)
+    far = _tridiagonal_eigh(*ladder, end)
     labels = tuple(greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), far[1]))
 
     def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:
-        pops, _, flags = eigen_level_series(tridiagonal, values, states, {end: far})
+        pops, _, flags = eigen_level_series(ladder, values, states, {end: far})
         return Readout.rows(labels, pops, flags)
 
     psi0 = StateVector(_lowest_eigenvector(*parts, start), EVEN_SECTOR)

@@ -11,7 +11,8 @@ A single mode is the one-mode case of the multimode model: ``QrmParams.modes``
 holds its one ``Mode``, ``build_multimode`` assembles every Hamiltonian's
 qubit, oscillator and coupling terms (``build_qrm`` adds only the static
 bias), the displaced bases and the Fock-ladder weights read ``p.modes``, and
-one DIM_CAP bounds every dimension. Parity sectors are single-mode only.
+one DIM_CAP bounds every dimension. Parity sectors are single-mode only; a
+parity block is its photon ladder (``parity_block_ladder``).
 
 Conventions (fixed once, asserted in tests):
   * sigma_z |up> = +|up>, sigma_z |down> = -|down>; |right/left> = (|up> +/- |down>)/sqrt(2).
@@ -395,7 +396,7 @@ def _require_displaced_level(alpha: float, n: int, n_fock: int) -> None:
 def top_fock_occupancy(p: QrmParams | MultiModeParams, amplitudes: np.ndarray) -> float:
     """Largest per-mode weight in the top tenth of any Fock ladder of a
     full-space state or, for a single mode, of a parity block's state as it
-    is: block coordinate k is photon number k (see ``parity_sector_basis``).
+    is: block coordinate k is photon number k (see ``parity_block_ladder``).
     Any other shape raises ``InvalidParameterError``."""
     sizes = tuple(m.n_fock for m in p.modes)
     block = len(sizes) == 1 and np.shape(amplitudes) == sizes
@@ -504,6 +505,20 @@ def parity_sector_labels(sector: ParitySector, n_fock: int, scheme: str = "norma
     return labels
 
 
+def parity_block_ladder(
+    p: QrmParams, sector: ParitySector
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d0, d1, e) of a parity block of the gap sweep H = A + delta B, whose
+    coordinate k is photon number k (column k of ``parity_sector_basis``): A
+    has diagonal d0 = omega k and off-diagonal e = g sqrt(k), k = 1 ...
+    n_fock - 1, and B diagonal d1 = -sign (-1)^k / 2. A biased or multimode
+    model, which has no parity block, is refused, as is a dim past DIM_CAP."""
+    if not isinstance(p, QrmParams) or p.epsilon != 0.0:
+        raise InvalidParameterError("parity blocks are a single-mode, bias-free model's")
+    k = np.arange(_capped_dim(p) // 2)
+    return p.omega * k, -0.5 * sector.sign * (1.0 - 2.0 * (k % 2)), p.g * np.sqrt(k[1:])
+
+
 def parity_sector_basis(p: QrmParams, sector: ParitySector) -> tuple[np.ndarray, list[BasisLabel]]:
     """Orthonormal columns spanning one parity sector, with their labels."""
     labels = parity_sector_labels(sector, p.n_fock, "normal")
@@ -579,15 +594,11 @@ def multimode_displaced_basis(p: MultiModeParams) -> tuple[np.ndarray, list[Basi
     return np.hstack([up_block, down_block]), labels
 
 
-def _scheme_column(label: BasisLabel, n_fock: int) -> int:
-    """Index of a single-mode label's column in ``scheme_basis`` (qubit-major)."""
-    return QUBIT_LABELS[label.scheme].index(label.qubit) * n_fock + label.photons
-
-
 def _basis_state(p: QrmParams, label: BasisLabel) -> StateVector:
     """The ``scheme_basis`` column of one label, as a full-space state."""
     cols, _ = scheme_basis(p, label.scheme)
-    return StateVector(cols[:, _scheme_column(label, p.n_fock)])
+    column = QUBIT_LABELS[label.scheme].index(label.qubit) * p.n_fock + label.photons
+    return StateVector(cols[:, column])
 
 
 def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:

@@ -17,8 +17,9 @@ Miller's backward recurrence (``_bessel_j``), within 2e-16 of their exact
 values at every z measured up to 300, where scipy's ``jv`` drifts to 6e-15.
 
 Every run has the shape H(t) = A + f(t) B with A and B real symmetric: the
-model layer builds every Hamiltonian, ramp and parity basis as float64, and
-the propagator refuses complex ones. ``_evolve_linear`` holds the step: one
+model layer builds every Hamiltonian and ramp as float64, a parity block's
+from its photon ladder (``hamiltonian_parts``), and the propagator refuses
+complex ones. ``_evolve_linear`` holds the step: one
 scaled matrix h2 per chunk, in which each step rewrites the entries where B
 is nonzero, and a stack of real orders, each one (2R, dim) array of every
 run's real and imaginary parts: 13 numpy calls per step for a block whose
@@ -50,10 +51,11 @@ judge of every limit.
 A level series reads a trace out in the instantaneous eigenbasis of a parity
 block, where A is real tridiagonal and B diagonal. Each sample is one real
 symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
-the off-diagonal e: the divide-and-conquer solve that a dense ``eigh`` of the
-same matrix ends in, without the dense reduction before it. A quench's one
-solve at its far end names its levels, gives that end's ground state and
-reads out every state there (``experiments._quench``).
+the off-diagonal e of the ladder that forms the block's parts: the
+divide-and-conquer solve that a dense ``eigh`` of the same matrix ends in,
+without the dense reduction before it. A quench's one solve at its far end
+names its levels, gives that end's ground state and reads out every state
+there (``experiments._quench``).
 
 That solve is the package's only use of ``scipy.linalg``: numpy has no
 tridiagonal solve, and its batched ``eigh`` is about 1.9x slower per sample
@@ -83,20 +85,20 @@ from .model import (
     QrmParams,
     Readout,
     _as_tuple,
+    _capped_dim,
     _require_count,
     _require_finite,
-    _scheme_column,
     build_multimode,
     build_qrm,
     delta_ramp,
     epsilon_ramp,
     multimode_displaced_basis,
-    parity_sector_basis,
+    parity_block_ladder,
     parity_sector_labels,
     scheme_basis,
     top_fock_occupancy,
 )
-from .operators import StateVector, eig_hermitian
+from .operators import StateVector, eig_hermitian, unitary_displacement
 
 # Hard error threshold on norm drift during a run.
 NORM_DRIFT_LIMIT = 1e-6
@@ -557,26 +559,27 @@ def _weight_outside(p: QrmParams, states: np.ndarray, sign: int) -> np.ndarray:
 def hamiltonian_parts(
     p: QrmParams | MultiModeParams, parameter: str, sector: ParitySector | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) of H = A + f B, where f is the swept parameter: real symmetric
-    float64 arrays, projected with ``sector`` (single-mode, bias-free gap
-    sweeps only) onto that parity block, whose coordinate k is photon number k:
-    the parts that a table assembles once and hands every ``run_sweep``."""
+    """(A, B) of H = A + f B, f the swept "delta" or "epsilon" (any other is
+    refused): the real symmetric float64 parts a table assembles once and
+    hands every ``run_sweep``. With ``sector`` (single-mode, bias-free gap
+    sweeps only) they come from that parity block's ladder
+    (``model.parity_block_ladder``) with no full-space array; a bias sweep's
+    A is the zero-bias ``build_multimode`` of the model's modes, one or more."""
+    if parameter not in ("delta", "epsilon"):
+        raise InvalidParameterError(f"unknown sweep parameter {parameter!r}")
+    if sector is not None:
+        if not _conserves_parity(p, parameter):
+            raise InvalidParameterError(
+                "sector-restricted runs require a single-mode, bias-free gap sweep"
+            )
+        d0, d1, e = parity_block_ladder(p, sector)
+        return np.diag(d0) + np.diag(e, 1) + np.diag(e, -1), np.diag(d1)
+    if parameter == "epsilon":
+        _capped_dim(p)  # a refusal names the model's kind
+        return build_multimode(MultiModeParams(p.delta, p.modes)), epsilon_ramp(p)
     if isinstance(p, MultiModeParams):
-        if parameter != "epsilon":
-            raise InvalidParameterError("multimode sweeps support the bias parameter only")
-        h_static, h_ramp = build_multimode(p), epsilon_ramp(p)
-    elif parameter == "delta":
-        h_static, h_ramp = build_qrm(replace(p, delta=0.0)), delta_ramp(p)
-    else:
-        h_static, h_ramp = build_qrm(replace(p, epsilon=0.0)), epsilon_ramp(p)
-    if sector is None:
-        return h_static, h_ramp
-    if not _conserves_parity(p, parameter):
-        raise InvalidParameterError(
-            "sector-restricted runs require a single-mode, bias-free gap sweep"
-        )
-    basis, _ = parity_sector_basis(p, sector)
-    return basis.T @ h_static @ basis, basis.T @ h_ramp @ basis
+        raise InvalidParameterError("multimode sweeps support the bias parameter only")
+    return build_qrm(replace(p, delta=0.0)), delta_ramp(p)
 
 
 def _lowest_eigenvector(h_static: np.ndarray, h_ramp: np.ndarray, value: float) -> np.ndarray:
@@ -607,7 +610,9 @@ def readout_columns(
     Without ``sector`` the columns span the full space (multimode models have
     the displaced scheme only). With ``sector`` (single-mode, parity-definite
     schemes) they are that sector's states in its block coordinates, the
-    coordinates of a sector run's states.
+    coordinates of a sector run's states, built with no full-space array: in
+    either sector the normal columns are the identity and the superradiant
+    ones D(-g/omega), the labels alternating (``parity_sector_labels``).
     """
     if isinstance(p, MultiModeParams):
         if scheme != "displaced" or sector is not None:
@@ -617,11 +622,10 @@ def readout_columns(
         return multimode_displaced_basis(p)
     if sector is None:
         return scheme_basis(p, scheme)
-    labels = parity_sector_labels(sector, p.n_fock, scheme)
-    basis, _ = parity_sector_basis(p, sector)
-    cols_full, _ = scheme_basis(p, scheme)
-    keep = [_scheme_column(lab, p.n_fock) for lab in labels]
-    return basis.T @ cols_full[:, keep], labels
+    labels = parity_sector_labels(sector, _capped_dim(p) // 2, scheme)
+    if scheme == "normal":
+        return np.eye(p.n_fock, dtype=complex), labels
+    return unitary_displacement(-p.g_over_omega, p.n_fock), labels
 
 
 def project_records(
@@ -790,25 +794,6 @@ def greedy_label_assignment(
     return out  # type: ignore[return-value]
 
 
-def _tridiagonal_parts(
-    h_static: np.ndarray, h_ramp: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d0, d1, e) of H = A + f B: the diagonals of A and B and the
-    off-diagonal of A, for a real A that is exactly symmetric tridiagonal and
-    a real B that is exactly diagonal, as in a parity block of a gap sweep.
-    Any other parts raise ``InvalidParameterError``."""
-    a, b = np.asarray(h_static), np.asarray(h_ramp)
-    square = a.ndim == 2 and a.shape[0] == a.shape[1] and b.shape == a.shape
-    if square and not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-        d0, d1, e = np.diag(a), np.diag(b), np.diag(a, 1)
-        tridiagonal = np.array_equal(a, np.diag(d0) + np.diag(e, 1) + np.diag(e, -1))
-        if tridiagonal and np.array_equal(b, np.diag(d1)):
-            return d0, d1, e
-    raise InvalidParameterError(
-        "level series take a real symmetric tridiagonal A and a real diagonal B"
-    )
-
-
 def _tridiagonal_eigh(
     d0: np.ndarray, d1: np.ndarray, e: np.ndarray, value: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -824,30 +809,38 @@ def _tridiagonal_eigh(
 
 
 def eigen_level_series(
-    tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ladder: tuple[np.ndarray, np.ndarray, np.ndarray],
     values: np.ndarray,
     states: np.ndarray,
     solved: dict[float, tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Energy-ordered level populations along a trace.
 
-    ``states`` is a (dim, len(values)) block, the state at each value as a
-    column (a ``Trajectory.states``); any other shape raises
-    ``InvalidParameterError``. Returns (populations[time, level],
-    eigenvalues[time, level], degenerate_flags[time, level]). Level identity
-    is the energy ordering at each instant; the caller names the levels once
-    (``experiments._quench``, at the far end). ``tridiagonal`` is a parity
-    block's (d0, d1, e) from ``_tridiagonal_parts``. Each distinct value is
-    one tridiagonal solve, or its ``_tridiagonal_eigh`` result in ``solved``.
+    ``ladder`` is a parity block's (d0, d1, e) (``model.parity_block_ladder``),
+    diagonal d0 + f d1 and off-diagonal e at value f: real 1-D arrays, d0 and
+    d1 of one length n >= 1, e of n - 1. ``states`` is a (n, len(values))
+    block, the state at each value as a column (a ``Trajectory.states``).
+    Anything else raises ``InvalidParameterError`` before any solve. Returns
+    (populations, eigenvalues, degenerate_flags), each [time, level]. Level
+    identity is the energy ordering at each instant; the caller names the
+    levels once (``experiments._quench``, at the far end). Each distinct
+    value is one tridiagonal solve, or its ``_tridiagonal_eigh`` in ``solved``.
     """
-    d0 = tridiagonal[0]
-    states = np.asarray(states)
-    if states.shape != (d0.size, len(values)):
+    ladder = tuple(np.asarray(part) for part in _as_tuple("a ladder", ladder))
+    n = ladder[0].size if ladder else 0
+    shapes = [part.shape for part in ladder]
+    if not (n and shapes == [(n,), (n,), (n - 1,)] and all(x.dtype.kind in "fiu" for x in ladder)):
         raise InvalidParameterError(
-            f"level series take a ({d0.size}, {len(values)}) block of states, got {states.shape}"
+            "level series take a ladder (d0, d1, e) of real 1-D arrays, d0 and d1 of one "
+            f"length n >= 1 and e of n - 1; got shapes {shapes}"
         )
-    pops = np.empty((len(values), d0.size))
-    vals = np.empty((len(values), d0.size))
+    states = np.asarray(states)
+    if states.shape != (n, len(values)):
+        raise InvalidParameterError(
+            f"level series take a ({n}, {len(values)}) block of states, got {states.shape}"
+        )
+    pops = np.empty((len(values), n))
+    vals = np.empty((len(values), n))
     # In value order, one solve per distinct value: a rate scan reads every
     # state at one.
     values = np.asarray(values, dtype=float)
@@ -855,7 +848,7 @@ def eigen_level_series(
     for i in np.argsort(values, kind="stable").tolist():
         if values[i] != last:
             last = values[i]
-            w, v = solved.get(last) or _tridiagonal_eigh(*tridiagonal, last)
+            w, v = solved.get(last) or _tridiagonal_eigh(*ladder, last)
         vals[i] = w
         pops[i] = np.abs(v.T @ states[:, i]) ** 2
     scale = np.maximum(np.max(np.abs(vals), axis=1), 1e-300)

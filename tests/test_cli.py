@@ -6,7 +6,7 @@ import pytest
 from rabisweep import cli, experiments, io, sweep
 from rabisweep.cli import main
 from rabisweep.experiments import AUDIT_KNOBS
-from rabisweep.model import EVEN_SECTOR
+from rabisweep.model import EVEN_SECTOR, parity_block_ladder
 from rabisweep.presets import PRESETS, Preset, qrm_params, quench_scan_spec
 from rabisweep.sweep import (
     DEFAULT_N_STEPS,
@@ -341,9 +341,9 @@ def single_run_audit(knob: str) -> dict:
             p, parts, SweepSchedule("delta", start, 0.0, 1e4, n_steps=n_steps),
             ground_state(p, "delta", start, EVEN_SECTOR),
         )
-        tridiagonal = sweep._tridiagonal_parts(*parts)
-        (probs,), _, _ = eigen_level_series(tridiagonal, [0.0], traj.final_state[:, None], {})
-        _, vecs = sweep._tridiagonal_eigh(*tridiagonal, 0.0)
+        ladder = parity_block_ladder(p, EVEN_SECTOR)
+        (probs,), _, _ = eigen_level_series(ladder, [0.0], traj.final_state[:, None], {})
+        _, vecs = sweep._tridiagonal_eigh(*ladder, 0.0)
         labels = greedy_label_assignment(
             *readout_columns(p, "superradiant", EVEN_SECTOR), vecs
         )

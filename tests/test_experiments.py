@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rabisweep.errors import InvalidParameterError, NumericalInstabilityError
-from rabisweep import experiments, sweep
+from rabisweep import experiments, model, sweep
 from rabisweep.analytics import (
     cascade_gaps,
     fock_prep_window,
@@ -503,10 +503,11 @@ class TestTraces:
     def test_a_simulated_table_assembles_its_parts_once(
         self, monkeypatch, kind, params, axis, options
     ):
-        # Its setup assembles the parts, and a quench's setup checks them
-        # tridiagonal, once per table; every run takes those same arrays.
-        # A quench starts from the ground state that ground_state gives at
-        # the start of the table's ramp.
+        # Its setup assembles the parts once per table; every run takes
+        # those same arrays. A quench table builds nothing in the full
+        # space: its parts, level solves and readout columns come from the
+        # even block's ladder. A quench starts from the ground state that
+        # ground_state gives at the start of the table's ramp.
         spec = ExperimentSpec(kind, params, "axis", axis, n_steps=1000, options=options)
         assembled, handed = [], []
         assemble = sweep.hamiltonian_parts
@@ -515,10 +516,17 @@ class TestTraces:
             assembled.append(assemble(*args))
             return assembled[-1]
 
-        check = mock.Mock(wraps=sweep._tridiagonal_parts)
         for module in (sweep, experiments):
             monkeypatch.setattr(module, "hamiltonian_parts", recording_parts)
-            monkeypatch.setattr(module, "_tridiagonal_parts", check)
+        full_space = {}
+        for name in (
+            "build_qrm", "build_multimode", "delta_ramp", "epsilon_ramp", "parity_sector_basis",
+            "scheme_basis",
+        ):
+            full_space[name] = mock.Mock(wraps=getattr(model, name))
+            for module in (model, sweep, experiments):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, full_space[name])
         run = experiments.run_sweep
 
         def recording_run(p, parts, schedule, psi0):
@@ -529,9 +537,15 @@ class TestTraces:
         rows = run_experiment(spec).rows
         assert all(row.sim is not None for row in rows)
         quench = kind.startswith("quench")
-        assert len(assembled) == 1 and check.call_count == (1 if quench else 0)
+        assert len(assembled) == 1
         assert len(handed) == 1 and handed[0] is assembled[0]
-        if quench:
+        if not quench:
+            # A bias table's static part is the zero-bias build_multimode.
+            assert full_space["build_multimode"].call_count == 1
+            assert full_space["build_qrm"].call_count == 0
+        else:
+            calls = {name: spy.call_count for name, spy in full_space.items()}
+            assert calls == dict.fromkeys(full_space, 0)
             setup, _, _ = experiments._quench(spec)
             start = setup.ramp[1]
             reference = ground_state(params, "delta", start, EVEN_SECTOR)

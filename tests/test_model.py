@@ -29,15 +29,17 @@ from rabisweep.model import (
     epsilon_ramp,
     normal_state,
     multimode_displaced_basis,
+    parity_block_ladder,
     parity_operator,
     parity_sector_basis,
+    parity_sector_labels,
     scheme_basis,
     superradiant_state,
     top_fock_occupancy,
 )
 from rabisweep.operators import eig_hermitian, hermiticity_defect, unitary_displacement
 from rabisweep.presets import qrm_params
-from rabisweep.sweep import hamiltonian_parts
+from rabisweep.sweep import hamiltonian_parts, readout_columns
 
 RNG = np.random.default_rng(7)
 
@@ -232,6 +234,54 @@ class TestParity:
         assert np.max(np.abs(off)) <= 1e-12 * np.linalg.norm(h)
 
 
+class TestParityBlockLadder:
+    # The parity block's parts and readout columns against the full-space
+    # formulas they replaced: the projections basis.T @ X @ basis.
+    @pytest.mark.parametrize("sector", [EVEN_SECTOR, ODD_SECTOR], ids=["even", "odd"])
+    @pytest.mark.parametrize("g_over_omega", [0.3, 1.0, 2.0])
+    def test_parts_are_the_projected_full_space(self, sector, g_over_omega):
+        p = QrmParams(0.7, 0.0, 1.3, 1.3 * g_over_omega, 40)
+        basis, _ = parity_sector_basis(p, sector)
+        a, b = hamiltonian_parts(p, "delta", sector)
+        for part, full in ((a, build_qrm(replace(p, delta=0.0))), (b, delta_ramp(p))):
+            ref = basis.T @ full @ basis
+            assert np.max(np.abs(part - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # A is the ladder's tridiagonal and B its diagonal, exactly.
+        d0, d1, e = parity_block_ladder(p, sector)
+        assert np.array_equal(a, np.diag(d0) + np.diag(e, 1) + np.diag(e, -1))
+        assert np.array_equal(b, np.diag(d1))
+        k = np.arange(p.n_fock)
+        assert np.array_equal(d1, np.where(k % 2 == 0, -0.5, 0.5) * sector.sign)
+
+    @pytest.mark.parametrize("sector", [EVEN_SECTOR, ODD_SECTOR], ids=["even", "odd"])
+    @pytest.mark.parametrize("scheme", ["normal", "superradiant"])
+    def test_readout_columns_are_the_projected_scheme_basis(self, sector, scheme):
+        p = QrmParams(0.0, 0.0, 1.0, 1.0, 24)
+        basis, _ = parity_sector_basis(p, sector)
+        cols, labels = readout_columns(p, scheme, sector)
+        full, full_labels = scheme_basis(p, scheme)
+        ref = basis.T @ full[:, [full_labels.index(lab) for lab in labels]]
+        assert labels == parity_sector_labels(sector, p.n_fock, scheme)
+        assert np.max(np.abs(cols - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("preset", ["fig6_valid", "fig5d", "fig6_breakdown"])
+    def test_bias_static_part_is_the_zero_bias_hamiltonian(self, preset):
+        from rabisweep.presets import PRESETS
+
+        p = PRESETS[preset].build().params
+        h_static, h_ramp = hamiltonian_parts(p, "epsilon")
+        assert np.array_equal(h_static, build_qrm(replace(p, epsilon=0.0)))
+        assert np.array_equal(h_ramp, epsilon_ramp(p))
+
+    def test_a_model_without_a_parity_block_is_refused(self):
+        for p in (
+            QrmParams(0.0, 0.3, 1.0, 1.0, 8),
+            MultiModeParams(0.5, (Mode(1.0, 0.5, 4),)),
+        ):
+            with pytest.raises(InvalidParameterError, match="parity blocks"):
+                parity_block_ladder(p, EVEN_SECTOR)
+
+
 class TestTopFockOccupancy:
     @pytest.mark.parametrize("sector", [EVEN_SECTOR, ODD_SECTOR])
     def test_a_block_state_weighs_as_its_lift(self, sector):
@@ -372,6 +422,12 @@ class TestSingleModeDimensionCap:
             lambda p: parity_sector_basis(p, EVEN_SECTOR),
             lambda p: scheme_basis(p, "displaced"),
             lambda p: scheme_basis(p, "normal"),
+            # The parity block's ladder, parts and columns, and a bias
+            # sweep's parts, are refused under the same cap.
+            lambda p: parity_block_ladder(replace(p, epsilon=0.0), EVEN_SECTOR),
+            lambda p: hamiltonian_parts(replace(p, epsilon=0.0), "delta", EVEN_SECTOR),
+            lambda p: readout_columns(p, "superradiant", EVEN_SECTOR),
+            lambda p: hamiltonian_parts(p, "epsilon"),
         ],
     )
     def test_refused_before_any_dense_array(self, build):

@@ -61,6 +61,8 @@ class TestExports:
             "QRM_DIM_CAP",
             "MULTIMODE_DIM_CAP",
             "ratios",
+            "_tridiagonal_parts",
+            "_scheme_column",
         ],
     )
     def test_deleted_names_are_gone(self, name):

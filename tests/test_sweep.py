@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import jv
 
-from rabisweep import experiments, operators, sweep
+from rabisweep import experiments, model, operators, sweep
 from rabisweep.errors import InvalidParameterError, NumericalInstabilityError, ResourceLimitError
 from rabisweep.experiments import ExperimentSpec, convergence_scan, lz_window, run_experiment
 from rabisweep.model import (
@@ -20,10 +20,10 @@ from rabisweep.model import (
     QrmParams,
     build_multimode,
     build_qrm,
-    delta_ramp,
     displaced_level_fits,
     displaced_state,
     epsilon_ramp,
+    parity_block_ladder,
     parity_sector_basis,
     scheme_basis,
     superradiant_state,
@@ -93,6 +93,15 @@ class TestSchedule:
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             SweepSchedule("gap", 1.0, 0.0, 1.0)
+        # Parts and ground states refuse an unknown parameter as a schedule
+        # does; a single-mode "gap" was a bias sweep's parts.
+        p = QrmParams(0.5, 0.0, 1.0, 0.7, 6)
+        mm = MultiModeParams(0.5, (Mode(1.0, 0.4, 3),))
+        for params, parameter in ((p, "gap"), (p, "omega"), (mm, "gap")):
+            with pytest.raises(InvalidParameterError, match="unknown sweep parameter"):
+                sweep.hamiltonian_parts(params, parameter)
+            with pytest.raises(InvalidParameterError, match="unknown sweep parameter"):
+                ground_state(params, parameter, 0.3)
         with pytest.raises(InvalidParameterError):
             SweepSchedule("delta", 1.0, 0.0, -1.0)
         with pytest.raises(InvalidParameterError):
@@ -683,8 +692,9 @@ class TestEigenLevelSeries:
         values = np.linspace(200.0, 0.0, 41)
         states = RNG.normal(size=(64, 41)) + 1j * RNG.normal(size=(64, 41))
         states /= np.linalg.norm(states, axis=0)
-        tridiagonal = sweep._tridiagonal_parts(h0, h1)
-        pops, vals, flags = eigen_level_series(tridiagonal, values, states, {})
+        pops, vals, flags = eigen_level_series(
+            parity_block_ladder(p, EVEN_SECTOR), values, states, {}
+        )
         assert pops.shape == vals.shape == flags.shape == (41, 64)
         for i, (value, amp) in enumerate(zip(values, states.T)):
             w, v = np.linalg.eigh(h0 + value * h1)
@@ -704,69 +714,76 @@ class TestEigenLevelSeries:
         values = np.array([5.0, 0.0, 5.0, 2.0, 0.0, 0.0])
         states = RNG.normal(size=(16, 6)) + 1j * RNG.normal(size=(16, 6))
         states /= np.linalg.norm(states, axis=0)
-        tridiagonal = sweep._tridiagonal_parts(h0, h1)
+        ladder = parity_block_ladder(p, EVEN_SECTOR)
         single = [
-            eigen_level_series(tridiagonal, values[[i]], states[:, [i]], {}) for i in range(6)
+            eigen_level_series(ladder, values[[i]], states[:, [i]], {}) for i in range(6)
         ]
         solve = mock.Mock(wraps=sweep._tridiagonal_eigh)
         monkeypatch.setattr(sweep, "_tridiagonal_eigh", solve)
-        series = eigen_level_series(tridiagonal, values, states, {})
+        series = eigen_level_series(ladder, values, states, {})
         assert solve.call_count == 3
         for got, want in zip(series, (np.concatenate(parts) for parts in zip(*single))):
             assert got.tobytes() == want.tobytes()
         # A value already solved is read with that solve, not solved again.
-        solved = {0.0: sweep._tridiagonal_eigh(*tridiagonal, 0.0)}
-        again = eigen_level_series(tridiagonal, values, states, solved)
+        solved = {0.0: sweep._tridiagonal_eigh(*ladder, 0.0)}
+        again = eigen_level_series(ladder, values, states, solved)
         assert solve.call_count == 3 + 1 + 2
         for got, want in zip(again, series):
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("case", ["full space", "complex", "asymmetric", "ramp off-diagonal"])
-    def test_other_parts_are_refused(self, case):
+    @pytest.mark.parametrize(
+        "case", ["full space", "complex", "short e", "short d1", "empty", "two-dimensional d0"]
+    )
+    def test_other_parts_are_refused(self, monkeypatch, case):
+        # A level series takes a ladder (d0, d1, e), checked before any
+        # solve: the full space's dense (A, B), a complex d0 (whose
+        # imaginary part the solve would drop) and arrays of other lengths
+        # or dimensions are refused.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        if case == "full space":
-            h0, h1 = build_qrm(p), delta_ramp(p)
-        else:
-            h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
-            h0, h1 = h0.copy(), h1.copy()
-            if case == "complex":
-                h0 = h0.astype(complex)
-            elif case == "asymmetric":
-                h0[1, 0] += 1e-15
-            else:
-                h1[0, 1] = h1[1, 0] = 1e-3
-        # Checked once per table, where a quench's setup assembles its block.
-        with pytest.raises(InvalidParameterError, match="tridiagonal"):
-            sweep._tridiagonal_parts(h0, h1)
+        d0, d1, e = parity_block_ladder(p, EVEN_SECTOR)
+        ladder = {
+            "full space": sweep.hamiltonian_parts(p, "delta"),
+            "complex": (d0 + 1e-3j, d1, e),
+            "short e": (d0, d1, e[:-1]),
+            "short d1": (d0, d1[:-1], e),
+            "empty": (d0[:0], d1[:0], e[:0]),
+            "two-dimensional d0": (np.diag(d0), d1, e),
+        }[case]
+        solve = mock.Mock(wraps=sweep._tridiagonal_eigh)
+        monkeypatch.setattr(sweep, "_tridiagonal_eigh", solve)
+        with pytest.raises(InvalidParameterError, match="ladder"):
+            eigen_level_series(ladder, np.array([1.0]), np.eye(8)[:, :1], {})
+        assert solve.call_count == 0
 
     @pytest.mark.parametrize("shape", [(8,), (2, 8), (8, 1), (8, 3), (7, 2), (8, 2, 1)])
     def test_states_of_another_shape_are_refused(self, shape):
         # Two values take a (block dim, 2) block: one column per value.
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         states = np.ones(shape, dtype=complex)
         with pytest.raises(InvalidParameterError, match=r"\(8, 2\) block of states"):
-            eigen_level_series(sweep._tridiagonal_parts(h0, h1), np.array([1.0, 0.0]), states, {})
+            eigen_level_series(
+                parity_block_ladder(p, EVEN_SECTOR), np.array([1.0, 0.0]), states, {}
+            )
 
     def test_failed_solve_raises(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 8)
-        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         # The solve imports dstevd at its first call, so it is patched at its source.
         import scipy.linalg.lapack
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
         with pytest.raises(NumericalInstabilityError, match="info = 3"):
-            eigen_level_series(sweep._tridiagonal_parts(h0, h1), [1.0], np.eye(8)[:, :1], {})
+            eigen_level_series(parity_block_ladder(p, EVEN_SECTOR), [1.0], np.eye(8)[:, :1], {})
 
     def test_degenerate_pair_is_flagged(self):
         # Levels 1 and 2 share the diagonal entry 2 and no off-diagonal
         # couples them; at f = 1 the ramp lifts level 2 to 3.
-        h0 = np.diag([0.0, 2.0, 2.0, 5.0, 6.0])
-        h0[3, 4] = h0[4, 3] = 0.5
-        h1 = np.diag([0.0, 0.0, 1.0, 0.0, 0.0])
+        ladder = (
+            np.array([0.0, 2.0, 2.0, 5.0, 6.0]),
+            np.array([0.0, 0.0, 1.0, 0.0, 0.0]),
+            np.array([0.0, 0.0, 0.0, 0.5]),
+        )
         states = np.eye(5, dtype=complex)[:, [0, 0]]
-        tridiagonal = sweep._tridiagonal_parts(h0, h1)
-        _, vals, flags = eigen_level_series(tridiagonal, np.array([0.0, 1.0]), states, {})
+        _, vals, flags = eigen_level_series(ladder, np.array([0.0, 1.0]), states, {})
         assert vals[0, 1] == vals[0, 2] == 2.0
         assert flags.tolist() == [
             [False, True, True, False, False],
@@ -775,16 +792,14 @@ class TestEigenLevelSeries:
 
     def test_block_path_never_calls_dense_eigh(self, monkeypatch):
         p = QrmParams(0.0, 0.0, 1.0, 1.0, 16)
-        h0, h1 = sweep.hamiltonian_parts(p, "delta", EVEN_SECTOR)
         state = ground_state(p, "delta", 5.0, EVEN_SECTOR).amplitudes
 
         def no_dense(*args, **kwargs):
             raise AssertionError("dense eigh called on a tridiagonal block")
 
         monkeypatch.setattr(np.linalg, "eigh", no_dense)
-        pops, _, _ = eigen_level_series(
-            sweep._tridiagonal_parts(h0, h1), np.array([5.0, 0.0]), np.stack([state] * 2, 1), {}
-        )
+        ladder = parity_block_ladder(p, EVEN_SECTOR)
+        pops, _, _ = eigen_level_series(ladder, np.array([5.0, 0.0]), np.stack([state] * 2, 1), {})
         assert pops[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -858,11 +873,13 @@ class TestGroundState:
         spies = {}
         for name in (
             "build_qrm", "build_multimode", "delta_ramp", "epsilon_ramp", "parity_sector_basis",
-            "_lowest_eigenvector", "eig_hermitian", "_tridiagonal_eigh",
+            "scheme_basis", "_lowest_eigenvector", "eig_hermitian", "_tridiagonal_eigh",
         ):
-            spies[name] = mock.Mock(wraps=getattr(sweep, name))
-            monkeypatch.setattr(sweep, name, spies[name])
-        monkeypatch.setattr(operators, "eig_hermitian", spies["eig_hermitian"])
+            # Spied in every module that holds the name.
+            holders = [m for m in (model, operators, sweep) if hasattr(m, name)]
+            spies[name] = mock.Mock(wraps=getattr(holders[0], name))
+            for module in holders:
+                monkeypatch.setattr(module, name, spies[name])
         schedule = schedules[0] if len(schedules) == 1 else RateBlock(schedules)
         result = run_sweep(p, parts, schedule, psi0)
         trajectories = result if isinstance(result, list) else [result]
