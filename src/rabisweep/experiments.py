@@ -45,7 +45,7 @@ from .model import (
     parity_block_ladder,
     top_fock_occupancy,
 )
-from .operators import StateVector
+from .operators import StateVector, eig_hermitian
 from .sweep import (
     DEFAULT_N_STEPS,
     MIN_N_STEPS,
@@ -53,7 +53,6 @@ from .sweep import (
     SweepSchedule,
     Trajectory,
     _lowest_eigenvector,
-    _tridiagonal_eigh,
     eigen_level_series,
     greedy_label_assignment,
     hamiltonian_parts,
@@ -426,22 +425,24 @@ def _quench(spec: ExperimentSpec) -> tuple[_Setup, float, tuple[BasisLabel, ...]
     ``quench_trace`` only, ``options["direction"]``, inside the even-parity
     block from its ground state ``psi0``. ``sign`` is the trace axis' sign:
     -1 toward zero gap (v(t - T)/omega = -delta/omega), +1 away from it
-    (v t/omega = delta/omega). The block's ladder (``parity_block_ladder``)
-    forms its parts and every level solve; its one solve at ``end`` serves
-    three uses: ``labels`` names its vectors, each by its best match in the direction's
-    scheme (superradiant toward zero gap, normal away from it), its lowest
-    column is the far end's ground state for the endpoint weight, and its
-    vectors read out every state at ``end``. ``readout(values, states)``
-    gives each state's populations of the block's eigenvectors at its gap
-    (``eigen_level_series``: levels in energy order, flagged near a
-    degeneracy) under that one tuple."""
+    (v t/omega = delta/omega). Both ends are dense solves of the block's
+    parts (``operators.eig_hermitian``), the start's for ``psi0``; the one
+    solve at ``end`` serves three uses: ``labels`` names its vectors, each by
+    its best match in the direction's scheme (superradiant toward zero gap,
+    normal away from it), its lowest column is the far end's ground state
+    for the endpoint weight, and its vectors read out every state at
+    ``end``. ``readout(values, states)`` gives each state's populations of
+    the block's eigenvectors at its gap (``eigen_level_series``: levels in
+    energy order, flagged near a degeneracy) under that one tuple; a trace's
+    samples away from ``end`` are solved on the block's ladder
+    (``parity_block_ladder``), so only a trace loads ``scipy.linalg``."""
     p = spec.params
     hi = _endpoint_option(spec)[1]
     ns = spec.options.get("direction", spec.kind.removeprefix("quench_")) == "ns"
     start, end, sign, scheme = (hi, 0.0, -1.0, "superradiant") if ns else (0.0, hi, 1.0, "normal")
     parts = hamiltonian_parts(p, "delta", EVEN_SECTOR)
     ladder = parity_block_ladder(p, EVEN_SECTOR)
-    far = _tridiagonal_eigh(*ladder, end)
+    far = eig_hermitian(parts[0] + end * parts[1])
     labels = tuple(greedy_label_assignment(*readout_columns(p, scheme, EVEN_SECTOR), far[1]))
 
     def readout(values: np.ndarray, states: np.ndarray) -> list[Readout]:

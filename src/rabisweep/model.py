@@ -594,32 +594,41 @@ def multimode_displaced_basis(p: MultiModeParams) -> tuple[np.ndarray, list[Basi
     return np.hstack([up_block, down_block]), labels
 
 
-def _basis_state(p: QrmParams, label: BasisLabel) -> StateVector:
-    """The ``scheme_basis`` column of one label, as a full-space state."""
-    cols, _ = scheme_basis(p, label.scheme)
-    column = QUBIT_LABELS[label.scheme].index(label.qubit) * p.n_fock + label.photons
-    return StateVector(cols[:, column])
-
-
 def normal_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """|right/left> (x) |n>, the weak-coupling product state."""
+    """|right/left> (x) |n>, the weak-coupling product state: its label's
+    ``scheme_basis`` column, built as its two nonzero entries."""
     label = BasisLabel("normal", qubit, n)
     if n >= p.n_fock:
         raise InvalidParameterError(f"photon number {n} outside truncation {p.n_fock}")
-    return _basis_state(p, label)
+    amplitudes = np.zeros(_capped_dim(p), dtype=complex)
+    q = QUBIT_LABELS["normal"].index(label.qubit)
+    amplitudes[[n, p.n_fock + n]] = _QUBIT_COLUMNS["normal"][:, q]
+    return StateVector(amplitudes)
 
 
 def displaced_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """Qubit-conditioned displaced Fock state, in the bare product basis."""
+    """Qubit-conditioned displaced Fock state |up> D(-g/omega)|n> or
+    |down> D(+g/omega)|n>, in the bare product basis: column n of its one
+    displacement, in its qubit's half."""
     label = BasisLabel("displaced", qubit, n)
-    sign = -1.0 if label.qubit == "up" else +1.0
-    _require_displaced_level(sign * p.g_over_omega, n, p.n_fock)
-    return _basis_state(p, label)
+    up = label.qubit == "up"
+    alpha = -p.g_over_omega if up else p.g_over_omega
+    _require_displaced_level(alpha, n, p.n_fock)
+    amplitudes = np.zeros(_capped_dim(p), dtype=complex)
+    half = slice(None, p.n_fock) if up else slice(p.n_fock, None)
+    amplitudes[half] = unitary_displacement(alpha, p.n_fock)[:, n]
+    return StateVector(amplitudes)
 
 
 def superradiant_state(p: QrmParams, qubit: str, n: int) -> StateVector:
-    """Strong-coupling doublet state (|up,D(-a)n> +/- |down,D(+a)n>)/sqrt(2)."""
+    """Strong-coupling doublet state (|up,D(-a)n> +/- |down,D(+a)n>)/sqrt(2),
+    a = g/omega: column n of each of the two displacements."""
     label = BasisLabel("superradiant", qubit, n)
-    for alpha in (-p.g_over_omega, p.g_over_omega):
+    a = p.g_over_omega
+    for alpha in (-a, a):
         _require_displaced_level(alpha, n, p.n_fock)
-    return _basis_state(p, label)
+    _capped_dim(p)  # refused before either displacement's eigensolve
+    down_sign = 1.0 if label.qubit == "+" else -1.0
+    up_half = unitary_displacement(-a, p.n_fock)[:, n]
+    down_half = down_sign * unitary_displacement(a, p.n_fock)[:, n]
+    return StateVector(_SQRT_HALF * np.concatenate([up_half, down_half]))

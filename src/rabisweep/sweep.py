@@ -39,8 +39,8 @@ writes every run's samples into one (runs, samples, dim) array, and
 parity block, whose coordinate k is photon number k, and is never lifted to
 the full space. A table's ramp family setup in ``experiments`` assembles the
 sweep's (A, B) once (``hamiltonian_parts``) and solves both of its ends
-(``_lowest_eigenvector``, the one dense ground-state solve, or a quench's
-level-naming tridiagonal solve).
+densely (``operators.eig_hermitian``: ``_lowest_eigenvector``, or a quench's
+full far-end solve, which also names its levels).
 ``run_sweep`` takes those parts, assembles and solves nothing, and assumes
 nothing about its initial state: it takes its space from psi0's ``sector``
 and returns a ``Trajectory`` per run, the states at its sample steps as the
@@ -53,16 +53,19 @@ block, where A is real tridiagonal and B diagonal. Each sample is one real
 symmetric tridiagonal solve (LAPACK ``dstevd``) of the diagonal d0 + f d1 and
 the off-diagonal e of the ladder that forms the block's parts: the
 divide-and-conquer solve that a dense ``eigh`` of the same matrix ends in,
-without the dense reduction before it. A quench's one solve at its far end
+without the dense reduction before it. At the far end a quench passes in
+the dense solve it already made there (``experiments._quench``), which
 names its levels, gives that end's ground state and reads out every state
-there (``experiments._quench``).
+there, so a rate scan, read out only at that end, makes no tridiagonal solve.
 
-That solve is the package's only use of ``scipy.linalg``: numpy has no
-tridiagonal solve, and its batched ``eigh`` is about 1.9x slower per sample
-at dim 64. It imports ``scipy.linalg`` at its first call, so ``import
-rabisweep``, the formula-only tables and every bias sweep never load its ~110
-modules and the second OpenBLAS they bring. The dense ground states are
-numpy's (``operators.eig_hermitian``), a few ms at dim 192; a run makes none.
+The per-sample solve of a trace is the package's only use of
+``scipy.linalg``: numpy has no tridiagonal solve, and its batched ``eigh`` is
+about 1.9x slower per sample at dim 64. It imports ``scipy.linalg`` at its
+first call, so ``import rabisweep``, the formula-only tables, every rate
+scan and every bias sweep never load its ~110 modules and the second
+OpenBLAS they bring. Every sweep end is solved by numpy
+(``operators.eig_hermitian``): about 0.3 ms at dim 64, a few ms at dim 192;
+a run makes none.
 """
 
 from __future__ import annotations
@@ -799,7 +802,8 @@ def _tridiagonal_eigh(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues and eigenvector columns of the tridiagonal
     matrix with diagonal d0 + value d1 and off-diagonal e, by LAPACK's
-    ``dstevd`` (imported at the first call; see the module docstring)."""
+    ``dstevd`` (imported at the first call; see the module docstring): the
+    solve of a level series at every value that ``solved`` does not hold."""
     from scipy.linalg.lapack import dstevd
 
     w, v, info = dstevd(d0 + value * d1, e)
@@ -824,7 +828,9 @@ def eigen_level_series(
     (populations, eigenvalues, degenerate_flags), each [time, level]. Level
     identity is the energy ordering at each instant; the caller names the
     levels once (``experiments._quench``, at the far end). Each distinct
-    value is one tridiagonal solve, or its ``_tridiagonal_eigh`` in ``solved``.
+    value is one tridiagonal solve (``_tridiagonal_eigh``), or the
+    (eigenvalues, eigenvector columns) that ``solved`` holds for it: a
+    quench's dense far-end solve, so a series read only there solves nothing.
     """
     ladder = tuple(np.asarray(part) for part in _as_tuple("a ladder", ladder))
     n = ladder[0].size if ladder else 0

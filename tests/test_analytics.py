@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabisweep import analytics
@@ -386,11 +386,15 @@ class TestOracleProperties:
         caps=st.tuples(st.integers(2, 12), st.integers(0, 6)),
         rates=_RATES,
     )
+    # delta * delta and delta**2 differ by one ulp at this draw, so the
+    # reference squares delta as the oracle does.
+    @example(delta=1.5081972364554688, gow=0.0, second=(2.0, 0.0), caps=(2, 0), rates=[1.0])
     def test_probabilities_sum_to_one_and_survival_is_exact(
         self, delta, gow, second, caps, rates
     ):
         # Whenever the residual check passes, a cascade or multimode table
-        # sums to 1, and P(down, 0) is exp(-pi delta^2 / 2v) to the bit.
+        # sums to 1, and P(down, 0) is exp(-pi delta^2 / 2v) to the bit, in
+        # the oracle's own arithmetic.
         omega2, gow2 = second
         mm = MultiModeParams(delta, (Mode(1.0, gow, 16), Mode(omega2, gow2 * omega2, 16)))
         mesh = multimode_gaps(mm, caps)
@@ -400,7 +404,7 @@ class TestOracleProperties:
                 if isinstance(entry, GapTruncationError):
                     continue
                 assert abs(sum(r.probability for r in entry) - 1.0) <= 1e-9
-                assert down0(entry) == math.exp(-math.pi * delta**2 / (2.0 * v))
+                assert down0(entry) == math.exp(-math.pi * (delta * delta) / (2.0 * v))
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -33,9 +33,12 @@ from rabisweep.model import (
     Readout,
     displaced_fock_tail,
     displaced_level_fits,
+    parity_block_ladder,
     parity_sector_basis,
     top_fock_occupancy,
 )
+from rabisweep.operators import eig_hermitian
+from rabisweep.presets import PRESETS
 from rabisweep.sweep import (
     MIN_N_STEPS,
     SweepSchedule,
@@ -257,23 +260,42 @@ class TestRateScan:
             assert row.sim.labels is row.oracle.labels is rows[0].sim.labels
 
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
-    def test_a_quench_table_makes_one_tridiagonal_solve(self, monkeypatch, kind):
-        # The one solve at the far end names the levels, its lowest column
-        # is the far end's ground state for the endpoint check, and its
-        # vectors read every rate's final state there. The initial state is
-        # the one dense solve, and the runs make none.
+    def test_a_quench_table_solves_its_two_ends_densely(self, monkeypatch, kind):
+        # Both ends are dense solves of the block's parts: the start's gives
+        # the initial state; the far end's names the levels, its lowest
+        # column is that end's ground state for the endpoint check, and its
+        # vectors read every rate's final state there. The runs make none,
+        # and no tridiagonal solve is made.
         spies = {}
-        for name in ("_tridiagonal_eigh", "_lowest_eigenvector"):
-            spies[name] = mock.Mock(wraps=getattr(sweep, name))
-            monkeypatch.setattr(sweep, name, spies[name])
-            monkeypatch.setattr(experiments, name, spies[name])
+        for name in ("_tridiagonal_eigh", "_lowest_eigenvector", "eig_hermitian"):
+            holders = [m for m in (sweep, experiments) if hasattr(m, name)]
+            spies[name] = mock.Mock(wraps=getattr(holders[0], name))
+            for module in holders:
+                monkeypatch.setattr(module, name, spies[name])
         spec = ExperimentSpec(
             kind, self.P, "v_over_omega2", (1e2, 1e3, 1e4), n_steps=1000,
             options={"delta_hi": 100.0},
         )
         rows = run_experiment(spec).rows
         assert all(row.sim is not None for row in rows)
-        assert [spy.call_count for spy in spies.values()] == [1, 1]
+        assert [spy.call_count for spy in spies.values()] == [0, 1, 2]
+
+    @pytest.mark.parametrize("preset", ["fig1a", "fig3a"])
+    def test_the_dense_far_end_solve_agrees_with_the_tridiagonal_one(self, preset):
+        # A scan's far end and a trace's other samples are solved two ways:
+        # at zero gap and at delta_hi, the dense solve of the block's parts
+        # and dstevd on its ladder give one spectrum and one set of
+        # populations of the table's initial state.
+        spec = PRESETS[preset].build()
+        setup, _, _ = experiments._quench(spec)
+        ladder = parity_block_ladder(spec.params, EVEN_SECTOR)
+        for value in (0.0, spec.options["delta_hi"]):
+            w, v = eig_hermitian(setup.parts[0] + value * setup.parts[1])
+            w_tri, v_tri = sweep._tridiagonal_eigh(*ladder, value)
+            assert np.max(np.abs(w - w_tri)) <= 1e-12 * np.max(np.abs(w))
+            pops = np.abs(v.T @ setup.psi0.amplitudes) ** 2
+            pops_tri = np.abs(v_tri.T @ setup.psi0.amplitudes) ** 2
+            assert np.max(np.abs(pops - pops_tri)) <= 1e-13
 
     @pytest.mark.parametrize("kind", ["quench_ns", "quench_sn"])
     def test_every_row_weighs_both_ends_of_its_quench(self, kind):

@@ -359,6 +359,31 @@ class TestStates:
         expected[5] = -s     # |down, 1>
         assert np.allclose(amp, expected)
 
+    @pytest.mark.parametrize("g", [0.0, 0.7, 2.3])
+    @pytest.mark.parametrize(
+        "scheme, build",
+        [("normal", normal_state), ("displaced", displaced_state),
+         ("superradiant", superradiant_state)],
+    )
+    def test_each_state_is_its_scheme_basis_column(self, scheme, build, g):
+        # A constructor builds only the column it returns, and it is the
+        # scheme_basis column of its label to the bit, for every qubit and
+        # every level that fits the ladder.
+        p = QrmParams(0.4, 0.0, 1.3, g, 24)
+        cols, labels = scheme_basis(p, scheme)
+        built = []
+        for column, label in enumerate(labels):
+            try:
+                state = build(p, label.qubit, label.photons)
+            except InsufficientTruncationError:
+                continue
+            assert np.array_equal(state.amplitudes, cols[:, column]), label
+            built.append(label)
+        # Both qubits, and at g = 2.3 the lowest three levels of each.
+        assert {label.qubit for label in built if label.photons == 2} == {
+            label.qubit for label in labels
+        }
+
 
 class TestMultimode:
     def test_single_mode_matches_qrm(self):

@@ -86,7 +86,7 @@ class TestExports:
         # Nothing the package or its CLI runs needs scipy.optimize, whose
         # import alone loads about 200 more scipy modules. scipy.linalg and
         # scipy.special (about 110 modules, over half the import time) are not
-        # imported either: the one LAPACK solve, the quench level series'
+        # imported either: the one LAPACK solve, a quench trace's per-sample
         # tridiagonal dstevd, imports scipy.linalg at its first call.
         loaded = _scipy_modules_after(
             "import rabisweep, rabisweep.cli", ("scipy.linalg", "scipy.special", "scipy.optimize")
@@ -112,14 +112,18 @@ class TestExports:
             ("PRESETS['fig6_valid'].build()", False),
             ("PRESETS['multimode_small'].build()", False),
             ("lz_trace_spec(1.0, 0.1, 100.0)", False),
-            ("PRESETS['fig1a'].build()", True),
+            ("PRESETS['fig1a'].build()", False),
+            ("PRESETS['fig3a'].build()", False),
+            ("PRESETS['fig2a'].build()", True),
         ],
-        ids=["lz_scan", "multimode_scan", "lz_trace", "quench_ns"],
+        ids=["lz_scan", "multimode_scan", "lz_trace", "quench_ns", "quench_sn", "quench_trace"],
     )
-    def test_only_quench_tables_load_linalg(self, tmp_path, build, linalg):
-        # A simulated bias sweep, trimmed to one rate and 1,000 steps, solves
-        # its ground states with numpy, so only the quench level series
-        # loads scipy.linalg (and the second OpenBLAS it brings).
+    def test_only_quench_traces_load_linalg(self, tmp_path, build, linalg):
+        # A simulated table, trimmed to one rate and 1,000 steps, solves both
+        # ends of its sweep with numpy, and a quench scan reads its levels out
+        # at its far end, with that end's solve. Only a quench trace's level
+        # series, at its first sample away from the far end, loads
+        # scipy.linalg (and the second OpenBLAS it brings).
         run = (
             "import dataclasses\n"
             "from rabisweep import PRESETS, run_experiment, write_result_table\n"
