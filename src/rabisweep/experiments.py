@@ -99,6 +99,13 @@ class ExperimentSpec:
         values = tuple(float(v) for v in values)
         if any(b <= a for a, b in zip(values, values[1:])):
             raise InvalidParameterError("scan grid must be strictly increasing")
+        # A row's manifest key is its value at 9 significant digits; on an
+        # increasing grid only neighbours can share one.
+        for a, b in zip(values, values[1:]):
+            if f"{a:.9g}" == f"{b:.9g}":
+                raise InvalidParameterError(
+                    f"scan values {a!r} and {b!r} read alike at 9 significant digits"
+                )
         if kind.scans_rates and values[0] <= 0:
             raise InvalidParameterError(
                 f"{self.kind} scans sweep rates, which must be positive; got {values[0]}"
@@ -185,23 +192,28 @@ class ResultTable:
         self, labels: list[BasisLabel]
     ) -> dict[BasisLabel, tuple[np.ndarray, np.ndarray]]:
         """Each label's (sim, oracle) probabilities, one entry per row: the
-        row's first record of that label, NaN where it has none. One pass
-        over the rows reads each record once."""
+        row's first record of that label, NaN where it has none. The rows
+        are grouped by (sim or oracle, label tuple), and each group fills
+        its columns with one assignment of its rows' stacked probabilities."""
         index = {lab: i for i, lab in enumerate(dict.fromkeys(labels))}
         out = np.full((2, len(index), len(self.rows)), np.nan)
-        # Per label tuple: the columns it fills and the entries that fill them.
-        places = {}
-        for labs in self._label_tuples():
+        groups: dict[tuple[int, int], tuple[tuple[BasisLabel, ...], list, list]] = {}
+        for j, row in enumerate(self.rows):
+            for which, readout in enumerate((row.sim, row.oracle)):
+                if readout:
+                    _, rows, probs = groups.setdefault(
+                        (which, id(readout.labels)), (readout.labels, [], [])
+                    )
+                    rows.append(j)
+                    probs.append(readout.probabilities)
+        for (which, _), (labs, rows, probs) in groups.items():
             first: dict[BasisLabel, int] = {}
             for k, lab in enumerate(labs):
                 if lab in index:
                     first.setdefault(lab, k)
-            places[id(labs)] = ([index[lab] for lab in first], list(first.values()))
-        for j, row in enumerate(self.rows):
-            for which, readout in enumerate((row.sim, row.oracle)):
-                if readout:
-                    targets, sources = places[id(readout.labels)]
-                    out[which, targets, j] = readout.probabilities[sources]
+            if first:
+                targets = [index[lab] for lab in first]
+                out[which][np.ix_(targets, rows)] = np.stack(probs)[:, list(first.values())].T
         return {lab: (out[0, i], out[1, i]) for lab, i in index.items()}
 
 
@@ -387,8 +399,9 @@ def _time_trace(spec: ExperimentSpec, setup: _Setup, axis_unit: float) -> Result
     ``axis_unit`` is a value of the swept parameter, sampled at the step k
     whose ramp value start + (end - start) k/n_steps is nearest; values
     outside the sweep are refused, those a rounding error past an end are
-    clipped. ``readout(values, states)`` reads the samples out at their ramp
-    values, and each row, at its value over ``axis_unit``, is judged by
+    clipped, and two values nearest one step are refused before the run.
+    ``readout(values, states)`` reads the samples out at their ramp values,
+    and each row, at its value over ``axis_unit``, is judged by
     ``_row_checks``; the run and the readout are timed as in ``_rate_scan``."""
     parameter, start, end, rate_unit = setup.ramp
     n = spec.n_steps
@@ -396,6 +409,13 @@ def _time_trace(spec: ExperimentSpec, setup: _Setup, axis_unit: float) -> Result
     if np.any(fractions < -1e-12) or np.any(fractions > 1.0 + 1e-12):
         raise InvalidParameterError("trace axis values fall outside the sweep")
     steps = [round(f * n) for f in np.clip(fractions, 0.0, 1.0).tolist()]
+    # Each row has its own manifest key, so each needs its own step; the
+    # steps follow the axis, so only neighbours can share one.
+    for a, b, k, k_next in zip(spec.scan_values, spec.scan_values[1:], steps, steps[1:]):
+        if k == k_next:
+            raise InvalidParameterError(
+                f"trace axis values {a!r} and {b!r} fall on one step ({k} of {n})"
+            )
     rate = float(spec.options["rate"]) * rate_unit
     schedule = SweepSchedule(parameter, start, end, rate, n_steps=n, sample_steps=steps)
     values = start + (end - start) * (np.array(steps) / n)

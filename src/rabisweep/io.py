@@ -7,6 +7,10 @@ within one readout is written once, with its first entry, as
 ``ResultTable.columns`` (and so the SVGs) reads it. Wall-clock times live only
 in the manifest so identical configurations produce byte-identical CSVs.
 
+Text is formatted in array form: a CSV row is its scan value's text joined
+into its layout's template and one % over its floats, an SVG polyline one %
+over its points' pixels, and a manifest key is formatted once per row.
+
 A manifest and an audit are records of one writer (``_write_record``) and
 hold the same ``config`` (``_spec_config``): the spec's kind, model
 parameters, grid, steps and options.
@@ -61,14 +65,15 @@ def _csv_layout(
     sim_labels: tuple[BasisLabel, ...],
     oracle_labels: tuple[BasisLabel, ...],
     label_text: dict[BasisLabel, str],
-) -> tuple[dict[bool, str], list[int], list[int], list[int]]:
-    """The lines of a row whose readouts carry these labels: a %-template
-    for each converged flag, the positions that fill it, and the sim and
-    oracle entries of the labels both carry.
+) -> tuple[dict[bool, list[str]], list[int], list[int], list[int]]:
+    """The lines of a row whose readouts carry these labels: for each
+    converged flag a %-template of the row's floats, split on its scan-value
+    slots; the positions of the floats that fill it; and the sim and oracle
+    entries of the labels both carry.
 
-    A row's values are [scan value text, *sim, *oracle, *|sim - oracle| over
-    the labels both carry]; the positions pick them in template order. A
-    label repeated within a readout takes its first entry.
+    A row's floats are [*sim, *oracle, *|sim - oracle| over the labels both
+    carry]; the positions pick them in template order. A label repeated
+    within a readout takes its first entry.
     """
     slots: dict[BasisLabel, list] = {}
     for k, lab in enumerate(sim_labels):
@@ -77,28 +82,27 @@ def _csv_layout(
         slot = slots.setdefault(lab, [None, None])
         if slot[1] is None:
             slot[1] = k
-    n_values = 1 + len(sim_labels) + len(oracle_labels)
+    n_floats = len(sim_labels) + len(oracle_labels)
     lines, positions, both_sim, both_oracle = [], [], [], []
     for lab, (k_sim, k_oracle) in slots.items():
         text = label_text.get(lab)
         if text is None:
             text = label_text[lab] = f"{lab.scheme},{lab.qubit},{_photons_str(lab.photons)}"
-        positions.append(0)
         fields = ["", "", ""]
         if k_sim is not None:
-            positions.append(1 + k_sim)
+            positions.append(k_sim)
             fields[0] = "%.9g"
         if k_oracle is not None:
-            positions.append(1 + len(sim_labels) + k_oracle)
+            positions.append(len(sim_labels) + k_oracle)
             fields[1] = "%.9g"
         if k_sim is not None and k_oracle is not None:
-            positions.append(n_values + len(both_sim))
+            positions.append(n_floats + len(both_sim))
             both_sim.append(k_sim)
             both_oracle.append(k_oracle)
             fields[2] = "%.9g"
         lines.append(f"%s,{text},{fields[0]},{fields[1]},{fields[2]}")
     templates = {
-        flag: "\n".join(line + tail for line in lines)
+        flag: "\n".join(line + tail for line in lines).split("%s")
         for flag, tail in ((True, ",true"), (False, ",false"))
     }
     return templates, positions, both_sim, both_oracle
@@ -121,10 +125,11 @@ def render_result_csv(table: ResultTable) -> str:
     the oracle's labels that the simulation lacks.
 
     A row's lines depend only on its (sim, oracle) label tuples, so each run
-    of rows that share them is laid out once (``_csv_layout``) and each row
-    is one %-substitution of its values; ``"%.9g" % x`` and ``_fmt(x)`` give
-    the same text. Each label's ``scheme,qubit,n`` text is built once per
-    table.
+    of rows that share them is laid out once (``_csv_layout``). A row's scan
+    value text, formatted once, joins its template's pieces, and one %
+    substitutes its floats (numeric text holds no %); ``"%.9g" % x`` and
+    ``_fmt(x)`` give the same text. Each label's ``scheme,qubit,n`` text is
+    built once per table.
     """
     label_text: dict[BasisLabel, str] = {}
     lines = [CSV_HEADER]
@@ -138,12 +143,9 @@ def render_result_csv(table: ResultTable) -> str:
         sims = _probability_block([row.sim for row in run], len(key[0]))
         oracles = _probability_block([row.oracle for row in run], len(key[1]))
         floats = np.hstack([sims, oracles, np.abs(sims[:, both_sim] - oracles[:, both_oracle])])
-        # The scan value is formatted once per row, not once per line.
-        values = np.empty((len(run), 1 + floats.shape[1]), dtype=object)
-        values[:, 0] = [_fmt(row.scan_value) for row in run]
-        values[:, 1:] = floats
-        for row, row_values in zip(run, values[:, positions].tolist()):
-            lines.append(templates[bool(row.converged)] % tuple(row_values))
+        for row, row_floats in zip(run, floats[:, positions].tolist()):
+            template = _fmt(row.scan_value).join(templates[bool(row.converged)])
+            lines.append(template % tuple(row_floats))
     return "\n".join(lines) + "\n"
 
 
@@ -217,19 +219,19 @@ def write_result_table(
     """Write one CSV and its run manifest (``_write_record``); returns their
     paths. The manifest holds the run's ``provenance``, each row's
     ``convergence`` flag, ``checks`` and any ``warnings``, keyed by scan
-    value, and the CSV's ``checksums``."""
+    value at 9 significant digits (``ExperimentSpec`` and a trace refuse
+    values that would share a key), and the CSV's ``checksums``."""
     name = name or table.spec.kind
     csv_path = Path(out_dir) / f"{name}.csv"
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = render_result_csv(table).encode("utf-8")
     csv_path.write_bytes(payload)
+    keyed = [(_fmt(row.scan_value), row) for row in table.rows]
     manifest_path = _write_record(out_dir, name, "manifest", table.spec, {
         "provenance": _jsonable(table.provenance),
-        "convergence": {_fmt(row.scan_value): row.converged for row in table.rows},
-        "checks": {_fmt(row.scan_value): _jsonable(row.checks) for row in table.rows},
-        "warnings": {
-            _fmt(row.scan_value): list(row.warnings) for row in table.rows if row.warnings
-        },
+        "convergence": {key: row.converged for key, row in keyed},
+        "checks": {key: _jsonable(row.checks) for key, row in keyed},
+        "warnings": {key: list(row.warnings) for key, row in keyed if row.warnings},
         "checksums": {csv_path.name: hashlib.sha256(payload).hexdigest()},
     })
     return [csv_path, manifest_path]
@@ -314,7 +316,11 @@ def emit_svg(
     """Render requested labels as log-x probability curves; one polyline each.
 
     The x range snaps to the surrounding decade boundaries of the scan grid.
-    Degenerate single-point grids are skipped with a warning.
+    Degenerate single-point grids are skipped with a warning. A label's
+    curve is its simulated column from ``ResultTable.columns``, or its
+    oracle column where it has no simulated record, without its NaNs. Each
+    scan value's x pixel is computed once per table; a curve's y pixels are
+    one array expression with ``y_px``'s operations, and its points one %.
     """
     scan = np.array([row.scan_value for row in table.rows], dtype=float)
     if len(scan) < 2:
@@ -364,6 +370,7 @@ def emit_svg(
         f'text-anchor="middle">{table.spec.scan_name}</text>'
     )
 
+    xs = np.array([x_px(v) for v in scan.tolist()])
     columns = table.columns(labels)
     for i, lab in enumerate(labels):
         col, oracle_col = columns[lab]
@@ -372,7 +379,9 @@ def emit_svg(
         ok = ~np.isnan(col)
         if not ok.any():
             continue
-        pts = " ".join(f"{x_px(v):.2f},{y_px(pv):.2f}" for v, pv in zip(scan[ok], col[ok]))
+        ys = mt + (1.0 - np.clip(col[ok], 0.0, 1.0)) * plot_h
+        xy = np.column_stack([xs[ok], ys]).ravel().tolist()
+        pts = " ".join(["%.2f,%.2f"] * len(ys)) % tuple(xy)
         color = _color_for(lab, i)
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.6" points="{pts}"/>'

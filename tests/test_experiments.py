@@ -507,6 +507,29 @@ class TestTraces:
             run_experiment(spec)
 
     @pytest.mark.parametrize(
+        "kind, axis, options",
+        [
+            # Steps of 0.04 on the axis: -10 and -9.999999 both land on step 0.
+            ("quench_trace", (-10.0, -9.999999, -5.0, -1.0),
+             {"direction": "ns", "rate": 100.0, "delta_hi": 20.0}),
+            ("lz_trace", (-10.0, 0.0, 0.001, 5.0), {"rate": 1e3, "window": 10.0}),
+        ],
+    )
+    def test_axis_values_on_one_step_are_refused(self, monkeypatch, kind, axis, options):
+        # Their rows would share a manifest key: refused, naming both
+        # values, before the sweep runs.
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused trace ran")
+
+        monkeypatch.setattr(experiments, "run_sweep", no_run)
+        p = QrmParams(0.0 if kind == "quench_trace" else 0.3, 0.0, 1.0, 1.0, 16)
+        spec = ExperimentSpec(kind, p, "axis", axis, n_steps=1000, options=options)
+        with pytest.raises(InvalidParameterError, match="fall on one step") as refusal:
+            run_experiment(spec)
+        shared = axis[:2] if kind == "quench_trace" else axis[1:3]
+        assert all(repr(v) in str(refusal.value) for v in shared)
+
+    @pytest.mark.parametrize(
         "kind, params, axis, options",
         [
             ("quench_ns", QrmParams(0.0, 0.0, 1.0, 0.5, 16), (1e3, 1e4), {"delta_hi": 100.0}),
@@ -851,6 +874,17 @@ class TestSpec:
         p = MultiModeParams(1.0, (Mode(1.0, 1.0, 8),))
         with pytest.raises(InvalidParameterError):
             ExperimentSpec("multimode_scan", p, "v_over_delta2", (-1.0, 10.0))
+
+    @pytest.mark.parametrize("kind", ["lz_scan", "lz_trace"])
+    def test_refuses_values_alike_at_nine_significant_digits(self, kind):
+        # Rows are keyed by their value at 9 significant digits in the
+        # manifest, so two such values would overwrite each other's key.
+        p = QrmParams(0.1, 0.0, 1.0, 0.1, 32)
+        options = {"simulate": False} if kind == "lz_scan" else {"rate": 10.0}
+        with pytest.raises(InvalidParameterError, match="9 significant digits") as refusal:
+            ExperimentSpec(kind, p, "v", (1.0, 1.0000000001, 2.0), options=options)
+        assert "1.0 and 1.0000000001" in str(refusal.value)
+        ExperimentSpec(kind, p, "v", (1.0, 1.00000001, 2.0), options=options)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_refuses_non_finite_scan_values(self, bad):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import platform
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -210,21 +212,75 @@ class TestSvg:
     def test_columns_take_each_rows_first_record(self):
         a, b, c = (BasisLabel("displaced", "up", n) for n in range(3))
         spec = ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 8), "v", (1.0, 2.0))
+        # Sim tuples T1, T2, T1 on rows 3-5, T1 shared by identity and
+        # repeating a; rows 2 and 6 have no sim readout, row 6 none at all.
+        t1, t2 = (a, b, a), (c, a)
         rows = [
             ResultRow(1.0, Readout((a, a), [0.1, 0.2]), None),
             ResultRow(2.0, None, Readout((b,), [0.3])),
+            ResultRow(3.0, Readout(t1, [0.4, 0.5, 0.6]), Readout((b, c), [0.55, 0.05])),
+            ResultRow(4.0, Readout(t2, [0.7, 0.8]), None),
+            ResultRow(5.0, Readout(t1, [0.9, 0.15, 0.25]), None, warnings=("a limit",)),
+            ResultRow(6.0, None, None, warnings=("failed",)),
         ]
-        columns = ResultTable(spec, rows).columns([a, b, a, c])
+        assert rows[2].sim.labels is rows[4].sim.labels
+        table = ResultTable(spec, rows)
+        columns = table.columns([a, b, a, c])
         assert list(columns) == [a, b, c]
-        np.testing.assert_array_equal(columns[a][0], [0.1, np.nan])
-        np.testing.assert_array_equal(columns[a][1], [np.nan, np.nan])
-        np.testing.assert_array_equal(columns[b][1], [np.nan, 0.3])
-        assert np.isnan(columns[c]).all()
+        nan = np.nan
+        expected = {
+            a: ([0.1, nan, 0.4, 0.8, 0.9, nan], [nan] * 6),
+            b: ([nan, nan, 0.5, nan, 0.15, nan], [nan, 0.3, 0.55, nan, nan, nan]),
+            c: ([nan, nan, nan, 0.7, nan, nan], [nan, nan, 0.05, nan, nan, nan]),
+        }
+        for lab, (sim, oracle) in expected.items():
+            np.testing.assert_array_equal(columns[lab][0], sim)
+            np.testing.assert_array_equal(columns[lab][1], oracle)
         # The CSV writes the same first record.
-        assert render_result_csv(ResultTable(spec, rows)).splitlines()[1:] == [
+        assert render_result_csv(table).splitlines()[1:] == [
             "1,displaced,up,0,0.1,,,true",
             "2,displaced,up,1,,0.3,,true",
+            "3,displaced,up,0,0.4,,,true",
+            "3,displaced,up,1,0.5,0.55,0.05,true",
+            "3,displaced,up,2,,0.05,,true",
+            "4,displaced,up,2,0.7,,,true",
+            "4,displaced,up,0,0.8,,,true",
+            "5,displaced,up,0,0.9,,,false",
+            "5,displaced,up,1,0.15,,,false",
         ]
+
+    def test_points_follow_the_per_point_formula(self, tmp_path):
+        a, b, c = (BasisLabel("displaced", q, n) for q, n in (("up", 0), ("down", 0), ("up", 1)))
+        spec = ExperimentSpec("lz_scan", QrmParams(0.1, 0.0, 1.0, 1.0, 8), "v", (1.0,))
+        scan = [0.5, 3.0, 20.0, 150.0, 1000.0]
+        # a's sim column has a NaN gap at 20 and values a rounding error
+        # past [0, 1], which clamp; b has only oracle records.
+        rows = [
+            ResultRow(scan[0], Readout((a,), [1.0 + 5e-10]), Readout((b,), [0.25])),
+            ResultRow(scan[1], Readout((a,), [0.3]), Readout((b,), [0.123456789])),
+            ResultRow(scan[2], Readout((c,), [0.5]), None),
+            ResultRow(scan[3], Readout((a,), [-5e-10]), Readout((b,), [1.0])),
+            ResultRow(scan[4], Readout((a,), [0.77]), Readout((b,), [-5e-10])),
+        ]
+        path = emit_svg(ResultTable(spec, rows), [a, b], tmp_path, "t")
+        points = re.findall(r'<polyline [^>]*points="([^"]*)"', path.read_text())
+
+        # The writer's pixels, one point at a time: decades 1e-1..1e3 span
+        # the 460 px plot width, probabilities 1..0 its 390 px height.
+        def reference(pairs):
+            return " ".join(
+                f"{70 + (math.log10(v) + 1.0) / 4.0 * 460:.2f},"
+                f"{20 + (1.0 - min(max(p, 0.0), 1.0)) * 390:.2f}"
+                for v, p in pairs
+            )
+
+        assert points == [
+            reference([(0.5, 1.0 + 5e-10), (3.0, 0.3), (150.0, -5e-10), (1000.0, 0.77)]),
+            reference([(0.5, 0.25), (3.0, 0.123456789), (150.0, 1.0), (1000.0, -5e-10)]),
+        ]
+        # The clamped values sit on the frame's top and bottom edges.
+        ys = [pt.split(",")[1] for pt in points[0].split()]
+        assert ys == ["20.00", "293.00", "410.00", "109.70"]
 
 
 class TestManifest:
